@@ -18,9 +18,9 @@ FUZZTIME ?= 10s
 COVER_PKGS  := ./internal/drive ./internal/allreduce ./internal/strategy ./internal/ps ./internal/transport ./internal/collective ./internal/probe ./internal/probe/attrib ./internal/probe/predict
 COVER_FLOOR ?= 80
 
-.PHONY: check tier1 build vet test lint race bench bench-json bench-emu-json bench-scale fuzz trace-smoke conformance conformance-live cover predict-smoke
+.PHONY: check tier1 build vet test lint race bench bench-json bench-emu-json bench-scale fuzz trace-smoke conformance conformance-live cover predict-smoke benchmark-smoke
 
-check: tier1 lint race conformance conformance-live cover trace-smoke predict-smoke
+check: tier1 lint race conformance conformance-live cover trace-smoke predict-smoke benchmark-smoke
 
 tier1: build vet test
 
@@ -34,7 +34,7 @@ test:
 	$(GO) test ./...
 
 # Formatting gate plus staticcheck when the tool is installed (the gate
-# must not require network access to fetch it).
+# must not require network access to fetch it; CI installs it).
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -50,7 +50,7 @@ conformance:
 	$(GO) test -race -count=1 -run 'TestSchedulerConformance' ./internal/drive
 
 # The live counterpart over real sockets: every registry strategy across
-# {dedicated PS, muxed PS, ring, tree}, plus the sim≡live collective mirror,
+# {per-worker PS pipes, shared PS pipe, ring, tree}, plus the sim≡live collective mirror,
 # under the race detector.
 conformance-live:
 	$(GO) test -race -count=1 -run 'TestLiveTransportConformance|TestMirrorCollectiveTransports|TestCollectiveAckIsZero' ./internal/emu
@@ -114,6 +114,14 @@ predict-smoke:
 	$(GO) test -race -count=1 -run 'TestPredictionInvariant|TestPredictChaos' \
 		./internal/probe/predict ./internal/emu
 	$(GO) run ./cmd/prophet-bench -only ext-predict -quick
+
+# The frozen benchmark is its own module (benchmark/go.mod), which the root
+# build does not compile: vet and test it against the current API, then run
+# every workload and layer replay once with its output checks.
+benchmark-smoke:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+	bash benchmark/run.sh -quick
 
 # Short fixed-budget fuzzing smoke: each target gets $(FUZZTIME).
 fuzz:

@@ -1,6 +1,6 @@
 // Command prophet-emu runs the live emulation: real data-parallel SGD on a
-// real MLP over a real concurrent wire — a sharded parameter server
-// (dedicated or multiplexed connections) or a peer-to-peer ring/tree
+// real MLP over a real concurrent wire — a sharded parameter server (a pipe
+// per worker, or one shared pipe per shard) or a peer-to-peer ring/tree
 // collective — under a chosen push schedule. Losses are identical across
 // schedules (deterministic synchronous aggregation); tensor-0 latency and
 // wall time differ.
@@ -42,17 +42,13 @@ func main() {
 		seed      = flag.Uint64("seed", 21, "seed")
 		shards    = flag.Int("shards", 1, "parameter server shards (key-sharded multi-PS)")
 		placement = flag.String("placement", "size-balanced", "key→shard placement: round-robin|size-balanced")
-		mux       = flag.Bool("mux", false, "multiplex all workers onto one shared connection per shard (use for -workers ≥ 100)")
+		mux       = flag.Bool("mux", false, "put all workers on one shared pipe per shard instead of a pipe each (use for -workers ≥ 100)")
 		transport = flag.String("transport", "ps", "wire transport: "+strings.Join(drive.BackendNames(), "|")+" (ring/tree replace the PS with a peer-to-peer collective)")
 		report    = flag.Bool("attrib", false, "print the stall-attribution report (generation/priority/bandwidth/transmit/ack decomposition)")
 		audit     = flag.Bool("audit", false, "score predicted vs actual send windows and print the prediction-audit table (served live on /predict with -debug-addr)")
 		debugAddr = flag.String("debug-addr", "", "serve live metrics as JSON on this address (e.g. 127.0.0.1:6060/metrics, /predict with -audit) and dump them after the run")
 	)
 	flag.Parse()
-
-	if _, deprecated, err := strategy.Resolve(*policy); err == nil && deprecated {
-		fmt.Fprintf(os.Stderr, "warning: -policy %s is deprecated; use its canonical name (see -help)\n", *policy)
-	}
 
 	// The registry and auditor exist only when requested: nil keeps the
 	// emulation on its unobserved fast path.
@@ -115,12 +111,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	wire := "PS, dedicated conns"
+	wire := "PS, per-worker pipes"
 	switch {
 	case *transport != "" && *transport != "ps":
 		wire = "live " + *transport + " collective"
 	case *mux:
-		wire = "PS, muxed conns"
+		wire = "PS, shared pipes"
 	}
 	fmt.Printf("policy %s: %d workers, %d iterations, %.1f MB/s links, %d PS shard(s), %s\n",
 		*policy, *workers, *iters, *bandwidth/1e6, *shards, wire)

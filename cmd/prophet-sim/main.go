@@ -36,8 +36,7 @@ func main() {
 		batch     = flag.Int("batch", 64, "per-worker mini-batch size")
 		workers   = flag.Int("workers", 3, "number of worker nodes")
 		bandwidth = flag.Float64("bandwidth", 3000, "per-worker bandwidth limit in Mbps")
-		policy    = flag.String("policy", "", policyUsage)
-		sched     = flag.String("scheduler", "prophet", "deprecated alias for -policy")
+		policy    = flag.String("policy", "prophet", policyUsage)
 		iters     = flag.Int("iters", 12, "training iterations")
 		seed      = flag.Uint64("seed", 1, "simulation seed")
 		partition = flag.Float64("partition", 4, "P3 partition size in MB")
@@ -92,25 +91,16 @@ func main() {
 	}
 	agg := stepwise.Aggregate(wire, aggBytes, 0)
 
-	// -policy is the canonical spelling; -scheduler survives as an alias.
-	name := *sched
-	if *policy != "" {
-		name = *policy
-	}
-	canonical, deprecated, err := strategy.Resolve(name)
-	if err != nil {
+	if err := strategy.Check(*policy); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	if deprecated {
-		fmt.Fprintf(os.Stderr, "warning: policy name %q is deprecated; use %q\n", name, canonical)
 	}
 	opt := cluster.Options{
 		Partition: *partition * 1e6,
 		Credit:    *credit * 1e6,
 		Seed:      *seed,
 	}
-	if canonical == "prophet" {
+	if *policy == "prophet" {
 		prof, err := profiler.Run(profiler.Config{Model: wire, Batch: *batch, Agg: agg, Seed: *seed * 97})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -131,7 +121,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "prophet-sim: -shards is a PS option (transport %s)\n", *transport)
 			os.Exit(1)
 		}
-		factory, err := cluster.ByNameTransport(canonical, *transport, *workers, wire, opt)
+		factory, err := cluster.ByNameTransport(*policy, *transport, *workers, wire, opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -169,7 +159,7 @@ func main() {
 		return
 	}
 
-	factory, err := cluster.ByName(canonical, wire, opt)
+	factory, err := cluster.ByName(*policy, wire, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -42,8 +42,7 @@ func main() {
 		batch     = flag.Int("batch", 64, "batch size")
 		workers   = flag.Int("workers", 3, "workers")
 		bandwidth = flag.Float64("bandwidth", 3000, "per-worker Mbps")
-		policy    = flag.String("policy", "", policyUsage)
-		sched     = flag.String("scheduler", "prophet", "deprecated alias for -policy")
+		policy    = flag.String("policy", "prophet", policyUsage)
 		iters     = flag.Int("iters", 6, "iterations")
 		seed      = flag.Uint64("seed", 1, "seed")
 		hidden    = flag.Int("hidden", 64, "hidden layer width (emu path)")
@@ -62,31 +61,22 @@ func main() {
 		os.Exit(1)
 	}
 
-	// -policy is the canonical spelling; -scheduler survives as an alias.
-	name := *sched
-	if *policy != "" {
-		name = *policy
-	}
-	canonical, deprecated, err := strategy.Resolve(name)
-	if err != nil {
+	if err := strategy.Check(*policy); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	if deprecated {
-		fmt.Fprintf(os.Stderr, "warning: policy name %q is deprecated; use %q\n", name, canonical)
 	}
 
 	switch *path {
 	case "sim":
 		runSim(simConfig{
 			model: *modelName, batch: *batch, workers: *workers,
-			bandwidth: *bandwidth, policy: canonical, iters: *iters, seed: *seed,
+			bandwidth: *bandwidth, policy: *policy, iters: *iters, seed: *seed,
 			transport: *transport,
 		}, outputs{json: *outJSON, csv: *outCSV, xfer: *outXfer, attrib: *outAttrib, audit: *outAudit, topK: *topK})
 	case "emu":
 		runEmu(emuConfig{
 			batch: *batch, workers: *workers, hidden: *hidden,
-			bandwidth: *bandwidth, policy: canonical, iters: *iters, seed: *seed,
+			bandwidth: *bandwidth, policy: *policy, iters: *iters, seed: *seed,
 			mux: *mux, transport: *transport,
 		}, outputs{json: *outJSON, csv: *outCSV, xfer: *outXfer, attrib: *outAttrib, audit: *outAudit, topK: *topK})
 	default:

@@ -29,16 +29,15 @@ type Options struct {
 	Profile *core.Profile
 }
 
-// ByName builds a factory from a registry name (canonical or alias): the
-// single entry point the -policy flags and experiments use. Prophet gets
-// the cluster-side wiring each worker needs — a bandwidth monitor on its
-// own uplink and the link's setup/ramp cost as the per-message overhead.
+// ByName builds a factory from a registry name: the single entry point the
+// -policy flags and experiments use. Prophet gets the cluster-side wiring
+// each worker needs — a bandwidth monitor on its own uplink and the link's
+// setup/ramp cost as the per-message overhead.
 func ByName(name string, m *model.Model, opt Options) (SchedulerFactory, error) {
-	canonical, _, err := strategy.Resolve(name)
-	if err != nil {
+	if err := strategy.Check(name); err != nil {
 		return nil, err
 	}
-	if canonical == "prophet" && opt.Profile == nil {
+	if name == "prophet" && opt.Profile == nil {
 		return nil, fmt.Errorf("cluster: strategy prophet needs Options.Profile")
 	}
 	sizes := gradSizes(m)
@@ -53,10 +52,10 @@ func ByName(name string, m *model.Model, opt Options) (SchedulerFactory, error) 
 			Worker:    w,
 			Profile:   opt.Profile,
 		}
-		if canonical == "prophet" {
+		if name == "prophet" {
 			p.Bandwidth, p.Overhead = linkMonitor(eng, uplink)
 		}
-		s, err := strategy.New(canonical, p)
+		s, err := strategy.New(name, p)
 		if err != nil {
 			panic(err) // name and profile were validated above
 		}
@@ -101,11 +100,10 @@ func ByNameTransport(name, transport string, workers int, m *model.Model, opt Op
 	if workers <= 1 {
 		return nil, fmt.Errorf("cluster: transport %q needs workers > 1", be.Name())
 	}
-	canonical, _, err := strategy.Resolve(name)
-	if err != nil {
+	if err := strategy.Check(name); err != nil {
 		return nil, err
 	}
-	if canonical == "prophet" && opt.Profile == nil {
+	if name == "prophet" && opt.Profile == nil {
 		return nil, fmt.Errorf("cluster: strategy prophet needs Options.Profile")
 	}
 	sizes := gradSizes(m)
@@ -120,10 +118,10 @@ func ByNameTransport(name, transport string, workers int, m *model.Model, opt Op
 			Worker:    w,
 			Profile:   opt.Profile,
 		}
-		if canonical == "prophet" {
+		if name == "prophet" {
 			p.Bandwidth, p.Overhead = collectiveMonitor(eng, uplink, be, workers)
 		}
-		s, err := strategy.New(canonical, p)
+		s, err := strategy.New(name, p)
 		if err != nil {
 			panic(err) // name and profile were validated above
 		}

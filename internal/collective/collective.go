@@ -109,7 +109,7 @@ type Fabric struct {
 	recv *transport.MuxConn // demux loop reads here
 	wire []net.Conn         // both pipe ends, for teardown
 
-	pool floatPool
+	pool transport.FloatPool // decoded chunk buffers, recycled across steps and ops
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -210,7 +210,7 @@ func (f *Fabric) demuxLoop() {
 				frame.Type, len(frame.Payload), stream))
 			return
 		}
-		buf := f.pool.get(len(frame.Payload) / 8)
+		buf := f.pool.Get(len(frame.Payload) / 8)
 		if err := transport.DecodeFloatsInto(buf, frame.Payload); err != nil {
 			f.recv.Done(stream, frame)
 			f.fail(err)
@@ -313,14 +313,14 @@ func (p *Peer) exchange(iter, step uint32, dst int, out []float64, wantLen int, 
 		return fmt.Errorf("collective: recv step %d: %w", step, err)
 	}
 	if len(c.data) != wantLen {
-		p.f.pool.put(c.data)
+		p.f.pool.Put(c.data)
 		err := fmt.Errorf("collective: peer %d iter %d step %d: got %d-element chunk, want %d (lockstep violated)",
 			p.id, iter, step, len(c.data), wantLen)
 		p.f.fail(err)
 		return err
 	}
 	use(c.data)
-	p.f.pool.put(c.data)
+	p.f.pool.Put(c.data)
 	return nil
 }
 
@@ -434,35 +434,4 @@ func (p *Peer) treeAllReduce(iter uint32, data []float64, onStep StepFunc) error
 		step++
 	}
 	return nil
-}
-
-// floatPool recycles decoded chunk buffers across steps and ops.
-type floatPool struct {
-	mu   sync.Mutex
-	free [][]float64
-}
-
-func (p *floatPool) get(n int) []float64 {
-	p.mu.Lock()
-	for i := len(p.free) - 1; i >= 0; i-- {
-		if cap(p.free[i]) >= n {
-			buf := p.free[i]
-			p.free[i] = p.free[len(p.free)-1]
-			p.free[len(p.free)-1] = nil
-			p.free = p.free[:len(p.free)-1]
-			p.mu.Unlock()
-			return buf[:n]
-		}
-	}
-	p.mu.Unlock()
-	return make([]float64, n)
-}
-
-func (p *floatPool) put(buf []float64) {
-	if buf == nil {
-		return
-	}
-	p.mu.Lock()
-	p.free = append(p.free, buf)
-	p.mu.Unlock()
 }

@@ -8,7 +8,18 @@ import (
 
 	"prophet/internal/fault"
 	"prophet/internal/nn"
+	"prophet/internal/probe"
 	"prophet/internal/ps"
+	"prophet/internal/transport"
+)
+
+// Byte offsets on the faulted worker's client→server stream. The stream
+// opens with a push frame, so lenHighByte — the last byte of the first
+// header — is the high byte of its length prefix; midIteration lies inside
+// iteration 0's ~11 KB of pushes, well past the first frame.
+const (
+	lenHighByte  = transport.MuxHeaderSize - 1
+	midIteration = 32 * transport.MuxHeaderSize
 )
 
 // chaosConfig is a small-but-not-tiny job: ~11 KB of gradients per
@@ -49,20 +60,38 @@ func TestChaosStragglerDropped(t *testing.T) {
 	}
 }
 
+// topologies are the two PS pipe layouts. Byte-offset injectors wrap a
+// worker's private pipe or the pipe it shares, and the failure contract is
+// the same on both — except that a tripped injector on a shared pipe
+// perturbs every worker on it.
+var topologies = []struct {
+	name string
+	mux  bool
+}{{"per-worker", false}, {"shared", true}}
+
 // TestChaosDropFailFast: a connection cut mid-push under fail-fast produces
-// a descriptive error quickly — never a hang.
+// a descriptive error quickly — never a hang, and never a rejection of the
+// fault spec up front.
 func TestChaosDropFailFast(t *testing.T) {
-	cfg := chaosConfig(t)
-	cfg.Faults = map[int]fault.Spec{1: fault.DropAt(600)}
-	cfg.Failure = FailFast
-	cfg.PullTimeout = 2 * time.Second
-	start := time.Now()
-	_, err := Run(cfg)
-	if err == nil {
-		t.Fatal("run with a dropped link succeeded under fail-fast")
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("fail-fast took %v", elapsed)
+	for _, topo := range topologies {
+		t.Run(topo.name, func(t *testing.T) {
+			cfg := chaosConfig(t)
+			cfg.Mux = topo.mux
+			cfg.Faults = map[int]fault.Spec{1: fault.DropAt(midIteration)}
+			cfg.Failure = FailFast
+			cfg.PullTimeout = 2 * time.Second
+			start := time.Now()
+			_, err := Run(cfg)
+			if err == nil {
+				t.Fatal("run with a dropped link succeeded under fail-fast")
+			}
+			if strings.Contains(err.Error(), "fault injection") {
+				t.Fatalf("drop fault rejected at validation (%v), want it to run", err)
+			}
+			if elapsed := time.Since(start); elapsed > 10*time.Second {
+				t.Fatalf("fail-fast took %v", elapsed)
+			}
+		})
 	}
 }
 
@@ -70,8 +99,7 @@ func TestChaosDropFailFast(t *testing.T) {
 // the server reject the worker; fail-fast surfaces it with attribution.
 func TestChaosCorruptFrameFailsDescriptively(t *testing.T) {
 	cfg := chaosConfig(t)
-	// Offset 12 is the high byte of the first push frame's length prefix.
-	cfg.Faults = map[int]fault.Spec{1: fault.CorruptAt(12)}
+	cfg.Faults = map[int]fault.Spec{1: fault.CorruptAt(lenHighByte)}
 	cfg.Failure = FailFast
 	cfg.PullTimeout = 2 * time.Second
 	_, err := Run(cfg)
@@ -84,21 +112,36 @@ func TestChaosCorruptFrameFailsDescriptively(t *testing.T) {
 }
 
 // TestChaosTransientStallRecovers: a stall shorter than the pull timeout
-// under wait-timeout completes training with no drops.
+// under wait-timeout fires, is attributed to the worker whose spec it was,
+// and training completes with no drops.
 func TestChaosTransientStallRecovers(t *testing.T) {
-	cfg := chaosConfig(t)
-	cfg.Faults = map[int]fault.Spec{1: fault.StallAt(600, 80*time.Millisecond)}
-	cfg.Failure = WaitTimeout
-	cfg.PullTimeout = 10 * time.Second
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.DroppedWorkers) != 0 {
-		t.Fatalf("transient stall dropped workers %v", res.DroppedWorkers)
-	}
-	if len(res.Losses) != cfg.Iterations {
-		t.Fatalf("run incomplete: %d losses", len(res.Losses))
+	for _, topo := range topologies {
+		t.Run(topo.name, func(t *testing.T) {
+			rec := probe.NewSpanRecorder()
+			cfg := chaosConfig(t)
+			cfg.Mux = topo.mux
+			cfg.Observer = rec
+			cfg.Faults = map[int]fault.Spec{1: fault.StallAt(midIteration, 80*time.Millisecond)}
+			cfg.Failure = WaitTimeout
+			cfg.PullTimeout = 10 * time.Second
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.DroppedWorkers) != 0 {
+				t.Fatalf("transient stall dropped workers %v", res.DroppedWorkers)
+			}
+			if len(res.Losses) != cfg.Iterations {
+				t.Fatalf("run incomplete: %d losses", len(res.Losses))
+			}
+			faults := rec.Faults()
+			if len(faults) == 0 {
+				t.Fatal("stall injector never fired")
+			}
+			if faults[0].Worker != 1 {
+				t.Fatalf("fault attributed to worker %d, want 1", faults[0].Worker)
+			}
+		})
 	}
 }
 
@@ -107,7 +150,7 @@ func TestChaosTransientStallRecovers(t *testing.T) {
 // wait-with-timeout policy's bound, not a hang.
 func TestChaosPermanentStallTimesOut(t *testing.T) {
 	cfg := chaosConfig(t)
-	cfg.Faults = map[int]fault.Spec{1: fault.StallAt(600, 700*time.Millisecond)}
+	cfg.Faults = map[int]fault.Spec{1: fault.StallAt(midIteration, 700*time.Millisecond)}
 	cfg.Failure = WaitTimeout
 	cfg.PullTimeout = 100 * time.Millisecond
 	_, err := Run(cfg)
@@ -120,7 +163,7 @@ func TestChaosPermanentStallTimesOut(t *testing.T) {
 // descriptive error even when per-pull timeouts are generous.
 func TestChaosDeadline(t *testing.T) {
 	cfg := chaosConfig(t)
-	cfg.Faults = map[int]fault.Spec{1: fault.StallAt(600, 2*time.Second)}
+	cfg.Faults = map[int]fault.Spec{1: fault.StallAt(midIteration, 2*time.Second)}
 	cfg.Failure = WaitTimeout
 	cfg.PullTimeout = time.Minute
 	cfg.Deadline = 150 * time.Millisecond

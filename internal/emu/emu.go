@@ -88,8 +88,7 @@ type Config struct {
 	LR float64
 	// Policy selects the scheduling strategy by its registry name
 	// (internal/strategy): fifo, p3, tictac, bytescheduler,
-	// bytescheduler-tuned, prophet — or a registered alias ("priority"
-	// maps to p3). Default fifo.
+	// bytescheduler-tuned, prophet. Default fifo.
 	Policy string
 	// Profile, when set, is the generation pattern Prophet plans against
 	// from iteration 0 onwards. When nil, prophet runs iteration 0 under
@@ -127,24 +126,24 @@ type Config struct {
 	// ShardPlacement selects the key→shard map (default round-robin).
 	ShardPlacement shard.Placement
 
-	// Mux multiplexes every in-process worker onto ONE shared connection
-	// per shard (internal/transport tagged frames, one logical stream per
-	// worker) instead of a dedicated socket per worker×shard pair. The
-	// per-connection goroutine cost becomes per-shard instead of
-	// per-worker×shard, which is what makes Workers ≥ 1000 practical on a
-	// single host. Scheduling decisions are unaffected — they replay
-	// before any byte moves — so decision logs and training trajectories
-	// are bit-identical to the unmuxed path. The shared per-shard pipe is
-	// shaped to Workers×BandwidthBytesPerSec, preserving each worker's B
-	// fair share and the per-shard aggregate of the dedicated transport;
-	// timing differs only in serialization (one worker can transiently
-	// burst past B on the shared wire). Byte-offset fault injectors
-	// (drop/stall/corrupt) compose with Mux: they wrap the shared
-	// per-shard pipe, where the tagged stream hits the same byte offsets
-	// as a dedicated connection (see fault/mux_compose_test.go) — though a
-	// tripped injector naturally perturbs every worker on the pipe, not
-	// just the one whose spec it was. Per-worker rate shaping (Throttle)
-	// stays incompatible: it would throttle the whole shared wire.
+	// Mux selects the PS pipe topology, not a protocol — every pipe speaks
+	// the one tagged-frame wire of internal/ps, with a stream per worker it
+	// carries. False: a private pipe per worker×shard (one stream each),
+	// the shape per-worker rate limits and Throttle faults physically
+	// need. True: ONE shared pipe per shard carrying every worker, so the
+	// per-pipe goroutine cost (four: demux + writer on each side) is
+	// per-shard instead of per-worker×shard — what makes Workers ≥ 1000
+	// practical on a single host. Scheduling decisions replay before any
+	// byte moves, so decision logs and training trajectories are
+	// bit-identical across the two. A pipe is shaped to
+	// BandwidthBytesPerSec times the workers on it, so each worker's fair
+	// share is B and the per-shard aggregate Workers×B either way; timing
+	// differs only in serialization (one worker can transiently burst past
+	// B on a shared wire). Byte-offset fault injectors (drop/stall/corrupt)
+	// wrap whichever pipe carries their worker — on a shared pipe a
+	// tripped injector perturbs every worker on it, not just the one whose
+	// spec it was. Throttle is rejected under Mux: it would throttle the
+	// whole shared wire.
 	Mux bool
 
 	// Faults maps a worker id to a fault injection spec applied to that
@@ -205,11 +204,9 @@ func (c *Config) validate() error {
 	if c.Policy == "" {
 		c.Policy = "fifo"
 	}
-	canonical, _, err := strategy.Resolve(c.Policy)
-	if err != nil {
+	if err := strategy.Check(c.Policy); err != nil {
 		return fmt.Errorf("emu: %w", err)
 	}
-	c.Policy = canonical
 	switch c.Failure {
 	case FailFast, WaitTimeout, DropWorker:
 	case "":
@@ -330,89 +327,60 @@ func Run(cfg Config) (*Result, error) {
 	}
 	shards := smap.Shards()
 
-	// One server per shard; each worker holds one rate-shaped connection
-	// per shard (each shard link runs at the full configured bandwidth, so
-	// aggregate PS ingest scales with the shard count — matching the
-	// simulator's ShardUplink default). A worker's fault spec wraps every
-	// one of its shard connections.
-	servers := make([]*ps.Server, shards)
-	serverConns := make([][]net.Conn, shards)
-	clients := make([]*ps.ShardedClient, cfg.Workers)
-	rawConns := make([]net.Conn, 0, cfg.Workers*shards)
-	for s := 0; s < shards; s++ {
-		servers[s] = ps.NewServer(cfg.Workers)
-		servers[s].SetMetrics(cfg.Metrics)
-	}
-	var groups []*ps.MuxGroup
+	// One server per shard, reached over rate-shaped pipes of
+	// streamsPerPipe workers each (see Config.Mux). A pipe is shaped to its
+	// workers' aggregate, so per-shard ingest is Workers×B on both
+	// topologies, matching the simulator's ShardUplink default.
+	streamsPerPipe := 1
 	if cfg.Mux {
-		// One shared connection per shard; every worker is a logical
-		// stream on it. The shared pipe is shaped to Workers×B: unmuxed,
-		// each worker×shard pipe carries B, so the per-shard aggregate is
-		// Workers×B — shaping the one shared link to that aggregate keeps
-		// each worker's fair share at B and timing comparable across
-		// transports (though a lone bursting worker can transiently exceed
-		// B, since the wire serializes rather than partitions).
-		muxBW := cfg.BandwidthBytesPerSec * float64(cfg.Workers)
-		groups = make([]*ps.MuxGroup, shards)
-		// Byte-offset injectors compose on the shared pipe: the tagged
-		// stream hits the same offsets as a dedicated connection. Specs
-		// wrap in ascending worker order so offsets stay deterministic; a
-		// tripped injector perturbs every worker sharing the pipe.
-		faultWorkers := make([]int, 0, len(cfg.Faults))
-		for w := range cfg.Faults {
-			faultWorkers = append(faultWorkers, w)
-		}
-		sort.Ints(faultWorkers)
-		for s := 0; s < shards; s++ {
-			a, b := transport.Pipe(muxBW, muxBW)
+		streamsPerPipe = cfg.Workers
+	}
+	pipeBW := cfg.BandwidthBytesPerSec * float64(streamsPerPipe)
+	servers := make([]*ps.Server, shards)
+	links := make([][]ps.WorkerLink, cfg.Workers)
+	for w := range links {
+		links[w] = make([]ps.WorkerLink, shards)
+	}
+	type pipe struct {
+		srv    *ps.Server
+		ids    []int        // workers carried, by stream
+		client net.Conn     // outermost fault/meter wrapper
+		group  *ps.MuxGroup // owns client
+		server net.Conn
+	}
+	var pipes []pipe
+	for s := 0; s < shards; s++ {
+		srv := ps.NewServer(cfg.Workers)
+		srv.SetMetrics(cfg.Metrics)
+		servers[s] = srv
+		for lo := 0; lo < cfg.Workers; lo += streamsPerPipe {
+			a, b := transport.Pipe(pipeBW, pipeBW)
+			// Meter inside the fault wrap, so only bytes that actually
+			// reach the wire are counted.
 			a = transport.Meter(a, cfg.Metrics, "transport_worker")
-			for _, w := range faultWorkers {
-				var onFault func(string)
-				if obs := cfg.Observer; obs != nil {
-					w := w
-					onFault = func(kind string) { obs.FaultInjected(w, kind, clock()) }
-				}
-				a = cfg.Faults[w].WrapObserved(a, onFault)
-			}
-			rawConns = append(rawConns, a)
-			groups[s] = ps.NewMuxGroup(a, cfg.Workers, ps.MuxGroupOptions{
-				PullTimeout: pullTimeout,
-				Metrics:     cfg.Metrics,
-			})
-			serverConns[s] = []net.Conn{b}
-		}
-		for w := 0; w < cfg.Workers; w++ {
-			links := make([]ps.WorkerLink, shards)
-			for s := range links {
-				links[s] = groups[s].Worker(w)
-			}
-			clients[w] = ps.NewShardedLinks(links, smap.Of)
-		}
-	} else {
-		perWorker := make([][]*ps.Client, cfg.Workers)
-		for s := 0; s < shards; s++ {
-			serverConns[s] = make([]net.Conn, cfg.Workers)
-		}
-		for w := 0; w < cfg.Workers; w++ {
-			perWorker[w] = make([]*ps.Client, shards)
-			for s := 0; s < shards; s++ {
-				a, b := transport.Pipe(cfg.BandwidthBytesPerSec, cfg.BandwidthBytesPerSec)
-				// Meter inside the fault wrap, so only bytes that actually
-				// reach the wire are counted.
-				a = transport.Meter(a, cfg.Metrics, "transport_worker")
+			// A worker's fault spec wraps the client end of every pipe that
+			// carries it, in ascending worker order so byte offsets stay
+			// deterministic.
+			ids := make([]int, streamsPerPipe)
+			for i := range ids {
+				w := lo + i
+				ids[i] = w
 				if spec, ok := cfg.Faults[w]; ok {
 					var onFault func(string)
 					if obs := cfg.Observer; obs != nil {
-						w := w
 						onFault = func(kind string) { obs.FaultInjected(w, kind, clock()) }
 					}
 					a = spec.WrapObserved(a, onFault)
 				}
-				rawConns = append(rawConns, a)
-				perWorker[w][s] = ps.NewClientWithOptions(a, ps.Options{PullTimeout: pullTimeout, Metrics: cfg.Metrics})
-				serverConns[s][w] = b
 			}
-			clients[w] = ps.NewShardedClient(perWorker[w], smap.Of)
+			g := ps.NewMuxGroup(a, streamsPerPipe, ps.MuxGroupOptions{
+				PullTimeout: pullTimeout,
+				Metrics:     cfg.Metrics,
+			})
+			for i, w := range ids {
+				links[w][s] = g.Worker(i)
+			}
+			pipes = append(pipes, pipe{srv, ids, a, g, b})
 		}
 	}
 
@@ -428,13 +396,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 		fatalMu.Unlock()
 		abortOnce.Do(func() {
-			for _, c := range rawConns {
-				c.Close()
-			}
-			for _, cs := range serverConns {
-				for _, c := range cs {
-					c.Close()
-				}
+			for _, p := range pipes {
+				p.client.Close()
+				p.server.Close()
 			}
 		})
 	}
@@ -479,21 +443,9 @@ func Run(cfg Config) (*Result, error) {
 		defer watchdog.Stop()
 	}
 
-	serveDone := make(chan error, shards)
-	if cfg.Mux {
-		// A single demux goroutine (this one) plus the server's bounded
-		// responder handle all workers of a shard.
-		muxIDs := make([]int, cfg.Workers)
-		for w := range muxIDs {
-			muxIDs[w] = w
-		}
-		for s := 0; s < shards; s++ {
-			go func(s int) { serveDone <- servers[s].ServeMux(serverConns[s][0], muxIDs) }(s)
-		}
-	} else {
-		for s := 0; s < shards; s++ {
-			go func(s int) { serveDone <- servers[s].Serve(serverConns[s]) }(s)
-		}
+	serveDone := make(chan error, len(pipes))
+	for _, p := range pipes {
+		go func() { serveDone <- p.srv.ServeMux(p.server, p.ids) }()
 	}
 
 	res := &Result{}
@@ -501,7 +453,7 @@ func Run(cfg Config) (*Result, error) {
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < cfg.Workers; w++ {
-		eng := newPSEngine(clients[w], cfg.Metrics, cfg.Mux)
+		eng := newPSEngine(ps.NewShardedLinks(links[w], smap.Of), cfg.Metrics, cfg.Mux)
 		wg.Add(1)
 		go func(w int, eng *psEngine) {
 			defer wg.Done()
@@ -511,22 +463,14 @@ func Run(cfg Config) (*Result, error) {
 	wg.Wait()
 	res.Duration = time.Since(start)
 
-	for _, c := range clients {
-		c.Close()
-	}
-	// Mux groups own the shared client-side conns: closing them is what
-	// delivers the clean EOF that lets ServeMux return (a MuxWorker's own
-	// Close is worker-local by design).
-	for _, g := range groups {
-		g.Close()
-	}
-	for _, cs := range serverConns {
-		for _, c := range cs {
-			c.Close()
-		}
+	// The groups own the client-side conns: closing them is what delivers
+	// the clean EOF that lets ServeMux return.
+	for _, p := range pipes {
+		p.group.Close()
+		p.server.Close()
 	}
 	var serveErrs []error
-	for s := 0; s < shards; s++ {
+	for range pipes {
 		serveErrs = append(serveErrs, <-serveDone)
 	}
 	serveErr := errors.Join(serveErrs...)

@@ -108,17 +108,16 @@ func TestPushOrderReflectsPolicy(t *testing.T) {
 		t.Fatalf("FIFO first push = tensor %d, want %d (last layer bias)", fifoRes.PushOrder[0], n-1)
 	}
 
-	// "priority" is the live path's historical name — the registry keeps it
-	// as a deprecated alias for p3, whose whole-tensor push order under the
-	// default 4 MB partition is ascending by tensor index.
+	// p3's whole-tensor push order under the default 4 MB partition is
+	// ascending by tensor index.
 	prioCfg := baseConfig()
-	prioCfg.Policy = "priority"
+	prioCfg.Policy = "p3"
 	prioRes, err := Run(prioCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sort.IntsAreSorted(prioRes.PushOrder) {
-		t.Fatalf("priority push order not sorted: %v", prioRes.PushOrder)
+		t.Fatalf("p3 push order not sorted: %v", prioRes.PushOrder)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // worker loop decides *what* to send (the scheduler, replayed through a
 // drive.Driver) and the engine decides *how* the bytes move and how the
 // aggregated gradients come back. Two implementations exist: psEngine
-// (sharded parameter server over dedicated or multiplexed connections —
-// the paper's testbed) and collectiveEngine (peer-to-peer ring/tree chunk
+// (sharded parameter server over per-worker or shared pipes — the paper's
+// testbed) and collectiveEngine (peer-to-peer ring/tree chunk
 // exchange, see internal/collective). Probe span emission for the wire
 // lives behind the engine too, so both transports produce the event
 // stream the SpanRecorder and the attribution analyzer expect.
@@ -63,14 +63,14 @@ type planner interface {
 
 // psEngine executes decided sends against the sharded parameter server:
 // push + inline pull-request batches per shard (PushPullBatch), responses
-// awaited per tensor. It carries the pushSends/pushSendsInline dispatch
-// paths that predate the engine seam.
+// awaited per tensor.
 type psEngine struct {
 	client  *ps.ShardedClient
 	metrics *probe.Metrics
-	// inline selects the mux dispatch path: the shared per-shard
-	// connection serializes writes anyway, so per-shard writer goroutines
-	// buy nothing.
+	// inline dispatches on the worker's own goroutine. Set on shared
+	// pipes, which serialize writes anyway; private pipes get a writer
+	// goroutine per shard so one message's per-shard sub-sends move in
+	// parallel on their own links.
 	inline bool
 
 	pp    pushParams
@@ -105,7 +105,7 @@ func (e *psEngine) LaneOf() func(int) int { return e.client.ShardOf }
 // sub-sends back-to-back).
 //
 // A shard writer flushes all tensors of one send — plus their inline pull
-// requests — as ONE buffered write (ps.Client.PushPullBatch): the live
+// requests — as ONE buffered write (ps.WorkerLink.PushPullBatch): the live
 // analogue of the simulator's message granularity, and the Parameter-Box
 // batched wire format. Strategies whose messages complete one tensor at a
 // time (FIFO, credit slices) degenerate to one push+pull-request pair per
@@ -188,7 +188,7 @@ func (e *psEngine) Dispatch(iter int, grad func(int) []float64, sends []wireSend
 	return errors.Join(errs...)
 }
 
-// dispatchInline is Dispatch for the mux transport: the worker dispatches
+// dispatchInline is Dispatch for shared pipes: the worker dispatches
 // each send itself, in decision order. The cross-shard priority gate holds
 // trivially (send k's batch returns before send k+1 is offered), and the
 // probe event stream keeps the exact shape of the goroutine path:

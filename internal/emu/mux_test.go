@@ -4,11 +4,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"prophet/internal/core"
 	"prophet/internal/fault"
-	"prophet/internal/probe"
 	"prophet/internal/strategy"
 )
 
@@ -37,11 +35,11 @@ func muxConformanceConfig(t *testing.T, policy string) Config {
 	return cfg
 }
 
-// TestMuxConformance is the transport-equivalence table: every registry
-// strategy, run once over dedicated per-worker connections and once over
-// the shared multiplexed connections, must produce the bit-identical
-// scheduler decision log, push order, and training trajectory. The mux is
-// a wire-level change below the decision layer; any divergence here means
+// TestMuxConformance is the topology-equivalence table: every registry
+// strategy, run once over a private pipe per worker×shard and once over
+// one shared pipe per shard, must produce the bit-identical scheduler
+// decision log, push order, and training trajectory. Sharing a pipe is a
+// wire-level change below the decision layer; any divergence here means
 // stream interleaving leaked into scheduling.
 func TestMuxConformance(t *testing.T) {
 	for _, name := range strategy.Names() {
@@ -74,8 +72,8 @@ func TestMuxConformance(t *testing.T) {
 	}
 }
 
-// TestMuxManyWorkers smokes the scale path the mux exists for: far more
-// workers than would be sane with dedicated sockets, across shards, in a
+// TestMuxManyWorkers smokes the scale path the shared pipe exists for: far
+// more workers than would be sane with a pipe each, across shards, in a
 // regular test run.
 func TestMuxManyWorkers(t *testing.T) {
 	workers := 200
@@ -97,9 +95,10 @@ func TestMuxManyWorkers(t *testing.T) {
 	}
 }
 
-// TestMuxRejectsThrottleFaults pins the surviving half of the old blanket
-// Mux+Faults rejection: per-worker rate shaping has no private connection
-// to wrap on a shared pipe, so it is still refused — but only it.
+// TestMuxRejectsThrottleFaults: per-worker rate shaping has no private
+// connection to wrap on a shared pipe, so it is refused — the only fault
+// kind that is (see TestChaos* for the byte-offset injectors on both
+// topologies).
 func TestMuxRejectsThrottleFaults(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Mux = true
@@ -110,55 +109,13 @@ func TestMuxRejectsThrottleFaults(t *testing.T) {
 	}
 }
 
-// TestMuxComposesByteOffsetFaults proves byte-offset injectors now run
-// under Mux, composed on the shared per-shard pipe. A short stall
-// completes the run (the fault fires, training finishes); a connection
-// drop fails it cleanly under fail-fast instead of being rejected up
-// front.
-func TestMuxComposesByteOffsetFaults(t *testing.T) {
-	t.Run("stall-completes", func(t *testing.T) {
-		rec := probe.NewSpanRecorder()
-		cfg := baseConfig()
-		cfg.Mux = true
-		cfg.Iterations = 2
-		cfg.Observer = rec
-		cfg.Faults = map[int]fault.Spec{0: fault.StallAt(256, 30*time.Millisecond)}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("stall under mux: %v", err)
-		}
-		if len(res.Losses) != cfg.Iterations {
-			t.Fatalf("recorded %d losses, want %d", len(res.Losses), cfg.Iterations)
-		}
-		faults := rec.Faults()
-		if len(faults) == 0 {
-			t.Fatal("stall injector never fired on the shared pipe")
-		}
-		if faults[0].Worker != 0 {
-			t.Fatalf("fault attributed to worker %d, want 0", faults[0].Worker)
-		}
-	})
-	t.Run("drop-fails-fast", func(t *testing.T) {
-		cfg := baseConfig()
-		cfg.Mux = true
-		cfg.Faults = map[int]fault.Spec{0: fault.DropAt(64)}
-		_, err := Run(cfg)
-		if err == nil {
-			t.Fatal("dropped shared pipe completed, want failure")
-		}
-		if strings.Contains(err.Error(), "fault injection") {
-			t.Fatalf("drop fault rejected at validation (%v), want it to run", err)
-		}
-	})
-}
-
 // TestLiveTransportConformance is the full strategy × transport table: every
-// registry strategy runs over the dedicated PS sockets, the multiplexed PS
-// pipe, the live ring, and the live tree. Scheduling decisions replay
+// registry strategy runs over per-worker PS pipes, the shared PS pipe, the
+// live ring, and the live tree. Scheduling decisions replay
 // before any byte moves and (with no bandwidth hint) contain no wire-model
 // input, so the decision log and push order must be bit-identical across
 // all four transports; the training trajectory must additionally match
-// between the two PS wire variants (same aggregation arithmetic — the
+// between the two PS topologies (same aggregation arithmetic — the
 // collective's fixed ring/recursive reduction order is a different
 // float-addition order and is excluded by design).
 func TestLiveTransportConformance(t *testing.T) {
@@ -210,10 +167,10 @@ func TestLiveTransportConformance(t *testing.T) {
 				}
 			}
 			if !reflect.DeepEqual(ref.FinalParams, results["ps-mux"].FinalParams) {
-				t.Fatal("final parameters diverged between PS wire variants")
+				t.Fatal("final parameters diverged between PS topologies")
 			}
 			if !reflect.DeepEqual(ref.Losses, results["ps-mux"].Losses) {
-				t.Fatal("loss curves diverged between PS wire variants")
+				t.Fatal("loss curves diverged between PS topologies")
 			}
 		})
 	}

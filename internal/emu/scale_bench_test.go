@@ -1,14 +1,14 @@
 package emu
 
 // BenchmarkEmu_Scale is the tentpole scaling sweep: whole emulated
-// training runs (2 iterations, fifo, unshaped links) at worker counts the
-// dedicated-socket transport cannot reach sanely, over 1 and 4 PS shards
-// on the multiplexed transport, plus one unmuxed reference point. Beyond
+// training runs (2 iterations, fifo, unshaped links) at worker counts a
+// pipe per worker×shard cannot reach sanely, over 1 and 4 PS shards on the
+// shared-pipe topology, plus one per-worker-pipe reference point. Beyond
 // wall time it reports two custom metrics consumed by cmd/bench2json:
 //
-//	goroutines      peak live goroutines during the run — per-conn cost
+//	goroutines      peak live goroutines during the run — per-pipe cost
 //	                is the property under test (W=1000 must sit near
-//	                W+4·shards, not W×shards×2)
+//	                W+4·shards, not W×shards×4)
 //	peak-rss-bytes  the process high-water resident set (VmHWM)
 //
 // VmHWM is process-monotonic, so the sweep runs ascending in worker count:
@@ -76,7 +76,7 @@ func BenchmarkEmu_Scale(b *testing.B) {
 		transport       string // "" = parameter server
 	}{
 		{8, 1, true, ""}, {8, 4, true, ""},
-		{64, 4, false, ""}, // unmuxed reference: goroutines ∝ workers×shards
+		{64, 4, false, ""}, // per-worker-pipe reference: goroutines ∝ workers×shards
 		{64, 1, true, ""}, {64, 4, true, ""},
 		// Live collective at the same scale as the 64-worker PS rows: the
 		// ring's fabric is one shared pipe regardless of W, so its goroutine

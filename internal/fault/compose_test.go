@@ -1,10 +1,12 @@
 package fault
 
 // Chaos composition: the injectors key on absolute byte offsets in the
-// write stream, and the transport's batched FrameWriter emits the exact
-// byte stream of sequential WriteFrame calls — so every fault schedule
-// must behave identically whether frames leave one write at a time or as
-// one buffered flush. These tests pin that equivalence byte for byte.
+// write stream, and the wire's tagged frames (stream id + frame header) are
+// a deterministic byte stream — so every fault schedule must hit exactly
+// the configured offset, and behave identically whether frames leave one
+// send at a time or as one batched write. These tests pin that byte for
+// byte. Offsets are spelled in units of the frame layout: hdr is one tagged
+// header, f64 one payload element.
 
 import (
 	"bytes"
@@ -15,6 +17,11 @@ import (
 	"time"
 
 	"prophet/internal/transport"
+)
+
+const (
+	hdr = transport.MuxHeaderSize
+	f64 = 8
 )
 
 // deliver writes test frames through a spec-wrapped pipe endpoint and
@@ -35,38 +42,64 @@ func deliver(t *testing.T, spec Spec, write func(c net.Conn) error) ([]byte, err
 	return buf.Bytes(), werr
 }
 
-func TestFaultsComposeWithBufferedWriter(t *testing.T) {
-	frames := []*transport.Frame{
-		{Type: transport.Push, Iter: 1, Tensor: 0, Payload: transport.EncodeFloats([]float64{1, 2, 3})},
-		{Type: transport.PullReq, Iter: 1, Tensor: 0},
-		{Type: transport.Push, Iter: 1, Tensor: 1, Payload: transport.EncodeFloats([]float64{4})},
-		{Type: transport.PullReq, Iter: 1, Tensor: 1},
+// The composition stream, on one connection of three streams: a push of
+// three elements on stream 1, a bare pull request on stream 0, then a push
+// of one element and its pull request on stream 2.
+//
+//	[0, hdr+3·f64)  push    [hdr+3·f64, 2·hdr+3·f64)  pull request
+//	[2·hdr+3·f64, 3·hdr+4·f64)  push    [3·hdr+4·f64, 4·hdr+4·f64)  pull request
+const streamLen = 4*hdr + 4*f64
+
+// sequential ships every frame as its own send.
+func sequential(c net.Conn) error {
+	mc := transport.NewMuxConn(c, transport.MuxOptions{Streams: 3})
+	if err := mc.SendFloats(1, transport.Push, 2, 0, []float64{1, 2, 3}); err != nil {
+		return err
 	}
-	sequential := func(c net.Conn) error {
-		for _, f := range frames {
-			if err := transport.WriteFrame(c, f); err != nil {
-				return err
-			}
-		}
-		return nil
+	if err := mc.SendFrame(0, &transport.Frame{Type: transport.PullReq, Iter: 2}); err != nil {
+		return err
 	}
-	batched := func(c net.Conn) error {
-		fw := transport.NewFrameWriter(c)
-		for _, f := range frames {
-			if err := fw.AppendFrame(f); err != nil {
-				return err
-			}
-		}
-		return fw.Flush()
+	if err := mc.SendFloats(2, transport.Push, 2, 1, []float64{4}); err != nil {
+		return err
+	}
+	return mc.SendFrame(2, &transport.Frame{Type: transport.PullReq, Iter: 2, Tensor: 1})
+}
+
+// batched ships the two stream-2 frames as one batch, one write.
+func batched(c net.Conn) error {
+	mc := transport.NewMuxConn(c, transport.MuxOptions{Streams: 3})
+	if err := mc.SendFloats(1, transport.Push, 2, 0, []float64{1, 2, 3}); err != nil {
+		return err
+	}
+	if err := mc.SendFrame(0, &transport.Frame{Type: transport.PullReq, Iter: 2}); err != nil {
+		return err
+	}
+	b := mc.NewBatch(2)
+	if err := b.AppendFloats(transport.Push, 2, 1, []float64{4}); err != nil {
+		return err
+	}
+	if err := b.AppendFrame(&transport.Frame{Type: transport.PullReq, Iter: 2, Tensor: 1}); err != nil {
+		return err
+	}
+	return mc.SendBatch(b)
+}
+
+func TestFaultsComposeWithFrames(t *testing.T) {
+	clean, err := deliver(t, Spec{}, batched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clean) != streamLen {
+		t.Fatalf("clean stream is %d bytes, want %d", len(clean), streamLen)
 	}
 
-	// Offsets chosen to land inside the first payload (corrupt), on a
-	// frame boundary mid-batch (drop), and inside the third frame (stall):
-	// frame 1 spans bytes 0..36, frame 2 is 37..49, frame 3 starts at 50.
+	// Inside the first payload (corrupt), on the frame boundary between the
+	// batch's header and payload (drop), and inside the batch's payload
+	// (stall).
 	specs := []Spec{
-		CorruptAt(20),
-		DropAt(50),
-		StallAt(55, time.Millisecond),
+		CorruptAt(hdr + 3),
+		DropAt(3*hdr + 3*f64),
+		StallAt(3*hdr+3*f64+5, time.Millisecond),
 	}
 	for _, spec := range specs {
 		t.Run(spec.String(), func(t *testing.T) {
@@ -76,59 +109,78 @@ func TestFaultsComposeWithBufferedWriter(t *testing.T) {
 				t.Fatalf("delivered streams differ under %v:\nseq  (%d) %x\nbatch (%d) %x",
 					spec, len(seqBytes), seqBytes, len(batBytes), batBytes)
 			}
-			if errors.Is(seqErr, ErrInjectedDrop) != errors.Is(batErr, ErrInjectedDrop) {
-				t.Fatalf("drop surfaced on one path only: seq %v, batch %v", seqErr, batErr)
-			}
-			if spec.DropAfterBytes > 0 {
-				if !errors.Is(batErr, ErrInjectedDrop) {
-					t.Fatalf("expected injected drop, got %v", batErr)
+			switch {
+			case spec.DropAfterBytes > 0:
+				// A drop mid-batch delivers exactly the configured prefix:
+				// the batch write is split, not atomically dropped.
+				if !errors.Is(seqErr, ErrInjectedDrop) || !errors.Is(batErr, ErrInjectedDrop) {
+					t.Fatalf("expected injected drop on both paths, got seq %v, batch %v", seqErr, batErr)
 				}
-				if int64(len(batBytes)) != spec.DropAfterBytes {
-					t.Fatalf("drop delivered %d bytes, want exactly %d", len(batBytes), spec.DropAfterBytes)
+				if !bytes.Equal(batBytes, clean[:spec.DropAfterBytes]) {
+					t.Fatalf("drop delivered %d bytes (%x), want the clean %d-byte prefix",
+						len(batBytes), batBytes, spec.DropAfterBytes)
 				}
-			} else if seqErr != nil || batErr != nil {
+			case seqErr != nil || batErr != nil:
 				t.Fatalf("unexpected write errors: seq %v, batch %v", seqErr, batErr)
+			case spec.CorruptAtByte > 0:
+				// Corruption flips exactly the configured offset.
+				want := append([]byte(nil), clean...)
+				want[spec.CorruptAtByte] ^= 0xFF
+				if !bytes.Equal(batBytes, want) {
+					t.Fatalf("corruption moved or leaked:\n got %x\nwant %x", batBytes, want)
+				}
+			default:
+				if !bytes.Equal(batBytes, clean) {
+					t.Fatalf("stall changed the stream:\n got %x\nwant %x", batBytes, clean)
+				}
 			}
 		})
 	}
 }
 
 // TestCorruptedBatchStillFrames checks the reader-side view: a corruption
-// inside one frame of a batched flush flips exactly that frame's payload
+// inside one frame of a batched write flips exactly that frame's payload
 // byte, leaving the framing of every other frame in the batch intact.
 func TestCorruptedBatchStillFrames(t *testing.T) {
-	payload := transport.EncodeFloats([]float64{1, 2})
-	frames := []*transport.Frame{
-		{Type: transport.Push, Iter: 1, Tensor: 0, Payload: payload},
-		{Type: transport.PullReq, Iter: 1, Tensor: 0},
-	}
-	// Byte 13 is the first payload byte of frame 1 (after its header).
-	got, err := deliver(t, CorruptAt(13), func(c net.Conn) error {
-		fw := transport.NewFrameWriter(c)
-		for _, f := range frames {
-			if err := fw.AppendFrame(f); err != nil {
-				return err
-			}
+	xs := []float64{1, 2}
+	write := func(c net.Conn) error {
+		mc := transport.NewMuxConn(c, transport.MuxOptions{Streams: 1})
+		b := mc.NewBatch(0)
+		if err := b.AppendFloats(transport.Push, 1, 0, xs); err != nil {
+			return err
 		}
-		return fw.Flush()
-	})
+		if err := b.AppendFrame(&transport.Frame{Type: transport.PullReq, Iter: 1}); err != nil {
+			return err
+		}
+		return mc.SendBatch(b)
+	}
+	clean, err := deliver(t, Spec{}, write)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := transport.NewFrameReader(bytes.NewReader(got), nil)
-	f1, err := fr.Read()
+	// Byte hdr is the first payload byte of the first frame.
+	got, err := deliver(t, CorruptAt(hdr), write)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(f1.Payload, payload) {
-		t.Fatal("payload byte was not corrupted")
+
+	a, b := net.Pipe()
+	defer b.Close()
+	go func() {
+		a.Write(got)
+		a.Close()
+	}()
+	mc := transport.NewMuxConn(b, transport.MuxOptions{Streams: 1})
+	_, f1, err := mc.Read()
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := append([]byte(nil), payload...)
+	want := append([]byte(nil), clean[hdr:hdr+len(xs)*f64]...)
 	want[0] ^= 0xFF
 	if !bytes.Equal(f1.Payload, want) {
 		t.Fatalf("corruption moved: got %x want %x", f1.Payload, want)
 	}
-	f2, err := fr.Read()
+	_, f2, err := mc.Read()
 	if err != nil {
 		t.Fatal(err)
 	}

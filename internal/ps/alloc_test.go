@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"prophet/internal/transport"
 )
 
 // sinkConn is a net.Conn whose writes vanish and whose reads block until
@@ -42,8 +44,9 @@ func (c *sinkConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c *sinkConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // TestClientPushZeroAllocs pins the write-side hot-path contract: once the
-// frame writer's scratch has grown, Push encodes and flushes a gradient
-// with zero allocations.
+// batch scratch has grown, Push encodes and flushes a gradient with zero
+// allocations. The sink never grants credit, so the whole run has to fit in
+// one stream window.
 func TestClientPushZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful without -race")
@@ -51,11 +54,12 @@ func TestClientPushZeroAllocs(t *testing.T) {
 	conn := newSinkConn()
 	c := NewClient(conn)
 	defer c.Close()
-	data := make([]float64, 512)
+	const runs = 200
+	data := make([]float64, transport.DefaultStreamWindow/(runs+2)/8-transport.MuxHeaderSize)
 	if err := c.Push(0, 0, data); err != nil { // warm the scratch
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs := testing.AllocsPerRun(runs, func() {
 		if err := c.Push(1, 2, data); err != nil {
 			t.Fatal(err)
 		}
@@ -74,45 +78,6 @@ func startPair(t *testing.T) (*Server, *Client) {
 	c := NewClient(cc)
 	t.Cleanup(func() { c.Close() })
 	return s, c
-}
-
-// TestPushPullBatchRoundTrip drives a three-tensor batch through a real
-// server: one buffered write carries all pushes and pull requests, and
-// every pull resolves to the (single-worker) mean.
-func TestPushPullBatchRoundTrip(t *testing.T) {
-	_, c := startPair(t)
-	tensors := []int{0, 1, 2}
-	data := map[int][]float64{
-		0: {1, 2, 3},
-		1: {4},
-		2: {5, 6},
-	}
-	chans := make(map[int]<-chan PullResult)
-	err := c.PushPullBatch(3, tensors,
-		func(tensor int) []float64 { return data[tensor] },
-		func(tensor int, ch <-chan PullResult) { chans[tensor] = ch })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chans) != len(tensors) {
-		t.Fatalf("res delivered %d channels, want %d", len(chans), len(tensors))
-	}
-	for _, tensor := range tensors {
-		r := <-chans[tensor]
-		if r.Err != nil {
-			t.Fatalf("tensor %d: %v", tensor, r.Err)
-		}
-		want := data[tensor]
-		if len(r.Data) != len(want) {
-			t.Fatalf("tensor %d: got %v want %v", tensor, r.Data, want)
-		}
-		for i := range want {
-			if r.Data[i] != want[i] {
-				t.Fatalf("tensor %d: got %v want %v", tensor, r.Data, want)
-			}
-		}
-		c.Recycle(r.Data)
-	}
 }
 
 // TestPushPullBatchFailsAsUnit: a duplicate registration mid-batch must
@@ -139,8 +104,8 @@ func TestPushPullBatchFailsAsUnit(t *testing.T) {
 // same-destination tensors — one wire write goes to one shard.
 func TestShardedBatchRejectsCrossShard(t *testing.T) {
 	conns := []*sinkConn{newSinkConn(), newSinkConn()}
-	clients := []*Client{NewClient(conns[0]), NewClient(conns[1])}
-	sc := NewShardedClient(clients, func(tensor int) int { return tensor % 2 })
+	links := []WorkerLink{NewClient(conns[0]), NewClient(conns[1])}
+	sc := NewShardedLinks(links, func(tensor int) int { return tensor % 2 })
 	defer sc.Close()
 	err := sc.PushPullBatch(0, []int{0, 1},
 		func(tensor int) []float64 { return nil },

@@ -14,8 +14,8 @@ import (
 )
 
 // TestCorruptResponseFailsWaiter pins the readLoop bugfix: a pull response
-// whose payload fails DecodeFloats must fail the matching waiter instead of
-// silently stranding it forever.
+// whose payload is not a float64 array must fail the matching waiter
+// instead of silently stranding it forever.
 func TestCorruptResponseFailsWaiter(t *testing.T) {
 	a, b := net.Pipe()
 	c := NewClient(a)
@@ -24,11 +24,12 @@ func TestCorruptResponseFailsWaiter(t *testing.T) {
 	go func() {
 		// Act as the server: consume the pull request, answer with a
 		// 5-byte payload (not a multiple of 8).
-		if _, err := transport.ReadFrame(b); err != nil {
+		mc := transport.NewMuxConn(b, transport.MuxOptions{Streams: 1})
+		if _, _, err := mc.Read(); err != nil {
 			t.Error(err)
 			return
 		}
-		transport.WriteFrame(b, &transport.Frame{
+		mc.SendFrame(0, &transport.Frame{
 			Type: transport.PullResp, Iter: 0, Tensor: 7, Payload: []byte{1, 2, 3, 4, 5},
 		})
 	}()
@@ -82,34 +83,126 @@ func TestLatePullIsProtocolError(t *testing.T) {
 // TestDropWorkerRenormalizesMean: dropping a silent worker completes the
 // slot over the survivors, with the mean divided by the live count.
 func TestDropWorkerRenormalizesMean(t *testing.T) {
-	srv, clients, cleanup := newCluster(t, 3)
-	defer cleanup()
-	if err := clients[0].Push(0, 0, []float64{3}); err != nil {
-		t.Fatal(err)
+	for _, topo := range topologies {
+		t.Run(topo.name, func(t *testing.T) {
+			srv, clients, shutdown := newTopology(t, 3, topo.shared)
+			if err := clients[0].Push(0, 0, []float64{3}); err != nil {
+				t.Fatal(err)
+			}
+			if err := clients[2].Push(0, 0, []float64{6}); err != nil {
+				t.Fatal(err)
+			}
+			got := make(chan PullResult, 2)
+			for _, w := range []int{0, 2} {
+				ch, err := clients[w].PullAsync(0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				go func() { got <- <-ch }()
+			}
+			srv.DropWorker(1) // worker 1 never pushed
+			for i := 0; i < 2; i++ {
+				select {
+				case r := <-got:
+					if r.Err != nil {
+						t.Fatal(r.Err)
+					}
+					if math.Abs(r.Data[0]-4.5) > 1e-15 {
+						t.Fatalf("mean = %v, want (3+6)/2 = 4.5", r.Data[0])
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatal("pull hung after DropWorker")
+				}
+			}
+			if !srv.IsDropped(1) || len(srv.Dropped()) != 1 {
+				t.Fatalf("dropped = %v, want [1]", srv.Dropped())
+			}
+			if err := shutdown(); err != nil {
+				t.Fatalf("serve: %v", err)
+			}
+		})
 	}
-	if err := clients[2].Push(0, 0, []float64{6}); err != nil {
-		t.Fatal(err)
+}
+
+// TestDropWorkerClosesOrphanedConnection: a connection whose every worker
+// has been dropped is closed, so the dropped worker's pending pull fails
+// at once instead of waiting out its timeout; a connection that still
+// carries a live worker stays up.
+func TestDropWorkerClosesOrphanedConnection(t *testing.T) {
+	for _, topo := range topologies {
+		t.Run(topo.name, func(t *testing.T) {
+			srv, clients, shutdown := newTopology(t, 2, topo.shared)
+			ch, err := clients[1].PullAsync(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.DropWorker(1)
+			select {
+			case r := <-ch:
+				if topo.shared {
+					t.Fatalf("shared connection closed under live worker 0 (pull got %v)", r.Err)
+				}
+				if !errors.Is(r.Err, ErrConnLost) {
+					t.Fatalf("dropped worker's pull failed with %v, want ErrConnLost", r.Err)
+				}
+			case <-time.After(100 * time.Millisecond):
+				if !topo.shared {
+					t.Fatal("dropped worker's private connection stayed open")
+				}
+			}
+			// The survivor trains on alone.
+			if err := clients[0].Push(0, 0, []float64{3}); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := clients[0].Pull(0, 0); err != nil || got[0] != 3 {
+				t.Fatalf("survivor pull = %v, %v; want [3]", got, err)
+			}
+			if err := shutdown(); err != nil {
+				t.Fatalf("serve: %v", err)
+			}
+		})
 	}
-	got := make(chan PullResult, 2)
-	for _, w := range []int{0, 2} {
-		ch, err := clients[w].PullAsync(0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { got <- <-ch }()
-	}
-	srv.DropWorker(1) // worker 1 never pushed
-	for i := 0; i < 2; i++ {
-		r := <-got
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if math.Abs(r.Data[0]-4.5) > 1e-15 {
-			t.Fatalf("mean = %v, want (3+6)/2 = 4.5", r.Data[0])
-		}
-	}
-	if !srv.IsDropped(1) || len(srv.Dropped()) != 1 {
-		t.Fatalf("dropped = %v, want [1]", srv.Dropped())
+}
+
+// TestLastServingCallStopsStragglerTimers: a straggler timer armed by a
+// parked pull must not outlive the serving calls — once the last connection
+// has returned there is nobody left to answer, and a late firing would drop
+// workers of a finished run.
+func TestLastServingCallStopsStragglerTimers(t *testing.T) {
+	for _, topo := range topologies {
+		t.Run(topo.name, func(t *testing.T) {
+			const timeout = 50 * time.Millisecond
+			srv, clients, shutdown := newTopology(t, 2, topo.shared)
+			fired := make(chan []int, 1)
+			srv.SetStragglerPolicy(timeout, func(iter, tensor int, missing []int) bool {
+				fired <- missing
+				return true
+			})
+			if err := clients[0].Push(0, 0, []float64{1}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := clients[0].PullAsync(0, 0); err != nil { // parks: worker 1 never pushes
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if _, pulls := srv.Stats(); pulls == 1 {
+					break // the timer is armed
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("pull never reached the server")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := shutdown(); err != nil {
+				t.Fatalf("serve: %v", err)
+			}
+			select {
+			case missing := <-fired:
+				t.Fatalf("straggler timer fired after the last serving call returned (missing %v)", missing)
+			case <-time.After(3 * timeout):
+			}
+		})
 	}
 }
 
@@ -173,17 +266,17 @@ func TestStragglerPolicyDropsSilentWorker(t *testing.T) {
 func TestPullTimeout(t *testing.T) {
 	srv := NewServer(2)
 	conns := make([]net.Conn, 2)
-	clients := make([]*Client, 2)
+	clients := make([]*MuxGroup, 2)
 	for w := range conns {
 		a, b := transport.Pipe(0, 0)
 		conns[w] = b
-		clients[w] = NewClientWithOptions(a, Options{PullTimeout: 40 * time.Millisecond})
+		clients[w] = NewMuxGroup(a, 1, MuxGroupOptions{PullTimeout: 40 * time.Millisecond})
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(conns) }()
 
-	clients[0].Push(0, 0, []float64{1}) // worker 1 never pushes
-	_, err := clients[0].Pull(0, 0)
+	clients[0].Worker(0).Push(0, 0, []float64{1}) // worker 1 never pushes
+	_, err := clients[0].Worker(0).Pull(0, 0)
 	if !errors.Is(err, ErrPullTimeout) {
 		t.Fatalf("err = %v, want ErrPullTimeout", err)
 	}
@@ -204,10 +297,10 @@ func TestPullTimeout(t *testing.T) {
 func TestOnWorkerFailureSeesCorruptFrame(t *testing.T) {
 	srv := NewServer(1)
 	a, b := transport.Pipe(0, 0)
-	// Flip the high byte of the 13-byte header's length prefix (offset 12):
-	// the announced payload balloons past MaxPayload and the server rejects
-	// the frame outright — a deterministic framing error.
-	fa := fault.CorruptAt(12).Wrap(a)
+	// Flip the last byte of the first frame's header — the high byte of its
+	// length prefix: the announced payload balloons past MaxPayload and the
+	// server rejects the frame outright, a deterministic framing error.
+	fa := fault.CorruptAt(transport.MuxHeaderSize - 1).Wrap(a)
 	c := NewClient(fa)
 	failures := make(chan error, 1)
 	srv.OnWorkerFailure(func(w int, err error) {
@@ -241,74 +334,17 @@ func TestOnWorkerFailureSeesCorruptFrame(t *testing.T) {
 	}
 }
 
-// TestPullRetriesAcrossReconnect: a pull that loses its connection redials
-// through Options.Redial, the server re-attaches via ServeWorker, and the
-// response — whose slot survived because delivery never succeeded — lands.
-func TestPullRetriesAcrossReconnect(t *testing.T) {
-	srv := NewServer(1)
-	a, b := transport.Pipe(0, 0)
-	redials := make(chan net.Conn, 4)
-	opts := Options{
-		PullTimeout: 5 * time.Second,
-		Backoff:     time.Millisecond,
-		Redial: func() (net.Conn, error) {
-			na, nb := transport.Pipe(0, 0)
-			redials <- nb
-			go srv.ServeWorker(0, nb)
-			return na, nil
-		},
-	}
-	c := NewClientWithOptions(a, opts)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve([]net.Conn{b}) }()
-
-	if err := c.Push(0, 0, []float64{5}); err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the push has been aggregated, then cut the link under the
-	// client — cleanly from the server's perspective (EOF), so Serve exits
-	// with no error, the slot survives, and the pull must reconnect.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if p, _ := srv.Stats(); p == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("push never arrived")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	a.Close()
-	got, err := c.Pull(0, 0)
-	if err != nil {
-		t.Fatalf("pull across reconnect: %v", err)
-	}
-	if got[0] != 5 {
-		t.Fatalf("got %v, want [5]", got)
-	}
-	if err := <-done; err != nil {
-		t.Errorf("serve: %v", err)
-	}
-	c.Close()
-	for {
-		select {
-		case nb := <-redials:
-			nb.Close()
-		default:
-			return
-		}
-	}
-}
-
 // TestInjectedDropSurfacesNotHangs: a connection dropped mid-frame by the
 // fault injector produces a descriptive failure on both sides — the pull
 // errors out and Serve attributes the failure — never a hang.
 func TestInjectedDropSurfacesNotHangs(t *testing.T) {
 	srv := NewServer(1)
 	a, b := transport.Pipe(0, 0)
-	// 64 floats = 512-byte payload + 13-byte header; drop mid-payload.
-	fa := fault.DropAt(100).Wrap(a)
-	c := NewClientWithOptions(fa, Options{PullTimeout: 2 * time.Second})
+	// The push is one header plus a 64-float (512-byte) payload; drop
+	// mid-payload.
+	fa := fault.DropAt(transport.MuxHeaderSize + 512/2).Wrap(a)
+	g := NewMuxGroup(fa, 1, MuxGroupOptions{PullTimeout: 2 * time.Second})
+	c := g.Worker(0)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve([]net.Conn{b}) }()
 
@@ -323,7 +359,7 @@ func TestInjectedDropSurfacesNotHangs(t *testing.T) {
 	if !errors.As(err, &we) {
 		t.Fatalf("Serve = %v, want *WorkerError (mid-frame cut is not a clean close)", err)
 	}
-	c.Close()
+	g.Close()
 	b.Close()
 }
 
@@ -333,8 +369,9 @@ func TestStallDelaysButCompletes(t *testing.T) {
 	srv := NewServer(1)
 	a, b := transport.Pipe(0, 0)
 	const stall = 60 * time.Millisecond
-	fa := fault.StallAt(20, stall).Wrap(a) // mid-push-frame
-	c := NewClientWithOptions(fa, Options{PullTimeout: 5 * time.Second})
+	fa := fault.StallAt(transport.MuxHeaderSize+3, stall).Wrap(a) // mid-push-frame, inside the payload
+	g := NewMuxGroup(fa, 1, MuxGroupOptions{PullTimeout: 5 * time.Second})
+	c := g.Worker(0)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve([]net.Conn{b}) }()
 
@@ -352,7 +389,7 @@ func TestStallDelaysButCompletes(t *testing.T) {
 	if got[0] != 1 || got[2] != 3 {
 		t.Fatalf("got %v", got)
 	}
-	c.Close()
+	g.Close()
 	b.Close()
 	if err := <-done; err != nil {
 		t.Errorf("serve: %v", err)

@@ -1,11 +1,6 @@
 package ps
 
-import (
-	"math/bits"
-	"sync"
-
-	"prophet/internal/transport"
-)
+import "prophet/internal/transport"
 
 // payloads is the process-wide frame payload pool: every server connection
 // reader and client response reader recycles wire buffers through it, so a
@@ -16,64 +11,5 @@ var payloads = transport.NewPayloadPool()
 // payload pool recycles wire bytes: push contributions live from decode
 // until the slot aggregates (the server recycles them after summing), and
 // pull results live from decode until the worker has consumed them (the
-// caller recycles via Client.Recycle once done).
-var floats floatPool
-
-// emptyFloats is the shared zero-length contribution: a push with an empty
-// payload must still register as a contribution (non-nil), matching the
-// pre-pool decode semantics.
-var emptyFloats = make([]float64, 0)
-
-const (
-	// floatMinClassBits: smallest pooled slice is 16 elements (128 bytes).
-	floatMinClassBits = 4
-	// floatMaxPerClass bounds idle slices retained per size class.
-	floatMaxPerClass = 128
-)
-
-// floatPool is a mutex-protected freelist in power-of-two size classes —
-// steady state get/put allocate nothing on any goroutine (unlike
-// sync.Pool, whose Put boxes the slice header).
-type floatPool struct {
-	mu sync.Mutex
-	// classes[c] holds idle slices with 1<<c <= cap < 1<<(c+1).
-	classes [30][][]float64
-}
-
-func (p *floatPool) get(n int) []float64 {
-	if n <= 0 {
-		return emptyFloats
-	}
-	c := bits.Len(uint(n - 1))
-	if c < floatMinClassBits {
-		c = floatMinClassBits
-	}
-	if c >= len(p.classes) {
-		return make([]float64, n)
-	}
-	p.mu.Lock()
-	if l := len(p.classes[c]); l > 0 {
-		b := p.classes[c][l-1]
-		p.classes[c][l-1] = nil
-		p.classes[c] = p.classes[c][:l-1]
-		p.mu.Unlock()
-		return b[:n]
-	}
-	p.mu.Unlock()
-	return make([]float64, n, 1<<c)
-}
-
-func (p *floatPool) put(b []float64) {
-	if cap(b) < 1<<floatMinClassBits {
-		return
-	}
-	c := bits.Len(uint(cap(b))) - 1
-	if c >= len(p.classes) {
-		c = len(p.classes) - 1
-	}
-	p.mu.Lock()
-	if len(p.classes[c]) < floatMaxPerClass {
-		p.classes[c] = append(p.classes[c], b[:0])
-	}
-	p.mu.Unlock()
-}
+// caller recycles via WorkerLink.Recycle once done).
+var floats transport.FloatPool

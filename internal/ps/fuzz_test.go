@@ -2,6 +2,7 @@ package ps
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"testing"
@@ -10,9 +11,12 @@ import (
 	"prophet/internal/transport"
 )
 
+// frameBytes is f as it travels on stream 0: the stream id, then the
+// ordinary frame.
 func frameBytes(f *transport.Frame) []byte {
 	var buf bytes.Buffer
-	if err := transport.WriteFrame(&buf, f); err != nil {
+	binary.Write(&buf, binary.LittleEndian, uint32(0))
+	if err := transport.NewFrameWriter(&buf).WriteFrame(f); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
@@ -24,14 +28,19 @@ func frameBytes(f *transport.Frame) []byte {
 // headers, or mid-frame garbage.
 func FuzzServeConn(f *testing.F) {
 	push := frameBytes(&transport.Frame{Type: transport.Push, Iter: 0, Tensor: 2,
-		Payload: transport.EncodeFloats([]float64{1, -2, 3})})
+		Payload: make([]byte, 3*8)})
 	pull := frameBytes(&transport.Frame{Type: transport.PullReq, Iter: 0, Tensor: 2})
 	f.Add(append(append([]byte(nil), push...), pull...)) // push then pull: full round
 	f.Add(pull)                                          // pull for a tensor never pushed
 	f.Add(push[:len(push)-3])                            // truncated push
 	{
 		bad := append([]byte(nil), push...)
-		bad[0] ^= 0xFF // unknown frame type
+		bad[4] ^= 0xFF // unknown frame type
+		f.Add(bad)
+	}
+	{
+		bad := append([]byte(nil), push...)
+		bad[0] = 1 // a stream the connection does not carry
 		f.Add(bad)
 	}
 	{
@@ -50,13 +59,13 @@ func FuzzServeConn(f *testing.F) {
 		}()
 		done := make(chan struct{})
 		go func() {
-			srv.ServeWorker(0, b)
+			srv.ServeMux(b, []int{0})
 			close(done)
 		}()
 		select {
 		case <-done:
 		case <-time.After(5 * time.Second):
-			t.Fatal("ServeWorker did not return after the connection closed")
+			t.Fatal("ServeMux did not return after the connection closed")
 		}
 	})
 }

@@ -1,15 +1,14 @@
 package ps
 
-// Multiplexed transport for the parameter server: N logical workers share
-// ONE physical connection in each direction instead of owning a socket and
-// two goroutines apiece.
+// The parameter server's wire: N ≥ 1 logical workers per physical
+// connection, each a tagged stream with its own flow-control credit.
 //
 // Server side, ServeMux runs the demux loop on the caller's goroutine and
 // one responder goroutine that owns all writes (pull responses and credit
 // grants) — two goroutines per physical connection regardless of how many
 // workers it carries. Client side, a MuxGroup owns one demux goroutine and
 // the transport's credit granter, and hands out per-worker MuxWorker
-// handles that implement the same WorkerLink surface as *Client.
+// handles implementing WorkerLink.
 //
 // Frames are tagged with a stream id equal to the worker's position in the
 // ServeMux ids slice (the MuxGroup uses worker id == stream id directly),
@@ -29,19 +28,13 @@ import (
 	"prophet/internal/transport"
 )
 
-// respSink routes a worker's pull responses to the goroutine that owns its
-// connection's writes (a mux responder), instead of a per-response
-// goroutine.
-type respSink interface {
-	enqueueResp(w int, k slotKey)
-}
-
 // ServeMux serves the given logical workers from one multiplexed
 // connection: frames on stream i belong to worker ids[i]. It blocks until
 // the connection closes, running the demux loop itself plus exactly one
 // responder goroutine, and returns the joined mid-stream failures of the
 // workers it carried (dropped workers' failures are suppressed, like
-// Serve).
+// Serve). When a server's last serving connection returns, its straggler
+// timers are stopped.
 func (s *Server) ServeMux(conn net.Conn, ids []int) error {
 	if len(ids) == 0 {
 		return errors.New("ps: ServeMux with no workers")
@@ -60,10 +53,12 @@ func (s *Server) ServeMux(conn net.Conn, ids []int) error {
 		stop:   make(chan struct{}),
 	}
 	s.mu.Lock()
-	for _, w := range ids {
-		s.sinks[w] = r
+	for stream, w := range ids {
+		s.links[w] = workerLink{r, uint32(stream)}
 	}
 	s.mu.Unlock()
+	s.addServing(1)
+	defer s.addServing(-1)
 	var rwg sync.WaitGroup
 	rwg.Add(1)
 	go func() {
@@ -108,14 +103,14 @@ func (s *Server) ServeMux(conn net.Conn, ids []int) error {
 
 	// Teardown: close the conn first — the responder may be parked inside a
 	// credit reservation and only a close wakes it — then wait for it and
-	// unhook the sinks.
+	// unhook the workers.
 	close(r.stop)
 	mc.Close()
 	rwg.Wait()
 	s.mu.Lock()
 	for _, w := range ids {
-		if s.sinks[w] == r {
-			s.sinks[w] = nil
+		if s.links[w].r == r {
+			s.links[w] = workerLink{}
 		}
 	}
 	s.mu.Unlock()
@@ -131,26 +126,14 @@ func (s *Server) ServeMux(conn net.Conn, ids []int) error {
 			}
 		}
 	}
-	return s.collectErrorsFor(ids)
+	return s.collectErrors(ids)
 }
 
-// collectErrorsFor joins the failures of the given workers, skipping
-// dropped ones — ServeMux's per-connection slice of collectErrors.
-func (s *Server) collectErrorsFor(ids []int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var errs []error
-	for _, w := range ids {
-		if err := s.workerErrs[w]; err != nil && !s.dead[w] {
-			errs = append(errs, &WorkerError{Worker: w, Err: err})
-		}
-	}
-	return errors.Join(errs...)
-}
-
+// respJob is one queued pull response: worker w's, on its stream.
 type respJob struct {
-	w int
-	k slotKey
+	w      int
+	stream uint32
+	k      slotKey
 }
 
 // muxResponder is the single writer goroutine of a ServeMux connection: it
@@ -169,10 +152,10 @@ type muxResponder struct {
 	stop   chan struct{}
 }
 
-// enqueueResp implements respSink.
-func (r *muxResponder) enqueueResp(w int, k slotKey) {
+// enqueue queues one pull response and wakes the responder.
+func (r *muxResponder) enqueue(j respJob) {
 	r.mu.Lock()
-	r.queue = append(r.queue, respJob{w, k})
+	r.queue = append(r.queue, j)
 	r.mu.Unlock()
 	select {
 	case r.notify <- struct{}{}:
@@ -208,7 +191,7 @@ func (r *muxResponder) loop() {
 			r.spare = jobs
 			r.mu.Unlock()
 			for _, j := range jobs {
-				if err := r.respond(j.w, j.k); err != nil {
+				if err := r.respond(j); err != nil {
 					// A mux write failure poisons the shared connection:
 					// close it so the demux loop (and every sender) unwinds.
 					r.s.workerFailed(j.w, fmt.Errorf("write pull response: %w", err))
@@ -221,30 +204,17 @@ func (r *muxResponder) loop() {
 }
 
 // respond writes one queued pull response on the worker's stream.
-func (r *muxResponder) respond(w int, k slotKey) error {
-	mean := r.s.meanFor(w, k)
+func (r *muxResponder) respond(j respJob) error {
+	mean := r.s.meanFor(j.w, j.k)
 	if mean == nil {
 		return nil // collected, not aggregated yet, or worker dropped
 	}
-	stream := -1
-	for i, id := range r.ids {
-		if id == w {
-			stream = i
-			break
-		}
-	}
-	if stream < 0 {
-		// Sinks are registered per id, so this is unreachable today; fail
-		// loudly rather than misdelivering the response on stream 0.
-		return fmt.Errorf("ps: worker %d is not on this mux connection", w)
-	}
-	werr := r.mc.SendFloats(uint32(stream), transport.PullResp, k.iter, k.tensor, mean)
-	return r.s.finishRespond(w, k, werr)
+	werr := r.mc.SendFloats(j.stream, transport.PullResp, j.k.iter, j.k.tensor, mean)
+	return r.s.finishRespond(j.w, j.k, werr)
 }
 
-// MuxGroupOptions configures the client half of a multiplexed connection.
-// Redial is deliberately absent: a mux conn is shared by every in-process
-// worker, so reconnect policy belongs to whoever owns the group.
+// MuxGroupOptions configures the client half of a connection. There is no
+// redial: reconnect policy belongs to whoever owns the group.
 type MuxGroupOptions struct {
 	// PullTimeout bounds each MuxWorker.Pull (0 = wait forever).
 	PullTimeout time.Duration
@@ -328,9 +298,8 @@ func (g *MuxGroup) readLoop() {
 	}
 }
 
-// MuxWorker is one logical worker's view of a MuxGroup — the mux
-// counterpart of *Client, sharing the group's connection and demux
-// goroutine. It implements WorkerLink.
+// MuxWorker is one logical worker's view of a MuxGroup, sharing the group's
+// connection and demux goroutine. It implements WorkerLink.
 type MuxWorker struct {
 	g      *MuxGroup
 	stream uint32
@@ -362,7 +331,7 @@ func (mw *MuxWorker) deliver(f *transport.Frame) {
 		ch <- PullResult{Err: fmt.Errorf("ps: pull response for iter %d tensor %d: %w", f.Iter, f.Tensor, derr)}
 		return
 	}
-	data := floats.get(n)
+	data := floats.Get(n)
 	transport.DecodeFloatsInto(data, f.Payload)
 	ch <- PullResult{Data: data}
 }
@@ -417,7 +386,11 @@ func (mw *MuxWorker) Push(iter, tensor int, data []float64) error {
 	return mw.g.mc.SendFloats(mw.stream, transport.Push, uint32(iter), uint32(tensor), data)
 }
 
-// PullAsync issues a pull request and returns the result channel.
+// PullAsync sends a pull request for tensor `tensor` of iteration `iter`
+// and returns a channel that delivers the result — the aggregated value or
+// the error that doomed it. The request frame is tiny, so issuing it inline
+// between pushes costs almost nothing and lets the response overlap later
+// pushes.
 func (mw *MuxWorker) PullAsync(iter, tensor int) (<-chan PullResult, error) {
 	k := slotKey{uint32(iter), uint32(tensor)}
 	ch, err := mw.register(k)
@@ -433,9 +406,13 @@ func (mw *MuxWorker) PullAsync(iter, tensor int) (<-chan PullResult, error) {
 
 // PushPullBatch stages every tensor's push and pull request as one mux
 // batch: a single credit reservation and a single write on the shared
-// connection, interleaved by stream with other workers' batches. Semantics
-// match Client.PushPullBatch (channels delivered before any byte moves,
-// all-or-nothing registration).
+// connection, interleaved by stream with other workers' batches — the
+// Parameter-Box-style batched wire format for all same-destination tensors
+// of one scheduler message. grad returns tensor t's data (borrowed only for
+// the duration of the call); res receives each tensor's result channel,
+// delivered before any byte hits the wire so a response racing back can
+// never be dropped. The batch fails as a unit: on error no pull of this
+// batch stays registered.
 func (mw *MuxWorker) PushPullBatch(iter int, tensors []int, grad func(tensor int) []float64, res func(tensor int, ch <-chan PullResult)) error {
 	nreg := 0
 	var err error
@@ -477,7 +454,7 @@ func (mw *MuxWorker) PushPullBatch(iter int, tensors []int, grad func(tensor int
 }
 
 // Pull issues a pull and waits for the result, bounded by the group's
-// PullTimeout. No redial: mux connections don't reconnect.
+// PullTimeout.
 func (mw *MuxWorker) Pull(iter, tensor int) ([]float64, error) {
 	ch, err := mw.PullAsync(iter, tensor)
 	if err != nil {
@@ -501,8 +478,10 @@ func (mw *MuxWorker) Pull(iter, tensor int) ([]float64, error) {
 	}
 }
 
-// Recycle hands a pull result's buffer back to the gradient pool.
-func (mw *MuxWorker) Recycle(data []float64) { floats.put(data) }
+// Recycle hands a pull result's buffer back to the gradient pool. Optional
+// — an unrecycled result is ordinary garbage — but the caller must not use
+// data afterwards.
+func (mw *MuxWorker) Recycle(data []float64) { floats.Put(data) }
 
 // Close is worker-local: it fails this worker's pending pulls and rejects
 // new pulls and pushes, leaving the shared connection (and the group's

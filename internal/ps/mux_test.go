@@ -31,79 +31,52 @@ func newMuxCluster(t *testing.T, workers int) (*Server, *MuxGroup, func() error)
 	}
 }
 
-func TestMuxPushPullAggregates(t *testing.T) {
-	const workers = 3
-	_, g, shutdown := newMuxCluster(t, workers)
+// TestPushPullBatchInterleaved drives multi-tensor batches from every
+// worker at once: one buffered write carries a worker's pushes and pull
+// requests, batches of different workers interleave on the server, and
+// every pull resolves to the mean.
+func TestPushPullBatchInterleaved(t *testing.T) {
+	for _, topo := range topologies {
+		t.Run(topo.name, func(t *testing.T) {
+			const workers, tensors, iters = 4, 3, 5
+			_, links, shutdown := newTopology(t, workers, topo.shared)
 
-	var wg sync.WaitGroup
-	results := make([][]float64, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			link := g.Worker(w)
-			if err := link.Push(0, 0, []float64{float64(w), 2 * float64(w)}); err != nil {
-				t.Errorf("worker %d push: %v", w, err)
-				return
-			}
-			data, err := link.Pull(0, 0)
-			if err != nil {
-				t.Errorf("worker %d pull: %v", w, err)
-				return
-			}
-			results[w] = data
-		}(w)
-	}
-	wg.Wait()
-	want := []float64{1, 2} // mean of {0,1,2} and {0,2,4}
-	for w, got := range results {
-		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-			t.Fatalf("worker %d got %v, want %v", w, got, want)
-		}
-	}
-	if err := shutdown(); err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-}
-
-func TestMuxPushPullBatchInterleaved(t *testing.T) {
-	const workers, tensors, iters = 4, 3, 5
-	_, g, shutdown := newMuxCluster(t, workers)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			link := g.Worker(w)
-			idx := []int{0, 1, 2}
-			for it := 0; it < iters; it++ {
-				chans := make([]<-chan PullResult, tensors)
-				err := link.PushPullBatch(it, idx,
-					func(tr int) []float64 { return []float64{float64(w + tr + it)} },
-					func(tr int, ch <-chan PullResult) { chans[tr] = ch })
-				if err != nil {
-					t.Errorf("worker %d iter %d: %v", w, it, err)
-					return
-				}
-				for tr, ch := range chans {
-					r := <-ch
-					if r.Err != nil {
-						t.Errorf("worker %d iter %d tensor %d: %v", w, it, tr, r.Err)
-						return
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					link := links[w]
+					idx := []int{0, 1, 2}
+					for it := 0; it < iters; it++ {
+						chans := make([]<-chan PullResult, tensors)
+						err := link.PushPullBatch(it, idx,
+							func(tr int) []float64 { return []float64{float64(w + tr + it), float64(tr)} },
+							func(tr int, ch <-chan PullResult) { chans[tr] = ch })
+						if err != nil {
+							t.Errorf("worker %d iter %d: %v", w, it, err)
+							return
+						}
+						for tr, ch := range chans {
+							r := <-ch
+							if r.Err != nil {
+								t.Errorf("worker %d iter %d tensor %d: %v", w, it, tr, r.Err)
+								return
+							}
+							// mean over w of (w + tr + it) = 1.5 + tr + it
+							if want := 1.5 + float64(tr+it); len(r.Data) != 2 || r.Data[0] != want || r.Data[1] != float64(tr) {
+								t.Errorf("worker %d iter %d tensor %d: got %v want [%v %v]", w, it, tr, r.Data, want, tr)
+							}
+							link.Recycle(r.Data)
+						}
 					}
-					// mean over w of (w + tr + it) = 1.5 + tr + it
-					if want := 1.5 + float64(tr+it); r.Data[0] != want {
-						t.Errorf("worker %d iter %d tensor %d: got %v want %v", w, it, tr, r.Data[0], want)
-					}
-					link.Recycle(r.Data)
-				}
+				}(w)
 			}
-		}(w)
-	}
-	wg.Wait()
-	if err := shutdown(); err != nil {
-		t.Fatalf("serve: %v", err)
+			wg.Wait()
+			if err := shutdown(); err != nil {
+				t.Fatalf("serve: %v", err)
+			}
+		})
 	}
 }
 
@@ -244,118 +217,5 @@ func TestMuxWorkerCloseIsLocal(t *testing.T) {
 	link.Recycle(data)
 	if err := shutdown(); err != nil {
 		t.Fatalf("serve: %v", err)
-	}
-}
-
-func TestMuxProtocolErrorAttributedToWorker(t *testing.T) {
-	s, g, shutdown := newMuxCluster(t, 2)
-	link := g.Worker(1)
-	if err := link.Push(0, 0, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	// Second push of the same tensor: a protocol violation by worker 1.
-	if err := link.Push(0, 0, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	err := shutdown()
-	var we *WorkerError
-	if !errors.As(err, &we) || we.Worker != 1 {
-		t.Fatalf("serve error %v, want WorkerError for worker 1", err)
-	}
-	if s.IsDropped(1) {
-		t.Fatal("protocol violation should fail, not drop, the worker")
-	}
-}
-
-func TestMuxDropWorkerRenormalizes(t *testing.T) {
-	s, g, shutdown := newMuxCluster(t, 3)
-	// Workers 0 and 1 push; 2 never does. Dropping 2 aggregates over the
-	// survivors with a renormalized mean.
-	for w := 0; w < 2; w++ {
-		if err := g.Worker(w).Push(0, 0, []float64{float64(w + 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ch, err := g.Worker(0).PullAsync(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.DropWorker(2)
-	select {
-	case r := <-ch:
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if want := 1.5; r.Data[0] != want {
-			t.Fatalf("renormalized mean %v, want %v", r.Data[0], want)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("pull hung after DropWorker")
-	}
-	if err := shutdown(); err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-}
-
-// TestMuxShardedLinks runs the sharded client over mux groups: one shared
-// connection per shard, every in-process worker a stream on each.
-func TestMuxShardedLinks(t *testing.T) {
-	const workers, shards = 3, 2
-	servers := make([]*Server, shards)
-	groups := make([]*MuxGroup, shards)
-	serveErr := make(chan error, shards)
-	ids := []int{0, 1, 2}
-	for sh := 0; sh < shards; sh++ {
-		servers[sh] = NewServer(workers)
-		a, b := transport.Pipe(0, 0)
-		srv := servers[sh]
-		go func() { serveErr <- srv.ServeMux(b, ids) }()
-		groups[sh] = NewMuxGroup(a, workers, MuxGroupOptions{PullTimeout: 5 * time.Second})
-	}
-	of := func(tensor int) int { return tensor % shards }
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			links := make([]WorkerLink, shards)
-			for sh := range links {
-				links[sh] = groups[sh].Worker(w)
-			}
-			sc := NewShardedLinks(links, of)
-			for tr := 0; tr < 4; tr++ {
-				if err := sc.Push(0, tr, []float64{float64(w * tr)}); err != nil {
-					t.Errorf("worker %d tensor %d: %v", w, tr, err)
-					return
-				}
-			}
-			for tr := 0; tr < 4; tr++ {
-				data, err := sc.Pull(0, tr)
-				if err != nil {
-					t.Errorf("worker %d tensor %d: %v", w, tr, err)
-					return
-				}
-				if want := float64(tr); data[0] != want { // mean of {0,tr,2tr}
-					t.Errorf("worker %d tensor %d: got %v want %v", w, tr, data[0], want)
-				}
-				sc.Recycle(data)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, g := range groups {
-		g.Close()
-	}
-	for range groups {
-		if err := <-serveErr; err != nil {
-			t.Fatalf("serve: %v", err)
-		}
-	}
-	for sh, srv := range servers {
-		pushes, pulls := srv.Stats()
-		if pushes != workers*2 || pulls != workers*2 {
-			t.Fatalf("shard %d stats: %d pushes %d pulls, want %d each", sh, pushes, pulls, workers*2)
-		}
 	}
 }

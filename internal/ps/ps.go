@@ -10,6 +10,15 @@
 // arrival order. That property lets the emulation assert that every
 // communication schedule produces exactly the same training trajectory.
 //
+// # One wire
+//
+// Every connection speaks the multiplexed protocol of mux.go: tagged frames,
+// per-stream credit, one demux loop and one responder per connection on the
+// server, one demux goroutine and one credit granter on the client. How many
+// workers share a connection is topology, not protocol: Serve and NewClient
+// run one worker per connection (a one-stream mux), ServeMux and MuxGroup
+// any number.
+//
 // # Failure semantics
 //
 // The server distinguishes clean shutdown (EOF after the peer closes) from
@@ -19,12 +28,12 @@
 // (SetStragglerPolicy) can detect workers that never contribute to a slot
 // other workers are waiting on; DropWorker removes a worker from the
 // aggregation barrier and renormalizes the mean over the survivors, so
-// training degrades gracefully instead of hanging. The client side supports
-// pull timeouts, cancellation, and bounded reconnect-with-backoff (Options).
+// training degrades gracefully instead of hanging. The client side bounds
+// pulls with MuxGroupOptions.PullTimeout; a lost connection fails every
+// pending pull with ErrConnLost.
 package ps
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -36,11 +45,10 @@ import (
 	"prophet/internal/transport"
 )
 
-// ErrConnLost marks client-side errors caused by a failed connection; pulls
-// failing with it are retryable through Options.Redial.
+// ErrConnLost marks client-side errors caused by a failed connection.
 var ErrConnLost = errors.New("ps: connection lost")
 
-// ErrPullTimeout marks a pull that exceeded Options.PullTimeout.
+// ErrPullTimeout marks a pull that exceeded MuxGroupOptions.PullTimeout.
 var ErrPullTimeout = errors.New("ps: pull timed out")
 
 // WorkerError attributes a server-side failure to one worker's connection.
@@ -98,18 +106,12 @@ type Server struct {
 	dead []bool // workers removed from the aggregation barrier
 	live int
 
-	conns   []net.Conn
-	writeMu []sync.Mutex
-	// fws[w] is worker w's response frame writer (guarded by writeMu[w]):
-	// a reusable scratch that encodes the aggregated mean and emits
-	// header+payload as one write, so responders allocate nothing per
-	// response in steady state.
-	fws []transport.FrameWriter
-
-	// sinks[w], when non-nil, routes worker w's responses to a multiplexed
-	// connection's responder (see ServeMux) instead of a per-response
-	// goroutine writing to conns[w].
-	sinks []respSink
+	// links[w] is where worker w's pull responses go while a ServeMux call
+	// carries it: the connection's responder and w's stream on it.
+	links []workerLink
+	// serving counts Serve and ServeMux calls in progress; the last one to
+	// return stops the straggler timers.
+	serving int
 
 	pushes, pulls int
 
@@ -121,9 +123,12 @@ type Server struct {
 
 	stragglerTimeout time.Duration
 	onStraggler      func(iter, tensor int, missing []int) bool
+}
 
-	// respondWG tracks in-flight asynchronous responses.
-	respondWG sync.WaitGroup
+// workerLink locates a worker on the connection currently serving it.
+type workerLink struct {
+	r      *muxResponder // nil while no connection carries the worker
+	stream uint32
 }
 
 // NewServer creates a server expecting the given number of workers.
@@ -137,10 +142,7 @@ func NewServer(workers int) *Server {
 		done:       make(map[slotKey]bool),
 		dead:       make([]bool, workers),
 		live:       workers,
-		conns:      make([]net.Conn, workers),
-		writeMu:    make([]sync.Mutex, workers),
-		fws:        make([]transport.FrameWriter, workers),
-		sinks:      make([]respSink, workers),
+		links:      make([]workerLink, workers),
 		workerErrs: make([]error, workers),
 	}
 }
@@ -210,89 +212,34 @@ func (s *Server) Dropped() []int {
 	return out
 }
 
-// Serve handles one connection per worker (conns[i] belongs to worker i)
-// until every connection closes. Clean closes (EOF) mean the worker is
-// done; mid-stream failures are recorded per worker and returned joined as
-// *WorkerError values — unless the worker was dropped, in which case its
-// failure is part of the configured degradation and suppressed.
+// Serve handles one connection per worker (conns[i] belongs to worker i,
+// as a one-stream ServeMux) until every connection closes. Clean closes
+// (EOF) mean the worker is done; mid-stream failures are recorded per
+// worker and returned joined as *WorkerError values — unless the worker was
+// dropped, in which case its failure is part of the configured degradation
+// and suppressed.
 func (s *Server) Serve(conns []net.Conn) error {
 	if len(conns) != s.workers {
 		return fmt.Errorf("ps: %d connections for %d workers", len(conns), s.workers)
 	}
-	s.mu.Lock()
-	copy(s.conns, conns)
-	s.mu.Unlock()
+	ids := make([]int, s.workers)
+	for w := range ids {
+		ids[w] = w
+	}
+	s.addServing(1)
+	defer s.addServing(-1)
 	var wg sync.WaitGroup
 	for w := range conns {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if err := s.serveConn(w, conns[w]); err != nil {
-				// Kill the connection so the worker observes the failure
-				// instead of waiting on responses that will never come.
-				conns[w].Close()
-				s.workerFailed(w, err)
-			}
+			// Failures are collected once every connection has returned, so
+			// a worker dropped after its own connection failed is suppressed.
+			_ = s.ServeMux(conns[w], ids[w:w+1])
 		}(w)
 	}
 	wg.Wait()
-	s.respondWG.Wait()
-	s.stopTimers()
-	return s.collectErrors()
-}
-
-// ServeWorker serves a replacement connection for worker w — the server
-// half of a client reconnect. It blocks until the connection closes and
-// returns the mid-stream failure, if any.
-func (s *Server) ServeWorker(w int, conn net.Conn) error {
-	if w < 0 || w >= s.workers {
-		return fmt.Errorf("ps: no worker %d", w)
-	}
-	s.mu.Lock()
-	if s.dead[w] {
-		s.mu.Unlock()
-		return fmt.Errorf("ps: worker %d was dropped", w)
-	}
-	s.conns[w] = conn
-	s.mu.Unlock()
-	if err := s.serveConn(w, conn); err != nil {
-		conn.Close()
-		s.workerFailed(w, err)
-		return &WorkerError{Worker: w, Err: err}
-	}
-	return nil
-}
-
-func (s *Server) serveConn(w int, conn net.Conn) error {
-	// Payloads come from the shared pool and are recycled right after the
-	// handler decodes them — the handlers never retain wire bytes, only
-	// decoded floats (which have their own pool).
-	fr := transport.NewFrameReader(conn, payloads)
-	for {
-		f, err := fr.Read()
-		if err != nil {
-			if isCleanClose(err) || s.IsDropped(w) {
-				return nil // connection closed: worker done (or dropped)
-			}
-			return fmt.Errorf("read frame: %w", err)
-		}
-		if s.IsDropped(w) {
-			return nil
-		}
-		var herr error
-		switch f.Type {
-		case transport.Push:
-			herr = s.handlePush(w, f)
-		case transport.PullReq:
-			herr = s.handlePull(w, f)
-		default:
-			herr = fmt.Errorf("unexpected frame type %v", f.Type)
-		}
-		fr.Recycle(f)
-		if herr != nil {
-			return herr
-		}
-	}
+	return s.collectErrors(ids)
 }
 
 // workerFailed records w's first failure and notifies the failure handler.
@@ -312,22 +259,31 @@ func (s *Server) workerFailed(w int, err error) {
 	}
 }
 
-// collectErrors joins the failures of workers that were not dropped.
-func (s *Server) collectErrors() error {
+// collectErrors joins the failures of the given workers, skipping dropped
+// ones.
+func (s *Server) collectErrors(ids []int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var errs []error
-	for w, err := range s.workerErrs {
-		if err != nil && !s.dead[w] {
+	for _, w := range ids {
+		if err := s.workerErrs[w]; err != nil && !s.dead[w] {
 			errs = append(errs, &WorkerError{Worker: w, Err: err})
 		}
 	}
 	return errors.Join(errs...)
 }
 
-func (s *Server) stopTimers() {
+// addServing brackets a serving call. When the last one returns, the
+// straggler timers still armed are stopped: no connection is left to answer
+// the pulls they guard, and a late firing would drop workers of a finished
+// run.
+func (s *Server) addServing(delta int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.serving += delta
+	if s.serving > 0 {
+		return
+	}
 	for _, sl := range s.slots {
 		if sl.timer != nil {
 			sl.timer.Stop()
@@ -357,13 +313,13 @@ func (s *Server) handlePush(w int, f *transport.Frame) error {
 	// The contribution buffer comes from the float pool; aggregate hands it
 	// back once the slot's mean is computed, so steady-state pushes reuse
 	// the previous iteration's buffers.
-	data := floats.get(n)
+	data := floats.Get(n)
 	transport.DecodeFloatsInto(data, f.Payload)
 	k := slotKey{f.Iter, f.Tensor}
 	s.mu.Lock()
 	if s.dead[w] {
 		s.mu.Unlock()
-		floats.put(data)
+		floats.Put(data)
 		return nil
 	}
 	s.pushes++
@@ -372,13 +328,13 @@ func (s *Server) handlePush(w int, f *transport.Frame) error {
 	}
 	if s.done[k] {
 		s.mu.Unlock()
-		floats.put(data)
+		floats.Put(data)
 		return fmt.Errorf("push for tensor %d of iteration %d, which was already aggregated and served", f.Tensor, f.Iter)
 	}
 	sl := s.getSlot(k)
 	if sl.mean != nil || sl.contrib[w] != nil {
 		s.mu.Unlock()
-		floats.put(data)
+		floats.Put(data)
 		return fmt.Errorf("pushed tensor %d twice in iteration %d", f.Tensor, f.Iter)
 	}
 	sl.contrib[w] = data
@@ -415,30 +371,21 @@ func (s *Server) takeWaitingLocked(sl *slot) []pendingPull {
 	return flush
 }
 
-// respondAsync sends a response without blocking the caller's read loop —
-// a worker's connection stays full duplex: its pushes keep flowing while a
-// large parameter response streams back. Write failures are routed through
-// the per-worker failure path rather than aborting aggregation. Workers
-// served over a multiplexed connection enqueue to its responder goroutine
-// instead of spawning one per response.
+// respondAsync hands a response to the responder of the connection serving
+// w, without blocking the caller's demux loop — a connection stays full
+// duplex: pushes keep flowing while a large parameter response streams back.
+// A worker no connection is serving any more has nowhere to be answered:
+// the slot stays unmarked, hence retryable.
 func (s *Server) respondAsync(w int, k slotKey) {
 	s.mu.Lock()
-	if sl, ok := s.slots[k]; ok {
+	l := s.links[w]
+	if sl, ok := s.slots[k]; ok && l.r != nil {
 		sl.inflight[w] = true
 	}
-	sink := s.sinks[w]
 	s.mu.Unlock()
-	if sink != nil {
-		sink.enqueueResp(w, k)
-		return
+	if l.r != nil {
+		l.r.enqueue(respJob{w, l.stream, k})
 	}
-	s.respondWG.Add(1)
-	go func() {
-		defer s.respondWG.Done()
-		if err := s.respond(w, k); err != nil {
-			s.workerFailed(w, fmt.Errorf("write pull response: %w", err))
-		}
-	}()
 }
 
 // aggregate sums live contributions in worker-id order and divides by the
@@ -480,7 +427,7 @@ func (sl *slot) aggregate(dead []bool, live int) error {
 	for w, c := range sl.contrib {
 		if c != nil {
 			sl.contrib[w] = nil
-			floats.put(c)
+			floats.Put(c)
 		}
 	}
 	sl.contrib = nil
@@ -560,8 +507,9 @@ func (s *Server) stragglerFire(k slotKey) {
 
 // DropWorker removes worker w from the aggregation barrier: slots waiting
 // only on w aggregate immediately over the survivors (the mean is
-// renormalized), w's connection is closed, and w's subsequent failures are
-// suppressed from Serve's result. Dropping is idempotent.
+// renormalized), w's connection is closed once every worker it carries has
+// been dropped, and w's subsequent failures are suppressed from Serve's
+// result. Dropping is idempotent.
 func (s *Server) DropWorker(w int) {
 	s.mu.Lock()
 	if w < 0 || w >= s.workers || s.dead[w] {
@@ -573,7 +521,10 @@ func (s *Server) DropWorker(w int) {
 	if s.mDrops != nil {
 		s.mDrops.Inc()
 	}
-	conn := s.conns[w]
+	var orphaned *muxResponder
+	if r := s.links[w].r; r != nil && s.allDeadLocked(r.ids) {
+		orphaned = r
+	}
 	type flushItem struct {
 		k  slotKey
 		ps []pendingPull
@@ -585,7 +536,7 @@ func (s *Server) DropWorker(w int) {
 				if c := sl.contrib[w]; c != nil {
 					sl.contrib[w] = nil
 					sl.got--
-					floats.put(c)
+					floats.Put(c)
 				}
 				if sl.got == s.live {
 					if err := sl.aggregate(s.dead, s.live); err != nil {
@@ -605,14 +556,26 @@ func (s *Server) DropWorker(w int) {
 		}
 	}
 	s.mu.Unlock()
-	if conn != nil {
-		conn.Close()
+	if orphaned != nil {
+		// Nobody left to serve on the connection: close it so the dropped
+		// workers observe the failure instead of waiting out their pulls.
+		orphaned.mc.Close()
 	}
 	for _, fi := range flush {
 		for _, p := range fi.ps {
 			s.respondAsync(p.worker, fi.k)
 		}
 	}
+}
+
+// allDeadLocked reports whether every listed worker has been dropped.
+func (s *Server) allDeadLocked(ids []int) bool {
+	for _, w := range ids {
+		if !s.dead[w] {
+			return false
+		}
+	}
+	return true
 }
 
 // allServedLocked reports whether every live worker has received the slot.
@@ -639,9 +602,9 @@ func (s *Server) meanFor(w int, k slotKey) []float64 {
 }
 
 // finishRespond records a response delivery's outcome and passes werr
-// through. On failure the in-flight mark is cleared so a reconnecting
-// client's retried pull is served rather than rejected; on success the slot
-// is marked served — and garbage-collected once every live worker has it.
+// through. On failure the in-flight mark is cleared and the worker is not
+// counted as served; on success the slot is marked served — and
+// garbage-collected once every live worker has it.
 func (s *Server) finishRespond(w int, k slotKey, werr error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -665,39 +628,6 @@ func (s *Server) finishRespond(w int, k slotKey, werr error) error {
 	return nil
 }
 
-// respond sends the aggregated tensor to a worker over its dedicated
-// connection; delivery bookkeeping is deferred to finishRespond.
-func (s *Server) respond(w int, k slotKey) error {
-	mean := s.meanFor(w, k)
-	if mean == nil {
-		return nil
-	}
-	s.mu.Lock()
-	conn := s.conns[w]
-	s.mu.Unlock()
-	if conn == nil {
-		// No dedicated connection (mux worker whose responder was already
-		// torn down): nothing to write to — clear the in-flight mark so the
-		// slot stays retryable, but don't count the worker as served.
-		s.mu.Lock()
-		if sl, ok := s.slots[k]; ok {
-			sl.inflight[w] = false
-		}
-		s.mu.Unlock()
-		return nil
-	}
-
-	// Encode the mean straight into the worker's reusable frame writer and
-	// emit header+payload as one write: one limiter Wait, one syscall, no
-	// per-response payload allocation.
-	s.writeMu[w].Lock()
-	fw := &s.fws[w]
-	fw.Reset(conn)
-	err := fw.WriteFloats(transport.PullResp, k.iter, k.tensor, mean)
-	s.writeMu[w].Unlock()
-	return s.finishRespond(w, k, err)
-}
-
 // PullResult is one pull's outcome: the aggregated tensor, or the error
 // that prevented it (a decode failure on the response, a lost connection).
 type PullResult struct {
@@ -705,383 +635,18 @@ type PullResult struct {
 	Err  error
 }
 
-// Options configures a client's failure handling. The zero value behaves
-// like the original client: no timeouts, no reconnects.
-type Options struct {
-	// PullTimeout bounds how long each Pull waits for its response
-	// (0 = wait forever).
-	PullTimeout time.Duration
-	// Redial reopens a connection to the server after a failure; nil
-	// disables reconnecting. The server half must be re-attached with
-	// Server.ServeWorker.
-	Redial func() (net.Conn, error)
-	// MaxRetries bounds reconnect attempts per pull (default 3 when Redial
-	// is set).
-	MaxRetries int
-	// Backoff is the initial retry backoff, doubled per attempt and capped
-	// at one second (default 10ms).
-	Backoff time.Duration
-	// Metrics, when non-nil, counts redials, pull timeouts, and lost
-	// connections under the ps_client_* names.
-	Metrics *probe.Metrics
-}
-
-// Client is a worker's connection to the parameter server.
+// Client is a worker's dedicated connection to the parameter server: the
+// single worker of a one-stream MuxGroup, whose Close closes the connection.
 type Client struct {
-	opts Options
-	// probe counter handles; nil unless Options.Metrics carried a registry.
-	mRedials, mTimeouts, mConnLost *probe.Counter
-
-	writeMu sync.Mutex // serializes frame writes
-	// fw is the client's reusable frame writer (guarded by writeMu): pushes
-	// encode gradients straight into its scratch and every flush is one
-	// write on the wire. Reset to the current connection per operation, so
-	// reconnects are picked up automatically.
-	fw      transport.FrameWriter
-	reconMu sync.Mutex // serializes reconnect attempts
-
-	mu      sync.Mutex
-	conn    net.Conn
-	gen     int // bumped on every reconnect
-	pending map[slotKey]chan PullResult
-	readErr error
-	closed  bool
-	done    chan struct{}
+	*MuxWorker
 }
 
-// NewClient wraps a connection and starts its response reader.
-func NewClient(conn net.Conn) *Client { return NewClientWithOptions(conn, Options{}) }
-
-// NewClientWithOptions wraps a connection with explicit failure handling.
-func NewClientWithOptions(conn net.Conn, opts Options) *Client {
-	c := &Client{
-		opts:    opts,
-		conn:    conn,
-		pending: make(map[slotKey]chan PullResult),
-		done:    make(chan struct{}),
-	}
-	if m := opts.Metrics; m != nil {
-		c.mRedials = m.Counter("ps_client_redials")
-		c.mTimeouts = m.Counter("ps_client_pull_timeouts")
-		c.mConnLost = m.Counter("ps_client_conn_lost")
-	}
-	go c.readLoop(conn, c.done)
-	return c
+// NewClient wraps a connection whose peer serves one worker (Server.Serve,
+// or ServeMux with a single id) and starts its response reader.
+func NewClient(conn net.Conn) *Client {
+	return &Client{NewMuxGroup(conn, 1, MuxGroupOptions{}).Worker(0)}
 }
 
-func (c *Client) readLoop(conn net.Conn, done chan struct{}) {
-	defer close(done)
-	fr := transport.NewFrameReader(conn, payloads)
-	for {
-		f, err := fr.Read()
-		if err != nil {
-			lost := fmt.Errorf("%w: %v", ErrConnLost, err)
-			if c.mConnLost != nil {
-				c.mConnLost.Inc()
-			}
-			c.mu.Lock()
-			c.readErr = lost
-			for _, ch := range c.pending {
-				ch <- PullResult{Err: lost}
-			}
-			c.pending = make(map[slotKey]chan PullResult)
-			c.mu.Unlock()
-			return
-		}
-		if f.Type != transport.PullResp {
-			fr.Recycle(f)
-			continue
-		}
-		k := slotKey{f.Iter, f.Tensor}
-		c.mu.Lock()
-		ch, ok := c.pending[k]
-		if ok {
-			delete(c.pending, k)
-		}
-		c.mu.Unlock()
-		if !ok {
-			fr.Recycle(f)
-			continue
-		}
-		n, derr := transport.FloatCount(f.Payload)
-		if derr != nil {
-			fr.Recycle(f)
-			// A corrupt response payload must fail the matching pull, not
-			// strand it: the waiter would otherwise block forever.
-			ch <- PullResult{Err: fmt.Errorf("ps: pull response for iter %d tensor %d: %w", f.Iter, f.Tensor, derr)}
-			continue
-		}
-		// Decode into a pooled buffer owned by the puller; callers that are
-		// done with the result can hand it back through Recycle.
-		data := floats.get(n)
-		transport.DecodeFloatsInto(data, f.Payload)
-		fr.Recycle(f)
-		ch <- PullResult{Data: data}
-	}
-}
-
-// Push sends a gradient tensor to the server: the data is encoded straight
-// into the client's reusable scratch and leaves as a single write — zero
-// allocations in steady state.
-func (c *Client) Push(iter, tensor int, data []float64) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	c.fw.Reset(c.currentConn())
-	return c.fw.WriteFloats(transport.Push, uint32(iter), uint32(tensor), data)
-}
-
-// Recycle hands a pull result's buffer back to the gradient pool. Optional
-// — an unrecycled result is ordinary garbage — but the caller must not use
-// data afterwards.
-func (c *Client) Recycle(data []float64) { floats.put(data) }
-
-func (c *Client) currentConn() net.Conn {
-	c.mu.Lock()
-	conn := c.conn
-	c.mu.Unlock()
-	return conn
-}
-
-func (c *Client) writeFrame(f *transport.Frame) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	c.fw.Reset(c.currentConn())
-	return c.fw.WriteFrame(f)
-}
-
-// register reserves a pending-pull channel for k and reports the current
-// connection generation (for reconnect deduplication).
-func (c *Client) register(k slotKey) (chan PullResult, int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, 0, net.ErrClosed
-	}
-	if c.readErr != nil {
-		return nil, c.gen, c.readErr
-	}
-	if _, dup := c.pending[k]; dup {
-		return nil, 0, fmt.Errorf("ps: duplicate pull for iter %d tensor %d", k.iter, k.tensor)
-	}
-	ch := make(chan PullResult, 1)
-	c.pending[k] = ch
-	return ch, c.gen, nil
-}
-
-func (c *Client) deregister(k slotKey) {
-	c.mu.Lock()
-	delete(c.pending, k)
-	c.mu.Unlock()
-}
-
-// PullAsync sends a pull request for tensor `tensor` of iteration `iter`
-// and returns a channel that delivers the result — the aggregated value or
-// the error that doomed it. The request frame is tiny, so issuing it inline
-// between pushes costs almost nothing and lets the response overlap later
-// pushes. PullAsync never reconnects; use Pull/PullCtx for retry support.
-func (c *Client) PullAsync(iter, tensor int) (<-chan PullResult, error) {
-	k := slotKey{uint32(iter), uint32(tensor)}
-	ch, _, err := c.register(k)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.writeFrame(&transport.Frame{Type: transport.PullReq, Iter: k.iter, Tensor: k.tensor}); err != nil {
-		c.deregister(k)
-		return nil, fmt.Errorf("%w: %v", ErrConnLost, err)
-	}
-	return ch, nil
-}
-
-// PushPullBatch pushes every listed tensor and issues its pull request in
-// ONE buffered wire write: 2·len(tensors) frames, a single limiter Wait,
-// a single write on the connection — the Parameter-Box-style batched wire
-// format for all same-destination tensors of one scheduler message. grad
-// returns tensor t's data (borrowed only for the duration of the call);
-// res receives each tensor's result channel, delivered before any byte
-// hits the wire so a response racing back can never be dropped. The batch
-// fails as a unit: on error no pull of this batch stays registered.
-// PushPullBatch never reconnects (like PullAsync).
-func (c *Client) PushPullBatch(iter int, tensors []int, grad func(tensor int) []float64, res func(tensor int, ch <-chan PullResult)) error {
-	nreg := 0
-	var err error
-	for _, t := range tensors {
-		k := slotKey{uint32(iter), uint32(t)}
-		ch, _, rerr := c.register(k)
-		if rerr != nil {
-			err = rerr
-			break
-		}
-		nreg++
-		res(t, ch)
-	}
-	if err == nil {
-		c.writeMu.Lock()
-		c.fw.Reset(c.currentConn())
-		for _, t := range tensors {
-			if err = c.fw.AppendFloats(transport.Push, uint32(iter), uint32(t), grad(t)); err != nil {
-				break
-			}
-			if err = c.fw.AppendFrame(&transport.Frame{Type: transport.PullReq, Iter: uint32(iter), Tensor: uint32(t)}); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			if err = c.fw.Flush(); err != nil {
-				err = fmt.Errorf("%w: %v", ErrConnLost, err)
-			}
-		}
-		c.writeMu.Unlock()
-	}
-	if err != nil {
-		for i := 0; i < nreg; i++ {
-			c.deregister(slotKey{uint32(iter), uint32(tensors[i])})
-		}
-		return err
-	}
-	return nil
-}
-
-// Pull requests tensor `tensor` of iteration `iter` and blocks until the
-// aggregated value arrives, the configured PullTimeout expires, or the
-// retry budget is exhausted.
-func (c *Client) Pull(iter, tensor int) ([]float64, error) {
-	return c.PullCtx(context.Background(), iter, tensor)
-}
-
-// PullCtx is Pull with cancellation. Connection failures are retried with
-// exponential backoff through Options.Redial, bounded by
-// Options.MaxRetries; Options.PullTimeout bounds the total wait.
-func (c *Client) PullCtx(ctx context.Context, iter, tensor int) ([]float64, error) {
-	k := slotKey{uint32(iter), uint32(tensor)}
-	var timeoutC <-chan time.Time
-	if c.opts.PullTimeout > 0 {
-		timer := time.NewTimer(c.opts.PullTimeout)
-		defer timer.Stop()
-		timeoutC = timer.C
-	}
-	maxRetries := c.opts.MaxRetries
-	if maxRetries == 0 && c.opts.Redial != nil {
-		maxRetries = 3
-	}
-	backoff := c.opts.Backoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	attempt := 0
-	retry := func(err error, gen int) error {
-		if c.opts.Redial == nil || attempt >= maxRetries || !errors.Is(err, ErrConnLost) {
-			return err
-		}
-		attempt++
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-timeoutC:
-			if c.mTimeouts != nil {
-				c.mTimeouts.Inc()
-			}
-			return fmt.Errorf("ps: pull iter %d tensor %d: %w waiting to reconnect", iter, tensor, ErrPullTimeout)
-		}
-		if backoff *= 2; backoff > time.Second {
-			backoff = time.Second
-		}
-		if rerr := c.reconnect(gen); rerr != nil {
-			return fmt.Errorf("ps: pull iter %d tensor %d: reconnect failed: %w", iter, tensor, rerr)
-		}
-		return nil
-	}
-	for {
-		ch, gen, err := c.register(k)
-		if err == nil {
-			err = c.writeFrame(&transport.Frame{Type: transport.PullReq, Iter: k.iter, Tensor: k.tensor})
-			if err != nil {
-				c.deregister(k)
-				err = fmt.Errorf("%w: %v", ErrConnLost, err)
-			}
-		}
-		if err != nil {
-			if err = retry(err, gen); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		select {
-		case r := <-ch:
-			if r.Err == nil {
-				return r.Data, nil
-			}
-			if err := retry(r.Err, gen); err != nil {
-				return nil, err
-			}
-		case <-timeoutC:
-			c.deregister(k)
-			if c.mTimeouts != nil {
-				c.mTimeouts.Inc()
-			}
-			return nil, fmt.Errorf("ps: pull iter %d tensor %d: %w after %v", iter, tensor, ErrPullTimeout, c.opts.PullTimeout)
-		case <-ctx.Done():
-			c.deregister(k)
-			return nil, fmt.Errorf("ps: pull iter %d tensor %d: %w", iter, tensor, ctx.Err())
-		}
-	}
-}
-
-// reconnect redials the server if the failed generation is still current;
-// concurrent pulls that lost the same connection share one redial.
-func (c *Client) reconnect(gen int) error {
-	c.reconMu.Lock()
-	defer c.reconMu.Unlock()
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return net.ErrClosed
-	}
-	if c.gen != gen {
-		c.mu.Unlock()
-		return nil // another pull already reconnected
-	}
-	old, oldDone := c.conn, c.done
-	c.mu.Unlock()
-	old.Close()
-	<-oldDone
-	conn, err := c.opts.Redial()
-	if err != nil {
-		return err
-	}
-	if c.mRedials != nil {
-		c.mRedials.Inc()
-	}
-	done := make(chan struct{})
-	c.mu.Lock()
-	if c.closed {
-		// Close raced the redial: the new connection must not outlive the
-		// client, or its readLoop would leak and Close's waiters would have
-		// synchronized with the wrong generation's done channel.
-		c.mu.Unlock()
-		conn.Close()
-		return net.ErrClosed
-	}
-	c.conn = conn
-	c.gen++
-	c.readErr = nil
-	c.done = done
-	c.mu.Unlock()
-	go c.readLoop(conn, done)
-	return nil
-}
-
-// Close shuts down the connection and waits for the reader to exit.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	conn, done := c.conn, c.done
-	c.mu.Unlock()
-	err := conn.Close()
-	<-done
-	return err
-}
+// Close shuts down the connection, failing pending pulls, and waits for the
+// reader to exit.
+func (c *Client) Close() error { return c.g.Close() }

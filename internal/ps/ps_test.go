@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"errors"
 	"io"
 	"math"
 	"net"
@@ -11,31 +12,55 @@ import (
 	"prophet/internal/transport"
 )
 
-// newCluster spins up a server plus W clients over in-memory pipes.
-func newCluster(t *testing.T, workers int) (*Server, []*Client, func()) {
+// topologies are the two ways workers map onto connections. The wire
+// protocol is the same on both, so tests of protocol behaviour run as one
+// table over them.
+var topologies = []struct {
+	name   string
+	shared bool
+}{{"per-worker", false}, {"shared", true}}
+
+// newTopology spins up a server plus W worker links over in-memory pipes:
+// one connection per worker (Serve + NewClient) or one shared by all
+// (ServeMux + MuxGroup). shutdown closes the client side and returns the
+// serving call's error.
+func newTopology(t *testing.T, workers int, shared bool) (*Server, []WorkerLink, func() error) {
 	t.Helper()
+	links := make([]WorkerLink, workers)
+	if shared {
+		srv, g, shutdown := newMuxCluster(t, workers)
+		for w := range links {
+			links[w] = g.Worker(w)
+		}
+		return srv, links, shutdown
+	}
 	srv := NewServer(workers)
-	clients := make([]*Client, workers)
 	serverEnds := make([]net.Conn, workers)
 	for w := 0; w < workers; w++ {
 		a, b := transport.Pipe(0, 0)
 		serverEnds[w] = b
-		clients[w] = NewClient(a)
+		links[w] = NewClient(a)
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(serverEnds) }()
-	cleanup := func() {
-		for _, c := range clients {
+	return srv, links, func() error {
+		for _, c := range links {
 			c.Close()
 		}
-		for _, s := range serverEnds {
-			s.Close()
-		}
-		if err := <-serveErr; err != nil {
+		return <-serveErr
+	}
+}
+
+// newCluster is the per-worker topology with a cleanup that expects a
+// clean serve.
+func newCluster(t *testing.T, workers int) (*Server, []WorkerLink, func()) {
+	t.Helper()
+	srv, links, shutdown := newTopology(t, workers, false)
+	return srv, links, func() {
+		if err := shutdown(); err != nil {
 			t.Errorf("serve: %v", err)
 		}
 	}
-	return srv, clients, cleanup
 }
 
 func TestPushPullSingleWorker(t *testing.T) {
@@ -57,25 +82,33 @@ func TestPushPullSingleWorker(t *testing.T) {
 }
 
 func TestAggregationIsMean(t *testing.T) {
-	_, clients, cleanup := newCluster(t, 3)
-	defer cleanup()
-	var wg sync.WaitGroup
-	for w, v := range []float64{1, 2, 6} {
-		wg.Add(1)
-		go func(w int, v float64) {
-			defer wg.Done()
-			if err := clients[w].Push(0, 0, []float64{v}); err != nil {
-				t.Error(err)
+	for _, topo := range topologies {
+		t.Run(topo.name, func(t *testing.T) {
+			_, clients, shutdown := newTopology(t, 3, topo.shared)
+			var wg sync.WaitGroup
+			for w, v := range []float64{1, 2, 6} {
+				wg.Add(1)
+				go func(w int, v float64) {
+					defer wg.Done()
+					if err := clients[w].Push(0, 0, []float64{v, 2 * v}); err != nil {
+						t.Errorf("worker %d push: %v", w, err)
+						return
+					}
+					got, err := clients[w].Pull(0, 0)
+					if err != nil {
+						t.Errorf("worker %d pull: %v", w, err)
+						return
+					}
+					if len(got) != 2 || math.Abs(got[0]-3) > 1e-15 || math.Abs(got[1]-6) > 1e-15 {
+						t.Errorf("worker %d: mean = %v, want [3 6]", w, got)
+					}
+				}(w, v)
 			}
-		}(w, v)
-	}
-	wg.Wait()
-	got, err := clients[0].Pull(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got[0]-3) > 1e-15 {
-		t.Fatalf("mean = %v, want 3", got[0])
+			wg.Wait()
+			if err := shutdown(); err != nil {
+				t.Fatalf("serve: %v", err)
+			}
+		})
 	}
 }
 
@@ -120,10 +153,20 @@ func TestIterationsAreIndependent(t *testing.T) {
 }
 
 func TestManyTensorsConcurrently(t *testing.T) {
+	for _, topo := range topologies {
+		t.Run(topo.name, func(t *testing.T) { testManyTensorsConcurrently(t, topo.shared) })
+	}
+}
+
+func testManyTensorsConcurrently(t *testing.T, shared bool) {
 	const workers = 3
 	const tensors = 20
-	_, clients, cleanup := newCluster(t, workers)
-	defer cleanup()
+	_, clients, shutdown := newTopology(t, workers, shared)
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -176,20 +219,26 @@ func TestDeterministicAggregationOrder(t *testing.T) {
 	}
 }
 
+// TestDoublePushRejected: a second push of the same tensor is a protocol
+// violation that tears down the offender's connection and is attributed to
+// it alone — a failure, not a drop.
 func TestDoublePushRejected(t *testing.T) {
-	srv := NewServer(1)
-	a, b := transport.Pipe(0, 0)
-	client := NewClient(a)
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve([]net.Conn{b}) }()
-	client.Push(0, 0, []float64{1})
-	client.Push(0, 0, []float64{2})
-	err := <-done
-	if err == nil {
-		t.Fatal("double push not rejected")
+	for _, topo := range topologies {
+		t.Run(topo.name, func(t *testing.T) {
+			srv, clients, shutdown := newTopology(t, 2, topo.shared)
+			clients[1].Push(0, 0, []float64{1})
+			clients[1].Push(0, 0, []float64{2})
+			// The serving call returns on its own for the offender's
+			// connection; shutdown closes the rest.
+			var we *WorkerError
+			if err := shutdown(); !errors.As(err, &we) || we.Worker != 1 {
+				t.Fatalf("serve error %v, want WorkerError for worker 1", err)
+			}
+			if srv.IsDropped(1) {
+				t.Fatal("protocol violation should fail, not drop, the worker")
+			}
+		})
 	}
-	client.Close()
-	b.Close()
 }
 
 func TestServerStats(t *testing.T) {

@@ -6,9 +6,9 @@ import (
 )
 
 // WorkerLink is one worker's connection surface to a parameter server
-// shard. Two implementations exist: *Client (a dedicated socket with its
-// own reader goroutine, redial support) and *MuxWorker (a logical stream
-// on a connection shared by every in-process worker).
+// shard: a *MuxWorker — one stream of a connection carrying any number of
+// in-process workers — or a *Client, the one-stream case that also owns the
+// connection.
 type WorkerLink interface {
 	Push(iter, tensor int, data []float64) error
 	PullAsync(iter, tensor int) (<-chan PullResult, error)
@@ -39,27 +39,16 @@ type ShardedClient struct {
 	of    func(tensor int) int
 }
 
-// NewShardedClient builds a sharded view over one dedicated client per
-// shard. `of` maps a tensor index to its shard and must be total over the
-// tensors pushed; out-of-range results panic at use.
-func NewShardedClient(clients []*Client, of func(tensor int) int) *ShardedClient {
-	links := make([]WorkerLink, len(clients))
-	for i, c := range clients {
-		links[i] = c
-	}
-	return NewShardedLinks(links, of)
-}
-
-// NewShardedLinks is NewShardedClient over any per-shard links — the
-// constructor for mux transports, where each shard's link is a MuxWorker
-// on that shard's shared connection.
+// NewShardedLinks builds a sharded view over one link per shard. `of` maps
+// a tensor index to its shard and must be total over the tensors pushed;
+// out-of-range results panic at use.
 func NewShardedLinks(links []WorkerLink, of func(tensor int) int) *ShardedClient {
 	if len(links) == 0 {
-		panic("ps: NewShardedClient with no clients")
+		panic("ps: NewShardedLinks with no links")
 	}
 	if of == nil {
 		if len(links) > 1 {
-			panic("ps: NewShardedClient with multiple shards needs a key map")
+			panic("ps: NewShardedLinks with multiple shards needs a key map")
 		}
 		of = func(int) int { return 0 }
 	}
@@ -93,7 +82,7 @@ func (c *ShardedClient) PullAsync(iter, tensor int) (<-chan PullResult, error) {
 
 // PushPullBatch pushes the listed tensors — which must all live on one
 // shard — and issues their pull requests in one buffered write on that
-// shard's connection (see Client.PushPullBatch).
+// shard's connection (see MuxWorker.PushPullBatch).
 func (c *ShardedClient) PushPullBatch(iter int, tensors []int, grad func(tensor int) []float64, res func(tensor int, ch <-chan PullResult)) error {
 	if len(tensors) == 0 {
 		return nil
@@ -108,8 +97,8 @@ func (c *ShardedClient) PushPullBatch(iter int, tensors []int, grad func(tensor 
 }
 
 // Recycle hands a pull result's buffer back to the gradient pool (see
-// Client.Recycle).
-func (c *ShardedClient) Recycle(data []float64) { floats.put(data) }
+// MuxWorker.Recycle).
+func (c *ShardedClient) Recycle(data []float64) { floats.Put(data) }
 
 // Pull blocks for the aggregated tensor from its shard's server.
 func (c *ShardedClient) Pull(iter, tensor int) ([]float64, error) {

@@ -1,61 +1,47 @@
 package ps
 
 import (
-	"net"
 	"sync"
 	"testing"
-
-	"prophet/internal/transport"
 )
 
-// newShardedCluster spins up one server per shard and W sharded clients
-// routing tensor t to shard t % shards.
-func newShardedCluster(t *testing.T, workers, shards int) ([]*Server, []*ShardedClient, func()) {
+// newShardedCluster spins up one server per shard, each on the given
+// topology, and W sharded clients routing tensor t to shard t % shards.
+func newShardedCluster(t *testing.T, workers, shards int, shared bool) ([]*Server, []*ShardedClient, func()) {
 	t.Helper()
 	of := func(tensor int) int { return tensor % shards }
 	servers := make([]*Server, shards)
-	perShardClients := make([][]*Client, shards)
-	serveErr := make(chan error, shards)
-	var allConns []net.Conn
-	for s := 0; s < shards; s++ {
-		servers[s] = NewServer(workers)
-		ends := make([]net.Conn, workers)
-		perShardClients[s] = make([]*Client, workers)
-		for w := 0; w < workers; w++ {
-			a, b := transport.Pipe(0, 0)
-			ends[w] = b
-			perShardClients[s][w] = NewClient(a)
-			allConns = append(allConns, b)
-		}
-		go func(s int, ends []net.Conn) { serveErr <- servers[s].Serve(ends) }(s, ends)
+	perShard := make([][]WorkerLink, shards)
+	shutdowns := make([]func() error, shards)
+	for s := range servers {
+		servers[s], perShard[s], shutdowns[s] = newTopology(t, workers, shared)
 	}
 	clients := make([]*ShardedClient, workers)
-	for w := 0; w < workers; w++ {
-		cl := make([]*Client, shards)
-		for s := 0; s < shards; s++ {
-			cl[s] = perShardClients[s][w]
+	for w := range clients {
+		links := make([]WorkerLink, shards)
+		for s := range links {
+			links[s] = perShard[s][w]
 		}
-		clients[w] = NewShardedClient(cl, of)
+		clients[w] = NewShardedLinks(links, of)
 	}
-	cleanup := func() {
-		for _, c := range clients {
-			c.Close()
-		}
-		for _, c := range allConns {
-			c.Close()
-		}
-		for i := 0; i < shards; i++ {
-			if err := <-serveErr; err != nil {
-				t.Errorf("serve: %v", err)
+	return servers, clients, func() {
+		for s, shutdown := range shutdowns {
+			if err := shutdown(); err != nil {
+				t.Errorf("shard %d serve: %v", s, err)
 			}
 		}
 	}
-	return servers, clients, cleanup
 }
 
 func TestShardedPushPullAggregates(t *testing.T) {
+	for _, topo := range topologies {
+		t.Run(topo.name, func(t *testing.T) { testShardedPushPullAggregates(t, topo.shared) })
+	}
+}
+
+func testShardedPushPullAggregates(t *testing.T, shared bool) {
 	const workers, shards, tensors = 3, 2, 5
-	servers, clients, cleanup := newShardedCluster(t, workers, shards)
+	servers, clients, cleanup := newShardedCluster(t, workers, shards, shared)
 	defer cleanup()
 
 	var wg sync.WaitGroup
@@ -79,17 +65,18 @@ func TestShardedPushPullAggregates(t *testing.T) {
 				if len(got) != 1 || got[0] != want {
 					t.Errorf("worker %d tensor %d: got %v want %v", w, tn, got, want)
 				}
+				clients[w].Recycle(got)
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	// Routing: shard s saw exactly the pushes for tensors with t%shards==s.
-	wantPushes := []int{3 * workers, 2 * workers} // tensors 0,2,4 vs 1,3
+	// Routing: shard s saw exactly the traffic for tensors with t%shards==s.
+	want := []int{3 * workers, 2 * workers} // tensors 0,2,4 vs 1,3
 	for s, srv := range servers {
-		pushes, _ := srv.Stats()
-		if pushes != wantPushes[s] {
-			t.Errorf("shard %d handled %d pushes, want %d", s, pushes, wantPushes[s])
+		pushes, pulls := srv.Stats()
+		if pushes != want[s] || pulls != want[s] {
+			t.Errorf("shard %d handled %d pushes %d pulls, want %d each", s, pushes, pulls, want[s])
 		}
 	}
 }
@@ -97,7 +84,7 @@ func TestShardedPushPullAggregates(t *testing.T) {
 func TestShardedClientSingleShardNeedsNoMap(t *testing.T) {
 	_, clients, cleanup := newCluster(t, 1)
 	defer cleanup()
-	sc := NewShardedClient([]*Client{clients[0]}, nil)
+	sc := NewShardedLinks(clients[:1], nil)
 	if err := sc.Push(0, 7, []float64{4}); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +100,7 @@ func TestShardedClientSingleShardNeedsNoMap(t *testing.T) {
 func TestShardedClientRejectsBadMap(t *testing.T) {
 	_, clients, cleanup := newCluster(t, 1)
 	defer cleanup()
-	sc := NewShardedClient([]*Client{clients[0]}, func(int) int { return 3 })
+	sc := NewShardedLinks(clients[:1], func(int) int { return 3 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on out-of-range shard")

@@ -5,9 +5,7 @@
 // available under identical names everywhere, and a new strategy registered
 // here lands in both paths by construction.
 //
-// Canonical names: fifo, p3, tictac, bytescheduler, bytescheduler-tuned,
-// prophet. "priority" survives as a deprecated alias for p3 (the live
-// emulation's historical name for its whole-tensor priority order).
+// Names: fifo, p3, tictac, bytescheduler, bytescheduler-tuned, prophet.
 package strategy
 
 import (
@@ -60,14 +58,11 @@ type Params struct {
 // Factory builds one scheduler instance from parameters.
 type Factory func(p Params) (schedule.Scheduler, error)
 
-var (
-	factories = map[string]Factory{}
-	aliases   = map[string]string{}
-)
+var factories = map[string]Factory{}
 
-// Register adds a strategy under its canonical name. It panics on a
-// duplicate: registration happens at init time, where a collision is a
-// programming error.
+// Register adds a strategy under its name. It panics on a duplicate:
+// registration happens at init time, where a collision is a programming
+// error.
 func Register(name string, f Factory) {
 	if name == "" || f == nil {
 		panic("strategy: empty registration")
@@ -75,61 +70,32 @@ func Register(name string, f Factory) {
 	if _, dup := factories[name]; dup {
 		panic(fmt.Sprintf("strategy: duplicate registration of %q", name))
 	}
-	if _, dup := aliases[name]; dup {
-		panic(fmt.Sprintf("strategy: %q already registered as an alias", name))
-	}
 	factories[name] = f
 }
 
-// RegisterAlias maps an alternate (deprecated) name onto a canonical one.
-func RegisterAlias(alias, canonical string) {
-	if _, ok := factories[canonical]; !ok {
-		panic(fmt.Sprintf("strategy: alias %q targets unknown strategy %q", alias, canonical))
+// Check reports whether a user-supplied name is a registered strategy.
+func Check(name string) error {
+	if _, ok := factories[name]; !ok {
+		return fmt.Errorf("strategy: unknown strategy %q (known: %v)", name, Names())
 	}
-	if _, dup := factories[alias]; dup {
-		panic(fmt.Sprintf("strategy: alias %q collides with a registered strategy", alias))
-	}
-	aliases[alias] = canonical
+	return nil
 }
 
-// Resolve maps a user-supplied name to its canonical strategy name.
-// deprecated reports that an alias was used (callers warn once on stderr).
-func Resolve(name string) (canonical string, deprecated bool, err error) {
-	if _, ok := factories[name]; ok {
-		return name, false, nil
-	}
-	if c, ok := aliases[name]; ok {
-		return c, true, nil
-	}
-	return "", false, fmt.Errorf("strategy: unknown strategy %q (known: %v)", name, Names())
-}
-
-// New builds a scheduler by name (canonical or alias).
+// New builds a scheduler by name.
 func New(name string, p Params) (schedule.Scheduler, error) {
-	canonical, _, err := Resolve(name)
-	if err != nil {
+	if err := Check(name); err != nil {
 		return nil, err
 	}
-	return factories[canonical](p)
+	return factories[name](p)
 }
 
-// Names returns the canonical strategy names, sorted.
+// Names returns the strategy names, sorted.
 func Names() []string {
 	out := make([]string, 0, len(factories))
 	for name := range factories {
 		out = append(out, name)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Aliases returns the deprecated alias→canonical pairs, alias-sorted.
-func Aliases() [][2]string {
-	out := make([][2]string, 0, len(aliases))
-	for a, c := range aliases {
-		out = append(out, [2]string{a, c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
 
@@ -218,5 +184,4 @@ func init() {
 		}
 		return schedule.NewProphet(p.Profile, bw, p.Overhead)
 	})
-	RegisterAlias("priority", "p3")
 }

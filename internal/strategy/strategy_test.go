@@ -12,18 +12,14 @@ func TestNamesCoverTheRegistry(t *testing.T) {
 	}
 }
 
-func TestResolveCanonicalAliasUnknown(t *testing.T) {
-	if c, dep, err := Resolve("p3"); err != nil || dep || c != "p3" {
-		t.Fatalf("Resolve(p3) = %q, %v, %v", c, dep, err)
+func TestCheckKnownUnknown(t *testing.T) {
+	if err := Check("p3"); err != nil {
+		t.Fatalf("Check(p3) = %v", err)
 	}
-	if c, dep, err := Resolve("priority"); err != nil || !dep || c != "p3" {
-		t.Fatalf("Resolve(priority) = %q, %v, %v; want p3 with deprecated=true", c, dep, err)
-	}
-	if _, _, err := Resolve("magic"); err == nil {
-		t.Fatal("Resolve(magic) succeeded; want error")
-	}
-	if got := Aliases(); !reflect.DeepEqual(got, [][2]string{{"priority", "p3"}}) {
-		t.Fatalf("Aliases() = %v", got)
+	for _, name := range []string{"magic", "priority"} { // priority: the alias removed in PR 12
+		if err := Check(name); err == nil {
+			t.Fatalf("Check(%s) succeeded; want error", name)
+		}
 	}
 }
 
@@ -43,19 +39,5 @@ func TestNewValidatesParams(t *testing.T) {
 	}
 	if _, err := New("nope", Params{}); err == nil {
 		t.Error("New(nope) succeeded; want error")
-	}
-}
-
-func TestAliasBuildsCanonicalStrategy(t *testing.T) {
-	a, err := New("priority", Params{Sizes: []float64{100}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New("p3", Params{Sizes: []float64{100}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Name() != b.Name() {
-		t.Fatalf("alias built %q, canonical built %q", a.Name(), b.Name())
 	}
 }

@@ -16,20 +16,6 @@ var benchFloats = func() []float64 {
 	return xs
 }()
 
-// BenchmarkFrameWrite_Legacy is the baseline two-write path: encode the
-// payload (allocating), then write header and payload separately.
-func BenchmarkFrameWrite_Legacy(b *testing.B) {
-	f := &Frame{Type: Push, Iter: 1, Tensor: 2}
-	b.SetBytes(int64(headerSize + 8*len(benchFloats)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.Payload = EncodeFloats(benchFloats)
-		if err := WriteFrame(io.Discard, f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFrameWriter_WriteFloats is the hot-path single-write form:
 // encode straight into the reusable scratch, flush once.
 func BenchmarkFrameWriter_WriteFloats(b *testing.B) {
@@ -92,9 +78,9 @@ func BenchmarkFrameReader_Pooled(b *testing.B) {
 }
 
 // BenchmarkDecodeFloatsInto measures the pooled decode used by push and
-// pull handlers (versus the allocating DecodeFloats).
+// pull handlers.
 func BenchmarkDecodeFloatsInto(b *testing.B) {
-	payload := EncodeFloats(benchFloats)
+	payload := encodeFloats(benchFloats)
 	dst := make([]float64, len(benchFloats))
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()

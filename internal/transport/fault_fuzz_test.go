@@ -28,9 +28,9 @@ func faultedStream(t testing.TB, spec fault.Spec, frames []*transport.Frame) []b
 		defer wg.Done()
 		io.Copy(&got, b)
 	}()
-	w := spec.Wrap(a)
+	fw := transport.NewFrameWriter(spec.Wrap(a))
 	for _, fr := range frames {
-		if err := transport.WriteFrame(w, fr); err != nil {
+		if err := fw.WriteFrame(fr); err != nil {
 			break // injected drops end the stream mid-frame — that's the point
 		}
 	}
@@ -40,16 +40,16 @@ func faultedStream(t testing.TB, spec fault.Spec, frames []*transport.Frame) []b
 	return got.Bytes()
 }
 
-// FuzzReadFrameFaultStream drives ReadFrame with streams that passed
+// FuzzReadFrameFaultStream drives FrameReader with streams that passed
 // through the fault injector: XOR-corrupted bytes, connections dropped
-// mid-frame (truncation), plus an oversized length field. ReadFrame must
-// never panic and must never return a frame whose payload length disagrees
-// with what the stream carried.
+// mid-frame (truncation), plus an oversized length field. Read must never
+// panic and must never return a frame whose payload length disagrees with
+// what the stream carried.
 func FuzzReadFrameFaultStream(f *testing.F) {
 	frames := []*transport.Frame{
-		{Type: transport.Push, Iter: 3, Tensor: 1, Payload: transport.EncodeFloats([]float64{1, 2, 3, 4})},
+		{Type: transport.Push, Iter: 3, Tensor: 1, Payload: make([]byte, 4*8)},
 		{Type: transport.PullReq, Iter: 3, Tensor: 1},
-		{Type: transport.PullResp, Iter: 3, Tensor: 1, Payload: transport.EncodeFloats([]float64{0.5})},
+		{Type: transport.PullResp, Iter: 3, Tensor: 1, Payload: make([]byte, 8)},
 	}
 	// Corrupt each region of the first frame: type byte, length field,
 	// payload.
@@ -66,13 +66,13 @@ func FuzzReadFrameFaultStream(f *testing.F) {
 	f.Add([]byte{byte(transport.Push), 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
+		r := transport.NewFrameReader(bytes.NewReader(data), nil)
 		deadline := time.Now().Add(2 * time.Second)
 		for {
 			if time.Now().After(deadline) {
-				t.Fatal("ReadFrame loop did not terminate")
+				t.Fatal("read loop did not terminate")
 			}
-			fr, err := transport.ReadFrame(r)
+			fr, err := r.Read()
 			if err != nil {
 				return // any malformed stream must surface as an error, not a panic
 			}

@@ -1,12 +1,11 @@
 package transport
 
-// The frame hot path: a FrameWriter/FrameReader pair with reusable scratch
-// buffers, so the live emulation's steady state moves gradient bytes with
-// zero per-frame allocations and one write per flush.
-//
-// WriteFrame/ReadFrame (transport.go) stay as the simple, allocation-per-
-// call forms used by tests and one-shot tooling; the parameter-server hot
-// loops use the types below:
+// The untagged frame codec: a FrameWriter/FrameReader pair with reusable
+// scratch buffers — zero per-frame allocations and one write per flush. The
+// live wire (mux.go) frames the same header behind a stream id and shares
+// the pools below; the codec itself is the single-stream reference the
+// benchmark's frame rows and the mux byte-compatibility test measure
+// against.
 //
 //   - FrameWriter buffers any number of frames in one scratch buffer and
 //     emits them with a single Write — one rate-limiter Wait and one
@@ -96,10 +95,64 @@ func (p *PayloadPool) Put(b []byte) {
 	p.mu.Unlock()
 }
 
+// FloatPool recycles decoded []float64 buffers the way PayloadPool recycles
+// wire bytes: a mutex-protected freelist in power-of-two size classes, so
+// steady-state Get/Put allocate nothing on any goroutine (unlike sync.Pool,
+// whose Put boxes the slice header). The zero value is an empty pool, safe
+// for concurrent use.
+type FloatPool struct {
+	mu sync.Mutex
+	// classes[c] holds idle slices with 1<<c <= cap < 1<<(c+1).
+	classes [30][][]float64
+}
+
+// floatMinClassBits: the smallest pooled slice is 16 elements (128 bytes).
+const floatMinClassBits = 4
+
+// Get returns a length-n buffer, recycled when the pool has one. An empty
+// request still yields a non-nil slice: an empty payload must decode to a
+// contribution, not to "nothing pushed".
+func (p *FloatPool) Get(n int) []float64 {
+	if n <= 0 {
+		return []float64{}
+	}
+	c := bits.Len(uint(n - 1))
+	if c < floatMinClassBits {
+		c = floatMinClassBits
+	}
+	if c >= len(p.classes) {
+		return make([]float64, n)
+	}
+	p.mu.Lock()
+	if l := len(p.classes[c]); l > 0 {
+		b := p.classes[c][l-1]
+		p.classes[c][l-1] = nil
+		p.classes[c] = p.classes[c][:l-1]
+		p.mu.Unlock()
+		return b[:n]
+	}
+	p.mu.Unlock()
+	return make([]float64, n, 1<<c)
+}
+
+// Put hands a buffer back to the pool. The caller must not use b after.
+func (p *FloatPool) Put(b []float64) {
+	if cap(b) < 1<<floatMinClassBits {
+		return
+	}
+	c := bits.Len(uint(cap(b))) - 1
+	if c >= len(p.classes) {
+		c = len(p.classes) - 1
+	}
+	p.mu.Lock()
+	if len(p.classes[c]) < maxPerClass {
+		p.classes[c] = append(p.classes[c], b[:0])
+	}
+	p.mu.Unlock()
+}
+
 // FrameWriter buffers frames in a reusable scratch buffer and writes each
-// flush as one Write call. It is not safe for concurrent use; callers
-// serialize access (the ps client and server hold a per-connection write
-// lock around it).
+// flush as one Write call. It is not safe for concurrent use.
 type FrameWriter struct {
 	w   io.Writer
 	buf []byte
@@ -107,16 +160,6 @@ type FrameWriter struct {
 
 // NewFrameWriter returns a writer emitting to w.
 func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
-
-// Reset points the writer at w and discards anything buffered, keeping the
-// scratch capacity. Used when a reconnect swaps the underlying connection.
-func (fw *FrameWriter) Reset(w io.Writer) {
-	fw.w = w
-	fw.buf = fw.buf[:0]
-}
-
-// Buffered returns the number of bytes staged for the next Flush.
-func (fw *FrameWriter) Buffered() int { return len(fw.buf) }
 
 func (fw *FrameWriter) appendHeader(t MsgType, iter, tensor uint32, n int) {
 	var hdr [headerSize]byte
@@ -168,7 +211,7 @@ func (fw *FrameWriter) Flush() error {
 }
 
 // WriteFrame stages f and flushes immediately: header and payload leave in
-// one write, unlike the package-level WriteFrame's two.
+// one write.
 func (fw *FrameWriter) WriteFrame(f *Frame) error {
 	if err := fw.AppendFrame(f); err != nil {
 		return err

@@ -8,21 +8,21 @@ import (
 
 // TestFrameWriterByteIdenticalToSequential pins the batching contract: a
 // FrameWriter flushing N staged frames emits exactly the bytes of the N
-// frames written one at a time with WriteFrame. Fault injectors and
-// readers keyed on absolute stream offsets therefore cannot tell the
-// paths apart.
+// frames written (and flushed) one at a time. Fault injectors and readers
+// keyed on absolute stream offsets therefore cannot tell the paths apart.
 func TestFrameWriterByteIdenticalToSequential(t *testing.T) {
 	floats := []float64{1.5, -2.25, 3.125, 0}
 	frames := []*Frame{
-		{Type: Push, Iter: 1, Tensor: 0, Payload: EncodeFloats(floats)},
+		{Type: Push, Iter: 1, Tensor: 0, Payload: encodeFloats(floats)},
 		{Type: PullReq, Iter: 1, Tensor: 0},
 		{Type: Push, Iter: 1, Tensor: 3, Payload: []byte{9, 8, 7}},
 		{Type: PullResp, Iter: 2, Tensor: 1, Payload: nil},
 	}
 
 	var sequential bytes.Buffer
+	sw := NewFrameWriter(&sequential)
 	for _, f := range frames {
-		if err := WriteFrame(&sequential, f); err != nil {
+		if err := sw.WriteFrame(f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func TestFrameReaderPooledRoundTrip(t *testing.T) {
 		if f.Iter != uint32(i) {
 			t.Fatalf("frame %d: iter %d", i, f.Iter)
 		}
-		got, err := DecodeFloats(f.Payload)
+		got, err := decodeFloats(f.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}

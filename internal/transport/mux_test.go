@@ -25,10 +25,8 @@ func (c *memConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c *memConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // TestMuxWireFormat pins the tagged-frame layout: a mux frame is exactly
-// the 4-byte little-endian stream id followed by the bytes WriteFrame
-// would emit for the same frame. Fault injectors keyed on absolute byte
-// offsets therefore compose with mux streams the same way they compose
-// with plain frame streams.
+// the 4-byte little-endian stream id followed by the bytes the untagged
+// FrameWriter codec emits for the same frame.
 func TestMuxWireFormat(t *testing.T) {
 	c := &memConn{}
 	m := NewMuxConn(c, MuxOptions{Streams: 4})
@@ -41,10 +39,11 @@ func TestMuxWireFormat(t *testing.T) {
 	}
 
 	var want bytes.Buffer
+	fw := NewFrameWriter(&want)
 	want.Write([]byte{2, 0, 0, 0})
-	WriteFrame(&want, &Frame{Type: Push, Iter: 7, Tensor: 3, Payload: EncodeFloats(xs)})
+	fw.WriteFloats(Push, 7, 3, xs)
 	want.Write([]byte{1, 0, 0, 0})
-	WriteFrame(&want, &Frame{Type: PullReq, Iter: 9, Tensor: 0})
+	fw.WriteFrame(&Frame{Type: PullReq, Iter: 9, Tensor: 0})
 	if !bytes.Equal(c.buf.Bytes(), want.Bytes()) {
 		t.Fatalf("wire bytes mismatch:\n got %x\nwant %x", c.buf.Bytes(), want.Bytes())
 	}
@@ -121,7 +120,7 @@ func TestMuxRoundTripInterleaved(t *testing.T) {
 			t.Fatalf("stream %d: frame %d arrived, want %d (per-stream order broken)", s, f.Iter, got[s])
 		}
 		got[s]++
-		vals, err := DecodeFloats(f.Payload)
+		vals, err := decodeFloats(f.Payload)
 		if err != nil || len(vals) != 2 || vals[0] != float64(s) || vals[1] != float64(got[s]-1) {
 			t.Fatalf("stream %d frame %d: payload %v err %v", s, f.Iter, vals, err)
 		}

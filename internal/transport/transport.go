@@ -6,12 +6,7 @@
 package transport
 
 import (
-	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -48,7 +43,9 @@ func (t MsgType) String() string {
 	}
 }
 
-// Frame is one message between a worker and the parameter server.
+// Frame is one message between a worker and the parameter server. On the
+// wire every frame travels tagged with a stream id (mux.go); the untagged
+// form is the FrameWriter/FrameReader codec of frame.go.
 type Frame struct {
 	Type MsgType
 	// Iter is the training iteration the tensor belongs to.
@@ -65,151 +62,6 @@ const headerSize = 13
 // MaxPayload bounds a frame's payload to keep a corrupted length prefix
 // from allocating unbounded memory.
 const MaxPayload = 1 << 28
-
-// WriteFrame serializes f to w.
-func WriteFrame(w io.Writer, f *Frame) error {
-	if len(f.Payload) > MaxPayload {
-		return fmt.Errorf("transport: payload %d exceeds max %d", len(f.Payload), MaxPayload)
-	}
-	var hdr [headerSize]byte
-	hdr[0] = byte(f.Type)
-	binary.LittleEndian.PutUint32(hdr[1:5], f.Iter)
-	binary.LittleEndian.PutUint32(hdr[5:9], f.Tensor)
-	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(f.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(f.Payload) > 0 {
-		if _, err := w.Write(f.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadFrame deserializes one frame from r.
-func ReadFrame(r io.Reader) (*Frame, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	f := &Frame{
-		Type:   MsgType(hdr[0]),
-		Iter:   binary.LittleEndian.Uint32(hdr[1:5]),
-		Tensor: binary.LittleEndian.Uint32(hdr[5:9]),
-	}
-	n := binary.LittleEndian.Uint32(hdr[9:13])
-	if n > MaxPayload {
-		return nil, fmt.Errorf("transport: frame payload %d exceeds max %d", n, MaxPayload)
-	}
-	if n > 0 {
-		f.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
-}
-
-// ReadFrameTimeout reads one frame from c, failing with a timeout error if
-// the frame has not fully arrived within d (0 or negative = no deadline).
-// The read deadline is cleared before returning on every path — including
-// failure: leaving an already-expired deadline armed would make the next
-// read on the same connection (e.g. a retry before redialing) fail
-// instantly with a bogus timeout.
-func ReadFrameTimeout(c net.Conn, d time.Duration) (*Frame, error) {
-	if d <= 0 {
-		return ReadFrame(c)
-	}
-	if err := c.SetReadDeadline(time.Now().Add(d)); err != nil {
-		return nil, err
-	}
-	f, err := ReadFrame(c)
-	c.SetReadDeadline(time.Time{})
-	return f, err
-}
-
-// WriteFrameTimeout writes one frame to c under a write deadline (0 or
-// negative = no deadline). Note that rate-shaped Conns pay their limiter
-// sleep before the underlying write; the deadline bounds only the write
-// itself (a stalled peer), not the shaping delay.
-func WriteFrameTimeout(c net.Conn, f *Frame, d time.Duration) error {
-	if d <= 0 {
-		return WriteFrame(c, f)
-	}
-	if err := c.SetWriteDeadline(time.Now().Add(d)); err != nil {
-		return err
-	}
-	err := WriteFrame(c, f)
-	// Clear on every path: a stale expired deadline would poison the next
-	// write on this connection.
-	c.SetWriteDeadline(time.Time{})
-	return err
-}
-
-// ReadFrameCtx reads one frame from c, honoring ctx cancellation and
-// deadline: cancelation interrupts an in-flight read by poking the
-// connection's read deadline into the past.
-func ReadFrameCtx(ctx context.Context, c net.Conn) (*Frame, error) {
-	if ctx.Done() == nil {
-		return ReadFrame(c)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	stop := make(chan struct{})
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		select {
-		case <-ctx.Done():
-			c.SetReadDeadline(time.Now()) // interrupt the blocked read
-		case <-stop:
-		}
-	}()
-	f, err := ReadFrame(c)
-	close(stop)
-	// Wait for the watcher before clearing: without the rendezvous it could
-	// observe ctx.Done() after ReadFrame already returned and poke the
-	// deadline into the past concurrently with (or after) the clear below,
-	// poisoning the connection for its next read nondeterministically.
-	<-watcherDone
-	c.SetReadDeadline(time.Time{})
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, err
-	}
-	return f, nil
-}
-
-// IsTimeout reports whether err is a deadline-expiry error from the frame
-// I/O helpers.
-func IsTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// EncodeFloats packs xs as little-endian float64 bytes.
-func EncodeFloats(xs []float64) []byte {
-	out := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
-	}
-	return out
-}
-
-// DecodeFloats unpacks little-endian float64 bytes.
-func DecodeFloats(b []byte) ([]float64, error) {
-	n, err := FloatCount(b)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	DecodeFloatsInto(out, b)
-	return out, nil
-}
 
 // Limiter is a token-bucket byte rate limiter safe for concurrent use.
 type Limiter struct {
@@ -308,24 +160,4 @@ func Pipe(aToB, bToA float64) (a, b net.Conn) {
 		lb = NewLimiter(bToA, 64<<10)
 	}
 	return NewConn(pa, la), NewConn(pb, lb)
-}
-
-// ListenLoopback opens a TCP listener on a kernel-assigned localhost port,
-// for emulations that want real sockets instead of in-memory pipes.
-func ListenLoopback() (net.Listener, error) {
-	return net.Listen("tcp", "127.0.0.1:0")
-}
-
-// DialShaped connects to addr over TCP and shapes writes to bytesPerSec
-// (0 = unshaped).
-func DialShaped(addr string, bytesPerSec float64) (net.Conn, error) {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	var l *Limiter
-	if bytesPerSec > 0 {
-		l = NewLimiter(bytesPerSec, 64<<10)
-	}
-	return NewConn(c, l), nil
 }

@@ -2,8 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"io"
 	"math"
 	"net"
@@ -13,13 +11,32 @@ import (
 	"time"
 )
 
+// encodeFloats is xs as a frame payload, taken from the writer that ships
+// it; decodeFloats is the receive-side decode.
+func encodeFloats(xs []float64) []byte {
+	var buf bytes.Buffer
+	if err := NewFrameWriter(&buf).WriteFloats(Push, 0, 0, xs); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()[headerSize:]
+}
+
+func decodeFloats(b []byte) ([]float64, error) {
+	n, err := FloatCount(b)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, n)
+	return out, DecodeFloatsInto(out, b)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Frame{Type: Push, Iter: 7, Tensor: 42, Payload: []byte{1, 2, 3}}
-	if err := WriteFrame(&buf, in); err != nil {
+	if err := NewFrameWriter(&buf).WriteFrame(in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadFrame(&buf)
+	out, err := NewFrameReader(&buf, nil).Read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,46 +45,34 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrameEmptyPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Frame{Type: PullReq, Iter: 1, Tensor: 2}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Payload) != 0 || out.Type != PullReq {
-		t.Fatalf("frame = %+v", out)
-	}
-}
-
 func TestFrameSequenceOverStream(t *testing.T) {
 	var buf bytes.Buffer
+	fw := NewFrameWriter(&buf)
 	for i := 0; i < 10; i++ {
-		if err := WriteFrame(&buf, &Frame{Type: Push, Iter: uint32(i), Tensor: uint32(i * 2), Payload: make([]byte, i)}); err != nil {
+		if err := fw.WriteFrame(&Frame{Type: PullReq, Iter: uint32(i), Tensor: uint32(i * 2), Payload: make([]byte, i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	fr := NewFrameReader(&buf, nil)
 	for i := 0; i < 10; i++ {
-		f, err := ReadFrame(&buf)
+		f, err := fr.Read()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Iter != uint32(i) || len(f.Payload) != i {
+		if f.Type != PullReq || f.Iter != uint32(i) || len(f.Payload) != i {
 			t.Fatalf("frame %d = %+v", i, f)
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, err := fr.Read(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
 	}
 }
 
 func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, &Frame{Type: Push, Payload: []byte{1, 2, 3, 4}})
+	NewFrameWriter(&buf).WriteFrame(&Frame{Type: Push, Payload: []byte{1, 2, 3, 4}})
 	trunc := buf.Bytes()[:buf.Len()-2]
-	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
+	if _, err := NewFrameReader(bytes.NewReader(trunc), nil).Read(); err == nil {
 		t.Fatal("expected error on truncated frame")
 	}
 }
@@ -79,14 +84,14 @@ func TestReadFrameHugeLengthRejected(t *testing.T) {
 	hdr[10] = 0xff
 	hdr[11] = 0xff
 	hdr[12] = 0xff
-	if _, err := ReadFrame(bytes.NewReader(hdr)); err == nil {
+	if _, err := NewFrameReader(bytes.NewReader(hdr), nil).Read(); err == nil {
 		t.Fatal("expected error on oversized length prefix")
 	}
 }
 
 func TestFloatCodecRoundTrip(t *testing.T) {
 	in := []float64{0, 1, -1, math.Pi, math.Inf(1), math.SmallestNonzeroFloat64}
-	out, err := DecodeFloats(EncodeFloats(in))
+	out, err := decodeFloats(encodeFloats(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +103,14 @@ func TestFloatCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeFloatsBadLength(t *testing.T) {
-	if _, err := DecodeFloats(make([]byte, 9)); err == nil {
+	if _, err := decodeFloats(make([]byte, 9)); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestPropertyFloatCodec(t *testing.T) {
 	f := func(xs []float64) bool {
-		out, err := DecodeFloats(EncodeFloats(xs))
+		out, err := decodeFloats(encodeFloats(xs))
 		if err != nil || len(out) != len(xs) {
 			return false
 		}
@@ -118,6 +123,29 @@ func TestPropertyFloatCodec(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFloatPoolReuse mirrors TestPayloadPoolReuse for decoded buffers: a
+// recycled slice serves the next fitting Get, sub-minimum slices are not
+// retained, and an empty request is non-nil.
+func TestFloatPoolReuse(t *testing.T) {
+	var p FloatPool
+	b := p.Get(20)
+	if len(b) != 20 || cap(b) != 32 {
+		t.Fatalf("Get(20): len %d cap %d", len(b), cap(b))
+	}
+	first := &b[0]
+	p.Put(b)
+	if c := p.Get(30); len(c) != 30 || &c[0] != first {
+		t.Fatal("Get(30) did not reuse the recycled 32-cap slice")
+	}
+	p.Put(make([]float64, 4)) // below min class: dropped
+	if d := p.Get(4); cap(d) < 16 {
+		t.Fatalf("small Get should round up to the min class, cap %d", cap(d))
+	}
+	if e := p.Get(0); e == nil || len(e) != 0 {
+		t.Fatalf("Get(0) = %v, want non-nil empty", e)
 	}
 }
 
@@ -158,21 +186,25 @@ func TestPipeCarriesFrames(t *testing.T) {
 	a, b := Pipe(0, 0)
 	defer a.Close()
 	defer b.Close()
-	done := make(chan *Frame, 1)
+	done := make(chan []float64, 1)
 	go func() {
-		f, err := ReadFrame(b)
+		f, err := NewFrameReader(b, nil).Read()
 		if err != nil {
 			t.Error(err)
+			done <- nil
+			return
 		}
-		done <- f
+		vals, err := decodeFloats(f.Payload)
+		if err != nil || f.Tensor != 9 {
+			t.Errorf("frame %+v: %v", f, err)
+		}
+		done <- vals
 	}()
-	want := &Frame{Type: PullResp, Iter: 3, Tensor: 9, Payload: EncodeFloats([]float64{1.5, -2.5})}
-	if err := WriteFrame(a, want); err != nil {
+	if err := NewFrameWriter(a).WriteFloats(PullResp, 3, 9, []float64{1.5, -2.5}); err != nil {
 		t.Fatal(err)
 	}
-	got := <-done
-	if got.Tensor != 9 || !bytes.Equal(got.Payload, want.Payload) {
-		t.Fatalf("got %+v", got)
+	if got := <-done; len(got) != 2 || got[0] != 1.5 || got[1] != -2.5 {
+		t.Fatalf("got %v", got)
 	}
 }
 
@@ -184,9 +216,8 @@ func TestShapedPipeSlowsTransfer(t *testing.T) {
 	go func() {
 		io.Copy(io.Discard, b)
 	}()
-	payload := make([]byte, 200_000)
 	start := time.Now()
-	if err := WriteFrame(a, &Frame{Type: Push, Payload: payload}); err != nil {
+	if _, err := a.Write(make([]byte, 200_000)); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -241,97 +272,5 @@ func TestLimiterWaitFractionalBurstTerminates(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Wait with fractional burst never terminated")
-	}
-}
-
-func TestReadFrameTimeoutExpires(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	start := time.Now()
-	_, err := ReadFrameTimeout(a, 30*time.Millisecond)
-	if err == nil {
-		t.Fatal("read with no writer succeeded")
-	}
-	if !IsTimeout(err) {
-		t.Fatalf("err = %v, want timeout", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("timeout read blocked far past its deadline")
-	}
-}
-
-func TestReadFrameTimeoutDeliversAndClearsDeadline(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	go WriteFrame(b, &Frame{Type: Push, Iter: 1, Tensor: 2, Payload: []byte{9}})
-	f, err := ReadFrameTimeout(a, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Iter != 1 || f.Tensor != 2 || len(f.Payload) != 1 {
-		t.Fatalf("frame = %+v", f)
-	}
-	// Deadline must be cleared: a later undeadlined read blocks instead of
-	// failing instantly with the stale deadline.
-	errc := make(chan error, 1)
-	go func() {
-		_, err := ReadFrame(a)
-		errc <- err
-	}()
-	select {
-	case err := <-errc:
-		t.Fatalf("follow-up read returned early: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-func TestWriteFrameTimeoutExpires(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	// No reader: the synchronous pipe blocks the write until the deadline.
-	err := WriteFrameTimeout(a, &Frame{Type: Push, Payload: make([]byte, 64)}, 30*time.Millisecond)
-	if !IsTimeout(err) {
-		t.Fatalf("err = %v, want timeout", err)
-	}
-}
-
-func TestReadFrameCtxCancelInterruptsBlockedRead(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, err := ReadFrameCtx(ctx, a)
-		errc <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the read block
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation never interrupted the read")
-	}
-}
-
-func TestReadFrameCtxDelivers(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go WriteFrame(b, &Frame{Type: PullReq, Iter: 3, Tensor: 4})
-	f, err := ReadFrameCtx(ctx, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Type != PullReq || f.Iter != 3 || f.Tensor != 4 {
-		t.Fatalf("frame = %+v", f)
 	}
 }
