@@ -3,14 +3,15 @@
 // all-reduce over rate-shaped connections, exchanging gradient chunks as
 // tagged transport frames instead of pushing to a parameter server.
 //
-// The wire fabric is one shared bidirectional pipe carrying a
+// The wire fabric is the emulation's shared-pipe topology with peers on the
+// far end instead of a parameter server: one bidirectional pipe carrying a
 // transport.MuxConn per direction, with one logical stream per *receiving*
-// worker: worker w ships a chunk to worker v by sending a Chunk frame on
+// worker. Worker w ships a chunk to worker v by sending a Chunk frame on
 // stream v, and a single demux goroutine routes arriving frames into
-// per-worker inboxes. That mirrors the emulation's mux PS transport — the
-// per-run goroutine cost is a constant two loops, not O(W²) socket pairs —
-// and the shared pipe is shaped to W× the per-worker bandwidth, so every
-// worker keeps the per-link rate a real ring would give it while the wire
+// per-worker inboxes — the per-run goroutine cost is a constant, not O(W²)
+// socket pairs. Whoever makes the pipe (New, or the emulation's wiring loop
+// through Over) shapes it to W× the per-worker bandwidth, so every worker
+// keeps the per-link rate a real ring would give it while the wire
 // serializes the steps.
 //
 // The chunk schedules are the drive layer's: a ring op runs the classic
@@ -47,11 +48,8 @@ import (
 // the calling worker's goroutine.
 type StepFunc func(step, steps int, bytes float64, start, end float64)
 
-// Options configures a Fabric.
+// Options configures a Fabric built by New.
 type Options struct {
-	// Window is the per-stream credit window in bytes (0 = the transport
-	// default).
-	Window int
 	// Metrics, when non-nil, meters the fabric's wire traffic under the
 	// "transport_collective" label.
 	Metrics *probe.Metrics
@@ -69,15 +67,17 @@ type chunk struct {
 // inbox holds the decoded chunks queued for one worker. It is unbounded —
 // that is what makes the fabric deadlock-free: the demux loop never blocks
 // on a worker, so credit grants always flow and a sender can never wedge
-// behind a receiver that is itself mid-send. Memory stays bounded by the
-// credit windows (at most one window of frames per stream is in flight).
+// behind a receiver that is itself mid-send. The credit windows do not
+// bound it (the demux hands a frame's credit back before it queues the
+// decoded chunk); the lockstep schedule does: a peer sends step k+1 only
+// after it received step k, so no sender runs more than one step ahead of
+// the slowest peer it exchanges with.
 //
 // Lookup is by (iter, step), not FIFO: tree receivers hear from a different
 // partner each step, and nothing orders arrivals across senders — a fast
 // partner's step-k+1 frame may land before a slow partner's step-k frame.
 // Each worker receives exactly one chunk per (iter, step), so the match is
-// unique; the queue stays tiny (bounded by in-flight steps), so a linear
-// scan is fine.
+// unique; the queue stays tiny, so a linear scan is fine.
 type inbox struct {
 	items []chunk
 }
@@ -98,18 +98,21 @@ func (q *inbox) take(iter, step uint32) (chunk, bool) {
 }
 
 // Fabric is the shared wire all peers exchange chunks over. Build one per
-// run with New, hand each worker its Peer, and Close when the run ends —
-// closing unblocks every peer with an error.
+// run with New (or Over, on a pipe the caller made), hand each worker its
+// Peer, and Close when the run ends — closing unblocks every peer with an
+// error.
 type Fabric struct {
 	workers int
-	be      drive.Backend
+	steps   int                       // the backend's Steps(workers)
+	stepOf  func(id, n, k int) opStep // the backend's chunk schedule
 	clock   func() float64
 
 	send *transport.MuxConn // workers write here; stream = destination
-	recv *transport.MuxConn // demux loop reads here
-	wire []net.Conn         // both pipe ends, for teardown
+	recv *transport.MuxConn // the demux loop reads here
 
 	pool transport.FloatPool // decoded chunk buffers, recycled across steps and ops
+
+	readers sync.WaitGroup // the two demux loops
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -117,11 +120,10 @@ type Fabric struct {
 	err     error
 }
 
-// New builds the fabric for `workers` peers on the named collective
-// backend ("ring" or "tree"). bandwidthBytesPerSec is the per-worker link
-// rate; the shared pipe is shaped to workers× that aggregate (0 =
-// unshaped), mirroring the emulation's mux PS convention.
-func New(backend string, workers int, bandwidthBytesPerSec float64, opt Options) (*Fabric, error) {
+// Check reports whether `workers` peers can run the named collective
+// backend: it must be a collective schedule ("ring" or "tree"), with at
+// least two peers, and a power of two of them for the tree.
+func Check(backend string, workers int) (drive.Backend, error) {
 	be, err := drive.BackendByName(backend)
 	if err != nil {
 		return nil, err
@@ -135,48 +137,75 @@ func New(backend string, workers int, bandwidthBytesPerSec float64, opt Options)
 	if be.Name() == "tree" && bits.OnesCount(uint(workers)) != 1 {
 		return nil, fmt.Errorf("collective: tree halving-doubling needs a power-of-two worker count, have %d", workers)
 	}
+	return be, nil
+}
+
+// New builds the fabric for `workers` peers on the named collective
+// backend ("ring" or "tree") over a pipe of its own. bandwidthBytesPerSec
+// is the per-worker link rate; the shared pipe is shaped to workers× that
+// aggregate (0 = unshaped), the emulation's shared-pipe convention.
+func New(backend string, workers int, bandwidthBytesPerSec float64, opt Options) (*Fabric, error) {
 	bw := bandwidthBytesPerSec * float64(workers)
 	a, b := transport.Pipe(bw, bw)
-	a = transport.Meter(a, opt.Metrics, "transport_collective")
-	start := time.Now()
-	clock := opt.Clock
+	return Over(backend, workers, transport.Meter(a, opt.Metrics, "transport_collective"), b, opt.Clock)
+}
+
+// Over builds the fabric on a pipe the caller made (and shaped, metered or
+// fault-wrapped as it saw fit): peers write their chunks to send, the demux
+// loop reads them from recv, and credit flows back the other way. Once Over
+// returns without an error the fabric owns both ends. clock supplies the
+// StepFunc timestamps (nil = wall seconds since now).
+func Over(backend string, workers int, send, recv net.Conn, clock func() float64) (*Fabric, error) {
+	be, err := Check(backend, workers)
+	if err != nil {
+		return nil, err
+	}
 	if clock == nil {
+		start := time.Now()
 		clock = func() float64 { return time.Since(start).Seconds() }
 	}
 	f := &Fabric{
 		workers: workers,
-		be:      be,
+		steps:   be.Steps(workers),
+		stepOf:  ringStep(workers),
 		clock:   clock,
-		wire:    []net.Conn{a, b},
 		inboxes: make([]inbox, workers),
 	}
+	if be.Name() == "tree" {
+		f.stepOf = treeStep(workers)
+	}
 	f.cond = sync.NewCond(&f.mu)
-	f.send = transport.NewMuxConn(a, transport.MuxOptions{Streams: workers, Window: opt.Window})
+	f.send = transport.NewMuxConn(send, transport.MuxOptions{Streams: workers})
 	// The receive side recycles chunk payloads and flushes credit grants
 	// from its own granter goroutine (the demux loop never writes).
-	f.recv = transport.NewMuxConn(b, transport.MuxOptions{
+	f.recv = transport.NewMuxConn(recv, transport.MuxOptions{
 		Streams:   workers,
-		Window:    opt.Window,
 		Pool:      transport.NewPayloadPool(),
 		AutoGrant: true,
 	})
-	go f.demuxLoop()
-	go f.creditLoop()
+	f.readers.Add(2)
+	go f.demux(f.recv, f.deliver)
+	// The peers opposite the send side only ever return flow-control
+	// credit, which the mux consumes internally: its loop exists to keep
+	// those grants draining, and any data frame there is a violation.
+	go f.demux(f.send, func(stream uint32, frame *transport.Frame) error {
+		return fmt.Errorf("collective: unexpected %s data frame on the send side (stream %d)", frame.Type, stream)
+	})
 	return f, nil
 }
 
-// Backend returns the chunk-schedule backend the fabric runs.
-func (f *Fabric) Backend() drive.Backend { return f.be }
-
-// Workers returns the peer count.
-func (f *Fabric) Workers() int { return f.workers }
-
-// Close tears the fabric down: both pipe ends close, the demux and credit
-// loops exit, and every peer blocked in an exchange fails with
-// net.ErrClosed. Idempotent.
+// Close tears the fabric down: both pipe ends close, every peer blocked in
+// an exchange fails with net.ErrClosed, and the demux loops have exited by
+// the time it returns. Idempotent; an end that was already closed (by a
+// demux loop's own exit, or by the caller) is not an error.
 func (f *Fabric) Close() error {
 	f.fail(net.ErrClosed)
-	err := errors.Join(f.send.Close(), f.recv.Close())
+	err := errors.Join(closeErr(f.send.Close()), closeErr(f.recv.Close()))
+	f.readers.Wait()
+	return err
+}
+
+func closeErr(err error) error {
 	if errors.Is(err, net.ErrClosed) {
 		return nil
 	}
@@ -193,53 +222,32 @@ func (f *Fabric) fail(err error) {
 	f.mu.Unlock()
 }
 
-// demuxLoop is the single reader of the receive side: it decodes every
-// chunk frame into a pooled float buffer, returns the wire payload (and its
-// credit) immediately, and queues the chunk on the destination worker's
-// inbox. It never blocks on a peer.
-func (f *Fabric) demuxLoop() {
-	for {
-		stream, frame, err := f.recv.Read()
-		if err != nil {
-			f.fail(err)
-			return
-		}
-		if frame.Type != transport.Chunk || len(frame.Payload)%8 != 0 {
-			f.recv.Done(stream, frame)
-			f.fail(fmt.Errorf("collective: unexpected %s frame (%d payload bytes) on stream %d",
-				frame.Type, len(frame.Payload), stream))
-			return
-		}
-		buf := f.pool.Get(len(frame.Payload) / 8)
-		if err := transport.DecodeFloatsInto(buf, frame.Payload); err != nil {
-			f.recv.Done(stream, frame)
-			f.fail(err)
-			return
-		}
-		c := chunk{iter: frame.Iter, step: frame.Tensor, data: buf}
-		f.recv.Done(stream, frame)
-		f.mu.Lock()
-		f.inboxes[stream].push(c)
-		f.cond.Broadcast()
-		f.mu.Unlock()
-	}
+// demux runs one side's reader until its first error, which closes that
+// mux (transport.MuxConn.Demux) — the other end of the pipe then fails too,
+// so senders parked in a write or a credit reservation unwind without
+// anybody calling Close.
+func (f *Fabric) demux(m *transport.MuxConn, handle func(uint32, *transport.Frame) error) {
+	defer f.readers.Done()
+	f.fail(m.Demux(handle))
 }
 
-// creditLoop is the single reader of the send side. The peers opposite it
-// only ever return flow-control credit, which MuxConn.Read consumes
-// internally, so the loop exists purely to keep those grants draining; any
-// data frame arriving here is a protocol violation.
-func (f *Fabric) creditLoop() {
-	for {
-		stream, frame, err := f.send.Read()
-		if err != nil {
-			f.fail(err)
-			return
-		}
-		f.send.Done(stream, frame)
-		f.fail(fmt.Errorf("collective: unexpected %s data frame on the send side (stream %d)", frame.Type, stream))
-		return
+// deliver is the receive side's frame handler: it decodes a chunk frame
+// into a pooled float buffer and queues it on the destination worker's
+// inbox. It never blocks on a peer.
+func (f *Fabric) deliver(stream uint32, frame *transport.Frame) error {
+	if frame.Type != transport.Chunk || len(frame.Payload)%8 != 0 {
+		return fmt.Errorf("collective: unexpected %s frame (%d payload bytes) on stream %d",
+			frame.Type, len(frame.Payload), stream)
 	}
+	buf := f.pool.Get(len(frame.Payload) / 8)
+	if err := transport.DecodeFloatsInto(buf, frame.Payload); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	f.inboxes[stream].push(chunk{iter: frame.Iter, step: frame.Tensor, data: buf})
+	f.cond.Broadcast()
+	f.mu.Unlock()
+	return nil
 }
 
 // recvChunk blocks for the chunk tagged (iter, step) addressed to worker w.
@@ -283,155 +291,117 @@ func (p *Peer) AllReduce(iter int, data []float64, onStep StepFunc) error {
 	if len(data) == 0 {
 		return nil
 	}
-	var err error
-	switch p.f.be.Name() {
-	case "tree":
-		err = p.treeAllReduce(uint32(iter), data, onStep)
-	default:
-		err = p.ringAllReduce(uint32(iter), data, onStep)
+	f := p.f
+	for k := 0; k < f.steps; k++ {
+		st := f.stepOf(p.id, len(data), k)
+		start := f.clock()
+		if err := p.exchange(uint32(iter), uint32(k), st, data); err != nil {
+			return err
+		}
+		if onStep != nil {
+			onStep(k, f.steps, float64(8*(st.sHi-st.sLo)), start, f.clock())
+		}
 	}
-	if err != nil {
-		return err
-	}
-	inv := 1 / float64(p.f.workers)
+	inv := 1 / float64(f.workers)
 	for i := range data {
 		data[i] *= inv
 	}
 	return nil
 }
 
-// exchange plays one lockstep step: ship out to peer dst, then block for
-// this peer's inbound chunk and hand it to use. The net.Pipe fabric never
-// wedges on the send-then-receive order: the demux loop drains the wire
-// unconditionally, so every peer's send completes without its receive.
-func (p *Peer) exchange(iter, step uint32, dst int, out []float64, wantLen int, use func(in []float64)) error {
-	if err := p.f.send.SendFloats(uint32(dst), transport.Chunk, iter, step, out); err != nil {
-		return fmt.Errorf("collective: send step %d to %d: %w", step, dst, err)
+// opStep is one lockstep step of an op over data: ship data[sLo:sHi] to
+// peer dst, then fold the inbound chunk into data[rLo:rHi] — summed during
+// the reduce-scatter half of a schedule, copied during the all-gather half.
+type opStep struct {
+	dst      int
+	sLo, sHi int
+	rLo, rHi int
+	reduce   bool
+}
+
+// exchange plays one step: send, then block for this peer's inbound chunk.
+// The net.Pipe fabric never wedges on the send-then-receive order: the
+// demux loop drains the wire unconditionally, so every peer's send
+// completes without its receive.
+func (p *Peer) exchange(iter, step uint32, st opStep, data []float64) error {
+	if err := p.f.send.SendFloats(uint32(st.dst), transport.Chunk, iter, step, data[st.sLo:st.sHi]); err != nil {
+		return fmt.Errorf("collective: send step %d to %d: %w", step, st.dst, err)
 	}
 	c, err := p.f.recvChunk(p.id, iter, step)
 	if err != nil {
 		return fmt.Errorf("collective: recv step %d: %w", step, err)
 	}
-	if len(c.data) != wantLen {
+	acc := data[st.rLo:st.rHi]
+	if len(c.data) != len(acc) {
 		p.f.pool.Put(c.data)
 		err := fmt.Errorf("collective: peer %d iter %d step %d: got %d-element chunk, want %d (lockstep violated)",
-			p.id, iter, step, len(c.data), wantLen)
+			p.id, iter, step, len(c.data), len(acc))
 		p.f.fail(err)
 		return err
 	}
-	use(c.data)
+	if st.reduce {
+		for i, v := range c.data {
+			acc[i] += v
+		}
+	} else {
+		copy(acc, c.data)
+	}
 	p.f.pool.Put(c.data)
 	return nil
 }
 
-// ringAllReduce is the classic two-phase ring: W−1 reduce-scatter steps
-// accumulate each of the W segments around the ring (so segment g is summed
-// in one fixed worker order), then W−1 all-gather steps rotate the reduced
-// segments back to everyone. Per step each peer ships one ~s/W-byte segment
-// to its successor — exactly drive.Backend "ring"'s chunk schedule.
-func (p *Peer) ringAllReduce(iter uint32, data []float64, onStep StepFunc) error {
-	W := p.f.workers
-	n := len(data)
-	bound := func(i int) int { return i * n / W }
-	succ := (p.id + 1) % W
-	steps := 2 * (W - 1)
-	step := 0
-	for k := 0; k < W-1; k++ { // reduce-scatter
-		sendSeg := ((p.id-k)%W + W) % W
-		recvSeg := ((p.id-k-1)%W + W) % W
-		sLo, sHi := bound(sendSeg), bound(sendSeg+1)
-		rLo, rHi := bound(recvSeg), bound(recvSeg+1)
-		start := p.f.clock()
-		err := p.exchange(iter, uint32(step), succ, data[sLo:sHi], rHi-rLo, func(in []float64) {
-			acc := data[rLo:rHi]
-			for i, v := range in {
-				acc[i] += v
-			}
-		})
-		if err != nil {
-			return err
+// ringStep is the classic two-phase ring's schedule: W−1 reduce-scatter
+// steps accumulate each of the W segments around the ring (so segment g is
+// summed in one fixed worker order), then W−1 all-gather steps rotate the
+// reduced segments back to everyone. Per step each peer ships one
+// ~s/W-byte segment to its successor — exactly drive.Backend "ring".
+func ringStep(W int) func(id, n, k int) opStep {
+	return func(id, n, k int) opStep {
+		st := opStep{dst: (id + 1) % W, reduce: k < W-1}
+		sendSeg := id - k // reduce-scatter: pass on what the last step accumulated
+		if !st.reduce {
+			sendSeg = id + 1 - (k - (W - 1)) // all-gather: pass on what it completed
 		}
-		if onStep != nil {
-			onStep(step, steps, float64(8*(sHi-sLo)), start, p.f.clock())
-		}
-		step++
+		sendSeg = (sendSeg%W + W) % W
+		recvSeg := (sendSeg - 1 + W) % W
+		st.sLo, st.sHi = sendSeg*n/W, (sendSeg+1)*n/W
+		st.rLo, st.rHi = recvSeg*n/W, (recvSeg+1)*n/W
+		return st
 	}
-	for k := 0; k < W-1; k++ { // all-gather
-		sendSeg := ((p.id+1-k)%W + W) % W
-		recvSeg := ((p.id-k)%W + W) % W
-		sLo, sHi := bound(sendSeg), bound(sendSeg+1)
-		rLo, rHi := bound(recvSeg), bound(recvSeg+1)
-		start := p.f.clock()
-		err := p.exchange(iter, uint32(step), succ, data[sLo:sHi], rHi-rLo, func(in []float64) {
-			copy(data[rLo:rHi], in)
-		})
-		if err != nil {
-			return err
-		}
-		if onStep != nil {
-			onStep(step, steps, float64(8*(sHi-sLo)), start, p.f.clock())
-		}
-		step++
-	}
-	return nil
 }
 
-// treeAllReduce is recursive halving-doubling: log2 W halving steps reduce-
-// scatter by exchanging the half of the current range the peer gives up
-// (chunks of s/2, s/4, … s/W bytes), then log2 W doubling steps all-gather
-// the reduced ranges back in mirror order — drive.Backend "tree"'s chunk
-// schedule at a power-of-two W, where its geometric scale is exactly 1.
-func (p *Peer) treeAllReduce(iter uint32, data []float64, onStep StepFunc) error {
-	W := p.f.workers
+// treeStep is recursive halving-doubling's schedule: log2 W halving steps
+// reduce-scatter by exchanging the half of the current range the peer gives
+// up (chunks of s/2, s/4, … s/W bytes), then log2 W doubling steps
+// all-gather the reduced ranges back in mirror order — drive.Backend
+// "tree" at a power-of-two W, where its geometric scale is exactly 1. A
+// doubling step is its halving step played backwards: the peer ships the
+// half it kept and receives the half it gave up.
+func treeStep(W int) func(id, n, k int) opStep {
 	levels := bits.Len(uint(W)) - 1
-	steps := 2 * levels
-	type span struct{ lo, hi int }
-	hist := make([]span, 0, levels)
-	lo, hi := 0, len(data)
-	step := 0
-	for mask := W >> 1; mask > 0; mask >>= 1 { // halving reduce-scatter
-		hist = append(hist, span{lo, hi})
-		partner := p.id ^ mask
-		mid := lo + (hi-lo)/2
-		sLo, sHi, kLo, kHi := mid, hi, lo, mid
-		if p.id&mask != 0 {
-			sLo, sHi, kLo, kHi = lo, mid, mid, hi
+	return func(id, n, k int) opStep {
+		level, halving := k, k < levels
+		if !halving {
+			level = 2*levels - 1 - k
 		}
-		start := p.f.clock()
-		err := p.exchange(iter, uint32(step), partner, data[sLo:sHi], kHi-kLo, func(in []float64) {
-			acc := data[kLo:kHi]
-			for i, v := range in {
-				acc[i] += v
+		// The range this peer owns after `level` halvings, split once more.
+		lo, hi := 0, n
+		mask := W >> 1
+		for ; level > 0; level, mask = level-1, mask>>1 {
+			if mid := lo + (hi-lo)/2; id&mask != 0 {
+				lo = mid
+			} else {
+				hi = mid
 			}
-		})
-		if err != nil {
-			return err
 		}
-		if onStep != nil {
-			onStep(step, steps, float64(8*(sHi-sLo)), start, p.f.clock())
+		mid := lo + (hi-lo)/2
+		keepLo, keepHi, giveLo, giveHi := lo, mid, mid, hi
+		if id&mask != 0 {
+			keepLo, keepHi, giveLo, giveHi = mid, hi, lo, mid
 		}
-		lo, hi = kLo, kHi
-		step++
+		if halving {
+			return opStep{dst: id ^ mask, sLo: giveLo, sHi: giveHi, rLo: keepLo, rHi: keepHi, reduce: true}
+		}
+		return opStep{dst: id ^ mask, sLo: keepLo, sHi: keepHi, rLo: giveLo, rHi: giveHi}
 	}
-	for j := levels - 1; j >= 0; j-- { // doubling all-gather
-		parent := hist[j]
-		partner := p.id ^ (1 << (levels - 1 - j))
-		start := p.f.clock()
-		sibLo, sibHi := hi, parent.hi
-		if lo != parent.lo {
-			sibLo, sibHi = parent.lo, lo
-		}
-		err := p.exchange(iter, uint32(step), partner, data[lo:hi], sibHi-sibLo, func(in []float64) {
-			copy(data[sibLo:sibHi], in)
-		})
-		if err != nil {
-			return err
-		}
-		if onStep != nil {
-			onStep(step, steps, float64(8*(hi-lo)), start, p.f.clock())
-		}
-		lo, hi = parent.lo, parent.hi
-		step++
-	}
-	return nil
 }

@@ -4,17 +4,35 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"prophet/internal/probe"
+	"prophet/internal/transport"
 )
+
+// settleGoroutines fails the test unless the goroutine count falls back to
+// baseline: exits the code under test does not wait for (a mux's credit
+// granter) are given a moment to finish.
+func settleGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, baseline %d:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
 
 // runAllReduce drives one op on every peer concurrently and returns each
 // peer's resulting data slice.
 func runAllReduce(t *testing.T, f *Fabric, iter int, inputs [][]float64, onStep StepFunc) [][]float64 {
 	t.Helper()
-	W := f.Workers()
+	W := f.workers
 	out := make([][]float64, W)
 	errs := make([]error, W)
 	var wg sync.WaitGroup
@@ -187,4 +205,92 @@ func TestMeteredFabric(t *testing.T) {
 	if tx := m.Counter("transport_collective_tx_bytes").Value(); tx == 0 {
 		t.Fatal("metered fabric recorded no tx bytes")
 	}
+}
+
+// TestBadFrameUnblocksEveryPeer: a malformed frame on the wire ends the
+// demux loop, and the loop's exit must take the wire down with it — the
+// peers below park in conn.Write (nobody reads the pipe any more) and used
+// to stay there until somebody outside called Close. Every AllReduce must
+// return an error with no external Close.
+func TestBadFrameUnblocksEveryPeer(t *testing.T) {
+	for name, bad := range map[string]*transport.Frame{
+		"short chunk": {Type: transport.Chunk, Payload: make([]byte, 7)},
+		"wrong type":  {Type: transport.Push, Payload: make([]byte, 8)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			const W = 4
+			f, err := New("ring", W, 0, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.send.SendFrame(2, bad); err != nil {
+				t.Fatal(err)
+			}
+			errs := make(chan error, W)
+			for w := 0; w < W; w++ {
+				go func(w int) { errs <- f.Peer(w).AllReduce(0, make([]float64, 64), nil) }(w)
+			}
+			for w := 0; w < W; w++ {
+				select {
+				case err := <-errs:
+					if err == nil {
+						t.Fatal("AllReduce succeeded over a failed fabric")
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("a peer is still blocked after the demux loop failed")
+				}
+			}
+			if err := f.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			settleGoroutines(t, baseline)
+		})
+	}
+}
+
+// closeErrConn reports a chosen error from Close.
+type closeErrConn struct {
+	net.Conn
+	err error
+}
+
+func (c closeErrConn) Close() error {
+	c.Conn.Close()
+	return c.err
+}
+
+// TestCloseKeepsRealErrors: an end that was already closed is not news, but
+// it must not hide a real failure to close the other end.
+func TestCloseKeepsRealErrors(t *testing.T) {
+	boom := errors.New("boom")
+	a, b := transport.Pipe(0, 0)
+	f, err := Over("ring", 2, closeErrConn{a, net.ErrClosed}, closeErrConn{b, boom}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); !errors.Is(err, boom) || errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Close = %v, want exactly the real error", err)
+	}
+}
+
+// TestCloseWaitsForReaders: after Close no fabric goroutine is left, idle
+// fabric or mid-op.
+func TestCloseWaitsForReaders(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	for _, backend := range []string{"ring", "tree"} {
+		f, err := New(backend, 4, 0, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := make([][]float64, 4)
+		for w := range inputs {
+			inputs[w] = make([]float64, 16)
+		}
+		runAllReduce(t, f, 0, inputs, nil)
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settleGoroutines(t, baseline)
 }

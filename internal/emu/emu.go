@@ -23,23 +23,25 @@
 // # Fault tolerance
 //
 // Worker links can be perturbed with the injectors from internal/fault
-// (Config.Faults), and Config.Failure selects how training degrades: fail
-// fast with a descriptive error, wait out a configurable grace period, or
-// drop the faulty worker and renormalize the gradient mean over the
-// survivors. With any fault configuration the run either completes under
-// the chosen policy or fails within the configured deadlines — it never
-// hangs.
+// (Config.Faults) on every transport, and Config.Failure selects how
+// training degrades: fail fast with a descriptive error, or — with a
+// parameter server to do it — wait out a configurable grace period, or drop
+// the faulty worker and renormalize the gradient mean over the survivors.
+// With any fault configuration the run either completes under the chosen
+// policy or fails within the configured deadlines — it never hangs.
 package emu
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
+	"prophet/internal/collective"
 	"prophet/internal/core"
 	"prophet/internal/drive"
 	"prophet/internal/fault"
@@ -108,10 +110,13 @@ type Config struct {
 	// peer-to-peer collective exchange (internal/collective), where the
 	// decided sends play as lockstep all-reduce ops of the backend's chunk
 	// schedule and the aggregated mean lands on every worker as the op
-	// completes. Collective transports need at least 2 workers (tree: a
-	// power of two) and are incompatible with Shards > 1, Mux, Faults, and
-	// non-default failure policies — those knobs describe parameter-server
-	// connections.
+	// completes. A collective transport is the shared-pipe topology (see
+	// Mux) at one shard with the workers themselves on the far end, so it
+	// takes everything a shared pipe takes — byte-offset Faults, Deadline,
+	// PullTimeout as the per-op bound — and rejects only what has no
+	// physical meaning: fewer than 2 workers (tree: not a power of two),
+	// Shards > 1 (no server to shard), and the wait-timeout / drop-worker
+	// policies (a lockstep exchange that loses a peer can only stop).
 	Transport string
 
 	// Shards runs that many parameter server instances, partitioning
@@ -127,33 +132,39 @@ type Config struct {
 	ShardPlacement shard.Placement
 
 	// Mux selects the PS pipe topology, not a protocol — every pipe speaks
-	// the one tagged-frame wire of internal/ps, with a stream per worker it
-	// carries. False: a private pipe per worker×shard (one stream each),
-	// the shape per-worker rate limits and Throttle faults physically
+	// the one tagged-frame wire of internal/transport, with a stream per
+	// worker it carries. False: a private pipe per worker×shard (one stream
+	// each), the shape per-worker rate limits and Throttle faults physically
 	// need. True: ONE shared pipe per shard carrying every worker, so the
 	// per-pipe goroutine cost (four: demux + writer on each side) is
 	// per-shard instead of per-worker×shard — what makes Workers ≥ 1000
-	// practical on a single host. Scheduling decisions replay before any
-	// byte moves, so decision logs and training trajectories are
+	// practical on a single host. Collective transports always run on the
+	// shared pipe, so Mux changes nothing there. Scheduling decisions replay
+	// before any byte moves, so decision logs and training trajectories are
 	// bit-identical across the two. A pipe is shaped to
 	// BandwidthBytesPerSec times the workers on it, so each worker's fair
 	// share is B and the per-shard aggregate Workers×B either way; timing
 	// differs only in serialization (one worker can transiently burst past
-	// B on a shared wire). Byte-offset fault injectors (drop/stall/corrupt)
-	// wrap whichever pipe carries their worker — on a shared pipe a
-	// tripped injector perturbs every worker on it, not just the one whose
-	// spec it was. Throttle is rejected under Mux: it would throttle the
-	// whole shared wire.
+	// B on a shared wire).
 	Mux bool
 
-	// Faults maps a worker id to a fault injection spec applied to that
-	// worker's client-side connection (see internal/fault).
+	// Faults maps a worker id to a fault injection spec (see
+	// internal/fault) wrapped around the client end of whichever pipe
+	// carries that worker, on every transport. Byte-offset injectors
+	// (drop/stall/corrupt) count bytes of the pipe's whole write stream, so
+	// on a shared pipe a tripped injector perturbs every worker on it, not
+	// just the one whose spec it was. Throttle is rejected on a shared pipe
+	// (Mux, ring, tree): it would throttle the whole wire.
 	Faults map[int]fault.Spec
-	// Failure selects the degradation policy (default FailFast).
+	// Failure selects the degradation policy (default FailFast, the only
+	// one a collective transport supports).
 	Failure FailurePolicy
-	// PullTimeout bounds each parameter pull. Zero keeps the fault-free
-	// default (wait forever) unless faults or a policy are configured, in
-	// which case it defaults to 10s so a faulted run can never hang.
+	// PullTimeout bounds each wait on the wire: a parameter pull, or one
+	// whole all-reduce op on a collective transport (past it the run aborts
+	// with an error naming transport, iteration and op). Zero keeps the
+	// fault-free default (wait forever, no timer armed) unless faults, a
+	// policy or a deadline are configured, in which case it defaults to 10s
+	// so a faulted run can never hang.
 	PullTimeout time.Duration
 	// StragglerTimeout is the server-side detection delay before the
 	// drop-worker policy removes missing contributors (default
@@ -183,10 +194,22 @@ type Config struct {
 	Predict bool
 }
 
-// faultTolerant reports whether any fault-handling configuration is set.
-func (c *Config) faultTolerant() bool {
-	return len(c.Faults) > 0 || c.Failure != "" || c.PullTimeout > 0 || c.Deadline > 0
+// waitBound is the never-hang bound on each wait on the wire — a parameter
+// pull, a whole collective op: PullTimeout when set, else 10 s once any
+// fault handling (faults, a policy, a deadline) is configured, else none.
+// It reads what the caller set, so it must run before validate fills in
+// the default policy.
+func (c *Config) waitBound() time.Duration {
+	if c.PullTimeout <= 0 && (len(c.Faults) > 0 || c.Failure != "" || c.Deadline > 0) {
+		return 10 * time.Second
+	}
+	return c.PullTimeout
 }
+
+// sharedPipe reports whether every worker rides one pipe (per shard): by
+// choice under Mux, by construction on a collective transport, whose fabric
+// is that pipe with peers on the far end.
+func (c *Config) sharedPipe() bool { return c.Mux || c.Transport != "ps" }
 
 func (c *Config) validate() error {
 	if c.Workers <= 0 {
@@ -222,16 +245,6 @@ func (c *Config) validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("emu: negative shard count %d", c.Shards)
 	}
-	if c.Mux {
-		// Byte-offset injectors compose on the shared per-shard pipe (the
-		// tagged stream hits identical offsets); per-worker rate shaping
-		// cannot — it would throttle every worker on the wire.
-		for w, spec := range c.Faults {
-			if spec.ThrottleBytesPerSec > 0 {
-				return fmt.Errorf("emu: worker %d: throttle faults shape a single worker's private connection, which does not exist under Mux", w)
-			}
-		}
-	}
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
@@ -244,17 +257,27 @@ func (c *Config) validate() error {
 	}
 	c.Transport = be.Name()
 	if c.Transport != "ps" {
-		switch {
-		case c.Workers < 2:
-			return fmt.Errorf("emu: transport %q needs at least 2 workers, have %d", c.Transport, c.Workers)
-		case c.Shards > 1:
+		// What is left is physical: the schedule needs its peers, there is
+		// no server to shard, and nobody to renormalize a mean without a
+		// dropped peer — a lockstep exchange can only stop.
+		if _, err := collective.Check(c.Transport, c.Workers); err != nil {
+			return fmt.Errorf("emu: %w", err)
+		}
+		if c.Shards > 1 {
 			return fmt.Errorf("emu: transport %q has no parameter server to shard (Shards %d)", c.Transport, c.Shards)
-		case c.Mux:
-			return fmt.Errorf("emu: transport %q is inherently multiplexed; Mux selects the shared-pipe PS transport", c.Transport)
-		case len(c.Faults) > 0:
-			return fmt.Errorf("emu: fault injection wraps parameter-server connections; transport %q has none", c.Transport)
-		case c.Failure != FailFast:
-			return fmt.Errorf("emu: failure policy %q is parameter-server specific; transport %q supports only fail-fast", c.Failure, c.Transport)
+		}
+		if c.Failure != FailFast {
+			return fmt.Errorf("emu: transport %q is a lockstep exchange and can only fail fast, not %q", c.Transport, c.Failure)
+		}
+	}
+	if c.sharedPipe() {
+		// Byte-offset injectors compose on a shared pipe (the tagged stream
+		// hits identical offsets); per-worker rate shaping cannot — it would
+		// throttle every worker on the wire.
+		for w, spec := range c.Faults {
+			if spec.ThrottleBytesPerSec > 0 {
+				return fmt.Errorf("emu: worker %d: a throttle fault shapes one worker's private pipe; Mux and the collective transports put every worker on a shared one", w)
+			}
 		}
 	}
 	if c.Dataset.X.Cols != c.Layers[0] {
@@ -296,12 +319,11 @@ type Result struct {
 
 // Run executes the emulation.
 func Run(cfg Config) (*Result, error) {
+	// Read off the caller's configuration: validate fills in the default
+	// policy, after which every run would look fault-tolerant.
+	waitBound := cfg.waitBound()
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	pullTimeout := cfg.PullTimeout
-	if pullTimeout <= 0 && cfg.faultTolerant() {
-		pullTimeout = 10 * time.Second
 	}
 
 	// All probe events share one clock: wall seconds since run start. The
@@ -310,12 +332,6 @@ func Run(cfg Config) (*Result, error) {
 	runStart := time.Now()
 	clock := func() float64 { return time.Since(runStart).Seconds() }
 	cfg.Observer = probe.NewMulti(cfg.Observer, cfg.Metrics.Observer())
-
-	// Collective transports have no parameter servers: the rest of this
-	// function is PS wiring, so they branch to their own run body.
-	if cfg.Transport != "ps" {
-		return runCollective(cfg, pullTimeout, clock)
-	}
 
 	// The per-worker constant tables are shared by every worker goroutine;
 	// the key→shard map is derived from the tensor sizes alone, so every
@@ -327,37 +343,33 @@ func Run(cfg Config) (*Result, error) {
 	}
 	shards := smap.Shards()
 
-	// One server per shard, reached over rate-shaped pipes of
-	// streamsPerPipe workers each (see Config.Mux). A pipe is shaped to its
-	// workers' aggregate, so per-shard ingest is Workers×B on both
-	// topologies, matching the simulator's ShardUplink default.
-	streamsPerPipe := 1
-	if cfg.Mux {
+	// Every pipe of every transport is built, shaped, metered and
+	// fault-wrapped here and nowhere else: streamsPerPipe workers each (see
+	// Config.Mux; a collective transport is the shared-pipe topology at one
+	// shard), shaped to their aggregate so per-shard ingest is Workers×B on
+	// every topology, matching the simulator's ShardUplink default.
+	lockstep := cfg.Transport != "ps"
+	streamsPerPipe, meterLabel := 1, "transport_worker"
+	if cfg.sharedPipe() {
 		streamsPerPipe = cfg.Workers
 	}
-	pipeBW := cfg.BandwidthBytesPerSec * float64(streamsPerPipe)
-	servers := make([]*ps.Server, shards)
-	links := make([][]ps.WorkerLink, cfg.Workers)
-	for w := range links {
-		links[w] = make([]ps.WorkerLink, shards)
+	if lockstep {
+		meterLabel = "transport_collective"
 	}
+	pipeBW := cfg.BandwidthBytesPerSec * float64(streamsPerPipe)
 	type pipe struct {
-		srv    *ps.Server
-		ids    []int        // workers carried, by stream
-		client net.Conn     // outermost fault/meter wrapper
-		group  *ps.MuxGroup // owns client
-		server net.Conn
+		shard  int
+		ids    []int    // workers carried, by stream
+		client net.Conn // outermost fault/meter wrapper
+		server net.Conn // far end
 	}
 	var pipes []pipe
 	for s := 0; s < shards; s++ {
-		srv := ps.NewServer(cfg.Workers)
-		srv.SetMetrics(cfg.Metrics)
-		servers[s] = srv
 		for lo := 0; lo < cfg.Workers; lo += streamsPerPipe {
 			a, b := transport.Pipe(pipeBW, pipeBW)
 			// Meter inside the fault wrap, so only bytes that actually
 			// reach the wire are counted.
-			a = transport.Meter(a, cfg.Metrics, "transport_worker")
+			a = transport.Meter(a, cfg.Metrics, meterLabel)
 			// A worker's fault spec wraps the client end of every pipe that
 			// carries it, in ascending worker order so byte offsets stay
 			// deterministic.
@@ -373,19 +385,15 @@ func Run(cfg Config) (*Result, error) {
 					a = spec.WrapObserved(a, onFault)
 				}
 			}
-			g := ps.NewMuxGroup(a, streamsPerPipe, ps.MuxGroupOptions{
-				PullTimeout: pullTimeout,
-				Metrics:     cfg.Metrics,
-			})
-			for i, w := range ids {
-				links[w][s] = g.Worker(i)
-			}
-			pipes = append(pipes, pipe{srv, ids, a, g, b})
+			pipes = append(pipes, pipe{shard: s, ids: ids, client: a, server: b})
 		}
 	}
 
-	// abort unblocks every goroutine by closing all connections; fatal
-	// records the first abort cause.
+	var board *planBoard // lockstep transports: worker 0's plans for the followers
+
+	// abort unblocks every goroutine by closing all connections (a fabric's
+	// demux loops fail its waiting peers when their pipe closes) and failing
+	// the plan board; fatal records the first abort cause.
 	var fatalMu sync.Mutex
 	var fatalErr error
 	var abortOnce sync.Once
@@ -396,6 +404,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 		fatalMu.Unlock()
 		abortOnce.Do(func() {
+			if board != nil {
+				board.fail(cause)
+			}
 			for _, p := range pipes {
 				p.client.Close()
 				p.server.Close()
@@ -403,74 +414,121 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 
-	// dropEverywhere removes workers from every shard's barrier: a worker
-	// whose link to one shard failed cannot contribute a consistent model
-	// update, so the survivors' mean must exclude it on all shards.
-	dropEverywhere := func(ws []int) {
-		for _, srv := range servers {
-			for _, w := range ws {
-				srv.DropWorker(w)
+	// Hand the pipe ends to whoever is on them: the workers themselves
+	// through the fabric, or a MuxGroup facing a parameter server per shard
+	// — the only transport branch of the run.
+	var servers []*ps.Server
+	var owners []io.Closer // the Fabric or MuxGroups holding the client ends
+	serving := 0           // ServeMux calls in flight
+	serveDone := make(chan error, len(pipes))
+	engines := make([]liveEngine, cfg.Workers)
+	if lockstep {
+		fab, err := collective.Over(cfg.Transport, cfg.Workers, pipes[0].client, pipes[0].server, clock)
+		if err != nil {
+			return nil, fmt.Errorf("emu: %w", err)
+		}
+		owners = append(owners, fab)
+		board = newPlanBoard(cfg.Iterations)
+		for w := range engines {
+			engines[w] = &collectiveEngine{
+				peer: fab.Peer(w), name: cfg.Transport,
+				board: board, decides: w == 0,
+				opBound: waitBound, abort: abort,
 			}
 		}
-	}
-	switch cfg.Failure {
-	case DropWorker:
-		st := cfg.StragglerTimeout
-		if st <= 0 {
-			st = pullTimeout / 2
+	} else {
+		// dropEverywhere removes workers from every shard's barrier: a worker
+		// whose link to one shard failed cannot contribute a consistent model
+		// update, so the survivors' mean must exclude it on all shards.
+		dropEverywhere := func(ws []int) {
+			for _, srv := range servers {
+				for _, w := range ws {
+					srv.DropWorker(w)
+				}
+			}
 		}
-		for _, srv := range servers {
-			srv.SetStragglerPolicy(st, func(iter, tensor int, missing []int) bool {
-				dropEverywhere(missing)
-				return true
+		for s := 0; s < shards; s++ {
+			srv := ps.NewServer(cfg.Workers)
+			srv.SetMetrics(cfg.Metrics)
+			switch cfg.Failure {
+			case DropWorker:
+				st := cfg.StragglerTimeout
+				if st <= 0 {
+					st = waitBound / 2
+				}
+				srv.SetStragglerPolicy(st, func(iter, tensor int, missing []int) bool {
+					dropEverywhere(missing)
+					return true
+				})
+				srv.OnWorkerFailure(func(w int, err error) { dropEverywhere([]int{w}) })
+			case FailFast:
+				srv.OnWorkerFailure(func(w int, err error) {
+					abort(fmt.Errorf("emu: fail-fast: %w", err))
+				})
+			case WaitTimeout:
+				// No eager abort: transient faults may recover; permanent ones
+				// are bounded by the per-pull timeout and surface through the
+				// workers.
+			}
+			servers = append(servers, srv)
+		}
+		links := make([][]ps.WorkerLink, cfg.Workers)
+		for w := range links {
+			links[w] = make([]ps.WorkerLink, shards)
+		}
+		for _, p := range pipes {
+			g := ps.NewMuxGroup(p.client, streamsPerPipe, ps.MuxGroupOptions{
+				PullTimeout: waitBound,
+				Metrics:     cfg.Metrics,
 			})
-			srv.OnWorkerFailure(func(w int, err error) { dropEverywhere([]int{w}) })
+			owners = append(owners, g)
+			for i, w := range p.ids {
+				links[w][p.shard] = g.Worker(i)
+			}
+			serving++
+			go func() { serveDone <- servers[p.shard].ServeMux(p.server, p.ids) }()
 		}
-	case FailFast:
-		for _, srv := range servers {
-			srv.OnWorkerFailure(func(w int, err error) {
-				abort(fmt.Errorf("emu: fail-fast: %w", err))
-			})
+		for w := range engines {
+			engines[w] = newPSEngine(ps.NewShardedLinks(links[w], smap.Of), cfg.Metrics, cfg.Mux)
 		}
-	case WaitTimeout:
-		// No eager abort: transient faults may recover; permanent ones are
-		// bounded by the per-pull timeout and surface through the workers.
-	}
-	if cfg.Deadline > 0 {
-		watchdog := time.AfterFunc(cfg.Deadline, func() {
-			abort(fmt.Errorf("emu: run exceeded deadline %v (policy %s)", cfg.Deadline, cfg.Failure))
-		})
-		defer watchdog.Stop()
 	}
 
-	serveDone := make(chan error, len(pipes))
-	for _, p := range pipes {
-		go func() { serveDone <- p.srv.ServeMux(p.server, p.ids) }()
+	if cfg.Deadline > 0 {
+		watchdog := time.AfterFunc(cfg.Deadline, func() {
+			abort(fmt.Errorf("emu: run exceeded deadline %v (transport %s, policy %s)", cfg.Deadline, cfg.Transport, cfg.Failure))
+		})
+		defer watchdog.Stop()
 	}
 
 	res := &Result{}
 	workerErrs := make([]error, cfg.Workers)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		eng := newPSEngine(ps.NewShardedLinks(links[w], smap.Of), cfg.Metrics, cfg.Mux)
+	for w := range engines {
 		wg.Add(1)
-		go func(w int, eng *psEngine) {
+		go func() {
 			defer wg.Done()
-			workerErrs[w] = runWorker(w, cfg, pullTimeout, eng, tables, res, clock)
-		}(w, eng)
+			workerErrs[w] = runWorker(w, cfg, waitBound, engines[w], tables, res, clock)
+			if lockstep && workerErrs[w] != nil {
+				// Lockstep peers are blocked mid-exchange on this worker:
+				// tear the wire down so they fail instead of hanging.
+				abort(workerErrs[w])
+			}
+		}()
 	}
 	wg.Wait()
 	res.Duration = time.Since(start)
 
-	// The groups own the client-side conns: closing them is what delivers
+	// The owners hold the client-side conns: closing them is what delivers
 	// the clean EOF that lets ServeMux return.
+	for _, o := range owners {
+		o.Close()
+	}
 	for _, p := range pipes {
-		p.group.Close()
 		p.server.Close()
 	}
 	var serveErrs []error
-	for range pipes {
+	for ; serving > 0; serving-- {
 		serveErrs = append(serveErrs, <-serveDone)
 	}
 	serveErr := errors.Join(serveErrs...)
@@ -494,10 +552,6 @@ func Run(cfg Config) (*Result, error) {
 	if serveErr != nil {
 		return nil, fmt.Errorf("emu: parameter server: %w", serveErr)
 	}
-	dropped := make(map[int]bool, len(res.DroppedWorkers))
-	for _, w := range res.DroppedWorkers {
-		dropped[w] = true
-	}
 	if len(res.DroppedWorkers) >= cfg.Workers {
 		return nil, fmt.Errorf("emu: every worker was dropped (policy %s)", cfg.Failure)
 	}
@@ -505,7 +559,7 @@ func Run(cfg Config) (*Result, error) {
 		if err == nil {
 			continue
 		}
-		if cfg.Failure == DropWorker && dropped[w] {
+		if cfg.Failure == DropWorker && droppedSet[w] {
 			continue // part of the configured degradation
 		}
 		return nil, err
@@ -740,7 +794,7 @@ type wireSend struct {
 // collector is the decision-replay Transmitter: lanes are never busy and a
 // send "completes" the moment it starts, so the driver unspools the
 // scheduler's entire decision sequence synchronously. The recorded sends
-// are then executed for real on the shard connections by pushSends.
+// are then executed for real by the transport's liveEngine (Dispatch).
 type collector struct {
 	drv       *drive.Driver
 	sends     []wireSend

@@ -138,24 +138,7 @@ func (e *psEngine) Dispatch(iter int, grad func(int) []float64, sends []wireSend
 				if errs[s] != nil {
 					continue // keep draining so the coordinator never blocks
 				}
-				if pp.obs != nil {
-					// One span per flushed batch, carrying a range per
-					// tensor — the same multi-range message shape the
-					// simulator's driver emits. Single-tensor sends keep
-					// the historical one-span-per-push granularity.
-					ranges = ranges[:0]
-					var total float64
-					for _, idx := range job.tensors {
-						ranges = append(ranges, probe.Range{Grad: idx, Bytes: pp.sizes[idx], Last: true})
-						total += pp.sizes[idx]
-					}
-					first := job.tensors[0]
-					now := pp.clock()
-					if pp.planObs != nil && pp.predictBw > 0 {
-						pp.planObs.SendPlanned(pp.worker, s, job.seq, iter, first, total, now, now+total/pp.predictBw)
-					}
-					pp.obs.SendStart(pp.worker, s, job.seq, iter, first, pp.labels[first], total, ranges, now)
-				}
+				ranges = pp.sendStart(ranges, s, job.seq, iter, job.tensors)
 				if err := client.Shard(s).PushPullBatch(iter, job.tensors, grad, deliver); err != nil {
 					errs[s] = fmt.Errorf("push batch %v (shard %d): %w", job.tensors, s, err)
 					continue
@@ -171,12 +154,7 @@ func (e *psEngine) Dispatch(iter int, grad func(int) []float64, sends []wireSend
 			continue
 		}
 		d := depths[snd.lane].Add(int64(len(snd.tensors)))
-		if pp.obs != nil {
-			base := int(d) - len(snd.tensors)
-			for i, idx := range snd.tensors {
-				pp.obs.ShardEnqueued(pp.worker, snd.lane, seq, idx, pp.sizes[idx], base+i+1, pp.clock())
-			}
-		}
+		pp.enqueued(snd.lane, seq, snd.tensors, int(d)-len(snd.tensors))
 		// The tensors slice is handed to the writer as-is; the collector
 		// that owns it is not reset until after wg.Wait below.
 		jobs[snd.lane] <- pushJob{tensors: snd.tensors, seq: seq}
@@ -203,23 +181,10 @@ func (e *psEngine) dispatchInline(iter int, grad func(int) []float64, sends []wi
 			continue
 		}
 		s := snd.lane
-		if pp.obs != nil {
-			ranges = ranges[:0]
-			var total float64
-			for i, idx := range snd.tensors {
-				// Inline dispatch never queues: depth is just the position
-				// within this send's own batch.
-				pp.obs.ShardEnqueued(pp.worker, s, seq, idx, pp.sizes[idx], i+1, pp.clock())
-				ranges = append(ranges, probe.Range{Grad: idx, Bytes: pp.sizes[idx], Last: true})
-				total += pp.sizes[idx]
-			}
-			first := snd.tensors[0]
-			now := pp.clock()
-			if pp.planObs != nil && pp.predictBw > 0 {
-				pp.planObs.SendPlanned(pp.worker, s, seq, iter, first, total, now, now+total/pp.predictBw)
-			}
-			pp.obs.SendStart(pp.worker, s, seq, iter, first, pp.labels[first], total, ranges, now)
-		}
+		// Inline dispatch never queues: depth is just the position within
+		// this send's own batch.
+		pp.enqueued(s, seq, snd.tensors, 0)
+		ranges = pp.sendStart(ranges, s, seq, iter, snd.tensors)
 		if err := e.client.Shard(s).PushPullBatch(iter, snd.tensors, grad, deliver); err != nil {
 			return fmt.Errorf("push batch %v (shard %d): %w", snd.tensors, s, err)
 		}
@@ -302,4 +267,39 @@ type pushParams struct {
 	planObs   probe.PlanObserver
 	predictBw float64
 	clock     func() float64
+}
+
+// enqueued emits ShardEnqueued for each tensor of one send handed to lane,
+// at queue depths base+1, base+2, ….
+func (pp *pushParams) enqueued(lane, seq int, tensors []int, base int) {
+	if pp.obs == nil {
+		return
+	}
+	for i, idx := range tensors {
+		pp.obs.ShardEnqueued(pp.worker, lane, seq, idx, pp.sizes[idx], base+i+1, pp.clock())
+	}
+}
+
+// sendStart opens the span of one flushed batch: ONE SendStart carrying a
+// range per tensor — the multi-range message shape the simulator's driver
+// emits; a single-tensor send is one span per push — preceded by its
+// SendPlanned window when the audit is armed. ranges is the caller's
+// reusable scratch (observers copy), returned for the next call.
+func (pp *pushParams) sendStart(ranges []probe.Range, lane, seq, iter int, tensors []int) []probe.Range {
+	if pp.obs == nil {
+		return ranges
+	}
+	ranges = ranges[:0]
+	var total float64
+	for _, idx := range tensors {
+		ranges = append(ranges, probe.Range{Grad: idx, Bytes: pp.sizes[idx], Last: true})
+		total += pp.sizes[idx]
+	}
+	first := tensors[0]
+	now := pp.clock()
+	if pp.planObs != nil && pp.predictBw > 0 {
+		pp.planObs.SendPlanned(pp.worker, lane, seq, iter, first, total, now, now+total/pp.predictBw)
+	}
+	pp.obs.SendStart(pp.worker, lane, seq, iter, first, pp.labels[first], total, ranges, now)
+	return ranges
 }

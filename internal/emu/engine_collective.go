@@ -82,8 +82,13 @@ func (b *planBoard) fail(err error) {
 // 0 decides, everyone executes worker 0's plan.
 type collectiveEngine struct {
 	peer    *collective.Peer
+	name    string // the transport's, for error attribution
 	board   *planBoard
 	decides bool
+	// opBound bounds each op the way the pull timeout bounds each pull: past
+	// it, abort tears the run down (0 = unbounded, and no timer is armed).
+	opBound time.Duration
+	abort   func(error)
 
 	pp      pushParams
 	stepObs probe.StepObserver
@@ -99,10 +104,6 @@ type collectiveEngine struct {
 	bufs   [][]float64
 	free   [][]float64
 	ranges []probe.Range // reused scratch; observers copy
-}
-
-func newCollectiveEngine(peer *collective.Peer, board *planBoard, decides bool) *collectiveEngine {
-	return &collectiveEngine{peer: peer, board: board, decides: decides}
 }
 
 // Bind implements liveEngine.
@@ -159,24 +160,19 @@ func (e *collectiveEngine) Dispatch(iter int, grad func(int) []float64, sends []
 		for _, t := range snd.tensors {
 			off += copy(buf[off:], grad(t))
 		}
-		if pp.obs != nil {
-			e.ranges = e.ranges[:0]
-			var total float64
-			for i, idx := range snd.tensors {
-				pp.obs.ShardEnqueued(pp.worker, 0, seq, idx, pp.sizes[idx], i+1, pp.clock())
-				e.ranges = append(e.ranges, probe.Range{Grad: idx, Bytes: pp.sizes[idx], Last: true})
-				total += pp.sizes[idx]
-			}
-			first := snd.tensors[0]
-			now := pp.clock()
-			if pp.planObs != nil && pp.predictBw > 0 {
-				pp.planObs.SendPlanned(pp.worker, 0, seq, iter, first, total, now, now+total/pp.predictBw)
-			}
-			pp.obs.SendStart(pp.worker, 0, seq, iter, first, pp.labels[first], total, e.ranges, now)
-		}
+		pp.enqueued(0, seq, snd.tensors, 0)
+		e.ranges = pp.sendStart(e.ranges, 0, seq, iter, snd.tensors)
 		e.curSeq = seq
-		if err := e.peer.AllReduce(iter, buf, e.stepFn); err != nil {
-			return fmt.Errorf("collective op %v: %w", snd.tensors, err)
+		var bound *time.Timer
+		if e.opBound > 0 {
+			bound = e.armBound(iter, snd.tensors)
+		}
+		err := e.peer.AllReduce(iter, buf, e.stepFn)
+		if bound != nil {
+			bound.Stop()
+		}
+		if err != nil {
+			return fmt.Errorf("%s all-reduce %v: %w", e.name, snd.tensors, err)
 		}
 		ackWall := time.Now()
 		done := pp.clock()
@@ -199,6 +195,16 @@ func (e *collectiveEngine) Dispatch(iter int, grad func(int) []float64, sends []
 		}
 	}
 	return nil
+}
+
+// armBound starts the never-hang timer for one op. A lockstep op that
+// outlives it is wedged — a chunk the wire lost or misrouted never arrives
+// and no peer can make progress — so the whole run aborts, attributed.
+func (e *collectiveEngine) armBound(iter int, tensors []int) *time.Timer {
+	return time.AfterFunc(e.opBound, func() {
+		e.abort(fmt.Errorf("emu: transport %s: worker %d iter %d all-reduce %v timed out after %v",
+			e.name, e.pp.worker, iter, tensors, e.opBound))
+	})
 }
 
 // Await implements liveEngine: collective ops complete inside Dispatch, so
@@ -230,73 +236,4 @@ func (e *collectiveEngine) takeBuf(n int) []float64 {
 	buf := make([]float64, n)
 	e.bufs = append(e.bufs, buf)
 	return buf
-}
-
-// runCollective is Run's collective-transport body: no parameter servers —
-// a collective.Fabric connects the workers, worker 0 decides, and every
-// worker executes the plan in lockstep. Any worker error (or the deadline)
-// tears the fabric down, which unblocks every peer mid-exchange; the
-// first cause is reported.
-func runCollective(cfg Config, pullTimeout time.Duration, clock func() float64) (*Result, error) {
-	fab, err := collective.New(cfg.Transport, cfg.Workers, cfg.BandwidthBytesPerSec, collective.Options{
-		Metrics: cfg.Metrics,
-		Clock:   clock,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("emu: %w", err)
-	}
-	board := newPlanBoard(cfg.Iterations)
-
-	var fatalMu sync.Mutex
-	var fatalErr error
-	abort := func(cause error) {
-		fatalMu.Lock()
-		if fatalErr == nil && cause != nil {
-			fatalErr = cause
-		}
-		fatalMu.Unlock()
-		board.fail(cause)
-		fab.Close()
-	}
-	if cfg.Deadline > 0 {
-		watchdog := time.AfterFunc(cfg.Deadline, func() {
-			abort(fmt.Errorf("emu: run exceeded deadline %v (transport %s)", cfg.Deadline, cfg.Transport))
-		})
-		defer watchdog.Stop()
-	}
-
-	tables := newWorkerTables(&cfg)
-	res := &Result{}
-	workerErrs := make([]error, cfg.Workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		eng := newCollectiveEngine(fab.Peer(w), board, w == 0)
-		wg.Add(1)
-		go func(w int, eng *collectiveEngine) {
-			defer wg.Done()
-			if err := runWorker(w, cfg, pullTimeout, eng, tables, res, clock); err != nil {
-				workerErrs[w] = err
-				// Lockstep peers are blocked mid-exchange on this worker:
-				// tear the fabric down so they fail instead of hanging.
-				abort(err)
-			}
-		}(w, eng)
-	}
-	wg.Wait()
-	res.Duration = time.Since(start)
-	fab.Close()
-
-	fatalMu.Lock()
-	fatal := fatalErr
-	fatalMu.Unlock()
-	if fatal != nil {
-		return nil, fatal
-	}
-	for _, err := range workerErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
 }

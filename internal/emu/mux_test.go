@@ -2,11 +2,9 @@ package emu
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"prophet/internal/core"
-	"prophet/internal/fault"
 	"prophet/internal/strategy"
 )
 
@@ -92,20 +90,6 @@ func TestMuxManyWorkers(t *testing.T) {
 	}
 	if len(res.Losses) != cfg.Iterations {
 		t.Fatalf("recorded %d losses, want %d", len(res.Losses), cfg.Iterations)
-	}
-}
-
-// TestMuxRejectsThrottleFaults: per-worker rate shaping has no private
-// connection to wrap on a shared pipe, so it is refused — the only fault
-// kind that is (see TestChaos* for the byte-offset injectors on both
-// topologies).
-func TestMuxRejectsThrottleFaults(t *testing.T) {
-	cfg := baseConfig()
-	cfg.Mux = true
-	cfg.Faults = map[int]fault.Spec{0: fault.Throttle(1 << 10)}
-	_, err := Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), "throttle") {
-		t.Fatalf("Mux+Throttle accepted (err %v), want rejection", err)
 	}
 }
 

@@ -68,22 +68,11 @@ func (s *Server) ServeMux(conn net.Conn, ids []int) error {
 
 	// Demux loop: the only reader of mc. Handlers aggregate inline; their
 	// responses go through the responder, so this loop never writes.
-	var (
-		failWorker = -1 // worker whose frame produced a handler error
-		connErr    error
-	)
-	for {
-		stream, f, err := mc.Read()
-		if err != nil {
-			if !isCleanClose(err) {
-				connErr = fmt.Errorf("read frame: %w", err)
-			}
-			break
-		}
+	failWorker := -1 // worker whose frame produced a handler error
+	connErr := mc.Demux(func(stream uint32, f *transport.Frame) error {
 		w := ids[stream]
 		if s.IsDropped(w) {
-			mc.Done(stream, f)
-			continue
+			return nil
 		}
 		var herr error
 		switch f.Type {
@@ -94,18 +83,23 @@ func (s *Server) ServeMux(conn net.Conn, ids []int) error {
 		default:
 			herr = fmt.Errorf("unexpected frame type %v", f.Type)
 		}
-		mc.Done(stream, f)
 		if herr != nil {
-			failWorker, connErr = w, herr
-			break
+			failWorker = w
+		}
+		return herr
+	})
+	if failWorker < 0 {
+		if isCleanClose(connErr) {
+			connErr = nil
+		} else {
+			connErr = fmt.Errorf("read frame: %w", connErr)
 		}
 	}
 
-	// Teardown: close the conn first — the responder may be parked inside a
-	// credit reservation and only a close wakes it — then wait for it and
+	// Teardown: Demux closed the conn — the responder may be parked inside
+	// a credit reservation and only a close wakes it — so wait for it and
 	// unhook the workers.
 	close(r.stop)
-	mc.Close()
 	rwg.Wait()
 	s.mu.Lock()
 	for _, w := range ids {
@@ -275,26 +269,16 @@ func (g *MuxGroup) Close() error {
 
 func (g *MuxGroup) readLoop() {
 	defer close(g.done)
-	for {
-		stream, f, err := g.mc.Read()
-		if err != nil {
-			// Close the mux before failing the waiters (idempotent): a
-			// sender parked in a credit reservation only wakes on close or
-			// an incoming grant, and no grant will ever arrive on a dead
-			// connection — without the close, a worker blocked mid-
-			// SendBatch would hang forever even after the run aborts.
-			g.mc.Close()
-			lost := fmt.Errorf("%w: %v", ErrConnLost, err)
-			if g.mConnLost != nil && !isCleanClose(err) {
-				g.mConnLost.Inc()
-			}
-			for _, mw := range g.workers {
-				mw.failPending(lost)
-			}
-			return
-		}
+	err := g.mc.Demux(func(stream uint32, f *transport.Frame) error {
 		g.workers[stream].deliver(f)
-		g.mc.Done(stream, f)
+		return nil
+	})
+	lost := fmt.Errorf("%w: %v", ErrConnLost, err)
+	if g.mConnLost != nil && !isCleanClose(err) {
+		g.mConnLost.Inc()
+	}
+	for _, mw := range g.workers {
+		mw.failPending(lost)
 	}
 }
 

@@ -72,8 +72,8 @@ type MuxOptions struct {
 
 // MuxConn multiplexes tagged frame streams over one net.Conn. Writes
 // (SendBatch and friends) are safe for concurrent use from any number of
-// goroutines; Read and FlushGrants must each be called from a single
-// goroutine (the demux loop and the grant flusher, respectively).
+// goroutines; Demux (or Read) and FlushGrants must each be called from a
+// single goroutine (the demux loop and the grant flusher, respectively).
 type MuxConn struct {
 	conn    net.Conn
 	pool    *PayloadPool
@@ -342,6 +342,27 @@ func (m *MuxConn) Read() (uint32, *Frame, error) {
 			m.rframe.Payload = buf
 		}
 		return stream, &m.rframe, nil
+	}
+}
+
+// Demux is the demux loop every owner of a MuxConn runs: read a data frame,
+// hand it to handle (which must not write on this conn and must not keep the
+// payload), Done it, repeat. On the first read or handler error it closes
+// the mux — a sender parked in a credit reservation or inside conn.Write
+// only wakes on a grant or a close, and no grant will arrive once the reader
+// is gone — and returns that error. It never returns nil. Like Read, single
+// caller only.
+func (m *MuxConn) Demux(handle func(stream uint32, f *Frame) error) error {
+	for {
+		stream, f, err := m.Read()
+		if err == nil {
+			err = handle(stream, f)
+			m.Done(stream, f)
+		}
+		if err != nil {
+			m.Close()
+			return err
+		}
 	}
 }
 

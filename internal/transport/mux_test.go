@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -240,6 +241,58 @@ func TestMuxCloseUnblocksSender(t *testing.T) {
 	src.Close()
 	if err := <-sent; err == nil {
 		t.Fatal("send on closed mux succeeded")
+	}
+}
+
+// TestDemuxClosesOnFirstError: the shared demux loop hands frames to the
+// handler until it (or Read) fails, then closes the mux and returns that
+// error — and because the close reaches the peer's reader too, a sender
+// parked in a credit reservation on the far side unwinds on its own.
+func TestDemuxClosesOnFirstError(t *testing.T) {
+	a, b := Pipe(0, 0)
+	src := NewMuxConn(a, MuxOptions{Streams: 1, Window: 32})
+	dst := NewMuxConn(b, MuxOptions{Streams: 1, Window: 32}) // no granter: credit never returns
+	boom := errors.New("boom")
+	dstDone := make(chan error, 1)
+	go func() {
+		dstDone <- dst.Demux(func(stream uint32, f *Frame) error {
+			if f.Iter == 1 {
+				return boom
+			}
+			return nil
+		})
+	}()
+	srcDone := make(chan error, 1)
+	go func() { srcDone <- src.Demux(func(uint32, *Frame) error { return nil }) }()
+
+	// One header-only frame takes 17 of the 32-byte window; the next parks.
+	if err := src.SendFrame(0, &Frame{Type: Push}); err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() { parked <- src.SendFrame(0, &Frame{Type: Push}) }()
+	select {
+	case err := <-parked:
+		t.Fatalf("second frame was not credit-parked (err %v)", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	// The frame the handler rejects goes in raw, past src's credit.
+	if _, err := a.Write(appendMuxHeader(nil, 0, Push, 1, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-dstDone; err != boom {
+		t.Fatalf("Demux returned %v, want the handler's error", err)
+	}
+	if err := <-srcDone; err == nil {
+		t.Fatal("peer's Demux survived the close")
+	}
+	select {
+	case err := <-parked:
+		if err == nil {
+			t.Fatal("credit-parked send succeeded on a dead mux")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("credit-parked sender still blocked after the demux loops exited")
 	}
 }
 
