@@ -18,7 +18,7 @@ FUZZTIME ?= 10s
 COVER_PKGS  := ./internal/drive ./internal/allreduce ./internal/strategy ./internal/ps ./internal/transport ./internal/collective ./internal/probe ./internal/probe/attrib ./internal/probe/predict
 COVER_FLOOR ?= 80
 
-.PHONY: check tier1 build vet test lint race bench bench-json bench-emu-json bench-scale fuzz trace-smoke conformance conformance-live cover predict-smoke benchmark-smoke
+.PHONY: check tier1 build vet test lint race bench bench-scale fuzz trace-smoke conformance conformance-live cover predict-smoke benchmark-smoke
 
 check: tier1 lint race conformance conformance-live cover trace-smoke predict-smoke benchmark-smoke
 
@@ -33,13 +33,21 @@ vet:
 test:
 	$(GO) test ./...
 
-# Formatting gate plus staticcheck when the tool is installed (the gate
-# must not require network access to fetch it; CI installs it).
+# Formatting gate plus staticcheck and deadcode when the tools are installed
+# (the gate must not require network access to fetch them; CI installs
+# both). deadcode prints functions no main package or test reaches; any
+# output fails the gate. Tests count as callers (-test) because the frozen
+# benchmark/ module, which this analysis cannot see, compiles against API
+# that only tests use inside this module.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping"; fi
+	@if command -v deadcode >/dev/null 2>&1; then \
+		out=$$(deadcode -test ./...); if [ -n "$$out" ]; then \
+			echo "unreachable functions:"; echo "$$out"; exit 1; fi; \
+		else echo "deadcode not installed; skipping"; fi
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
@@ -85,28 +93,15 @@ trace-smoke:
 bench:
 	$(GO) test -bench=. -benchtime=1x -count=1 -run '^$$' ./...
 
-# Machine-readable allocation benchmarks for the simulator hot loops; the
-# committed BENCH_sim.json is the reference the README quotes. Each file is
-# stamped with the commit and UTC date the numbers were measured at.
-BENCH_STAMP = -commit $$(git rev-parse --short HEAD) -date $$(date -u +%Y-%m-%d)
-
-bench-json:
-	$(GO) test -bench='Core_Assemble|Cluster_Iteration|SchedulePingPong' -benchmem -count=1 -run '^$$' \
-		. ./internal/sim | $(GO) run ./cmd/bench2json $(BENCH_STAMP) > BENCH_sim.json
-
-# Live-path counterpart: frame I/O micro-benches, PS round trips, the
-# whole-emulation BenchmarkEmu_Iteration, and the mux scaling sweep
-# (BenchmarkEmu_Scale: goroutine/RSS columns at up to 1000 workers). The
-# committed BENCH_emu.json is the reference the README quotes.
-bench-emu-json:
-	$(GO) test -bench='FrameWrite|FrameWriter|FrameReader|DecodeFloatsInto|PS_PushPull|Emu_Iteration|Emu_Scale' \
-		-benchmem -count=1 -run '^$$' \
-		./internal/transport ./internal/ps ./internal/emu | $(GO) run ./cmd/bench2json $(BENCH_STAMP) > BENCH_emu.json
-
-# The scaling sweep alone, human-readable: worker counts 8→1000 over 1 and
-# 4 shards on the multiplexed transport, plus an unmuxed reference point.
+# The scaling sweep — the one perf record BENCHMARK.json cannot express
+# (its workloads stop at 64 workers): worker counts 8→1000 over 1 and 4
+# shards on the multiplexed transport, plus an unmuxed reference point. The
+# raw `go test -bench` output lands in the committed BENCH_scale.txt under a
+# one-line "commit date" stamp.
 bench-scale:
-	$(GO) test -bench='Emu_Scale' -benchmem -benchtime=1x -count=1 -run '^$$' ./internal/emu
+	@echo "$$(git rev-parse --short HEAD) $$(date -u +%Y-%m-%d)" > BENCH_scale.txt
+	$(GO) test -bench='Emu_Scale' -benchmem -benchtime=1x -count=1 -run '^$$' ./internal/emu >> BENCH_scale.txt
+	@cat BENCH_scale.txt
 
 # Prediction-audit gate: the planned-vs-observed residual invariant for
 # every strategy × {ps, ring, tree} under the race detector, plus a tiny

@@ -82,9 +82,6 @@ func main() {
 	if *report {
 		rec = probe.NewSpanRecorder()
 		rec.SetIterationHint(*iters)
-		// ≤ one completing send per tensor per iteration; the MLP below has
-		// 2×(layers−1) = 6 tensors.
-		rec.SetVolumeHint(*iters*6, *workers)
 	}
 
 	ds := nn.Blobs(2048, 16, 4, *seed)

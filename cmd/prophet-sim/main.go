@@ -164,6 +164,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	// The uplink payload line is read from the probe stream, the only record
+	// of when bytes moved.
+	rec := probe.NewSpanRecorder()
 	cfg := cluster.Config{
 		Model:          wire,
 		Batch:          *batch,
@@ -175,7 +178,7 @@ func main() {
 		Seed:           *seed,
 		PSShards:       *shards,
 		ShardPlacement: shard.Placement(*placement),
-		Observer:       observers(m, aud),
+		Observer:       probe.NewMulti(rec, observers(m, aud)),
 		Predict:        *audit,
 	}
 	if *splitNIC && *shards > 1 {
@@ -209,7 +212,8 @@ func main() {
 	fmt.Printf("  training rate:   %8.2f samples/s per worker (%8.2f aggregate)\n",
 		res.Rate(warmup), res.ClusterRate(warmup))
 	fmt.Printf("  GPU utilization: %7.1f%%\n", 100*res.GPUUtil(0, warmup))
-	fmt.Printf("  uplink payload:  %7.1f MB/s average\n", res.AvgUplinkThroughput(0, warmup)/1e6)
+	fmt.Printf("  uplink payload:  %7.1f MB/s average\n",
+		rec.Rate(0).Throughput(res.Iters.Starts[warmup], res.Duration)/1e6)
 	fmt.Printf("  simulated time:  %7.2f s for %d iterations\n", res.Duration, *iters)
 	finishObservability(m, aud)
 }

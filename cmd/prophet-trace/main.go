@@ -22,6 +22,7 @@ import (
 	"prophet/internal/cluster"
 	"prophet/internal/drive"
 	"prophet/internal/emu"
+	"prophet/internal/metrics"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
 	"prophet/internal/nn"
@@ -127,9 +128,53 @@ func writeFile(path string, fn func(*os.File) error) {
 	fmt.Printf("wrote %s\n", path)
 }
 
-// runSim drives the discrete-event simulator. The Chrome trace and CSV come
-// from the simulator's own link recordings; the attribution report comes
-// from the probe recorder, the same component the live path uses.
+// export writes every requested output from the probe recorder — the one
+// record all three executors share. gpu is worker 0's compute-busy series
+// when the executor has one (the simulators), down its downlink payload
+// series when the executor models one (the PS simulator); either may be
+// nil and its CSV column is then omitted. end is the run's last timestamp,
+// bin the CSV bin width in the executor's clock. The CSV and the transfer
+// log cover worker 0, like the figures they feed.
+func export(rec *probe.SpanRecorder, gpu *metrics.IntervalSeries, down *metrics.RateSeries, end, bin float64, out outputs) {
+	if out.json != "" {
+		writeFile(out.json, func(f *os.File) error {
+			return trace.WriteChromeTrace(f, trace.ChromeTraceSpans(rec))
+		})
+	}
+	if out.csv != "" {
+		writeFile(out.csv, func(f *os.File) error {
+			up := rec.Rate(0)
+			if up == nil {
+				return fmt.Errorf("no transfers recorded for worker 0")
+			}
+			headers := []string{"time_s"}
+			var cols [][]float64
+			if gpu != nil {
+				headers = append(headers, "gpu_util")
+				cols = append(cols, gpu.Timeline(0, end, bin))
+			}
+			headers = append(headers, "uplink_Bps")
+			cols = append(cols, up.Timeline(0, end, bin))
+			if down != nil {
+				headers = append(headers, "downlink_Bps")
+				cols = append(cols, down.Timeline(0, end, bin))
+			}
+			return trace.WriteCSV(f, bin, headers, cols...)
+		})
+	}
+	if out.xfer != "" {
+		writeFile(out.xfer, func(f *os.File) error {
+			return trace.WriteTransferCSV(f, rec.Transfers(0))
+		})
+	}
+	writeAttrib(rec, out)
+	writeAudit(rec, out)
+}
+
+// runSim drives the discrete-event simulator. Exports come from the probe
+// recorder like on every path; the PS simulator's link recordings add what
+// only it has — the message-level Chrome trace (compute, push and pull
+// tracks) and the downlink CSV column.
 func runSim(cfg simConfig, out outputs) {
 	base, err := model.ByName(cfg.model)
 	if err != nil {
@@ -141,6 +186,7 @@ func runSim(cfg simConfig, out outputs) {
 		aggBytes = 4e6
 	}
 	agg := stepwise.Aggregate(wire, aggBytes, 0)
+	link := netsim.DefaultLinkConfig(netsim.Const(netsim.Goodput(netsim.Mbps(cfg.bandwidth))))
 
 	opt := cluster.Options{Partition: 4e6, Credit: 4e6, Seed: cfg.seed}
 	if cfg.policy == "prophet" {
@@ -150,122 +196,71 @@ func runSim(cfg simConfig, out outputs) {
 		}
 		opt.Profile = prof.Profile()
 	}
-	if cfg.transport != "" && cfg.transport != "ps" {
-		runSimCollective(cfg, wire, agg, opt, out)
-		return
-	}
-	factory, err := cluster.ByName(cfg.policy, wire, opt)
-	if err != nil {
-		fatal(err)
-	}
-
-	rec := probe.NewSpanRecorder()
-	res, err := cluster.Run(cluster.Config{
-		Model:   wire,
-		Batch:   cfg.batch,
-		Workers: cfg.workers,
-		Agg:     agg,
-		Uplink: func(int) netsim.LinkConfig {
-			return netsim.DefaultLinkConfig(netsim.Const(netsim.Goodput(netsim.Mbps(cfg.bandwidth))))
-		},
-		Scheduler:    factory,
-		Iterations:   cfg.iters,
-		Seed:         cfg.seed,
-		RecordLinks:  true,
-		LogTransfers: true,
-		Observer:     rec,
-		Predict:      out.audit != "",
-	})
-	if err != nil {
-		fatal(err)
-	}
-
-	if out.json != "" {
-		writeFile(out.json, func(f *os.File) error {
-			return trace.WriteChromeTrace(f, trace.ChromeTrace(res))
-		})
-	}
-	if out.csv != "" {
-		writeFile(out.csv, func(f *os.File) error {
-			const bin = 0.05
-			gpu := res.GPU[0].Timeline(0, res.Duration, bin)
-			up := res.Up[0].Timeline(0, res.Duration, bin)
-			down := res.Down[0].Timeline(0, res.Duration, bin)
-			return trace.WriteCSV(f, bin,
-				[]string{"time_s", "gpu_util", "uplink_Bps", "downlink_Bps"}, gpu, up, down)
-		})
-	}
-	if out.xfer != "" {
-		writeFile(out.xfer, func(f *os.File) error {
-			return trace.WriteTransferCSV(f, res.Transfers)
-		})
-	}
-	writeAttrib(rec, out)
-	writeAudit(rec, out)
-}
-
-// runSimCollective drives the collective path (ring/tree over the drive
-// layer). Every export comes from the probe recorder, exactly like the live
-// path — the collective transmitter feeds the same event stream.
-func runSimCollective(cfg simConfig, wire *model.Model, agg stepwise.Buckets, opt cluster.Options, out outputs) {
 	factory, err := cluster.ByNameTransport(cfg.policy, cfg.transport, cfg.workers, wire, opt)
 	if err != nil {
 		fatal(err)
 	}
 	rec := probe.NewSpanRecorder()
-	res, err := allreduce.Run(allreduce.Config{
-		Model:      wire,
-		Batch:      cfg.batch,
-		Workers:    cfg.workers,
-		Agg:        agg,
-		Link:       netsim.DefaultLinkConfig(netsim.Const(netsim.Goodput(netsim.Mbps(cfg.bandwidth)))),
-		Backend:    cfg.transport,
-		Scheduler:  factory,
-		Iterations: cfg.iters,
-		Seed:       cfg.seed,
-		Observer:   rec,
-		Predict:    out.audit != "",
+	const bin = 0.05
+
+	if cfg.transport != "ps" {
+		// Collective path: ring/tree chunk schedules over the drive layer.
+		res, err := allreduce.Run(allreduce.Config{
+			Model:      wire,
+			Batch:      cfg.batch,
+			Workers:    cfg.workers,
+			Agg:        agg,
+			Link:       link,
+			Backend:    cfg.transport,
+			Scheduler:  factory,
+			Iterations: cfg.iters,
+			Seed:       cfg.seed,
+			Observer:   rec,
+			Predict:    out.audit != "",
+		})
+		if err != nil {
+			fatal(err)
+		}
+		export(rec, res.GPU, nil, res.Duration, bin, out)
+		return
+	}
+
+	res, err := cluster.Run(cluster.Config{
+		Model:       wire,
+		Batch:       cfg.batch,
+		Workers:     cfg.workers,
+		Agg:         agg,
+		Uplink:      func(int) netsim.LinkConfig { return link },
+		Scheduler:   factory,
+		Iterations:  cfg.iters,
+		Seed:        cfg.seed,
+		RecordLinks: true,
+		Observer:    rec,
+		Predict:     out.audit != "",
 	})
 	if err != nil {
 		fatal(err)
 	}
 	if out.json != "" {
 		writeFile(out.json, func(f *os.File) error {
-			return trace.WriteChromeTrace(f, trace.ChromeTraceSpans(rec))
+			return trace.WriteChromeTrace(f, trace.ChromeTrace(res))
 		})
+		out.json = "" // written from the link records; export skips its span-based one
 	}
-	if out.csv != "" {
-		writeFile(out.csv, func(f *os.File) error {
-			const bin = 0.05
-			gpu := res.GPU.Timeline(0, res.Duration, bin)
-			rate := rec.Rate(0)
-			if rate == nil {
-				return fmt.Errorf("no transfers recorded")
-			}
-			return trace.WriteCSV(f, bin,
-				[]string{"time_s", "gpu_util", "uplink_Bps"}, gpu, rate.Timeline(0, res.Duration, bin))
-		})
+	down := &metrics.RateSeries{}
+	for _, r := range res.DownRecords[0] {
+		down.Add(r.Start, r.End, r.Bytes)
 	}
-	if out.xfer != "" {
-		writeFile(out.xfer, func(f *os.File) error {
-			return trace.WriteTransferCSV(f, rec.Transfers())
-		})
-	}
-	writeAttrib(rec, out)
-	writeAudit(rec, out)
+	export(rec, res.GPU[0], down, res.Duration, bin, out)
 }
 
-// runEmu drives the live emulation. Every export comes from the probe
-// recorder: the same event stream both executors emit.
+// runEmu drives the live emulation (times are wall seconds).
 func runEmu(cfg emuConfig, out outputs) {
 	rec := probe.NewSpanRecorder()
 	rec.SetIterationHint(cfg.iters)
-	// ≤ one completing send per tensor per iteration; the MLP below has
-	// 2×(layers−1) = 6 tensors.
-	rec.SetVolumeHint(cfg.iters*6, cfg.workers)
 	// -bandwidth stays in Mbps for CLI symmetry with the sim path; the
 	// emulation's shaper wants bytes/sec.
-	res, err := emu.Run(emu.Config{
+	_, err := emu.Run(emu.Config{
 		Workers:              cfg.workers,
 		Layers:               []int{16, cfg.hidden, cfg.hidden, 4},
 		Dataset:              nn.Blobs(2048, 16, 4, cfg.seed),
@@ -283,35 +278,11 @@ func runEmu(cfg emuConfig, out outputs) {
 	if err != nil {
 		fatal(err)
 	}
-	_ = res
-
-	if out.json != "" {
-		writeFile(out.json, func(f *os.File) error {
-			return trace.WriteChromeTrace(f, trace.ChromeTraceSpans(rec))
-		})
+	end := 0.0
+	if log := rec.Iterations(0); log != nil && log.Count() > 0 {
+		end = log.Ends[log.Count()-1]
 	}
-	if out.csv != "" {
-		writeFile(out.csv, func(f *os.File) error {
-			const bin = 0.005
-			end := 0.0
-			if log := rec.Iterations(0); log != nil && log.Count() > 0 {
-				end = log.Ends[log.Count()-1]
-			}
-			rate := rec.Rate(0)
-			if rate == nil {
-				return fmt.Errorf("no transfers recorded for worker 0")
-			}
-			return trace.WriteCSV(f, bin,
-				[]string{"time_s", "uplink_Bps"}, rate.Timeline(0, end, bin))
-		})
-	}
-	if out.xfer != "" {
-		writeFile(out.xfer, func(f *os.File) error {
-			return trace.WriteTransferCSV(f, rec.Transfers())
-		})
-	}
-	writeAttrib(rec, out)
-	writeAudit(rec, out)
+	export(rec, nil, nil, end, 0.005, out)
 }
 
 func writeAttrib(rec *probe.SpanRecorder, out outputs) {

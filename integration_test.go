@@ -6,14 +6,18 @@ import (
 
 	"prophet/internal/cluster"
 	"prophet/internal/core"
+	"prophet/internal/metrics"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
+	"prophet/internal/probe"
 	"prophet/internal/profiler"
 	"prophet/internal/stepwise"
 )
 
 // fullStack builds the complete profile → plan → simulate pipeline once.
-func fullStack(t testing.TB, base *model.Model, batch int, mbps float64) (*profiler.Result, *cluster.Result) {
+// The returned log is worker 0's per-gradient transfer log, read from the
+// run's probe recording.
+func fullStack(t testing.TB, base *model.Model, batch int, mbps float64) (*profiler.Result, *cluster.Result, *metrics.TransferLog) {
 	t.Helper()
 	wire := model.WithWireFactor(base, 2)
 	agg := stepwise.Aggregate(wire, wire.TotalBytes()/13, 0)
@@ -21,31 +25,32 @@ func fullStack(t testing.TB, base *model.Model, batch int, mbps float64) (*profi
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := probe.NewSpanRecorder()
 	res, err := cluster.Run(cluster.Config{
 		Model: wire, Batch: batch, Workers: 3, Agg: agg,
 		Uplink: func(int) netsim.LinkConfig {
 			return netsim.DefaultLinkConfig(netsim.Const(netsim.Goodput(netsim.Mbps(mbps))))
 		},
-		Scheduler:    cluster.ProphetFactory(prof.Profile()),
-		Iterations:   6,
-		Seed:         2,
-		LogTransfers: true,
+		Scheduler:  cluster.ProphetFactory(prof.Profile()),
+		Iterations: 6,
+		Seed:       2,
+		Observer:   rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prof, res
+	return prof, res, rec.Transfers(0)
 }
 
 // TestProfiledTimesMatchExecution checks the core premise of Prophet's
 // design: the profiled generation times c(i) predict the executed release
 // times within jitter, iteration after iteration.
 func TestProfiledTimesMatchExecution(t *testing.T) {
-	prof, res := fullStack(t, model.ResNet50(), 64, 3000)
+	prof, _, log := fullStack(t, model.ResNet50(), 64, 3000)
 	// Executed generation times, relative to each iteration's backward
 	// start, from the transfer log.
 	byIter := map[int]map[int]float64{}
-	for _, e := range res.Transfers.Entries {
+	for _, e := range log.Entries {
 		if byIter[e.Iteration] == nil {
 			byIter[e.Iteration] = map[int]float64{}
 		}
@@ -109,16 +114,16 @@ func TestPlanWaitModelAgreesWithOrdering(t *testing.T) {
 
 // TestFullStackDeterminism: the complete pipeline is bit-reproducible.
 func TestFullStackDeterminism(t *testing.T) {
-	_, a := fullStack(t, model.ResNet18(), 32, 2000)
-	_, b := fullStack(t, model.ResNet18(), 32, 2000)
+	_, a, alog := fullStack(t, model.ResNet18(), 32, 2000)
+	_, b, blog := fullStack(t, model.ResNet18(), 32, 2000)
 	if a.Duration != b.Duration {
 		t.Fatalf("durations differ: %v vs %v", a.Duration, b.Duration)
 	}
-	if len(a.Transfers.Entries) != len(b.Transfers.Entries) {
+	if len(alog.Entries) != len(blog.Entries) {
 		t.Fatal("transfer logs differ in length")
 	}
-	for i := range a.Transfers.Entries {
-		if a.Transfers.Entries[i] != b.Transfers.Entries[i] {
+	for i := range alog.Entries {
+		if alog.Entries[i] != blog.Entries[i] {
 			t.Fatalf("transfer %d differs", i)
 		}
 	}
@@ -128,8 +133,8 @@ func TestFullStackDeterminism(t *testing.T) {
 // push ever starts before its generation — the paper's Constraint 7,
 // verified on the real event stream rather than the plan.
 func TestConstraint7HoldsEndToEnd(t *testing.T) {
-	_, res := fullStack(t, model.ResNet50(), 64, 2000)
-	for _, e := range res.Transfers.Entries {
+	_, _, log := fullStack(t, model.ResNet50(), 64, 2000)
+	for _, e := range log.Entries {
 		if e.Start < e.Generated-1e-9 {
 			t.Fatalf("gradient %d iteration %d pushed at %v before generation %v",
 				e.Gradient, e.Iteration, e.Start, e.Generated)
@@ -141,10 +146,10 @@ func TestConstraint7HoldsEndToEnd(t *testing.T) {
 // in one assertion — under Prophet, gradient 0's average push wait is below
 // the per-gradient average (it is the most prioritized tensor).
 func TestGradientZeroWaitsLeastUnderProphet(t *testing.T) {
-	_, res := fullStack(t, model.ResNet50(), 64, 2000)
+	_, _, log := fullStack(t, model.ResNet50(), 64, 2000)
 	var g0, all float64
 	var g0n, alln int
-	for _, e := range res.Transfers.Entries {
+	for _, e := range log.Entries {
 		if e.Iteration == 0 {
 			continue // warmup
 		}

@@ -18,10 +18,10 @@
 //
 // Since the transport refactor, the package no longer hand-rolls that loop:
 // the run is driven by the shared drive layer. A schedule.Scheduler (any
-// registry strategy, or the legacy Fusion default) decides block assembly;
-// drive.Driver applies the fetch gate, byte offsets, and probe stream; and
-// a collective Transmitter plays each decision as drive.Backend chunk steps
-// ("ring" or "tree") on a netsim link. Workers run in lockstep (the ring is
+// registry strategy; "fusion" is Horovod's static threshold) decides block
+// assembly; drive.Driver applies the fetch gate, byte offsets, and probe
+// stream; and a collective Transmitter plays each decision as drive.Backend
+// chunk steps ("ring" or "tree") on a netsim link. Workers run in lockstep (the ring is
 // itself a barrier), so a single worker timeline with one serial link
 // captures the system; forward segment i waits for the reduction covering
 // tensor i (Eq. 3's gating, all-reduce flavoured).
@@ -61,12 +61,9 @@ type Config struct {
 	// Backend names the collective transport: "ring" (default) or "tree".
 	// The PS transport is the cluster package's path, not this one.
 	Backend string
-	// Scheduler builds the block-assembly strategy driving the collective.
-	// Nil selects the legacy Horovod-style Fusion policy with FusionBytes.
+	// Scheduler builds the block-assembly strategy driving the collective
+	// (required; cluster.ByNameTransport builds one from a registry name).
 	Scheduler SchedulerFactory
-	// FusionBytes is the Fusion fallback's buffer threshold (default 64 MB).
-	// Ignored when Scheduler is set — block assembly is the strategy's job.
-	FusionBytes float64
 	// Iterations to run (default 20).
 	Iterations int
 	// Jitter is the relative compute noise (default 0.02; negative = 0).
@@ -94,17 +91,14 @@ func (c *Config) setDefaults() error {
 	if c.Batch <= 0 || c.Workers <= 1 {
 		return fmt.Errorf("allreduce: need batch > 0 and workers > 1")
 	}
+	if c.Scheduler == nil {
+		return fmt.Errorf("allreduce: Config.Scheduler is nil")
+	}
 	if c.Link.Trace == nil {
 		c.Link = netsim.DefaultLinkConfig(netsim.Const(netsim.Gbps(10)))
 	}
 	if c.Backend == "" {
 		c.Backend = "ring"
-	}
-	if c.FusionBytes == 0 {
-		c.FusionBytes = 64e6
-	}
-	if c.FusionBytes < 0 {
-		return fmt.Errorf("allreduce: negative fusion threshold")
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 20
@@ -254,16 +248,7 @@ func Run(cfg Config) (*Result, error) {
 	res.GPU = gpu
 
 	link := netsim.NewLink(eng, cfg.Link)
-	var sched schedule.Scheduler
-	if cfg.Scheduler != nil {
-		sched = cfg.Scheduler(0, eng, link)
-	} else {
-		sizes := make([]float64, n)
-		for i := range sizes {
-			sizes[i] = m.Grads[i].Bytes()
-		}
-		sched = NewFusion(sizes, cfg.FusionBytes)
-	}
+	sched := cfg.Scheduler(0, eng, link)
 	res.SchedulerName = sched.Name()
 
 	obs := cfg.Observer

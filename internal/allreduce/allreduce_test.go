@@ -7,14 +7,35 @@ import (
 	"prophet/internal/drive"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
+	"prophet/internal/schedule"
+	"prophet/internal/sim"
+	"prophet/internal/strategy"
 )
 
+// fusion builds the registry's fusion strategy over m's gradients with the
+// given buffer threshold (0 = the registry's 64 MB default).
+func fusion(m *model.Model, bytes float64) SchedulerFactory {
+	sizes := make([]float64, m.NumGradients())
+	for i, g := range m.Grads {
+		sizes[i] = g.Bytes()
+	}
+	return func(int, *sim.Engine, *netsim.Link) schedule.Scheduler {
+		s, err := strategy.New("fusion", strategy.Params{Sizes: sizes, FusionBytes: bytes})
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
+}
+
 func baseCfg() Config {
+	m := model.WithWireFactor(model.ResNet18(), 2)
 	return Config{
-		Model:      model.WithWireFactor(model.ResNet18(), 2),
+		Model:      m,
 		Batch:      32,
 		Workers:    4,
 		Link:       netsim.DefaultLinkConfig(netsim.Const(netsim.Gbps(5))),
+		Scheduler:  fusion(m, 0),
 		Iterations: 6,
 		Seed:       1,
 	}
@@ -41,7 +62,7 @@ func TestRejectsBadConfig(t *testing.T) {
 		{},
 		{Model: model.ResNet18()},
 		{Model: model.ResNet18(), Batch: 32, Workers: 1},
-		{Model: model.ResNet18(), Batch: 32, Workers: 2, FusionBytes: -1},
+		{Model: model.ResNet18(), Batch: 32, Workers: 2}, // no scheduler
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
@@ -86,9 +107,9 @@ func TestFusionAmortizesOverheads(t *testing.T) {
 	// Tiny fusion buffers force one reduction per tensor: 2(W−1)
 	// overheads each. A 64 MB buffer must be decisively faster.
 	small := baseCfg()
-	small.FusionBytes = 1 // effectively per-tensor
+	small.Scheduler = fusion(small.Model, 1) // effectively per-tensor
 	big := baseCfg()
-	big.FusionBytes = 64e6
+	big.Scheduler = fusion(big.Model, 64e6)
 	s, err := Run(small)
 	if err != nil {
 		t.Fatal(err)

@@ -3,10 +3,10 @@ package allreduce
 // The drive-layer rewrite replaced this package's original hand-rolled
 // simulation loop. The reference implementation below is that legacy loop,
 // preserved verbatim in test code: TestDriveMatchesLegacy asserts the new
-// Run (Fusion scheduler + ring backend on the shared Driver) reproduces its
-// completion times within 1e-9 across the model zoo, pinning the refactor
-// as behavior-preserving — the equivalence the ISSUE requires before the
-// legacy loop's deletion.
+// Run (the registry's fusion strategy + ring backend on the shared Driver)
+// reproduces its completion times within 1e-9 across the model zoo, pinning
+// the refactor as behavior-preserving — the equivalence the ISSUE requires
+// before the legacy loop's deletion.
 
 import (
 	"math"
@@ -26,8 +26,9 @@ func legacyStepTime(cfg *Config, bytes float64) float64 {
 }
 
 // legacyRun is the pre-drive simulation loop, kept as the equivalence
-// oracle.
-func legacyRun(cfg Config) (*Result, error) {
+// oracle. fusionBytes is the legacy Config.FusionBytes threshold, which the
+// registry's fusion strategy now carries.
+func legacyRun(cfg Config, fusionBytes float64) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
@@ -74,7 +75,7 @@ func legacyRun(cfg Config) (*Result, error) {
 		for len(pending) > 0 {
 			g := pending[0]
 			gb := m.Grads[g].Bytes()
-			if len(grads) > 0 && bytes+gb > cfg.FusionBytes {
+			if len(grads) > 0 && bytes+gb > fusionBytes {
 				break
 			}
 			grads = append(grads, g)
@@ -169,41 +170,42 @@ func TestDriveMatchesLegacy(t *testing.T) {
 	}
 	for _, tc := range zoo {
 		for _, workers := range []int{2, 4} {
-			for _, fusion := range []float64{1, 64e6} {
+			for _, threshold := range []float64{1, 64e6} {
+				m := model.WithWireFactor(tc.m, 2)
 				cfg := Config{
-					Model:       model.WithWireFactor(tc.m, 2),
-					Batch:       32,
-					Workers:     workers,
-					Link:        netsim.DefaultLinkConfig(netsim.Const(netsim.Gbps(3))),
-					FusionBytes: fusion,
-					Iterations:  6,
-					Seed:        7,
+					Model:      m,
+					Batch:      32,
+					Workers:    workers,
+					Link:       netsim.DefaultLinkConfig(netsim.Const(netsim.Gbps(3))),
+					Scheduler:  fusion(m, threshold),
+					Iterations: 6,
+					Seed:       7,
 				}
-				want, err := legacyRun(cfg)
+				want, err := legacyRun(cfg, threshold)
 				if err != nil {
-					t.Fatalf("%s w%d f%.0f: legacy: %v", tc.name, workers, fusion, err)
+					t.Fatalf("%s w%d f%.0f: legacy: %v", tc.name, workers, threshold, err)
 				}
 				got, err := Run(cfg)
 				if err != nil {
-					t.Fatalf("%s w%d f%.0f: drive: %v", tc.name, workers, fusion, err)
+					t.Fatalf("%s w%d f%.0f: drive: %v", tc.name, workers, threshold, err)
 				}
 				if got.Reductions != want.Reductions {
 					t.Errorf("%s w%d f%.0f: reductions %d, legacy %d",
-						tc.name, workers, fusion, got.Reductions, want.Reductions)
+						tc.name, workers, threshold, got.Reductions, want.Reductions)
 				}
 				if math.Abs(got.Duration-want.Duration) > 1e-9 {
 					t.Errorf("%s w%d f%.0f: duration %v, legacy %v (Δ=%g)",
-						tc.name, workers, fusion, got.Duration, want.Duration,
+						tc.name, workers, threshold, got.Duration, want.Duration,
 						got.Duration-want.Duration)
 				}
 				if got.Iters.Count() != want.Iters.Count() {
 					t.Fatalf("%s w%d f%.0f: iteration count %d vs %d",
-						tc.name, workers, fusion, got.Iters.Count(), want.Iters.Count())
+						tc.name, workers, threshold, got.Iters.Count(), want.Iters.Count())
 				}
 				for i := range want.Iters.Ends {
 					if math.Abs(got.Iters.Ends[i]-want.Iters.Ends[i]) > 1e-9 {
 						t.Errorf("%s w%d f%.0f: iter %d end %v, legacy %v (Δ=%g)",
-							tc.name, workers, fusion, i, got.Iters.Ends[i], want.Iters.Ends[i],
+							tc.name, workers, threshold, i, got.Iters.Ends[i], want.Iters.Ends[i],
 							got.Iters.Ends[i]-want.Iters.Ends[i])
 						break
 					}

@@ -75,9 +75,6 @@ type Config struct {
 	Jitter float64
 	// Seed drives all randomness.
 	Seed uint64
-	// LogTransfers enables the per-gradient push log on worker 0
-	// (Fig. 11). Costs memory proportional to iterations × gradients.
-	LogTransfers bool
 	// RecordLinks keeps every link's per-message transfer records
 	// (message-level traces for cmd/prophet-trace and diagnostics).
 	RecordLinks bool
@@ -109,7 +106,10 @@ type Config struct {
 	// Observer, when non-nil, receives the probe event stream from every
 	// worker (times are simulated seconds). Observation is passive — a run
 	// with an Observer attached produces bit-identical schedules to one
-	// without.
+	// without. The stream is the only record of when bytes moved: a run
+	// that wants an uplink throughput timeline or the per-gradient
+	// transfer log (Figs. 2, 10, 11) attaches a probe.SpanRecorder here and
+	// reads its Rate(worker) / Transfers(worker) views afterwards.
 	Observer probe.Observer
 	// Predict attaches a schedule.LinkCost model to every worker's driver,
 	// stamping each decision Record with its planned wire window and
@@ -250,18 +250,10 @@ type Result struct {
 	Iters metrics.IterationLog
 	// GPU[w] records worker w's compute-busy intervals.
 	GPU []*metrics.IntervalSeries
-	// Up[w] and Down[w] record per-link payload transfers, aggregated
-	// across shards.
-	Up, Down []*metrics.RateSeries
 	// Shards echoes the PS shard count, and ShardMap the key→shard
 	// assignment used.
 	Shards   int
 	ShardMap *shard.Map
-	// ShardUp[w][s] and ShardDown[w][s] record worker w's per-shard link
-	// transfers (equal to Up/Down when Shards is 1).
-	ShardUp, ShardDown [][]*metrics.RateSeries
-	// Transfers is the worker-0 per-gradient push log (LogTransfers).
-	Transfers *metrics.TransferLog
 	// UpRecords and DownRecords are per-worker per-message link traces
 	// (populated when RecordLinks is set).
 	UpRecords, DownRecords [][]netsim.TransferRecord
@@ -299,13 +291,6 @@ func (r *Result) GPUUtil(w, warmup int) float64 {
 	return r.GPU[w].Utilization(from, r.Duration)
 }
 
-// AvgUplinkThroughput returns worker w's mean uplink payload throughput in
-// bytes/sec over the steady-state window.
-func (r *Result) AvgUplinkThroughput(w, warmup int) float64 {
-	from := r.Iters.Starts[warmup]
-	return r.Up[w].Throughput(from, r.Duration)
-}
-
 // Run executes the simulation and returns its result.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
@@ -327,13 +312,10 @@ func Run(cfg Config) (*Result, error) {
 		Shards:   smap.Shards(),
 		ShardMap: smap,
 	}
-	if cfg.LogTransfers {
-		res.Transfers = &metrics.TransferLog{}
-	}
 
 	workers := make([]*worker, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
-		workers[w] = newWorker(w, eng, &cfg, ps, smap, res)
+		workers[w] = newWorker(w, eng, &cfg, ps, smap)
 	}
 	ps.workersRef = workers
 	res.SchedulerName = workers[0].sched.Name()
@@ -375,10 +357,6 @@ func Run(cfg Config) (*Result, error) {
 	res.Duration = eng.Now()
 	for _, w := range workers {
 		res.GPU = append(res.GPU, &w.gpu)
-		res.Up = append(res.Up, w.upRate)
-		res.Down = append(res.Down, w.downRate)
-		res.ShardUp = append(res.ShardUp, w.upRateSh)
-		res.ShardDown = append(res.ShardDown, w.downRateSh)
 		if cfg.RecordLinks {
 			res.UpRecords = append(res.UpRecords, mergeRecords(w.up))
 			res.DownRecords = append(res.DownRecords, mergeRecords(w.down))

@@ -6,6 +6,7 @@ import (
 
 	"prophet/internal/model"
 	"prophet/internal/netsim"
+	"prophet/internal/probe"
 	"prophet/internal/profiler"
 	"prophet/internal/stepwise"
 )
@@ -39,6 +40,29 @@ func prophetFactory(t *testing.T, m *model.Model, batch int) SchedulerFactory {
 		t.Fatal(err)
 	}
 	return ProphetFactory(res.Profile())
+}
+
+// runRecorded runs cfg with a probe.SpanRecorder attached and link records
+// kept: the recorder is where uplink bytes and the per-gradient transfer
+// log come from, DownRecords where downlink bytes do.
+func runRecorded(t *testing.T, cfg Config) (*Result, *probe.SpanRecorder) {
+	t.Helper()
+	rec := probe.NewSpanRecorder()
+	cfg.Observer = rec
+	cfg.RecordLinks = true
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, rec
+}
+
+func recordBytes(recs []netsim.TransferRecord) float64 {
+	var sum float64
+	for _, r := range recs {
+		sum += r.Bytes
+	}
+	return sum
 }
 
 func TestRunCompletesAllIterations(t *testing.T) {
@@ -78,13 +102,10 @@ func TestAllSchedulersCompleteAndConserveBytes(t *testing.T) {
 	}
 	wantBytes := m.TotalBytes() * 6 // per direction per worker, 6 iters
 	for name, f := range factories {
-		res, err := Run(smallConfig(t, f, 5))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		res, rec := runRecorded(t, smallConfig(t, f, 5))
 		for w := 0; w < res.Workers; w++ {
-			up := res.Up[w].TotalBytes()
-			down := res.Down[w].TotalBytes()
+			up := rec.Rate(w).TotalBytes()
+			down := recordBytes(res.DownRecords[w])
 			if math.Abs(up-wantBytes)/wantBytes > 1e-6 {
 				t.Errorf("%s worker %d pushed %v bytes, want %v", name, w, up, wantBytes)
 			}
@@ -192,17 +213,17 @@ func TestProphetBeatsFIFOWhenCommBound(t *testing.T) {
 
 func TestTransferLogPopulated(t *testing.T) {
 	cfg := smallConfig(t, FIFOFactory(model.ResNet18()), 3)
-	cfg.LogTransfers = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	res, rec := runRecorded(t, cfg)
+	if got := rec.Iterations(0).Count(); got != res.Iters.Count() {
+		t.Errorf("recorder iterations = %d, simulator = %d", got, res.Iters.Count())
 	}
 	n := model.ResNet18().NumGradients()
 	want := n * cfg.Iterations
-	if len(res.Transfers.Entries) != want {
-		t.Fatalf("transfer log has %d entries, want %d", len(res.Transfers.Entries), want)
+	log := rec.Transfers(0)
+	if len(log.Entries) != want {
+		t.Fatalf("transfer log has %d entries, want %d", len(log.Entries), want)
 	}
-	for _, e := range res.Transfers.Entries {
+	for _, e := range log.Entries {
 		if e.Start < e.Generated-1e-9 {
 			t.Fatalf("gradient %d pushed before generated", e.Gradient)
 		}

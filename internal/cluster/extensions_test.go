@@ -9,12 +9,9 @@ import (
 
 func TestTicTacCompletesAndConserves(t *testing.T) {
 	m := model.ResNet18()
-	res, err := Run(smallConfig(t, TicTacFactory(m), 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := m.TotalBytes() * 6
-	if got := res.Up[0].TotalBytes(); got != want {
+	res, rec := runRecorded(t, smallConfig(t, TicTacFactory(m), 3))
+	want := m.TotalBytes() * 6 // iterations × Σ gradient bytes
+	if got := rec.Rate(0).TotalBytes(); got != want {
 		t.Fatalf("tictac pushed %v bytes, want %v", got, want)
 	}
 	if res.SchedulerName != "tictac" {

@@ -29,38 +29,10 @@ type Options struct {
 	Profile *core.Profile
 }
 
-// ByName builds a factory from a registry name: the single entry point the
-// -policy flags and experiments use. Prophet gets the cluster-side wiring
-// each worker needs — a bandwidth monitor on its own uplink and the link's
-// setup/ramp cost as the per-message overhead.
+// ByName builds a factory from a registry name for the PS transport: the
+// single entry point the -policy flags and experiments use.
 func ByName(name string, m *model.Model, opt Options) (SchedulerFactory, error) {
-	if err := strategy.Check(name); err != nil {
-		return nil, err
-	}
-	if name == "prophet" && opt.Profile == nil {
-		return nil, fmt.Errorf("cluster: strategy prophet needs Options.Profile")
-	}
-	sizes := gradSizes(m)
-	return func(w int, eng *sim.Engine, uplink *netsim.Link) schedule.Scheduler {
-		p := strategy.Params{
-			Sizes:     sizes,
-			Partition: opt.Partition,
-			Credit:    opt.Credit,
-			MinCredit: opt.MinCredit,
-			MaxCredit: opt.MaxCredit,
-			Seed:      opt.Seed,
-			Worker:    w,
-			Profile:   opt.Profile,
-		}
-		if name == "prophet" {
-			p.Bandwidth, p.Overhead = linkMonitor(eng, uplink)
-		}
-		s, err := strategy.New(name, p)
-		if err != nil {
-			panic(err) // name and profile were validated above
-		}
-		return s
-	}, nil
+	return ByNameTransport(name, "ps", 0, m, opt)
 }
 
 // linkMonitor attaches Prophet's bandwidth source to a worker's uplink: a
@@ -68,10 +40,10 @@ func ByName(name string, m *model.Model, opt Options) (SchedulerFactory, error) 
 // for the one-off probe a fresh deployment runs), plus the link's
 // setup/ramp cost as the fixed per-message overhead Algorithm 1 sizes
 // blocks against.
-func linkMonitor(eng *sim.Engine, uplink *netsim.Link) (func() float64, func(bw float64) float64) {
+func linkMonitor(uplink *netsim.Link) (func() float64, func(bw float64) float64) {
 	cfg := uplink.Config()
 	initial := cfg.Trace.At(0)
-	mon := netsim.NewMonitor(eng, uplink, 0.3, initial)
+	mon := netsim.NewMonitor(uplink, 0.3, initial)
 	overhead := func(bw float64) float64 {
 		if bw <= 0 {
 			return cfg.SetupTime
@@ -81,12 +53,13 @@ func linkMonitor(eng *sim.Engine, uplink *netsim.Link) (func() float64, func(bw 
 	return mon.Estimate, overhead
 }
 
-// ByNameTransport is ByName with a transport dimension: the factory it
-// returns wires Prophet's bandwidth/overhead model to the named
-// drive.Backend's wire shape instead of the PS link's. For the "ps"
-// transport it is exactly ByName; for collective backends ("ring",
-// "tree"), workers is the ring size the collective runs across. The
-// non-prophet strategies need no transport wiring — their decisions are
+// ByNameTransport builds a factory from a registry name and a transport.
+// Prophet gets the wiring each worker needs — a bandwidth monitor on its
+// own uplink and a per-message overhead — shaped by the named
+// drive.Backend: the PS link's own setup/ramp cost for "ps", the
+// collective's wire volume and step count for "ring" and "tree", where
+// workers is the ring size the collective runs across (ignored for "ps").
+// The other strategies need no transport wiring — their decisions are
 // wire-model-free, which is precisely why they run unmodified on every
 // backend.
 func ByNameTransport(name, transport string, workers int, m *model.Model, opt Options) (SchedulerFactory, error) {
@@ -94,10 +67,8 @@ func ByNameTransport(name, transport string, workers int, m *model.Model, opt Op
 	if err != nil {
 		return nil, err
 	}
-	if be.Name() == "ps" {
-		return ByName(name, m, opt)
-	}
-	if workers <= 1 {
+	collective := be.Name() != "ps"
+	if collective && workers <= 1 {
 		return nil, fmt.Errorf("cluster: transport %q needs workers > 1", be.Name())
 	}
 	if err := strategy.Check(name); err != nil {
@@ -119,7 +90,11 @@ func ByNameTransport(name, transport string, workers int, m *model.Model, opt Op
 			Profile:   opt.Profile,
 		}
 		if name == "prophet" {
-			p.Bandwidth, p.Overhead = collectiveMonitor(eng, uplink, be, workers)
+			if collective {
+				p.Bandwidth, p.Overhead = collectiveMonitor(uplink, be, workers)
+			} else {
+				p.Bandwidth, p.Overhead = linkMonitor(uplink)
+			}
 		}
 		s, err := strategy.New(name, p)
 		if err != nil {
@@ -137,14 +112,14 @@ func ByNameTransport(name, transport string, workers int, m *model.Model, opt Op
 // raw/total, and a per-block overhead of steps·setup + steps·ramp/raw —
 // so Algorithm 1's block sizing automatically grows blocks where the
 // 2(W−1) per-step overheads would murder small tensors.
-func collectiveMonitor(eng *sim.Engine, uplink *netsim.Link, be drive.Backend, workers int) (func() float64, func(bw float64) float64) {
+func collectiveMonitor(uplink *netsim.Link, be drive.Backend, workers int) (func() float64, func(bw float64) float64) {
 	cfg := uplink.Config()
 	total := drive.WireVolume(be, workers)
 	steps := float64(be.Steps(workers))
 	if total <= 0 {
-		return linkMonitor(eng, uplink)
+		return linkMonitor(uplink)
 	}
-	mon := netsim.NewMonitor(eng, uplink, 0.3, cfg.Trace.At(0))
+	mon := netsim.NewMonitor(uplink, 0.3, cfg.Trace.At(0))
 	bandwidth := func() float64 { return mon.Estimate() / total }
 	overhead := func(bwEff float64) float64 {
 		if bwEff <= 0 {
@@ -201,7 +176,7 @@ func TunedByteSchedulerFactory(m *model.Model, credit, minCredit, maxCredit floa
 // re-plans with Algorithm 1 when the estimate drifts.
 func ProphetFactory(prof *core.Profile) SchedulerFactory {
 	return func(w int, eng *sim.Engine, uplink *netsim.Link) schedule.Scheduler {
-		bw, overhead := linkMonitor(eng, uplink)
+		bw, overhead := linkMonitor(uplink)
 		s, err := strategy.New("prophet", strategy.Params{
 			Profile: prof, Bandwidth: bw, Overhead: overhead,
 		})

@@ -7,6 +7,7 @@ import (
 
 	"prophet/internal/model"
 	"prophet/internal/netsim"
+	"prophet/internal/probe"
 	"prophet/internal/sim"
 	"prophet/internal/stepwise"
 )
@@ -35,6 +36,7 @@ func TestPropertyInvariantsAcrossConfigs(t *testing.T) {
 		batch := []int{16, 32, 64}[int(bRaw)%3]
 		gbps := []float64{1, 2.5, 6}[int(bwRaw)%3]
 		const iters = 3
+		rec := probe.NewSpanRecorder()
 		res, err := Run(Config{
 			Model:   m18,
 			Batch:   batch,
@@ -43,11 +45,12 @@ func TestPropertyInvariantsAcrossConfigs(t *testing.T) {
 			Uplink: func(int) netsim.LinkConfig {
 				return netsim.DefaultLinkConfig(netsim.Const(netsim.Gbps(gbps)))
 			},
-			Scheduler:    factory,
-			Iterations:   iters,
-			Seed:         seed%1000 + 1,
-			ASP:          asp,
-			LogTransfers: true,
+			Scheduler:   factory,
+			Iterations:  iters,
+			Seed:        seed%1000 + 1,
+			ASP:         asp,
+			RecordLinks: true,
+			Observer:    rec,
 		})
 		if err != nil {
 			t.Logf("run failed: %v", err)
@@ -55,12 +58,12 @@ func TestPropertyInvariantsAcrossConfigs(t *testing.T) {
 		}
 		wantBytes := m18.TotalBytes() * iters
 		for w := 0; w < workers; w++ {
-			if math.Abs(res.Up[w].TotalBytes()-wantBytes) > 1e-6*wantBytes {
-				t.Logf("worker %d pushed %v, want %v", w, res.Up[w].TotalBytes(), wantBytes)
+			if up := rec.Rate(w).TotalBytes(); math.Abs(up-wantBytes) > 1e-6*wantBytes {
+				t.Logf("worker %d pushed %v, want %v", w, up, wantBytes)
 				return false
 			}
-			if math.Abs(res.Down[w].TotalBytes()-wantBytes) > 1e-6*wantBytes {
-				t.Logf("worker %d pulled %v, want %v", w, res.Down[w].TotalBytes(), wantBytes)
+			if down := recordBytes(res.DownRecords[w]); math.Abs(down-wantBytes) > 1e-6*wantBytes {
+				t.Logf("worker %d pulled %v, want %v", w, down, wantBytes)
 				return false
 			}
 			busy := res.GPU[w].BusyBetween(0, res.Duration)
@@ -74,7 +77,7 @@ func TestPropertyInvariantsAcrossConfigs(t *testing.T) {
 				return false
 			}
 		}
-		for _, e := range res.Transfers.Entries {
+		for _, e := range rec.Transfers(0).Entries {
 			if e.Start < e.Generated-1e-9 || e.End < e.Start {
 				return false
 			}

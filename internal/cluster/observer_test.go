@@ -9,38 +9,6 @@ import (
 	"prophet/internal/probe/attrib"
 )
 
-// TestObserverMirrorsSimMetrics runs one simulated worker with both the
-// built-in transfer log and a probe SpanRecorder attached and asserts the
-// recorder reconstructs the exact same per-gradient transfer log from the
-// event stream — the property that makes the Chrome trace and attribution
-// identical across executors.
-func TestObserverMirrorsSimMetrics(t *testing.T) {
-	rec := probe.NewSpanRecorder()
-	cfg := smallConfig(t, FIFOFactory(model.ResNet18()), 5)
-	cfg.Workers = 1
-	cfg.LogTransfers = true
-	cfg.Observer = rec
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want := res.Transfers.Entries
-	got := rec.Transfers().Entries
-	if len(got) != len(want) {
-		t.Fatalf("recorder logged %d transfers, simulator logged %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("transfer %d differs:\nrecorder:  %+v\nsimulator: %+v", i, got[i], want[i])
-		}
-	}
-
-	if got := rec.Iterations(0).Count(); got != res.Iters.Count() {
-		t.Errorf("recorder iterations = %d, simulator = %d", got, res.Iters.Count())
-	}
-}
-
 // TestObserverPassiveInSim asserts attaching a recorder changes nothing
 // about the simulated run.
 func TestObserverPassiveInSim(t *testing.T) {

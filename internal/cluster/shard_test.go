@@ -31,9 +31,12 @@ func TestShardedRunCompletesAndConservesBytes(t *testing.T) {
 		for _, shards := range []int{2, 4} {
 			for _, placement := range []shard.Placement{shard.RoundRobin, shard.SizeBalanced} {
 				t.Run(fmt.Sprintf("%s/%d/%s", name, shards, placement), func(t *testing.T) {
-					res, err := Run(shardedConfig(t, f, 5, shards, placement))
-					if err != nil {
-						t.Fatal(err)
+					res, rec := runRecorded(t, shardedConfig(t, f, 5, shards, placement))
+					// Per-lane pushed bytes: lane s of worker w is its uplink
+					// to shard s.
+					laneUp := make(map[[2]int]float64)
+					for _, sp := range rec.Spans() {
+						laneUp[[2]int{sp.Worker, sp.Lane}] += sp.Bytes
 					}
 					if res.Iters.Count() != 6 {
 						t.Fatalf("completed %d iterations, want 6", res.Iters.Count())
@@ -42,19 +45,19 @@ func TestShardedRunCompletesAndConservesBytes(t *testing.T) {
 						t.Fatalf("Result.Shards = %d, want %d", res.Shards, shards)
 					}
 					for w := 0; w < res.Workers; w++ {
-						up := res.Up[w].TotalBytes()
+						up := rec.Rate(w).TotalBytes()
 						if math.Abs(up-wantBytes) > 1 {
 							t.Errorf("worker %d pushed %.0f bytes, want %.0f", w, up, wantBytes)
 						}
-						down := res.Down[w].TotalBytes()
+						down := recordBytes(res.DownRecords[w])
 						if math.Abs(down-wantBytes) > 1 {
 							t.Errorf("worker %d pulled %.0f bytes, want %.0f", w, down, wantBytes)
 						}
-						// Per-shard series must sum to the aggregate, and each
+						// Per-shard lanes must sum to the aggregate, and each
 						// shard's share must match the key→shard map's load.
 						var sumUp float64
 						for s := 0; s < shards; s++ {
-							sh := res.ShardUp[w][s].TotalBytes()
+							sh := laneUp[[2]int{w, s}]
 							sumUp += sh
 							want := res.ShardMap.Load(s) * 6
 							if math.Abs(sh-want) > 1 {
@@ -62,7 +65,7 @@ func TestShardedRunCompletesAndConservesBytes(t *testing.T) {
 							}
 						}
 						if math.Abs(sumUp-up) > 1 {
-							t.Errorf("worker %d shard series sum %.0f != aggregate %.0f", w, sumUp, up)
+							t.Errorf("worker %d shard lanes sum %.0f != aggregate %.0f", w, sumUp, up)
 						}
 					}
 				})

@@ -41,8 +41,7 @@ func (p phase) String() string {
 // The scheduler-driving state machine — fetch gate, shard splitting,
 // per-iteration byte offsets — lives in the shared drive.Driver; the worker
 // provides the transport (drive.Transmitter): it maps each drive.Send onto
-// a netsim uplink transfer, records push starts, and mirrors pushed bytes
-// back as pull messages.
+// a netsim uplink transfer and mirrors pushed bytes back as pull messages.
 //
 // With a single shard the worker behaves exactly as the paper's testbed:
 // one serial uplink, one serial downlink. With PSShards > 1 the scheduler
@@ -58,7 +57,6 @@ type worker struct {
 	cfg  *Config
 	ps   *paramServer
 	smap *shard.Map
-	res  *Result
 	rng  *sim.Rand
 
 	sched    schedule.Scheduler
@@ -68,13 +66,9 @@ type worker struct {
 	// emission costs one predictable branch (the probe cost contract).
 	obs probe.Observer
 
-	gpu        metrics.IntervalSeries
-	upRate     *metrics.RateSeries
-	downRate   *metrics.RateSeries
-	upRateSh   []*metrics.RateSeries
-	downRateSh []*metrics.RateSeries
-	iterLog    metrics.IterationLog
-	iterStart  float64
+	gpu       metrics.IntervalSeries
+	iterLog   metrics.IterationLog
+	iterStart float64
 
 	iter      int
 	phase     phase
@@ -89,8 +83,6 @@ type worker struct {
 	releaseAt [][]int
 
 	// Per-iteration communication state.
-	genTime     []float64 // absolute release times this iteration
-	pushStart   []float64 // first wire byte of gradient's push
 	pulledBytes []float64
 	pulled      []bool
 
@@ -135,7 +127,7 @@ type pullPiece struct {
 	last       bool
 }
 
-func newWorker(id int, eng *sim.Engine, cfg *Config, ps *paramServer, smap *shard.Map, res *Result) *worker {
+func newWorker(id int, eng *sim.Engine, cfg *Config, ps *paramServer, smap *shard.Map) *worker {
 	n := cfg.Model.NumGradients()
 	shards := smap.Shards()
 	w := &worker{
@@ -144,14 +136,9 @@ func newWorker(id int, eng *sim.Engine, cfg *Config, ps *paramServer, smap *shar
 		cfg:          cfg,
 		ps:           ps,
 		smap:         smap,
-		res:          res,
 		rng:          sim.NewRand(cfg.Seed*1_000_003 + uint64(id)*7919 + 1),
 		up:           make([]*netsim.Link, shards),
 		down:         make([]*netsim.Link, shards),
-		upRate:       &metrics.RateSeries{},
-		downRate:     &metrics.RateSeries{},
-		genTime:      make([]float64, n),
-		pushStart:    make([]float64, n),
 		pulledBytes:  make([]float64, n),
 		pulled:       make([]bool, n),
 		releaseAt:    make([][]int, n),
@@ -181,18 +168,6 @@ func newWorker(id int, eng *sim.Engine, cfg *Config, ps *paramServer, smap *shar
 			w.up[s].SetRecording(true)
 			w.down[s].SetRecording(true)
 		}
-		upSh := &metrics.RateSeries{}
-		downSh := &metrics.RateSeries{}
-		w.upRateSh = append(w.upRateSh, upSh)
-		w.downRateSh = append(w.downRateSh, downSh)
-		w.up[s].ObserveTransfers(func(rec netsim.TransferRecord) {
-			w.upRate.Add(rec.Start, rec.End, rec.Bytes)
-			upSh.Add(rec.Start, rec.End, rec.Bytes)
-		})
-		w.down[s].ObserveTransfers(func(rec netsim.TransferRecord) {
-			w.downRate.Add(rec.Start, rec.End, rec.Bytes)
-			downSh.Add(rec.Start, rec.End, rec.Bytes)
-		})
 	}
 	// The scheduler's bandwidth monitor attaches to shard 0's uplink: all
 	// shard links of a worker share one configuration in every supported
@@ -228,16 +203,9 @@ func newWorker(id int, eng *sim.Engine, cfg *Config, ps *paramServer, smap *shar
 func (w *worker) Busy(s int) bool { return w.up[s].Busy() }
 
 // Start implements drive.Transmitter: it puts one sub-message on its shard
-// uplink, recording per-gradient push starts (first wire byte) and mirroring
-// the pushed byte ranges into pull messages that are released once the
-// transfer — and the PS aggregation it completes — lands.
+// uplink, mirroring the pushed byte ranges into pull messages that are
+// released once the transfer — and the PS aggregation it completes — lands.
 func (w *worker) Start(s *drive.Send) {
-	start := w.eng.Now()
-	for _, rg := range s.Ranges {
-		if w.pushStart[rg.Grad] < 0 {
-			w.pushStart[rg.Grad] = start
-		}
-	}
 	pulls := w.mirrorPulls(s.Iter, s.Ranges)
 	for _, pm := range pulls {
 		pm.stall = s.Msg.Stall
@@ -323,8 +291,6 @@ func (w *worker) startBackward() {
 	for i := 0; i < n; i++ {
 		w.pulled[i] = false
 		w.pulledBytes[i] = 0
-		w.genTime[i] = 0
-		w.pushStart[i] = -1
 	}
 	// The driver's queues are necessarily empty here: forward propagation
 	// only completes once every gradient of the previous iteration was
@@ -364,7 +330,6 @@ func (w *worker) onBwdSegDone() {
 	if rel := w.releaseAt[seg]; rel != nil {
 		now := w.eng.Now()
 		for _, g := range rel {
-			w.genTime[g] = now
 			w.drv.Generate(g, now)
 		}
 		w.drv.Pump(now)
@@ -389,21 +354,7 @@ func (w *worker) finishIteration() {
 func (w *worker) onUpDone(s int) {
 	in := w.upInflight[s]
 	w.upInflight[s] = upSend{}
-	end := w.eng.Now()
-	iter, _ := w.drv.Completed(s, end) // fires OnSent on the group's last sub-send
-	if w.id == 0 && w.res.Transfers != nil {
-		for _, pc := range in.sub.Pieces {
-			if pc.Last {
-				w.res.Transfers.Add(metrics.TransferEntry{
-					Iteration: iter,
-					Gradient:  pc.Grad,
-					Generated: w.genTime[pc.Grad],
-					Start:     w.pushStart[pc.Grad],
-					End:       end,
-				})
-			}
-		}
-	}
+	iter, _ := w.drv.Completed(s, w.eng.Now()) // fires OnSent on the group's last sub-send
 	w.pullQ[s] = append(w.pullQ[s], in.pulls...)
 	w.recyclePulls(in.pulls)
 	w.ps.onPush(w.id, iter, in.sub) // may unlock pulls on every worker

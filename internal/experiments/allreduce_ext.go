@@ -7,6 +7,9 @@ import (
 	"prophet/internal/allreduce"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
+	"prophet/internal/schedule"
+	"prophet/internal/sim"
+	"prophet/internal/strategy"
 )
 
 // ExtAllReduceResult compares PS + Prophet against ring all-reduce
@@ -54,6 +57,29 @@ func ExtAllReduce(cfg Config) (*ExtAllReduceResult, error) {
 	if cfg.Quick {
 		limits = []float64{3000}
 	}
+	sizes := make([]float64, s.wire.NumGradients())
+	for i, g := range s.wire.Grads {
+		sizes[i] = g.Bytes()
+	}
+	// ringRate runs the ring under the registry's fusion strategy with the
+	// given buffer threshold (0 = its 64 MB default).
+	ringRate := func(link netsim.LinkConfig, fusionBytes float64) (float64, error) {
+		res, err := allreduce.Run(allreduce.Config{
+			Model: s.wire, Batch: s.batch, Workers: 3, Agg: s.agg, Link: link,
+			Scheduler: func(int, *sim.Engine, *netsim.Link) schedule.Scheduler {
+				f, err := strategy.New("fusion", strategy.Params{Sizes: sizes, FusionBytes: fusionBytes})
+				if err != nil {
+					panic(err) // fusion is registered and sizes is non-empty
+				}
+				return f
+			},
+			Iterations: cfg.Iterations, Seed: cfg.Seed,
+		})
+		if err != nil {
+			return 0, err
+		}
+		return res.Rate(cfg.Warmup), nil
+	}
 	out := &ExtAllReduceResult{LimitsMbps: limits}
 	for _, mbps := range limits {
 		ps, err := s.rate(cfg, s.prophet(), linkMbps(mbps), 3)
@@ -61,23 +87,17 @@ func ExtAllReduce(cfg Config) (*ExtAllReduceResult, error) {
 			return nil, err
 		}
 		link := netsim.DefaultLinkConfig(netsim.Const(netsim.Goodput(netsim.Mbps(mbps))))
-		ring, err := allreduce.Run(allreduce.Config{
-			Model: s.wire, Batch: s.batch, Workers: 3, Agg: s.agg,
-			Link: link, Iterations: cfg.Iterations, Seed: cfg.Seed,
-		})
+		ring, err := ringRate(link, 0)
 		if err != nil {
 			return nil, err
 		}
-		tiny, err := allreduce.Run(allreduce.Config{
-			Model: s.wire, Batch: s.batch, Workers: 3, Agg: s.agg,
-			Link: link, FusionBytes: 1, Iterations: cfg.Iterations, Seed: cfg.Seed,
-		})
+		tiny, err := ringRate(link, 1) // effectively per-tensor
 		if err != nil {
 			return nil, err
 		}
 		out.PSProphet = append(out.PSProphet, ps)
-		out.Ring = append(out.Ring, ring.Rate(cfg.Warmup))
-		out.RingTinyFusion = append(out.RingTinyFusion, tiny.Rate(cfg.Warmup))
+		out.Ring = append(out.Ring, ring)
+		out.RingTinyFusion = append(out.RingTinyFusion, tiny)
 	}
 	return out, nil
 }

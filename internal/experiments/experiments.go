@@ -20,6 +20,7 @@ import (
 	"prophet/internal/cluster"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
+	"prophet/internal/probe"
 	"prophet/internal/profiler"
 	"prophet/internal/stepwise"
 )
@@ -249,9 +250,9 @@ func (s *setup) prophet() cluster.SchedulerFactory {
 	return cluster.ProphetFactory(s.prof.Profile())
 }
 
-// run executes one simulation.
-func (s *setup) run(cfg Config, factory cluster.SchedulerFactory, link func(int) netsim.LinkConfig, workers int) (*cluster.Result, error) {
-	return cluster.Run(cluster.Config{
+// config is the cluster configuration every simulated run starts from.
+func (s *setup) config(cfg Config, factory cluster.SchedulerFactory, link func(int) netsim.LinkConfig, workers int) cluster.Config {
+	return cluster.Config{
 		Model:      s.wire,
 		Batch:      s.batch,
 		Workers:    workers,
@@ -260,22 +261,23 @@ func (s *setup) run(cfg Config, factory cluster.SchedulerFactory, link func(int)
 		Scheduler:  factory,
 		Iterations: cfg.Iterations,
 		Seed:       cfg.Seed,
-	})
+	}
 }
 
-// runLogged is run with the per-gradient transfer log enabled.
-func (s *setup) runLogged(cfg Config, factory cluster.SchedulerFactory, link func(int) netsim.LinkConfig, workers int) (*cluster.Result, error) {
-	return cluster.Run(cluster.Config{
-		Model:        s.wire,
-		Batch:        s.batch,
-		Workers:      workers,
-		Agg:          s.agg,
-		Uplink:       link,
-		Scheduler:    factory,
-		Iterations:   cfg.Iterations,
-		Seed:         cfg.Seed,
-		LogTransfers: true,
-	})
+// run executes one simulation.
+func (s *setup) run(cfg Config, factory cluster.SchedulerFactory, link func(int) netsim.LinkConfig, workers int) (*cluster.Result, error) {
+	return cluster.Run(s.config(cfg, factory, link, workers))
+}
+
+// runRecorded is run with a probe.SpanRecorder attached: the uplink
+// throughput timeline (Figs. 2, 10) and the per-gradient transfer log
+// (Fig. 11) are read from the recorder's Rate/Transfers views.
+func (s *setup) runRecorded(cfg Config, factory cluster.SchedulerFactory, link func(int) netsim.LinkConfig, workers int) (*cluster.Result, *probe.SpanRecorder, error) {
+	c := s.config(cfg, factory, link, workers)
+	rec := probe.NewSpanRecorder()
+	c.Observer = rec
+	res, err := cluster.Run(c)
+	return res, rec, err
 }
 
 // rate is run + steady-state rate extraction.

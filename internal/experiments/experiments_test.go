@@ -282,3 +282,69 @@ func TestSparkline(t *testing.T) {
 		t.Fatal("empty input should give empty sparkline")
 	}
 }
+
+// The three tests below pin the numbers Fig. 2/10/11 print at quickCfg, as
+// literals captured while the simulator still kept its own rate series and
+// transfer log. They now guard the probe recorder's derived Rate/Transfers
+// views: any change to what a view contains or to its summation order moves
+// the last digits.
+
+func equalFloats(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+func TestFig2Pinned(t *testing.T) {
+	r, err := Fig2(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.NetThroughput) != 181 || len(r.GPUUtil) != 181 {
+		t.Fatalf("timelines have %d/%d bins, want 181", len(r.NetThroughput), len(r.GPUUtil))
+	}
+	equalFloats(t, "net head", r.NetThroughput[:6], []float64{
+		1.6667439365508044e+08, 1.7569262074764073e+08, 1.6498928152614215e+08,
+		1.6498928152614215e+08, 1.6498928152614215e+08, 1.745900564542316e+08})
+	equalFloats(t, "net tail", r.NetThroughput[178:], []float64{
+		5.869441010119527e+07, 5.0059359699655846e+07, 0})
+	equalFloats(t, "avg GPU util, idle fraction",
+		[]float64{r.AvgGPUUtil, r.IdleFraction}, []float64{0.363757959859177, 0.56353591160221})
+}
+
+func TestFig10Pinned(t *testing.T) {
+	r, err := Fig10(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.ProphetTimeline) != 56 || len(r.BSTimeline) != 60 {
+		t.Fatalf("timelines have %d/%d bins, want 56/60", len(r.ProphetTimeline), len(r.BSTimeline))
+	}
+	equalFloats(t, "prophet head", r.ProphetTimeline[:6], []float64{
+		2.7465847399803054e+08, 1.1443143384484014e+08, 0, 0,
+		1.7038051876485315e+08, 2.620436417896666e+08})
+	equalFloats(t, "bytescheduler head", r.BSTimeline[:6], []float64{
+		1.9665683382497537e+08, 1.9665683382497516e+08, 1.966568338249752e+08,
+		1.9665683382497516e+08, 1.273671780172775e+08, 1.966568338249752e+08})
+	equalFloats(t, "bytescheduler tail", r.BSTimeline[58:], []float64{
+		1.966568338249752e+08, 1.584577498456958e+07})
+	equalFloats(t, "averages", []float64{r.ProphetAvg, r.BSAvg},
+		[]float64{1.9251768022884116e+08, 1.8548159847118607e+08})
+}
+
+func TestFig11Pinned(t *testing.T) {
+	r, err := Fig11(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalFloats(t, "mean wait ms", r.MeanWaitMS,
+		[]float64{343.0267106617354, 105.96839380872295, 39.12429100678827})
+	equalFloats(t, "mean transfer ms", r.MeanDurMS,
+		[]float64{6.239715445134694, 52.77834898550694, 102.28013890959252})
+}

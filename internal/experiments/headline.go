@@ -169,20 +169,24 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 	}
 	const workers = 3
 	link := sharedPSLink(workers)
-	pro, err := s.run(cfg, s.prophet(), link, workers)
-	if err != nil {
+	// uplink runs one strategy and reads worker 0's uplink payload over the
+	// steady-state window from the run's probe recording.
+	uplink := func(f cluster.SchedulerFactory) (timeline []float64, avg float64, err error) {
+		res, rec, err := s.runRecorded(cfg, f, link, workers)
+		if err != nil {
+			return nil, 0, err
+		}
+		up, from := rec.Rate(0), res.Iters.Starts[cfg.Warmup]
+		return up.Timeline(from, res.Duration, 0.1), up.Throughput(from, res.Duration), nil
+	}
+	out := &Fig10Result{}
+	if out.ProphetTimeline, out.ProphetAvg, err = uplink(s.prophet()); err != nil {
 		return nil, err
 	}
-	bs, err := s.run(cfg, s.byteScheduler(), link, workers)
-	if err != nil {
+	if out.BSTimeline, out.BSAvg, err = uplink(s.byteScheduler()); err != nil {
 		return nil, err
 	}
-	return &Fig10Result{
-		ProphetTimeline: pro.Up[0].Timeline(pro.Iters.Starts[cfg.Warmup], pro.Duration, 0.1),
-		BSTimeline:      bs.Up[0].Timeline(bs.Iters.Starts[cfg.Warmup], bs.Duration, 0.1),
-		ProphetAvg:      pro.AvgUplinkThroughput(0, cfg.Warmup),
-		BSAvg:           bs.AvgUplinkThroughput(0, cfg.Warmup),
-	}, nil
+	return out, nil
 }
 
 // Fig11Result reproduces the per-gradient transfer analysis: average wait
@@ -234,11 +238,12 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 		name    string
 		factory cluster.SchedulerFactory
 	}) (row, error) {
-		res, err := s.runLogged(cfg, st.factory, link, workers)
+		_, rec, err := s.runRecorded(cfg, st.factory, link, workers)
 		if err != nil {
 			return row{}, err
 		}
-		return row{wait: 1e3 * res.Transfers.MeanWait(), dur: 1e3 * res.Transfers.MeanDuration()}, nil
+		log := rec.Transfers(0)
+		return row{wait: 1e3 * log.MeanWait(), dur: 1e3 * log.MeanDuration()}, nil
 	})
 	if err != nil {
 		return nil, err

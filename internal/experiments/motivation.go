@@ -50,13 +50,13 @@ func Fig2(cfg Config) (*Fig2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.run(cfg, s.fifo(), linkMbps(3000), 3)
+	res, rec, err := s.runRecorded(cfg, s.fifo(), linkMbps(3000), 3)
 	if err != nil {
 		return nil, err
 	}
 	from := res.Iters.Starts[cfg.Warmup]
 	gpu := res.GPU[0].Timeline(from, res.Duration, 0.1)
-	net := res.Up[0].Timeline(from, res.Duration, 0.1)
+	net := rec.Rate(0).Timeline(from, res.Duration, 0.1)
 	idle := 0
 	for _, u := range gpu {
 		if u < 0.05 {

@@ -248,10 +248,3 @@ func (c *conn) fire(kind string) {
 		c.onFault(kind)
 	}
 }
-
-// Written returns the number of bytes delivered so far (test hook).
-func (c *conn) Written() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.written
-}

@@ -128,18 +128,6 @@ type RateSeries struct {
 	total float64
 }
 
-// Grow pre-allocates capacity for n further transfers, so a run whose
-// transfer volume is known up front (iterations × gradients on either
-// execution path) records without reallocating the span slice.
-func (r *RateSeries) Grow(n int) {
-	if n <= 0 || cap(r.spans)-len(r.spans) >= n {
-		return
-	}
-	spans := make([]span, len(r.spans), len(r.spans)+n)
-	copy(spans, r.spans)
-	r.spans = spans
-}
-
 // Add records `bytes` moved over [start, end). Instantaneous transfers
 // (end == start) are attributed to the start bin.
 func (r *RateSeries) Add(start, end, bytes float64) {
@@ -208,17 +196,6 @@ func (e TransferEntry) Duration() float64 { return e.End - e.Start }
 // TransferLog accumulates per-gradient transfer entries.
 type TransferLog struct {
 	Entries []TransferEntry
-}
-
-// Grow pre-allocates capacity for n further entries — the TransferLog
-// sibling of IterationLog.Grow.
-func (l *TransferLog) Grow(n int) {
-	if n <= 0 || cap(l.Entries)-len(l.Entries) >= n {
-		return
-	}
-	entries := make([]TransferEntry, len(l.Entries), len(l.Entries)+n)
-	copy(entries, l.Entries)
-	l.Entries = entries
 }
 
 // Add appends an entry.

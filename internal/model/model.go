@@ -74,15 +74,6 @@ func (m *Model) TotalFwdFLOPs() float64 {
 	return f
 }
 
-// TotalBwdFLOPs returns per-sample backward FLOPs.
-func (m *Model) TotalBwdFLOPs() float64 {
-	var f float64
-	for _, g := range m.Grads {
-		f += g.BwdFLOPs
-	}
-	return f
-}
-
 // validate panics if the model is malformed; builders call it before
 // returning a model to the registry.
 func (m *Model) validate() {

@@ -171,7 +171,7 @@ func TestMonitorConvergesToRawBandwidth(t *testing.T) {
 	eng := sim.New()
 	rate := Gbps(2)
 	link := NewLink(eng, LinkConfig{Trace: Const(rate), SetupTime: 1e-3, RampBytes: 256e3})
-	mon := NewMonitor(eng, link, 0.3, Gbps(1))
+	mon := NewMonitor(link, 0.3, Gbps(1))
 	var sendMany func(n int)
 	sendMany = func(n int) {
 		if n == 0 {
@@ -192,7 +192,7 @@ func TestMonitorConvergesToRawBandwidth(t *testing.T) {
 func TestMonitorIgnoresTinyTransfers(t *testing.T) {
 	eng := sim.New()
 	link := NewLink(eng, DefaultLinkConfig(Const(Gbps(1))))
-	mon := NewMonitor(eng, link, 0.3, Gbps(1))
+	mon := NewMonitor(link, 0.3, Gbps(1))
 	link.Send(100, "tiny", nil)
 	eng.Run()
 	if mon.Samples() != 0 {
@@ -207,7 +207,7 @@ func TestMonitorTracksBandwidthChange(t *testing.T) {
 	eng := sim.New()
 	tr := NewStepTrace(Step{0, Gbps(4)}, Step{30, Gbps(1)})
 	link := NewLink(eng, LinkConfig{Trace: tr, SetupTime: 1e-3, RampBytes: 256e3})
-	mon := NewMonitor(eng, link, 0.5, Gbps(4))
+	mon := NewMonitor(link, 0.5, Gbps(4))
 	var sendUntil func()
 	sendUntil = func() {
 		if eng.Now() > 120 {
@@ -230,5 +230,5 @@ func TestMonitorBadAlphaPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewMonitor(eng, link, 0, 1)
+	NewMonitor(link, 0, 1)
 }

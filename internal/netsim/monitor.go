@@ -1,7 +1,5 @@
 package netsim
 
-import "prophet/internal/sim"
-
 // Monitor estimates the available bandwidth of a link from observed
 // transfers, mirroring Prophet's Network Bandwidth Monitor, which samples
 // the workers' available bandwidth periodically (the paper uses a 5 s
@@ -13,28 +11,25 @@ import "prophet/internal/sim"
 // Small messages give noisy estimates, so transfers below MinSampleBytes are
 // ignored.
 type Monitor struct {
-	eng   *sim.Engine
 	cfg   LinkConfig
 	alpha float64
 	// MinSampleBytes filters out tiny transfers whose timing is dominated
 	// by overhead.
 	MinSampleBytes float64
 
-	estimate   float64
-	hasSample  bool
-	lastSample sim.Time
-	samples    int
+	estimate  float64
+	hasSample bool
+	samples   int
 }
 
 // NewMonitor attaches a monitor to link and returns it. alpha is the EWMA
 // smoothing factor in (0, 1]; higher reacts faster. initial is the starting
 // estimate in bytes/sec (e.g. from a one-off probe at job start).
-func NewMonitor(eng *sim.Engine, link *Link, alpha, initial float64) *Monitor {
+func NewMonitor(link *Link, alpha, initial float64) *Monitor {
 	if alpha <= 0 || alpha > 1 {
 		panic("netsim: Monitor alpha out of (0,1]")
 	}
 	m := &Monitor{
-		eng:            eng,
 		cfg:            link.Config(),
 		alpha:          alpha,
 		MinSampleBytes: 64e3,
@@ -60,7 +55,6 @@ func (m *Monitor) observe(rec TransferRecord) {
 	} else {
 		m.estimate = m.alpha*raw + (1-m.alpha)*m.estimate
 	}
-	m.lastSample = m.eng.Now()
 	m.samples++
 }
 
@@ -69,6 +63,3 @@ func (m *Monitor) Estimate() float64 { return m.estimate }
 
 // Samples returns how many transfers have contributed to the estimate.
 func (m *Monitor) Samples() int { return m.samples }
-
-// LastSample returns the simulation time of the most recent contribution.
-func (m *Monitor) LastSample() sim.Time { return m.lastSample }

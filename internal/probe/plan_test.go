@@ -64,21 +64,26 @@ func TestSpanRecorderSteps(t *testing.T) {
 	}
 }
 
-func TestSpanRecorderHintsAndRate(t *testing.T) {
+func TestSpanRecorderHintAndRate(t *testing.T) {
 	rec := NewSpanRecorder()
 	rec.SetIterationHint(8)
-	rec.SetVolumeHint(16, 2)
 	rec.ShardEnqueued(0, 0, 0, 0, 10, 1, 0.1) // timeline no-op, must not panic
 	if rec.Rate(0) != nil {
 		t.Error("Rate for a worker that never transmitted should be nil")
 	}
 	rec.BeginIteration(0, 0, 0)
-	rec.SendStart(0, 0, 0, 0, 0, "m", 64, nil, 0.2)
-	rec.SendComplete(0, 0, 0, true, 0.4)
-	rec.EndIteration(0, 0, 0.5)
+	rec.SendStart(0, 0, 0, 0, 0, "m", 64, nil, 0.25)
+	if rec.Rate(0) != nil {
+		t.Error("a send still on the wire must not count as a transfer")
+	}
+	rec.SendComplete(0, 0, 0, true, 0.75)
+	rec.EndIteration(0, 0, 1)
 	rt := rec.Rate(0)
 	if rt == nil {
 		t.Fatal("Rate after a transfer should be non-nil")
+	}
+	if rt.TotalBytes() != 64 || rt.BytesBetween(0.25, 0.5) != 32 {
+		t.Errorf("rate series = %v total, %v in the first half; want 64, 32", rt.TotalBytes(), rt.BytesBetween(0.25, 0.5))
 	}
 }
 

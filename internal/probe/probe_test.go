@@ -3,8 +3,11 @@ package probe
 import (
 	"bytes"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+
+	"prophet/internal/metrics"
 )
 
 // countObs counts events per method (single-threaded test helper).
@@ -107,8 +110,18 @@ func TestSpanRecorderScript(t *testing.T) {
 	if n := rec.Iterations(0).Count(); n != 1 {
 		t.Errorf("iteration count = %d, want 1", n)
 	}
-	if tl := rec.Transfers(); len(tl.Entries) != 2 {
-		t.Errorf("transfer entries = %d, want 2", len(tl.Entries))
+	wantLog := []metrics.TransferEntry{
+		{Iteration: 0, Gradient: 1, Generated: 1.0, Start: 2.0, End: 3.0},
+		{Iteration: 0, Gradient: 0, Generated: 1.5, Start: 3.0, End: 3.5},
+	}
+	if tl := rec.Transfers(0); !reflect.DeepEqual(tl.Entries, wantLog) {
+		t.Errorf("transfer log = %+v, want %+v", tl.Entries, wantLog)
+	}
+	if tl := rec.Transfers(1); len(tl.Entries) != 0 {
+		t.Errorf("worker 1 never transmitted, got %d transfer entries", len(tl.Entries))
+	}
+	if rt := rec.Rate(0); rt.TotalBytes() != 150 || rt.BytesBetween(2.5, 3.25) != 75 {
+		t.Errorf("rate series: total %v, [2.5, 3.25) %v; want 150, 75", rt.TotalBytes(), rt.BytesBetween(2.5, 3.25))
 	}
 	if got := rec.GatedCount(0); got != 1 {
 		t.Errorf("gated count = %d, want 1", got)
@@ -121,6 +134,51 @@ func TestSpanRecorderScript(t *testing.T) {
 	}
 	if ls := rec.Lanes(0); len(ls) != 1 || ls[0] != 0 {
 		t.Errorf("lanes = %v", ls)
+	}
+}
+
+// Rate and Transfers are views: derived from the spans and gradient
+// lifecycles on every call, per worker, in time order across lanes, without
+// touching the recorder.
+func TestRateAndTransfersAreViews(t *testing.T) {
+	rec := NewSpanRecorder()
+	for w := 0; w < 2; w++ {
+		rec.BeginIteration(w, 0, 0)
+		rec.Generated(w, 0, 0.1)
+		rec.Generated(w, 1, 0.1)
+		// Two lanes in flight at once; lane 1 finishes first.
+		rec.SendStart(w, 0, 0, 0, 0, "a", 80, []Range{{Grad: 0, Bytes: 80, Last: true}}, 0.2)
+		rec.SendStart(w, 1, 1, 0, 1, "b", 20, []Range{{Grad: 1, Bytes: 20, Last: true}}, 0.25)
+		rec.SendComplete(w, 1, 0, true, 0.3)
+		rec.SendComplete(w, 0, 0, true, 0.6)
+		rec.EndIteration(w, 0, 1)
+	}
+	spans, grads := rec.Spans(), rec.Grads()
+
+	r1, r2 := rec.Rate(1), rec.Rate(1)
+	if r1 == r2 || !reflect.DeepEqual(r1, r2) {
+		t.Errorf("Rate should return equal, independent series: %+v vs %+v", r1, r2)
+	}
+	if r1.TotalBytes() != 100 {
+		t.Errorf("worker 1 moved %v bytes, want 100 (its own spans only)", r1.TotalBytes())
+	}
+	t1, t2 := rec.Transfers(1), rec.Transfers(1)
+	if !reflect.DeepEqual(t1, t2) {
+		t.Errorf("Transfers differ between calls: %+v vs %+v", t1, t2)
+	}
+	want := []metrics.TransferEntry{
+		{Gradient: 1, Generated: 0.1, Start: 0.25, End: 0.3},
+		{Gradient: 0, Generated: 0.1, Start: 0.2, End: 0.6},
+	}
+	if !reflect.DeepEqual(t1.Entries, want) {
+		t.Errorf("worker 1 transfer log = %+v, want %+v (completion order)", t1.Entries, want)
+	}
+	t1.Entries[0].End = 99 // a caller's edit must not reach the recorder
+	if !reflect.DeepEqual(rec.Transfers(1), t2) {
+		t.Error("editing a returned log changed the next view")
+	}
+	if !reflect.DeepEqual(rec.Spans(), spans) || !reflect.DeepEqual(rec.Grads(), grads) {
+		t.Error("reading the views mutated the recorder's primary records")
 	}
 }
 

@@ -75,13 +75,17 @@ type laneKey struct{ worker, lane int }
 
 type gradKey struct{ worker, iter, grad int }
 
-// SpanRecorder is an Observer that reconstructs the simulator's metrics
-// views — iteration logs, per-lane busy IntervalSeries, per-worker
-// RateSeries, the per-gradient TransferLog — from the probe event stream,
-// plus the raw send spans and gradient lifecycles the Chrome trace and the
-// attribution analyzer consume. It is mutex-protected and safe for the
-// live path's concurrent emitters; per-(worker, lane) event order is the
-// only ordering it relies on (lanes are serial).
+// SpanRecorder is an Observer that keeps the primary records of a run —
+// send spans, collective steps, gradient lifecycles, iteration logs,
+// planned windows, alarms, faults — as the probe stream delivers them, and
+// derives every timeline view on read: Rate(worker) from the spans,
+// Transfers(worker) from the gradient lifecycles. It is the one place any
+// executor's throughput timeline or transfer log comes from. The per-lane
+// busy series is the single derived structure maintained eagerly, because
+// attrib.Analyze looks it up once per gradient. The recorder is
+// mutex-protected and safe for the live path's concurrent emitters;
+// per-(worker, lane) event order is the only ordering it relies on (lanes
+// are serial).
 type SpanRecorder struct {
 	mu sync.Mutex
 
@@ -91,13 +95,11 @@ type SpanRecorder struct {
 	iters     map[int]*metrics.IterationLog
 
 	lanes    map[laneKey]*metrics.IntervalSeries
-	rates    map[int]*metrics.RateSeries
 	inflight map[laneKey]*openSend
 
-	spans     []SendSpan
-	steps     []StepSpan
-	transfers metrics.TransferLog
-	grads     map[gradKey]*GradTimes
+	spans []SendSpan
+	steps []StepSpan
+	grads map[gradKey]*GradTimes
 
 	planned []PlannedSpan
 	alarms  []DriftAlarmEvent
@@ -107,7 +109,6 @@ type SpanRecorder struct {
 	rFree  [][]Range
 
 	iterHint int
-	volHint  int
 }
 
 // NewSpanRecorder returns an empty recorder.
@@ -118,7 +119,6 @@ func NewSpanRecorder() *SpanRecorder {
 		iterStart: make(map[[2]int]float64),
 		iters:     make(map[int]*metrics.IterationLog),
 		lanes:     make(map[laneKey]*metrics.IntervalSeries),
-		rates:     make(map[int]*metrics.RateSeries),
 		inflight:  make(map[laneKey]*openSend),
 		grads:     make(map[gradKey]*GradTimes),
 		gated:     make(map[int]int64),
@@ -168,19 +168,6 @@ func (r *SpanRecorder) EndIteration(worker, iter int, now float64) {
 func (r *SpanRecorder) SetIterationHint(n int) {
 	r.mu.Lock()
 	r.iterHint = n
-	r.mu.Unlock()
-}
-
-// SetVolumeHint tells the recorder how many transfers each worker will
-// record (≈ iterations × gradients) across workers workers, pre-sizing the
-// per-worker rate series and the shared transfer log the same way
-// SetIterationHint pre-sizes the iteration logs. Zero keeps append growth.
-func (r *SpanRecorder) SetVolumeHint(perWorker, workers int) {
-	r.mu.Lock()
-	r.volHint = perWorker
-	if perWorker > 0 && workers > 0 {
-		r.transfers.Grow(perWorker * workers)
-	}
 	r.mu.Unlock()
 }
 
@@ -242,13 +229,6 @@ func (r *SpanRecorder) SendComplete(worker, lane, iter int, msgDone bool, now fl
 	}
 	delete(r.inflight, lk)
 	r.lanes[lk].Stop(now)
-	rt, ok := r.rates[worker]
-	if !ok {
-		rt = &metrics.RateSeries{}
-		rt.Grow(r.volHint)
-		r.rates[worker] = rt
-	}
-	rt.Add(o.start, now, o.bytes)
 	r.spans[o.spanIdx].End = now
 	for _, rg := range o.ranges {
 		if !rg.Last {
@@ -257,13 +237,6 @@ func (r *SpanRecorder) SendComplete(worker, lane, iter int, msgDone bool, now fl
 		g := r.grad(gradKey{worker, o.iter, rg.Grad})
 		g.HasEnd = true
 		g.End = now
-		r.transfers.Add(metrics.TransferEntry{
-			Iteration: o.iter,
-			Gradient:  rg.Grad,
-			Generated: g.Generated,
-			Start:     g.Start,
-			End:       now,
-		})
 	}
 	r.rFree = append(r.rFree, o.ranges[:0])
 	r.mu.Unlock()
@@ -424,21 +397,66 @@ func (r *SpanRecorder) LaneBusy(worker, lane int) *metrics.IntervalSeries {
 	return r.lanes[laneKey{worker, lane}]
 }
 
-// Rate returns worker's uplink RateSeries, nil if it never transmitted.
+// Rate returns worker's uplink payload series (the Fig. 2/10 input): one
+// row per completed send span, across the worker's lanes in time order
+// (End, then Lane). It is a view derived from the recorded spans on every
+// call; nil if the worker never completed a transfer.
 func (r *SpanRecorder) Rate(worker int) *metrics.RateSeries {
+	var done []SendSpan
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rates[worker]
+	for i, s := range r.spans {
+		if s.Worker != worker {
+			continue
+		}
+		if o := r.inflight[laneKey{worker, s.Lane}]; o != nil && o.spanIdx == i {
+			continue // still on the wire: End is a placeholder
+		}
+		done = append(done, s)
+	}
+	r.mu.Unlock()
+	if len(done) == 0 {
+		return nil
+	}
+	sort.SliceStable(done, func(i, j int) bool {
+		if done[i].End != done[j].End {
+			return done[i].End < done[j].End
+		}
+		return done[i].Lane < done[j].Lane
+	})
+	rate := &metrics.RateSeries{}
+	for _, s := range done {
+		rate.Add(s.Start, s.End, s.Bytes)
+	}
+	return rate
 }
 
-// Transfers returns the per-gradient transfer log (the Fig. 11 input).
-// The returned log is a snapshot copy.
-func (r *SpanRecorder) Transfers() *metrics.TransferLog {
+// Transfers returns worker's per-gradient transfer log (the Fig. 11
+// input): one entry per gradient whose last byte left the wire, in time
+// order (End, then Iteration, Gradient). Like Rate it is a view, derived
+// from the gradient lifecycles on every call.
+func (r *SpanRecorder) Transfers(worker int) *metrics.TransferLog {
+	log := &metrics.TransferLog{}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := &metrics.TransferLog{Entries: make([]metrics.TransferEntry, len(r.transfers.Entries))}
-	copy(out.Entries, r.transfers.Entries)
-	return out
+	for _, g := range r.grads {
+		if g.Worker == worker && g.HasEnd {
+			log.Add(metrics.TransferEntry{
+				Iteration: g.Iter, Gradient: g.Grad,
+				Generated: g.Generated, Start: g.Start, End: g.End,
+			})
+		}
+	}
+	r.mu.Unlock()
+	es := log.Entries
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].End != es[j].End {
+			return es[i].End < es[j].End
+		}
+		if es[i].Iteration != es[j].Iteration {
+			return es[i].Iteration < es[j].Iteration
+		}
+		return es[i].Gradient < es[j].Gradient
+	})
+	return log
 }
 
 // Planned returns a copy of the recorded planned spans, sorted by (Worker,

@@ -9,9 +9,6 @@ type Window struct {
 	Start, End float64
 }
 
-// Duration returns the predicted wire time.
-func (w Window) Duration() float64 { return w.End - w.Start }
-
 // IsZero reports whether no prediction was recorded.
 func (w Window) IsZero() bool { return w == Window{} }
 

@@ -46,9 +46,6 @@ func NewP3(sizes []float64, partition float64) *P3 {
 // Name implements Scheduler.
 func (p *P3) Name() string { return "p3" }
 
-// PartitionSize returns the configured partition size.
-func (p *P3) PartitionSize() float64 { return p.partition }
-
 // BeginIteration implements Scheduler.
 func (p *P3) BeginIteration(int) {
 	p.ready = p.ready[:0]

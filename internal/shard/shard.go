@@ -97,9 +97,6 @@ func New(sizes []float64, shards int, placement Placement) (*Map, error) {
 // Shards returns the shard count.
 func (m *Map) Shards() int { return m.shards }
 
-// NumKeys returns how many keys the map places.
-func (m *Map) NumKeys() int { return len(m.of) }
-
 // Of returns the shard owning key k.
 func (m *Map) Of(k int) int {
 	if k < 0 || k >= len(m.of) {

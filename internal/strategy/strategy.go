@@ -5,7 +5,8 @@
 // available under identical names everywhere, and a new strategy registered
 // here lands in both paths by construction.
 //
-// Names: fifo, p3, tictac, bytescheduler, bytescheduler-tuned, prophet.
+// Names: fifo, p3, tictac, bytescheduler, bytescheduler-tuned, fusion,
+// prophet.
 package strategy
 
 import (
@@ -18,12 +19,13 @@ import (
 
 // Default strategy parameters: the paper's testbed configuration (P3
 // partition and ByteScheduler credit 4 MB, Sec. 5.1; tuner exploration
-// bounds 1–16 MB as in Fig. 3(b)).
+// bounds 1–16 MB as in Fig. 3(b)), and Horovod's 64 MB fusion buffer.
 const (
-	DefaultPartition = 4e6
-	DefaultCredit    = 4e6
-	DefaultMinCredit = 1e6
-	DefaultMaxCredit = 16e6
+	DefaultPartition   = 4e6
+	DefaultCredit      = 4e6
+	DefaultMinCredit   = 1e6
+	DefaultMaxCredit   = 16e6
+	DefaultFusionBytes = 64e6
 )
 
 // Params carries everything a strategy constructor may need. Sizes is
@@ -39,6 +41,9 @@ type Params struct {
 	// MinCredit and MaxCredit bound the credit auto-tuner's exploration
 	// (defaults DefaultMinCredit/DefaultMaxCredit).
 	MinCredit, MaxCredit float64
+	// FusionBytes is fusion's buffer threshold in bytes (default
+	// DefaultFusionBytes).
+	FusionBytes float64
 	// Seed drives the tuner's exploration; Worker decorrelates per-worker
 	// tuner instances (each worker derives its own stream from Seed).
 	Seed   uint64
@@ -113,6 +118,13 @@ func (p Params) credit() float64 {
 	return DefaultCredit
 }
 
+func (p Params) fusionBytes() float64 {
+	if p.FusionBytes > 0 {
+		return p.FusionBytes
+	}
+	return DefaultFusionBytes
+}
+
 func (p Params) creditBounds() (float64, float64) {
 	min, max := p.MinCredit, p.MaxCredit
 	if min <= 0 {
@@ -173,6 +185,12 @@ func init() {
 		min, max := p.creditBounds()
 		b.EnableTuning(min, max, p.tunerSeed())
 		return b, nil
+	})
+	Register("fusion", func(p Params) (schedule.Scheduler, error) {
+		if err := needSizes("fusion", p); err != nil {
+			return nil, err
+		}
+		return schedule.NewFusion(p.Sizes, p.fusionBytes()), nil
 	})
 	Register("prophet", func(p Params) (schedule.Scheduler, error) {
 		if p.Profile == nil {

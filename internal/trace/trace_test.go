@@ -10,6 +10,7 @@ import (
 	"prophet/internal/metrics"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
+	"prophet/internal/probe"
 )
 
 func TestWriteCSV(t *testing.T) {
@@ -45,9 +46,10 @@ func TestWriteCSVLengthMismatch(t *testing.T) {
 	}
 }
 
-func clusterRunForTrace(t *testing.T) *cluster.Result {
+func clusterRunForTrace(t *testing.T) (*cluster.Result, *probe.SpanRecorder) {
 	t.Helper()
 	m := model.ResNet18()
+	rec := probe.NewSpanRecorder()
 	res, err := cluster.Run(cluster.Config{
 		Model:     m,
 		Batch:     16,
@@ -56,19 +58,19 @@ func clusterRunForTrace(t *testing.T) *cluster.Result {
 		Uplink: func(int) netsim.LinkConfig {
 			return netsim.DefaultLinkConfig(netsim.Const(netsim.Gbps(5)))
 		},
-		Iterations:   2,
-		Seed:         1,
-		RecordLinks:  true,
-		LogTransfers: true,
+		Iterations:  2,
+		Seed:        1,
+		RecordLinks: true,
+		Observer:    rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, rec
 }
 
 func TestChromeTraceRoundTrips(t *testing.T) {
-	res := clusterRunForTrace(t)
+	res, _ := clusterRunForTrace(t)
 	events := ChromeTrace(res)
 	if len(events) == 0 {
 		t.Fatal("no events")
@@ -116,9 +118,9 @@ func TestWriteTransferCSV(t *testing.T) {
 }
 
 func TestWriteTransferCSVFromRun(t *testing.T) {
-	res := clusterRunForTrace(t)
+	_, rec := clusterRunForTrace(t)
 	var buf bytes.Buffer
-	if err := WriteTransferCSV(&buf, res.Transfers); err != nil {
+	if err := WriteTransferCSV(&buf, rec.Transfers(0)); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Count(buf.String(), "\n")

@@ -139,12 +139,6 @@ func NewMuxConn(conn net.Conn, o MuxOptions) *MuxConn {
 	return m
 }
 
-// Streams returns the configured stream count.
-func (m *MuxConn) Streams() int { return m.streams }
-
-// Window returns the per-stream credit window in bytes.
-func (m *MuxConn) Window() int { return int(m.window) }
-
 // Close wakes every sender blocked on credit and closes the underlying
 // connection. Idempotent.
 func (m *MuxConn) Close() error {

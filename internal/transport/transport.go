@@ -91,9 +91,6 @@ func NewLimiter(bytesPerSec, burst float64) *Limiter {
 	}
 }
 
-// Rate returns the configured bytes/sec.
-func (l *Limiter) Rate() float64 { return l.rate }
-
 // Wait blocks until n bytes may be sent. Requests larger than the burst are
 // admitted in burst-sized installments.
 func (l *Limiter) Wait(n int) {
