@@ -11,11 +11,12 @@ RACE_PKGS := ./internal/transport ./internal/ps ./internal/emu ./internal/drive 
 FUZZTIME ?= 10s
 
 # Per-package coverage floors (percent) for the scheduling core and the
-# live wire beneath it: the drive layer, the collective transports on top
-# of it (simulated and live), the strategy registry, the PS + frame
-# transport packages the emulation runs over, and the observability stack
-# (probe events, stall attribution, prediction audit).
-COVER_PKGS  := ./internal/drive ./internal/allreduce ./internal/strategy ./internal/ps ./internal/transport ./internal/collective ./internal/probe ./internal/probe/attrib ./internal/probe/predict
+# live wire beneath it: the drive layer, the one simulated executor on top
+# of it (PS and collective wires) and the live collective, the strategy
+# registry, the PS + frame transport packages the emulation runs over, and
+# the observability stack (probe events, stall attribution, prediction
+# audit).
+COVER_PKGS  := ./internal/drive ./internal/cluster ./internal/strategy ./internal/ps ./internal/transport ./internal/collective ./internal/probe ./internal/probe/attrib ./internal/probe/predict
 COVER_FLOOR ?= 80
 
 .PHONY: check tier1 build vet test lint race bench bench-scale fuzz trace-smoke conformance conformance-live cover predict-smoke benchmark-smoke
@@ -77,16 +78,19 @@ cover:
 			echo "coverage $$pct% below floor $(COVER_FLOOR)% for $$pkg"; fail=1; fi; \
 	done; exit $$fail
 
-# End-to-end trace export gate: run prophet-trace on both execution paths
-# and validate the Chrome trace JSON (structure + required fields).
+# End-to-end trace export gate: run prophet-trace on both execution paths —
+# the simulator on both of its wires — and validate the Chrome trace JSON
+# (structure + required fields).
 trace-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) run ./cmd/prophet-trace -path sim -policy fifo -iters 3 \
 		-out $$tmp/sim.json -attrib $$tmp/sim_attrib.txt && \
+	$(GO) run ./cmd/prophet-trace -path sim -transport ring -policy prophet -iters 3 \
+		-out $$tmp/ring.json -attrib $$tmp/ring_attrib.txt && \
 	$(GO) run ./cmd/prophet-trace -path emu -policy prophet -iters 4 \
 		-out $$tmp/emu.json -attrib $$tmp/emu_attrib.txt && \
-	$(GO) run ./cmd/tracecheck $$tmp/sim.json $$tmp/emu.json && \
-	test -s $$tmp/sim_attrib.txt && test -s $$tmp/emu_attrib.txt
+	$(GO) run ./cmd/tracecheck $$tmp/sim.json $$tmp/ring.json $$tmp/emu.json && \
+	test -s $$tmp/sim_attrib.txt && test -s $$tmp/ring_attrib.txt && test -s $$tmp/emu_attrib.txt
 
 # Reproducible single-shot benchmark pass; see README for regenerating
 # bench_results.txt.

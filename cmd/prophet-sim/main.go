@@ -11,12 +11,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"strings"
 
-	"prophet/internal/allreduce"
 	"prophet/internal/cluster"
 	"prophet/internal/drive"
 	"prophet/internal/model"
@@ -30,25 +30,35 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: one cluster.Run on the transport -transport
+// names, reported by one print block.
+func run(args []string, out io.Writer) error {
 	policyUsage := "scheduling strategy: " + strings.Join(strategy.Names(), "|")
+	fs := flag.NewFlagSet("prophet-sim", flag.ExitOnError) // as the global flag set behaves
 	var (
-		modelName = flag.String("model", "resnet50", "model: resnet18|resnet50|resnet152|inception-v3|vgg19|alexnet")
-		batch     = flag.Int("batch", 64, "per-worker mini-batch size")
-		workers   = flag.Int("workers", 3, "number of worker nodes")
-		bandwidth = flag.Float64("bandwidth", 3000, "per-worker bandwidth limit in Mbps")
-		policy    = flag.String("policy", "prophet", policyUsage)
-		iters     = flag.Int("iters", 12, "training iterations")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		partition = flag.Float64("partition", 4, "P3 partition size in MB")
-		credit    = flag.Float64("credit", 4, "ByteScheduler credit in MB")
-		shards    = flag.Int("shards", 1, "parameter server shards (key-sharded multi-PS)")
-		placement = flag.String("placement", "size-balanced", "key→shard placement: round-robin|size-balanced")
-		splitNIC  = flag.Bool("split-nic", false, "scale each shard link to 1/shards of the bandwidth (one NIC split across shards) instead of full speed per shard")
-		transport = flag.String("transport", "ps", "transport backend: "+strings.Join(drive.BackendNames(), "|"))
-		audit     = flag.Bool("audit", false, "score predicted vs actual send windows and print the prediction-audit table (served on /predict with -debug-addr)")
-		debugAddr = flag.String("debug-addr", "", "serve live metrics as JSON on this address (e.g. 127.0.0.1:6060/metrics, /predict with -audit) and dump them after the run")
+		modelName = fs.String("model", "resnet50", "model: resnet18|resnet50|resnet152|inception-v3|vgg19|alexnet")
+		batch     = fs.Int("batch", 64, "per-worker mini-batch size")
+		workers   = fs.Int("workers", 3, "number of worker nodes")
+		bandwidth = fs.Float64("bandwidth", 3000, "per-worker bandwidth limit in Mbps")
+		policy    = fs.String("policy", "prophet", policyUsage)
+		iters     = fs.Int("iters", 12, "training iterations")
+		seed      = fs.Uint64("seed", 1, "simulation seed")
+		partition = fs.Float64("partition", 4, "P3 partition size in MB")
+		credit    = fs.Float64("credit", 4, "ByteScheduler credit in MB")
+		shards    = fs.Int("shards", 1, "parameter server shards (key-sharded multi-PS)")
+		placement = fs.String("placement", "size-balanced", "key→shard placement: round-robin|size-balanced")
+		splitNIC  = fs.Bool("split-nic", false, "scale each shard link to 1/shards of the bandwidth (one NIC split across shards) instead of full speed per shard")
+		transport = fs.String("transport", "ps", "transport backend: "+strings.Join(drive.BackendNames(), "|"))
+		audit     = fs.Bool("audit", false, "score predicted vs actual send windows and print the prediction-audit table (served on /predict with -debug-addr)")
+		debugAddr = fs.String("debug-addr", "", "serve live metrics as JSON on this address (e.g. 127.0.0.1:6060/metrics, /predict with -audit) and dump them after the run")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse does not return on a bad flag
 
 	// Same observability surface as prophet-emu: a probe.Metrics registry
 	// behind -debug-addr (nil keeps the unobserved fast path), plus the
@@ -64,8 +74,7 @@ func main() {
 	if *debugAddr != "" {
 		ln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer ln.Close()
 		mux := http.NewServeMux()
@@ -76,13 +85,12 @@ func main() {
 			endpoints += " and /predict"
 		}
 		go http.Serve(ln, mux) //nolint:errcheck — dies with the process
-		fmt.Printf("serving %s on http://%s\n", endpoints, ln.Addr())
+		fmt.Fprintf(out, "serving %s on http://%s\n", endpoints, ln.Addr())
 	}
 
 	base, err := model.ByName(*modelName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	wire := model.WithWireFactor(base, 2)
 	aggBytes := wire.TotalBytes() / 13
@@ -92,8 +100,7 @@ func main() {
 	agg := stepwise.Aggregate(wire, aggBytes, 0)
 
 	if err := strategy.Check(*policy); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	opt := cluster.Options{
 		Partition: *partition * 1e6,
@@ -103,10 +110,9 @@ func main() {
 	if *policy == "prophet" {
 		prof, err := profiler.Run(profiler.Config{Model: wire, Batch: *batch, Agg: agg, Seed: *seed * 97})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("profiled %d iterations: %d stepwise blocks, backward %.0f ms, cost %.1f s\n",
+		fmt.Fprintf(out, "profiled %d iterations: %d stepwise blocks, backward %.0f ms, cost %.1f s\n",
 			prof.Iterations, len(prof.Blocks), 1e3*prof.Gen[0], prof.WallTime)
 		opt.Profile = prof.Profile()
 	}
@@ -114,55 +120,9 @@ func main() {
 		return netsim.DefaultLinkConfig(netsim.Const(netsim.Goodput(netsim.Mbps(*bandwidth))))
 	}
 
-	if *transport != "ps" {
-		// Collective path: the strategy schedules ring/tree chunk blocks
-		// through the same drive layer; sharding is a PS concept.
-		if *shards != 1 {
-			fmt.Fprintf(os.Stderr, "prophet-sim: -shards is a PS option (transport %s)\n", *transport)
-			os.Exit(1)
-		}
-		factory, err := cluster.ByNameTransport(*policy, *transport, *workers, wire, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		res, err := allreduce.Run(allreduce.Config{
-			Model:      wire,
-			Batch:      *batch,
-			Workers:    *workers,
-			Agg:        agg,
-			Link:       uplink(0),
-			Backend:    *transport,
-			Scheduler:  factory,
-			Iterations: *iters,
-			Seed:       *seed,
-			Observer:   observers(m, aud),
-			Predict:    *audit,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		warmup := 2
-		if *iters <= warmup {
-			warmup = 0
-		}
-		fmt.Printf("%s over %s on %s: batch %d, %d workers, %.0f Mbps/link\n",
-			res.SchedulerName, res.Backend, base.Name, *batch, *workers, *bandwidth)
-		fmt.Printf("  training rate:   %8.2f samples/s per worker (%8.2f aggregate)\n",
-			res.Rate(warmup), res.Rate(warmup)*float64(*workers))
-		fmt.Printf("  GPU utilization: %7.1f%%\n", 100*res.GPU.BusyBetween(0, res.Duration)/res.Duration)
-		fmt.Printf("  collective ops:  %7d (%.1f per iteration)\n",
-			res.Reductions, float64(res.Reductions)/float64(*iters))
-		fmt.Printf("  simulated time:  %7.2f s for %d iterations\n", res.Duration, *iters)
-		finishObservability(m, aud)
-		return
-	}
-
-	factory, err := cluster.ByName(*policy, wire, opt)
+	factory, err := cluster.ByNameTransport(*policy, *transport, *workers, wire, opt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	// The uplink payload line is read from the probe stream, the only record
 	// of when bytes moved.
@@ -171,6 +131,7 @@ func main() {
 		Model:          wire,
 		Batch:          *batch,
 		Workers:        *workers,
+		Transport:      *transport,
 		Agg:            agg,
 		Uplink:         uplink,
 		Scheduler:      factory,
@@ -191,31 +152,34 @@ func main() {
 	}
 	res, err := cluster.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
 	warmup := 2
 	if *iters <= warmup {
 		warmup = 0
 	}
-	fmt.Printf("%s on %s: batch %d, %d workers, %.0f Mbps/worker\n",
-		res.SchedulerName, base.Name, *batch, *workers, *bandwidth)
+	fmt.Fprintf(out, "%s over %s on %s: batch %d, %d workers, %.0f Mbps/link\n",
+		res.SchedulerName, *transport, base.Name, *batch, *workers, *bandwidth)
 	if res.Shards > 1 {
 		mode := "full-speed shard links"
 		if *splitNIC {
 			mode = "NIC split across shards"
 		}
-		fmt.Printf("  PS shards:       %7d (%s placement, %s; load imbalance %.3f)\n",
+		fmt.Fprintf(out, "  PS shards:       %7d (%s placement, %s; load imbalance %.3f)\n",
 			res.Shards, *placement, mode, res.ShardMap.Imbalance())
 	}
-	fmt.Printf("  training rate:   %8.2f samples/s per worker (%8.2f aggregate)\n",
+	fmt.Fprintf(out, "  training rate:   %8.2f samples/s per worker (%8.2f aggregate)\n",
 		res.Rate(warmup), res.ClusterRate(warmup))
-	fmt.Printf("  GPU utilization: %7.1f%%\n", 100*res.GPUUtil(0, warmup))
-	fmt.Printf("  uplink payload:  %7.1f MB/s average\n",
+	fmt.Fprintf(out, "  GPU utilization: %7.1f%%\n", 100*res.GPUUtil(0, warmup))
+	fmt.Fprintf(out, "  uplink payload:  %7.1f MB/s average\n",
 		rec.Rate(0).Throughput(res.Iters.Starts[warmup], res.Duration)/1e6)
-	fmt.Printf("  simulated time:  %7.2f s for %d iterations\n", res.Duration, *iters)
-	finishObservability(m, aud)
+	if *transport != "ps" {
+		fmt.Fprintf(out, "  collective ops:  %7d (%.1f per iteration)\n",
+			res.Sends, float64(res.Sends)/float64(*iters))
+	}
+	fmt.Fprintf(out, "  simulated time:  %7.2f s for %d iterations\n", res.Duration, *iters)
+	return finishObservability(out, m, aud)
 }
 
 // observers fans the simulation's event stream out to the sinks that were
@@ -233,17 +197,15 @@ func observers(m *probe.Metrics, aud *predict.Auditor) probe.Observer {
 
 // finishObservability prints the end-of-run audit table and metrics dump,
 // mirroring prophet-emu's epilogue.
-func finishObservability(m *probe.Metrics, aud *predict.Auditor) {
+func finishObservability(out io.Writer, m *probe.Metrics, aud *predict.Auditor) error {
 	if aud != nil {
 		aud.Flush()
-		fmt.Println("  prediction audit (planned vs observed send windows):")
-		aud.Report().Render(os.Stdout)
+		fmt.Fprintln(out, "  prediction audit (planned vs observed send windows):")
+		aud.Report().Render(out)
 	}
 	if m != nil {
-		fmt.Println("  metrics:")
-		if err := m.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		fmt.Fprintln(out, "  metrics:")
+		return m.WriteJSON(out)
 	}
+	return nil
 }

@@ -18,7 +18,6 @@ import (
 	"os"
 	"strings"
 
-	"prophet/internal/allreduce"
 	"prophet/internal/cluster"
 	"prophet/internal/drive"
 	"prophet/internal/emu"
@@ -172,9 +171,9 @@ func export(rec *probe.SpanRecorder, gpu *metrics.IntervalSeries, down *metrics.
 }
 
 // runSim drives the discrete-event simulator. Exports come from the probe
-// recorder like on every path; the PS simulator's link recordings add what
-// only it has — the message-level Chrome trace (compute, push and pull
-// tracks) and the downlink CSV column.
+// recorder like on every path; the PS wire's link recordings add what only
+// it has — the message-level Chrome trace (compute, push and pull tracks)
+// and the downlink CSV column.
 func runSim(cfg simConfig, out outputs) {
 	base, err := model.ByName(cfg.model)
 	if err != nil {
@@ -203,32 +202,11 @@ func runSim(cfg simConfig, out outputs) {
 	rec := probe.NewSpanRecorder()
 	const bin = 0.05
 
-	if cfg.transport != "ps" {
-		// Collective path: ring/tree chunk schedules over the drive layer.
-		res, err := allreduce.Run(allreduce.Config{
-			Model:      wire,
-			Batch:      cfg.batch,
-			Workers:    cfg.workers,
-			Agg:        agg,
-			Link:       link,
-			Backend:    cfg.transport,
-			Scheduler:  factory,
-			Iterations: cfg.iters,
-			Seed:       cfg.seed,
-			Observer:   rec,
-			Predict:    out.audit != "",
-		})
-		if err != nil {
-			fatal(err)
-		}
-		export(rec, res.GPU, nil, res.Duration, bin, out)
-		return
-	}
-
 	res, err := cluster.Run(cluster.Config{
 		Model:       wire,
 		Batch:       cfg.batch,
 		Workers:     cfg.workers,
+		Transport:   cfg.transport,
 		Agg:         agg,
 		Uplink:      func(int) netsim.LinkConfig { return link },
 		Scheduler:   factory,
@@ -241,15 +219,20 @@ func runSim(cfg simConfig, out outputs) {
 	if err != nil {
 		fatal(err)
 	}
-	if out.json != "" {
-		writeFile(out.json, func(f *os.File) error {
-			return trace.WriteChromeTrace(f, trace.ChromeTrace(res))
-		})
-		out.json = "" // written from the link records; export skips its span-based one
-	}
-	down := &metrics.RateSeries{}
-	for _, r := range res.DownRecords[0] {
-		down.Add(r.Start, r.End, r.Bytes)
+	var down *metrics.RateSeries
+	if len(res.DownRecords) > 0 {
+		// A run with a pull leg: the message-level trace and the downlink
+		// column come from its link records.
+		if out.json != "" {
+			writeFile(out.json, func(f *os.File) error {
+				return trace.WriteChromeTrace(f, trace.ChromeTrace(res))
+			})
+			out.json = "" // written from the link records; export skips its span-based one
+		}
+		down = &metrics.RateSeries{}
+		for _, r := range res.DownRecords[0] {
+			down.Add(r.Start, r.End, r.Bytes)
+		}
 	}
 	export(rec, res.GPU[0], down, res.Duration, bin, out)
 }

@@ -2,8 +2,10 @@ package allreduce
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"prophet/internal/cluster"
 	"prophet/internal/drive"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
@@ -14,7 +16,7 @@ import (
 
 // fusion builds the registry's fusion strategy over m's gradients with the
 // given buffer threshold (0 = the registry's 64 MB default).
-func fusion(m *model.Model, bytes float64) SchedulerFactory {
+func fusion(m *model.Model, bytes float64) cluster.SchedulerFactory {
 	sizes := make([]float64, m.NumGradients())
 	for i, g := range m.Grads {
 		sizes[i] = g.Bytes()
@@ -38,6 +40,33 @@ func baseCfg() Config {
 		Scheduler:  fusion(m, 0),
 		Iterations: 6,
 		Seed:       1,
+	}
+}
+
+// TestShimAgreesWithCluster pins the shim as a pure renaming: the run it
+// starts is the cluster.Run a caller would write by hand.
+func TestShimAgreesWithCluster(t *testing.T) {
+	cfg := baseCfg()
+	cfg.RecordMessages = true
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cluster.Run(cluster.Config{
+		Model: cfg.Model, Batch: cfg.Batch, Workers: cfg.Workers, Transport: "ring",
+		Uplink:    func(int) netsim.LinkConfig { return cfg.Link },
+		Scheduler: cfg.Scheduler, Iterations: cfg.Iterations, Seed: cfg.Seed,
+		RecordMessages: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Duration != want.Duration || got.Reductions != want.Sends || got.Rate(1) != want.Rate(1) {
+		t.Fatalf("shim: duration %v, %d reductions, rate %v; cluster.Run: %v, %d, %v",
+			got.Duration, got.Reductions, got.Rate(1), want.Duration, want.Sends, want.Rate(1))
+	}
+	if got.Reductions == 0 || !reflect.DeepEqual(got.Messages, want.Messages) {
+		t.Fatalf("decision logs differ: shim %d records, cluster.Run %d", len(got.Messages), len(want.Messages))
 	}
 }
 
@@ -154,9 +183,6 @@ func TestStepTimeFormula(t *testing.T) {
 	// The ring backend's chunk schedule must reproduce the closed-form cost
 	// model: T(s) = 2(W−1) × (setup + (s/W + ramp)/B).
 	cfg := baseCfg()
-	if err := cfg.setDefaults(); err != nil {
-		t.Fatal(err)
-	}
 	be, err := drive.BackendByName("ring")
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +205,7 @@ func TestGPUTimelineRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	busy := res.GPU.BusyBetween(0, res.Duration)
+	busy := res.GPU[0].BusyBetween(0, res.Duration)
 	if busy <= 0 || busy > res.Duration {
 		t.Fatalf("busy = %v of %v", busy, res.Duration)
 	}

@@ -73,8 +73,8 @@ func TestEveryStrategyOnEveryCollectiveBackend(t *testing.T) {
 				if res.Iters.Count() != 5 || res.Rate(1) <= 0 {
 					t.Fatalf("incomplete run: %d iterations, rate %v", res.Iters.Count(), res.Rate(1))
 				}
-				if res.SchedulerName == "" || res.Backend != transport {
-					t.Fatalf("result metadata: scheduler %q, backend %q", res.SchedulerName, res.Backend)
+				if res.SchedulerName == "" {
+					t.Fatal("result metadata: empty scheduler name")
 				}
 				if res.Reductions <= 0 || len(res.Messages) != res.Reductions {
 					t.Fatalf("decision log: %d records for %d reductions", len(res.Messages), res.Reductions)

@@ -18,6 +18,11 @@
 //
 // Everything a strategy can influence is delegated to a schedule.Scheduler,
 // so FIFO, P3, ByteScheduler, and Prophet run on identical substrate.
+//
+// Config.Transport swaps the wire beneath that loop: the parameter server
+// above ("ps"), or a ring/tree collective in which the last two bullets
+// collapse into one — a gradient is back on every worker the moment the
+// collective operation carrying it completes (see collective.go).
 package cluster
 
 import (
@@ -41,13 +46,24 @@ type Config struct {
 	Hardware model.Hardware
 	// Batch is the per-worker mini-batch size.
 	Batch int
-	// Workers is the number of worker nodes (the PS is separate).
+	// Workers is the number of worker nodes (the PS is separate); on a
+	// collective transport, the ring size.
 	Workers int
+	// Transport names the wire beneath the drive layer, resolved through
+	// drive.BackendByName exactly as emu.Config.Transport is: "ps" (the
+	// default) or a collective, "ring" or "tree". A collective is a lockstep
+	// exchange — the ring is itself a barrier — so the run simulates one
+	// timeline (worker 0) on one serial link, Uplink(0): rings are
+	// homogeneous. What has no physical meaning there is rejected: Workers
+	// < 2, PSShards > 1, ASP, Faults.
+	Transport string
 	// Agg is the gradient aggregation bucketing (stepwise source). If
-	// empty, stepwise.Aggregate(Model, 8 MB, 0) is used.
+	// empty, the model is bucketed at TotalBytes/13 (floored at 4 MB) per
+	// push: stepwise.Aggregate(Model, max(TotalBytes/13, 4 MB), 0).
 	Agg stepwise.Buckets
 	// Uplink and Downlink give each worker's link configuration. If nil,
 	// netsim.DefaultLinkConfig(Const(1.25 GB/s)) (10 Gbps) is used.
+	// Downlink is unused on a collective transport, which has no pull leg.
 	Uplink, Downlink func(worker int) netsim.LinkConfig
 	// PSShards partitions gradients (keys) across that many parameter-
 	// server shard instances, each behind its own uplink/downlink pair per
@@ -94,7 +110,8 @@ type Config struct {
 	// messages: a push message larger than this mirrors back as several
 	// pulls, each unlocking its gradients as it lands — BytePS serves
 	// parameter responses per partition regardless of how pushes were
-	// batched. Default 4 MB; negative disables splitting.
+	// batched. Default 6 MB; negative disables splitting. Unused on a
+	// collective transport, which has no pull leg.
 	PullPartition float64
 	// Faults injects crash-stop worker failures (the degraded workers of
 	// the paper's Sec. 7 discussion): each faulted worker halts at the
@@ -104,21 +121,24 @@ type Config struct {
 	// (default FaultFailFast).
 	FaultPolicy FaultPolicy
 	// Observer, when non-nil, receives the probe event stream from every
-	// worker (times are simulated seconds). Observation is passive — a run
+	// worker (times are simulated seconds); one that also implements
+	// probe.StepObserver additionally receives a collective's per-chunk
+	// steps. Observation is passive — a run
 	// with an Observer attached produces bit-identical schedules to one
 	// without. The stream is the only record of when bytes moved: a run
 	// that wants an uplink throughput timeline or the per-gradient
 	// transfer log (Figs. 2, 10, 11) attaches a probe.SpanRecorder here and
 	// reads its Rate(worker) / Transfers(worker) views afterwards.
 	Observer probe.Observer
-	// Predict attaches a schedule.LinkCost model to every worker's driver,
-	// stamping each decision Record with its planned wire window and
-	// announcing it through probe.PlanObserver — the input to the
-	// prediction audit (internal/probe/predict). The model reads the
-	// link's ground-truth trace at decision time, so on a constant trace
-	// predictions are exact and on a varying trace the error IS the drift
-	// the audit measures. Prediction is passive: schedules are
-	// bit-identical with it on or off.
+	// Predict attaches the wire's cost model to every worker's driver — a
+	// schedule.LinkCost on the PS wire, a drive.CollectiveCost playing the
+	// backend's chunk schedule on a collective — stamping each decision
+	// Record with its planned wire window and announcing it through
+	// probe.PlanObserver — the input to the prediction audit
+	// (internal/probe/predict). The model reads the link's ground-truth
+	// trace at decision time, so on a constant trace predictions are exact
+	// and on a varying trace the error IS the drift the audit measures.
+	// Prediction is passive: schedules are bit-identical with it on or off.
 	Predict bool
 }
 
@@ -203,6 +223,30 @@ func (c *Config) setDefaults() error {
 	if c.PSShards < 0 {
 		return fmt.Errorf("cluster: negative PSShards")
 	}
+	if c.Transport == "" {
+		c.Transport = "ps"
+	}
+	be, err := drive.BackendByName(c.Transport)
+	if err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	c.Transport = be.Name()
+	if c.Transport != "ps" {
+		// What is left is physical, as in emu.Config.validate: the schedule
+		// needs its peers, there is no server to shard or to answer one
+		// worker ahead of the others, and nobody to renormalize a barrier
+		// around a crashed peer.
+		switch {
+		case c.Workers < 2:
+			return fmt.Errorf("cluster: transport %q needs peers (Workers %d)", c.Transport, c.Workers)
+		case c.PSShards > 1:
+			return fmt.Errorf("cluster: transport %q has no parameter server to shard (PSShards %d)", c.Transport, c.PSShards)
+		case c.ASP:
+			return fmt.Errorf("cluster: transport %q is a lockstep exchange; ASP needs a parameter server", c.Transport)
+		case len(c.Faults) > 0:
+			return fmt.Errorf("cluster: transport %q is a lockstep exchange with no barrier to renormalize (Faults)", c.Transport)
+		}
+	}
 	if c.ShardPlacement == "" {
 		c.ShardPlacement = shard.RoundRobin
 	}
@@ -248,17 +292,24 @@ type Result struct {
 	// the previous backward pass, Iters.Ends[k] this one's, so spans are
 	// contiguous and SteadyRate measures true steady-state throughput.
 	Iters metrics.IterationLog
-	// GPU[w] records worker w's compute-busy intervals.
+	// GPU[w] records worker w's compute-busy intervals. A collective run
+	// simulates one lockstep timeline, so it fills GPU[0] only.
 	GPU []*metrics.IntervalSeries
 	// Shards echoes the PS shard count, and ShardMap the key→shard
-	// assignment used.
+	// assignment used (zero and nil on a collective transport).
 	Shards   int
 	ShardMap *shard.Map
 	// UpRecords and DownRecords are per-worker per-message link traces
-	// (populated when RecordLinks is set).
+	// (populated when RecordLinks is set). A collective run fills
+	// UpRecords[0] with its one link's chunk steps and no DownRecords: it
+	// has no downlink.
 	UpRecords, DownRecords [][]netsim.TransferRecord
 	// Messages is worker 0's scheduler decision log (RecordMessages).
 	Messages []drive.Record
+	// Sends counts the sends worker 0's driver started on its wire:
+	// per-shard sub-messages on the PS wire, whole collective operations on
+	// ring and tree.
+	Sends int
 	// Duration is the total simulated time.
 	Duration float64
 	// Batch and Workers echo the configuration.
@@ -297,27 +348,30 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	eng := sim.New()
-	sizes := gradSizes(cfg.Model)
-	smap, err := shard.New(sizes, cfg.PSShards, cfg.ShardPlacement)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	ps := newParamServer(cfg.Workers, cfg.Model.NumGradients(), sizes)
-	ps.asp = cfg.ASP
-	ps.dead = make([]bool, cfg.Workers)
+	res := &Result{Batch: cfg.Batch, Workers: cfg.Workers}
 
-	res := &Result{
-		Batch:    cfg.Batch,
-		Workers:  cfg.Workers,
-		Shards:   smap.Shards(),
-		ShardMap: smap,
+	// dead[w] marks worker w dropped from the barrier (FaultDrop), which
+	// only a parameter server has.
+	dead := make([]bool, cfg.Workers)
+	var workers []*worker
+	if cfg.Transport == "ps" {
+		sizes := gradSizes(cfg.Model)
+		smap, err := shard.New(sizes, cfg.PSShards, cfg.ShardPlacement)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: %w", err)
+		}
+		ps := newParamServer(cfg.Workers, cfg.Model.NumGradients(), sizes)
+		ps.asp, ps.dead = cfg.ASP, dead
+		res.Shards, res.ShardMap = smap.Shards(), smap
+		workers = make([]*worker, cfg.Workers)
+		for w := range workers {
+			workers[w] = newWorker(w, eng, &cfg, ps, smap)
+		}
+		ps.workersRef = workers
+	} else {
+		// Lockstep: worker 0's timeline is every worker's.
+		workers = []*worker{newWorker(0, eng, &cfg, nil, nil)}
 	}
-
-	workers := make([]*worker, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		workers[w] = newWorker(w, eng, &cfg, ps, smap)
-	}
-	ps.workersRef = workers
 	res.SchedulerName = workers[0].sched.Name()
 
 	for _, w := range workers {
@@ -340,7 +394,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	for _, w := range workers {
-		if w.halted || ps.dead[w.id] {
+		if w.halted || dead[w.id] {
 			continue // crash-stop under a tolerant policy: expected shortfall
 		}
 		if w.iter < cfg.Iterations {
@@ -348,7 +402,7 @@ func Run(cfg Config) (*Result, error) {
 				w.id, w.iter, cfg.Iterations, w.phase, w.fwdSeg, w.bwdSeg, w.debugPulled())
 		}
 	}
-	for w, d := range ps.dead {
+	for w, d := range dead {
 		if d {
 			res.Dropped = append(res.Dropped, w)
 		}
@@ -359,10 +413,13 @@ func Run(cfg Config) (*Result, error) {
 		res.GPU = append(res.GPU, &w.gpu)
 		if cfg.RecordLinks {
 			res.UpRecords = append(res.UpRecords, mergeRecords(w.up))
-			res.DownRecords = append(res.DownRecords, mergeRecords(w.down))
+			if len(w.down) > 0 {
+				res.DownRecords = append(res.DownRecords, mergeRecords(w.down))
+			}
 		}
 	}
 	res.Iters = workers[0].iterLog
+	res.Sends = workers[0].sends
 	if cfg.RecordMessages {
 		res.Messages = workers[0].drv.Records()
 	}

@@ -1,34 +1,53 @@
-package allreduce
+package cluster
 
-// The drive-layer rewrite replaced this package's original hand-rolled
-// simulation loop. The reference implementation below is that legacy loop,
-// preserved verbatim in test code: TestDriveMatchesLegacy asserts the new
-// Run (the registry's fusion strategy + ring backend on the shared Driver)
-// reproduces its completion times within 1e-9 across the model zoo, pinning
-// the refactor as behavior-preserving — the equivalence the ISSUE requires
-// before the legacy loop's deletion.
+// The reference implementation below is the original hand-rolled ring
+// all-reduce simulation loop, preserved verbatim in test code:
+// TestDriveMatchesLegacy asserts that Run on the collective wire (the
+// registry's fusion strategy + ring backend behind the worker's one loop)
+// reproduces its completion times within 1e-9 across the model zoo. It is
+// what pins the wire's two legacy properties — jitter salt 17 and
+// highest-index-first bucket release (collective.go) — by construction
+// rather than by value.
 
 import (
 	"math"
 	"testing"
 
+	"prophet/internal/metrics"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
+	"prophet/internal/schedule"
 	"prophet/internal/sim"
+	"prophet/internal/strategy"
 )
+
+// fusion builds the registry's fusion strategy over m's gradients with the
+// given buffer threshold.
+func fusion(m *model.Model, bytes float64) SchedulerFactory {
+	sizes := gradSizes(m)
+	return func(int, *sim.Engine, *netsim.Link) schedule.Scheduler {
+		s, err := strategy.New("fusion", strategy.Params{Sizes: sizes, FusionBytes: bytes})
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
+}
 
 // legacyStepTime is the legacy closed-form ring cost of one fused buffer.
 func legacyStepTime(cfg *Config, bytes float64) float64 {
 	w := float64(cfg.Workers)
-	b := cfg.Link.Trace.At(0)
-	perStep := cfg.Link.SetupTime + (bytes/w+cfg.Link.RampBytes)/b
+	link := cfg.Uplink(0)
+	b := link.Trace.At(0)
+	perStep := link.SetupTime + (bytes/w+link.RampBytes)/b
 	return 2 * (w - 1) * perStep
 }
 
 // legacyRun is the pre-drive simulation loop, kept as the equivalence
 // oracle. fusionBytes is the legacy Config.FusionBytes threshold, which the
-// registry's fusion strategy now carries.
-func legacyRun(cfg Config, fusionBytes float64) (*Result, error) {
+// registry's fusion strategy now carries; Reductions is what Result.Sends
+// counts now.
+func legacyRun(cfg Config, fusionBytes float64) (*legacyResult, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
@@ -37,7 +56,7 @@ func legacyRun(cfg Config, fusionBytes float64) (*Result, error) {
 	m := cfg.Model
 	n := m.NumGradients()
 
-	res := &Result{Batch: cfg.Batch}
+	res := &legacyResult{}
 
 	releaseAt := make([][]int, n)
 	for _, grp := range cfg.Agg.Groups {
@@ -158,6 +177,13 @@ func legacyRun(cfg Config, fusionBytes float64) (*Result, error) {
 	return res, nil
 }
 
+// legacyResult is what the legacy loop reported.
+type legacyResult struct {
+	Iters      metrics.IterationLog
+	Duration   float64
+	Reductions int
+}
+
 func TestDriveMatchesLegacy(t *testing.T) {
 	zoo := []struct {
 		name string
@@ -176,7 +202,8 @@ func TestDriveMatchesLegacy(t *testing.T) {
 					Model:      m,
 					Batch:      32,
 					Workers:    workers,
-					Link:       netsim.DefaultLinkConfig(netsim.Const(netsim.Gbps(3))),
+					Transport:  "ring",
+					Uplink:     func(int) netsim.LinkConfig { return netsim.DefaultLinkConfig(netsim.Const(netsim.Gbps(3))) },
 					Scheduler:  fusion(m, threshold),
 					Iterations: 6,
 					Seed:       7,
@@ -189,9 +216,9 @@ func TestDriveMatchesLegacy(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s w%d f%.0f: drive: %v", tc.name, workers, threshold, err)
 				}
-				if got.Reductions != want.Reductions {
+				if got.Sends != want.Reductions {
 					t.Errorf("%s w%d f%.0f: reductions %d, legacy %d",
-						tc.name, workers, threshold, got.Reductions, want.Reductions)
+						tc.name, workers, threshold, got.Sends, want.Reductions)
 				}
 				if math.Abs(got.Duration-want.Duration) > 1e-9 {
 					t.Errorf("%s w%d f%.0f: duration %v, legacy %v (Δ=%g)",

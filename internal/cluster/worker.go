@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"prophet/internal/drive"
 	"prophet/internal/metrics"
@@ -35,22 +36,28 @@ func (p phase) String() string {
 }
 
 // worker simulates one training node: a GPU executing forward/backward
-// segments, one uplink per PS shard pushing gradients as directed by its
-// scheduler, and one downlink per shard pulling aggregated parameters.
+// segments and, behind the drive.Transmitter it hands its drive.Driver, one
+// of two wires. The GPU/iteration loop (startIteration … finishIteration)
+// is the same on both; only what moves the bytes differs.
 //
 // The scheduler-driving state machine — fetch gate, shard splitting,
-// per-iteration byte offsets — lives in the shared drive.Driver; the worker
-// provides the transport (drive.Transmitter): it maps each drive.Send onto
-// a netsim uplink transfer and mirrors pushed bytes back as pull messages.
+// per-iteration byte offsets — lives in the shared drive.Driver.
 //
-// With a single shard the worker behaves exactly as the paper's testbed:
-// one serial uplink, one serial downlink. With PSShards > 1 the scheduler
-// still emits one message at a time in its global priority order; each
-// message is split by the key→shard map into per-shard sub-messages that
-// ship in parallel on their shard links, and the next message is fetched
-// only once every sub-message of the current one has started its transfer.
-// That is the cross-shard priority invariant: no shard starts a
-// lower-priority message while a higher-priority one has unscheduled bytes.
+// The PS wire is the worker itself: it maps each drive.Send onto a netsim
+// uplink transfer (one uplink per PS shard) and mirrors pushed bytes back
+// as pull messages on one downlink per shard. With a single shard the
+// worker behaves exactly as the paper's testbed: one serial uplink, one
+// serial downlink. With PSShards > 1 the scheduler still emits one message
+// at a time in its global priority order; each message is split by the
+// key→shard map into per-shard sub-messages that ship in parallel on their
+// shard links, and the next message is fetched only once every sub-message
+// of the current one has started its transfer. That is the cross-shard
+// priority invariant: no shard starts a lower-priority message while a
+// higher-priority one has unscheduled bytes.
+//
+// The collective wire is a collectiveTx (collective.go): the ring is itself
+// a barrier, so one worker's timeline with one serial link (up[0]) is the
+// whole system, and none of the pull-leg state below is allocated.
 type worker struct {
 	id   int
 	eng  *sim.Engine
@@ -77,6 +84,8 @@ type worker struct {
 	bwdSeg    int
 	// halted marks a crash-stop fault having fired (Config.Faults).
 	halted bool
+	// sends counts the sends started on the wire (Result.Sends).
+	sends int
 
 	// releaseAt[i] lists gradients released when backward segment i
 	// completes (i is the lowest index of its aggregation bucket).
@@ -129,55 +138,77 @@ type pullPiece struct {
 
 func newWorker(id int, eng *sim.Engine, cfg *Config, ps *paramServer, smap *shard.Map) *worker {
 	n := cfg.Model.NumGradients()
-	shards := smap.Shards()
+	collective := ps == nil
+	lanes, salt := 1, collectiveJitterSalt
+	if !collective {
+		lanes, salt = smap.Shards(), uint64(id)*7919+1
+	}
 	w := &worker{
-		id:           id,
-		eng:          eng,
-		cfg:          cfg,
-		ps:           ps,
-		smap:         smap,
-		rng:          sim.NewRand(cfg.Seed*1_000_003 + uint64(id)*7919 + 1),
-		up:           make([]*netsim.Link, shards),
-		down:         make([]*netsim.Link, shards),
-		pulledBytes:  make([]float64, n),
-		pulled:       make([]bool, n),
-		releaseAt:    make([][]int, n),
-		pullQ:        make([][]*pullMsg, shards),
-		upInflight:   make([]upSend, shards),
-		downInflight: make([]*pullMsg, shards),
-		pullTags:     make([]string, n),
+		id:          id,
+		eng:         eng,
+		cfg:         cfg,
+		ps:          ps,
+		smap:        smap,
+		rng:         sim.NewRand(cfg.Seed*1_000_003 + salt),
+		up:          make([]*netsim.Link, lanes),
+		pulledBytes: make([]float64, n),
+		pulled:      make([]bool, n),
+		releaseAt:   make([][]int, n),
 	}
 	w.iterLog.Grow(cfg.Iterations)
 	w.fwdDoneFn = w.onFwdSegDone
 	w.bwdDoneFn = w.onBwdSegDone
+	for _, grp := range cfg.Agg.Groups {
+		low := grp[0] // groups are ascending; lowest index computes last
+		w.releaseAt[low] = append([]int(nil), grp...)
+		if collective {
+			slices.Reverse(w.releaseAt[low]) // see collectiveJitterSalt
+		}
+	}
+	for s := range w.up {
+		w.up[s] = netsim.NewLink(eng, cfg.ShardUplink(id, s))
+		w.up[s].SetRecording(cfg.RecordLinks)
+	}
+	// The scheduler's bandwidth monitor attaches to shard 0's uplink: all
+	// shard links of a worker share one configuration in every supported
+	// setup, so shard 0 is representative.
+	w.sched = cfg.Scheduler(id, eng, w.up[0])
+	if collective {
+		w.wireCollective()
+	} else {
+		w.wirePS()
+	}
+	if cfg.RecordMessages && id == 0 {
+		w.drv.SetRecording(true)
+	}
+	if cfg.Observer != nil {
+		w.obs = cfg.Observer
+		w.drv.SetObserver(id, cfg.Observer)
+	}
+	return w
+}
+
+// wirePS allocates the pull leg — one downlink per shard, the pull queues
+// and the per-shard in-flight slots — and puts the worker itself behind the
+// driver as its Transmitter.
+func (w *worker) wirePS() {
+	shards := len(w.up)
+	w.down = make([]*netsim.Link, shards)
+	w.pullQ = make([][]*pullMsg, shards)
+	w.upInflight = make([]upSend, shards)
+	w.downInflight = make([]*pullMsg, shards)
+	w.pullTags = make([]string, len(w.pulled))
 	w.upDoneFn = make([]func(), shards)
 	w.downDoneFn = make([]func(), shards)
 	for s := 0; s < shards; s++ {
 		s := s
 		w.upDoneFn[s] = func() { w.onUpDone(s) }
 		w.downDoneFn[s] = func() { w.onDownDone(s) }
+		w.down[s] = netsim.NewLink(w.eng, w.cfg.ShardDownlink(w.id, s))
+		w.down[s].SetRecording(w.cfg.RecordLinks)
 	}
-	for _, grp := range cfg.Agg.Groups {
-		low := grp[0] // groups are ascending; lowest index computes last
-		w.releaseAt[low] = append([]int(nil), grp...)
-	}
-	for s := 0; s < shards; s++ {
-		w.up[s] = netsim.NewLink(eng, cfg.ShardUplink(id, s))
-		w.down[s] = netsim.NewLink(eng, cfg.ShardDownlink(id, s))
-		if cfg.RecordLinks {
-			w.up[s].SetRecording(true)
-			w.down[s].SetRecording(true)
-		}
-	}
-	// The scheduler's bandwidth monitor attaches to shard 0's uplink: all
-	// shard links of a worker share one configuration in every supported
-	// setup, so shard 0 is representative.
-	w.sched = cfg.Scheduler(id, eng, w.up[0])
-	w.drv = drive.New(w.sched, w, shards, n, smap.Of)
-	if cfg.RecordMessages && id == 0 {
-		w.drv.SetRecording(true)
-	}
-	if cfg.Predict {
+	w.drv = drive.New(w.sched, w, shards, len(w.pulled), w.smap.Of)
+	if w.cfg.Predict {
 		// Perfect-monitor predictor: the cost model is the netsim wire
 		// arithmetic with bandwidth read from each lane's ground-truth
 		// trace at decision time. Shard 0's Setup/Ramp are representative
@@ -188,15 +219,10 @@ func newWorker(id int, eng *sim.Engine, cfg *Config, ps *paramServer, smap *shar
 			Setup: lc.SetupTime,
 			Ramp:  lc.RampBytes,
 			Bandwidth: func(lane int) float64 {
-				return w.up[lane].Config().Trace.At(eng.Now())
+				return w.up[lane].Config().Trace.At(w.eng.Now())
 			},
 		})
 	}
-	if cfg.Observer != nil {
-		w.obs = cfg.Observer
-		w.drv.SetObserver(id, cfg.Observer)
-	}
-	return w
 }
 
 // Busy implements drive.Transmitter: lane s is its shard uplink.
@@ -206,6 +232,7 @@ func (w *worker) Busy(s int) bool { return w.up[s].Busy() }
 // uplink, mirroring the pushed byte ranges into pull messages that are
 // released once the transfer — and the PS aggregation it completes — lands.
 func (w *worker) Start(s *drive.Send) {
+	w.sends++
 	pulls := w.mirrorPulls(s.Iter, s.Ranges)
 	for _, pm := range pulls {
 		pm.stall = s.Msg.Stall

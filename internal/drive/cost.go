@@ -25,8 +25,7 @@ func WireVolume(be Backend, workers int) float64 {
 // summed per chunk rather than folded into a closed form, so the predicted
 // duration matches the simulator's step-by-step playback to float
 // association. bandwidth is read once per prediction; W ≤ 1 collectives
-// have no chunks and predict zero (the transmitter completes them on a
-// zero-delay event).
+// have no chunks and predict zero (cluster.Run rejects them).
 func CollectiveCost(be Backend, workers int, setup, ramp float64, bandwidth func() float64) schedule.CostModel {
 	return &collectiveCost{be: be, workers: workers, setup: setup, ramp: ramp, bandwidth: bandwidth}
 }

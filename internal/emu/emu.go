@@ -477,10 +477,7 @@ func Run(cfg Config) (*Result, error) {
 			links[w] = make([]ps.WorkerLink, shards)
 		}
 		for _, p := range pipes {
-			g := ps.NewMuxGroup(p.client, streamsPerPipe, ps.MuxGroupOptions{
-				PullTimeout: waitBound,
-				Metrics:     cfg.Metrics,
-			})
+			g := ps.NewMuxGroup(p.client, streamsPerPipe, ps.MuxGroupOptions{Metrics: cfg.Metrics})
 			owners = append(owners, g)
 			for i, w := range p.ids {
 				links[w][p.shard] = g.Worker(i)

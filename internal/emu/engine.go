@@ -75,6 +75,13 @@ type psEngine struct {
 
 	pp    pushParams
 	chans []<-chan ps.PullResult
+	// deliver files a tensor's pull-result channel. It runs inside
+	// PushPullBatch before any byte is written; tensor indices are distinct
+	// across shard writers, so no two writers race on a chans slot.
+	deliver func(t int, ch <-chan ps.PullResult)
+	// ranges[s] is shard s's SendStart scratch (observers copy), touched
+	// only by whichever goroutine dispatches shard s.
+	ranges [][]probe.Range
 }
 
 func newPSEngine(client *ps.ShardedClient, metrics *probe.Metrics, inline bool) *psEngine {
@@ -85,6 +92,8 @@ func newPSEngine(client *ps.ShardedClient, metrics *probe.Metrics, inline bool) 
 func (e *psEngine) Bind(pp pushParams) {
 	e.pp = pp
 	e.chans = make([]<-chan ps.PullResult, len(pp.sizes))
+	e.deliver = func(t int, ch <-chan ps.PullResult) { e.chans[t] = ch }
+	e.ranges = make([][]probe.Range, e.client.Shards())
 }
 
 // Lanes implements liveEngine.
@@ -115,8 +124,7 @@ func (e *psEngine) Dispatch(iter int, grad func(int) []float64, sends []wireSend
 		return e.dispatchInline(iter, grad, sends)
 	}
 	pp := &e.pp
-	client, chans := e.client, e.chans
-	shards := client.Shards()
+	shards := e.client.Shards()
 	jobs := make([]chan pushJob, shards)
 	errs := make([]error, shards)
 	// depths[s] counts tensors handed to shard s's writer and not yet
@@ -128,24 +136,12 @@ func (e *psEngine) Dispatch(iter int, grad func(int) []float64, sends []wireSend
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			// deliver runs inside PushPullBatch before any byte is written;
-			// tensor indices are distinct across writers, so no two writers
-			// race on a chans slot.
-			deliver := func(t int, ch <-chan ps.PullResult) { chans[t] = ch }
-			var ranges []probe.Range // reused scratch; observers copy
 			for job := range jobs[s] {
 				depths[s].Add(-int64(len(job.tensors)))
 				if errs[s] != nil {
 					continue // keep draining so the coordinator never blocks
 				}
-				ranges = pp.sendStart(ranges, s, job.seq, iter, job.tensors)
-				if err := client.Shard(s).PushPullBatch(iter, job.tensors, grad, deliver); err != nil {
-					errs[s] = fmt.Errorf("push batch %v (shard %d): %w", job.tensors, s, err)
-					continue
-				}
-				if pp.obs != nil {
-					pp.obs.SendComplete(pp.worker, s, iter, true, pp.clock())
-				}
+				errs[s] = e.send(s, job.seq, iter, job.tensors, grad)
 			}
 		}(s)
 	}
@@ -173,24 +169,31 @@ func (e *psEngine) Dispatch(iter int, grad func(int) []float64, sends []wireSend
 // ShardEnqueued per tensor, one SendStart span per flushed batch,
 // SendComplete on return.
 func (e *psEngine) dispatchInline(iter int, grad func(int) []float64, sends []wireSend) error {
-	pp := &e.pp
-	deliver := func(t int, ch <-chan ps.PullResult) { e.chans[t] = ch }
-	var ranges []probe.Range // reused scratch; observers copy
 	for seq, snd := range sends {
 		if len(snd.tensors) == 0 {
 			continue
 		}
-		s := snd.lane
 		// Inline dispatch never queues: depth is just the position within
 		// this send's own batch.
-		pp.enqueued(s, seq, snd.tensors, 0)
-		ranges = pp.sendStart(ranges, s, seq, iter, snd.tensors)
-		if err := e.client.Shard(s).PushPullBatch(iter, snd.tensors, grad, deliver); err != nil {
-			return fmt.Errorf("push batch %v (shard %d): %w", snd.tensors, s, err)
+		e.pp.enqueued(snd.lane, seq, snd.tensors, 0)
+		if err := e.send(snd.lane, seq, iter, snd.tensors, grad); err != nil {
+			return err
 		}
-		if pp.obs != nil {
-			pp.obs.SendComplete(pp.worker, s, iter, true, pp.clock())
-		}
+	}
+	return nil
+}
+
+// send puts one decided send on shard s's wire — SendStart span, the
+// tensors plus their inline pull requests as ONE batched write,
+// SendComplete on return — whichever goroutine dispatches it.
+func (e *psEngine) send(s, seq, iter int, tensors []int, grad func(int) []float64) error {
+	pp := &e.pp
+	e.ranges[s] = pp.sendStart(e.ranges[s], s, seq, iter, tensors)
+	if err := e.client.Shard(s).PushPullBatch(iter, tensors, grad, e.deliver); err != nil {
+		return fmt.Errorf("push batch %v (shard %d): %w", tensors, s, err)
+	}
+	if pp.obs != nil {
+		pp.obs.SendComplete(pp.worker, s, iter, true, pp.clock())
 	}
 	return nil
 }

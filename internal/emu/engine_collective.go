@@ -12,8 +12,8 @@ import (
 // planBoard distributes the deciding worker's per-iteration send plans to
 // the followers. Collective ops are synchronous and order-sensitive, so
 // every worker must execute the identical decision sequence — the live
-// analogue of the simulator's single worker-0 timeline (allreduce.Run
-// drives one driver for the whole ring). Plans are retained for the run:
+// analogue of the simulator's single worker-0 timeline (cluster.Run on a
+// collective transport drives one driver for the whole ring). Plans are retained for the run:
 // memory is O(iterations × sends), trivial next to the gradients.
 type planBoard struct {
 	mu    sync.Mutex

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"prophet/internal/allreduce"
 	"prophet/internal/cluster"
 	"prophet/internal/core"
 	"prophet/internal/drive"
@@ -139,7 +138,7 @@ func TestMirrorBothPathsSameDecisions(t *testing.T) {
 }
 
 // TestMirrorCollectiveTransports closes the mirror over the collective
-// wire: the discrete-event collective simulator (allreduce.Run playing
+// wire: the discrete-event simulator on a collective transport (cluster.Run playing
 // chunk schedules on a netsim link) and the live collective emulation
 // (real ring/tree exchanges over sockets, worker 0 deciding for the
 // lockstep group) must produce bit-identical decision Records for every
@@ -203,16 +202,16 @@ func TestMirrorCollectiveTransports(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				simRes, err := allreduce.Run(allreduce.Config{
-					Model:    simModel,
-					Hardware: model.Hardware{FLOPS: 1e12, LayerOverhead: 1.0},
-					Batch:    32,
-					Workers:  workers,
+				simRes, err := cluster.Run(cluster.Config{
+					Model:     simModel,
+					Hardware:  model.Hardware{FLOPS: 1e12, LayerOverhead: 1.0},
+					Batch:     32,
+					Workers:   workers,
+					Transport: backend,
 					// One ascending bucket: released in reverse, i.e. the
 					// emulation's descending backward emission, in one burst.
 					Agg:            stepwise.Buckets{Groups: [][]int{asc}},
-					Link:           netsim.LinkConfig{Trace: netsim.Const(bw)},
-					Backend:        backend,
+					Uplink:         func(int) netsim.LinkConfig { return netsim.LinkConfig{Trace: netsim.Const(bw)} },
 					Scheduler:      factory,
 					Iterations:     iters,
 					Jitter:         -1,

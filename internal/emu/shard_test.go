@@ -3,6 +3,7 @@ package emu
 import (
 	"testing"
 
+	"prophet/internal/probe"
 	"prophet/internal/shard"
 	"prophet/internal/strategy"
 )
@@ -98,5 +99,45 @@ func TestNegativeShardsRejected(t *testing.T) {
 	cfg.Shards = -1
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("expected error for negative shard count")
+	}
+}
+
+// TestShardLanesOverlapOnPrivatePipes pins what Config.Shards documents —
+// aggregate PS bandwidth scales with the shard count — as a span-order
+// property: on private pipes, one worker's sends on different shard lanes
+// are on the wire at the same time. That is what psEngine's per-shard writer
+// goroutines deliver; dispatching inline (as shared pipes do, where the one
+// pipe serializes writes anyway) would return from send k before offering
+// send k+1, and no two spans of a worker could ever overlap — which is what
+// the Mux half asserts.
+func TestShardLanesOverlapOnPrivatePipes(t *testing.T) {
+	overlaps := func(mux bool) int {
+		cfg := baseConfig()
+		cfg.Policy = "prophet"
+		cfg.Shards = 2
+		cfg.ShardPlacement = shard.SizeBalanced
+		cfg.BandwidthBytesPerSec = 4e6 // shaped: every send stays on the wire long enough to be seen
+		cfg.Mux = mux
+		rec := probe.NewSpanRecorder()
+		cfg.Observer = rec
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		spans := rec.Spans()
+		n := 0
+		for i, a := range spans {
+			for _, b := range spans[i+1:] {
+				if a.Worker == b.Worker && a.Lane != b.Lane && a.Start < b.End && b.Start < a.End {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if n := overlaps(false); n == 0 {
+		t.Error("private pipes: no two sends of one worker overlapped across shard lanes — the shards moved no bytes in parallel")
+	}
+	if n := overlaps(true); n != 0 {
+		t.Errorf("shared pipes: %d cross-lane overlaps, but inline dispatch finishes each send before the next", n)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"prophet/internal/allreduce"
+	"prophet/internal/cluster"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
 	"prophet/internal/schedule"
@@ -63,9 +63,9 @@ func ExtAllReduce(cfg Config) (*ExtAllReduceResult, error) {
 	}
 	// ringRate runs the ring under the registry's fusion strategy with the
 	// given buffer threshold (0 = its 64 MB default).
-	ringRate := func(link netsim.LinkConfig, fusionBytes float64) (float64, error) {
-		res, err := allreduce.Run(allreduce.Config{
-			Model: s.wire, Batch: s.batch, Workers: 3, Agg: s.agg, Link: link,
+	ringRate := func(link func(int) netsim.LinkConfig, fusionBytes float64) (float64, error) {
+		res, err := cluster.Run(cluster.Config{
+			Model: s.wire, Batch: s.batch, Workers: 3, Transport: "ring", Agg: s.agg, Uplink: link,
 			Scheduler: func(int, *sim.Engine, *netsim.Link) schedule.Scheduler {
 				f, err := strategy.New("fusion", strategy.Params{Sizes: sizes, FusionBytes: fusionBytes})
 				if err != nil {
@@ -82,11 +82,11 @@ func ExtAllReduce(cfg Config) (*ExtAllReduceResult, error) {
 	}
 	out := &ExtAllReduceResult{LimitsMbps: limits}
 	for _, mbps := range limits {
-		ps, err := s.rate(cfg, s.prophet(), linkMbps(mbps), 3)
+		link := linkMbps(mbps)
+		ps, err := s.rate(cfg, s.prophet(), link, 3)
 		if err != nil {
 			return nil, err
 		}
-		link := netsim.DefaultLinkConfig(netsim.Const(netsim.Goodput(netsim.Mbps(mbps))))
 		ring, err := ringRate(link, 0)
 		if err != nil {
 			return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"prophet/internal/allreduce"
 	"prophet/internal/cluster"
 	"prophet/internal/drive"
 	"prophet/internal/experiments/runner"
@@ -114,44 +113,24 @@ func ExtTransport(cfg Config) (*ExtTransportResult, error) {
 				return ExtTransportRow{}, fmt.Errorf("ext-transport: %s/%s: %w", j.base.Name, transport, err)
 			}
 			rec := probe.NewSpanRecorder()
-			var rate float64
-			if transport == "ps" {
-				res, err := cluster.Run(cluster.Config{
-					Model:      s.wire,
-					Batch:      s.batch,
-					Workers:    workers,
-					Agg:        s.agg,
-					Uplink:     link,
-					Scheduler:  factory,
-					Iterations: cfg.Iterations,
-					Seed:       cfg.Seed,
-					Observer:   rec,
-				})
-				if err != nil {
-					return ExtTransportRow{}, fmt.Errorf("ext-transport: %s/ps: %w", j.base.Name, err)
-				}
-				rate = res.Rate(cfg.Warmup)
-			} else {
-				res, err := allreduce.Run(allreduce.Config{
-					Model:      s.wire,
-					Batch:      s.batch,
-					Workers:    workers,
-					Agg:        s.agg,
-					Link:       link(0),
-					Backend:    transport,
-					Scheduler:  factory,
-					Iterations: cfg.Iterations,
-					Seed:       cfg.Seed,
-					Observer:   rec,
-				})
-				if err != nil {
-					return ExtTransportRow{}, fmt.Errorf("ext-transport: %s/%s: %w", j.base.Name, transport, err)
-				}
-				rate = res.Rate(cfg.Warmup)
+			res, err := cluster.Run(cluster.Config{
+				Model:      s.wire,
+				Batch:      s.batch,
+				Workers:    workers,
+				Transport:  transport,
+				Agg:        s.agg,
+				Uplink:     link,
+				Scheduler:  factory,
+				Iterations: cfg.Iterations,
+				Seed:       cfg.Seed,
+				Observer:   rec,
+			})
+			if err != nil {
+				return ExtTransportRow{}, fmt.Errorf("ext-transport: %s/%s: %w", j.base.Name, transport, err)
 			}
 			return ExtTransportRow{
 				Transport: transport,
-				Rate:      rate,
+				Rate:      res.Rate(cfg.Warmup),
 				Mean:      attrib.Analyze(rec, 3).Mean(0, cfg.Warmup),
 			}, nil
 		})

@@ -3,68 +3,38 @@ package attrib_test
 // Cross-transport attribution invariant: the five components —
 // generation, priority-wait, bandwidth-wait, transmit, ack — must sum to
 // completion within 1e-9 for every gradient on BOTH transports: the PS
-// push/pull path (cluster) and the collective path (allreduce on the drive
-// layer), where one send span brackets a whole chunked ring/tree
+// push/pull wire and the collective wires of the one simulated executor
+// (cluster.Run), where one send span brackets a whole chunked ring/tree
 // operation.
 
 import (
 	"testing"
 
-	"prophet/internal/allreduce"
 	"prophet/internal/cluster"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
 	"prophet/internal/probe"
 	"prophet/internal/probe/attrib"
-	"prophet/internal/stepwise"
 )
 
-func analyzePS(t *testing.T, name string) *attrib.Report {
+// analyze runs name on the given transport of the one simulated executor
+// and attributes the run.
+func analyze(t *testing.T, name, transport string) *attrib.Report {
 	t.Helper()
 	m := model.WithWireFactor(model.ResNet18(), 2)
-	factory, err := cluster.ByName(name, m, cluster.Options{})
+	factory, err := cluster.ByNameTransport(name, transport, 3, m, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := probe.NewSpanRecorder()
 	_, err = cluster.Run(cluster.Config{
-		Model:   m,
-		Batch:   32,
-		Workers: 3,
+		Model:     m,
+		Batch:     32,
+		Workers:   3,
+		Transport: transport,
 		Uplink: func(int) netsim.LinkConfig {
 			return netsim.DefaultLinkConfig(netsim.Const(netsim.Gbps(3)))
 		},
-		Scheduler:  factory,
-		Iterations: 5,
-		Seed:       3,
-		Observer:   rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return attrib.Analyze(rec, 3)
-}
-
-func analyzeCollective(t *testing.T, name, backend string) *attrib.Report {
-	t.Helper()
-	m := model.WithWireFactor(model.ResNet18(), 2)
-	aggBytes := m.TotalBytes() / 13
-	if aggBytes < 4e6 {
-		aggBytes = 4e6
-	}
-	agg := stepwise.Aggregate(m, aggBytes, 0)
-	factory, err := cluster.ByNameTransport(name, backend, 3, m, cluster.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := probe.NewSpanRecorder()
-	_, err = allreduce.Run(allreduce.Config{
-		Model:      m,
-		Batch:      32,
-		Workers:    3,
-		Agg:        agg,
-		Link:       netsim.DefaultLinkConfig(netsim.Const(netsim.Gbps(3))),
-		Backend:    backend,
 		Scheduler:  factory,
 		Iterations: 5,
 		Seed:       3,
@@ -93,9 +63,9 @@ func assertInvariant(t *testing.T, label string, rep *attrib.Report) {
 
 func TestAttributionInvariantBothPaths(t *testing.T) {
 	for _, name := range []string{"fifo", "p3"} {
-		assertInvariant(t, "ps/"+name, analyzePS(t, name))
-		assertInvariant(t, "ring/"+name, analyzeCollective(t, name, "ring"))
-		assertInvariant(t, "tree/"+name, analyzeCollective(t, name, "tree"))
+		for _, transport := range []string{"ps", "ring", "tree"} {
+			assertInvariant(t, transport+"/"+name, analyze(t, name, transport))
+		}
 	}
 }
 
@@ -103,7 +73,7 @@ func TestAttributionInvariantBothPaths(t *testing.T) {
 // reduced value is available the moment the collective completes, so the
 // Ack component is exactly zero (unlike the PS path, which pays a pull).
 func TestCollectiveAckIsInstant(t *testing.T) {
-	rep := analyzeCollective(t, "fifo", "ring")
+	rep := analyze(t, "fifo", "ring")
 	for _, c := range rep.PerGrad {
 		if c.Ack != 0 {
 			t.Fatalf("ring grad %d iter %d: ack %g, want 0", c.Grad, c.Iter, c.Ack)

@@ -10,14 +10,12 @@ package predict_test
 import (
 	"testing"
 
-	"prophet/internal/allreduce"
 	"prophet/internal/cluster"
 	"prophet/internal/core"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
 	"prophet/internal/probe"
 	"prophet/internal/probe/predict"
-	"prophet/internal/stepwise"
 	"prophet/internal/strategy"
 )
 
@@ -39,54 +37,25 @@ func testProfile(t *testing.T, m *model.Model) *core.Profile {
 	return prof
 }
 
-func auditPS(t *testing.T, name string, shards int) *predict.Report {
+// audit runs name on the given transport of the one simulated executor
+// (shards is the PS shard count; collectives take 1) and audits the run.
+func audit(t *testing.T, name, transport string, shards int) *predict.Report {
 	t.Helper()
 	m := model.WithWireFactor(model.ResNet18(), 2)
-	factory, err := cluster.ByName(name, m, cluster.Options{Seed: 3, Profile: testProfile(t, m)})
+	factory, err := cluster.ByNameTransport(name, transport, 3, m, cluster.Options{Seed: 3, Profile: testProfile(t, m)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := probe.NewSpanRecorder()
 	_, err = cluster.Run(cluster.Config{
-		Model:    m,
-		Batch:    32,
-		Workers:  3,
-		PSShards: shards,
+		Model:     m,
+		Batch:     32,
+		Workers:   3,
+		Transport: transport,
+		PSShards:  shards,
 		Uplink: func(int) netsim.LinkConfig {
 			return netsim.DefaultLinkConfig(netsim.Const(netsim.Gbps(3)))
 		},
-		Scheduler:  factory,
-		Iterations: 3,
-		Jitter:     -1,
-		Seed:       3,
-		Observer:   rec,
-		Predict:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return predict.Audit(rec, predict.Options{})
-}
-
-func auditCollective(t *testing.T, name, backend string) *predict.Report {
-	t.Helper()
-	m := model.WithWireFactor(model.ResNet18(), 2)
-	aggBytes := m.TotalBytes() / 13
-	if aggBytes < 4e6 {
-		aggBytes = 4e6
-	}
-	factory, err := cluster.ByNameTransport(name, backend, 3, m, cluster.Options{Seed: 3, Profile: testProfile(t, m)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := probe.NewSpanRecorder()
-	_, err = allreduce.Run(allreduce.Config{
-		Model:      m,
-		Batch:      32,
-		Workers:    3,
-		Agg:        stepwise.Aggregate(m, aggBytes, 0),
-		Link:       netsim.DefaultLinkConfig(netsim.Const(netsim.Gbps(3))),
-		Backend:    backend,
 		Scheduler:  factory,
 		Iterations: 3,
 		Jitter:     -1,
@@ -119,19 +88,13 @@ func assertTight(t *testing.T, label string, rep *predict.Report) {
 
 func TestPredictionInvariantEveryStrategyEveryTransport(t *testing.T) {
 	for _, name := range strategy.Names() {
-		name := name
-		t.Run("ps/"+name, func(t *testing.T) {
-			t.Parallel()
-			assertTight(t, "ps/"+name, auditPS(t, name, 1))
-		})
-		t.Run("ring/"+name, func(t *testing.T) {
-			t.Parallel()
-			assertTight(t, "ring/"+name, auditCollective(t, name, "ring"))
-		})
-		t.Run("tree/"+name, func(t *testing.T) {
-			t.Parallel()
-			assertTight(t, "tree/"+name, auditCollective(t, name, "tree"))
-		})
+		for _, transport := range []string{"ps", "ring", "tree"} {
+			label := transport + "/" + name
+			t.Run(label, func(t *testing.T) {
+				t.Parallel()
+				assertTight(t, label, audit(t, name, transport, 1))
+			})
+		}
 	}
 }
 
@@ -140,6 +103,6 @@ func TestPredictionInvariantEveryStrategyEveryTransport(t *testing.T) {
 // still match the wire exactly.
 func TestPredictionInvariantMultiShard(t *testing.T) {
 	for _, name := range []string{"fifo", "prophet"} {
-		assertTight(t, "ps2/"+name, auditPS(t, name, 2))
+		assertTight(t, "ps2/"+name, audit(t, name, "ps", 2))
 	}
 }
