@@ -21,7 +21,10 @@ COVER_FLOOR ?= 80
 
 .PHONY: check tier1 build vet test lint race bench bench-scale fuzz trace-smoke conformance conformance-live cover predict-smoke benchmark-smoke
 
-check: tier1 lint race conformance conformance-live cover trace-smoke predict-smoke benchmark-smoke
+# conformance and conformance-live are not prerequisites: race has just run
+# the full ./internal/drive, ./internal/emu and ./internal/collective suites
+# under -race, of which those two targets are -run subsets for focused runs.
+check: tier1 lint race cover trace-smoke predict-smoke benchmark-smoke
 
 tier1: build vet test
 
@@ -78,19 +81,23 @@ cover:
 			echo "coverage $$pct% below floor $(COVER_FLOOR)% for $$pkg"; fail=1; fi; \
 	done; exit $$fail
 
-# End-to-end trace export gate: run prophet-trace on both execution paths —
-# the simulator on both of its wires — and validate the Chrome trace JSON
-# (structure + required fields).
+# End-to-end trace export gate: run prophet-run on both execution paths, each
+# on its PS and ring wires — the live runs at the emu default of 32 Mbps, so
+# the limiter is on the smoke path — and validate the Chrome trace JSON
+# (structure + required fields) and that the attribution reports have content.
 trace-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
-	$(GO) run ./cmd/prophet-trace -path sim -policy fifo -iters 3 \
+	$(GO) run ./cmd/prophet-run -path sim -policy fifo -iters 3 \
 		-out $$tmp/sim.json -attrib $$tmp/sim_attrib.txt && \
-	$(GO) run ./cmd/prophet-trace -path sim -transport ring -policy prophet -iters 3 \
+	$(GO) run ./cmd/prophet-run -path sim -transport ring -policy prophet -iters 3 \
 		-out $$tmp/ring.json -attrib $$tmp/ring_attrib.txt && \
-	$(GO) run ./cmd/prophet-trace -path emu -policy prophet -iters 4 \
+	$(GO) run ./cmd/prophet-run -path emu -policy prophet -iters 4 \
 		-out $$tmp/emu.json -attrib $$tmp/emu_attrib.txt && \
-	$(GO) run ./cmd/tracecheck $$tmp/sim.json $$tmp/ring.json $$tmp/emu.json && \
-	test -s $$tmp/sim_attrib.txt && test -s $$tmp/ring_attrib.txt && test -s $$tmp/emu_attrib.txt
+	$(GO) run ./cmd/prophet-run -path emu -transport ring -policy prophet -iters 4 \
+		-out $$tmp/emu_ring.json -attrib $$tmp/emu_ring_attrib.txt && \
+	$(GO) run ./cmd/tracecheck $$tmp/sim.json $$tmp/ring.json $$tmp/emu.json $$tmp/emu_ring.json && \
+	test -s $$tmp/sim_attrib.txt && test -s $$tmp/ring_attrib.txt && \
+	test -s $$tmp/emu_attrib.txt && test -s $$tmp/emu_ring_attrib.txt
 
 # Reproducible single-shot benchmark pass; see README for regenerating
 # bench_results.txt.

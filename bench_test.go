@@ -225,7 +225,7 @@ func BenchmarkExt_AllReduce(b *testing.B) {
 func rn50Setup(b *testing.B) (*core.Profile, *model.Model) {
 	b.Helper()
 	m := model.WithWireFactor(model.ResNet50(), 2)
-	agg := stepwise.Aggregate(m, m.TotalBytes()/13, 0)
+	agg := stepwise.DefaultAggregate(m)
 	prof, err := profiler.Run(profiler.Config{Model: m, Batch: 64, Agg: agg, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -248,7 +248,7 @@ func BenchmarkCore_Assemble(b *testing.B) {
 // BenchmarkCore_Profiler measures the 50-iteration profiling pass.
 func BenchmarkCore_Profiler(b *testing.B) {
 	m := model.WithWireFactor(model.ResNet50(), 2)
-	agg := stepwise.Aggregate(m, m.TotalBytes()/13, 0)
+	agg := stepwise.DefaultAggregate(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := profiler.Run(profiler.Config{Model: m, Batch: 64, Agg: agg, Seed: 1}); err != nil {

@@ -36,11 +36,7 @@ func main() {
 		os.Exit(1)
 	}
 	wire := model.WithWireFactor(base, 2)
-	aggBytes := wire.TotalBytes() / 13
-	if aggBytes < 4e6 {
-		aggBytes = 4e6
-	}
-	agg := stepwise.Aggregate(wire, aggBytes, 0)
+	agg := stepwise.DefaultAggregate(wire)
 	prof, err := profiler.Run(profiler.Config{
 		Model: wire, Batch: *batch, Agg: agg, Iterations: *iters, Seed: *seed,
 	})

@@ -1,0 +1,226 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"prophet/internal/probe"
+)
+
+// small is a job both executors finish in well under a second: ResNet18 on
+// the simulator, a 16-wide MLP on the live path, four workers so tree (a
+// power of two on the live fabric) runs everywhere.
+func small(path string, more ...string) []string {
+	return append([]string{"-path", path, "-model", "resnet18", "-hidden", "16", "-batch", "16",
+		"-workers", "4", "-iters", "4", "-policy", "fifo"}, more...)
+}
+
+func mustRun(t *testing.T, args []string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatalf("run %v: %v", args, err)
+	}
+	return out.String()
+}
+
+// labels returns the "  label:" prefixes of the report lines, in order.
+func labels(report string) []string {
+	var got []string
+	for _, line := range strings.Split(report, "\n") {
+		if label, _, ok := strings.Cut(line, ":"); ok && strings.HasPrefix(line, "  ") {
+			got = append(got, strings.TrimSpace(label))
+		}
+	}
+	return got
+}
+
+// The command exists to compare schedules across transports and executors,
+// so the shared block has the same three lines on all six combinations, each
+// executor's own lines do not depend on the transport, and a simulated
+// collective adds only its operation count.
+func TestEveryTransportPrintsTheSameLines(t *testing.T) {
+	shared := []string{"iteration time", "tensor-0 trip", "uplink payload"}
+	own := map[string][]string{
+		"sim": {"training rate", "GPU utilization", "simulated time"},
+		"emu": {"loss", "push order", "wall time"},
+	}
+	for _, path := range []string{"sim", "emu"} {
+		want := append(append([]string{}, shared...), own[path]...)
+		for _, transport := range []string{"ps", "ring", "tree"} {
+			var got []string
+			ops := 0
+			for _, l := range labels(mustRun(t, small(path, "-transport", transport))) {
+				if l == "collective ops" {
+					ops++
+					continue
+				}
+				got = append(got, l)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("-path %s -transport %s prints %q, want %q", path, transport, got, want)
+			}
+			if simCollective := path == "sim" && transport != "ps"; (ops == 1) != simCollective {
+				t.Errorf("-path %s -transport %s prints %d collective-ops lines", path, transport, ops)
+			}
+		}
+	}
+}
+
+// The transfer CSV has no worker column, so it must hold worker 0's rows
+// only — one per (iteration, tensor) — on every path. The emu and
+// collective paths used to write every worker's entries interleaved.
+func TestEmuTransferCSVIsWorkerZeroOnly(t *testing.T) {
+	const iters, tensors = 4, 6 // the MLP has 2×(layers−1) tensors
+	for _, transport := range []string{"ps", "ring"} {
+		path := filepath.Join(t.TempDir(), transport+".csv")
+		mustRun(t, small("emu", "-transport", transport, "-transfers", path))
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := strings.Count(string(raw), "\n") - 1 // minus the header
+		if rows != iters*tensors {
+			t.Fatalf("%s: %d transfer rows, want %d (iterations × tensors)", transport, rows, iters*tensors)
+		}
+	}
+}
+
+// Every export flag writes a file that parses, on both paths: the trace is a
+// non-empty event array with the fields tracecheck requires, the timeline
+// CSV has the columns its executor and wire can fill, and the transfer,
+// attribution and audit files carry their tables.
+func TestEveryExportParses(t *testing.T) {
+	for _, tc := range []struct{ path, transport, csvHeader string }{
+		{"sim", "ps", "time_s,gpu_util,uplink_Bps,downlink_Bps"},
+		{"sim", "ring", "time_s,gpu_util,uplink_Bps"},
+		{"emu", "ps", "time_s,uplink_Bps"},
+		{"emu", "ring", "time_s,uplink_Bps"},
+	} {
+		dir := t.TempDir()
+		file := func(name string) string { return filepath.Join(dir, name) }
+		read := func(name string) string {
+			raw, err := os.ReadFile(file(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(raw)
+		}
+		report := mustRun(t, small(tc.path, "-transport", tc.transport,
+			"-out", file("trace.json"), "-csv", file("timeline.csv"), "-transfers", file("transfers.csv"),
+			"-attrib", file("attrib.txt"), "-audit", file("audit.txt")))
+		if n := strings.Count(report, "wrote "); n != 5 {
+			t.Errorf("%s/%s: report names %d written files, want 5:\n%s", tc.path, tc.transport, n, report)
+		}
+
+		var events []map[string]any
+		if err := json.Unmarshal([]byte(read("trace.json")), &events); err != nil || len(events) == 0 {
+			t.Fatalf("%s/%s: trace is not a non-empty event array (%d events, err %v)", tc.path, tc.transport, len(events), err)
+		}
+		for i, e := range events {
+			for _, field := range []string{"name", "ph", "ts", "dur", "pid", "tid"} {
+				if _, ok := e[field]; !ok {
+					t.Fatalf("%s/%s: event %d lacks %q", tc.path, tc.transport, i, field)
+				}
+			}
+		}
+		for name, header := range map[string]string{
+			"timeline.csv":  tc.csvHeader,
+			"transfers.csv": "iteration,gradient,generated,start,end,wait,duration",
+			"attrib.txt":    "stall attribution (",
+			"audit.txt":     "wrk  iter joined",
+		} {
+			lines := strings.Split(read(name), "\n")
+			if !strings.HasPrefix(lines[0], header) || len(lines) < 3 {
+				t.Errorf("%s/%s: %s starts %q over %d lines, want %q and rows under it",
+					tc.path, tc.transport, name, lines[0], len(lines), header)
+			}
+		}
+	}
+}
+
+// "-" sends the attribution and audit tables to the command's own output,
+// each under its heading, after the summary.
+func TestDashPrintsUnderHeadings(t *testing.T) {
+	for _, path := range []string{"sim", "emu"} {
+		report := mustRun(t, small(path, "-attrib", "-", "-audit", "-"))
+		at := strings.Index(report, "  stall attribution (a zero ack column")
+		au := strings.Index(report, "  prediction audit (planned vs observed send windows):\nwrk  iter")
+		if at < 0 || au < at || !strings.Contains(report[au:], "\nplanned ") {
+			t.Errorf("-path %s: attribution at %d, audit at %d in:\n%s", path, at, au, report)
+		}
+	}
+}
+
+func TestBadInvocationsAreErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-path", "bogus"}, `unknown -path "bogus"`},
+		{[]string{"-policy", "nope"}, `unknown strategy "nope"`},
+		{[]string{"-bandwidth", "0"}, "-path sim"},
+		// An unshaped live link plans nothing: prophet-emu used to print an
+		// all-zero table and exit 0.
+		{small("emu", "-bandwidth", "0", "-audit", "-"), "no planned send windows"},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run %v: error %v, want one containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// feed plays one worker-0 iteration into rec: it starts at `at`, gradient 0
+// is generated 1 ms in and acked `trip` later, `bytes` leave on the uplink
+// meanwhile, and the iteration ends 5 ms after the ack.
+func feed(rec *probe.SpanRecorder, iter int, at, trip, bytes float64) (end float64) {
+	rec.BeginIteration(0, iter, at)
+	rec.Generated(0, 0, at+0.001)
+	rec.SendStart(0, 0, iter, iter, 0, "g0", bytes, []probe.Range{{Grad: 0, Last: true}}, at+0.001)
+	rec.SendComplete(0, 0, iter, true, at+0.001+trip/2)
+	rec.PullAcked(0, 0, iter, at+0.001+trip)
+	end = at + 0.001 + trip + 0.005
+	rec.EndIteration(0, iter, end)
+	return end
+}
+
+// The summary skips the two warm-up iterations — under -policy prophet on
+// the live path iteration 0 is the FIFO profiling window, and prophet-emu's
+// all-iterations mean charged prophet for it (≈30.5 ms printed at -iters 4
+// for a steady 24.3) — unless the run is too short to have anything left.
+func TestSummarySkipsWarmup(t *testing.T) {
+	near := func(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
+
+	rec := probe.NewSpanRecorder()
+	end := feed(rec, 0, 0, 0.100, 1e6)
+	for i := 1; i < 4; i++ {
+		end = feed(rec, i, end, 0.010, 1e6)
+	}
+	s := summarize(rec, end)
+	if !near(s.tensor0Trip, 0.010) || !near(s.iterTime, 0.016) {
+		t.Errorf("4 iterations: trip %.6f s, iteration %.6f s; want the steady 0.010 and 0.016", s.tensor0Trip, s.iterTime)
+	}
+	// Two post-warm-up iterations of 16 ms each moved 1 MB apiece.
+	if want := 2e6 / 0.032; !near(s.uplinkBps/want, 1) {
+		t.Errorf("uplink %.0f B/s, want %.0f", s.uplinkBps, want)
+	}
+
+	short := probe.NewSpanRecorder()
+	end = feed(short, 0, 0, 0.100, 1e6)
+	end = feed(short, 1, end, 0.010, 1e6)
+	if s = summarize(short, end); !near(s.tensor0Trip, 0.055) {
+		t.Errorf("2 iterations: trip %.6f s, want the all-iterations mean 0.055", s.tensor0Trip)
+	}
+
+	if s = summarize(probe.NewSpanRecorder(), 0); s != (summary{}) {
+		t.Errorf("an empty recorder summarised to %+v, want zeros", s)
+	}
+}

@@ -1,6 +1,6 @@
 // Command tracecheck validates a Chrome trace-event JSON file: the
-// trace-smoke make target runs prophet-trace on both execution paths and
-// pipes the results through this gate, so a broken exporter fails CI
+// trace-smoke make target runs prophet-run -out on both execution paths and
+// passes the results through this gate, so a broken exporter fails CI
 // instead of producing a file the trace viewer silently rejects.
 //
 // Usage:

@@ -20,7 +20,7 @@ import (
 func main() {
 	m := model.WithWireFactor(model.ResNet50(), 2)
 	batch := 64
-	agg := stepwise.Aggregate(m, m.TotalBytes()/13, 0)
+	agg := stepwise.DefaultAggregate(m)
 	prof, err := profiler.Run(profiler.Config{Model: m, Batch: batch, Agg: agg, Seed: 7})
 	if err != nil {
 		log.Fatal(err)

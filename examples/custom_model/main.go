@@ -31,7 +31,7 @@ func main() {
 			log.Fatal(err)
 		}
 		wire := model.WithWireFactor(base, 2)
-		agg := stepwise.Aggregate(wire, wire.TotalBytes()/13, 0)
+		agg := stepwise.DefaultAggregate(wire)
 		prof, err := profiler.Run(profiler.Config{Model: wire, Batch: 64, Agg: agg, Seed: 7})
 		if err != nil {
 			log.Fatal(err)

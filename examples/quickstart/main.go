@@ -23,7 +23,7 @@ func main() {
 	batch := 64
 
 	// 2. Profile the job: the stepwise pattern of gradient generation.
-	agg := stepwise.Aggregate(m, m.TotalBytes()/13, 0)
+	agg := stepwise.DefaultAggregate(m)
 	prof, err := profiler.Run(profiler.Config{Model: m, Batch: batch, Agg: agg, Seed: 42})
 	if err != nil {
 		log.Fatal(err)

@@ -20,7 +20,7 @@ import (
 func fullStack(t testing.TB, base *model.Model, batch int, mbps float64) (*profiler.Result, *cluster.Result, *metrics.TransferLog) {
 	t.Helper()
 	wire := model.WithWireFactor(base, 2)
-	agg := stepwise.Aggregate(wire, wire.TotalBytes()/13, 0)
+	agg := stepwise.DefaultAggregate(wire)
 	prof, err := profiler.Run(profiler.Config{Model: wire, Batch: batch, Agg: agg, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestProfiledTimesMatchExecution(t *testing.T) {
 // larger analytical T_wait than FIFO's on the same profile.
 func TestPlanWaitModelAgreesWithOrdering(t *testing.T) {
 	wire := model.WithWireFactor(model.ResNet50(), 2)
-	agg := stepwise.Aggregate(wire, wire.TotalBytes()/13, 0)
+	agg := stepwise.DefaultAggregate(wire)
 	prof, err := profiler.Run(profiler.Config{Model: wire, Batch: 64, Agg: agg, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

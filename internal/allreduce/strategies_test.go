@@ -25,11 +25,7 @@ const testWorkers = 3
 func ringSetup(t *testing.T) (*model.Model, stepwise.Buckets, *profiler.Result) {
 	t.Helper()
 	m := model.WithWireFactor(model.ResNet18(), 2)
-	aggBytes := m.TotalBytes() / 13
-	if aggBytes < 4e6 {
-		aggBytes = 4e6
-	}
-	agg := stepwise.Aggregate(m, aggBytes, 0)
+	agg := stepwise.DefaultAggregate(m)
 	prof, err := profiler.Run(profiler.Config{
 		Model: m, Hardware: model.M60Like(), Batch: 32, Agg: agg, Seed: 97,
 	})

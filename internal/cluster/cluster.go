@@ -58,8 +58,7 @@ type Config struct {
 	// < 2, PSShards > 1, ASP, Faults.
 	Transport string
 	// Agg is the gradient aggregation bucketing (stepwise source). If
-	// empty, the model is bucketed at TotalBytes/13 (floored at 4 MB) per
-	// push: stepwise.Aggregate(Model, max(TotalBytes/13, 4 MB), 0).
+	// empty, stepwise.DefaultAggregate(Model).
 	Agg stepwise.Buckets
 	// Uplink and Downlink give each worker's link configuration. If nil,
 	// netsim.DefaultLinkConfig(Const(1.25 GB/s)) (10 Gbps) is used.
@@ -92,7 +91,7 @@ type Config struct {
 	// Seed drives all randomness.
 	Seed uint64
 	// RecordLinks keeps every link's per-message transfer records
-	// (message-level traces for cmd/prophet-trace and diagnostics).
+	// (message-level traces for cmd/prophet-run -out and diagnostics).
 	RecordLinks bool
 	// RecordMessages keeps worker 0's scheduler decision log (one
 	// drive.Record per fetched message, in fetch order) in
@@ -197,14 +196,7 @@ func (c *Config) setDefaults() error {
 		return fmt.Errorf("cluster: negative iterations")
 	}
 	if len(c.Agg.Groups) == 0 {
-		// Default bucketing calibrated to the paper's Fig. 4: ResNet50's
-		// gradients arrive in ~13 stepwise blocks, i.e. the KV layer
-		// groups roughly 1/13 of the model per push.
-		aggBytes := c.Model.TotalBytes() / 13
-		if aggBytes < 4e6 {
-			aggBytes = 4e6
-		}
-		c.Agg = stepwise.Aggregate(c.Model, aggBytes, 0)
+		c.Agg = stepwise.DefaultAggregate(c.Model)
 	}
 	if c.Hardware.FLOPS == 0 {
 		c.Hardware = model.M60Like()

@@ -23,7 +23,7 @@ import (
 //  4. per-gradient pushes never precede generation (Constraint 7).
 func TestPropertyInvariantsAcrossConfigs(t *testing.T) {
 	m18 := model.ResNet18()
-	agg := stepwise.Aggregate(m18, m18.TotalBytes()/13, 0)
+	agg := stepwise.DefaultAggregate(m18)
 	factories := []SchedulerFactory{
 		FIFOFactory(m18),
 		P3Factory(m18, 4e6),

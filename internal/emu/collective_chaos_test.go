@@ -13,17 +13,11 @@ import (
 )
 
 // settleGoroutines fails the test unless the goroutine count falls back to
-// baseline: exits a run does not wait for (the muxes' credit granters) are
-// given a moment to finish.
+// baseline.
 func settleGoroutines(t *testing.T, baseline int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, baseline %d:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
+	if dump := leakedGoroutines(baseline); dump != "" {
+		t.Fatal(dump)
 	}
 }
 

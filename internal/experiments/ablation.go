@@ -150,7 +150,7 @@ func AblationProfile(cfg Config) (*AblationProfileResult, error) {
 	}
 	base := model.ResNet50()
 	wire := model.WithWireFactor(base, WireFactor)
-	agg := stepwise.Aggregate(wire, wire.TotalBytes()/13, 0)
+	agg := stepwise.DefaultAggregate(wire)
 	link := linkMbps(2000)
 	type row struct{ rate, wall float64 }
 	rows, err := runner.Map(cfg.Jobs, []int{5, 50}, func(_ int, n int) (row, error) {

@@ -170,11 +170,7 @@ func prepare(base *model.Model, batch int, seed uint64) (*setup, error) {
 // prepareWithHardware profiles an already-wire-scaled model on explicit
 // hardware.
 func prepareWithHardware(wire *model.Model, batch int, seed uint64, hw model.Hardware) (*setup, error) {
-	aggBytes := wire.TotalBytes() / 13
-	if aggBytes < 4e6 {
-		aggBytes = 4e6
-	}
-	agg := stepwise.Aggregate(wire, aggBytes, 0)
+	agg := stepwise.DefaultAggregate(wire)
 	prof, err := profiler.Run(profiler.Config{
 		Model:    wire,
 		Hardware: hw,

@@ -307,7 +307,7 @@ func Sec54Profiling(cfg Config) (*Sec54ProfilingResult, error) {
 		paperS float64
 	}) (float64, error) {
 		wire := model.WithWireFactor(j.base, WireFactor)
-		agg := stepwise.Aggregate(wire, wire.TotalBytes()/13, 0)
+		agg := stepwise.DefaultAggregate(wire)
 		res, err := profiler.Run(profiler.Config{
 			Model: wire, Batch: j.batch, Agg: agg, Seed: cfg.Seed,
 		})

@@ -15,7 +15,7 @@ import (
 // histograms for the live path: transport retries, redials, pull timeouts,
 // dropped workers, fault injections, per-shard queue depths. It is the
 // expvar analogue for this repo — JSON-dumpable at end of run and
-// servable over HTTP (prophet-emu -debug-addr) — without the package-level
+// servable over HTTP (prophet-run -debug-addr) — without the package-level
 // global state expvar imposes (every emulation owns its own registry, so
 // tests and sweeps never share counters).
 //
@@ -242,7 +242,7 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 }
 
 // Handler serves the registry as JSON — the expvar-style endpoint behind
-// prophet-emu's -debug-addr listener.
+// prophet-run's -debug-addr listener.
 func (m *Metrics) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

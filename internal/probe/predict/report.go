@@ -82,7 +82,7 @@ func (r *Report) MaxDrift() float64 {
 	return m
 }
 
-// Render writes the predicted-vs-actual table — the prophet-trace -audit
+// Render writes the predicted-vs-actual table — the prophet-run -audit
 // view. One row per (worker, iteration); times in milliseconds.
 func (r *Report) Render(w io.Writer) {
 	fmt.Fprintf(w, "%-4s %-4s %6s %6s  %10s %10s %8s %9s %8s %8s %8s %s\n",
@@ -126,10 +126,10 @@ func (a *Auditor) Handler() http.Handler {
 }
 
 // Audit replays a finished run's SpanRecorder through a fresh Auditor and
-// returns its report: the offline path for runs that recorded first and
-// score later (prophet-trace -audit). Events are replayed deterministically
-// grouped per (worker, iteration) in time order, so the same recording
-// always yields the same report.
+// returns its report: the offline path for runs that record first and score
+// later (ext-predict; prophet-run -audit reads its live Auditor instead).
+// Events are replayed deterministically grouped per (worker, iteration) in
+// time order, so the same recording always yields the same report.
 func Audit(rec *probe.SpanRecorder, opts Options) *Report {
 	a := NewAuditor(opts)
 	type wi struct{ worker, iter int }

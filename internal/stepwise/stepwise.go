@@ -67,6 +67,15 @@ func Aggregate(m *model.Model, maxBytes float64, maxCount int) Buckets {
 	return Buckets{Groups: groups}
 }
 
+// DefaultAggregate is the bucketing every job uses unless it is studying
+// the bucketing itself, calibrated to the paper's Fig. 4: ResNet50's
+// gradients arrive in ~13 stepwise blocks, i.e. the KV layer groups roughly
+// 1/13 of the model per push — floored at 4 MB, so a small model still
+// releases its gradients in bursts rather than one by one.
+func DefaultAggregate(m *model.Model) Buckets {
+	return Aggregate(m, math.Max(m.TotalBytes()/13, 4e6), 0)
+}
+
 // NumGroups returns the number of aggregation groups.
 func (bk Buckets) NumGroups() int { return len(bk.Groups) }
 

@@ -2,6 +2,7 @@ package stepwise
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -72,6 +73,28 @@ func TestAggregateOversizedGradientAlone(t *testing.T) {
 		if bytes > 4e6 && len(grp) != 1 {
 			t.Fatalf("oversized group with %d members", len(grp))
 		}
+	}
+}
+
+// DefaultAggregate is the one spelling of the repo-wide default: TotalBytes/13
+// per push for every zoo model on the wire (all ≥ 52 MB there, so the floor
+// is inert and goldens do not move), 4 MB for a model small enough that 1/13
+// of it would release its gradients one by one.
+func TestDefaultAggregate(t *testing.T) {
+	for _, base := range []*model.Model{model.ResNet18(), model.ResNet50(), model.VGG19()} {
+		m := model.WithWireFactor(base, 2)
+		if got, want := DefaultAggregate(m), Aggregate(m, m.TotalBytes()/13, 0); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s on the wire: %d groups, want TotalBytes/13's %d", base.Name, got.NumGroups(), want.NumGroups())
+		}
+	}
+	// Twenty 1 MB tensors: 1/13 of the model would push them one by one,
+	// the floor groups them four to a push.
+	small := &model.Model{Name: "small"}
+	for i := 0; i < 20; i++ {
+		small.Grads = append(small.Grads, model.Gradient{Index: i, Elems: 1e6 / model.BytesPerParam})
+	}
+	if got := DefaultAggregate(small); !reflect.DeepEqual(got, Aggregate(small, 4e6, 0)) || got.NumGroups() != 5 {
+		t.Errorf("under the floor: %d groups, want the 4 MB bucketing's 5", got.NumGroups())
 	}
 }
 
