@@ -11,20 +11,26 @@ RACE_PKGS := ./internal/transport ./internal/ps ./internal/emu ./internal/drive 
 FUZZTIME ?= 10s
 
 # Per-package coverage floors (percent) for the scheduling core and the
-# live wire beneath it: the drive layer, the one simulated executor on top
-# of it (PS and collective wires) and the live collective, the strategy
-# registry, the PS + frame transport packages the emulation runs over, and
-# the observability stack (probe events, stall attribution, prediction
-# audit).
-COVER_PKGS  := ./internal/drive ./internal/cluster ./internal/strategy ./internal/ps ./internal/transport ./internal/collective ./internal/probe ./internal/probe/attrib ./internal/probe/predict
+# live wire beneath it: the strategies themselves, the drive layer, the one
+# simulated executor on top of it (PS and collective wires) and the live
+# collective, the strategy registry, the PS + frame transport packages the
+# emulation runs over, and the observability stack (probe events, stall
+# attribution, prediction audit).
+COVER_PKGS  := ./internal/schedule ./internal/drive ./internal/cluster ./internal/strategy ./internal/ps ./internal/transport ./internal/collective ./internal/probe ./internal/probe/attrib ./internal/probe/predict
 COVER_FLOOR ?= 80
 
-.PHONY: check tier1 build vet test lint race bench bench-scale fuzz trace-smoke conformance conformance-live cover predict-smoke benchmark-smoke
+.PHONY: check tier1 build vet test lint race bench bench-scale fuzz trace-smoke conformance conformance-live cover predict-smoke benchmark-smoke loc
 
 # conformance and conformance-live are not prerequisites: race has just run
 # the full ./internal/drive, ./internal/emu and ./internal/collective suites
 # under -race, of which those two targets are -run subsets for focused runs.
-check: tier1 lint race cover trace-smoke predict-smoke benchmark-smoke
+check: tier1 lint race cover trace-smoke predict-smoke benchmark-smoke loc
+
+# The figure a simplicity change is counted by: Go lines outside the frozen
+# benchmark/ module, non-test and test.
+loc:
+	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go lines outside benchmark/:     $$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
 
 tier1: build vet test
 

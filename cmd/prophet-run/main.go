@@ -104,7 +104,7 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&j.shards, "shards", 1, "parameter server shards (key-sharded multi-PS)")
 	fs.StringVar(&j.placement, "placement", "size-balanced", "key→shard placement: round-robin|size-balanced")
 	fs.Float64Var(&j.bandwidth, "bandwidth", -1, "per-worker link bandwidth in Mbps (default 3000 on sim, 32 on emu; 0 = unshaped, emu only)")
-	fs.StringVar(&j.model, "model", "resnet50", "sim: model, resnet18|resnet50|resnet152|inception-v3|vgg19|alexnet")
+	fs.StringVar(&j.model, "model", "resnet50", "sim: model, "+strings.Join(model.Names(), "|"))
 	fs.Float64Var(&j.partition, "partition", 4, "sim: P3 partition size in MB")
 	fs.Float64Var(&j.credit, "credit", 4, "sim: ByteScheduler credit in MB")
 	fs.BoolVar(&j.splitNIC, "split-nic", false, "sim: scale each shard link to 1/shards of the bandwidth (one NIC split across shards) instead of full speed per shard")
@@ -134,6 +134,14 @@ func run(args []string, out io.Writer) error {
 	}
 	if j.iters < 1 {
 		return fmt.Errorf("-iters %d: a run needs at least one iteration", j.iters)
+	}
+	// Zero means "the default" in strategy.Params, and the flags' default is
+	// already 4: a non-positive size is a typo, not a request for 4 MB.
+	if j.partition <= 0 {
+		return fmt.Errorf("-partition %g: a partition size in MB must be positive", j.partition)
+	}
+	if j.credit <= 0 {
+		return fmt.Errorf("-credit %g: a credit in MB must be positive", j.credit)
 	}
 
 	// The recorder is the run's account and is always attached. The metrics

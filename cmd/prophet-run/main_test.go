@@ -166,6 +166,10 @@ func TestBadInvocationsAreErrors(t *testing.T) {
 		{[]string{"-path", "bogus"}, `unknown -path "bogus"`},
 		{[]string{"-policy", "nope"}, `unknown strategy "nope"`},
 		{[]string{"-bandwidth", "0"}, "-path sim"},
+		// These used to run silently at the 4 MB default.
+		{[]string{"-policy", "p3", "-partition", "0"}, "-partition 0"},
+		{[]string{"-policy", "bytescheduler", "-credit", "0"}, "-credit 0"},
+		{[]string{"-policy", "bytescheduler", "-credit", "-1"}, "-credit -1"},
 		// An unshaped live link plans nothing: prophet-emu used to print an
 		// all-zero table and exit 0.
 		{small("emu", "-bandwidth", "0", "-audit", "-"), "no planned send windows"},

@@ -129,16 +129,19 @@ type Config struct {
 	// transfer log (Figs. 2, 10, 11) attaches a probe.SpanRecorder here and
 	// reads its Rate(worker) / Transfers(worker) views afterwards.
 	Observer probe.Observer
-	// Predict attaches the wire's cost model to every worker's driver — a
-	// schedule.LinkCost on the PS wire, a drive.CollectiveCost playing the
-	// backend's chunk schedule on a collective — stamping each decision
-	// Record with its planned wire window and announcing it through
-	// probe.PlanObserver — the input to the prediction audit
-	// (internal/probe/predict). The model reads the link's ground-truth
-	// trace at decision time, so on a constant trace predictions are exact
-	// and on a varying trace the error IS the drift the audit measures.
-	// Prediction is passive: schedules are bit-identical with it on or off.
+	// Predict attaches the wire's cost model to every worker's driver —
+	// drive.WireCost playing the transport's chunk schedule, one step on the
+	// PS wire — stamping each decision Record with its planned wire window
+	// and announcing it through probe.PlanObserver — the input to the
+	// prediction audit (internal/probe/predict). The model reads the link's
+	// ground-truth trace at decision time, so on a constant trace
+	// predictions are exact and on a varying trace the error IS the drift
+	// the audit measures. Prediction is passive: schedules are bit-identical
+	// with it on or off.
 	Predict bool
+
+	// backend is Transport resolved, once, by setDefaults.
+	backend drive.Backend
 }
 
 // WorkerFault is one crash-stop failure: Worker halts at the start of
@@ -218,11 +221,10 @@ func (c *Config) setDefaults() error {
 	if c.Transport == "" {
 		c.Transport = "ps"
 	}
-	be, err := drive.BackendByName(c.Transport)
-	if err != nil {
+	var err error
+	if c.backend, err = drive.BackendByName(c.Transport); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
-	c.Transport = be.Name()
 	if c.Transport != "ps" {
 		// What is left is physical, as in emu.Config.validate: the schedule
 		// needs its peers, there is no server to shard or to answer one

@@ -21,12 +21,11 @@ import (
 // Horovod's static threshold).
 //
 // What the wire owns: the one link (the worker's up[0]), the backend's
-// chunk schedule, the completion order, the cost model
-// (drive.CollectiveCost), and two properties that are historical rather
-// than physical. Both date from the hand-rolled ring loop this wire
-// replaced and are pinned by value — benchmark/golden.json Sim.Ring, the
-// ext-transport golden, TestDriveMatchesLegacy (1e-9 against that loop) and
-// TestCollectivePinned — so they stay:
+// chunk schedule, the completion order, and two properties that are
+// historical rather than physical. Both date from the hand-rolled ring loop
+// this wire replaced and are pinned by value — benchmark/golden.json
+// Sim.Ring, the ext-transport golden, TestDriveMatchesLegacy (1e-9 against
+// that loop) and TestCollectivePinned — so they stay:
 //
 //   - the compute-jitter stream is salted collectiveJitterSalt, where PS
 //     worker w uses 7919·w + 1;
@@ -65,21 +64,10 @@ type collectiveTx struct {
 // wireCollective puts a collectiveTx behind the driver: one lane, no
 // key→lane map, no pull leg.
 func (w *worker) wireCollective() {
-	be, err := drive.BackendByName(w.cfg.Transport)
-	if err != nil {
-		panic(err) // setDefaults resolved the name
-	}
-	tx := &collectiveTx{w: w, be: be}
+	tx := &collectiveTx{w: w, be: w.cfg.backend}
 	tx.stepDone = tx.onStepDone
 	tx.stepObs, _ = w.cfg.Observer.(probe.StepObserver)
 	w.drv = drive.New(w.sched, tx, 1, len(w.pulled), nil)
-	if w.cfg.Predict {
-		// The model plays the backend's chunk schedule against the link's
-		// ground-truth trace read at decision time.
-		lc := w.up[0].Config()
-		w.drv.SetCostModel(drive.CollectiveCost(be, w.cfg.Workers, lc.SetupTime, lc.RampBytes,
-			func() float64 { return lc.Trace.At(w.eng.Now()) }))
-	}
 }
 
 // Busy implements drive.Transmitter.

@@ -35,49 +35,36 @@ func ByName(name string, m *model.Model, opt Options) (SchedulerFactory, error) 
 	return ByNameTransport(name, "ps", 0, m, opt)
 }
 
-// linkMonitor attaches Prophet's bandwidth source to a worker's uplink: a
-// netsim monitor initialized from the link's rate at time zero (standing in
-// for the one-off probe a fresh deployment runs), plus the link's
-// setup/ramp cost as the fixed per-message overhead Algorithm 1 sizes
-// blocks against.
-func linkMonitor(uplink *netsim.Link) (func() float64, func(bw float64) float64) {
-	cfg := uplink.Config()
-	initial := cfg.Trace.At(0)
-	mon := netsim.NewMonitor(uplink, 0.3, initial)
-	overhead := func(bw float64) float64 {
-		if bw <= 0 {
-			return cfg.SetupTime
-		}
-		return cfg.SetupTime + cfg.RampBytes/bw
-	}
-	return mon.Estimate, overhead
-}
-
 // ByNameTransport builds a factory from a registry name and a transport.
 // Prophet gets the wiring each worker needs — a bandwidth monitor on its
-// own uplink and a per-message overhead — shaped by the named
-// drive.Backend: the PS link's own setup/ramp cost for "ps", the
-// collective's wire volume and step count for "ring" and "tree", where
-// workers is the ring size the collective runs across (ignored for "ps").
-// The other strategies need no transport wiring — their decisions are
-// wire-model-free, which is precisely why they run unmodified on every
-// backend.
+// own uplink and a per-message overhead, both shaped by the named
+// drive.Backend (wireMonitor), where workers is the ring size a collective
+// runs across (ignored for "ps"). The other strategies need no transport
+// wiring — their decisions are wire-model-free, which is precisely why they
+// run unmodified on every backend.
 func ByNameTransport(name, transport string, workers int, m *model.Model, opt Options) (SchedulerFactory, error) {
 	be, err := drive.BackendByName(transport)
 	if err != nil {
 		return nil, err
 	}
-	collective := be.Name() != "ps"
-	if collective && workers <= 1 {
+	if be.Name() != "ps" && workers <= 1 {
 		return nil, fmt.Errorf("cluster: transport %q needs workers > 1", be.Name())
 	}
 	if err := strategy.Check(name); err != nil {
 		return nil, err
 	}
-	if name == "prophet" && opt.Profile == nil {
-		return nil, fmt.Errorf("cluster: strategy prophet needs Options.Profile")
+	// Prophet plans from its profile and from the wire as the backend shapes
+	// it, the same for every worker; the others slice the model's gradients.
+	var sizes []float64
+	var volume, steps float64
+	if name == "prophet" {
+		if opt.Profile == nil {
+			return nil, fmt.Errorf("cluster: strategy prophet needs Options.Profile")
+		}
+		volume, steps = drive.WireVolume(be, workers), float64(be.Steps(workers))
+	} else {
+		sizes = gradSizes(m)
 	}
-	sizes := gradSizes(m)
 	return func(w int, eng *sim.Engine, uplink *netsim.Link) schedule.Scheduler {
 		p := strategy.Params{
 			Sizes:     sizes,
@@ -90,11 +77,7 @@ func ByNameTransport(name, transport string, workers int, m *model.Model, opt Op
 			Profile:   opt.Profile,
 		}
 		if name == "prophet" {
-			if collective {
-				p.Bandwidth, p.Overhead = collectiveMonitor(uplink, be, workers)
-			} else {
-				p.Bandwidth, p.Overhead = linkMonitor(uplink)
-			}
+			p.Bandwidth, p.Overhead = wireMonitor(uplink, volume, steps)
 		}
 		s, err := strategy.New(name, p)
 		if err != nil {
@@ -104,28 +87,28 @@ func ByNameTransport(name, transport string, workers int, m *model.Model, opt Op
 	}, nil
 }
 
-// collectiveMonitor is linkMonitor reshaped for a collective backend:
-// Prophet plans in payload terms (a block of s bytes), but a collective
-// moves total = Σ ChunkBytes(1, W) wire bytes per payload byte (2(W−1)/W
-// for both ring and tree) and pays the link's setup/ramp once per chunk
-// step. The planner therefore sees the *effective payload bandwidth*
-// raw/total, and a per-block overhead of steps·setup + steps·ramp/raw —
-// so Algorithm 1's block sizing automatically grows blocks where the
-// 2(W−1) per-step overheads would murder small tensors.
-func collectiveMonitor(uplink *netsim.Link, be drive.Backend, workers int) (func() float64, func(bw float64) float64) {
+// wireMonitor attaches Prophet's bandwidth source to a worker's uplink: a
+// netsim monitor initialized from the link's rate at time zero (standing in
+// for the one-off probe a fresh deployment runs), and the fixed per-message
+// overhead Algorithm 1 sizes blocks against, both seen through the backend.
+// Prophet plans in payload terms (a block of s bytes), but a backend moves
+// volume = Σ ChunkBytes(1, W) wire bytes per payload byte (1 on the PS wire,
+// 2(W−1)/W for both ring and tree) and pays the link's setup/ramp once per
+// chunk step (1, 2(W−1), 2⌈log₂W⌉). The planner therefore sees the
+// *effective payload bandwidth* raw/volume and a per-block overhead of
+// steps·setup + steps·ramp/raw — the PS link's own cost at one step, and on
+// a collective what makes Algorithm 1 grow blocks where the per-step
+// overheads would murder small tensors.
+func wireMonitor(uplink *netsim.Link, volume, steps float64) (func() float64, func(bw float64) float64) {
 	cfg := uplink.Config()
-	total := drive.WireVolume(be, workers)
-	steps := float64(be.Steps(workers))
-	if total <= 0 {
-		return linkMonitor(uplink)
-	}
+	setup, ramp := cfg.SetupTime, cfg.RampBytes
 	mon := netsim.NewMonitor(uplink, 0.3, cfg.Trace.At(0))
-	bandwidth := func() float64 { return mon.Estimate() / total }
+	bandwidth := func() float64 { return mon.Estimate() / volume }
 	overhead := func(bwEff float64) float64 {
 		if bwEff <= 0 {
-			return steps * cfg.SetupTime
+			return steps * setup
 		}
-		return steps*cfg.SetupTime + steps*cfg.RampBytes/(bwEff*total)
+		return steps*setup + steps*ramp/(bwEff*volume)
 	}
 	return bandwidth, overhead
 }
@@ -170,19 +153,10 @@ func TunedByteSchedulerFactory(m *model.Model, credit, minCredit, maxCredit floa
 	})
 }
 
-// ProphetFactory returns the Prophet strategy: each worker attaches a
-// bandwidth monitor to its own uplink (initialized from the link's rate at
-// time zero, standing in for the one-off probe a fresh deployment runs) and
-// re-plans with Algorithm 1 when the estimate drifts.
+// ProphetFactory returns the Prophet strategy on the PS transport: each
+// worker attaches a bandwidth monitor to its own uplink and re-plans with
+// Algorithm 1 when the estimate drifts. Prophet takes its gradient sizes
+// from the profile, so there is no model to pass.
 func ProphetFactory(prof *core.Profile) SchedulerFactory {
-	return func(w int, eng *sim.Engine, uplink *netsim.Link) schedule.Scheduler {
-		bw, overhead := linkMonitor(uplink)
-		s, err := strategy.New("prophet", strategy.Params{
-			Profile: prof, Bandwidth: bw, Overhead: overhead,
-		})
-		if err != nil {
-			panic(err) // profile was validated by the profiler
-		}
-		return s
-	}
+	return mustByName("prophet", nil, Options{Profile: prof})
 }

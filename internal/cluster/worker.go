@@ -178,6 +178,9 @@ func newWorker(id int, eng *sim.Engine, cfg *Config, ps *paramServer, smap *shar
 	} else {
 		w.wirePS()
 	}
+	if cfg.Predict {
+		w.predict()
+	}
 	if cfg.RecordMessages && id == 0 {
 		w.drv.SetRecording(true)
 	}
@@ -208,21 +211,18 @@ func (w *worker) wirePS() {
 		w.down[s].SetRecording(w.cfg.RecordLinks)
 	}
 	w.drv = drive.New(w.sched, w, shards, len(w.pulled), w.smap.Of)
-	if w.cfg.Predict {
-		// Perfect-monitor predictor: the cost model is the netsim wire
-		// arithmetic with bandwidth read from each lane's ground-truth
-		// trace at decision time. Shard 0's Setup/Ramp are representative
-		// (all shard links of a worker share one configuration), but
-		// bandwidth is read per lane so asymmetric traces still predict.
-		lc := w.up[0].Config()
-		w.drv.SetCostModel(schedule.LinkCost{
-			Setup: lc.SetupTime,
-			Ramp:  lc.RampBytes,
-			Bandwidth: func(lane int) float64 {
-				return w.up[lane].Config().Trace.At(w.eng.Now())
-			},
-		})
-	}
+}
+
+// predict attaches the wire's cost model to the driver (Config.Predict): the
+// perfect-monitor predictor, the netsim wire arithmetic over the transport's
+// chunk schedule with bandwidth read from the lane's ground-truth trace at
+// decision time. Shard 0's setup and ramp are representative (all shard
+// links of a worker share one configuration), but bandwidth is read per lane
+// so asymmetric traces still predict.
+func (w *worker) predict() {
+	lc := w.up[0].Config()
+	w.drv.SetCostModel(drive.WireCost(w.cfg.backend, w.cfg.Workers, lc.SetupTime, lc.RampBytes,
+		func(lane int) float64 { return w.up[lane].Config().Trace.At(w.eng.Now()) }))
 }
 
 // Busy implements drive.Transmitter: lane s is its shard uplink.

@@ -105,11 +105,28 @@ func TestRingAllReduce(t *testing.T) {
 	for _, w := range []int{2, 3, 4, 5, 8} {
 		testMeanAndIdentity(t, "ring", w, 97)
 	}
+	// Seeded draws of the ring size, each at the element counts where the
+	// segments change shape — exactly one element per segment, one over —
+	// and at a random count that W need not divide.
+	rng := rand.New(rand.NewSource(55))
+	for draw := 0; draw < 4; draw++ {
+		w := 2 + rng.Intn(8) // 2..9
+		for _, n := range []int{w, w + 1, 1 + rng.Intn(300)} {
+			testMeanAndIdentity(t, "ring", w, n)
+		}
+	}
 }
 
 func TestTreeAllReduce(t *testing.T) {
 	for _, w := range []int{2, 4, 8} {
 		testMeanAndIdentity(t, "tree", w, 97)
+	}
+	rng := rand.New(rand.NewSource(55))
+	for draw := 0; draw < 4; draw++ {
+		w := 2 << rng.Intn(4) // 2, 4, 8, 16
+		for _, n := range []int{w, w + 1, 1 + rng.Intn(300)} {
+			testMeanAndIdentity(t, "tree", w, n)
+		}
 	}
 }
 
@@ -117,6 +134,16 @@ func TestShortData(t *testing.T) {
 	// Fewer elements than workers: some ring segments are empty.
 	testMeanAndIdentity(t, "ring", 8, 3)
 	testMeanAndIdentity(t, "tree", 8, 3)
+	// Seeded draws at the two extremes: one element in all, and one segment
+	// left empty.
+	rng := rand.New(rand.NewSource(55))
+	for draw := 0; draw < 4; draw++ {
+		ring, tree := 2+rng.Intn(8), 2<<rng.Intn(4)
+		testMeanAndIdentity(t, "ring", ring, 1)
+		testMeanAndIdentity(t, "ring", ring, ring-1)
+		testMeanAndIdentity(t, "tree", tree, 1)
+		testMeanAndIdentity(t, "tree", tree, tree-1)
+	}
 }
 
 func TestStepSpans(t *testing.T) {

@@ -15,37 +15,41 @@ func WireVolume(be Backend, workers int) float64 {
 	return total
 }
 
-// CollectiveCost returns the CostModel of one message played as a backend's
-// chunk schedule on a single serial link (the collectiveTx wire shape): the
-// dispatch stall is serialized once before the first chunk, and every chunk
-// step pays the link's per-message setup and ramp —
+// WireCost returns the one CostModel of a serial store-and-forward link: a
+// message played as a backend's chunk schedule (the netsim wire arithmetic
+// in closed form). The dispatch stall is serialized once before the first
+// chunk, and every chunk step pays the link's per-message setup and ramp —
 //
-//	stall + Σ_i (setup + (chunk_i + ramp)/B)
+//	stall + Σ_i (setup + (chunk_i + ramp)/B(lane))
 //
-// summed per chunk rather than folded into a closed form, so the predicted
-// duration matches the simulator's step-by-step playback to float
-// association. bandwidth is read once per prediction; W ≤ 1 collectives
-// have no chunks and predict zero (cluster.Run rejects them).
-func CollectiveCost(be Backend, workers int, setup, ramp float64, bandwidth func() float64) schedule.CostModel {
-	return &collectiveCost{be: be, workers: workers, setup: setup, ramp: ramp, bandwidth: bandwidth}
+// which on the one-step PS backend is netsim.Link.SendExtra's own
+// stall + setup + (s + ramp)/B. It is summed per chunk rather than folded
+// into a closed form, so the predicted duration matches the simulator's
+// step-by-step playback to float association. bandwidth is read once per
+// prediction, so a varying trace shows up as prediction error — the drift
+// signal the audit exists to measure — and a re-read after the rate settles
+// re-anchors the plan. W ≤ 1 collectives have no chunks and predict zero
+// (cluster.Run rejects them).
+func WireCost(be Backend, workers int, setup, ramp float64, bandwidth func(lane int) float64) schedule.CostModel {
+	return &wireCost{be: be, workers: workers, setup: setup, ramp: ramp, bandwidth: bandwidth}
 }
 
-type collectiveCost struct {
+type wireCost struct {
 	be        Backend
 	workers   int
-	setup     float64
-	ramp      float64
-	bandwidth func() float64
+	setup     float64 // per-message fixed overhead, seconds (netsim.LinkConfig.SetupTime)
+	ramp      float64 // slow-start byte penalty (netsim.LinkConfig.RampBytes)
+	bandwidth func(lane int) float64
 	chunks    []float64 // reused scratch: predictions allocate nothing steady-state
 }
 
 // MessageTime implements schedule.CostModel.
-func (c *collectiveCost) MessageTime(lane int, bytes, stall float64) float64 {
+func (c *wireCost) MessageTime(lane int, bytes, stall float64) float64 {
 	c.chunks = c.be.ChunkBytes(bytes, c.workers, c.chunks[:0])
 	if len(c.chunks) == 0 {
 		return 0
 	}
-	b := c.bandwidth()
+	b := c.bandwidth(lane)
 	d := stall
 	for _, ch := range c.chunks {
 		d += c.setup

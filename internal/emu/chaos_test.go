@@ -88,6 +88,9 @@ func TestChaosDropFailFast(t *testing.T) {
 			if strings.Contains(err.Error(), "fault injection") {
 				t.Fatalf("drop fault rejected at validation (%v), want it to run", err)
 			}
+			if want := "fault injected on worker 1's pipe: drop"; !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name the injector (%s)", err, want)
+			}
 			if elapsed := time.Since(start); elapsed > 10*time.Second {
 				t.Fatalf("fail-fast took %v", elapsed)
 			}

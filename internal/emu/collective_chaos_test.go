@@ -67,6 +67,9 @@ func TestCollectiveChaos(t *testing.T) {
 							if !strings.Contains(err.Error(), tr) {
 								t.Fatalf("error does not name the transport: %v", err)
 							}
+							if want := fmt.Sprintf("fault injected on worker %d's pipe: %s", faulted, kind); !strings.Contains(err.Error(), want) {
+								t.Fatalf("error %q does not name the injector (%s)", err, want)
+							}
 						case kind == fault.Drop:
 							t.Fatal("run completed over a dropped pipe")
 						case len(res.Losses) != cfg.Iterations:

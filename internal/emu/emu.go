@@ -90,7 +90,7 @@ type Config struct {
 	LR float64
 	// Policy selects the scheduling strategy by its registry name
 	// (internal/strategy): fifo, p3, tictac, bytescheduler,
-	// bytescheduler-tuned, prophet. Default fifo.
+	// bytescheduler-tuned, fusion, prophet. Default fifo.
 	Policy string
 	// Profile, when set, is the generation pattern Prophet plans against
 	// from iteration 0 onwards. When nil, prophet runs iteration 0 under
@@ -192,6 +192,9 @@ type Config struct {
 	// Requires an Observer implementing probe.PlanObserver and a positive
 	// BandwidthBytesPerSec; otherwise it is inert.
 	Predict bool
+
+	// backend is Transport resolved, once, by validate.
+	backend drive.Backend
 }
 
 // waitBound is the never-hang bound on each wait on the wire — a parameter
@@ -218,11 +221,19 @@ func (c *Config) validate() error {
 	if len(c.Layers) < 2 {
 		return fmt.Errorf("emu: need at least 2 layer sizes")
 	}
+	for i, width := range c.Layers {
+		if width <= 0 {
+			return fmt.Errorf("emu: Layers[%d] is %d; every layer width must be positive", i, width)
+		}
+	}
 	if c.Dataset == nil {
 		return fmt.Errorf("emu: nil dataset")
 	}
 	if c.Batch <= 0 || c.Iterations <= 0 || c.LR <= 0 {
 		return fmt.Errorf("emu: batch/iterations/lr must be positive")
+	}
+	if c.Batch > c.Dataset.X.Rows {
+		return fmt.Errorf("emu: Batch %d exceeds the dataset's %d rows", c.Batch, c.Dataset.X.Rows)
 	}
 	if c.Policy == "" {
 		c.Policy = "fifo"
@@ -251,11 +262,10 @@ func (c *Config) validate() error {
 	if c.Transport == "" {
 		c.Transport = "ps"
 	}
-	be, err := drive.BackendByName(c.Transport)
-	if err != nil {
+	var err error
+	if c.backend, err = drive.BackendByName(c.Transport); err != nil {
 		return fmt.Errorf("emu: %w", err)
 	}
-	c.Transport = be.Name()
 	if c.Transport != "ps" {
 		// What is left is physical: the schedule needs its peers, there is
 		// no server to shard, and nobody to renormalize a mean without a
@@ -364,6 +374,12 @@ func Run(cfg Config) (*Result, error) {
 		server net.Conn // far end
 	}
 	var pipes []pipe
+	// fatalErr is the first abort cause and injected the first injector to
+	// fire, as "W's pipe: kind" — recorded whether or not anyone observes the
+	// run, so the error a faulted run ends in can name it.
+	var fatalMu sync.Mutex
+	var fatalErr error
+	var injected string
 	for s := 0; s < shards; s++ {
 		for lo := 0; lo < cfg.Workers; lo += streamsPerPipe {
 			a, b := transport.Pipe(pipeBW, pipeBW)
@@ -378,11 +394,16 @@ func Run(cfg Config) (*Result, error) {
 				w := lo + i
 				ids[i] = w
 				if spec, ok := cfg.Faults[w]; ok {
-					var onFault func(string)
-					if obs := cfg.Observer; obs != nil {
-						onFault = func(kind string) { obs.FaultInjected(w, kind, clock()) }
-					}
-					a = spec.WrapObserved(a, onFault)
+					a = spec.WrapObserved(a, func(kind string) {
+						fatalMu.Lock()
+						if injected == "" {
+							injected = fmt.Sprintf("%d's pipe: %s", w, kind)
+						}
+						fatalMu.Unlock()
+						if obs := cfg.Observer; obs != nil {
+							obs.FaultInjected(w, kind, clock())
+						}
+					})
 				}
 			}
 			pipes = append(pipes, pipe{shard: s, ids: ids, client: a, server: b})
@@ -393,9 +414,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// abort unblocks every goroutine by closing all connections (a fabric's
 	// demux loops fail its waiting peers when their pipe closes) and failing
-	// the plan board; fatal records the first abort cause.
-	var fatalMu sync.Mutex
-	var fatalErr error
+	// the plan board, and records the first abort cause.
 	var abortOnce sync.Once
 	abort := func(cause error) {
 		fatalMu.Lock()
@@ -541,16 +560,23 @@ func Run(cfg Config) (*Result, error) {
 	sort.Ints(res.DroppedWorkers)
 
 	fatalMu.Lock()
-	fatal := fatalErr
+	fatal, fired := fatalErr, injected
 	fatalMu.Unlock()
+	// Whatever error ends a faulted run names the first injector that fired.
+	failed := func(err error) (*Result, error) {
+		if fired != "" {
+			err = fmt.Errorf("%w (fault injected on worker %s)", err, fired)
+		}
+		return nil, err
+	}
 	if fatal != nil {
-		return nil, fatal
+		return failed(fatal)
 	}
 	if serveErr != nil {
-		return nil, fmt.Errorf("emu: parameter server: %w", serveErr)
+		return failed(fmt.Errorf("emu: parameter server: %w", serveErr))
 	}
 	if len(res.DroppedWorkers) >= cfg.Workers {
-		return nil, fmt.Errorf("emu: every worker was dropped (policy %s)", cfg.Failure)
+		return failed(fmt.Errorf("emu: every worker was dropped (policy %s)", cfg.Failure))
 	}
 	for w, err := range workerErrs {
 		if err == nil {
@@ -559,7 +585,7 @@ func Run(cfg Config) (*Result, error) {
 		if cfg.Failure == DropWorker && droppedSet[w] {
 			continue // part of the configured degradation
 		}
-		return nil, err
+		return failed(err)
 	}
 	return res, nil
 }
@@ -571,12 +597,22 @@ func Run(cfg Config) (*Result, error) {
 type workerTables struct {
 	sizes  []float64
 	labels []string
+	// payloadBw is the effective rate per payload byte on a shaped link,
+	// zero on an unshaped one. A collective costs steps×chunk per tensor on
+	// the wire, so what the schedulers plan against and the planned windows
+	// are priced at is the link rate divided by the backend's total chunk
+	// volume (1 on the PS wire) — the same scaling the simulator's bandwidth
+	// monitor converges to.
+	payloadBw float64
 }
 
 func newWorkerTables(cfg *Config) *workerTables {
 	t := &workerTables{sizes: tensorSizes(cfg.Layers, cfg.Seed)}
 	if cfg.Observer != nil {
 		t.labels = pushLabels(len(t.sizes))
+	}
+	if bw := cfg.BandwidthBytesPerSec; bw > 0 {
+		t.payloadBw = bw / drive.WireVolume(cfg.backend, cfg.Workers)
 	}
 	return t
 }
@@ -595,11 +631,12 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, tab
 	// at the real backward pass, the real wire sends (engine Dispatch),
 	// and the real aggregated-gradient arrivals — on the run's wall clock.
 	obs := cfg.Observer
+	payloadBw := tables.payloadBw
 	pp := pushParams{worker: w, sizes: sizes, labels: tables.labels, obs: obs, clock: clock}
-	if cfg.Predict && obs != nil && cfg.BandwidthBytesPerSec > 0 {
+	if cfg.Predict && obs != nil && payloadBw > 0 {
 		if po, ok := obs.(probe.PlanObserver); ok {
 			pp.planObs = po
-			pp.predictBw = cfg.BandwidthBytesPerSec / transportVolume(cfg.Transport, cfg.Workers)
+			pp.predictBw = payloadBw
 		}
 	}
 	eng.Bind(pp)
@@ -621,13 +658,8 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, tab
 		Worker:  w,
 		Profile: cfg.Profile,
 	}
-	if bw := cfg.BandwidthBytesPerSec; bw > 0 {
-		// Collective transports cost steps×chunk per tensor on the wire:
-		// the schedulers' effective per-byte rate is the link rate divided
-		// by the backend's total chunk volume — the same scaling the
-		// simulator's collective bandwidth monitor converges to.
-		bw /= transportVolume(cfg.Transport, cfg.Workers)
-		params.Bandwidth = func() float64 { return bw }
+	if payloadBw > 0 {
+		params.Bandwidth = func() float64 { return payloadBw }
 	}
 
 	col := &collector{}
@@ -862,25 +894,6 @@ func pushLabels(n int) []string {
 		labels[idx] = string(buf)
 	}
 	return labels
-}
-
-// transportVolume returns the wire bytes a transport moves per payload
-// byte: 1 for the parameter server, Σ ChunkBytes(1, W) for a collective
-// backend (2(W−1)/W for both ring and tree) — the divisor the simulator's
-// collectiveMonitor applies to Prophet's bandwidth estimate.
-func transportVolume(transport string, workers int) float64 {
-	if transport == "ps" {
-		return 1
-	}
-	be, err := drive.BackendByName(transport)
-	if err != nil {
-		return 1 // validate resolved the name already; unreachable
-	}
-	total := drive.WireVolume(be, workers)
-	if total <= 0 {
-		return 1
-	}
-	return total
 }
 
 // tensorSizes returns the model's per-tensor byte sizes (float64 elements),

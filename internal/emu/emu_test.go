@@ -2,6 +2,7 @@ package emu
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,6 +42,26 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
 			t.Fatalf("case %d: expected error", i)
+		}
+	}
+
+	// Three inputs used to pass validate and panic on a worker goroutine,
+	// where no caller can recover: a batch one row past the dataset (integer
+	// divide by zero picking the window), one far past it (Batch out of
+	// range), and a zero layer width (tensor.NewMat). Each is an error now,
+	// naming the field.
+	for _, c := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Batch", func(c *Config) { c.Batch = c.Dataset.X.Rows + 1 }},
+		{"Batch", func(c *Config) { c.Batch = 20 * c.Dataset.X.Rows }},
+		{"Layers[1]", func(c *Config) { c.Layers = []int{8, 0, 4} }},
+	} {
+		cfg := baseConfig()
+		c.set(&cfg)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s out of range: error %v, want one naming the field", c.field, err)
 		}
 	}
 }

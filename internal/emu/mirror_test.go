@@ -153,12 +153,12 @@ func TestMirrorBothPathsSameDecisions(t *testing.T) {
 //     at segment 0 (the last backward segment) matches the emulation's
 //     generate-everything-then-drain replay (emu's decide() bursts all
 //     events before its single Pump).
-//   - Prophet's wire model: the simulator's collectiveMonitor divides the
+//   - Prophet's wire model: the simulator's wireMonitor divides the
 //     link estimate by the backend's chunk volume Σ ChunkBytes(1, W) and
 //     charges steps×setup overhead; the explicit zero-setup/zero-ramp link
 //     keeps the overhead at zero and the monitor pinned to the trace (all
 //     transfers sit under its sampling floor), while the emulation divides
-//     BandwidthBytesPerSec by the identical transportVolume — both
+//     BandwidthBytesPerSec by the identical drive.WireVolume — both
 //     planners see exactly 1 GB/s ÷ 2(W−1)/W.
 func TestMirrorCollectiveTransports(t *testing.T) {
 	const (

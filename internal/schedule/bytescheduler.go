@@ -1,138 +1,16 @@
 package schedule
 
-import (
-	"container/heap"
-	"fmt"
+import "prophet/internal/sim"
 
-	"prophet/internal/sim"
-)
-
-// ByteScheduler implements credit-based priority scheduling (Peng et al.,
-// SOSP'19): when the link frees, up to `credit` bytes are drained from the
-// priority queue into one message (the credit models the scheduler's
-// in-flight window, which amortizes per-partition overhead). Preemption
-// granularity is therefore the credit: a higher-priority gradient generated
-// mid-message waits for the whole window to drain — the behaviour Prophet's
-// window-fitted blocks avoid.
-//
-// The optional auto-tuner reproduces the paper's Fig. 3(b): ByteScheduler
-// explores credit sizes online (the original uses Bayesian optimization),
-// and exploration iterations run at off-optimum credits, making the
-// training rate fluctuate.
-type ByteScheduler struct {
-	sizes  []float64
-	credit float64
-
-	// EngineCost is the per-credit-round dispatch cost of ByteScheduler's
-	// implementation: its core interposes a Python scheduling layer that
-	// performs credit accounting, tensor slicing, and cross-worker
-	// rendezvous on every round, far heavier than P3's native KVStore
-	// slicing. Calibrated against the paper's Table 2, where ByteScheduler
-	// trails even P3 at 3–4.5 Gbps despite coarser messages.
-	EngineCost float64
-
-	remaining []float64
-	ready     gradHeap
-	inHeap    []bool
-
-	tuner *CreditTuner
+// EnableTuning attaches an online credit auto-tuner (CreditTuner) exploring
+// sizes in [minCredit, maxCredit] from the current credit — the paper's
+// Fig. 3(b) configuration. seed drives the exploration sequence.
+func (q *Queue) EnableTuning(minCredit, maxCredit float64, seed uint64) {
+	q.tuner = NewCreditTuner(q.budget, minCredit, maxCredit, seed)
 }
 
-// DefaultByteSchedulerEngineCost is the calibrated per-round dispatch cost.
-const DefaultByteSchedulerEngineCost = 5e-3
-
-// NewByteScheduler creates the strategy with a fixed credit in bytes.
-func NewByteScheduler(sizes []float64, credit float64) *ByteScheduler {
-	if credit <= 0 {
-		panic("schedule: ByteScheduler credit must be positive")
-	}
-	return &ByteScheduler{
-		sizes:      sizes,
-		credit:     credit,
-		EngineCost: DefaultByteSchedulerEngineCost,
-		remaining:  make([]float64, len(sizes)),
-		inHeap:     make([]bool, len(sizes)),
-	}
-}
-
-// EnableTuning attaches an online credit auto-tuner exploring sizes in
-// [minCredit, maxCredit]. seed drives the exploration sequence.
-func (b *ByteScheduler) EnableTuning(minCredit, maxCredit float64, seed uint64) {
-	b.tuner = NewCreditTuner(b.credit, minCredit, maxCredit, seed)
-}
-
-// Name implements Scheduler.
-func (b *ByteScheduler) Name() string { return "bytescheduler" }
-
-// Credit returns the current credit size in bytes.
-func (b *ByteScheduler) Credit() float64 { return b.credit }
-
-// BeginIteration implements Scheduler.
-func (b *ByteScheduler) BeginIteration(int) {
-	b.ready = b.ready[:0]
-	for i := range b.remaining {
-		b.remaining[i] = 0
-		b.inHeap[i] = false
-	}
-	if b.tuner != nil {
-		b.credit = b.tuner.Propose()
-	}
-}
-
-// OnGenerated implements Scheduler.
-func (b *ByteScheduler) OnGenerated(g int, _ float64) {
-	if g < 0 || g >= len(b.sizes) {
-		panic(fmt.Sprintf("schedule: ByteScheduler.OnGenerated(%d) out of range", g))
-	}
-	b.remaining[g] = b.sizes[g]
-	if !b.inHeap[g] {
-		heap.Push(&b.ready, g)
-		b.inHeap[g] = true
-	}
-}
-
-// Next implements Scheduler.
-func (b *ByteScheduler) Next(float64) (Message, bool) {
-	var msg Message
-	budget := b.credit
-	for budget > 0 && len(b.ready) > 0 {
-		g := b.ready[0]
-		if b.remaining[g] <= 0 {
-			heap.Pop(&b.ready)
-			b.inHeap[g] = false
-			continue
-		}
-		take := budget
-		if take >= b.remaining[g] {
-			take = b.remaining[g]
-		}
-		b.remaining[g] -= take
-		last := b.remaining[g] <= 0
-		if last {
-			heap.Pop(&b.ready)
-			b.inHeap[g] = false
-		}
-		msg.Pieces = append(msg.Pieces, Piece{Grad: g, Bytes: take, Last: last})
-		msg.Bytes += take
-		budget -= take
-	}
-	if len(msg.Pieces) == 0 {
-		return Message{}, false
-	}
-	msg.Label = fmt.Sprintf("credit[g%d+%d]", msg.Priority(), len(msg.Pieces)-1)
-	msg.Stall = b.EngineCost
-	return msg, true
-}
-
-// OnSent implements Scheduler.
-func (b *ByteScheduler) OnSent(Message, float64, float64) {}
-
-// OnIterationEnd implements Scheduler.
-func (b *ByteScheduler) OnIterationEnd(iterDur float64) {
-	if b.tuner != nil {
-		b.tuner.Report(iterDur)
-	}
-}
+// Credit returns the current credit — the row's budget — in bytes.
+func (q *Queue) Credit() float64 { return q.budget }
 
 // CreditTuner is a stochastic hill-climbing credit optimizer: it keeps the
 // best credit seen so far and, on a fixed cadence, spends one iteration

@@ -28,32 +28,3 @@ type CostModel interface {
 	// `lane`.
 	MessageTime(lane int, bytes, stall float64) float64
 }
-
-// LinkCost is the CostModel of a serial store-and-forward link per lane —
-// the netsim wire model in closed form: a message of s bytes with dispatch
-// stall d costs
-//
-//	d + Setup + (s + Ramp)/Bandwidth(lane)
-//
-// which is exactly netsim.Link.SendExtra's arithmetic on a constant-rate
-// trace. Bandwidth is read at prediction time, so a varying trace shows up
-// as prediction error — the drift signal the audit exists to measure — and
-// a re-read after the rate settles re-anchors the plan.
-type LinkCost struct {
-	// Setup is the per-message fixed overhead in seconds (TCP/framing
-	// setup; netsim.LinkConfig.SetupTime).
-	Setup float64
-	// Ramp is the slow-start byte penalty (netsim.LinkConfig.RampBytes).
-	Ramp float64
-	// Bandwidth returns the lane's current bandwidth estimate in bytes/sec.
-	Bandwidth func(lane int) float64
-}
-
-// MessageTime implements CostModel.
-func (c LinkCost) MessageTime(lane int, bytes, stall float64) float64 {
-	b := c.Bandwidth(lane)
-	if b <= 0 {
-		return stall + c.Setup
-	}
-	return stall + c.Setup + (bytes+c.Ramp)/b
-}

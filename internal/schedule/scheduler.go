@@ -1,16 +1,20 @@
 // Package schedule implements the communication scheduling strategies the
-// paper evaluates, behind one interface the cluster simulator drives:
+// paper evaluates, behind one interface both executors drive. The five
+// baselines are one queue scheduler, Queue, and differ in a row of
+// parameters — which generated gradient goes next, and how much one message
+// may carry:
 //
-//   - FIFO — the default framework behaviour (MXNet): whole gradients in
-//     generation order.
-//   - P3 — priority-based parameter propagation: gradients sliced into
-//     fixed partitions, highest priority first (Jayarajan et al., MLSys'19).
-//   - ByteScheduler — credit-based priority scheduling with an optional
-//     online credit auto-tuner (Peng et al., SOSP'19).
-//   - Prophet — the paper's contribution: profiled stepwise blocks
-//     assembled by Algorithm 1 (package core).
+//	row            next      budget     slices  spans  stands for
+//	fifo           release   0          no      no     default MXNet: whole gradients as generated
+//	fusion         release   threshold  no      yes    Horovod's fusion buffer
+//	tictac         priority  +∞         yes     no     TicTac (Hashemi et al., MLSys'19)
+//	p3             priority  partition  yes     no     P3 (Jayarajan et al., MLSys'19)
+//	bytescheduler  priority  credit     yes     yes    ByteScheduler (Peng et al., SOSP'19), credit optionally auto-tuned
 //
-// A scheduler owns the *ordering* decision only. The simulator reports
+// Prophet — the paper's contribution — is the one strategy that plans:
+// profiled stepwise blocks assembled by Algorithm 1 (package core).
+//
+// A scheduler owns the *ordering* decision only. The executor reports
 // gradient generation (OnGenerated) and link availability (Next); the
 // scheduler answers with the next message to put on the wire.
 package schedule
@@ -42,7 +46,8 @@ type Message struct {
 	// with per-partition credit bookkeeping, Prophet's C++ BytePS core),
 	// and the paper's measurements — ByteScheduler losing to P3 at
 	// 3–4.5 Gbps in Table 2 despite coarser messages — are unexplainable
-	// by wire behaviour alone. See DESIGN.md §5 (engine-cost ablation).
+	// by wire behaviour alone. See DESIGN.md §5 (why the stall is row data)
+	// and §6 (the calibration).
 	Stall float64
 }
 
@@ -95,13 +100,4 @@ type Scheduler interface {
 	// OnIterationEnd reports the duration of the completed iteration
 	// (used by auto-tuners).
 	OnIterationEnd(iterDur float64)
-}
-
-// singlePiece builds a whole-gradient message.
-func singlePiece(g int, bytes float64, label string) Message {
-	return Message{
-		Pieces: []Piece{{Grad: g, Bytes: bytes, Last: true}},
-		Bytes:  bytes,
-		Label:  label,
-	}
 }

@@ -1,9 +1,9 @@
-// Package strategy is the shared name→factory registry for communication
+// Package strategy is the shared name→constructor table for communication
 // scheduling strategies. Both execution paths — the discrete-event cluster
-// simulator and the live emulation — and both binaries' -policy flags build
-// their schedule.Scheduler instances through it, so every strategy is
-// available under identical names everywhere, and a new strategy registered
-// here lands in both paths by construction.
+// simulator and the live emulation — and the -policy flag build their
+// schedule.Scheduler instances through it, so every strategy is available
+// under identical names everywhere, and a row added to the table here lands
+// in both paths by construction.
 //
 // Names: fifo, p3, tictac, bytescheduler, bytescheduler-tuned, fusion,
 // prophet.
@@ -60,22 +60,39 @@ type Params struct {
 	Overhead func(bw float64) float64
 }
 
-// Factory builds one scheduler instance from parameters.
-type Factory func(p Params) (schedule.Scheduler, error)
-
-var factories = map[string]Factory{}
-
-// Register adds a strategy under its name. It panics on a duplicate:
-// registration happens at init time, where a collision is a programming
-// error.
-func Register(name string, f Factory) {
-	if name == "" || f == nil {
-		panic("strategy: empty registration")
-	}
-	if _, dup := factories[name]; dup {
-		panic(fmt.Sprintf("strategy: duplicate registration of %q", name))
-	}
-	factories[name] = f
+// factories is the registry: one constructor per name.
+var factories = map[string]func(p Params) (schedule.Scheduler, error){
+	"fifo": func(p Params) (schedule.Scheduler, error) {
+		return schedule.NewFIFO(p.Sizes), nil
+	},
+	"p3": func(p Params) (schedule.Scheduler, error) {
+		return schedule.NewP3(p.Sizes, p.partition()), nil
+	},
+	"tictac": func(p Params) (schedule.Scheduler, error) {
+		return schedule.NewTicTac(p.Sizes), nil
+	},
+	"bytescheduler": func(p Params) (schedule.Scheduler, error) {
+		return schedule.NewByteScheduler(p.Sizes, p.credit()), nil
+	},
+	"bytescheduler-tuned": func(p Params) (schedule.Scheduler, error) {
+		b := schedule.NewByteScheduler(p.Sizes, p.credit())
+		min, max := p.creditBounds()
+		b.EnableTuning(min, max, p.tunerSeed())
+		return b, nil
+	},
+	"fusion": func(p Params) (schedule.Scheduler, error) {
+		return schedule.NewFusion(p.Sizes, p.fusionBytes()), nil
+	},
+	"prophet": func(p Params) (schedule.Scheduler, error) {
+		if p.Profile == nil {
+			return nil, fmt.Errorf("strategy: prophet needs a profile (Params.Profile)")
+		}
+		bw := p.Bandwidth
+		if bw == nil {
+			bw = func() float64 { return 1e9 }
+		}
+		return schedule.NewProphet(p.Profile, bw, p.Overhead)
+	},
 }
 
 // Check reports whether a user-supplied name is a registered strategy.
@@ -86,10 +103,15 @@ func Check(name string) error {
 	return nil
 }
 
-// New builds a scheduler by name.
+// New builds a scheduler by name. Every strategy but Prophet slices the
+// gradients itself and so needs their sizes; Prophet plans from its
+// profile's.
 func New(name string, p Params) (schedule.Scheduler, error) {
 	if err := Check(name); err != nil {
 		return nil, err
+	}
+	if name != "prophet" && len(p.Sizes) == 0 {
+		return nil, fmt.Errorf("strategy: %s needs gradient sizes (Params.Sizes)", name)
 	}
 	return factories[name](p)
 }
@@ -141,65 +163,4 @@ func (p Params) creditBounds() (float64, float64) {
 // experiment results are reproduced exactly).
 func (p Params) tunerSeed() uint64 {
 	return p.Seed + uint64(p.Worker)*31 + 11
-}
-
-// needSizes rejects a sizes-less Params for the strategies that slice
-// gradients themselves (Prophet instead plans from its profile's sizes).
-func needSizes(name string, p Params) error {
-	if len(p.Sizes) == 0 {
-		return fmt.Errorf("strategy: %s needs gradient sizes (Params.Sizes)", name)
-	}
-	return nil
-}
-
-func init() {
-	Register("fifo", func(p Params) (schedule.Scheduler, error) {
-		if err := needSizes("fifo", p); err != nil {
-			return nil, err
-		}
-		return schedule.NewFIFO(p.Sizes), nil
-	})
-	Register("p3", func(p Params) (schedule.Scheduler, error) {
-		if err := needSizes("p3", p); err != nil {
-			return nil, err
-		}
-		return schedule.NewP3(p.Sizes, p.partition()), nil
-	})
-	Register("tictac", func(p Params) (schedule.Scheduler, error) {
-		if err := needSizes("tictac", p); err != nil {
-			return nil, err
-		}
-		return schedule.NewTicTac(p.Sizes), nil
-	})
-	Register("bytescheduler", func(p Params) (schedule.Scheduler, error) {
-		if err := needSizes("bytescheduler", p); err != nil {
-			return nil, err
-		}
-		return schedule.NewByteScheduler(p.Sizes, p.credit()), nil
-	})
-	Register("bytescheduler-tuned", func(p Params) (schedule.Scheduler, error) {
-		if err := needSizes("bytescheduler-tuned", p); err != nil {
-			return nil, err
-		}
-		b := schedule.NewByteScheduler(p.Sizes, p.credit())
-		min, max := p.creditBounds()
-		b.EnableTuning(min, max, p.tunerSeed())
-		return b, nil
-	})
-	Register("fusion", func(p Params) (schedule.Scheduler, error) {
-		if err := needSizes("fusion", p); err != nil {
-			return nil, err
-		}
-		return schedule.NewFusion(p.Sizes, p.fusionBytes()), nil
-	})
-	Register("prophet", func(p Params) (schedule.Scheduler, error) {
-		if p.Profile == nil {
-			return nil, fmt.Errorf("strategy: prophet needs a profile (Params.Profile)")
-		}
-		bw := p.Bandwidth
-		if bw == nil {
-			bw = func() float64 { return 1e9 }
-		}
-		return schedule.NewProphet(p.Profile, bw, p.Overhead)
-	})
 }
