@@ -43,15 +43,19 @@ vet:
 test:
 	$(GO) test ./...
 
-# Formatting gate plus staticcheck and deadcode when the tools are installed
+# Formatting gate, the offline reachability gate (reach_test.go: every
+# function declared in a non-test file is referenced from one, or is
+# allowlisted with a reason — stdlib only, so it runs where nothing can be
+# installed), plus staticcheck and deadcode when the tools are installed
 # (the gate must not require network access to fetch them; CI installs
 # both). deadcode prints functions no main package or test reaches; any
 # output fails the gate. Tests count as callers (-test) because the frozen
-# benchmark/ module, which this analysis cannot see, compiles against API
+# benchmark/ module, which that analysis cannot see, compiles against API
 # that only tests use inside this module.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	$(GO) test -count=1 -run '^TestEveryFunctionIsReferenced$$' .
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping"; fi
 	@if command -v deadcode >/dev/null 2>&1; then \
@@ -145,3 +149,4 @@ fuzz:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDecodeFloats$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzMuxReadFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ps -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/collective -run '^$$' -fuzz '^FuzzFabricDeliver$$' -fuzztime $(FUZZTIME)

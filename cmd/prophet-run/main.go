@@ -103,7 +103,7 @@ func run(args []string, out io.Writer) error {
 	fs.Uint64Var(&j.seed, "seed", 1, "seed")
 	fs.IntVar(&j.shards, "shards", 1, "parameter server shards (key-sharded multi-PS)")
 	fs.StringVar(&j.placement, "placement", "size-balanced", "key→shard placement: round-robin|size-balanced")
-	fs.Float64Var(&j.bandwidth, "bandwidth", -1, "per-worker link bandwidth in Mbps (default 3000 on sim, 32 on emu; 0 = unshaped, emu only)")
+	fs.Float64Var(&j.bandwidth, "bandwidth", 0, "per-worker link bandwidth in Mbps (default 3000 on sim, 32 on emu; 0 = unshaped, emu only)")
 	fs.StringVar(&j.model, "model", "resnet50", "sim: model, "+strings.Join(model.Names(), "|"))
 	fs.Float64Var(&j.partition, "partition", 4, "sim: P3 partition size in MB")
 	fs.Float64Var(&j.credit, "credit", 4, "sim: ByteScheduler credit in MB")
@@ -126,8 +126,14 @@ func run(args []string, out io.Writer) error {
 	} else if j.path != "sim" {
 		return fmt.Errorf("unknown -path %q: want sim or emu", j.path)
 	}
-	if j.bandwidth < 0 {
+	// "Unset" is whether the flag was given, not a sentinel value: a negative
+	// rate is a typo, not a request for the default.
+	given := false
+	fs.Visit(func(f *flag.Flag) { given = given || f.Name == "bandwidth" })
+	if !given {
 		j.bandwidth = mbps
+	} else if j.bandwidth < 0 {
+		return fmt.Errorf("-bandwidth %g: a link rate in Mbps cannot be negative", j.bandwidth)
 	}
 	if err := strategy.Check(j.policy); err != nil {
 		return err

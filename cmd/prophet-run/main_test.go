@@ -170,6 +170,7 @@ func TestBadInvocationsAreErrors(t *testing.T) {
 		{[]string{"-policy", "p3", "-partition", "0"}, "-partition 0"},
 		{[]string{"-policy", "bytescheduler", "-credit", "0"}, "-credit 0"},
 		{[]string{"-policy", "bytescheduler", "-credit", "-1"}, "-credit -1"},
+		{[]string{"-bandwidth", "-5"}, "-bandwidth -5"},
 		// An unshaped live link plans nothing: prophet-emu used to print an
 		// all-zero table and exit 0.
 		{small("emu", "-bandwidth", "0", "-audit", "-"), "no planned send windows"},

@@ -24,10 +24,11 @@
 // workers finish one op with bit-identical means — the collective analogue
 // of the parameter server's deterministic aggregation.
 //
-// Flow control, framing, and payload pooling are inherited from the mux
-// transport: chunk frames ride per-stream credit windows, received payloads
-// are pooled, and decoded chunk buffers recycle through a float pool, so
-// the steady-state hot path allocates nothing per step.
+// Framing, back-pressure and payload pooling are inherited from the mux
+// transport: a chunk's send returns once the demux loop has read it off the
+// pipe, received payloads are pooled, and decoded chunk buffers recycle
+// through a float pool, so the steady-state hot path allocates nothing per
+// step.
 package collective
 
 import (
@@ -66,12 +67,15 @@ type chunk struct {
 
 // inbox holds the decoded chunks queued for one worker. It is unbounded —
 // that is what makes the fabric deadlock-free: the demux loop never blocks
-// on a worker, so credit grants always flow and a sender can never wedge
-// behind a receiver that is itself mid-send. The credit windows do not
-// bound it (the demux hands a frame's credit back before it queues the
-// decoded chunk); the lockstep schedule does: a peer sends step k+1 only
-// after it received step k, so no sender runs more than one step ahead of
-// the slowest peer it exchanges with.
+// on a worker, so the pipe always drains and a sender can never wedge
+// behind a receiver that is itself mid-send. The pipe does not bound the
+// inbox (a send returns when the demux loop has read the frame, not when
+// the peer has taken the chunk); the lockstep schedule does: a peer sends
+// step k+1 only after it received step k. On a ring that needs only the
+// predecessor's chunk, so the dependency chain runs the long way round and
+// a peer can lead its successor by up to W−1 steps (an inbox of at most W
+// chunks); halving-doubling's exchange is mutual, and a peer leads a
+// partner by at most log₂W steps.
 //
 // Lookup is by (iter, step), not FIFO: tree receivers hear from a different
 // partner each step, and nothing orders arrivals across senders — a fast
@@ -112,7 +116,7 @@ type Fabric struct {
 
 	pool transport.FloatPool // decoded chunk buffers, recycled across steps and ops
 
-	readers sync.WaitGroup // the two demux loops
+	readers sync.WaitGroup // the demux loop
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -152,7 +156,7 @@ func New(backend string, workers int, bandwidthBytesPerSec float64, opt Options)
 
 // Over builds the fabric on a pipe the caller made (and shaped, metered or
 // fault-wrapped as it saw fit): peers write their chunks to send, the demux
-// loop reads them from recv, and credit flows back the other way. Once Over
+// loop reads them from recv, and nothing travels the other way. Once Over
 // returns without an error the fabric owns both ends. clock supplies the
 // StepFunc timestamps (nil = wall seconds since now).
 func Over(backend string, workers int, send, recv net.Conn, clock func() float64) (*Fabric, error) {
@@ -176,27 +180,15 @@ func Over(backend string, workers int, send, recv net.Conn, clock func() float64
 	}
 	f.cond = sync.NewCond(&f.mu)
 	f.send = transport.NewMuxConn(send, transport.MuxOptions{Streams: workers})
-	// The receive side recycles chunk payloads and flushes credit grants
-	// from its own granter goroutine (the demux loop never writes).
-	f.recv = transport.NewMuxConn(recv, transport.MuxOptions{
-		Streams:   workers,
-		Pool:      transport.NewPayloadPool(),
-		AutoGrant: true,
-	})
-	f.readers.Add(2)
-	go f.demux(f.recv, f.deliver)
-	// The peers opposite the send side only ever return flow-control
-	// credit, which the mux consumes internally: its loop exists to keep
-	// those grants draining, and any data frame there is a violation.
-	go f.demux(f.send, func(stream uint32, frame *transport.Frame) error {
-		return fmt.Errorf("collective: unexpected %s data frame on the send side (stream %d)", frame.Type, stream)
-	})
+	f.recv = transport.NewMuxConn(recv, transport.MuxOptions{Streams: workers, Pool: transport.NewPayloadPool()})
+	f.readers.Add(1)
+	go f.demux()
 	return f, nil
 }
 
 // Close tears the fabric down: both pipe ends close, every peer blocked in
-// an exchange fails with net.ErrClosed, and the demux loops have exited by
-// the time it returns. Idempotent; an end that was already closed (by a
+// an exchange fails with net.ErrClosed, and the demux loop has exited by
+// the time it returns. Idempotent; an end that was already closed (by the
 // demux loop's own exit, or by the caller) is not an error.
 func (f *Fabric) Close() error {
 	f.fail(net.ErrClosed)
@@ -222,13 +214,13 @@ func (f *Fabric) fail(err error) {
 	f.mu.Unlock()
 }
 
-// demux runs one side's reader until its first error, which closes that
-// mux (transport.MuxConn.Demux) — the other end of the pipe then fails too,
-// so senders parked in a write or a credit reservation unwind without
-// anybody calling Close.
-func (f *Fabric) demux(m *transport.MuxConn, handle func(uint32, *transport.Frame) error) {
+// demux runs the receive side's reader until its first error, which closes
+// that mux (transport.MuxConn.Demux) — writes on the other end of the pipe
+// then fail too, so senders parked in a write unwind without anybody
+// calling Close.
+func (f *Fabric) demux() {
 	defer f.readers.Done()
-	f.fail(m.Demux(handle))
+	f.fail(f.recv.Demux(f.deliver))
 }
 
 // deliver is the receive side's frame handler: it decodes a chunk frame

@@ -14,8 +14,8 @@ import (
 )
 
 // settleGoroutines fails the test unless the goroutine count falls back to
-// baseline: exits the code under test does not wait for (a mux's credit
-// granter) are given a moment to finish.
+// baseline: exits nobody waits for (a test's own peer goroutines, done but
+// not yet gone) are given a moment to finish.
 func settleGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -306,9 +306,14 @@ func TestCloseKeepsRealErrors(t *testing.T) {
 func TestCloseWaitsForReaders(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for _, backend := range []string{"ring", "tree"} {
+		settleGoroutines(t, baseline)
 		f, err := New(backend, 4, 0, Options{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The fabric is one reader goroutine: the receive side's demux loop.
+		if n := runtime.NumGoroutine() - baseline; n != 1 {
+			t.Fatalf("%s fabric runs %d goroutines, want 1", backend, n)
 		}
 		inputs := make([][]float64, 4)
 		for w := range inputs {

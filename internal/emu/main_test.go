@@ -24,9 +24,8 @@ func TestMain(m *testing.M) {
 }
 
 // leakedGoroutines waits up to 5 s for the goroutine count to fall back to
-// baseline — exits a run does not wait for (the muxes' credit granters) are
-// given a moment to finish — and returns "" when it has, else the counts and
-// every remaining stack.
+// baseline — exits a run does not wait for are given a moment to finish —
+// and returns "" when it has, else the counts and every remaining stack.
 func leakedGoroutines(baseline int) string {
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {

@@ -201,17 +201,6 @@ type TransferLog struct {
 // Add appends an entry.
 func (l *TransferLog) Add(e TransferEntry) { l.Entries = append(l.Entries, e) }
 
-// ForIteration returns the entries of one iteration.
-func (l *TransferLog) ForIteration(iter int) []TransferEntry {
-	var out []TransferEntry
-	for _, e := range l.Entries {
-		if e.Iteration == iter {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // MeanWait returns the average wait across all entries.
 func (l *TransferLog) MeanWait() float64 {
 	if len(l.Entries) == 0 {

@@ -19,9 +19,6 @@ func Gbps(g float64) float64 { return g * 1e9 / 8 }
 // Mbps converts megabits/second to bytes/second.
 func Mbps(m float64) float64 { return m * 1e6 / 8 }
 
-// MB converts megabytes to bytes.
-func MB(m float64) float64 { return m * 1e6 }
-
 // Trace reports the raw link bandwidth available at a point in simulated
 // time. Implementations must be piecewise constant between Breakpoints so
 // that transfer completion times can be integrated exactly.

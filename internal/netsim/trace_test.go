@@ -15,9 +15,6 @@ func TestUnitConversions(t *testing.T) {
 	if Mbps(8) != 1e6 {
 		t.Fatalf("Mbps(8) = %v", Mbps(8))
 	}
-	if MB(2) != 2e6 {
-		t.Fatalf("MB(2) = %v", MB(2))
-	}
 }
 
 func TestConstTrace(t *testing.T) {

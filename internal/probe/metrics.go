@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -250,20 +249,4 @@ func (m *Metrics) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-}
-
-// CounterNames returns the registered counter names, sorted (render
-// helper).
-func (m *Metrics) CounterNames() []string {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.counters))
-	for name := range m.counters {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

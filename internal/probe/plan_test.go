@@ -144,20 +144,6 @@ func TestBucketUpper(t *testing.T) {
 	}
 }
 
-func TestCounterNamesSorted(t *testing.T) {
-	m := NewMetrics()
-	m.Counter("zeta").Inc()
-	m.Counter("alpha").Inc()
-	got := m.CounterNames()
-	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
-		t.Errorf("CounterNames = %v, want [alpha zeta]", got)
-	}
-	var nilM *Metrics
-	if names := nilM.CounterNames(); names != nil {
-		t.Errorf("nil CounterNames = %v, want nil", names)
-	}
-}
-
 func TestNilMetricsHandler(t *testing.T) {
 	var m *Metrics
 	rr := httptest.NewRecorder()

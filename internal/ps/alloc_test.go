@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"prophet/internal/transport"
 )
 
 // sinkConn is a net.Conn whose writes vanish and whose reads block until
@@ -45,8 +43,7 @@ func (c *sinkConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // TestClientPushZeroAllocs pins the write-side hot-path contract: once the
 // batch scratch has grown, Push encodes and flushes a gradient with zero
-// allocations. The sink never grants credit, so the whole run has to fit in
-// one stream window.
+// allocations.
 func TestClientPushZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful without -race")
@@ -55,7 +52,7 @@ func TestClientPushZeroAllocs(t *testing.T) {
 	c := NewClient(conn)
 	defer c.Close()
 	const runs = 200
-	data := make([]float64, transport.DefaultStreamWindow/(runs+2)/8-transport.MuxHeaderSize)
+	data := make([]float64, 128)
 	if err := c.Push(0, 0, data); err != nil { // warm the scratch
 		t.Fatal(err)
 	}

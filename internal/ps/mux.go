@@ -1,21 +1,22 @@
 package ps
 
 // The parameter server's wire: N ≥ 1 logical workers per physical
-// connection, each a tagged stream with its own flow-control credit.
+// connection, each a tagged stream.
 //
 // Server side, ServeMux runs the demux loop on the caller's goroutine and
-// one responder goroutine that owns all writes (pull responses and credit
-// grants) — two goroutines per physical connection regardless of how many
-// workers it carries. Client side, a MuxGroup owns one demux goroutine and
-// the transport's credit granter, and hands out per-worker MuxWorker
-// handles implementing WorkerLink.
+// one responder goroutine that owns every server write (the pull responses)
+// — two goroutines per physical connection regardless of how many workers it
+// carries. Client side, a MuxGroup owns one demux goroutine and nothing
+// else, and hands out per-worker MuxWorker handles implementing WorkerLink.
+// Three goroutines per pipe in all.
 //
 // Frames are tagged with a stream id equal to the worker's position in the
-// ServeMux ids slice (the MuxGroup uses worker id == stream id directly),
-// and per-stream flow-control credit keeps one worker's burst from running
-// unboundedly ahead of the demux loop. Pooled payloads survive end-to-end:
-// the demux borrows from the shared payload pool, handlers decode into the
-// float pool, and MuxConn.Done returns the wire bytes.
+// ServeMux ids slice (the MuxGroup uses worker id == stream id directly).
+// The pipe is the flow control: a write returns once the far demux loop has
+// read it, so no worker's burst runs ahead of that loop by more than the
+// batch in the wire. Pooled payloads survive end-to-end: the demux borrows
+// from the shared payload pool, handlers decode into the float pool, and
+// MuxConn.Done returns the wire bytes.
 
 import (
 	"errors"
@@ -97,8 +98,8 @@ func (s *Server) ServeMux(conn net.Conn, ids []int) error {
 	}
 
 	// Teardown: Demux closed the conn — the responder may be parked inside
-	// a credit reservation and only a close wakes it — so wait for it and
-	// unhook the workers.
+	// a write and only a close wakes it — so wait for it and unhook the
+	// workers.
 	close(r.stop)
 	rwg.Wait()
 	s.mu.Lock()
@@ -131,8 +132,8 @@ type respJob struct {
 }
 
 // muxResponder is the single writer goroutine of a ServeMux connection: it
-// flushes credit grants accumulated by the demux loop and writes queued
-// pull responses, keeping the server at two goroutines per physical conn.
+// writes the pull responses the demux loop queues (a demux loop never
+// writes), keeping the server at two goroutines per physical conn.
 type muxResponder struct {
 	s   *Server
 	mc  *transport.MuxConn
@@ -163,12 +164,6 @@ func (r *muxResponder) loop() {
 		case <-r.stop:
 			return
 		case <-r.notify:
-		case <-r.mc.GrantC():
-		}
-		if r.mc.FlushGrants() != nil {
-			// Conn broken: the demux loop observes the same failure; just
-			// stop writing.
-			return
 		}
 		for {
 			// Swap queue and spare under the lock, and only when non-empty:
@@ -236,7 +231,7 @@ func NewMuxGroup(conn net.Conn, workers int, opts MuxGroupOptions) *MuxGroup {
 		panic("ps: NewMuxGroup needs at least one worker")
 	}
 	g := &MuxGroup{
-		mc:      transport.NewMuxConn(conn, transport.MuxOptions{Streams: workers, Pool: payloads, AutoGrant: true}),
+		mc:      transport.NewMuxConn(conn, transport.MuxOptions{Streams: workers, Pool: payloads}),
 		opts:    opts,
 		workers: make([]*MuxWorker, workers),
 		done:    make(chan struct{}),
@@ -389,14 +384,13 @@ func (mw *MuxWorker) PullAsync(iter, tensor int) (<-chan PullResult, error) {
 }
 
 // PushPullBatch stages every tensor's push and pull request as one mux
-// batch: a single credit reservation and a single write on the shared
-// connection, interleaved by stream with other workers' batches — the
-// Parameter-Box-style batched wire format for all same-destination tensors
-// of one scheduler message. grad returns tensor t's data (borrowed only for
-// the duration of the call); res receives each tensor's result channel,
-// delivered before any byte hits the wire so a response racing back can
-// never be dropped. The batch fails as a unit: on error no pull of this
-// batch stays registered.
+// batch: a single write on the shared connection, interleaved by stream
+// with other workers' batches — the Parameter-Box-style batched wire format
+// for all same-destination tensors of one scheduler message. grad returns
+// tensor t's data (borrowed only for the duration of the call); res
+// receives each tensor's result channel, delivered before any byte hits the
+// wire so a response racing back can never be dropped. The batch fails as a
+// unit: on error no pull of this batch stays registered.
 func (mw *MuxWorker) PushPullBatch(iter int, tensors []int, grad func(tensor int) []float64, res func(tensor int, ch <-chan PullResult)) error {
 	nreg := 0
 	var err error

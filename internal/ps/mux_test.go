@@ -2,7 +2,6 @@ package ps
 
 import (
 	"errors"
-	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -101,7 +100,15 @@ func TestMuxGoroutineBudget(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
+		// The round's worker goroutines have signalled Done but may not have
+		// exited yet: take the count once it has settled.
 		during := runtime.NumGoroutine() - before
+		for i := 0; i < 50; i++ {
+			time.Sleep(time.Millisecond)
+			if n := runtime.NumGoroutine() - before; n < during {
+				during = n
+			}
+		}
 		if err := shutdown(); err != nil {
 			t.Fatalf("serve (%d workers): %v", workers, err)
 		}
@@ -111,10 +118,10 @@ func TestMuxGoroutineBudget(t *testing.T) {
 	if big > small {
 		t.Fatalf("goroutines grew with workers: %d at W=2, %d at W=64", small, big)
 	}
-	// Two per side per physical conn: demux + responder (server), demux +
-	// granter (client), plus the ServeMux caller itself.
-	if small > 5 {
-		t.Fatalf("mux cluster costs %d goroutines, want ≤ 5", small)
+	// Three per pipe: the ServeMux caller's demux loop + its responder
+	// (server), one demux goroutine (client); one of slack.
+	if small > 4 {
+		t.Fatalf("mux cluster costs %d goroutines, want ≤ 4", small)
 	}
 }
 
@@ -147,45 +154,34 @@ func TestMuxGroupCloseFailsPending(t *testing.T) {
 	}
 }
 
-// TestMuxConnLossUnblocksCreditWaiters pins the abort path: a sender
-// parked in a credit reservation only wakes on close or an incoming
-// grant, so when the connection dies the group's readLoop must close the
-// mux — otherwise a worker blocked mid-push hangs forever (emu.Run's
-// abort closes raw conns and then waits for every worker).
-func TestMuxConnLossUnblocksCreditWaiters(t *testing.T) {
+// TestMuxConnLossUnblocksParkedSender pins the abort path: a sender parked
+// in a write nobody reads only wakes on a close, so when the connection
+// dies under it the push must fail and the group's readLoop must latch the
+// loss — otherwise a worker blocked mid-push hangs forever (emu.Run's abort
+// closes raw conns and then waits for every worker).
+func TestMuxConnLossUnblocksParkedSender(t *testing.T) {
 	a, b := transport.Pipe(0, 0)
 	g := NewMuxGroup(a, 1, MuxGroupOptions{})
 	defer g.Close()
-	// The peer drains bytes but never grants credit back.
-	drained := make(chan struct{})
-	go func() { defer close(drained); io.Copy(io.Discard, b) }()
 
 	link := g.Worker(0)
-	payload := make([]float64, 8<<10) // 65553 wire bytes per push
-	// Three pushes leave the 256 KiB stream window short of a fourth.
-	for i := 0; i < 3; i++ {
-		if err := link.Push(0, i, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
 	blocked := make(chan error, 1)
-	go func() { blocked <- link.Push(1, 0, payload) }()
+	go func() { blocked <- link.Push(1, 0, make([]float64, 8<<10)) }() // the peer never reads
 	select {
 	case err := <-blocked:
-		t.Fatalf("push did not block on exhausted credit (err=%v)", err)
+		t.Fatalf("push into an unread pipe did not block (err=%v)", err)
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	b.Close() // the connection dies while the sender waits for credit
+	b.Close() // the connection dies while the sender is parked
 	select {
 	case err := <-blocked:
 		if err == nil {
-			t.Fatal("credit-blocked push succeeded after connection loss")
+			t.Fatal("parked push succeeded after connection loss")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("credit-blocked sender hung after connection loss")
+		t.Fatal("parked sender hung after connection loss")
 	}
-	<-drained
 	// New traffic is rejected, not blocked.
 	if _, err := link.PullAsync(2, 0); err == nil {
 		t.Fatal("pull after connection loss succeeded")

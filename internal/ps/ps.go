@@ -13,8 +13,8 @@
 // # One wire
 //
 // Every connection speaks the multiplexed protocol of mux.go: tagged frames,
-// per-stream credit, one demux loop and one responder per connection on the
-// server, one demux goroutine and one credit granter on the client. How many
+// one demux loop and one responder per connection on the server, one demux
+// goroutine on the client, and the pipe itself as flow control. How many
 // workers share a connection is topology, not protocol: Serve and NewClient
 // run one worker per connection (a one-stream mux), ServeMux and MuxGroup
 // any number.

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRandDeterministic(t *testing.T) {
@@ -119,26 +118,5 @@ func TestRangeBounds(t *testing.T) {
 		if v < 2 || v >= 5 {
 			t.Fatalf("Range(2,5) = %v", v)
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		p := NewRand(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

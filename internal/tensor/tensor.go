@@ -100,9 +100,6 @@ func (v Vec) Dot(x Vec) float64 {
 	return s
 }
 
-// Norm returns the Euclidean norm.
-func (v Vec) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
 // FillRandn fills v with N(0, stddev) values from rng.
 func (v Vec) FillRandn(rng *sim.Rand, stddev float64) {
 	for i := range v {

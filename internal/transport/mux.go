@@ -8,33 +8,23 @@ package transport
 //
 //	mux frame := stream(4) | type(1) | iter(4) | tensor(4) | len(4) | payload
 //
-// Flow control is per-stream byte credit. Each stream starts with a full
-// window of Window bytes; a data frame consumes its full wire size
-// (MuxHeaderSize + payload) from its stream's window at the sender, and the
-// receiver hands the bytes back with a Credit frame once the frame has been
-// consumed (Done). A sender whose stream is out of credit blocks in
-// SendBatch without holding the connection write lock, so one worker's
-// burst can neither starve other streams of the writer nor run unboundedly
-// ahead of the demux loop. Credit frames themselves are exempt from flow
-// control (type Credit, grant amount in the Iter field, no payload).
+// Back-pressure is the pipe. Outside tests every MuxConn rides an end of
+// Pipe, i.e. net.Pipe, whose Write returns only once the peer has read the
+// bytes: a SendBatch into a conn nobody reads does not return, so no sender
+// is ever more than the one batch in the wire ahead of the demux loop, and
+// senders on other streams queue behind it on the write lock. The mux adds
+// no window of its own and starts no goroutine. A wire that buffers (a
+// kernel socket) is the condition under which per-stream windows would have
+// to come back; frame type 4, the retired credit grant, stays reserved for
+// that.
 //
-// Deadlock discipline (net.Pipe writes block until the peer reads):
-//
-//   - A demux loop must NEVER write. MuxConn.Read consumes Credit frames
-//     internally; Done only enqueues a pending grant. Grants reach the wire
-//     through FlushGrants, called either by the embedded granter goroutine
-//     (AutoGrant) or by an owner goroutine that also performs data writes
-//     (the ps server's responder).
-//   - Credit is reserved BEFORE the write lock is taken, so a blocked
-//     stream never holds the lock.
-//   - A batch larger than the whole window is admitted once the window is
-//     full (nothing in flight); its stream's balance goes negative and
-//     recovers as grants arrive, so oversized sends make progress instead
-//     of livelocking.
+// Deadlock discipline (net.Pipe writes block until the peer reads): a demux
+// loop must NEVER write on its own conn — two peers each writing from their
+// only reader would wait on each other forever. Writes belong to sender
+// goroutines and to owner goroutines such as the ps server's responder.
 //
 // Payloads flow through the same PayloadPool as FrameReader: the *Frame
-// returned by Read borrows a pooled buffer, and Done both recycles it and
-// accounts the credit grant — one call ends the frame's lifetime.
+// returned by Read borrows a pooled buffer, and Done recycles it.
 
 import (
 	"encoding/binary"
@@ -43,62 +33,41 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 )
 
 // MuxHeaderSize is the wire size of a mux frame header: the 4-byte stream
 // id plus the ordinary frame header.
 const MuxHeaderSize = 4 + headerSize
 
-// DefaultStreamWindow is the per-stream credit window when MuxOptions
-// leaves Window zero: large enough that a steady push/pull cadence never
-// blocks, small enough that a runaway stream stays bounded.
-const DefaultStreamWindow = 256 << 10
-
 // MuxOptions configures a MuxConn.
 type MuxOptions struct {
 	// Streams is the number of logical streams (ids 0..Streams-1).
 	Streams int
-	// Window is the per-stream credit window in bytes (default
-	// DefaultStreamWindow).
-	Window int
 	// Pool recycles received payload buffers (nil = allocate per frame).
 	Pool *PayloadPool
-	// AutoGrant runs an internal goroutine that flushes credit grants as
-	// Done accumulates them. Leave false when an owner goroutine (one that
-	// also writes data frames) calls FlushGrants itself — the ps server's
-	// responder does, keeping the server at two goroutines per conn.
+	// AutoGrant is inert: nothing reads it. It remains only because the
+	// frozen benchmark/ module sets it, and goes in the benchmark-only PR
+	// that also deletes internal/allreduce (ROADMAP item 5).
 	AutoGrant bool
 }
 
 // MuxConn multiplexes tagged frame streams over one net.Conn. Writes
 // (SendBatch and friends) are safe for concurrent use from any number of
-// goroutines; Demux (or Read) and FlushGrants must each be called from a
-// single goroutine (the demux loop and the grant flusher, respectively).
+// goroutines; Demux (or Read) must be called from a single goroutine (the
+// demux loop).
 type MuxConn struct {
 	conn    net.Conn
 	pool    *PayloadPool
 	streams int
-	window  int64
 
-	// wmu serializes writes on conn. Holders never wait on credit: every
-	// reservation happens before the lock, so the lock is only ever held
-	// for the duration of one conn.Write.
+	// wmu serializes writes on conn: it is held for one conn.Write, which
+	// on a pipe lasts until the peer has read the batch.
 	wmu sync.Mutex
 
-	// cmu guards the send-side credit balances.
-	cmu    sync.Mutex
-	cond   *sync.Cond
-	avail  []int64
-	closed bool
-
-	// gmu guards the receive-side pending grants.
-	gmu      sync.Mutex
-	grant    []int64
-	gdirty   []uint32
-	gscratch []byte // grant frame staging; FlushGrants is single-caller
-	gnotify  chan struct{}
-
-	done chan struct{} // closed by Close; stops the AutoGrant granter
+	closeOnce sync.Once
+	closed    atomic.Bool // set before conn.Close: a failed send checks it
+	closeErr  error
 
 	// batchMu guards the MuxBatch freelist.
 	batchMu   sync.Mutex
@@ -110,48 +79,24 @@ type MuxConn struct {
 }
 
 // NewMuxConn wraps conn. The peer must be a MuxConn with the same stream
-// count and window (the wire carries no negotiation).
+// count (the wire carries no negotiation).
 func NewMuxConn(conn net.Conn, o MuxOptions) *MuxConn {
 	if o.Streams <= 0 {
 		panic("transport: MuxConn needs at least one stream")
 	}
-	if o.Window <= 0 {
-		o.Window = DefaultStreamWindow
-	}
-	m := &MuxConn{
-		conn:    conn,
-		pool:    o.Pool,
-		streams: o.Streams,
-		window:  int64(o.Window),
-		avail:   make([]int64, o.Streams),
-		grant:   make([]int64, o.Streams),
-		gdirty:  make([]uint32, 0, o.Streams),
-		gnotify: make(chan struct{}, 1),
-		done:    make(chan struct{}),
-	}
-	m.cond = sync.NewCond(&m.cmu)
-	for s := range m.avail {
-		m.avail[s] = m.window
-	}
-	if o.AutoGrant {
-		go m.granter()
-	}
-	return m
+	return &MuxConn{conn: conn, pool: o.Pool, streams: o.Streams}
 }
 
-// Close wakes every sender blocked on credit and closes the underlying
-// connection. Idempotent.
+// Close closes the underlying connection, which fails every sender blocked
+// in a write (they report net.ErrClosed). Idempotent: the connection is
+// closed once and every call returns that close's error, so a Demux loop
+// that got there first does not swallow it.
 func (m *MuxConn) Close() error {
-	m.cmu.Lock()
-	if m.closed {
-		m.cmu.Unlock()
-		return nil
-	}
-	m.closed = true
-	m.cond.Broadcast()
-	m.cmu.Unlock()
-	close(m.done)
-	return m.conn.Close()
+	m.closeOnce.Do(func() {
+		m.closed.Store(true)
+		m.closeErr = m.conn.Close()
+	})
+	return m.closeErr
 }
 
 // appendMuxHeader stages one mux frame header.
@@ -166,9 +111,9 @@ func appendMuxHeader(dst []byte, stream uint32, t MsgType, iter, tensor uint32, 
 }
 
 // MuxBatch stages any number of frames for one stream, shipped with a
-// single credit reservation and a single Write by SendBatch. Obtained from
-// NewBatch; the scratch is pooled and returns to the conn's freelist when
-// the batch is sent (or discarded with PutBatch).
+// single Write by SendBatch. Obtained from NewBatch; the scratch is pooled
+// and returns to the conn's freelist when the batch is sent (or discarded
+// with PutBatch).
 type MuxBatch struct {
 	stream uint32
 	buf    []byte
@@ -200,9 +145,6 @@ func (m *MuxConn) PutBatch(b *MuxBatch) {
 	m.batchMu.Unlock()
 }
 
-// Len returns the staged wire size in bytes.
-func (b *MuxBatch) Len() int { return len(b.buf) }
-
 // AppendFrame stages f. The payload is copied; f may be reused.
 func (b *MuxBatch) AppendFrame(f *Frame) error {
 	if len(f.Payload) > MaxPayload {
@@ -229,43 +171,21 @@ func (b *MuxBatch) AppendFloats(t MsgType, iter, tensor uint32, xs []float64) er
 	return nil
 }
 
-// reserve blocks until the stream has n bytes of credit (or the window is
-// completely idle, which admits oversized batches), then debits it.
-func (m *MuxConn) reserve(stream uint32, n int64) error {
-	m.cmu.Lock()
-	defer m.cmu.Unlock()
-	for !m.closed && m.avail[stream] < n && m.avail[stream] < m.window {
-		m.cond.Wait()
-	}
-	if m.closed {
-		return net.ErrClosed
-	}
-	m.avail[stream] -= n
-	return nil
-}
-
-// credit returns granted bytes to a stream's send window.
-func (m *MuxConn) credit(stream uint32, n int64) {
-	m.cmu.Lock()
-	m.avail[stream] += n
-	m.cond.Broadcast()
-	m.cmu.Unlock()
-}
-
-// SendBatch reserves the batch's credit, writes it as one Write, and hands
+// SendBatch writes the batch as one Write under the write lock and hands
 // the scratch back to the freelist (even on error). The caller must not
-// use b afterwards.
+// use b afterwards. A send that fails because this side called Close
+// reports net.ErrClosed whatever the conn's own error for it is.
 func (m *MuxConn) SendBatch(b *MuxBatch) error {
 	defer m.PutBatch(b)
 	if len(b.buf) == 0 {
 		return nil
 	}
-	if err := m.reserve(b.stream, int64(len(b.buf))); err != nil {
-		return err
-	}
 	m.wmu.Lock()
 	_, err := m.conn.Write(b.buf)
 	m.wmu.Unlock()
+	if err != nil && m.closed.Load() {
+		return net.ErrClosed
+	}
 	return err
 }
 
@@ -289,62 +209,49 @@ func (m *MuxConn) SendFloats(stream uint32, t MsgType, iter, tensor uint32, xs [
 	return m.SendBatch(b)
 }
 
-// Read deserializes the next data frame, transparently consuming Credit
-// frames into the send-side windows. The returned Frame is reused by the
+// Read deserializes the next frame. The returned Frame is reused by the
 // next Read; its pooled payload is owned by the caller until Done hands it
 // back. Single caller only (the demux loop).
 func (m *MuxConn) Read() (uint32, *Frame, error) {
-	for {
-		if _, err := io.ReadFull(m.conn, m.rhdr[:]); err != nil {
+	if _, err := io.ReadFull(m.conn, m.rhdr[:]); err != nil {
+		return 0, nil, err
+	}
+	stream := binary.LittleEndian.Uint32(m.rhdr[0:4])
+	n := binary.LittleEndian.Uint32(m.rhdr[13:17])
+	if int64(stream) >= int64(m.streams) {
+		return 0, nil, fmt.Errorf("transport: mux frame for stream %d of %d", stream, m.streams)
+	}
+	if n > MaxPayload {
+		return 0, nil, fmt.Errorf("transport: frame payload %d exceeds max %d", n, MaxPayload)
+	}
+	m.rframe.Type = MsgType(m.rhdr[4])
+	m.rframe.Iter = binary.LittleEndian.Uint32(m.rhdr[5:9])
+	m.rframe.Tensor = binary.LittleEndian.Uint32(m.rhdr[9:13])
+	m.rframe.Payload = nil
+	if n > 0 {
+		var buf []byte
+		if m.pool != nil {
+			buf = m.pool.Get(int(n))
+		} else {
+			buf = make([]byte, n)
+		}
+		if _, err := io.ReadFull(m.conn, buf); err != nil {
+			if m.pool != nil {
+				m.pool.Put(buf)
+			}
 			return 0, nil, err
 		}
-		stream := binary.LittleEndian.Uint32(m.rhdr[0:4])
-		t := MsgType(m.rhdr[4])
-		iter := binary.LittleEndian.Uint32(m.rhdr[5:9])
-		tensor := binary.LittleEndian.Uint32(m.rhdr[9:13])
-		n := binary.LittleEndian.Uint32(m.rhdr[13:17])
-		if int64(stream) >= int64(m.streams) {
-			return 0, nil, fmt.Errorf("transport: mux frame for stream %d of %d", stream, m.streams)
-		}
-		if t == Credit {
-			if n != 0 {
-				return 0, nil, fmt.Errorf("transport: credit frame with %d payload bytes", n)
-			}
-			m.credit(stream, int64(iter))
-			continue
-		}
-		if n > MaxPayload {
-			return 0, nil, fmt.Errorf("transport: frame payload %d exceeds max %d", n, MaxPayload)
-		}
-		m.rframe.Type = t
-		m.rframe.Iter = iter
-		m.rframe.Tensor = tensor
-		m.rframe.Payload = nil
-		if n > 0 {
-			var buf []byte
-			if m.pool != nil {
-				buf = m.pool.Get(int(n))
-			} else {
-				buf = make([]byte, n)
-			}
-			if _, err := io.ReadFull(m.conn, buf); err != nil {
-				if m.pool != nil {
-					m.pool.Put(buf)
-				}
-				return 0, nil, err
-			}
-			m.rframe.Payload = buf
-		}
-		return stream, &m.rframe, nil
+		m.rframe.Payload = buf
 	}
+	return stream, &m.rframe, nil
 }
 
-// Demux is the demux loop every owner of a MuxConn runs: read a data frame,
-// hand it to handle (which must not write on this conn and must not keep the
+// Demux is the demux loop every owner of a MuxConn runs: read a frame, hand
+// it to handle (which must not write on this conn and must not keep the
 // payload), Done it, repeat. On the first read or handler error it closes
-// the mux — a sender parked in a credit reservation or inside conn.Write
-// only wakes on a grant or a close, and no grant will arrive once the reader
-// is gone — and returns that error. It never returns nil. Like Read, single
+// the mux — a sender parked inside conn.Write, here or on the peer's end,
+// only wakes on a read or a close, and no read will come once the reader is
+// gone — and returns that error. It never returns nil. Like Read, single
 // caller only.
 func (m *MuxConn) Demux(handle func(stream uint32, f *Frame) error) error {
 	for {
@@ -360,78 +267,16 @@ func (m *MuxConn) Demux(handle func(stream uint32, f *Frame) error) error {
 	}
 }
 
-// Done ends a received frame's lifetime: the pooled payload is recycled
-// and the frame's wire bytes are queued as a credit grant for its stream
-// (flushed by the granter goroutine or the next FlushGrants call). Every
-// frame returned by Read must be Done'd exactly once, payload or not —
-// the header bytes carry credit too.
-func (m *MuxConn) Done(stream uint32, f *Frame) {
-	n := int64(MuxHeaderSize)
-	if f != nil && f.Payload != nil {
-		n += int64(len(f.Payload))
-		if m.pool != nil {
-			m.pool.Put(f.Payload)
-		}
-		f.Payload = nil
+// Done ends a received frame's lifetime: the pooled payload is recycled.
+// Every frame returned by Read should be Done'd once. The stream parameter
+// is unused; it stays until the benchmark-only PR (ROADMAP item 5) because
+// the frozen benchmark/ module passes it.
+func (m *MuxConn) Done(_ uint32, f *Frame) {
+	if f == nil || f.Payload == nil {
+		return
 	}
-	m.gmu.Lock()
-	if m.grant[stream] == 0 {
-		m.gdirty = append(m.gdirty, stream)
+	if m.pool != nil {
+		m.pool.Put(f.Payload)
 	}
-	m.grant[stream] += n
-	m.gmu.Unlock()
-	select {
-	case m.gnotify <- struct{}{}:
-	default:
-	}
-}
-
-// GrantC signals that pending grants are waiting for FlushGrants. Owner
-// goroutines that flush grants themselves (instead of AutoGrant) select on
-// it alongside their own work queue.
-func (m *MuxConn) GrantC() <-chan struct{} { return m.gnotify }
-
-// FlushGrants writes every pending credit grant, coalesced to one frame
-// per stream (chunked only past the uint32 grant field), as a single
-// Write. Single caller only. A no-op when nothing is pending.
-func (m *MuxConn) FlushGrants() error {
-	m.gmu.Lock()
-	if len(m.gdirty) == 0 {
-		m.gmu.Unlock()
-		return nil
-	}
-	buf := m.gscratch[:0]
-	for _, s := range m.gdirty {
-		amt := m.grant[s]
-		m.grant[s] = 0
-		for amt > 0 {
-			chunk := amt
-			if chunk > math.MaxUint32 {
-				chunk = math.MaxUint32
-			}
-			buf = appendMuxHeader(buf, s, Credit, uint32(chunk), 0, 0)
-			amt -= chunk
-		}
-	}
-	m.gdirty = m.gdirty[:0]
-	m.gscratch = buf
-	m.gmu.Unlock()
-	m.wmu.Lock()
-	_, err := m.conn.Write(buf)
-	m.wmu.Unlock()
-	return err
-}
-
-// granter is the AutoGrant flusher: it owns FlushGrants for this conn.
-func (m *MuxConn) granter() {
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-m.gnotify:
-			if m.FlushGrants() != nil {
-				return // conn broken; the demux loop surfaces the error
-			}
-		}
-	}
+	f.Payload = nil
 }

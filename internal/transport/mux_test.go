@@ -87,11 +87,10 @@ func TestMuxBatchByteIdenticalToSingles(t *testing.T) {
 func TestMuxRoundTripInterleaved(t *testing.T) {
 	a, b := Pipe(0, 0)
 	const streams, frames = 4, 8
-	src := NewMuxConn(a, MuxOptions{Streams: streams, AutoGrant: true})
-	dst := NewMuxConn(b, MuxOptions{Streams: streams, Pool: NewPayloadPool(), AutoGrant: true})
+	src := NewMuxConn(a, MuxOptions{Streams: streams})
+	dst := NewMuxConn(b, MuxOptions{Streams: streams, Pool: NewPayloadPool()})
 	defer src.Close()
 	defer dst.Close()
-	go src.Read() // absorb credit grants
 
 	var wg sync.WaitGroup
 	for s := 0; s < streams; s++ {
@@ -130,102 +129,53 @@ func TestMuxRoundTripInterleaved(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMuxCreditBlocksBurst pins the flow-control semantics: a stream that
-// has consumed its window blocks in SendBatch until the receiver Done's a
-// frame and the resulting grant arrives — and only that stream blocks.
-func TestMuxCreditBlocksBurst(t *testing.T) {
-	a, b := Pipe(0, 0)
-	const window = 64
-	src := NewMuxConn(a, MuxOptions{Streams: 2, Window: window, AutoGrant: true})
-	dst := NewMuxConn(b, MuxOptions{Streams: 2, Window: window, Pool: NewPayloadPool(), AutoGrant: true})
-	defer src.Close()
-	defer dst.Close()
-	go src.Read() // absorb credit grants
-
-	// Receiver demux: park frames (copies) without granting until released.
-	type recvd struct {
-		stream uint32
-		frame  Frame
-	}
-	frames := make(chan recvd, 16)
-	go func() {
-		for {
-			s, f, err := dst.Read()
-			if err != nil {
-				return
-			}
-			frames <- recvd{s, *f}
-		}
-	}()
-
-	payload := make([]float64, 5) // wire size 17 + 40 = 57 of the 64-byte window
-	if err := src.SendFloats(0, Push, 0, 0, payload); err != nil {
-		t.Fatal(err)
-	}
-	first := <-frames
-
-	sent := make(chan error, 1)
-	go func() { sent <- src.SendFloats(0, Push, 1, 0, payload) }()
+// notYet fails the test if ch delivers within a short grace period: the
+// sender behind it must still be parked.
+func notYet(t *testing.T, ch <-chan error, what string) {
+	t.Helper()
 	select {
-	case err := <-sent:
-		t.Fatalf("second burst sent without credit (err=%v)", err)
+	case err := <-ch:
+		t.Fatalf("%s returned (err=%v), want it parked", what, err)
 	case <-time.After(50 * time.Millisecond):
 	}
+}
 
-	// The other stream is unaffected by stream 0's exhaustion.
-	if err := src.SendFloats(1, Push, 0, 0, payload); err != nil {
-		t.Fatal(err)
-	}
-	<-frames
+// TestMuxPipeIsBackPressure pins the property the mux relies on the pipe
+// for: a SendBatch into a pipe nobody reads does not return — so no sender
+// is ever more than the one batch in the wire ahead of its reader — a second
+// stream's sender queues behind it, and Close wakes both with net.ErrClosed.
+func TestMuxPipeIsBackPressure(t *testing.T) {
+	a, _ := Pipe(0, 0) // the far end is never read
+	src := NewMuxConn(a, MuxOptions{Streams: 2})
+	first, second := make(chan error, 1), make(chan error, 1)
+	go func() { first <- src.SendFloats(0, Push, 0, 0, make([]float64, 5)) }()
+	notYet(t, first, "send into an unread pipe")
+	go func() { second <- src.SendFrame(1, &Frame{Type: PullReq}) }()
+	notYet(t, second, "second stream's send behind a parked write")
+	notYet(t, first, "send into an unread pipe")
 
-	// Granting stream 0's first frame unblocks the parked send.
-	dst.Done(first.stream, &first.frame)
-	if err := <-sent; err != nil {
-		t.Fatal(err)
+	if err := src.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	if got := <-frames; got.stream != 0 || got.frame.Iter != 1 {
-		t.Fatalf("unexpected frame after grant: %+v", got)
+	for name, ch := range map[string]chan error{"first": first, "second": second} {
+		select {
+		case err := <-ch:
+			if !errors.Is(err, net.ErrClosed) {
+				t.Errorf("%s sender woke with %v, want net.ErrClosed", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s sender still parked after Close", name)
+		}
+	}
+	if err := src.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }
 
-// TestMuxOversizedBatchAdmitted: a batch larger than the whole window must
-// go through when the window is idle (progress guarantee), with the
-// balance recovering as grants return.
-func TestMuxOversizedBatchAdmitted(t *testing.T) {
-	a, b := Pipe(0, 0)
-	const window = 64
-	src := NewMuxConn(a, MuxOptions{Streams: 1, Window: window, AutoGrant: true})
-	dst := NewMuxConn(b, MuxOptions{Streams: 1, Window: window, Pool: NewPayloadPool(), AutoGrant: true})
-	defer src.Close()
-	defer dst.Close()
-	go src.Read()
-
-	big := make([]float64, 32) // 17 + 256 bytes, 5x the window
-	done := make(chan error, 2)
-	go func() {
-		done <- src.SendFloats(0, Push, 0, 0, big)
-		done <- src.SendFloats(0, Push, 1, 0, big)
-	}()
-
-	for i := 0; i < 2; i++ {
-		s, f, err := dst.Read()
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if f.Iter != uint32(i) {
-			t.Fatalf("frame %d out of order: %+v", i, f)
-		}
-		dst.Done(s, f)
-		if err := <-done; err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-}
-
-// TestMuxCloseUnblocksSender: Close must wake a sender parked on credit.
+// TestMuxCloseUnblocksSender: Close must wake a sender parked in a write.
 func TestMuxCloseUnblocksSender(t *testing.T) {
 	a, b := Pipe(0, 0)
-	src := NewMuxConn(a, MuxOptions{Streams: 1, Window: 32})
+	src := NewMuxConn(a, MuxOptions{Streams: 1})
 	dst := NewMuxConn(b, MuxOptions{Streams: 1})
 	defer dst.Close()
 	go func() { // drain the first frame so its Write completes
@@ -246,17 +196,19 @@ func TestMuxCloseUnblocksSender(t *testing.T) {
 
 // TestDemuxClosesOnFirstError: the shared demux loop hands frames to the
 // handler until it (or Read) fails, then closes the mux and returns that
-// error — and because the close reaches the peer's reader too, a sender
-// parked in a credit reservation on the far side unwinds on its own.
+// error — and because the close reaches the peer's end of the pipe too, a
+// sender parked in a write on the far side unwinds on its own.
 func TestDemuxClosesOnFirstError(t *testing.T) {
 	a, b := Pipe(0, 0)
-	src := NewMuxConn(a, MuxOptions{Streams: 1, Window: 32})
-	dst := NewMuxConn(b, MuxOptions{Streams: 1, Window: 32}) // no granter: credit never returns
+	src := NewMuxConn(a, MuxOptions{Streams: 1})
+	dst := NewMuxConn(b, MuxOptions{Streams: 1})
 	boom := errors.New("boom")
+	release := make(chan struct{})
 	dstDone := make(chan error, 1)
 	go func() {
 		dstDone <- dst.Demux(func(stream uint32, f *Frame) error {
 			if f.Iter == 1 {
+				<-release // hold the loop: nothing reads the pipe meanwhile
 				return boom
 			}
 			return nil
@@ -265,21 +217,18 @@ func TestDemuxClosesOnFirstError(t *testing.T) {
 	srcDone := make(chan error, 1)
 	go func() { srcDone <- src.Demux(func(uint32, *Frame) error { return nil }) }()
 
-	// One header-only frame takes 17 of the 32-byte window; the next parks.
 	if err := src.SendFrame(0, &Frame{Type: Push}); err != nil {
 		t.Fatal(err)
 	}
-	parked := make(chan error, 1)
-	go func() { parked <- src.SendFrame(0, &Frame{Type: Push}) }()
-	select {
-	case err := <-parked:
-		t.Fatalf("second frame was not credit-parked (err %v)", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	// The frame the handler rejects goes in raw, past src's credit.
-	if _, err := a.Write(appendMuxHeader(nil, 0, Push, 1, 0, 0)); err != nil {
+	// The frame the handler rejects; while the handler holds the demux loop
+	// the next send parks in its write.
+	if err := src.SendFrame(0, &Frame{Type: Push, Iter: 1}); err != nil {
 		t.Fatal(err)
 	}
+	parked := make(chan error, 1)
+	go func() { parked <- src.SendFrame(0, &Frame{Type: Push, Iter: 2}) }()
+	notYet(t, parked, "send behind a held demux loop")
+	close(release)
 	if err := <-dstDone; err != boom {
 		t.Fatalf("Demux returned %v, want the handler's error", err)
 	}
@@ -289,19 +238,18 @@ func TestDemuxClosesOnFirstError(t *testing.T) {
 	select {
 	case err := <-parked:
 		if err == nil {
-			t.Fatal("credit-parked send succeeded on a dead mux")
+			t.Fatal("parked send succeeded on a dead mux")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("credit-parked sender still blocked after the demux loops exited")
+		t.Fatal("parked sender still blocked after the demux loops exited")
 	}
 }
 
-// TestMuxRejectsBadFrames: out-of-range streams and malformed credit
-// frames are protocol errors, not panics.
+// TestMuxRejectsBadFrames: out-of-range streams and oversized length
+// fields are protocol errors, not panics.
 func TestMuxRejectsBadFrames(t *testing.T) {
 	for name, raw := range map[string][]byte{
 		"stream out of range": appendMuxHeader(nil, 9, Push, 0, 0, 0),
-		"credit with payload": append(appendMuxHeader(nil, 0, Credit, 4, 0, 4), 1, 2, 3, 4),
 		"oversized payload": func() []byte {
 			h := appendMuxHeader(nil, 0, Push, 0, 0, 0)
 			h[13], h[14], h[15], h[16] = 0x01, 0x00, 0x00, 0x10 // MaxPayload+1
@@ -317,16 +265,15 @@ func TestMuxRejectsBadFrames(t *testing.T) {
 	}
 }
 
-// TestMuxConcurrentStreamsHammer exercises the shared write lock, the
-// credit machinery, and both granters under load (and under -race).
+// TestMuxConcurrentStreamsHammer exercises the shared write lock and the
+// batch freelist under load (and under -race).
 func TestMuxConcurrentStreamsHammer(t *testing.T) {
 	a, b := Pipe(0, 0)
 	const streams, frames = 8, 40
-	src := NewMuxConn(a, MuxOptions{Streams: streams, Window: 256, AutoGrant: true})
-	dst := NewMuxConn(b, MuxOptions{Streams: streams, Pool: NewPayloadPool(), Window: 256, AutoGrant: true})
+	src := NewMuxConn(a, MuxOptions{Streams: streams})
+	dst := NewMuxConn(b, MuxOptions{Streams: streams, Pool: NewPayloadPool()})
 	defer src.Close()
 	defer dst.Close()
-	go src.Read()
 
 	recvDone := make(chan error, 1)
 	go func() {

@@ -15,14 +15,15 @@ import (
 // MsgType labels a frame.
 type MsgType uint8
 
-// Frame types: a gradient push, a parameter pull request, its response, a
-// flow-control credit grant (mux connections only, see mux.go), and one
-// chunk step of a peer-to-peer collective exchange (internal/collective).
+// Frame types: a gradient push, a parameter pull request, its response, and
+// one chunk step of a peer-to-peer collective exchange (internal/collective).
+// Value 4 was the mux's flow-control credit grant; it stays reserved (see
+// mux.go) so Chunk keeps its wire value.
 const (
 	Push MsgType = iota + 1
 	PullReq
 	PullResp
-	Credit
+	_
 	Chunk
 )
 
@@ -34,8 +35,6 @@ func (t MsgType) String() string {
 		return "pull-req"
 	case PullResp:
 		return "pull-resp"
-	case Credit:
-		return "credit"
 	case Chunk:
 		return "chunk"
 	default:

@@ -1,0 +1,301 @@
+package prophet_test
+
+import (
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// Why a function no non-test file references may stay.
+const (
+	// Tests assert on state nothing else exposes; deleting the accessor
+	// deletes the assertion.
+	window = "accessor tests use as their observation window"
+	// Tests build what they exercise through it.
+	fixture = "helper tests build their fixtures or reference values through"
+	// Not an observation window and not a fixture: candidates for ROADMAP
+	// item 5's "delete what only tests keep alive".
+	testOnly = "only its package's tests call it"
+)
+
+// reachAllow lists the functions no non-test file references and why each
+// stays. The gate fails on an entry that is referenced after all, or that
+// names nothing, so the list cannot rot.
+var reachAllow = map[string]string{
+	"internal/ps.WorkerError.Unwrap": "errors.Is/As call it through an anonymous interface inside the standard library",
+
+	"internal/core.Plan.Blocks":                     window,
+	"internal/core.Plan.UnitOf":                     window,
+	"internal/core.Queue.Plan":                      window,
+	"internal/core.Queue.Finished":                  window,
+	"internal/core.Queue.Exhausted":                 window,
+	"internal/core.Queue.Remaining":                 window,
+	"internal/metrics.RateSeries.TotalBytes":        window,
+	"internal/metrics.IntervalSeries.Busy":          window,
+	"internal/model.Model.IterComputeTime":          window,
+	"internal/model.Model.TotalFwdFLOPs":            window,
+	"internal/netsim.Link.BytesSent":                window,
+	"internal/netsim.Monitor.Samples":               window,
+	"internal/nn.MLP.TotalParams":                   window,
+	"internal/probe.Histogram.Count":                window,
+	"internal/probe.Histogram.Sum":                  window,
+	"internal/probe.Histogram.Max":                  window,
+	"internal/probe.Metrics.Snapshot":               window,
+	"internal/probe.SpanRecorder.Steps":             window,
+	"internal/probe.SpanRecorder.DriftAlarms":       window,
+	"internal/probe.SpanRecorder.GatedCount":        window,
+	"internal/probe.SpanRecorder.Lanes":             window,
+	"internal/ps.Server.Stats":                      window,
+	"internal/schedule.Queue.Credit":                window,
+	"internal/schedule.CreditTuner.Best":            window,
+	"internal/schedule.Prophet.Plan":                window,
+	"internal/shard.Map.Load":                       window,
+	"internal/shard.Map.Keys":                       window,
+	"internal/sim.Engine.Active":                    window,
+	"internal/sim.Engine.Pending":                   window,
+	"internal/sim.Engine.FreeListLen":               window,
+	"internal/sim.Handle.At":                        window,
+	"internal/stepwise.Block.Size":                  window,
+	"internal/stepwise.Buckets.NumGroups":           window,
+	"internal/stepwise.Buckets.GroupOf":             window,
+	"internal/cluster.TicTacFactory":                fixture,
+	"internal/fault.Derive":                         fixture,
+	"internal/fault.Spec.Wrap":                      fixture,
+	"internal/model.All":                            fixture,
+	"internal/netsim.LinkConfig.EffectiveBandwidth": fixture,
+	"internal/sim.Engine.RunFor":                    fixture,
+	"internal/sim.Stddev":                           fixture,
+	"internal/sim.Sum":                              fixture,
+	"internal/tensor.Mat.Set":                       fixture,
+	"internal/tensor.Mat.Clone":                     fixture,
+	"internal/tensor.Vec.Scale":                     fixture,
+	"internal/transport.FrameWriter.WriteFrame":     fixture,
+	"internal/core.Queue.Ready":                     testOnly,
+	"internal/core.Queue.Pop":                       testOnly,
+	"internal/core.WaitModel.IterationTime":         testOnly,
+	"internal/sim.Engine.Cancel":                    testOnly,
+	"internal/sim.Rand.Range":                       testOnly,
+	"internal/workload.Sweep.Points":                testOnly,
+	"internal/workload.Sweep.Size":                  testOnly,
+	"internal/workload.Sweep.Validate":              testOnly,
+}
+
+// modulePackages type-checks every non-test package under the repository
+// root — the frozen benchmark/ module included, which resolves as
+// prophet/benchmark — from source, resolving the standard library through
+// the compiler's export data. It implements types.Importer over itself.
+type modulePackages struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // import path → non-test files
+	pkgs  map[string]*types.Package
+	info  *types.Info
+	std   types.Importer
+	errs  []error
+}
+
+func (m *modulePackages) Import(path string) (*types.Package, error) {
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	if pkg, ok := m.pkgs[path]; ok {
+		return pkg, nil
+	}
+	conf := types.Config{Importer: m, Error: func(err error) { m.errs = append(m.errs, err) }}
+	pkg, _ := conf.Check(path, m.fset, files, m.info)
+	m.pkgs[path] = pkg
+	return pkg, nil
+}
+
+func loadModule(t *testing.T) *modulePackages {
+	t.Helper()
+	m := &modulePackages{
+		fset:  token.NewFileSet(),
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info: &types.Info{
+			Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{},
+		},
+		std: importer.Default(),
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		dir := filepath.Dir(path)
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(m.fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := "prophet/" + filepath.ToSlash(dir)
+		m.files[pkg] = append(m.files[pkg], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path := range m.files {
+		m.Import(path)
+	}
+	for _, err := range m.errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	return m
+}
+
+// interfaces returns every named method-set interface the module can see,
+// in its own and its transitive imports' scopes, and error.
+func (m *modulePackages) interfaces() []*types.Interface {
+	var out []*types.Interface
+	add := func(typ types.Type) {
+		if named, ok := typ.(*types.Named); ok && named.TypeParams().Len() > 0 {
+			return
+		}
+		if iface, ok := typ.Underlying().(*types.Interface); ok && iface.IsMethodSet() && iface.NumMethods() > 0 {
+			out = append(out, iface)
+		}
+	}
+	add(types.Universe.Lookup("error").Type())
+	seen := map[*types.Package]bool{}
+	var visit func(pkg *types.Package)
+	visit = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			visit(imp)
+		}
+	}
+	for _, pkg := range m.pkgs {
+		visit(pkg)
+	}
+	return out
+}
+
+// receiver returns the named type fn is a method of, nil for a function.
+func receiver(fn *types.Func) *types.Named {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	typ := types.Unalias(recv.Type())
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = types.Unalias(ptr.Elem())
+	}
+	return typ.(*types.Named)
+}
+
+// satisfies reports whether fn is a method that some visible interface
+// demands of its receiver type: such a method is called through the
+// interface, which no identifier use records.
+func satisfies(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := receiver(fn)
+	if recv == nil || recv.TypeParams().Len() > 0 {
+		return false
+	}
+	for _, iface := range ifaces {
+		for i := 0; i < iface.NumMethods(); i++ {
+			if iface.Method(i).Name() == fn.Name() && types.Implements(types.NewPointer(recv), iface) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestEveryFunctionIsReferenced is the offline reachability gate (`make
+// lint` runs it; deadcode and staticcheck are not installed where this
+// repository is built): every function or method declared in a non-test
+// file outside benchmark/ is referenced from some non-test file — the frozen
+// benchmark's files count as callers — outside its own body, or is a method
+// an interface demands, or is in reachAllow with a reason. A function only
+// its own test calls is production code nobody runs.
+func TestEveryFunctionIsReferenced(t *testing.T) {
+	m := loadModule(t)
+	type decl struct {
+		name     string
+		pos, end token.Pos
+	}
+	declared := map[*types.Func]decl{}
+	for path, files := range m.files {
+		if path == "prophet/benchmark" {
+			continue
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Name.Name == "_" || fd.Name.Name == "init" || (fd.Name.Name == "main" && f.Name.Name == "main") {
+					continue
+				}
+				fn := m.info.Defs[fd.Name].(*types.Func)
+				name := strings.TrimPrefix(path, "prophet/") + "."
+				if recv := receiver(fn); recv != nil {
+					name += recv.Obj().Name() + "."
+				}
+				declared[fn] = decl{name + fn.Name(), fd.Pos(), fd.End()}
+			}
+		}
+	}
+	referenced := map[*types.Func]bool{}
+	for id, obj := range m.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			fn = fn.Origin()
+			if d, ok := declared[fn]; ok && (id.Pos() < d.pos || id.Pos() >= d.end) {
+				referenced[fn] = true
+			}
+		}
+	}
+	ifaces := m.interfaces()
+	var dead []string
+	allowed := map[string]bool{}
+	for fn, d := range declared {
+		if referenced[fn] || satisfies(fn, ifaces) {
+			continue
+		}
+		if _, ok := reachAllow[d.name]; ok {
+			allowed[d.name] = true
+			continue
+		}
+		dead = append(dead, m.fset.Position(d.pos).String()+": "+d.name)
+	}
+	sort.Strings(dead)
+	for _, line := range dead {
+		t.Errorf("%s is referenced by no non-test file: delete it, or add it to reachAllow with the reason it stays", line)
+	}
+	for name := range reachAllow {
+		if !allowed[name] {
+			t.Errorf("reachAllow[%q] is stale: it names no function, or one that is referenced", name)
+		}
+	}
+}
