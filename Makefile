@@ -19,7 +19,7 @@ FUZZTIME ?= 10s
 COVER_PKGS  := ./internal/schedule ./internal/drive ./internal/cluster ./internal/strategy ./internal/ps ./internal/transport ./internal/collective ./internal/probe ./internal/probe/attrib ./internal/probe/predict
 COVER_FLOOR ?= 80
 
-.PHONY: check tier1 build vet test lint race bench bench-scale fuzz trace-smoke conformance conformance-live cover predict-smoke benchmark-smoke loc
+.PHONY: check tier1 build vet test lint race bench bench-results bench-scale fuzz trace-smoke conformance conformance-live cover predict-smoke benchmark-smoke loc
 
 # conformance and conformance-live are not prerequisites: race has just run
 # the full ./internal/drive, ./internal/emu and ./internal/collective suites
@@ -109,10 +109,16 @@ trace-smoke:
 	test -s $$tmp/sim_attrib.txt && test -s $$tmp/ring_attrib.txt && \
 	test -s $$tmp/emu_attrib.txt && test -s $$tmp/emu_ring_attrib.txt
 
-# Reproducible single-shot benchmark pass; see README for regenerating
-# bench_results.txt.
+# Reproducible single-shot benchmark pass.
 bench:
 	$(GO) test -bench=. -benchtime=1x -count=1 -run '^$$' ./...
+
+# Rewrite the committed full-evaluation record. TestBenchResultsCurrent
+# (cmd/prophet-bench, inside `go test ./...`) fails when a default run no
+# longer matches it outside the wall-clock masks: refresh it here and commit
+# the diff with the change that moved the numbers.
+bench-results:
+	$(GO) run ./cmd/prophet-bench > bench_results.txt
 
 # The scaling sweep — the one perf record BENCHMARK.json cannot express
 # (its workloads stop at 64 workers): worker counts 8→1000 over 1 and 4

@@ -11,6 +11,7 @@
 package prophet_test
 
 import (
+	"math"
 	"testing"
 
 	"prophet/internal/cluster"
@@ -104,29 +105,32 @@ func BenchmarkFig10_NetworkThroughput(b *testing.B) {
 
 func BenchmarkFig11_TransferTimes(b *testing.B) {
 	runSpec(b, "fig11", func(r experiments.Result) (string, float64) {
-		f := r.(*experiments.Fig11Result)
-		return "prophet-wait-ms", f.MeanWaitMS[len(f.MeanWaitMS)-1]
+		rows := r.(*experiments.Fig11Result).Rows
+		return "prophet-wait-ms", rows[len(rows)-1].WaitMS
 	})
 }
 
 func BenchmarkTable2_BandwidthSweep(b *testing.B) {
 	runSpec(b, "table2", func(r experiments.Result) (string, float64) {
-		t := r.(*experiments.Table2Result)
-		return "prophet-3g-rate", t.Prophet[len(t.Prophet)/2]
+		rows := r.(*experiments.Table2Result).Rows
+		return "prophet-3g-rate", rows[len(rows)/2].Prophet
 	})
 }
 
 func BenchmarkTable3_BatchSweep(b *testing.B) {
 	runSpec(b, "table3", func(r experiments.Result) (string, float64) {
-		t := r.(*experiments.Table3Result)
-		return "max-gain-%", maxOf(t.Improvement)
+		best := math.Inf(-1)
+		for _, row := range r.(*experiments.Table3Result).Rows {
+			best = math.Max(best, row.Improvement)
+		}
+		return "max-gain-%", best
 	})
 }
 
 func BenchmarkFig12_Scalability(b *testing.B) {
 	runSpec(b, "fig12", func(r experiments.Result) (string, float64) {
-		f := r.(*experiments.Fig12Result)
-		return "per-worker-rate", f.PerWorkerRate[len(f.PerWorkerRate)-1]
+		rows := r.(*experiments.Fig12Result).Rows
+		return "per-worker-rate", rows[len(rows)-1].PerWorkerRate
 	})
 }
 
@@ -138,8 +142,7 @@ func BenchmarkFig13_ProfilingOverhead(b *testing.B) {
 
 func BenchmarkSec53_BandwidthConditions(b *testing.B) {
 	runSpec(b, "sec53-bandwidth", func(r experiments.Result) (string, float64) {
-		f := r.(*experiments.Sec53BandwidthResult)
-		return "prophet-3g-rate", f.Prophet[0]
+		return "prophet-3g-rate", r.(*experiments.Sec53BandwidthResult).Rows[0].Prophet
 	})
 }
 
@@ -151,8 +154,7 @@ func BenchmarkSec53_Heterogeneous(b *testing.B) {
 
 func BenchmarkSec54_ProfilingCost(b *testing.B) {
 	runSpec(b, "sec54-profiling", func(r experiments.Result) (string, float64) {
-		f := r.(*experiments.Sec54ProfilingResult)
-		return "rn50-profiling-s", f.WallTimeS[1]
+		return "rn50-profiling-s", r.(*experiments.Sec54ProfilingResult).Rows[1].WallTimeS
 	})
 }
 
@@ -197,12 +199,12 @@ func BenchmarkExt_Hardware(b *testing.B) {
 
 func BenchmarkExt_Shapes(b *testing.B) {
 	runSpec(b, "ext-shapes", func(r experiments.Result) (string, float64) {
-		f := r.(*experiments.ExtShapesResult)
+		rows := r.(*experiments.ExtShapesResult).Rows
 		var s float64
-		for i := range f.Prophet {
-			s += 100 * (f.Prophet[i]/f.FIFO[i] - 1)
+		for _, row := range rows {
+			s += 100 * (row.Prophet/row.FIFO - 1)
 		}
-		return "mean-gain-%", s / float64(len(f.Prophet))
+		return "mean-gain-%", s / float64(len(rows))
 	})
 }
 
@@ -277,14 +279,4 @@ func BenchmarkCluster_Iteration(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*iters)/b.Elapsed().Seconds(), "sim-iters/s")
-}
-
-func maxOf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -29,21 +30,32 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: rendered experiments go to stdout, a failed
+// experiment's error to stderr, and the returned error is what main exits
+// non-zero on.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("prophet-bench", flag.ExitOnError) // as the global flag set behaves
 	var (
-		only  = flag.String("only", "", "run a single experiment by id (e.g. fig8, table2)")
-		list  = flag.Bool("list", false, "list experiments and exit")
-		quick = flag.Bool("quick", false, "trim sweeps for a fast smoke run")
-		iters = flag.Int("iters", 12, "simulated iterations per run")
-		seed  = flag.Uint64("seed", 1, "simulation seed")
-		jobs  = flag.Int("j", runner.DefaultWorkers(), "worker goroutines for experiments and their sweeps (1 = serial)")
+		only  = fs.String("only", "", "run a single experiment by id (e.g. fig8, table2)")
+		list  = fs.Bool("list", false, "list experiments and exit")
+		quick = fs.Bool("quick", false, "trim sweeps for a fast smoke run")
+		iters = fs.Int("iters", 12, "simulated iterations per run")
+		seed  = fs.Uint64("seed", 1, "simulation seed")
+		jobs  = fs.Int("j", runner.DefaultWorkers(), "worker goroutines for experiments and their sweeps (1 = serial)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *list {
 		for _, s := range experiments.All() {
-			fmt.Printf("%-18s %-10s %s\n", s.ID, s.Paper, s.Desc)
+			fmt.Fprintf(stdout, "%-18s %-10s %s\n", s.ID, s.Paper, s.Desc)
 		}
-		return
+		return nil
 	}
 
 	cfg := experiments.Config{Iterations: *iters, Seed: *seed, Quick: *quick, Jobs: *jobs}
@@ -51,8 +63,7 @@ func main() {
 	if *only != "" {
 		spec, err := experiments.ByID(*only)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		specs = []experiments.Spec{spec}
 	}
@@ -84,24 +95,24 @@ func main() {
 	failed := 0
 	for i, spec := range specs {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		o := outcomes[i]
 		if o.err != nil {
 			failed++
-			fmt.Fprintf(os.Stderr, "%s: %v\n", spec.ID, o.err)
-			fmt.Printf("  [%s FAILED after %.1fs]\n", spec.ID, o.dur.Seconds())
+			fmt.Fprintf(stderr, "%s: %v\n", spec.ID, o.err)
+			fmt.Fprintf(stdout, "  [%s FAILED after %.1fs]\n", spec.ID, o.dur.Seconds())
 			continue
 		}
-		os.Stdout.Write(o.out.Bytes())
-		fmt.Printf("  [%s, %.1fs wall]\n", spec.ID, o.dur.Seconds())
+		stdout.Write(o.out.Bytes())
+		fmt.Fprintf(stdout, "  [%s, %.1fs wall]\n", spec.ID, o.dur.Seconds())
 	}
 
 	hits, misses := profiler.Stats()
-	fmt.Printf("\n%d experiments in %.1fs wall (-j %d); profile cache %d hits / %d misses\n",
+	fmt.Fprintf(stdout, "\n%d experiments in %.1fs wall (-j %d); profile cache %d hits / %d misses\n",
 		len(specs), total.Seconds(), *jobs, hits, misses)
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "%d experiment(s) failed\n", failed)
-		os.Exit(1)
+		return fmt.Errorf("%d experiment(s) failed", failed)
 	}
+	return nil
 }

@@ -1,0 +1,67 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+
+	"prophet/internal/experiments"
+)
+
+// The command's own clock readings: the "[id, 0.3s wall]" stamp under each
+// experiment and the closing summary line (total wall time, -j, profile
+// cache counts).
+var (
+	wallStamp   = regexp.MustCompile(`(?m)^  \[(\S+), [0-9.]+s wall\]$`)
+	summaryLine = regexp.MustCompile(`(?m)^\d+ experiments in .*$`)
+)
+
+// maskClocks blanks everything in a prophet-bench transcript that is read
+// from a real clock: the live-emulation columns the experiments package
+// names, then the command's own stamps. What remains is simulated and must
+// reproduce to the byte.
+func maskClocks(b []byte) []byte {
+	for _, re := range experiments.LiveClock {
+		b = re.ReplaceAll(b, []byte("X"))
+	}
+	b = wallStamp.ReplaceAll(b, []byte("  [$1, X wall]"))
+	return summaryLine.ReplaceAll(b, []byte("X"))
+}
+
+// TestBenchResultsCurrent is the full-evaluation golden: a default-flag run
+// of every experiment equals the committed bench_results.txt outside the
+// clock masks. It pins all 33 renders at full size, so a change that moves a
+// number has to refresh the record (`make bench-results`) in the same
+// commit and show the diff.
+func TestBenchResultsCurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full evaluation")
+	}
+	want, err := os.ReadFile("../../bench_results.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run(nil, &stdout, &stderr); err != nil {
+		t.Fatalf("prophet-bench: %v\n%s", err, stderr.Bytes())
+	}
+	got, want := maskClocks(stdout.Bytes()), maskClocks(want)
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("bench_results.txt line %d is stale:\n  committed: %s\n  this run:  %s\n(`make bench-results` rewrites it; commit the diff with the change that caused it)", i+1, w, g)
+		}
+	}
+}

@@ -18,7 +18,7 @@ import "fmt"
 // exactly as the underlying BytePS priority queues do.
 //
 // The queue is reset at the start of each iteration (ResetIteration) and
-// consumed by the transport via Ready/Pop. It also accepts the
+// consumed by the transport via PopIndexed. It also accepts the
 // reportFinish signal so callers can keep per-iteration transfer logs.
 type Queue struct {
 	plan      *Plan
@@ -101,27 +101,6 @@ func (q *Queue) pick() int {
 		}
 	}
 	return best
-}
-
-// Ready returns the unit that would be dispatched next, without removing
-// it. The second result is false when nothing is eligible.
-func (q *Queue) Ready() (Unit, bool) {
-	i := q.pick()
-	if i < 0 {
-		return Unit{}, false
-	}
-	return q.plan.Units[i], true
-}
-
-// Pop removes and returns the highest-priority eligible unit. It panics if
-// nothing is eligible — the transport must poll Ready first (getTask in
-// BytePS terms).
-func (q *Queue) Pop() Unit {
-	u, _, ok := q.PopIndexed()
-	if !ok {
-		panic("core: Pop on non-ready queue")
-	}
-	return u
 }
 
 // PopIndexed removes the highest-priority eligible unit and returns it

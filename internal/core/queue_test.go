@@ -15,7 +15,7 @@ func planForQueue(t *testing.T) (*Plan, int) {
 func TestQueueNotReadyBeforeGeneration(t *testing.T) {
 	plan, n := planForQueue(t)
 	q := NewQueue(plan, n)
-	if _, ok := q.Ready(); ok {
+	if _, _, ok := q.PopIndexed(); ok {
 		t.Fatal("queue ready before any gradient generated")
 	}
 }
@@ -27,7 +27,7 @@ func TestQueueReadyAfterMembersGenerated(t *testing.T) {
 	for _, g := range head.Grads() {
 		q.MarkGenerated(g)
 	}
-	u, ok := q.Ready()
+	u, _, ok := q.PopIndexed()
 	if !ok {
 		t.Fatal("queue not ready after head members generated")
 	}
@@ -44,7 +44,7 @@ func TestQueuePartialGenerationNotReady(t *testing.T) {
 	}
 	q := NewQueue(plan, n)
 	q.MarkGenerated(head.Grads()[0])
-	if _, ok := q.Ready(); ok {
+	if _, _, ok := q.PopIndexed(); ok {
 		t.Fatal("queue ready with only one of several members generated")
 	}
 }
@@ -57,26 +57,17 @@ func TestQueuePopAdvances(t *testing.T) {
 	}
 	count := 0
 	for !q.Exhausted() {
-		q.Pop()
+		if _, i, ok := q.PopIndexed(); !ok || i < 0 {
+			t.Fatalf("pop %d: not ready with every gradient generated", count)
+		}
 		count++
 	}
 	if count != len(plan.Units) {
 		t.Fatalf("popped %d units, plan has %d", count, len(plan.Units))
 	}
-	if _, ok := q.Ready(); ok {
+	if _, i, ok := q.PopIndexed(); ok || i != -1 {
 		t.Fatal("exhausted queue still ready")
 	}
-}
-
-func TestQueuePopNotReadyPanics(t *testing.T) {
-	plan, n := planForQueue(t)
-	q := NewQueue(plan, n)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	q.Pop()
 }
 
 func TestQueuePriorityDelivery(t *testing.T) {
@@ -89,7 +80,7 @@ func TestQueuePriorityDelivery(t *testing.T) {
 	}
 	prev := -1
 	for !q.Exhausted() {
-		u := q.Pop()
+		u, _, _ := q.PopIndexed()
 		if u.Priority() < prev {
 			t.Fatalf("priority went backwards: %d after %d", u.Priority(), prev)
 		}
@@ -107,11 +98,10 @@ func TestQueueStepwiseGenerationFollowsPlanOrder(t *testing.T) {
 	for g := n - 1; g >= 0; g-- {
 		q.MarkGenerated(g)
 		for {
-			u, ok := q.Ready()
+			u, _, ok := q.PopIndexed()
 			if !ok {
 				break
 			}
-			q.Pop()
 			popped++
 			// Every dispatched unit's members are generated.
 			for _, s := range u.Spans {
@@ -140,11 +130,10 @@ func TestQueueIneligibleUnitsNeverDispatch(t *testing.T) {
 		gen[g] = true
 	}
 	for {
-		u, ok := q.Ready()
+		u, _, ok := q.PopIndexed()
 		if !ok {
 			break
 		}
-		q.Pop()
 		for _, s := range u.Spans {
 			if !gen[s.Grad] {
 				t.Fatalf("dispatched unit spans ungenerated gradient %d", s.Grad)
@@ -159,17 +148,17 @@ func TestQueueResetIteration(t *testing.T) {
 	for g := 0; g < n; g++ {
 		q.MarkGenerated(g)
 	}
-	q.Pop()
+	q.PopIndexed()
 	q.ReportFinish(Unit{})
 	q.ResetIteration()
 	if q.Finished() != 0 {
 		t.Fatal("Finished not reset")
 	}
-	if _, ok := q.Ready(); ok {
-		t.Fatal("generation marks survived reset")
-	}
 	if q.Remaining() != len(plan.Units) {
 		t.Fatalf("Remaining = %d after reset", q.Remaining())
+	}
+	if _, _, ok := q.PopIndexed(); ok {
+		t.Fatal("generation marks survived reset")
 	}
 }
 
@@ -179,7 +168,7 @@ func TestQueueSetPlanRewinds(t *testing.T) {
 	for g := 0; g < n; g++ {
 		q.MarkGenerated(g)
 	}
-	q.Pop()
+	q.PopIndexed()
 	q.SetPlan(plan)
 	if q.Remaining() != len(plan.Units) {
 		t.Fatal("SetPlan did not rewind")

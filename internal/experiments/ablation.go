@@ -21,9 +21,6 @@ type AblationBlocksResult struct {
 	Prophet, NoWindows, FixedCredit float64
 }
 
-// Name implements Result.
-func (r *AblationBlocksResult) Name() string { return "ablation-blocks" }
-
 // Render implements Result.
 func (r *AblationBlocksResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Ablation — window-fitted blocks (ResNet50 bs64, 2 Gbps)\n")
@@ -32,12 +29,8 @@ func (r *AblationBlocksResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  fixed 4 MB credit            %6.2f samples/s\n", r.FixedCredit)
 }
 
-// AblationBlocks runs the ablation.
-func AblationBlocks(cfg Config) (*AblationBlocksResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// ablationBlocks runs the ablation.
+func ablationBlocks(cfg Config) (*AblationBlocksResult, error) {
 	s, err := prepare(model.ResNet50(), 64, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -71,9 +64,6 @@ type AblationMonitorResult struct {
 	Replans          string
 }
 
-// Name implements Result.
-func (r *AblationMonitorResult) Name() string { return "ablation-monitor" }
-
 // Render implements Result.
 func (r *AblationMonitorResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Ablation — bandwidth monitor under varying bandwidth (ResNet50 bs64)\n")
@@ -81,12 +71,8 @@ func (r *AblationMonitorResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  stale initial estimate   %6.2f samples/s\n", r.Stale)
 }
 
-// AblationMonitor runs the ablation.
-func AblationMonitor(cfg Config) (*AblationMonitorResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// ablationMonitor runs the ablation.
+func ablationMonitor(cfg Config) (*AblationMonitorResult, error) {
 	if cfg.Iterations < 16 && !cfg.Quick {
 		cfg.Iterations = 16
 	}
@@ -132,9 +118,6 @@ type AblationProfileResult struct {
 	LongWallTime  float64
 }
 
-// Name implements Result.
-func (r *AblationProfileResult) Name() string { return "ablation-profile" }
-
 // Render implements Result.
 func (r *AblationProfileResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Ablation — profiling length (ResNet50 bs64, 2 Gbps)\n")
@@ -142,32 +125,23 @@ func (r *AblationProfileResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  50-iteration profile  %6.2f samples/s (profiling cost %5.1f s)\n", r.Long, r.LongWallTime)
 }
 
-// AblationProfile runs the ablation.
-func AblationProfile(cfg Config) (*AblationProfileResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// ablationProfile runs the ablation.
+func ablationProfile(cfg Config) (*AblationProfileResult, error) {
 	base := model.ResNet50()
 	wire := model.WithWireFactor(base, WireFactor)
 	agg := stepwise.DefaultAggregate(wire)
 	link := linkMbps(2000)
 	type row struct{ rate, wall float64 }
 	rows, err := runner.Map(cfg.Jobs, []int{5, 50}, func(_ int, n int) (row, error) {
-		prof, err := profilerRunN(wire, 64, agg, cfg.Seed, n)
-		if err != nil {
-			return row{}, err
-		}
-		res, err := cluster.Run(cluster.Config{
-			Model: wire, Batch: 64, Workers: 3, Agg: agg,
-			Uplink:     link,
-			Scheduler:  cluster.ProphetFactory(prof.Profile()),
-			Iterations: cfg.Iterations, Seed: cfg.Seed,
+		prof, err := profiler.Run(profiler.Config{
+			Model: wire, Batch: 64, Agg: agg, Seed: cfg.Seed, Iterations: n,
 		})
 		if err != nil {
 			return row{}, err
 		}
-		return row{rate: res.Rate(cfg.Warmup), wall: prof.WallTime}, nil
+		s := &setup{wire: wire, batch: 64, agg: agg, prof: prof}
+		rate, err := s.rate(cfg, s.prophet(), link, 3)
+		return row{rate: rate, wall: prof.WallTime}, err
 	})
 	if err != nil {
 		return nil, err
@@ -186,9 +160,6 @@ type AblationOverheadResult struct {
 	WithOverhead, NoOverhead [4]float64
 }
 
-// Name implements Result.
-func (r *AblationOverheadResult) Name() string { return "ablation-overhead" }
-
 // Render implements Result.
 func (r *AblationOverheadResult) Render(w io.Writer) {
 	names := [4]string{"fifo", "p3", "bytescheduler", "prophet"}
@@ -201,12 +172,8 @@ func (r *AblationOverheadResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  (Eq. 10) is what penalizes fine-grained partitioning\n")
 }
 
-// AblationOverhead runs the ablation.
-func AblationOverhead(cfg Config) (*AblationOverheadResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// ablationOverhead runs the ablation.
+func ablationOverhead(cfg Config) (*AblationOverheadResult, error) {
 	s, err := prepare(model.ResNet50(), 64, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -245,11 +212,4 @@ func AblationOverhead(cfg Config) (*AblationOverheadResult, error) {
 		out.NoOverhead[i] = rates[4+i]
 	}
 	return out, nil
-}
-
-// profilerRunN profiles with an explicit iteration count.
-func profilerRunN(m *model.Model, batch int, agg stepwise.Buckets, seed uint64, iters int) (*profiler.Result, error) {
-	return profiler.Run(profiler.Config{
-		Model: m, Batch: batch, Agg: agg, Seed: seed, Iterations: iters,
-	})
 }

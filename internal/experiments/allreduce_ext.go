@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"prophet/internal/cluster"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
 	"prophet/internal/schedule"
@@ -28,9 +27,6 @@ type ExtAllReduceResult struct {
 	RingTinyFusion []float64
 }
 
-// Name implements Result.
-func (r *ExtAllReduceResult) Name() string { return "ext-allreduce" }
-
 // Render implements Result.
 func (r *ExtAllReduceResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Extension — PS+Prophet vs ring all-reduce (ResNet50 bs64, 3 workers)\n")
@@ -43,12 +39,8 @@ func (r *ExtAllReduceResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  step overheads collapse the ring's rate\n")
 }
 
-// ExtAllReduce runs the comparison.
-func ExtAllReduce(cfg Config) (*ExtAllReduceResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// extAllReduce runs the comparison.
+func extAllReduce(cfg Config) (*ExtAllReduceResult, error) {
 	s, err := prepare(model.ResNet50(), 64, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -64,21 +56,15 @@ func ExtAllReduce(cfg Config) (*ExtAllReduceResult, error) {
 	// ringRate runs the ring under the registry's fusion strategy with the
 	// given buffer threshold (0 = its 64 MB default).
 	ringRate := func(link func(int) netsim.LinkConfig, fusionBytes float64) (float64, error) {
-		res, err := cluster.Run(cluster.Config{
-			Model: s.wire, Batch: s.batch, Workers: 3, Transport: "ring", Agg: s.agg, Uplink: link,
-			Scheduler: func(int, *sim.Engine, *netsim.Link) schedule.Scheduler {
-				f, err := strategy.New("fusion", strategy.Params{Sizes: sizes, FusionBytes: fusionBytes})
-				if err != nil {
-					panic(err) // fusion is registered and sizes is non-empty
-				}
-				return f
-			},
-			Iterations: cfg.Iterations, Seed: cfg.Seed,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.Rate(cfg.Warmup), nil
+		c := s.config(cfg, func(int, *sim.Engine, *netsim.Link) schedule.Scheduler {
+			f, err := strategy.New("fusion", strategy.Params{Sizes: sizes, FusionBytes: fusionBytes})
+			if err != nil {
+				panic(err) // fusion is registered and sizes is non-empty
+			}
+			return f
+		}, link, 3)
+		c.Transport = "ring"
+		return rateOf(cfg, c)
 	}
 	out := &ExtAllReduceResult{LimitsMbps: limits}
 	for _, mbps := range limits {

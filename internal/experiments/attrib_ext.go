@@ -7,7 +7,6 @@ import (
 	"prophet/internal/cluster"
 	"prophet/internal/experiments/runner"
 	"prophet/internal/model"
-	"prophet/internal/probe"
 	"prophet/internal/probe/attrib"
 	"prophet/internal/strategy"
 )
@@ -33,9 +32,6 @@ type ExtAttribRow struct {
 	Gradients int
 }
 
-// Name implements Result.
-func (r *ExtAttribResult) Name() string { return "ext-attrib" }
-
 // Render implements Result.
 func (r *ExtAttribResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Extension — stall attribution per strategy (%d workers, ResNet18 bs32, 3 Gbps, worker-0 means)\n", r.Workers)
@@ -57,12 +53,8 @@ func (r *ExtAttribResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  the largest bw-wait column, Prophet's window-fitted blocks the smallest\n")
 }
 
-// ExtAttrib runs the extension.
-func ExtAttrib(cfg Config) (*ExtAttribResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// extAttrib runs the extension.
+func extAttrib(cfg Config) (*ExtAttribResult, error) {
 	const workers = 3
 	out := &ExtAttribResult{Workers: workers}
 
@@ -80,18 +72,7 @@ func ExtAttrib(cfg Config) (*ExtAttribResult, error) {
 		if err != nil {
 			return ExtAttribRow{}, fmt.Errorf("ext-attrib: %s: %w", name, err)
 		}
-		rec := probe.NewSpanRecorder()
-		_, err = cluster.Run(cluster.Config{
-			Model:      s.wire,
-			Batch:      s.batch,
-			Workers:    workers,
-			Agg:        s.agg,
-			Uplink:     link,
-			Scheduler:  factory,
-			Iterations: cfg.Iterations,
-			Seed:       cfg.Seed,
-			Observer:   rec,
-		})
+		_, rec, err := s.runRecorded(cfg, factory, link, workers)
 		if err != nil {
 			return ExtAttribRow{}, fmt.Errorf("ext-attrib: %s: %w", name, err)
 		}

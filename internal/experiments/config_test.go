@@ -59,8 +59,8 @@ func TestWithDefaults(t *testing.T) {
 	})
 	t.Run("experiments surface the error", func(t *testing.T) {
 		// The guard must reach callers, not just withDefaults itself.
-		if _, err := Fig12(Config{Iterations: 2, Warmup: 5}); err == nil {
-			t.Fatal("Fig12 accepted Iterations <= Warmup")
+		if _, err := run[*Fig12Result]("fig12", Config{Iterations: 2, Warmup: 5}); err == nil {
+			t.Fatal("fig12 accepted Iterations <= Warmup")
 		}
 	})
 }

@@ -76,8 +76,6 @@ func (c Config) withDefaults() (Config, error) {
 
 // Result is a rendered experiment outcome.
 type Result interface {
-	// Name returns the experiment id, e.g. "fig8" or "table2".
-	Name() string
 	// Render writes a human-readable reproduction of the table/figure.
 	Render(w io.Writer)
 }
@@ -94,55 +92,73 @@ type Spec struct {
 	Run func(Config) (Result, error)
 }
 
-// All returns every registered experiment, in presentation order.
-func All() []Spec {
-	return []Spec{
-		{"fig2", "Fig. 2", "GPU util and network throughput over time, default MXNet, ResNet152", func(c Config) (Result, error) { return Fig2(c) }},
-		{"fig3a", "Fig. 3(a)", "P3 training-rate collapse as partitions shrink", func(c Config) (Result, error) { return Fig3a(c) }},
-		{"fig3b", "Fig. 3(b)", "ByteScheduler rate fluctuation under credit auto-tuning", func(c Config) (Result, error) { return Fig3b(c) }},
-		{"fig4", "Fig. 4", "Stepwise pattern of gradient generation times", func(c Config) (Result, error) { return Fig4(c) }},
-		{"fig5", "Fig. 5", "Illustrative schedule comparison on the Sec. 2.3 example", func(c Config) (Result, error) { return Fig5(c) }},
-		{"fig8", "Fig. 8", "Training rate, models x batch sizes, Prophet vs ByteScheduler", func(c Config) (Result, error) { return Fig8(c) }},
-		{"fig9", "Fig. 9", "GPU utilization over time, ResNet50", func(c Config) (Result, error) { return Fig9(c) }},
-		{"fig10", "Fig. 10", "Network throughput over time, ResNet50", func(c Config) (Result, error) { return Fig10(c) }},
-		{"fig11", "Fig. 11", "Per-gradient transfer start/end times", func(c Config) (Result, error) { return Fig11(c) }},
-		{"table2", "Table 2", "ResNet50 rate under bandwidth limits 1-10 Gbps", func(c Config) (Result, error) { return Table2(c) }},
-		{"table3", "Table 3", "Batch-size sweep, ResNet18/50", func(c Config) (Result, error) { return Table3(c) }},
-		{"fig12", "Fig. 12", "Scalability from 2 to 8 workers", func(c Config) (Result, error) { return Fig12(c) }},
-		{"fig13", "Fig. 13", "Profiling overhead on early GPU utilization", func(c Config) (Result, error) { return Fig13(c) }},
-		{"sec53-bandwidth", "Sec. 5.3", "ResNet18 under 3 vs 10 Gbps, MXNet/P3/Prophet", func(c Config) (Result, error) { return Sec53Bandwidth(c) }},
-		{"sec53-hetero", "Sec. 5.3", "One worker limited to 500 Mbps", func(c Config) (Result, error) { return Sec53Hetero(c) }},
-		{"sec54-profiling", "Sec. 5.4", "Profiling wall-time overhead", func(c Config) (Result, error) { return Sec54Profiling(c) }},
-		{"ablation-blocks", "DESIGN §5", "Window-fitted blocks vs fixed credit (what the stepwise pattern buys)", func(c Config) (Result, error) { return AblationBlocks(c) }},
-		{"ablation-monitor", "DESIGN §5", "Bandwidth monitor vs stale estimate under varying bandwidth", func(c Config) (Result, error) { return AblationMonitor(c) }},
-		{"ablation-profile", "DESIGN §5", "Plan quality vs profiling length", func(c Config) (Result, error) { return AblationProfile(c) }},
-		{"ablation-overhead", "DESIGN §5", "Per-message overhead on/off (why small partitions lose)", func(c Config) (Result, error) { return AblationOverhead(c) }},
-		{"ext-asp", "Sec. 7 (1)", "Future work: the stepwise pattern and Prophet under ASP", func(c Config) (Result, error) { return ExtASP(c) }},
-		{"ext-hardware", "Sec. 7 (2)", "Future work: p3-class (V100) instances", func(c Config) (Result, error) { return ExtHardware(c) }},
-		{"ext-shapes", "extension", "Prophet's benefit vs tensor-size distribution (synthetic workloads)", func(c Config) (Result, error) { return ExtShapes(c) }},
-		{"ext-transformer", "extension", "Schedulers on a BERT-base-like encoder (embedding-first)", func(c Config) (Result, error) { return ExtTransformer(c) }},
-		{"ext-allreduce", "extension", "PS+Prophet vs ring all-reduce with and without fusion", func(c Config) (Result, error) { return ExtAllReduce(c) }},
-		{"ext-fault", "Sec. 7", "Schedulers under injected link faults: straggler drop-and-renormalize vs fail-fast", func(c Config) (Result, error) { return ExtFault(c) }},
-		{"ext-shard", "extension", "Key-sharded multi-PS: FIFO/ByteScheduler/Prophet at 1/2/4 shards, both paths", func(c Config) (Result, error) { return ExtShard(c) }},
-		{"ext-strategies", "extension", "Every registry strategy (incl. TicTac) on one configuration", func(c Config) (Result, error) { return ExtStrategies(c) }},
-		{"ext-attrib", "extension", "Stall attribution: completion-time decomposition per strategy", func(c Config) (Result, error) { return ExtAttrib(c) }},
-		{"ext-transport", "extension", "Pluggable transports under the drive layer: PS vs ring vs tree, with attribution", func(c Config) (Result, error) { return ExtTransport(c) }},
-		{"ext-scale", "extension", "Shared-connection mux: decision/trajectory equivalence plus a worker-count sweep", func(c Config) (Result, error) { return ExtScale(c) }},
-		{"ext-live-transport", "extension", "Live wire engines over real sockets: PS (dedicated/mux) vs ring/tree collective, with attribution", func(c Config) (Result, error) { return ExtLiveTransport(c) }},
-		{"ext-predict", "extension", "Prediction audit: planned-vs-observed residuals, drift under bandwidth shifts and faults", func(c Config) (Result, error) { return ExtPredict(c) }},
-	}
+// entry registers a typed runner under its id. It is the one place an unset
+// Config is given its defaults: every runner below receives a Config that
+// withDefaults has already filled in and validated.
+func entry[R Result](id, paper, desc string, run func(Config) (R, error)) Spec {
+	return Spec{ID: id, Paper: paper, Desc: desc, Run: func(c Config) (Result, error) {
+		c, err := c.withDefaults()
+		if err != nil {
+			return nil, err
+		}
+		res, err := run(c)
+		if err != nil {
+			return nil, err // not run's nil R, which a Result would hold as non-nil
+		}
+		return res, nil
+	}}
 }
+
+// registry holds every experiment in presentation order. A row is the only
+// place an experiment's id is written.
+var registry = []Spec{
+	entry("fig2", "Fig. 2", "GPU util and network throughput over time, default MXNet, ResNet152", fig2),
+	entry("fig3a", "Fig. 3(a)", "P3 training-rate collapse as partitions shrink", fig3a),
+	entry("fig3b", "Fig. 3(b)", "ByteScheduler rate fluctuation under credit auto-tuning", fig3b),
+	entry("fig4", "Fig. 4", "Stepwise pattern of gradient generation times", fig4),
+	entry("fig5", "Fig. 5", "Illustrative schedule comparison on the Sec. 2.3 example", fig5),
+	entry("fig8", "Fig. 8", "Training rate, models x batch sizes, Prophet vs ByteScheduler", fig8),
+	entry("fig9", "Fig. 9", "GPU utilization over time, ResNet50", fig9),
+	entry("fig10", "Fig. 10", "Network throughput over time, ResNet50", fig10),
+	entry("fig11", "Fig. 11", "Per-gradient transfer start/end times", fig11),
+	entry("table2", "Table 2", "ResNet50 rate under bandwidth limits 1-10 Gbps", table2),
+	entry("table3", "Table 3", "Batch-size sweep, ResNet18/50", table3),
+	entry("fig12", "Fig. 12", "Scalability from 2 to 8 workers", fig12),
+	entry("fig13", "Fig. 13", "Profiling overhead on early GPU utilization", fig13),
+	entry("sec53-bandwidth", "Sec. 5.3", "ResNet18 under 3 vs 10 Gbps, MXNet/P3/Prophet", sec53Bandwidth),
+	entry("sec53-hetero", "Sec. 5.3", "One worker limited to 500 Mbps", sec53Hetero),
+	entry("sec54-profiling", "Sec. 5.4", "Profiling wall-time overhead", sec54Profiling),
+	entry("ablation-blocks", "DESIGN §5", "Window-fitted blocks vs fixed credit (what the stepwise pattern buys)", ablationBlocks),
+	entry("ablation-monitor", "DESIGN §5", "Bandwidth monitor vs stale estimate under varying bandwidth", ablationMonitor),
+	entry("ablation-profile", "DESIGN §5", "Plan quality vs profiling length", ablationProfile),
+	entry("ablation-overhead", "DESIGN §5", "Per-message overhead on/off (why small partitions lose)", ablationOverhead),
+	entry("ext-asp", "Sec. 7 (1)", "Future work: the stepwise pattern and Prophet under ASP", extASP),
+	entry("ext-hardware", "Sec. 7 (2)", "Future work: p3-class (V100) instances", extHardware),
+	entry("ext-shapes", "extension", "Prophet's benefit vs tensor-size distribution (synthetic workloads)", extShapes),
+	entry("ext-transformer", "extension", "Schedulers on a BERT-base-like encoder (embedding-first)", extTransformer),
+	entry("ext-allreduce", "extension", "PS+Prophet vs ring all-reduce with and without fusion", extAllReduce),
+	entry("ext-fault", "Sec. 7", "Schedulers under injected link faults: straggler drop-and-renormalize vs fail-fast", extFault),
+	entry("ext-shard", "extension", "Key-sharded multi-PS: FIFO/ByteScheduler/Prophet at 1/2/4 shards, both paths", extShard),
+	entry("ext-strategies", "extension", "Every registry strategy (incl. TicTac) on one configuration", extStrategies),
+	entry("ext-attrib", "extension", "Stall attribution: completion-time decomposition per strategy", extAttrib),
+	entry("ext-transport", "extension", "Pluggable transports under the drive layer: PS vs ring vs tree, with attribution", extTransport),
+	entry("ext-scale", "extension", "Shared-connection mux: decision/trajectory equivalence plus a worker-count sweep", extScale),
+	entry("ext-live-transport", "extension", "Live wire engines over real sockets: PS (dedicated/mux) vs ring/tree collective, with attribution", extLiveTransport),
+	entry("ext-predict", "extension", "Prediction audit: planned-vs-observed residuals, drift under bandwidth shifts and faults", extPredict),
+}
+
+// All returns every registered experiment, in presentation order. The slice
+// is the registry itself: callers must not modify it.
+func All() []Spec { return registry }
 
 // ByID returns the experiment with the given id.
 func ByID(id string) (Spec, error) {
-	for _, s := range All() {
+	ids := make([]string, len(registry))
+	for i, s := range registry {
 		if s.ID == id {
 			return s, nil
 		}
-	}
-	ids := make([]string, 0)
-	for _, s := range All() {
-		ids = append(ids, s.ID)
+		ids[i] = s.ID
 	}
 	sort.Strings(ids)
 	return Spec{}, fmt.Errorf("experiments: unknown id %q (known: %v)", id, ids)
@@ -154,8 +170,8 @@ const WireFactor = 2
 
 // setup bundles the per-(model, batch) preparation shared by experiments.
 type setup struct {
-	base  *model.Model
 	wire  *model.Model
+	hw    model.Hardware // zero: the cluster's default (M60-like)
 	batch int
 	agg   stepwise.Buckets
 	prof  *profiler.Result
@@ -168,7 +184,7 @@ func prepare(base *model.Model, batch int, seed uint64) (*setup, error) {
 }
 
 // prepareWithHardware profiles an already-wire-scaled model on explicit
-// hardware.
+// hardware; every run of the returned setup computes on that hardware too.
 func prepareWithHardware(wire *model.Model, batch int, seed uint64, hw model.Hardware) (*setup, error) {
 	agg := stepwise.DefaultAggregate(wire)
 	prof, err := profiler.Run(profiler.Config{
@@ -181,26 +197,7 @@ func prepareWithHardware(wire *model.Model, batch int, seed uint64, hw model.Har
 	if err != nil {
 		return nil, err
 	}
-	return &setup{base: wire, wire: wire, batch: batch, agg: agg, prof: prof}, nil
-}
-
-// rateHW is rate with an explicit hardware profile.
-func (s *setup) rateHW(cfg Config, factory cluster.SchedulerFactory, link func(int) netsim.LinkConfig, workers int, hw model.Hardware) (float64, error) {
-	res, err := cluster.Run(cluster.Config{
-		Model:      s.wire,
-		Hardware:   hw,
-		Batch:      s.batch,
-		Workers:    workers,
-		Agg:        s.agg,
-		Uplink:     link,
-		Scheduler:  factory,
-		Iterations: cfg.Iterations,
-		Seed:       cfg.Seed,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return res.Rate(cfg.Warmup), nil
+	return &setup{wire: wire, hw: hw, batch: batch, agg: agg, prof: prof}, nil
 }
 
 // linkMbps builds a per-worker link config at the given nominal line rate in
@@ -209,6 +206,15 @@ func linkMbps(mbps float64) func(int) netsim.LinkConfig {
 	return func(int) netsim.LinkConfig {
 		return netsim.DefaultLinkConfig(netsim.Const(netsim.Goodput(netsim.Mbps(mbps))))
 	}
+}
+
+// heteroLink is the Sec. 5.3 heterogeneous cluster: 3 Gbps workers with
+// worker 1 limited to 500 Mbps.
+func heteroLink(w int) netsim.LinkConfig {
+	if w == 1 {
+		return linkMbps(500)(w)
+	}
+	return linkMbps(3000)(w)
 }
 
 // sharedPSLink models the Fig. 8 regime: a single PS with a 10 Gbps NIC
@@ -246,10 +252,12 @@ func (s *setup) prophet() cluster.SchedulerFactory {
 	return cluster.ProphetFactory(s.prof.Profile())
 }
 
-// config is the cluster configuration every simulated run starts from.
+// config is the cluster configuration every simulated run starts from; an
+// experiment that differs sets its one or two extra fields on the result.
 func (s *setup) config(cfg Config, factory cluster.SchedulerFactory, link func(int) netsim.LinkConfig, workers int) cluster.Config {
 	return cluster.Config{
 		Model:      s.wire,
+		Hardware:   s.hw,
 		Batch:      s.batch,
 		Workers:    workers,
 		Agg:        s.agg,
@@ -278,7 +286,12 @@ func (s *setup) runRecorded(cfg Config, factory cluster.SchedulerFactory, link f
 
 // rate is run + steady-state rate extraction.
 func (s *setup) rate(cfg Config, factory cluster.SchedulerFactory, link func(int) netsim.LinkConfig, workers int) (float64, error) {
-	res, err := s.run(cfg, factory, link, workers)
+	return rateOf(cfg, s.config(cfg, factory, link, workers))
+}
+
+// rateOf runs c and extracts its steady-state rate.
+func rateOf(cfg Config, c cluster.Config) (float64, error) {
+	res, err := cluster.Run(c)
 	if err != nil {
 		return 0, err
 	}

@@ -8,6 +8,21 @@ import (
 
 func quickCfg() Config { return Config{Quick: true, Iterations: 6, Warmup: 1, Seed: 3} }
 
+// run executes the registered experiment id — the same entry point
+// prophet-bench uses — and returns its result as the concrete type R.
+func run[R Result](id string, cfg Config) (R, error) {
+	var none R
+	spec, err := ByID(id)
+	if err != nil {
+		return none, err
+	}
+	res, err := spec.Run(cfg)
+	if err != nil {
+		return none, err
+	}
+	return res.(R), nil
+}
+
 func TestRegistryCompleteAndUnique(t *testing.T) {
 	specs := All()
 	if len(specs) < 16 {
@@ -44,7 +59,7 @@ func TestByIDUnknown(t *testing.T) {
 }
 
 // TestEveryExperimentRunsAndRenders smoke-runs the full registry in quick
-// mode: each must complete, carry its id, and render non-empty output.
+// mode: each must complete and render non-empty output.
 func TestEveryExperimentRunsAndRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
@@ -56,9 +71,6 @@ func TestEveryExperimentRunsAndRenders(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", spec.ID, err)
 			}
-			if res.Name() != spec.ID {
-				t.Fatalf("result name %q != id %q", res.Name(), spec.ID)
-			}
 			var buf bytes.Buffer
 			res.Render(&buf)
 			if buf.Len() == 0 {
@@ -69,7 +81,7 @@ func TestEveryExperimentRunsAndRenders(t *testing.T) {
 }
 
 func TestFig2ShowsIdleGPU(t *testing.T) {
-	r, err := Fig2(quickCfg())
+	r, err := run[*Fig2Result]("fig2", quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +94,7 @@ func TestFig2ShowsIdleGPU(t *testing.T) {
 }
 
 func TestFig3aMonotoneInPartition(t *testing.T) {
-	r, err := Fig3a(quickCfg())
+	r, err := run[*Fig3aResult]("fig3a", quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +119,7 @@ func TestFig3aMonotoneInPartition(t *testing.T) {
 func TestFig3bTunedFluctuatesMore(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Iterations = 24
-	r, err := Fig3b(cfg)
+	r, err := run[*Fig3bResult]("fig3b", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +129,7 @@ func TestFig3bTunedFluctuatesMore(t *testing.T) {
 }
 
 func TestFig4BlockStructure(t *testing.T) {
-	r, err := Fig4(quickCfg())
+	r, err := run[*Fig4Result]("fig4", quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +142,7 @@ func TestFig4BlockStructure(t *testing.T) {
 }
 
 func TestFig5ProphetStartsGradZeroOnTime(t *testing.T) {
-	r, err := Fig5(quickCfg())
+	r, err := run[*Fig5Result]("fig5", quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +164,7 @@ func TestFig8ProphetWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	r, err := Fig8(quickCfg())
+	r, err := run[*Fig8Result]("fig8", quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,25 +183,25 @@ func TestTable2Shape(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Quick = false // need the full sweep for the shape assertions
 	cfg.Iterations = 8
-	r, err := Table2(cfg)
+	r, err := run[*Table2Result]("table2", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(r.LimitsMbps)
+	n := len(r.Rows)
 	// Rates increase with bandwidth for every strategy.
 	for i := 1; i < n; i++ {
-		if r.Prophet[i] < r.Prophet[i-1]*0.95 {
-			t.Fatalf("prophet rate not increasing with bandwidth: %v", r.Prophet)
+		if r.Rows[i].Prophet < r.Rows[i-1].Prophet*0.95 {
+			t.Fatalf("prophet rate not increasing with bandwidth: %+v", r.Rows)
 		}
 	}
 	// At 10 Gbps all strategies converge within 5%.
-	last := n - 1
-	if diff := (r.Prophet[last] - r.BS[last]) / r.BS[last]; diff > 0.05 || diff < -0.05 {
-		t.Fatalf("strategies should converge at 10 Gbps: prophet %v bs %v", r.Prophet[last], r.BS[last])
+	last := r.Rows[n-1]
+	if diff := (last.Prophet - last.BS) / last.BS; diff > 0.05 || diff < -0.05 {
+		t.Fatalf("strategies should converge at 10 Gbps: prophet %v bs %v", last.Prophet, last.BS)
 	}
 	// In the 2-3 Gbps band Prophet leads ByteScheduler.
-	if r.Prophet[1] <= r.BS[1] {
-		t.Fatalf("Prophet should lead at 2 Gbps: %v vs %v", r.Prophet[1], r.BS[1])
+	if r.Rows[1].Prophet <= r.Rows[1].BS {
+		t.Fatalf("Prophet should lead at 2 Gbps: %v vs %v", r.Rows[1].Prophet, r.Rows[1].BS)
 	}
 }
 
@@ -197,15 +209,14 @@ func TestFig12NearLinearScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	r, err := Fig12(quickCfg())
+	r, err := run[*Fig12Result]("fig12", quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := r.PerWorkerRate[0]
-	lastIdx := len(r.PerWorkerRate) - 1
-	if r.PerWorkerRate[lastIdx] < 0.9*first {
-		t.Fatalf("per-worker rate dropped >10%% from %d to %d workers: %v",
-			r.Workers[0], r.Workers[lastIdx], r.PerWorkerRate)
+	first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
+	if last.PerWorkerRate < 0.9*first.PerWorkerRate {
+		t.Fatalf("per-worker rate dropped >10%% from %d to %d workers: %+v",
+			first.Workers, last.Workers, r.Rows)
 	}
 }
 
@@ -213,7 +224,7 @@ func TestSec53HeteroOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	r, err := Sec53Hetero(quickCfg())
+	r, err := run[*Sec53HeteroResult]("sec53-hetero", quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,18 +234,18 @@ func TestSec53HeteroOrdering(t *testing.T) {
 }
 
 func TestSec54ProfilingOrdering(t *testing.T) {
-	r, err := Sec54Profiling(quickCfg())
+	r, err := run[*Sec54ProfilingResult]("sec54-profiling", quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// ResNet152 bs32 must cost more than ResNet50 bs64 (paper shape).
 	var rn50, rn152 float64
-	for i, m := range r.Models {
-		switch m {
+	for _, row := range r.Rows {
+		switch row.Model {
 		case "resnet50":
-			rn50 = r.WallTimeS[i]
+			rn50 = row.WallTimeS
 		case "resnet152":
-			rn152 = r.WallTimeS[i]
+			rn152 = row.WallTimeS
 		}
 	}
 	if !(rn152 > rn50) {
@@ -246,7 +257,7 @@ func TestAblationOverheadConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	r, err := AblationOverhead(quickCfg())
+	r, err := run[*AblationOverheadResult]("ablation-overhead", quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +273,7 @@ func TestAblationOverheadConverges(t *testing.T) {
 func TestRenderMentionsPaperNumbers(t *testing.T) {
 	// The renders double as the EXPERIMENTS.md source, so every one must
 	// reference the paper's reported values.
-	r, err := Fig5(quickCfg())
+	r, err := run[*Fig5Result]("fig5", quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +313,7 @@ func equalFloats(t *testing.T, what string, got, want []float64) {
 }
 
 func TestFig2Pinned(t *testing.T) {
-	r, err := Fig2(quickCfg())
+	r, err := run[*Fig2Result]("fig2", quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +330,7 @@ func TestFig2Pinned(t *testing.T) {
 }
 
 func TestFig10Pinned(t *testing.T) {
-	r, err := Fig10(quickCfg())
+	r, err := run[*Fig10Result]("fig10", quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,12 +350,16 @@ func TestFig10Pinned(t *testing.T) {
 }
 
 func TestFig11Pinned(t *testing.T) {
-	r, err := Fig11(quickCfg())
+	r, err := run[*Fig11Result]("fig11", quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalFloats(t, "mean wait ms", r.MeanWaitMS,
+	var wait, transfer []float64
+	for _, row := range r.Rows {
+		wait, transfer = append(wait, row.WaitMS), append(transfer, row.TransferMS)
+	}
+	equalFloats(t, "mean wait ms", wait,
 		[]float64{343.0267106617354, 105.96839380872295, 39.12429100678827})
-	equalFloats(t, "mean transfer ms", r.MeanDurMS,
+	equalFloats(t, "mean transfer ms", transfer,
 		[]float64{6.239715445134694, 52.77834898550694, 102.28013890959252})
 }

@@ -25,9 +25,6 @@ type ExtASPResult struct {
 	ASPFIFO, ASPProphet float64
 }
 
-// Name implements Result.
-func (r *ExtASPResult) Name() string { return "ext-asp" }
-
 // Render implements Result.
 func (r *ExtASPResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Extension — ASP (paper future work 1), ResNet50 bs64\n")
@@ -38,33 +35,16 @@ func (r *ExtASPResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  blocks keep their value without the BSP barrier\n")
 }
 
-// ExtASP runs the extension.
-func ExtASP(cfg Config) (*ExtASPResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// extASP runs the extension.
+func extASP(cfg Config) (*ExtASPResult, error) {
 	s, err := prepare(model.ResNet50(), 64, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	hetero := func(w int) netsim.LinkConfig {
-		mbps := 3000.0
-		if w == 1 {
-			mbps = 500
-		}
-		return netsim.DefaultLinkConfig(netsim.Const(netsim.Goodput(netsim.Mbps(mbps))))
-	}
 	runASP := func(factory cluster.SchedulerFactory, link func(int) netsim.LinkConfig, asp bool) (float64, error) {
-		res, err := cluster.Run(cluster.Config{
-			Model: s.wire, Batch: s.batch, Workers: 3, Agg: s.agg,
-			Uplink: link, Scheduler: factory,
-			Iterations: cfg.Iterations, Seed: cfg.Seed, ASP: asp,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.Rate(cfg.Warmup), nil
+		c := s.config(cfg, factory, link, 3)
+		c.ASP = asp
+		return rateOf(cfg, c)
 	}
 	type job struct {
 		factory cluster.SchedulerFactory
@@ -72,8 +52,8 @@ func ExtASP(cfg Config) (*ExtASPResult, error) {
 		asp     bool
 	}
 	jobs := []job{
-		{s.prophet(), hetero, false},
-		{s.prophet(), hetero, true},
+		{s.prophet(), heteroLink, false},
+		{s.prophet(), heteroLink, true},
 		{s.fifo(), linkMbps(2000), true},
 		{s.prophet(), linkMbps(2000), true},
 	}
@@ -98,9 +78,6 @@ type ExtHardwareResult struct {
 	M60FIFO, M60Prophet, V100FIFO, V100Prophet float64
 }
 
-// Name implements Result.
-func (r *ExtHardwareResult) Name() string { return "ext-hardware" }
-
 // Render implements Result.
 func (r *ExtHardwareResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Extension — p3-class GPUs (paper future work 2), ResNet50 bs64 at 4.5 Gbps\n")
@@ -124,9 +101,6 @@ type ExtTransformerResult struct {
 	FIFO, P3Rate, BS, Prophet float64
 }
 
-// Name implements Result.
-func (r *ExtTransformerResult) Name() string { return "ext-transformer" }
-
 // Render implements Result.
 func (r *ExtTransformerResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Extension — transformer-base (110M params, embedding-first), bs32 at 10 Gbps\n")
@@ -138,12 +112,8 @@ func (r *ExtTransformerResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  buy nothing — the paper's design targets CNN-sized tensors\n")
 }
 
-// ExtTransformer runs the extension.
-func ExtTransformer(cfg Config) (*ExtTransformerResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// extTransformer runs the extension.
+func extTransformer(cfg Config) (*ExtTransformerResult, error) {
 	s, err := prepare(model.TransformerBase(), 32, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -165,20 +135,21 @@ func ExtTransformer(cfg Config) (*ExtTransformerResult, error) {
 // front-heavy (large embeddings up front), and alternating (conv/BN
 // pairs).
 type ExtShapesResult struct {
-	Shapes  []string
-	FIFO    []float64
-	Prophet []float64
+	Rows []ExtShapesRow
 }
 
-// Name implements Result.
-func (r *ExtShapesResult) Name() string { return "ext-shapes" }
+// ExtShapesRow is one synthetic tensor-size distribution.
+type ExtShapesRow struct {
+	Shape         string
+	FIFO, Prophet float64
+}
 
 // Render implements Result.
 func (r *ExtShapesResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Extension — synthetic tensor-size distributions (40 tensors, 25M params, 2 Gbps)\n")
-	for i, sh := range r.Shapes {
+	for _, row := range r.Rows {
 		fmt.Fprintf(w, "  %-12s fifo %6.2f vs prophet %6.2f samples/s (%+.1f%%)\n",
-			sh, r.FIFO[i], r.Prophet[i], pct(r.Prophet[i], r.FIFO[i]))
+			row.Shape, row.FIFO, row.Prophet, pct(row.Prophet, row.FIFO))
 	}
 	fmt.Fprintf(w, "  Prophet's gain holds across shapes (double digits at this balance);\n")
 	fmt.Fprintf(w, "  it is largest when tensors are uniform — every block fits its window\n")
@@ -186,52 +157,37 @@ func (r *ExtShapesResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  granularity is hardest to match to the release pattern\n")
 }
 
-// ExtShapes runs the extension.
-func ExtShapes(cfg Config) (*ExtShapesResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// extShapes runs the extension.
+func extShapes(cfg Config) (*ExtShapesResult, error) {
 	shapes := []workload.Shape{workload.Uniform, workload.TailHeavy, workload.FrontHeavy, workload.Alternating}
-	type row struct{ fifo, pro float64 }
-	rows, err := runner.Map(cfg.Jobs, shapes, func(_ int, shape workload.Shape) (row, error) {
+	rows, err := runner.Map(cfg.Jobs, shapes, func(_ int, shape workload.Shape) (ExtShapesRow, error) {
 		base, err := workload.Synthetic(shape, 40, 25_000_000, cfg.Seed)
 		if err != nil {
-			return row{}, err
+			return ExtShapesRow{}, err
 		}
-		s, err := prepareWithHardware(model.WithWireFactor(base, WireFactor), 64, cfg.Seed, model.M60Like())
+		s, err := prepare(base, 64, cfg.Seed)
 		if err != nil {
-			return row{}, err
+			return ExtShapesRow{}, err
 		}
 		link := linkMbps(2000)
 		fifoRate, err := s.rate(cfg, s.fifo(), link, 3)
 		if err != nil {
-			return row{}, err
+			return ExtShapesRow{}, err
 		}
 		proRate, err := s.rate(cfg, s.prophet(), link, 3)
 		if err != nil {
-			return row{}, err
+			return ExtShapesRow{}, err
 		}
-		return row{fifo: fifoRate, pro: proRate}, nil
+		return ExtShapesRow{Shape: shape.String(), FIFO: fifoRate, Prophet: proRate}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &ExtShapesResult{}
-	for i, shape := range shapes {
-		out.Shapes = append(out.Shapes, shape.String())
-		out.FIFO = append(out.FIFO, rows[i].fifo)
-		out.Prophet = append(out.Prophet, rows[i].pro)
-	}
-	return out, nil
+	return &ExtShapesResult{Rows: rows}, nil
 }
 
-// ExtHardware runs the extension.
-func ExtHardware(cfg Config) (*ExtHardwareResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// extHardware runs the extension.
+func extHardware(cfg Config) (*ExtHardwareResult, error) {
 	hws := []model.Hardware{model.M60Like(), model.V100Like()}
 	type row struct{ fifo, pro float64 }
 	rows, err := runner.Map(cfg.Jobs, hws, func(_ int, h model.Hardware) (row, error) {
@@ -243,11 +199,11 @@ func ExtHardware(cfg Config) (*ExtHardwareResult, error) {
 			return row{}, err
 		}
 		link := linkMbps(4500)
-		fifoRate, err := s.rateHW(cfg, s.fifo(), link, 3, h)
+		fifoRate, err := s.rate(cfg, s.fifo(), link, 3)
 		if err != nil {
 			return row{}, err
 		}
-		proRate, err := s.rateHW(cfg, s.prophet(), link, 3, h)
+		proRate, err := s.rate(cfg, s.prophet(), link, 3)
 		if err != nil {
 			return row{}, err
 		}

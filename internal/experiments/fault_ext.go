@@ -44,9 +44,6 @@ type ExtFaultRow struct {
 	Dropped   []int
 }
 
-// Name implements Result.
-func (r *ExtFaultResult) Name() string { return "ext-fault" }
-
 // Render implements Result.
 func (r *ExtFaultResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Extension — fault tolerance (paper Sec. 7: stragglers and degraded workers)\n")
@@ -66,12 +63,8 @@ func (r *ExtFaultResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  the straggler timeout or the run fails fast with a descriptive error\n")
 }
 
-// ExtFault runs the extension.
-func ExtFault(cfg Config) (*ExtFaultResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// extFault runs the extension.
+func extFault(cfg Config) (*ExtFaultResult, error) {
 	out := &ExtFaultResult{}
 
 	// Live emulation: worker 1's uplink throttled hard enough that the
@@ -105,14 +98,10 @@ func ExtFault(cfg Config) (*ExtFaultResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ext-fault: %s under straggler: %w", pol, err)
 		}
-		loss := 0.0
-		if n := len(res.Losses); n > 0 {
-			loss = res.Losses[n-1]
-		}
 		out.Rows = append(out.Rows, ExtFaultRow{
 			Policy:    pol,
 			Duration:  res.Duration,
-			FinalLoss: loss,
+			FinalLoss: finalLoss(res),
 			Dropped:   res.DroppedWorkers,
 		})
 	}
@@ -135,22 +124,16 @@ func ExtFault(cfg Config) (*ExtFaultResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	simCfg := func(pol cluster.FaultPolicy) cluster.Config {
-		return cluster.Config{
-			Model: s.wire, Batch: s.batch, Workers: 3, Agg: s.agg,
-			Uplink: linkMbps(3000), Scheduler: s.prophet(),
-			Iterations: cfg.Iterations, Seed: cfg.Seed,
-			Faults:      []cluster.WorkerFault{{Worker: 1, AtIteration: cfg.Iterations / 2, DetectDelay: 0.25}},
-			FaultPolicy: pol,
-		}
-	}
-	healthy := simCfg(cluster.FaultDrop)
-	healthy.Faults = nil
-	hres, err := cluster.Run(healthy)
-	if err != nil {
+	healthy := s.config(cfg, s.prophet(), linkMbps(3000), 3)
+	if out.SimHealthyRate, err = rateOf(cfg, healthy); err != nil {
 		return nil, err
 	}
-	out.SimHealthyRate = hres.Rate(cfg.Warmup)
+	simCfg := func(pol cluster.FaultPolicy) cluster.Config {
+		c := healthy
+		c.Faults = []cluster.WorkerFault{{Worker: 1, AtIteration: cfg.Iterations / 2, DetectDelay: 0.25}}
+		c.FaultPolicy = pol
+		return c
+	}
 	dres, err := cluster.Run(simCfg(cluster.FaultDrop))
 	if err != nil {
 		return nil, err

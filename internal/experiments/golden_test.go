@@ -55,7 +55,7 @@ func checkGolden(t *testing.T, name, got string) {
 // fixed, so the per-strategy gradient-0 start and finish times must
 // reproduce bit-for-bit on every run.
 func TestFig5Golden(t *testing.T) {
-	res, err := Fig5(Config{Quick: true, Seed: 1})
+	res, err := run[*Fig5Result]("fig5", Config{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +72,14 @@ func TestFig5Golden(t *testing.T) {
 // a bit-exact match here certifies the whole sim path is deterministic for
 // a fixed seed.
 func TestTable3Golden(t *testing.T) {
-	res, err := Table3(Config{Quick: true, Seed: 1})
+	res, err := run[*Table3Result]("table3", Config{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
 	b.WriteString("table3: model batch prophet_rate bs_rate\n")
-	for i := range res.Models {
-		fmt.Fprintf(&b, "%s %d %s %s\n", res.Models[i], res.Batches[i], g(res.Prophet[i]), g(res.BS[i]))
+	for _, row := range res.Rows {
+		fmt.Fprintf(&b, "%s %d %s %s\n", row.Model, row.Batch, g(row.Prophet), g(row.BS))
 	}
 	checkGolden(t, "table3.golden", b.String())
 }

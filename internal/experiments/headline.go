@@ -26,9 +26,6 @@ type Fig8Result struct {
 	Rows []Fig8Row
 }
 
-// Name implements Result.
-func (r *Fig8Result) Name() string { return "fig8" }
-
 // Render implements Result.
 func (r *Fig8Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Fig. 8 — training rate (samples/s per worker), Prophet vs ByteScheduler\n")
@@ -40,12 +37,8 @@ func (r *Fig8Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "  paper: Prophet improves training rate by 10-40%% across models and batches\n")
 }
 
-// Fig8 runs the experiment.
-func Fig8(cfg Config) (*Fig8Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// fig8 runs the experiment.
+func fig8(cfg Config) (*Fig8Result, error) {
 	type job struct {
 		base  *model.Model
 		batch int
@@ -96,9 +89,6 @@ type Fig9Result struct {
 	ProphetAvg, BSAvg           float64
 }
 
-// Name implements Result.
-func (r *Fig9Result) Name() string { return "fig9" }
-
 // Render implements Result.
 func (r *Fig9Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Fig. 9 — GPU utilization over time (ResNet50 bs64, shared 10 Gbps PS)\n")
@@ -107,12 +97,8 @@ func (r *Fig9Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "  paper: 91.15%% (Prophet) vs 67.85%% (ByteScheduler)\n")
 }
 
-// Fig9 runs the experiment.
-func Fig9(cfg Config) (*Fig9Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// fig9 runs the experiment.
+func fig9(cfg Config) (*Fig9Result, error) {
 	s, err := prepare(model.ResNet50(), 64, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -142,9 +128,6 @@ type Fig10Result struct {
 	ProphetAvg, BSAvg           float64 // bytes/sec
 }
 
-// Name implements Result.
-func (r *Fig10Result) Name() string { return "fig10" }
-
 // Render implements Result.
 func (r *Fig10Result) Render(w io.Writer) {
 	hi := sim.Max(r.ProphetTimeline)
@@ -157,12 +140,8 @@ func (r *Fig10Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "  relative: %+.1f%%   paper: Prophet +37.3%% average throughput\n", pct(r.ProphetAvg, r.BSAvg))
 }
 
-// Fig10 runs the experiment.
-func Fig10(cfg Config) (*Fig10Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// fig10 runs the experiment.
+func fig10(cfg Config) (*Fig10Result, error) {
 	s, err := prepare(model.ResNet50(), 64, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -194,175 +173,145 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 // (paper: transfers 446/135/125 ms and waits 67/26 ms for
 // MXNet/ByteScheduler/Prophet).
 type Fig11Result struct {
-	Strategies []string
-	MeanWaitMS []float64
-	MeanDurMS  []float64
+	Rows []Fig11Row
 }
 
-// Name implements Result.
-func (r *Fig11Result) Name() string { return "fig11" }
+// Fig11Row is one strategy's mean push wait and transfer time.
+type Fig11Row struct {
+	Strategy           string
+	WaitMS, TransferMS float64
+}
 
 // Render implements Result.
 func (r *Fig11Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Fig. 11 — per-gradient push wait and transfer time (ResNet50 bs64)\n")
-	for i, s := range r.Strategies {
-		fmt.Fprintf(w, "  %-14s wait %6.1f ms   transfer %6.1f ms\n", s, r.MeanWaitMS[i], r.MeanDurMS[i])
+	for _, row := range r.Rows {
+		fmt.Fprintf(w, "  %-14s wait %6.1f ms   transfer %6.1f ms\n", row.Strategy, row.WaitMS, row.TransferMS)
 	}
 	fmt.Fprintf(w, "  paper: transfer 446 (MXNet) / 135 (BS) / 125 (Prophet) ms;\n")
 	fmt.Fprintf(w, "         wait 67 (BS) / 26 (Prophet) ms\n")
 }
 
-// Fig11 runs the experiment.
-func Fig11(cfg Config) (*Fig11Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// fig11 runs the experiment.
+func fig11(cfg Config) (*Fig11Result, error) {
 	s, err := prepare(model.ResNet50(), 64, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	const workers = 3
 	link := sharedPSLink(workers)
-	out := &Fig11Result{}
-	strategies := []struct {
+	type strat struct {
 		name    string
 		factory cluster.SchedulerFactory
-	}{
+	}
+	strategies := []strat{
 		{"default-fifo", s.fifo()},
 		{"bytescheduler", s.byteScheduler()},
 		{"prophet", s.prophet()},
 	}
-	type row struct{ wait, dur float64 }
-	rows, err := runner.Map(cfg.Jobs, strategies, func(_ int, st struct {
-		name    string
-		factory cluster.SchedulerFactory
-	}) (row, error) {
+	rows, err := runner.Map(cfg.Jobs, strategies, func(_ int, st strat) (Fig11Row, error) {
 		_, rec, err := s.runRecorded(cfg, st.factory, link, workers)
 		if err != nil {
-			return row{}, err
+			return Fig11Row{}, err
 		}
 		log := rec.Transfers(0)
-		return row{wait: 1e3 * log.MeanWait(), dur: 1e3 * log.MeanDuration()}, nil
+		return Fig11Row{Strategy: st.name, WaitMS: 1e3 * log.MeanWait(), TransferMS: 1e3 * log.MeanDuration()}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, st := range strategies {
-		out.Strategies = append(out.Strategies, st.name)
-		out.MeanWaitMS = append(out.MeanWaitMS, rows[i].wait)
-		out.MeanDurMS = append(out.MeanDurMS, rows[i].dur)
-	}
-	return out, nil
+	return &Fig11Result{Rows: rows}, nil
 }
 
 // Table2Result reproduces the bandwidth sweep: ResNet50 bs64 rates for
 // Prophet, ByteScheduler, and P3 under worker bandwidth limits.
 type Table2Result struct {
-	LimitsMbps []float64
-	Prophet    []float64
-	BS         []float64
-	P3         []float64
-	// Paper values for side-by-side comparison.
-	PaperProphet, PaperBS, PaperP3 []float64
+	Rows []Table2Row
 }
 
-// Name implements Result.
-func (r *Table2Result) Name() string { return "table2" }
+// Table2Row is one bandwidth limit: measured rates next to the paper's.
+type Table2Row struct {
+	LimitMbps                      float64
+	Prophet, BS, P3                float64
+	PaperProphet, PaperBS, PaperP3 float64
+}
 
 // Render implements Result.
 func (r *Table2Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Table 2 — ResNet50 bs64 training rate under bandwidth limits\n")
 	fmt.Fprintf(w, "  %-8s | %-26s | %-26s\n", "", "measured (samples/s)", "paper (samples/s)")
 	fmt.Fprintf(w, "  %-8s | %8s %8s %8s | %8s %8s %8s\n", "Mbps", "prophet", "bytesch", "p3", "prophet", "bytesch", "p3")
-	for i := range r.LimitsMbps {
+	for _, row := range r.Rows {
 		fmt.Fprintf(w, "  %-8.0f | %8.2f %8.2f %8.2f | %8.2f %8.2f %8.2f\n",
-			r.LimitsMbps[i], r.Prophet[i], r.BS[i], r.P3[i],
-			r.PaperProphet[i], r.PaperBS[i], r.PaperP3[i])
+			row.LimitMbps, row.Prophet, row.BS, row.P3,
+			row.PaperProphet, row.PaperBS, row.PaperP3)
 	}
 	fmt.Fprintf(w, "  paper shape: Prophet leads in 2-4.5 Gbps, P3 collapses at low bandwidth,\n")
 	fmt.Fprintf(w, "  all strategies converge at 6-10 Gbps\n")
 }
 
-// Table2 runs the experiment.
-func Table2(cfg Config) (*Table2Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// table2 runs the experiment.
+func table2(cfg Config) (*Table2Result, error) {
 	s, err := prepare(model.ResNet50(), 64, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	limits := []float64{1000, 2000, 3000, 4000, 4500, 6000, 10000}
-	paperPro := []float64{27.7, 47.9, 60, 67.06, 69.29, 69.5, 70.6}
-	paperBS := []float64{25.9, 39.09, 44, 50.5, 54.14, 70, 71.1}
-	paperP3 := []float64{25.16, 37.69, 51.22, 64.34, 67.83, 68.93, 72.83}
-	if cfg.Quick {
-		limits = []float64{2000, 6000}
-		paperPro = []float64{47.9, 69.5}
-		paperBS = []float64{39.09, 70}
-		paperP3 = []float64{37.69, 68.93}
+	limits := []Table2Row{
+		{LimitMbps: 1000, PaperProphet: 27.7, PaperBS: 25.9, PaperP3: 25.16},
+		{LimitMbps: 2000, PaperProphet: 47.9, PaperBS: 39.09, PaperP3: 37.69},
+		{LimitMbps: 3000, PaperProphet: 60, PaperBS: 44, PaperP3: 51.22},
+		{LimitMbps: 4000, PaperProphet: 67.06, PaperBS: 50.5, PaperP3: 64.34},
+		{LimitMbps: 4500, PaperProphet: 69.29, PaperBS: 54.14, PaperP3: 67.83},
+		{LimitMbps: 6000, PaperProphet: 69.5, PaperBS: 70, PaperP3: 68.93},
+		{LimitMbps: 10000, PaperProphet: 70.6, PaperBS: 71.1, PaperP3: 72.83},
 	}
-	out := &Table2Result{LimitsMbps: limits, PaperProphet: paperPro, PaperBS: paperBS, PaperP3: paperP3}
-	type row struct{ pro, bs, p3 float64 }
-	rows, err := runner.Map(cfg.Jobs, limits, func(_ int, mbps float64) (row, error) {
-		link := linkMbps(mbps)
-		pro, err := s.rate(cfg, s.prophet(), link, 3)
-		if err != nil {
-			return row{}, err
+	if cfg.Quick {
+		limits = []Table2Row{limits[1], limits[5]}
+	}
+	rows, err := runner.Map(cfg.Jobs, limits, func(_ int, row Table2Row) (Table2Row, error) {
+		link := linkMbps(row.LimitMbps)
+		var err error
+		if row.Prophet, err = s.rate(cfg, s.prophet(), link, 3); err != nil {
+			return row, err
 		}
-		bs, err := s.rate(cfg, s.byteScheduler(), link, 3)
-		if err != nil {
-			return row{}, err
+		if row.BS, err = s.rate(cfg, s.byteScheduler(), link, 3); err != nil {
+			return row, err
 		}
-		p3, err := s.rate(cfg, s.p3(), link, 3)
-		if err != nil {
-			return row{}, err
-		}
-		return row{pro: pro, bs: bs, p3: p3}, nil
+		row.P3, err = s.rate(cfg, s.p3(), link, 3)
+		return row, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range rows {
-		out.Prophet = append(out.Prophet, r.pro)
-		out.BS = append(out.BS, r.bs)
-		out.P3 = append(out.P3, r.p3)
-	}
-	return out, nil
+	return &Table2Result{Rows: rows}, nil
 }
 
 // Table3Result reproduces the batch-size sweep for ResNet18/50.
 type Table3Result struct {
-	Models      []string
-	Batches     []int
-	Prophet     []float64
-	BS          []float64
-	Improvement []float64
-	PaperImpr   []float64
+	Rows []Table3Row
 }
 
-// Name implements Result.
-func (r *Table3Result) Name() string { return "table3" }
+// Table3Row is one (model, batch) point; the gains are percent.
+type Table3Row struct {
+	Model                  string
+	Batch                  int
+	Prophet, BS            float64
+	Improvement, PaperImpr float64
+}
 
 // Render implements Result.
 func (r *Table3Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Table 3 — batch-size sweep (3 Gbps workers)\n")
 	fmt.Fprintf(w, "  %-10s %5s  %8s %8s  %7s  %10s\n", "model", "batch", "prophet", "bytesch", "gain", "paper gain")
-	for i := range r.Models {
+	for _, row := range r.Rows {
 		fmt.Fprintf(w, "  %-10s %5d  %8.2f %8.2f  %+5.1f%%  %9.1f%%\n",
-			r.Models[i], r.Batches[i], r.Prophet[i], r.BS[i], r.Improvement[i], r.PaperImpr[i])
+			row.Model, row.Batch, row.Prophet, row.BS, row.Improvement, row.PaperImpr)
 	}
 	fmt.Fprintf(w, "  paper: improvement grows with batch size (1.5%% at bs16 to 36%% at bs64)\n")
 }
 
-// Table3 runs the experiment.
-func Table3(cfg Config) (*Table3Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// table3 runs the experiment.
+func table3(cfg Config) (*Table3Result, error) {
 	type job struct {
 		base      *model.Model
 		batch     int
@@ -378,34 +327,27 @@ func Table3(cfg Config) (*Table3Result, error) {
 	if cfg.Quick {
 		jobs = jobs[2:4]
 	}
-	out := &Table3Result{}
-	type row struct{ pro, bs float64 }
-	rows, err := runner.Map(cfg.Jobs, jobs, func(_ int, j job) (row, error) {
+	rows, err := runner.Map(cfg.Jobs, jobs, func(_ int, j job) (Table3Row, error) {
 		s, err := prepare(j.base, j.batch, cfg.Seed)
 		if err != nil {
-			return row{}, err
+			return Table3Row{}, err
 		}
 		link := linkMbps(3000)
 		pro, err := s.rate(cfg, s.prophet(), link, 3)
 		if err != nil {
-			return row{}, err
+			return Table3Row{}, err
 		}
 		bs, err := s.rate(cfg, s.byteScheduler(), link, 3)
 		if err != nil {
-			return row{}, err
+			return Table3Row{}, err
 		}
-		return row{pro: pro, bs: bs}, nil
+		return Table3Row{
+			Model: j.base.Name, Batch: j.batch, Prophet: pro, BS: bs,
+			Improvement: pct(pro, bs), PaperImpr: j.paperImpr,
+		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, j := range jobs {
-		out.Models = append(out.Models, j.base.Name)
-		out.Batches = append(out.Batches, j.batch)
-		out.Prophet = append(out.Prophet, rows[i].pro)
-		out.BS = append(out.BS, rows[i].bs)
-		out.Improvement = append(out.Improvement, pct(rows[i].pro, rows[i].bs))
-		out.PaperImpr = append(out.PaperImpr, j.paperImpr)
-	}
-	return out, nil
+	return &Table3Result{Rows: rows}, nil
 }

@@ -13,6 +13,29 @@ import (
 	"prophet/internal/probe/attrib"
 )
 
+// mlpProfile is the explicit Prophet profile the live comparisons pin their
+// plan with: tensor sizes from the MLP itself, generation in backward order
+// one unit apart, so no wall-clock profiling iteration feeds the planner.
+func mlpProfile(layers []int, seed uint64) (*core.Profile, error) {
+	m := nn.NewMLP(layers, seed)
+	sizes := make([]float64, m.NumTensors())
+	gen := make([]float64, m.NumTensors())
+	for idx, t := range m.Tensors() {
+		sizes[idx] = float64(8 * t.Elems)
+		gen[idx] = float64(m.NumTensors() - idx)
+	}
+	return core.NewProfile(gen, sizes, 1e-6)
+}
+
+// finalLoss is the last iteration's training loss, 0 for a run that
+// recorded none.
+func finalLoss(res *emu.Result) float64 {
+	if n := len(res.Losses); n > 0 {
+		return res.Losses[n-1]
+	}
+	return 0
+}
+
 // ExtLiveTransportResult compares the live wire engines under the
 // emulation's drive layer — dedicated PS sockets, the multiplexed PS pipe,
 // and the peer-to-peer ring/tree collectives — on one real training job
@@ -43,9 +66,6 @@ type ExtLiveTransportRow struct {
 	PushOrder []int
 }
 
-// Name implements Result.
-func (r *ExtLiveTransportResult) Name() string { return "ext-live-transport" }
-
 // Render implements Result.
 func (r *ExtLiveTransportResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Extension — live transport comparison over real sockets (prophet, %d workers, %d iterations)\n",
@@ -65,13 +85,9 @@ func (r *ExtLiveTransportResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  mean already in place (ack = 0), paying the chunk schedule in transmit.\n")
 }
 
-// ExtLiveTransport runs the comparison. Runs are wall-clock timed, so the
+// extLiveTransport runs the comparison. Runs are wall-clock timed, so the
 // rows run serially regardless of Config.Jobs.
-func ExtLiveTransport(cfg Config) (*ExtLiveTransportResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+func extLiveTransport(cfg Config) (*ExtLiveTransportResult, error) {
 	const workers = 4 // power of two so the tree schedule applies
 	iters := cfg.Iterations
 	if cfg.Quick {
@@ -83,14 +99,7 @@ func ExtLiveTransport(cfg Config) (*ExtLiveTransportResult, error) {
 	// iteration feeds the planner, so the decision stream is a pure function
 	// of the model and the rows are comparable bit-for-bit.
 	layers := []int{16, 64, 64, 4}
-	m := nn.NewMLP(layers, cfg.Seed)
-	sizes := make([]float64, m.NumTensors())
-	gen := make([]float64, m.NumTensors())
-	for idx, t := range m.Tensors() {
-		sizes[idx] = float64(8 * t.Elems)
-		gen[idx] = float64(m.NumTensors() - idx)
-	}
-	prof, err := core.NewProfile(gen, sizes, 1e-6)
+	prof, err := mlpProfile(layers, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("ext-live-transport: %w", err)
 	}

@@ -10,7 +10,7 @@ import "testing"
 // the exactly-zero ack on the collective rows (the aggregate lands with
 // the last chunk step — there is no pull).
 func TestExtLiveTransportInvariants(t *testing.T) {
-	res, err := ExtLiveTransport(Config{Quick: true, Seed: 1})
+	res, err := run[*ExtLiveTransportResult]("ext-live-transport", Config{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

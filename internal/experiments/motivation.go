@@ -27,9 +27,6 @@ type Fig2Result struct {
 	IdleFraction float64
 }
 
-// Name implements Result.
-func (r *Fig2Result) Name() string { return "fig2" }
-
 // Render implements Result.
 func (r *Fig2Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Fig. 2 — ResNet152, default MXNet (FIFO), 3 workers, 3 Gbps\n")
@@ -40,12 +37,8 @@ func (r *Fig2Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "  paper: GPU totally idle for over 50%% of iteration time under pulls\n")
 }
 
-// Fig2 runs the experiment.
-func Fig2(cfg Config) (*Fig2Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// fig2 runs the experiment.
+func fig2(cfg Config) (*Fig2Result, error) {
 	s, err := prepare(model.ResNet152(), 32, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -80,9 +73,6 @@ type Fig3aResult struct {
 	Rates []float64
 }
 
-// Name implements Result.
-func (r *Fig3aResult) Name() string { return "fig3a" }
-
 // Render implements Result.
 func (r *Fig3aResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Fig. 3(a) — P3 training rate vs partition size (ResNet50 bs64, 3 Gbps)\n")
@@ -92,12 +82,8 @@ func (r *Fig3aResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  paper: smaller partitions dramatically decrease the training rate\n")
 }
 
-// Fig3a runs the experiment.
-func Fig3a(cfg Config) (*Fig3aResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// fig3a runs the experiment.
+func fig3a(cfg Config) (*Fig3aResult, error) {
 	s, err := prepare(model.ResNet50(), 64, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -112,10 +98,9 @@ func Fig3a(cfg Config) (*Fig3aResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig3aResult{}
-	for i, p := range parts {
+	out := &Fig3aResult{Rates: rates}
+	for _, p := range parts {
 		out.PartitionsMB = append(out.PartitionsMB, p/1e6)
-		out.Rates = append(out.Rates, rates[i])
 	}
 	return out, nil
 }
@@ -133,9 +118,6 @@ type Fig3bResult struct {
 	FixedSpread float64
 }
 
-// Name implements Result.
-func (r *Fig3bResult) Name() string { return "fig3b" }
-
 // Render implements Result.
 func (r *Fig3bResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Fig. 3(b) — ByteScheduler rate over iterations (ResNet50 bs64, 3 Gbps)\n")
@@ -146,12 +128,8 @@ func (r *Fig3bResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  paper: rate fluctuates 44-56 samples/sec while credit is auto-tuned\n")
 }
 
-// Fig3b runs the experiment.
-func Fig3b(cfg Config) (*Fig3bResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// fig3b runs the experiment.
+func fig3b(cfg Config) (*Fig3bResult, error) {
 	if !cfg.Quick && cfg.Iterations < 40 {
 		cfg.Iterations = 40 // tuning needs iterations to show its probes
 	}
@@ -195,9 +173,6 @@ type Fig4Result struct {
 	ResNet50Gen []float64
 }
 
-// Name implements Result.
-func (r *Fig4Result) Name() string { return "fig4" }
-
 // Render implements Result.
 func (r *Fig4Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Fig. 4 — stepwise pattern of gradient generation times\n")
@@ -212,12 +187,8 @@ func (r *Fig4Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "  paper: ResNet50 gradients arrive in bursts (e.g. {144-156}); VGG19 in 4 blocks\n")
 }
 
-// Fig4 runs the experiment.
-func Fig4(cfg Config) (*Fig4Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// fig4 runs the experiment.
+func fig4(cfg Config) (*Fig4Result, error) {
 	rn, err := prepare(model.ResNet50(), 64, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -251,9 +222,6 @@ type Fig5Result struct {
 	Finish     []float64
 }
 
-// Name implements Result.
-func (r *Fig5Result) Name() string { return "fig5" }
-
 // Render implements Result.
 func (r *Fig5Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Fig. 5 — illustrative example (gradient 1 large, gradient 0 critical)\n")
@@ -265,8 +233,8 @@ func (r *Fig5Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "  gradient 0 is generated, so gradient 0 never waits\n")
 }
 
-// Fig5 runs the analytical example through the Sec. 3 wait model.
-func Fig5(cfg Config) (*Fig5Result, error) {
+// fig5 runs the analytical example through the Sec. 3 wait model.
+func fig5(Config) (*Fig5Result, error) {
 	// Toy profile: gradient 2 (small) at t=10ms, gradient 1 (12 MB) at
 	// t=20ms, gradient 0 (1 MB) at t=60ms. Bandwidth 100 MB/s, partitions
 	// of 2 MB.

@@ -2,39 +2,8 @@ package experiments
 
 import (
 	"bytes"
-	"regexp"
 	"testing"
 )
-
-// liveWallTime matches the wall-clock column of live-emulation rows
-// ("wall 829ms"). Those runs execute real training against a real clock, so
-// their durations differ between ANY two runs, serial or parallel; every
-// simulated quantity must still match to the byte.
-var liveWallTime = regexp.MustCompile(`wall\s+\S+`)
-
-// liveFailFast matches the rendered error of the live fail-fast run in
-// ext-fault. A real connection drop races the PS's reader against its
-// writer, so whether "unexpected EOF" or "closed pipe" surfaces first is
-// real-I/O timing, not simulation state — same caveat as wall clocks.
-var liveFailFast = regexp.MustCompile(`error: emu: fail-fast: .*`)
-
-// liveXportRow matches ext-live-transport's per-transport rows, where every
-// numeric column (wall, t0, and the attribution decomposition) is measured
-// against a real clock. The deterministic parts of that render — the row
-// set, the push order, and the decisions-bit-identical flag — are outside
-// this pattern and still compared to the byte; the Ack≡0 collective
-// invariant is asserted by TestExtLiveTransportInvariants. The two-space
-// indent keeps the sim-side ext-transport rows (four-space indent, fully
-// deterministic) out of the mask.
-var liveXportRow = regexp.MustCompile(`(?m)^  (ps|ps-mux|ring|tree) +[0-9. ]+$`)
-
-// livePredictRow matches ext-predict's live-emulation rows: drift scores
-// and alarm timing there come from real SGD over a real clock, so the
-// numbers wobble between any two runs. The invariants those rows render —
-// clean run alarm-free, alarms only on the throttled worker — are
-// hard-failed inside ExtPredict itself, so masking the numerics here
-// loses nothing. The simulator legs above them stay byte-compared.
-var livePredictRow = regexp.MustCompile(`(?m)^    (clean run|worker 1 at 1/4 rate):.*$`)
 
 // TestSerialParallelIdentical renders every registered experiment serially
 // (Jobs: 1) and on 8 workers (Jobs: 8) and requires byte-identical output.

@@ -59,9 +59,6 @@ type ExtPredictResult struct {
 	EmuWall          time.Duration
 }
 
-// Name implements Result.
-func (r *ExtPredictResult) Name() string { return "ext-predict" }
-
 // Render implements Result.
 func (r *ExtPredictResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Extension — prediction audit (how predictable is Prophet's own schedule?)\n")
@@ -84,12 +81,8 @@ func (r *ExtPredictResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  the faulted worker without false positives on healthy ones\n")
 }
 
-// ExtPredict runs the extension.
-func ExtPredict(cfg Config) (*ExtPredictResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// extPredict runs the extension.
+func extPredict(cfg Config) (*ExtPredictResult, error) {
 	out := &ExtPredictResult{}
 
 	s, err := prepare(model.ResNet18(), 32, cfg.Seed)
@@ -216,21 +209,13 @@ func simAudit(cfg Config, s *setup, tr netsim.Trace) (*predict.Report, float64, 
 		}
 		return sch
 	}
+	c := s.config(cfg, factory, func(int) netsim.LinkConfig {
+		return netsim.DefaultLinkConfig(tr)
+	}, 3)
 	rec := probe.NewSpanRecorder()
-	res, err := cluster.Run(cluster.Config{
-		Model:   s.wire,
-		Batch:   s.batch,
-		Workers: 3,
-		Agg:     s.agg,
-		Uplink: func(int) netsim.LinkConfig {
-			return netsim.DefaultLinkConfig(tr)
-		},
-		Scheduler:  factory,
-		Iterations: cfg.Iterations,
-		Seed:       cfg.Seed,
-		Observer:   rec,
-		Predict:    true,
-	})
+	c.Observer = rec
+	c.Predict = true
+	res, err := cluster.Run(c)
 	if err != nil {
 		return nil, 0, 0, err
 	}

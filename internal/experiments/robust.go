@@ -7,7 +7,6 @@ import (
 	"prophet/internal/cluster"
 	"prophet/internal/experiments/runner"
 	"prophet/internal/model"
-	"prophet/internal/netsim"
 	"prophet/internal/profiler"
 	"prophet/internal/stepwise"
 )
@@ -16,30 +15,27 @@ import (
 // rate stays nearly flat from 2 to 8 workers, showing Algorithm 1 adds no
 // per-worker coordination cost (paper: 69.94 → 68.83 samples/s/worker).
 type Fig12Result struct {
-	Workers       []int
-	PerWorkerRate []float64
-	ClusterRate   []float64
+	Rows []Fig12Row
 }
 
-// Name implements Result.
-func (r *Fig12Result) Name() string { return "fig12" }
+// Fig12Row is one cluster size.
+type Fig12Row struct {
+	Workers                    int
+	PerWorkerRate, ClusterRate float64
+}
 
 // Render implements Result.
 func (r *Fig12Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Fig. 12 — Prophet scalability (ResNet50 bs64, per-worker 4.5 Gbps)\n")
-	for i, n := range r.Workers {
+	for _, row := range r.Rows {
 		fmt.Fprintf(w, "  %d workers: %6.2f samples/s/worker  (%7.2f aggregate)\n",
-			n, r.PerWorkerRate[i], r.ClusterRate[i])
+			row.Workers, row.PerWorkerRate, row.ClusterRate)
 	}
 	fmt.Fprintf(w, "  paper: per-worker rate 69.94 → 68.83 from 2 to 8 workers (near-linear)\n")
 }
 
-// Fig12 runs the experiment.
-func Fig12(cfg Config) (*Fig12Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// fig12 runs the experiment.
+func fig12(cfg Config) (*Fig12Result, error) {
 	s, err := prepare(model.ResNet50(), 64, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -48,24 +44,17 @@ func Fig12(cfg Config) (*Fig12Result, error) {
 	if cfg.Quick {
 		counts = []int{2, 4}
 	}
-	type row struct{ per, agg float64 }
-	rows, err := runner.Map(cfg.Jobs, counts, func(_ int, n int) (row, error) {
+	rows, err := runner.Map(cfg.Jobs, counts, func(_ int, n int) (Fig12Row, error) {
 		res, err := s.run(cfg, s.prophet(), linkMbps(4500), n)
 		if err != nil {
-			return row{}, err
+			return Fig12Row{}, err
 		}
-		return row{per: res.Rate(cfg.Warmup), agg: res.ClusterRate(cfg.Warmup)}, nil
+		return Fig12Row{Workers: n, PerWorkerRate: res.Rate(cfg.Warmup), ClusterRate: res.ClusterRate(cfg.Warmup)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig12Result{}
-	for i, n := range counts {
-		out.Workers = append(out.Workers, n)
-		out.PerWorkerRate = append(out.PerWorkerRate, rows[i].per)
-		out.ClusterRate = append(out.ClusterRate, rows[i].agg)
-	}
-	return out, nil
+	return &Fig12Result{Rows: rows}, nil
 }
 
 // Fig13Result reproduces the profiling-overhead view: during the profiling
@@ -83,9 +72,6 @@ type Fig13Result struct {
 	EarlyProphet, EarlyBS, LateProphet, LateBS float64
 }
 
-// Name implements Result.
-func (r *Fig13Result) Name() string { return "fig13" }
-
 // Render implements Result.
 func (r *Fig13Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Fig. 13 — GPU utilization around the profiling window (ResNet50 bs64)\n")
@@ -97,14 +83,10 @@ func (r *Fig13Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "  paper: Prophet slightly lower during the first seconds, then higher\n")
 }
 
-// Fig13 runs the experiment. The profiling window is modeled by running
+// fig13 runs the experiment. The profiling window is modeled by running
 // the first profileIters iterations under FIFO (the framework's default
 // while Prophet is still collecting c(i)), then switching to Prophet.
-func Fig13(cfg Config) (*Fig13Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+func fig13(cfg Config) (*Fig13Result, error) {
 	s, err := prepare(model.ResNet50(), 64, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -162,61 +144,52 @@ func Fig13(cfg Config) (*Fig13Result, error) {
 // at 3 Gbps the strategies separate (paper: MXNet 110, P3 137, Prophet 153
 // samples/s); at 10 Gbps they all converge near 220.
 type Sec53BandwidthResult struct {
-	LimitsMbps            []float64
-	FIFO, P3Rate, Prophet []float64
+	Rows []Sec53BandwidthRow
 }
 
-// Name implements Result.
-func (r *Sec53BandwidthResult) Name() string { return "sec53-bandwidth" }
+// Sec53BandwidthRow is one bandwidth limit.
+type Sec53BandwidthRow struct {
+	LimitMbps             float64
+	FIFO, P3Rate, Prophet float64
+}
 
 // Render implements Result.
 func (r *Sec53BandwidthResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Sec. 5.3 — ResNet18 bs64 rate under bandwidth limits\n")
 	fmt.Fprintf(w, "  %-8s %8s %8s %8s\n", "Mbps", "mxnet", "p3", "prophet")
-	for i := range r.LimitsMbps {
-		fmt.Fprintf(w, "  %-8.0f %8.2f %8.2f %8.2f\n", r.LimitsMbps[i], r.FIFO[i], r.P3Rate[i], r.Prophet[i])
+	for _, row := range r.Rows {
+		fmt.Fprintf(w, "  %-8.0f %8.2f %8.2f %8.2f\n", row.LimitMbps, row.FIFO, row.P3Rate, row.Prophet)
 	}
 	fmt.Fprintf(w, "  paper: 110 / 137 / 153 at 3 Gbps; all ≈220 at 10 Gbps\n")
 }
 
-// Sec53Bandwidth runs the experiment.
-func Sec53Bandwidth(cfg Config) (*Sec53BandwidthResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// sec53Bandwidth runs the experiment.
+func sec53Bandwidth(cfg Config) (*Sec53BandwidthResult, error) {
 	s, err := prepare(model.ResNet18(), 64, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	limits := []float64{3000, 10000}
-	type row struct{ fifo, p3, pro float64 }
-	rows, err := runner.Map(cfg.Jobs, limits, func(_ int, mbps float64) (row, error) {
+	rows, err := runner.Map(cfg.Jobs, limits, func(_ int, mbps float64) (Sec53BandwidthRow, error) {
 		link := linkMbps(mbps)
 		fifo, err := s.rate(cfg, s.fifo(), link, 3)
 		if err != nil {
-			return row{}, err
+			return Sec53BandwidthRow{}, err
 		}
 		p3, err := s.rate(cfg, s.p3(), link, 3)
 		if err != nil {
-			return row{}, err
+			return Sec53BandwidthRow{}, err
 		}
 		pro, err := s.rate(cfg, s.prophet(), link, 3)
 		if err != nil {
-			return row{}, err
+			return Sec53BandwidthRow{}, err
 		}
-		return row{fifo: fifo, p3: p3, pro: pro}, nil
+		return Sec53BandwidthRow{LimitMbps: mbps, FIFO: fifo, P3Rate: p3, Prophet: pro}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &Sec53BandwidthResult{LimitsMbps: limits}
-	for i := range limits {
-		out.FIFO = append(out.FIFO, rows[i].fifo)
-		out.P3Rate = append(out.P3Rate, rows[i].p3)
-		out.Prophet = append(out.Prophet, rows[i].pro)
-	}
-	return out, nil
+	return &Sec53BandwidthResult{Rows: rows}, nil
 }
 
 // Sec53HeteroResult reproduces the heterogeneous-cluster experiment: one
@@ -226,9 +199,6 @@ type Sec53HeteroResult struct {
 	FIFO, BS, Prophet float64
 }
 
-// Name implements Result.
-func (r *Sec53HeteroResult) Name() string { return "sec53-hetero" }
-
 // Render implements Result.
 func (r *Sec53HeteroResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Sec. 5.3 — heterogeneous cluster (one worker at 500 Mbps), ResNet50 bs64\n")
@@ -236,26 +206,15 @@ func (r *Sec53HeteroResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  paper: 15.09 / 25.8 / 26.4 — both schedulers beat MXNet; Prophet edges BS\n")
 }
 
-// Sec53Hetero runs the experiment.
-func Sec53Hetero(cfg Config) (*Sec53HeteroResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// sec53Hetero runs the experiment.
+func sec53Hetero(cfg Config) (*Sec53HeteroResult, error) {
 	s, err := prepare(model.ResNet50(), 64, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	hetero := func(w int) netsim.LinkConfig {
-		mbps := 3000.0
-		if w == 1 {
-			mbps = 500
-		}
-		return netsim.DefaultLinkConfig(netsim.Const(netsim.Goodput(netsim.Mbps(mbps))))
-	}
 	factories := []cluster.SchedulerFactory{s.fifo(), s.byteScheduler(), s.prophet()}
 	rates, err := runner.Map(cfg.Jobs, factories, func(_ int, f cluster.SchedulerFactory) (float64, error) {
-		return s.rate(cfg, f, hetero, 3)
+		return s.rate(cfg, f, heteroLink, 3)
 	})
 	if err != nil {
 		return nil, err
@@ -267,64 +226,51 @@ func Sec53Hetero(cfg Config) (*Sec53HeteroResult, error) {
 // time of the 50-iteration profiling run per model (paper: Inception-v3
 // bs32 7 s, ResNet50 bs64 9.5 s, ResNet152 bs32 24.7 s).
 type Sec54ProfilingResult struct {
-	Models    []string
-	Batches   []int
-	WallTimeS []float64
-	PaperS    []float64
+	Rows []Sec54ProfilingRow
 }
 
-// Name implements Result.
-func (r *Sec54ProfilingResult) Name() string { return "sec54-profiling" }
+// Sec54ProfilingRow is one model's profiling cost next to the paper's.
+type Sec54ProfilingRow struct {
+	Model             string
+	Batch             int
+	WallTimeS, PaperS float64
+}
 
 // Render implements Result.
 func (r *Sec54ProfilingResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Sec. 5.4 — profiling overhead (50 iterations of compute)\n")
-	for i := range r.Models {
+	for _, row := range r.Rows {
 		fmt.Fprintf(w, "  %-14s bs%-3d  measured %6.1f s   paper %5.1f s\n",
-			r.Models[i], r.Batches[i], r.WallTimeS[i], r.PaperS[i])
+			row.Model, row.Batch, row.WallTimeS, row.PaperS)
 	}
 	fmt.Fprintf(w, "  shape: ResNet152 most expensive, well under a minute in all cases\n")
 }
 
-// Sec54Profiling runs the experiment.
-func Sec54Profiling(cfg Config) (*Sec54ProfilingResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	jobs := []struct {
+// sec54Profiling runs the experiment.
+func sec54Profiling(cfg Config) (*Sec54ProfilingResult, error) {
+	type job struct {
 		base   *model.Model
 		batch  int
 		paperS float64
-	}{
+	}
+	jobs := []job{
 		{model.InceptionV3(), 32, 7},
 		{model.ResNet50(), 64, 9.5},
 		{model.ResNet152(), 32, 24.7},
 	}
-	walls, err := runner.Map(cfg.Jobs, jobs, func(_ int, j struct {
-		base   *model.Model
-		batch  int
-		paperS float64
-	}) (float64, error) {
+	rows, err := runner.Map(cfg.Jobs, jobs, func(_ int, j job) (Sec54ProfilingRow, error) {
 		wire := model.WithWireFactor(j.base, WireFactor)
 		agg := stepwise.DefaultAggregate(wire)
 		res, err := profiler.Run(profiler.Config{
 			Model: wire, Batch: j.batch, Agg: agg, Seed: cfg.Seed,
 		})
 		if err != nil {
-			return 0, err
+			return Sec54ProfilingRow{}, err
 		}
-		return res.WallTime, nil
+		return Sec54ProfilingRow{Model: j.base.Name, Batch: j.batch, WallTimeS: res.WallTime, PaperS: j.paperS}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &Sec54ProfilingResult{}
-	for i, j := range jobs {
-		out.Models = append(out.Models, j.base.Name)
-		out.Batches = append(out.Batches, j.batch)
-		out.WallTimeS = append(out.WallTimeS, walls[i])
-		out.PaperS = append(out.PaperS, j.paperS)
-	}
-	return out, nil
+	return &Sec54ProfilingResult{Rows: rows}, nil
 }

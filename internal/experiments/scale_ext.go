@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"time"
 
-	"prophet/internal/core"
 	"prophet/internal/emu"
 	"prophet/internal/experiments/runner"
 	"prophet/internal/nn"
@@ -53,9 +52,6 @@ type ExtScaleSweepRow struct {
 	FinalLoss float64
 }
 
-// Name implements Result.
-func (r *ExtScaleResult) Name() string { return "ext-scale" }
-
 // Render implements Result.
 func (r *ExtScaleResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Extension — shared-connection scale-out (%d PS shards, multiplexed transport)\n", r.Shards)
@@ -75,12 +71,8 @@ func (r *ExtScaleResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  unchanged, and connection cost per shard is constant in worker count\n")
 }
 
-// ExtScale runs the extension.
-func ExtScale(cfg Config) (*ExtScaleResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// extScale runs the extension.
+func extScale(cfg Config) (*ExtScaleResult, error) {
 	const shards = 2
 	out := &ExtScaleResult{Shards: shards, AllMatch: true}
 
@@ -99,14 +91,8 @@ func ExtScale(cfg Config) (*ExtScaleResult, error) {
 		Shards:         shards,
 		ShardPlacement: shard.SizeBalanced,
 	}
-	m := nn.NewMLP(layers, cfg.Seed)
-	sizes := make([]float64, m.NumTensors())
-	gen := make([]float64, m.NumTensors())
-	for idx, t := range m.Tensors() {
-		sizes[idx] = float64(8 * t.Elems)
-		gen[idx] = float64(m.NumTensors() - idx)
-	}
-	if base.Profile, err = core.NewProfile(gen, sizes, 1e-6); err != nil {
+	var err error
+	if base.Profile, err = mlpProfile(layers, cfg.Seed); err != nil {
 		return nil, fmt.Errorf("ext-scale: %w", err)
 	}
 	policies := []string{"fifo", "p3", "bytescheduler", "prophet"}
@@ -162,12 +148,8 @@ func ExtScale(cfg Config) (*ExtScaleResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ext-scale: sweep at %d workers: %w", workers, err)
 		}
-		loss := 0.0
-		if n := len(res.Losses); n > 0 {
-			loss = res.Losses[n-1]
-		}
 		out.SweepRows = append(out.SweepRows, ExtScaleSweepRow{
-			Workers: workers, Duration: res.Duration, FinalLoss: loss,
+			Workers: workers, Duration: res.Duration, FinalLoss: finalLoss(res),
 		})
 	}
 	if !out.AllMatch {

@@ -58,9 +58,6 @@ type ExtShardEmuRow struct {
 	FinalLoss float64
 }
 
-// Name implements Result.
-func (r *ExtShardResult) Name() string { return "ext-shard" }
-
 // Render implements Result.
 func (r *ExtShardResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Extension — key-sharded multi-PS scaling (%d workers, ResNet50-class, 3 Gbps links)\n", r.Workers)
@@ -86,12 +83,8 @@ func (r *ExtShardResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  keeps block order — and the remaining lead — intact at full link speed\n")
 }
 
-// ExtShard runs the extension.
-func ExtShard(cfg Config) (*ExtShardResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// extShard runs the extension.
+func extShard(cfg Config) (*ExtShardResult, error) {
 	const workers = 3
 	out := &ExtShardResult{Workers: workers}
 
@@ -105,12 +98,8 @@ func ExtShard(cfg Config) (*ExtShardResult, error) {
 		shardCounts = []int{1, 2}
 	}
 	runOne := func(factory cluster.SchedulerFactory, shards int, equalAgg bool) (float64, error) {
-		ccfg := cluster.Config{
-			Model: s.wire, Batch: s.batch, Workers: workers, Agg: s.agg,
-			Uplink: link, Scheduler: factory,
-			Iterations: cfg.Iterations, Seed: cfg.Seed,
-			PSShards: shards, ShardPlacement: shard.SizeBalanced,
-		}
+		ccfg := s.config(cfg, factory, link, workers)
+		ccfg.PSShards, ccfg.ShardPlacement = shards, shard.SizeBalanced
 		if equalAgg && shards > 1 {
 			ccfg.ShardUplink = func(w, _ int) netsim.LinkConfig {
 				lc := link(w)
@@ -119,11 +108,7 @@ func ExtShard(cfg Config) (*ExtShardResult, error) {
 			}
 			ccfg.ShardDownlink = ccfg.ShardUplink
 		}
-		res, err := cluster.Run(ccfg)
-		if err != nil {
-			return 0, err
-		}
-		return res.Rate(cfg.Warmup), nil
+		return rateOf(cfg, ccfg)
 	}
 	// Flatten the regime × shard-count grid into an explicit job list so
 	// the rows can fan out across workers while keeping the output order.
@@ -198,12 +183,8 @@ func ExtShard(cfg Config) (*ExtShardResult, error) {
 	}
 	for i, pol := range policies {
 		res := emuResults[i]
-		loss := 0.0
-		if n := len(res.Losses); n > 0 {
-			loss = res.Losses[n-1]
-		}
 		out.EmuRows = append(out.EmuRows, ExtShardEmuRow{
-			Policy: pol, Shards: 2, Duration: res.Duration, FinalLoss: loss,
+			Policy: pol, Shards: 2, Duration: res.Duration, FinalLoss: finalLoss(res),
 		})
 		if len(res.FinalParams) != len(ref.FinalParams) {
 			out.EmuTrajectoriesMatch = false

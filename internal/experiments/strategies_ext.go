@@ -29,9 +29,6 @@ type ExtStrategiesRow struct {
 	Rate float64
 }
 
-// Name implements Result.
-func (r *ExtStrategiesResult) Name() string { return "ext-strategies" }
-
 // Render implements Result.
 func (r *ExtStrategiesResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Extension — full strategy registry on one configuration (%d workers, ResNet50 bs32, 3 Gbps)\n", r.Workers)
@@ -49,12 +46,8 @@ func (r *ExtStrategiesResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  tensor-count priority lands between FIFO and the byte-level schedulers\n")
 }
 
-// ExtStrategies runs the extension.
-func ExtStrategies(cfg Config) (*ExtStrategiesResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// extStrategies runs the extension.
+func extStrategies(cfg Config) (*ExtStrategiesResult, error) {
 	const workers = 3
 	out := &ExtStrategiesResult{Workers: workers}
 

@@ -40,9 +40,6 @@ type ExtTransportRow struct {
 	Mean attrib.Components
 }
 
-// Name implements Result.
-func (r *ExtTransportResult) Name() string { return "ext-transport" }
-
 // Render implements Result.
 func (r *ExtTransportResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Extension — transport comparison under the drive layer (Prophet, %d workers, 3 Gbps/link)\n", r.Workers)
@@ -76,12 +73,8 @@ func (r *ExtTransportResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "  inside transmit and ack exactly zero. wait%% = (prio + bw) / completion.\n")
 }
 
-// ExtTransport runs the comparison.
-func ExtTransport(cfg Config) (*ExtTransportResult, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// extTransport runs the comparison.
+func extTransport(cfg Config) (*ExtTransportResult, error) {
 	const workers = 3
 	out := &ExtTransportResult{Workers: workers}
 
@@ -112,19 +105,10 @@ func ExtTransport(cfg Config) (*ExtTransportResult, error) {
 			if err != nil {
 				return ExtTransportRow{}, fmt.Errorf("ext-transport: %s/%s: %w", j.base.Name, transport, err)
 			}
+			c := s.config(cfg, factory, link, workers)
 			rec := probe.NewSpanRecorder()
-			res, err := cluster.Run(cluster.Config{
-				Model:      s.wire,
-				Batch:      s.batch,
-				Workers:    workers,
-				Transport:  transport,
-				Agg:        s.agg,
-				Uplink:     link,
-				Scheduler:  factory,
-				Iterations: cfg.Iterations,
-				Seed:       cfg.Seed,
-				Observer:   rec,
-			})
+			c.Transport, c.Observer = transport, rec
+			res, err := cluster.Run(c)
 			if err != nil {
 				return ExtTransportRow{}, fmt.Errorf("ext-transport: %s/%s: %w", j.base.Name, transport, err)
 			}

@@ -12,7 +12,7 @@ import (
 // drive layer stay deterministic — rates AND the attribution decomposition
 // that rides along.
 func TestExtTransportGolden(t *testing.T) {
-	res, err := ExtTransport(Config{Quick: true, Seed: 1})
+	res, err := run[*ExtTransportResult]("ext-transport", Config{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestExtTransportGolden(t *testing.T) {
 // rows have exactly-zero ack, and the PS row has a strictly positive ack
 // (the pull is never free).
 func TestExtTransportRanking(t *testing.T) {
-	res, err := ExtTransport(Config{Quick: true, Seed: 1})
+	res, err := run[*ExtTransportResult]("ext-transport", Config{Quick: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

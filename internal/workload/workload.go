@@ -1,7 +1,6 @@
-// Package workload generates the parameter sweeps and synthetic workloads
-// the experiments run: cartesian grids over (model, batch, bandwidth,
-// workers, scheduler) and synthetic gradient-tensor distributions for
-// studying the stepwise pattern beyond the built-in model zoo.
+// Package workload generates the synthetic workloads the experiments run:
+// gradient-tensor size distributions for studying the stepwise pattern
+// beyond the built-in model zoo.
 package workload
 
 import (
@@ -10,96 +9,6 @@ import (
 	"prophet/internal/model"
 	"prophet/internal/sim"
 )
-
-// Point is one cell of a sweep grid.
-type Point struct {
-	Model     string
-	Batch     int
-	Mbps      float64
-	Workers   int
-	Scheduler string
-}
-
-// String renders the point compactly, e.g. "resnet50/bs64/3000Mbps/w3/prophet".
-func (p Point) String() string {
-	return fmt.Sprintf("%s/bs%d/%.0fMbps/w%d/%s", p.Model, p.Batch, p.Mbps, p.Workers, p.Scheduler)
-}
-
-// Sweep is a cartesian product over experiment dimensions. Empty dimensions
-// default to a single representative value.
-type Sweep struct {
-	Models     []string
-	Batches    []int
-	Mbps       []float64
-	Workers    []int
-	Schedulers []string
-}
-
-func defaults[T any](xs []T, d T) []T {
-	if len(xs) == 0 {
-		return []T{d}
-	}
-	return xs
-}
-
-// Points expands the grid in deterministic order (models outermost,
-// schedulers innermost).
-func (s Sweep) Points() []Point {
-	models := defaults(s.Models, "resnet50")
-	batches := defaults(s.Batches, 64)
-	mbps := defaults(s.Mbps, 3000)
-	workers := defaults(s.Workers, 3)
-	scheds := defaults(s.Schedulers, "prophet")
-	var out []Point
-	for _, m := range models {
-		for _, b := range batches {
-			for _, bw := range mbps {
-				for _, w := range workers {
-					for _, sc := range scheds {
-						out = append(out, Point{Model: m, Batch: b, Mbps: bw, Workers: w, Scheduler: sc})
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Size returns the number of points without expanding.
-func (s Sweep) Size() int {
-	n := func(k int) int {
-		if k == 0 {
-			return 1
-		}
-		return k
-	}
-	return n(len(s.Models)) * n(len(s.Batches)) * n(len(s.Mbps)) * n(len(s.Workers)) * n(len(s.Schedulers))
-}
-
-// Validate checks every referenced model exists in the zoo.
-func (s Sweep) Validate() error {
-	for _, m := range s.Models {
-		if _, err := model.ByName(m); err != nil {
-			return err
-		}
-	}
-	for _, b := range s.Batches {
-		if b <= 0 {
-			return fmt.Errorf("workload: batch %d", b)
-		}
-	}
-	for _, bw := range s.Mbps {
-		if bw <= 0 {
-			return fmt.Errorf("workload: bandwidth %v Mbps", bw)
-		}
-	}
-	for _, w := range s.Workers {
-		if w <= 0 {
-			return fmt.Errorf("workload: workers %d", w)
-		}
-	}
-	return nil
-}
 
 // Shape selects a synthetic tensor-size distribution.
 type Shape int

@@ -7,65 +7,6 @@ import (
 	"prophet/internal/model"
 )
 
-func TestSweepDefaults(t *testing.T) {
-	pts := Sweep{}.Points()
-	if len(pts) != 1 {
-		t.Fatalf("empty sweep expanded to %d points", len(pts))
-	}
-	if pts[0].Model != "resnet50" || pts[0].Scheduler != "prophet" {
-		t.Fatalf("default point = %+v", pts[0])
-	}
-}
-
-func TestSweepCartesianSize(t *testing.T) {
-	s := Sweep{
-		Models:     []string{"resnet18", "resnet50"},
-		Batches:    []int{16, 32, 64},
-		Mbps:       []float64{1000, 3000},
-		Workers:    []int{3},
-		Schedulers: []string{"fifo", "prophet"},
-	}
-	pts := s.Points()
-	if len(pts) != 24 || s.Size() != 24 {
-		t.Fatalf("got %d points, Size()=%d, want 24", len(pts), s.Size())
-	}
-	// Deterministic order: first point is the first of every dimension.
-	if pts[0].Model != "resnet18" || pts[0].Batch != 16 || pts[0].Scheduler != "fifo" {
-		t.Fatalf("first point = %+v", pts[0])
-	}
-	seen := map[string]bool{}
-	for _, p := range pts {
-		if seen[p.String()] {
-			t.Fatalf("duplicate point %s", p)
-		}
-		seen[p.String()] = true
-	}
-}
-
-func TestSweepValidate(t *testing.T) {
-	if err := (Sweep{Models: []string{"resnet18"}}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []Sweep{
-		{Models: []string{"nope"}},
-		{Batches: []int{0}},
-		{Mbps: []float64{-1}},
-		{Workers: []int{0}},
-	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Fatalf("case %d: expected error", i)
-		}
-	}
-}
-
-func TestPointString(t *testing.T) {
-	p := Point{Model: "resnet50", Batch: 64, Mbps: 3000, Workers: 3, Scheduler: "prophet"}
-	if p.String() != "resnet50/bs64/3000Mbps/w3/prophet" {
-		t.Fatalf("String() = %q", p.String())
-	}
-}
-
 func TestSyntheticShapes(t *testing.T) {
 	for _, shape := range []Shape{Uniform, TailHeavy, FrontHeavy, Alternating} {
 		m, err := Synthetic(shape, 40, 10_000_000, 1)

@@ -78,14 +78,9 @@ var reachAllow = map[string]string{
 	"internal/tensor.Mat.Clone":                     fixture,
 	"internal/tensor.Vec.Scale":                     fixture,
 	"internal/transport.FrameWriter.WriteFrame":     fixture,
-	"internal/core.Queue.Ready":                     testOnly,
-	"internal/core.Queue.Pop":                       testOnly,
 	"internal/core.WaitModel.IterationTime":         testOnly,
 	"internal/sim.Engine.Cancel":                    testOnly,
 	"internal/sim.Rand.Range":                       testOnly,
-	"internal/workload.Sweep.Points":                testOnly,
-	"internal/workload.Sweep.Size":                  testOnly,
-	"internal/workload.Sweep.Validate":              testOnly,
 }
 
 // modulePackages type-checks every non-test package under the repository
