@@ -26,17 +26,23 @@
 //
 // Framing, back-pressure and payload pooling are inherited from the mux
 // transport: a chunk's send returns once the demux loop has read it off the
-// pipe, received payloads are pooled, and decoded chunk buffers recycle
-// through a float pool, so the steady-state hot path allocates nothing per
-// step.
+// pipe into a pooled payload buffer. Handing a chunk over costs the same at
+// any W: the demux loop only routes — it queues the wire bytes on the
+// addressee's inbox and wakes that one peer — and the receiving peer, on its
+// own goroutine, reduces or copies straight from the little-endian bytes
+// (one pass over the floats, W peers in parallel) and returns the buffer to
+// the pool. The steady-state hot path allocates nothing per step.
 package collective
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"prophet/internal/drive"
@@ -59,16 +65,20 @@ type Options struct {
 	Clock func() float64
 }
 
-// chunk is one decoded inbound chunk frame.
+// chunk is one inbound chunk frame, still in wire form: data is the frame's
+// pooled payload (little-endian float64s), owned by whoever holds the chunk
+// until it goes back to the fabric's payload pool.
 type chunk struct {
 	iter, step uint32
-	data       []float64
+	data       []byte
 }
 
-// inbox holds the decoded chunks queued for one worker. It is unbounded —
-// that is what makes the fabric deadlock-free: the demux loop never blocks
-// on a worker, so the pipe always drains and a sender can never wedge
-// behind a receiver that is itself mid-send. The pipe does not bound the
+// inbox holds the chunks queued for one worker, under its own lock and
+// wake-up: an arriving chunk costs its addressee one wake-up and nobody
+// else anything. It is unbounded — that is what makes the fabric
+// deadlock-free: the demux loop never blocks on a worker, so the pipe
+// always drains and a sender can never wedge behind a receiver that is
+// itself mid-send. The pipe does not bound the
 // inbox (a send returns when the demux loop has read the frame, not when
 // the peer has taken the chunk); the lockstep schedule does: a peer sends
 // step k+1 only after it received step k. On a ring that needs only the
@@ -83,11 +93,20 @@ type chunk struct {
 // Each worker receives exactly one chunk per (iter, step), so the match is
 // unique; the queue stays tiny, so a linear scan is fine.
 type inbox struct {
+	mu    sync.Mutex
+	ready sync.Cond // on mu; the inbox's one worker waits here
 	items []chunk
 }
 
-func (q *inbox) push(c chunk) { q.items = append(q.items, c) }
+// push queues c and wakes the inbox's worker.
+func (q *inbox) push(c chunk) {
+	q.mu.Lock()
+	q.items = append(q.items, c)
+	q.mu.Unlock()
+	q.ready.Signal()
+}
 
+// take removes the chunk tagged (iter, step); the caller holds q.mu.
 func (q *inbox) take(iter, step uint32) (chunk, bool) {
 	for i, c := range q.items {
 		if c.iter == iter && c.step == step {
@@ -114,14 +133,12 @@ type Fabric struct {
 	send *transport.MuxConn // workers write here; stream = destination
 	recv *transport.MuxConn // the demux loop reads here
 
-	pool transport.FloatPool // decoded chunk buffers, recycled across steps and ops
+	payloads *transport.PayloadPool // recv's pool: chunk buffers return here
 
 	readers sync.WaitGroup // the demux loop
 
-	mu      sync.Mutex
-	cond    *sync.Cond
 	inboxes []inbox
-	err     error
+	err     atomic.Pointer[error] // the first fatal error, published once
 }
 
 // Check reports whether `workers` peers can run the named collective
@@ -151,7 +168,8 @@ func Check(backend string, workers int) (drive.Backend, error) {
 func New(backend string, workers int, bandwidthBytesPerSec float64, opt Options) (*Fabric, error) {
 	bw := bandwidthBytesPerSec * float64(workers)
 	a, b := transport.Pipe(bw, bw)
-	return Over(backend, workers, transport.Meter(a, opt.Metrics, "transport_collective"), b, opt.Clock)
+	const label = "transport_collective" // writes count on the send end, reads on the receive end
+	return Over(backend, workers, transport.Meter(a, opt.Metrics, label), transport.Meter(b, opt.Metrics, label), opt.Clock)
 }
 
 // Over builds the fabric on a pipe the caller made (and shaped, metered or
@@ -169,31 +187,44 @@ func Over(backend string, workers int, send, recv net.Conn, clock func() float64
 		clock = func() float64 { return time.Since(start).Seconds() }
 	}
 	f := &Fabric{
-		workers: workers,
-		steps:   be.Steps(workers),
-		stepOf:  ringStep(workers),
-		clock:   clock,
-		inboxes: make([]inbox, workers),
+		workers:  workers,
+		steps:    be.Steps(workers),
+		stepOf:   ringStep(workers),
+		clock:    clock,
+		payloads: transport.NewPayloadPool(),
+		inboxes:  make([]inbox, workers),
 	}
 	if be.Name() == "tree" {
 		f.stepOf = treeStep(workers)
 	}
-	f.cond = sync.NewCond(&f.mu)
+	for w := range f.inboxes {
+		f.inboxes[w].ready.L = &f.inboxes[w].mu
+	}
 	f.send = transport.NewMuxConn(send, transport.MuxOptions{Streams: workers})
-	f.recv = transport.NewMuxConn(recv, transport.MuxOptions{Streams: workers, Pool: transport.NewPayloadPool()})
+	f.recv = transport.NewMuxConn(recv, transport.MuxOptions{Streams: workers, Pool: f.payloads})
 	f.readers.Add(1)
 	go f.demux()
 	return f, nil
 }
 
 // Close tears the fabric down: both pipe ends close, every peer blocked in
-// an exchange fails with net.ErrClosed, and the demux loop has exited by
-// the time it returns. Idempotent; an end that was already closed (by the
-// demux loop's own exit, or by the caller) is not an error.
+// an exchange fails with net.ErrClosed, and by the time it returns the demux
+// loop has exited and the chunks nobody took are back in the payload pool.
+// Idempotent; an end that was already closed (by the demux loop's own exit,
+// or by the caller) is not an error.
 func (f *Fabric) Close() error {
 	f.fail(net.ErrClosed)
 	err := errors.Join(closeErr(f.send.Close()), closeErr(f.recv.Close()))
 	f.readers.Wait()
+	for w := range f.inboxes {
+		q := &f.inboxes[w]
+		q.mu.Lock()
+		for _, c := range q.items {
+			f.payloads.Put(c.data)
+		}
+		q.items = nil
+		q.mu.Unlock()
+	}
 	return err
 }
 
@@ -204,14 +235,20 @@ func closeErr(err error) error {
 	return err
 }
 
-// fail records the first fatal error and wakes every waiting peer.
+// fail publishes the first fatal error, then wakes every inbox. A waiter
+// checks the error under its inbox's lock before it parks and fail takes
+// that lock after publishing, so the waiter either sees the error or is
+// already parked when the wake-up comes: none can miss it.
 func (f *Fabric) fail(err error) {
-	f.mu.Lock()
-	if f.err == nil && err != nil {
-		f.err = err
+	if err != nil {
+		f.err.CompareAndSwap(nil, &err)
 	}
-	f.cond.Broadcast()
-	f.mu.Unlock()
+	for w := range f.inboxes {
+		q := &f.inboxes[w]
+		q.mu.Lock()
+		q.ready.Broadcast()
+		q.mu.Unlock()
+	}
 }
 
 // demux runs the receive side's reader until its first error, which closes
@@ -223,37 +260,34 @@ func (f *Fabric) demux() {
 	f.fail(f.recv.Demux(f.deliver))
 }
 
-// deliver is the receive side's frame handler: it decodes a chunk frame
-// into a pooled float buffer and queues it on the destination worker's
-// inbox. It never blocks on a peer.
+// deliver is the receive side's frame handler. It only routes: a chunk
+// frame's payload moves, undecoded, onto the destination worker's inbox —
+// the inbox owns the pooled buffer from here (transport.MuxConn.Demux) —
+// and that worker alone is woken. It never blocks on a peer.
 func (f *Fabric) deliver(stream uint32, frame *transport.Frame) error {
 	if frame.Type != transport.Chunk || len(frame.Payload)%8 != 0 {
 		return fmt.Errorf("collective: unexpected %s frame (%d payload bytes) on stream %d",
 			frame.Type, len(frame.Payload), stream)
 	}
-	buf := f.pool.Get(len(frame.Payload) / 8)
-	if err := transport.DecodeFloatsInto(buf, frame.Payload); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.inboxes[stream].push(chunk{iter: frame.Iter, step: frame.Tensor, data: buf})
-	f.cond.Broadcast()
-	f.mu.Unlock()
+	f.inboxes[stream].push(chunk{iter: frame.Iter, step: frame.Tensor, data: frame.Payload})
+	frame.Payload = nil
 	return nil
 }
 
-// recvChunk blocks for the chunk tagged (iter, step) addressed to worker w.
+// recvChunk blocks for the chunk tagged (iter, step) addressed to worker w,
+// waiting on w's inbox alone. The caller owns the chunk's buffer.
 func (f *Fabric) recvChunk(w int, iter, step uint32) (chunk, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	q := &f.inboxes[w]
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	for {
-		if c, ok := f.inboxes[w].take(iter, step); ok {
+		if c, ok := q.take(iter, step); ok {
 			return c, nil
 		}
-		if f.err != nil {
-			return chunk{}, f.err
+		if err := f.err.Load(); err != nil {
+			return chunk{}, *err
 		}
-		f.cond.Wait()
+		q.ready.Wait()
 	}
 }
 
@@ -286,7 +320,10 @@ func (p *Peer) AllReduce(iter int, data []float64, onStep StepFunc) error {
 	f := p.f
 	for k := 0; k < f.steps; k++ {
 		st := f.stepOf(p.id, len(data), k)
-		start := f.clock()
+		var start float64
+		if onStep != nil { // the clock is read only for an observer
+			start = f.clock()
+		}
 		if err := p.exchange(uint32(iter), uint32(k), st, data); err != nil {
 			return err
 		}
@@ -311,7 +348,8 @@ type opStep struct {
 	reduce   bool
 }
 
-// exchange plays one step: send, then block for this peer's inbound chunk.
+// exchange plays one step: send, then block for this peer's inbound chunk
+// and fold its wire bytes into data, here on the peer's own goroutine.
 // The net.Pipe fabric never wedges on the send-then-receive order: the
 // demux loop drains the wire unconditionally, so every peer's send
 // completes without its receive.
@@ -324,22 +362,20 @@ func (p *Peer) exchange(iter, step uint32, st opStep, data []float64) error {
 		return fmt.Errorf("collective: recv step %d: %w", step, err)
 	}
 	acc := data[st.rLo:st.rHi]
-	if len(c.data) != len(acc) {
-		p.f.pool.Put(c.data)
+	defer p.f.payloads.Put(c.data)
+	if len(c.data) != 8*len(acc) {
 		err := fmt.Errorf("collective: peer %d iter %d step %d: got %d-element chunk, want %d (lockstep violated)",
-			p.id, iter, step, len(c.data), len(acc))
+			p.id, iter, step, len(c.data)/8, len(acc))
 		p.f.fail(err)
 		return err
 	}
 	if st.reduce {
-		for i, v := range c.data {
-			acc[i] += v
+		for i := range acc {
+			acc[i] += math.Float64frombits(binary.LittleEndian.Uint64(c.data[8*i:]))
 		}
-	} else {
-		copy(acc, c.data)
+		return nil
 	}
-	p.f.pool.Put(c.data)
-	return nil
+	return transport.DecodeFloatsInto(acc, c.data)
 }
 
 // ringStep is the classic two-phase ring's schedule: W−1 reduce-scatter

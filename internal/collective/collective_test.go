@@ -232,6 +232,226 @@ func TestMeteredFabric(t *testing.T) {
 	if tx := m.Counter("transport_collective_tx_bytes").Value(); tx == 0 {
 		t.Fatal("metered fabric recorded no tx bytes")
 	}
+	// One pipe hand-off per frame, counted rather than timed: a chunk's header
+	// and its 128-byte payload are one Write on the send end and must be one
+	// Read on the receive end (the +1 is the demux loop's next, parked, read).
+	writes, reads := m.Counter("transport_collective_writes").Value(), m.Counter("transport_collective_reads").Value()
+	if writes != 4 || reads > writes+1 {
+		t.Fatalf("%d writes (want 4: 2 peers x 2 steps) took %d reads on the receive end, want at most one each", writes, reads)
+	}
+}
+
+// ringOps runs persistent peer goroutines on f, so that an op costs no
+// goroutine start: each call of the returned function plays one whole op
+// (every peer all-reduces `elems` floats) and reports the peers' errors.
+func ringOps(t *testing.T, f *Fabric, elems int) func() []error {
+	t.Helper()
+	W := f.workers
+	start := make([]chan int, W)
+	done := make(chan struct{}, W)
+	errs := make([]error, W)
+	var peers sync.WaitGroup
+	for w := 0; w < W; w++ {
+		start[w] = make(chan int)
+		peers.Add(1)
+		go func(w int) {
+			defer peers.Done()
+			peer, data := f.Peer(w), make([]float64, elems)
+			for iter := range start[w] {
+				for i := range data {
+					data[i] = float64(w + i)
+				}
+				errs[w] = peer.AllReduce(iter, data, nil)
+				done <- struct{}{}
+			}
+		}(w)
+	}
+	t.Cleanup(func() {
+		for _, ch := range start {
+			close(ch)
+		}
+		peers.Wait() // leave no goroutine behind for the next test's baseline
+	})
+	iter := 0
+	return func() []error {
+		for _, ch := range start {
+			ch <- iter
+		}
+		for range start {
+			<-done
+		}
+		iter++
+		return errs
+	}
+}
+
+// seedPool puts k fresh buffers of n bytes into p — more than an op can have
+// in flight, so from here on the op never misses the pool and circulates
+// these buffers only — and returns them by identity.
+func seedPool(p *transport.PayloadPool, n, k int) map[*byte]bool {
+	seeds := make(map[*byte]bool, k)
+	for i := 0; i < k; i++ {
+		b := make([]byte, n)
+		seeds[&b[0]] = true
+		p.Put(b)
+	}
+	return seeds
+}
+
+// wantPooled fails the test unless every seeded buffer is back in p: the
+// pool hands out what it holds before it allocates, so len(seeds) Gets of n
+// bytes must return exactly the seeds.
+func wantPooled(t *testing.T, p *transport.PayloadPool, n int, seeds map[*byte]bool) {
+	t.Helper()
+	bufs := make([][]byte, len(seeds))
+	missing := 0
+	for i := range bufs {
+		bufs[i] = p.Get(n)
+		if !seeds[&bufs[i][0]] {
+			missing++
+		}
+	}
+	for _, b := range bufs {
+		p.Put(b)
+	}
+	if missing != 0 {
+		t.Fatalf("payload pool is %d of %d %d-byte buffers short: a chunk's buffer leaked", missing, len(seeds), n)
+	}
+}
+
+// TestRingSteadyStateAllocs pins the package comment's claim: after a
+// warm-up, a ring op allocates nothing — not in the senders' batches, not in
+// the mux's read path, not in the inboxes, not in the receiving peers'
+// reduce — and every payload buffer is back in the fabric's pool between
+// ops, so handing ownership from the demux loop to the inbox to the peer
+// leaks nothing.
+func TestRingSteadyStateAllocs(t *testing.T) {
+	const (
+		W, elems, seeded = 4, 64, 64
+		chunkBytes       = 8 * elems / W
+	)
+	f, err := New("ring", W, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	seeds := seedPool(f.payloads, chunkBytes, seeded)
+	op := ringOps(t, f, elems)
+	check := func() {
+		for w, err := range op() {
+			if err != nil {
+				t.Fatalf("worker %d: %v", w, err)
+			}
+		}
+	}
+	for i := 0; i < 8; i++ { // grow the batch freelist and the inboxes
+		check()
+	}
+	// AllocsPerRun reports whole allocations per op averaged over the runs,
+	// so a batch or inbox slot first needed late rounds down to the 0 it is.
+	if allocs := testing.AllocsPerRun(200, check); allocs != 0 && !raceEnabled {
+		t.Fatalf("a warm W=%d ring op over %d floats allocates %v times, want 0", W, elems, allocs)
+	}
+	wantPooled(t, f.payloads, chunkBytes, seeds)
+}
+
+// TestChunkBuffersReturnOnFailure: the two places a chunk's buffer can be
+// stranded once the inbox owns it — the length-mismatch error path, which
+// takes the chunk and fails, and Close with chunks nobody will take still
+// queued — both hand it back to the pool.
+func TestChunkBuffersReturnOnFailure(t *testing.T) {
+	const (
+		W, elems, seeded = 4, 64, 64
+		chunkBytes       = 8 * elems / W
+	)
+	f, err := New("ring", W, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := seedPool(f.payloads, chunkBytes, seeded)
+	small := seedPool(f.payloads, 64, seeded) // the class the 8-byte bad chunk draws from
+	// Queued ahead of the real chunks: a one-float chunk under the tag peer 3
+	// awaits first, and a well-formed chunk of an op that never runs.
+	if err := f.send.SendFloats(3, transport.Chunk, 0, 0, make([]float64, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.send.SendFloats(1, transport.Chunk, 9, 0, make([]float64, elems/W)); err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, err := range ringOps(t, f, elems)() {
+		if err != nil {
+			failed++
+		}
+	}
+	if failed != W {
+		t.Fatalf("%d of %d peers failed on a wrong-length chunk, want all", failed, W)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	wantPooled(t, f.payloads, chunkBytes, seeds)
+	wantPooled(t, f.payloads, 64, small)
+}
+
+// TestFailWakesEveryInbox: the lost wake-up per-inbox waiting could
+// introduce. At W=32 every peer waits on its own inbox for a chunk that
+// never comes while fail races a concurrent deliver of unrelated chunks to
+// every other inbox (a delivery's wake-up after the error is published
+// would rescue a waiter fail had missed, so the odd inboxes get none);
+// every waiter must come back with the one published error, whether fail
+// found it parked or between its error check and its park.
+// TestBadFrameUnblocksEveryPeer's W=4 would not catch a missed inbox.
+func TestFailWakesEveryInbox(t *testing.T) {
+	const W = 32
+	boom := errors.New("collective: boom")
+	for round := 0; round < 50; round++ {
+		f, err := New("ring", W, 0, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan error, W)
+		var entered, exited sync.WaitGroup
+		entered.Add(W)
+		exited.Add(W + 1)
+		for w := 0; w < W; w++ {
+			go func(w int) {
+				defer exited.Done()
+				entered.Done()
+				_, err := f.recvChunk(w, 0, 0)
+				got <- err
+			}(w)
+		}
+		entered.Wait()
+		if round%2 == 1 { // odd rounds: give the waiters time to park
+			time.Sleep(time.Millisecond)
+		}
+		go func() {
+			defer exited.Done()
+			for w := 0; w < W; w += 2 { // never awaited: iter 7
+				frame := transport.Frame{Type: transport.Chunk, Iter: 7, Payload: f.payloads.Get(8)}
+				if err := f.deliver(uint32(w), &frame); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		f.fail(boom)
+		f.fail(errors.New("collective: a later error")) // only the first is published
+		for w := 0; w < W; w++ {
+			select {
+			case err := <-got:
+				if !errors.Is(err, boom) {
+					t.Fatalf("round %d: a waiter woke with %v, want the published error", round, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("round %d: %d of %d waiters still parked after fail", round, W-w, W)
+			}
+		}
+		exited.Wait()
+		if err := f.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
 }
 
 // TestBadFrameUnblocksEveryPeer: a malformed frame on the wire ends the

@@ -13,17 +13,20 @@ import (
 
 const (
 	fuzzWorkers = 4
-	fuzzElems   = 16 // ring segments of 4 elements; tree chunks of 8 and 4
-	fuzzOps     = 2  // op iters 0 and 1, so a stray chunk can outlive its op
-	fuzzRecord  = 5  // script bytes per injected frame
-	fuzzFrames  = 32 // frames injected per run, at most
+	fuzzElems   = 16      // ring segments of 4 elements; tree chunks of 8 and 4
+	fuzzOps     = 2       // op iters 0 and 1, so a stray chunk can outlive its op
+	fuzzRecord  = 5       // script bytes per injected frame
+	fuzzFrames  = 32      // frames injected per run, at most
+	fuzzLong    = 8 << 10 // payload bytes of a long frame: twice the mux's read buffer
 )
 
 // fuzzFrame is one injected mux frame, decoded from fuzzRecord script bytes:
 // any stream up to one past the last, any type byte 0–7 (Chunk is 5, the
 // reserved 4 is in there), an (iter, step) tag around the ops the peers run,
 // and a payload of 0–71 bytes — so lengths that are not whole floats, and
-// whole-float lengths that are not the step's chunk length, both occur.
+// whole-float lengths that are not the step's chunk length, both occur — or,
+// for script byte 0xFF, of fuzzLong bytes: a frame the receive side's read
+// buffer cannot hold.
 type fuzzFrame struct {
 	stream, iter, step uint32
 	typ                transport.MsgType
@@ -31,13 +34,17 @@ type fuzzFrame struct {
 }
 
 func decodeFuzzFrame(rec []byte, steps int) fuzzFrame {
-	return fuzzFrame{
+	fr := fuzzFrame{
 		stream:  uint32(rec[0]) % (fuzzWorkers + 1),
 		typ:     transport.MsgType(rec[1] % 8),
 		iter:    uint32(rec[2]) % (fuzzOps + 2),
 		step:    uint32(rec[3]) % uint32(steps+2),
 		payload: int(rec[4]) % 72,
 	}
+	if rec[4] == 0xFF {
+		fr.payload = fuzzLong
+	}
+	return fr
 }
 
 // wire is the frame's bytes as a MuxConn would have written them; every
@@ -80,6 +87,7 @@ func FuzzFabricDeliver(f *testing.F) {
 	f.Add(false, []byte{1, byte(transport.Chunk), 0, 0, 32})          // duplicate of a real (iter, step)
 	f.Add(true, []byte{3, byte(transport.Chunk), 1, 1, 8})            // awaited tag, wrong chunk length
 	f.Add(false, []byte{0, byte(transport.Chunk), 3, 7, 16})          // never awaited
+	f.Add(false, []byte{0, byte(transport.Chunk), 3, 7, 0xFF})        // never awaited, longer than the read buffer
 	f.Add(true, []byte{})
 
 	f.Fuzz(func(t *testing.T, tree bool, script []byte) {

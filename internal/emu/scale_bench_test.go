@@ -75,14 +75,19 @@ func BenchmarkEmu_Scale(b *testing.B) {
 		mux             bool
 		transport       string // "" = parameter server
 	}{
+		// Live collectives beside the PS rows of their scale: the fabric is one
+		// shared pipe regardless of W, so the goroutine and RSS columns are
+		// directly comparable to the mux PS transport, and the three worker
+		// counts are what DESIGN §12's ring ÷ PS formula is checked against —
+		// a ring op is 2(W−1) steps of W chunks, a tree op 2·log₂W. (A ring
+		// of 1000 is 12 M chunks per iteration and stays out.)
 		{8, 1, true, ""}, {8, 4, true, ""},
+		{8, 1, false, "ring"}, {8, 1, false, "tree"},
 		{64, 4, false, ""}, // per-worker-pipe reference: goroutines ∝ workers×shards
 		{64, 1, true, ""}, {64, 4, true, ""},
-		// Live collective at the same scale as the 64-worker PS rows: the
-		// ring's fabric is one shared pipe regardless of W, so its goroutine
-		// and RSS columns are directly comparable to the mux PS transport.
-		{64, 1, false, "ring"},
+		{64, 1, false, "ring"}, {64, 1, false, "tree"},
 		{256, 1, true, ""}, {256, 4, true, ""},
+		{256, 1, false, "ring"}, {256, 1, false, "tree"},
 		{1000, 1, true, ""}, {1000, 4, true, ""},
 	}
 	for _, p := range points {

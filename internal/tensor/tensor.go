@@ -69,20 +69,35 @@ func (v Vec) AXPY(alpha float64, x Vec) {
 	if len(v) != len(x) {
 		panic(fmt.Sprintf("tensor: AXPY length mismatch %d vs %d", len(v), len(x)))
 	}
-	ParallelFor(len(v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v[i] += alpha * x[i]
-		}
-	})
+	// The closure ParallelFor takes is heap-allocated where it is built (it
+	// escapes to the fan-out's goroutines), so the serial case — every bias
+	// and gradient row of the emulation's models — returns before building it.
+	if len(v) < parallelThreshold {
+		axpy(v, alpha, x)
+		return
+	}
+	ParallelFor(len(v), func(lo, hi int) { axpy(v[lo:hi], alpha, x[lo:hi]) })
 }
 
-// Scale computes v *= alpha.
+func axpy(v Vec, alpha float64, x Vec) {
+	for i := range v {
+		v[i] += alpha * x[i]
+	}
+}
+
+// Scale computes v *= alpha, serial below the threshold like AXPY.
 func (v Vec) Scale(alpha float64) {
-	ParallelFor(len(v), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v[i] *= alpha
-		}
-	})
+	if len(v) < parallelThreshold {
+		scale(v, alpha)
+		return
+	}
+	ParallelFor(len(v), func(lo, hi int) { scale(v[lo:hi], alpha) })
+}
+
+func scale(v Vec, alpha float64) {
+	for i := range v {
+		v[i] *= alpha
+	}
 }
 
 // Add computes v += x.

@@ -48,6 +48,41 @@ func TestVecScaleZeroCloneAdd(t *testing.T) {
 	}
 }
 
+// TestVecSmallOpsDoNotAllocate: below parallelThreshold AXPY, Add and Scale
+// run serially and must not build the fan-out's closure — nn.Backward adds
+// one bias-gradient row per batch row, so an allocation here is thousands
+// per training iteration.
+func TestVecSmallOpsDoNotAllocate(t *testing.T) {
+	v, x := NewVec(32), NewVec(32)
+	for i := range x {
+		x[i] = float64(i)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { v.Add(x) }); allocs != 0 {
+		t.Errorf("Vec.Add on 32 elements allocates %v times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { v.Scale(0.5) }); allocs != 0 {
+		t.Errorf("Vec.Scale on 32 elements allocates %v times, want 0", allocs)
+	}
+}
+
+// TestVecParallelMatchesSerial: at and above parallelThreshold AXPY and
+// Scale fan out, and every element must come out as the serial loop
+// computes it.
+func TestVecParallelMatchesSerial(t *testing.T) {
+	n := parallelThreshold + 3
+	v, x := NewVec(n), NewVec(n)
+	for i := range x {
+		v[i], x[i] = float64(i), float64(n-i)
+	}
+	v.AXPY(0.5, x)
+	v.Scale(3)
+	for i := range v {
+		if want := (float64(i) + 0.5*float64(n-i)) * 3; v[i] != want {
+			t.Fatalf("element %d = %v, want %v", i, v[i], want)
+		}
+	}
+}
+
 func TestDotAndNorm(t *testing.T) {
 	v := Vec{3, 4}
 	if v.Dot(Vec{1, 2}) != 11 {

@@ -23,11 +23,22 @@ package transport
 // only reader would wait on each other forever. Writes belong to sender
 // goroutines and to owner goroutines such as the ps server's responder.
 //
+// The receive side reads the conn through a small buffer (muxReadBuffer,
+// allocated on the first Read, so a send-only end pays nothing): a header
+// and a small payload arrive in ONE conn.Read — one goroutine hand-off per
+// frame on a synchronous pipe instead of two. A fill asks the conn once, and
+// one net.Pipe Read never spans two Writes, so the reader is never more than
+// the write it is draining ahead of its handler and the back-pressure above
+// holds unchanged. A payload the buffer cannot hold still lands directly in
+// its pooled slice.
+//
 // Payloads flow through the same PayloadPool as FrameReader: the *Frame
 // returned by Read borrows a pooled buffer, and Done recycles it.
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -39,6 +50,11 @@ import (
 // MuxHeaderSize is the wire size of a mux frame header: the 4-byte stream
 // id plus the ordinary frame header.
 const MuxHeaderSize = 4 + headerSize
+
+// muxReadBuffer is the size of a MuxConn's read buffer: room for a header
+// and the few-hundred-byte payloads of a small-tensor run, small enough that
+// a thousand conns cost a few megabytes.
+const muxReadBuffer = 4 << 10
 
 // MuxOptions configures a MuxConn.
 type MuxOptions struct {
@@ -74,6 +90,7 @@ type MuxConn struct {
 	batchFree []*MuxBatch
 
 	// Demux state: Read has a single caller, like FrameReader.
+	br     *bufio.Reader // over conn; nil until the first Read
 	rhdr   [MuxHeaderSize]byte
 	rframe Frame
 }
@@ -174,7 +191,9 @@ func (b *MuxBatch) AppendFloats(t MsgType, iter, tensor uint32, xs []float64) er
 // SendBatch writes the batch as one Write under the write lock and hands
 // the scratch back to the freelist (even on error). The caller must not
 // use b afterwards. A send that fails because this side called Close
-// reports net.ErrClosed whatever the conn's own error for it is.
+// reports net.ErrClosed in place of the pipe's own io.ErrClosedPipe; any
+// other error (an injected fault's, say) keeps its identity even when a
+// Close — the demux loop's, on seeing the same fault — raced it.
 func (m *MuxConn) SendBatch(b *MuxBatch) error {
 	defer m.PutBatch(b)
 	if len(b.buf) == 0 {
@@ -183,7 +202,7 @@ func (m *MuxConn) SendBatch(b *MuxBatch) error {
 	m.wmu.Lock()
 	_, err := m.conn.Write(b.buf)
 	m.wmu.Unlock()
-	if err != nil && m.closed.Load() {
+	if errors.Is(err, io.ErrClosedPipe) && m.closed.Load() {
 		return net.ErrClosed
 	}
 	return err
@@ -213,7 +232,10 @@ func (m *MuxConn) SendFloats(stream uint32, t MsgType, iter, tensor uint32, xs [
 // next Read; its pooled payload is owned by the caller until Done hands it
 // back. Single caller only (the demux loop).
 func (m *MuxConn) Read() (uint32, *Frame, error) {
-	if _, err := io.ReadFull(m.conn, m.rhdr[:]); err != nil {
+	if m.br == nil {
+		m.br = bufio.NewReaderSize(m.conn, muxReadBuffer)
+	}
+	if _, err := io.ReadFull(m.br, m.rhdr[:]); err != nil {
 		return 0, nil, err
 	}
 	stream := binary.LittleEndian.Uint32(m.rhdr[0:4])
@@ -235,7 +257,7 @@ func (m *MuxConn) Read() (uint32, *Frame, error) {
 		} else {
 			buf = make([]byte, n)
 		}
-		if _, err := io.ReadFull(m.conn, buf); err != nil {
+		if _, err := io.ReadFull(m.br, buf); err != nil {
 			if m.pool != nil {
 				m.pool.Put(buf)
 			}
@@ -247,8 +269,10 @@ func (m *MuxConn) Read() (uint32, *Frame, error) {
 }
 
 // Demux is the demux loop every owner of a MuxConn runs: read a frame, hand
-// it to handle (which must not write on this conn and must not keep the
-// payload), Done it, repeat. On the first read or handler error it closes
+// it to handle, Done it, repeat. handle must not write on this conn, and it
+// keeps the payload past its return only by nil-ing f.Payload — Done is then
+// a no-op, and the handler owns handing the buffer back to the pool the
+// conn was built with. On the first read or handler error it closes
 // the mux — a sender parked inside conn.Write, here or on the peer's end,
 // only wakes on a read or a close, and no read will come once the reader is
 // gone — and returns that error. It never returns nil. Like Read, single

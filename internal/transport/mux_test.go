@@ -129,6 +129,56 @@ func TestMuxRoundTripInterleaved(t *testing.T) {
 	wg.Wait()
 }
 
+// TestMuxReadBufferEdges: the read buffer must be invisible to the frames —
+// a zero-length frame, a payload several buffers long (its tail lands
+// directly in the pooled slice), a small frame behind it and a payload of
+// exactly the buffer's size all come out as they went in, in order.
+func TestMuxReadBufferEdges(t *testing.T) {
+	a, b := Pipe(0, 0)
+	src := NewMuxConn(a, MuxOptions{Streams: 2})
+	dst := NewMuxConn(b, MuxOptions{Streams: 2, Pool: NewPayloadPool()})
+	defer src.Close()
+	defer dst.Close()
+
+	sizes := []int{0, 3*muxReadBuffer/8 + 5, 2, muxReadBuffer / 8, 0} // floats per frame
+	sent := make(chan error, 1)
+	go func() {
+		for i, n := range sizes {
+			xs := make([]float64, n)
+			for j := range xs {
+				xs[j] = float64(i*1000 + j)
+			}
+			if err := src.SendFloats(uint32(i%2), Push, uint32(i), 0, xs); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	for i, n := range sizes {
+		s, f, err := dst.Read()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if int(s) != i%2 || f.Type != Push || int(f.Iter) != i || len(f.Payload) != 8*n {
+			t.Fatalf("frame %d: got stream %d %v iter %d with %d payload bytes, want %d", i, s, f.Type, f.Iter, len(f.Payload), 8*n)
+		}
+		vals, err := decodeFloats(f.Payload)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		for j, v := range vals {
+			if v != float64(i*1000+j) {
+				t.Fatalf("frame %d element %d = %v, want %v", i, j, v, float64(i*1000+j))
+			}
+		}
+		dst.Done(s, f)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // notYet fails the test if ch delivers within a short grace period: the
 // sender behind it must still be parked.
 func notYet(t *testing.T, ch <-chan error, what string) {
