@@ -24,6 +24,16 @@
 // workers finish one op with bit-identical means — the collective analogue
 // of the parameter server's deterministic aggregation.
 //
+// An op carries one tensor (AllReduce) or several (AllReduceFused, of which
+// AllReduce is the one-member call). A step costs every peer one hand-off
+// however few bytes it moves, so small tensors share an op's steps: step k
+// ships every member's step-k segment as ONE chunk frame and the receiver
+// folds the payload back member by member. Each member is segmented over
+// its own length, never over the fused buffer, so a tensor is summed in the
+// same order — to the same bits — alone or in any group: what is fused
+// with what, and therefore the scheduling policy, cannot change the
+// arithmetic.
+//
 // Framing, back-pressure and payload pooling are inherited from the mux
 // transport: a chunk's send returns once the demux loop has read it off the
 // pipe into a pooled payload buffer. Handing a chunk over costs the same at
@@ -90,8 +100,12 @@ type chunk struct {
 // Lookup is by (iter, step), not FIFO: tree receivers hear from a different
 // partner each step, and nothing orders arrivals across senders — a fast
 // partner's step-k+1 frame may land before a slow partner's step-k frame.
-// Each worker receives exactly one chunk per (iter, step), so the match is
-// unique; the queue stays tiny, so a linear scan is fine.
+// Each worker receives exactly one chunk per step of an op — a fused op's
+// members share it — and the ops of one iteration reuse the tags, so the
+// match is unique because the lead bound above is shorter than an op. That
+// is also why a frame whose every segment is empty is still sent: skipping
+// it would let a peer run past an op boundary and put two chunks under one
+// tag. The queue stays tiny, so a linear scan is fine.
 type inbox struct {
 	mu    sync.Mutex
 	ready sync.Cond // on mu; the inbox's one worker waits here
@@ -304,43 +318,78 @@ func (f *Fabric) Peer(w int) *Peer {
 type Peer struct {
 	f  *Fabric
 	id int
+
+	// Per-step scratch of the op in flight, one entry per member.
+	sts  []opStep
+	segs [][]float64
 }
 
 // AllReduce runs one lockstep collective op: on return, data holds the
-// element-wise mean of every peer's input. All peers must call AllReduce
-// with equal-length data, in the same op order — the schedules are
-// synchronous, and a skipped or reordered op wedges the exchange (bounded
-// by the caller's deadline, which closes the fabric). iter tags the op's
-// frames for cross-peer sanity checking. onStep, when non-nil, observes
-// each completed chunk step.
+// element-wise mean of every peer's input. It is AllReduceFused over the one
+// member, and the same contract applies.
 func (p *Peer) AllReduce(iter int, data []float64, onStep StepFunc) error {
-	if len(data) == 0 {
+	return p.AllReduceFused(iter, [][]float64{data}, onStep)
+}
+
+// AllReduceFused runs one lockstep collective op over several tensors at
+// once: on return, every member holds the element-wise mean of every peer's
+// input for it. The members share the op's chunk schedule — step k ships
+// every member's step-k segment as ONE chunk frame, so the op costs the
+// wire the steps of one tensor, not of len(members) — but each keeps its own
+// segmentation (stepOf over its own length), so a tensor is reduced in the
+// same order, to the same bits, whatever it is fused with.
+//
+// All peers must call it with the same member lengths, in the same op order
+// — the schedules are synchronous, and a skipped or reordered op wedges the
+// exchange (bounded by the caller's deadline, which closes the fabric); a
+// frame whose length is not what the schedule says fails every peer. iter
+// tags the op's frames for cross-peer sanity checking. onStep, when
+// non-nil, observes each completed chunk step with the fused frame's bytes.
+func (p *Peer) AllReduceFused(iter int, members [][]float64, onStep StepFunc) error {
+	elems := 0
+	for _, m := range members {
+		elems += len(m)
+	}
+	if elems == 0 {
 		return nil
 	}
 	f := p.f
+	if cap(p.sts) < len(members) {
+		p.sts, p.segs = make([]opStep, len(members)), make([][]float64, len(members))
+	}
+	sts, segs := p.sts[:len(members)], p.segs[:len(members)]
 	for k := 0; k < f.steps; k++ {
-		st := f.stepOf(p.id, len(data), k)
+		sent := 0
+		for i, m := range members {
+			sts[i] = f.stepOf(p.id, len(m), k)
+			segs[i] = m[sts[i].sLo:sts[i].sHi]
+			sent += len(segs[i])
+		}
 		var start float64
 		if onStep != nil { // the clock is read only for an observer
 			start = f.clock()
 		}
-		if err := p.exchange(uint32(iter), uint32(k), st, data); err != nil {
+		if err := p.exchange(uint32(iter), uint32(k), members, sts, segs); err != nil {
 			return err
 		}
 		if onStep != nil {
-			onStep(k, f.steps, float64(8*(st.sHi-st.sLo)), start, f.clock())
+			onStep(k, f.steps, float64(8*sent), start, f.clock())
 		}
 	}
 	inv := 1 / float64(f.workers)
-	for i := range data {
-		data[i] *= inv
+	for _, m := range members {
+		for i := range m {
+			m[i] *= inv
+		}
 	}
 	return nil
 }
 
-// opStep is one lockstep step of an op over data: ship data[sLo:sHi] to
-// peer dst, then fold the inbound chunk into data[rLo:rHi] — summed during
-// the reduce-scatter half of a schedule, copied during the all-gather half.
+// opStep is one lockstep step of an op over one member's data: ship
+// data[sLo:sHi] to peer dst, then fold the inbound chunk into data[rLo:rHi]
+// — summed during the reduce-scatter half of a schedule, copied during the
+// all-gather half. dst and reduce depend on the step alone, so every member
+// of a fused op agrees on them.
 type opStep struct {
 	dst      int
 	sLo, sHi int
@@ -348,34 +397,52 @@ type opStep struct {
 	reduce   bool
 }
 
-// exchange plays one step: send, then block for this peer's inbound chunk
-// and fold its wire bytes into data, here on the peer's own goroutine.
-// The net.Pipe fabric never wedges on the send-then-receive order: the
-// demux loop drains the wire unconditionally, so every peer's send
-// completes without its receive.
-func (p *Peer) exchange(iter, step uint32, st opStep, data []float64) error {
-	if err := p.f.send.SendFloats(uint32(st.dst), transport.Chunk, iter, step, data[st.sLo:st.sHi]); err != nil {
-		return fmt.Errorf("collective: send step %d to %d: %w", step, st.dst, err)
+// exchange plays one step: send the members' segments (segs, cut by sts) as
+// one frame, then block for this peer's inbound chunk and fold its wire
+// bytes back member by member, here on the peer's own goroutine. The
+// net.Pipe fabric never wedges on the send-then-receive order: the demux
+// loop drains the wire unconditionally, so every peer's send completes
+// without its receive.
+func (p *Peer) exchange(iter, step uint32, members [][]float64, sts []opStep, segs [][]float64) error {
+	f, dst := p.f, sts[0].dst
+	b := f.send.NewBatch(uint32(dst))
+	err := b.AppendFloatSlices(transport.Chunk, iter, step, segs)
+	if err != nil {
+		f.send.PutBatch(b)
+	} else {
+		err = f.send.SendBatch(b)
 	}
-	c, err := p.f.recvChunk(p.id, iter, step)
+	if err != nil {
+		return fmt.Errorf("collective: send step %d to %d: %w", step, dst, err)
+	}
+	c, err := f.recvChunk(p.id, iter, step)
 	if err != nil {
 		return fmt.Errorf("collective: recv step %d: %w", step, err)
 	}
-	acc := data[st.rLo:st.rHi]
-	defer p.f.payloads.Put(c.data)
-	if len(c.data) != 8*len(acc) {
+	defer f.payloads.Put(c.data)
+	want := 0
+	for _, st := range sts {
+		want += st.rHi - st.rLo
+	}
+	if len(c.data) != 8*want {
 		err := fmt.Errorf("collective: peer %d iter %d step %d: got %d-element chunk, want %d (lockstep violated)",
-			p.id, iter, step, len(c.data)/8, len(acc))
-		p.f.fail(err)
+			p.id, iter, step, len(c.data)/8, want)
+		f.fail(err)
 		return err
 	}
-	if st.reduce {
-		for i := range acc {
-			acc[i] += math.Float64frombits(binary.LittleEndian.Uint64(c.data[8*i:]))
+	wire := c.data
+	for i, st := range sts {
+		acc := members[i][st.rLo:st.rHi]
+		if st.reduce {
+			for j := range acc {
+				acc[j] += math.Float64frombits(binary.LittleEndian.Uint64(wire[8*j:]))
+			}
+		} else if err := transport.DecodeFloatsInto(acc, wire[:8*len(acc)]); err != nil {
+			return err
 		}
-		return nil
+		wire = wire[8*len(acc):]
 	}
-	return transport.DecodeFloatsInto(acc, c.data)
+	return nil
 }
 
 // ringStep is the classic two-phase ring's schedule: W−1 reduce-scatter

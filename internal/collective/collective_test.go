@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -146,6 +147,124 @@ func TestShortData(t *testing.T) {
 	}
 }
 
+// runFused drives one fused op on every peer concurrently — inputs[w] are
+// worker w's members — and returns each peer's resulting members.
+func runFused(t *testing.T, f *Fabric, iter int, inputs [][][]float64) [][][]float64 {
+	t.Helper()
+	out := make([][][]float64, f.workers)
+	errs := make([]error, f.workers)
+	var wg sync.WaitGroup
+	for w := range out {
+		for _, m := range inputs[w] {
+			out[w] = append(out[w], append([]float64(nil), m...))
+		}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = f.Peer(w).AllReduceFused(iter, out[w], nil)
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+	return out
+}
+
+// TestFusedMatchesOneByOne is the property per-tensor segmentation buys:
+// over seeded draws of the backend, the worker count and the member sizes —
+// empty members, members shorter than the ring, one element per segment and
+// one over — a fused op leaves every member, on every worker, with exactly
+// the bits AllReduce leaves when the members run one op each.
+func TestFusedMatchesOneByOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for draw := 0; draw < 24; draw++ {
+		backend, W := "ring", 2+rng.Intn(8) // 2..9
+		if draw%2 == 1 {
+			backend, W = "tree", 2<<rng.Intn(4) // 2, 4, 8, 16
+		}
+		sizes := make([]int, 1+rng.Intn(6))
+		for m := range sizes {
+			sizes[m] = []int{0, 1 + rng.Intn(W), W, W + 1, 1 + rng.Intn(300)}[rng.Intn(5)]
+		}
+		inputs := make([][][]float64, W)
+		for w := range inputs {
+			inputs[w] = make([][]float64, len(sizes))
+			for m, n := range sizes {
+				inputs[w][m] = make([]float64, n)
+				for i := range inputs[w][m] {
+					inputs[w][m][i] = rng.Float64()*2 - 1
+				}
+			}
+		}
+		f, err := New(backend, W, 0, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fused := runFused(t, f, 0, inputs)
+		for m := range sizes {
+			one := make([][]float64, W)
+			for w := range one {
+				one[w] = inputs[w][m]
+			}
+			for w, want := range runAllReduce(t, f, 1+m, one, nil) {
+				for i := range want {
+					if fused[w][m][i] != want[i] {
+						t.Fatalf("%s W=%d sizes %v: worker %d member %d element %d = %v fused, %v alone",
+							backend, W, sizes, w, m, i, fused[w][m][i], want[i])
+					}
+				}
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFusedLockstepViolation: one peer's group differs from the others' in
+// one member's length, so some step's fused frame is not the length its
+// receiver's schedule says. Every peer must come back with that attributed
+// error — nobody hangs, nobody folds a misaligned frame in.
+func TestFusedLockstepViolation(t *testing.T) {
+	for _, backend := range []string{"ring", "tree"} {
+		const W = 4
+		f, err := New(backend, W, 0, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make(chan error, W)
+		for w := 0; w < W; w++ {
+			sizes := []int{16, 5, 9}
+			if w == 2 {
+				sizes[1] = 6
+			}
+			go func(w int) {
+				members := make([][]float64, len(sizes))
+				for m, n := range sizes {
+					members[m] = make([]float64, n)
+				}
+				errs <- f.Peer(w).AllReduceFused(0, members, nil)
+			}(w)
+		}
+		for w := 0; w < W; w++ {
+			select {
+			case err := <-errs:
+				if err == nil || !strings.HasPrefix(err.Error(), "collective: ") || !strings.Contains(err.Error(), "lockstep violated") {
+					t.Fatalf("%s: a peer returned %v, want the attributed lockstep error", backend, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: %d of %d peers still blocked on a group that cannot line up", backend, W-w, W)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+}
+
 func TestStepSpans(t *testing.T) {
 	f, err := New("ring", 4, 0, Options{})
 	if err != nil {
@@ -243,8 +362,10 @@ func TestMeteredFabric(t *testing.T) {
 
 // ringOps runs persistent peer goroutines on f, so that an op costs no
 // goroutine start: each call of the returned function plays one whole op
-// (every peer all-reduces `elems` floats) and reports the peers' errors.
-func ringOps(t *testing.T, f *Fabric, elems int) func() []error {
+// (every peer all-reduces members of the given sizes — through AllReduce
+// when there is one, fused when there are several) and reports the peers'
+// errors.
+func ringOps(t *testing.T, f *Fabric, sizes ...int) func() []error {
 	t.Helper()
 	W := f.workers
 	start := make([]chan int, W)
@@ -256,12 +377,21 @@ func ringOps(t *testing.T, f *Fabric, elems int) func() []error {
 		peers.Add(1)
 		go func(w int) {
 			defer peers.Done()
-			peer, data := f.Peer(w), make([]float64, elems)
+			peer, members := f.Peer(w), make([][]float64, len(sizes))
+			for m, n := range sizes {
+				members[m] = make([]float64, n)
+			}
 			for iter := range start[w] {
-				for i := range data {
-					data[i] = float64(w + i)
+				for _, data := range members {
+					for i := range data {
+						data[i] = float64(w + i)
+					}
 				}
-				errs[w] = peer.AllReduce(iter, data, nil)
+				if len(members) == 1 {
+					errs[w] = peer.AllReduce(iter, members[0], nil)
+				} else {
+					errs[w] = peer.AllReduceFused(iter, members, nil)
+				}
 				done <- struct{}{}
 			}
 		}(w)
@@ -283,6 +413,22 @@ func ringOps(t *testing.T, f *Fabric, elems int) func() []error {
 		iter++
 		return errs
 	}
+}
+
+// poolCases are the ops the pool-accounting tests play on a W=4 ring: one
+// tensor through AllReduce, and a fused group with an empty member and one
+// shorter than the ring. frame is the payload pool's size class every chunk
+// frame of the op falls in (128 bytes exactly; 168 or 176 bytes, so 256),
+// badStep the step TestChunkBuffersReturnOnFailure breaks: the first, and
+// one with steps already folded in.
+var poolCases = []struct {
+	name    string
+	sizes   []int
+	frame   int
+	badStep uint32
+}{
+	{"one tensor", []int{64}, 128, 0},
+	{"fused", []int{64, 0, 3, 20}, 256, 2},
 }
 
 // seedPool puts k fresh buffers of n bytes into p — more than an op can have
@@ -326,72 +472,75 @@ func wantPooled(t *testing.T, p *transport.PayloadPool, n int, seeds map[*byte]b
 // ops, so handing ownership from the demux loop to the inbox to the peer
 // leaks nothing.
 func TestRingSteadyStateAllocs(t *testing.T) {
-	const (
-		W, elems, seeded = 4, 64, 64
-		chunkBytes       = 8 * elems / W
-	)
-	f, err := New("ring", W, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	seeds := seedPool(f.payloads, chunkBytes, seeded)
-	op := ringOps(t, f, elems)
-	check := func() {
-		for w, err := range op() {
+	const W, seeded = 4, 64
+	for _, tc := range poolCases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := New("ring", W, 0, Options{})
 			if err != nil {
-				t.Fatalf("worker %d: %v", w, err)
+				t.Fatal(err)
 			}
-		}
+			defer f.Close()
+			seeds := seedPool(f.payloads, tc.frame, seeded)
+			op := ringOps(t, f, tc.sizes...)
+			check := func() {
+				for w, err := range op() {
+					if err != nil {
+						t.Fatalf("worker %d: %v", w, err)
+					}
+				}
+			}
+			for i := 0; i < 8; i++ { // grow the batch freelist and the inboxes
+				check()
+			}
+			// AllocsPerRun reports whole allocations per op averaged over the runs,
+			// so a batch or inbox slot first needed late rounds down to the 0 it is.
+			if allocs := testing.AllocsPerRun(200, check); allocs != 0 && !raceEnabled {
+				t.Fatalf("a warm W=%d ring op over %v floats allocates %v times, want 0", W, tc.sizes, allocs)
+			}
+			wantPooled(t, f.payloads, tc.frame, seeds)
+		})
 	}
-	for i := 0; i < 8; i++ { // grow the batch freelist and the inboxes
-		check()
-	}
-	// AllocsPerRun reports whole allocations per op averaged over the runs,
-	// so a batch or inbox slot first needed late rounds down to the 0 it is.
-	if allocs := testing.AllocsPerRun(200, check); allocs != 0 && !raceEnabled {
-		t.Fatalf("a warm W=%d ring op over %d floats allocates %v times, want 0", W, elems, allocs)
-	}
-	wantPooled(t, f.payloads, chunkBytes, seeds)
 }
 
 // TestChunkBuffersReturnOnFailure: the two places a chunk's buffer can be
 // stranded once the inbox owns it — the length-mismatch error path, which
 // takes the chunk and fails, and Close with chunks nobody will take still
-// queued — both hand it back to the pool.
+// queued — both hand it back to the pool, when the op fails at its first
+// step and when it fails mid-op with steps already folded in.
 func TestChunkBuffersReturnOnFailure(t *testing.T) {
-	const (
-		W, elems, seeded = 4, 64, 64
-		chunkBytes       = 8 * elems / W
-	)
-	f, err := New("ring", W, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
+	const W, seeded = 4, 64
+	for _, tc := range poolCases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := New("ring", W, 0, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeds := seedPool(f.payloads, tc.frame, seeded)
+			small := seedPool(f.payloads, 64, seeded) // the class the 8-byte bad chunk draws from
+			// Queued ahead of the real chunks: a one-float chunk under a tag peer
+			// 3 will await, and a well-formed chunk of an op that never runs.
+			if err := f.send.SendFloats(3, transport.Chunk, 0, tc.badStep, make([]float64, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.send.SendFloats(1, transport.Chunk, 9, 0, make([]float64, tc.frame/8)); err != nil {
+				t.Fatal(err)
+			}
+			failed := 0
+			for _, err := range ringOps(t, f, tc.sizes...)() {
+				if err != nil {
+					failed++
+				}
+			}
+			if failed != W {
+				t.Fatalf("%d of %d peers failed on a wrong-length chunk, want all", failed, W)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			wantPooled(t, f.payloads, tc.frame, seeds)
+			wantPooled(t, f.payloads, 64, small)
+		})
 	}
-	seeds := seedPool(f.payloads, chunkBytes, seeded)
-	small := seedPool(f.payloads, 64, seeded) // the class the 8-byte bad chunk draws from
-	// Queued ahead of the real chunks: a one-float chunk under the tag peer 3
-	// awaits first, and a well-formed chunk of an op that never runs.
-	if err := f.send.SendFloats(3, transport.Chunk, 0, 0, make([]float64, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.send.SendFloats(1, transport.Chunk, 9, 0, make([]float64, elems/W)); err != nil {
-		t.Fatal(err)
-	}
-	failed := 0
-	for _, err := range ringOps(t, f, elems)() {
-		if err != nil {
-			failed++
-		}
-	}
-	if failed != W {
-		t.Fatalf("%d of %d peers failed on a wrong-length chunk, want all", failed, W)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	wantPooled(t, f.payloads, chunkBytes, seeds)
-	wantPooled(t, f.payloads, 64, small)
 }
 
 // TestFailWakesEveryInbox: the lost wake-up per-inbox waiting could

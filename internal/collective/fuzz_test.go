@@ -20,6 +20,11 @@ const (
 	fuzzLong    = 8 << 10 // payload bytes of a long frame: twice the mux's read buffer
 )
 
+// fuzzGroup is what op 1 fuses behind op 0's one tensor: an empty member,
+// one shorter than the ring, and one long enough that every fused frame of
+// the op — 516 floats and up — outgrows the mux's read buffer.
+var fuzzGroup = []int{fuzzElems, 0, 3, 4 * transport.MuxReadBuffer / 8}
+
 // fuzzFrame is one injected mux frame, decoded from fuzzRecord script bytes:
 // any stream up to one past the last, any type byte 0–7 (Chunk is 5, the
 // reserved 4 is in there), an (iter, step) tag around the ops the peers run,
@@ -76,7 +81,8 @@ func (fr fuzzFrame) passesForReal(steps int) bool {
 // demux loop never stops draining the wire (the injector's writes all
 // return), every peer returns inside a bound with its result or an error
 // this package attributed, and when nothing injected could pass for a real
-// chunk a clean run still yields the bit-identical mean.
+// chunk a clean run still yields the bit-identical mean — of the one tensor
+// op 0 reduces alone and op 1 reduces fused (fuzzGroup).
 func FuzzFabricDeliver(f *testing.F) {
 	// TestBadFrameUnblocksEveryPeer's two cases (stream 2), then one seed per
 	// class named above.
@@ -88,6 +94,7 @@ func FuzzFabricDeliver(f *testing.F) {
 	f.Add(true, []byte{3, byte(transport.Chunk), 1, 1, 8})            // awaited tag, wrong chunk length
 	f.Add(false, []byte{0, byte(transport.Chunk), 3, 7, 16})          // never awaited
 	f.Add(false, []byte{0, byte(transport.Chunk), 3, 7, 0xFF})        // never awaited, longer than the read buffer
+	f.Add(false, []byte{1, byte(transport.Chunk), 1, 2, 0xFF})        // stands in for a fused frame longer than the read buffer
 	f.Add(true, []byte{})
 
 	f.Fuzz(func(t *testing.T, tree bool, script []byte) {
@@ -128,13 +135,22 @@ func FuzzFabricDeliver(f *testing.F) {
 		results := make(chan result, fuzzWorkers)
 		for w := 0; w < fuzzWorkers; w++ {
 			go func(w int) {
-				data := make([]float64, fuzzElems)
-				var err error
-				for it := 0; it < fuzzOps && err == nil; it++ {
+				group := make([][]float64, len(fuzzGroup))
+				for m, n := range fuzzGroup {
+					group[m] = make([]float64, n)
+				}
+				data := group[0]
+				fill := func() {
 					for i := range data {
 						data[i] = float64(w*fuzzElems + i)
 					}
-					err = fab.Peer(w).AllReduce(it, data, nil)
+				}
+				// Op 0 is the one tensor alone, op 1 the same tensor fused.
+				fill()
+				err := fab.Peer(w).AllReduce(0, data, nil)
+				if err == nil {
+					fill()
+					err = fab.Peer(w).AllReduceFused(1, group, nil)
 				}
 				results <- result{w, data, err}
 			}(w)

@@ -60,6 +60,26 @@ func TestChaosStragglerDropped(t *testing.T) {
 	}
 }
 
+// TestChaosDroppedWorkerZeroFails: the Result's per-iteration fields are
+// worker 0's, so when the straggler policy drops worker 0 itself the run
+// must not "complete" with fewer entries than Iterations — it used to return
+// a nil error and zero losses. It fails, and the error names worker 0.
+func TestChaosDroppedWorkerZeroFails(t *testing.T) {
+	cfg := chaosConfig(t)
+	cfg.Faults = map[int]fault.Spec{0: fault.Throttle(16 << 10)}
+	cfg.Failure = DropWorker
+	cfg.PullTimeout = 10 * time.Second
+	cfg.StragglerTimeout = 50 * time.Millisecond
+	res, err := Run(cfg)
+	if err == nil {
+		t.Fatalf("run without worker 0 completed: dropped %v, %d of %d losses",
+			res.DroppedWorkers, len(res.Losses), cfg.Iterations)
+	}
+	if !strings.Contains(err.Error(), "worker 0") || !strings.Contains(err.Error(), "dropped") {
+		t.Fatalf("error does not say worker 0 was dropped: %v", err)
+	}
+}
+
 // topologies are the two PS pipe layouts. Byte-offset injectors wrap a
 // worker's private pipe or the pipe it shares, and the failure contract is
 // the same on both — except that a tripped injector on a shared pipe

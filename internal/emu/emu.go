@@ -108,9 +108,9 @@ type Config struct {
 	// through drive.BackendByName: "ps" (default) runs the sharded
 	// parameter server of the paper's testbed; "ring" and "tree" run the
 	// peer-to-peer collective exchange (internal/collective), where the
-	// decided sends play as lockstep all-reduce ops of the backend's chunk
-	// schedule and the aggregated mean lands on every worker as the op
-	// completes. A collective transport is the shared-pipe topology (see
+	// decided sends play — back-to-back small ones fused into one op — as
+	// lockstep all-reduce ops of the backend's chunk schedule and the
+	// aggregated mean lands on every worker as the op completes. A collective transport is the shared-pipe topology (see
 	// Mux) at one shard with the workers themselves on the far end, so it
 	// takes everything a shared pipe takes — byte-offset Faults, Deadline,
 	// PullTimeout as the per-op bound — and rejects only what has no
@@ -322,8 +322,9 @@ type Result struct {
 	// equality checks).
 	FinalParams []float64
 	// DroppedWorkers lists workers removed under the DropWorker policy,
-	// ascending. When worker 0 is among them, the loss/accuracy fields are
-	// partial (they are recorded by worker 0).
+	// ascending. The per-iteration fields above are worker 0's, so a run
+	// that loses worker 0 before its last iteration fails with an error
+	// instead of returning them cut short.
 	DroppedWorkers []int
 }
 
@@ -450,7 +451,7 @@ func Run(cfg Config) (*Result, error) {
 		board = newPlanBoard(cfg.Iterations)
 		for w := range engines {
 			engines[w] = &collectiveEngine{
-				peer: fab.Peer(w), name: cfg.Transport,
+				peer: fab.Peer(w), workers: cfg.Workers, name: cfg.Transport,
 				board: board, decides: w == 0,
 				opBound: waitBound, abort: abort,
 			}
@@ -583,7 +584,12 @@ func Run(cfg Config) (*Result, error) {
 			continue
 		}
 		if cfg.Failure == DropWorker && droppedSet[w] {
-			continue // part of the configured degradation
+			if w != 0 {
+				continue // part of the configured degradation
+			}
+			// Losses, IterationTime and Tensor0RoundTrip are worker 0's own:
+			// without it the run did not complete, it was cut short.
+			err = fmt.Errorf("emu: worker 0, whose iterations the Result records, was dropped: %w", err)
 		}
 		return failed(err)
 	}

@@ -83,33 +83,53 @@ func TestTrainingConvergesUnderFIFO(t *testing.T) {
 
 func TestAllPoliciesIdenticalTrajectory(t *testing.T) {
 	// Synchronous SGD with deterministic aggregation: the push order must
-	// not change the math, only the timing.
-	var params [][]float64
-	var losses [][]float64
-	for _, p := range strategy.Names() {
-		cfg := baseConfig()
-		cfg.Policy = p
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		params = append(params, res.FinalParams)
-		losses = append(losses, res.Losses)
-	}
-	for i := 1; i < len(params); i++ {
-		if len(params[i]) != len(params[0]) {
-			t.Fatal("param length mismatch")
-		}
-		for j := range params[0] {
-			if params[i][j] != params[0][j] {
-				t.Fatalf("policy %d diverged at param %d: %v vs %v", i, j, params[i][j], params[0][j])
+	// not change the math, only the timing. On the parameter server that is
+	// the server's fixed worker order; on a collective it is per-tensor
+	// segmentation — a tensor is cut and summed the same way whatever send or
+	// fused group carries it. The collective model is sized so that the
+	// policies cut different groups: 2 132 elements against the 2 039 a W=4
+	// group holds, with a 1 536-element tensor in the middle.
+	for _, tc := range []struct {
+		transport string
+		workers   int
+		layers    []int
+	}{
+		{"ps", 2, []int{8, 16, 4}},
+		{"ring", 4, []int{8, 48, 32, 4}},
+		{"tree", 4, []int{8, 48, 32, 4}},
+	} {
+		t.Run(tc.transport, func(t *testing.T) {
+			var ref *Result
+			for _, p := range strategy.Names() {
+				cfg := baseConfig()
+				cfg.Policy = p
+				cfg.Transport = tc.transport
+				cfg.Workers = tc.workers
+				cfg.Layers = tc.layers
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", p, err)
+				}
+				if ref == nil {
+					ref = res
+					continue
+				}
+				if len(res.FinalParams) != len(ref.FinalParams) || len(res.Losses) != len(ref.Losses) {
+					t.Fatalf("%s: %d params and %d losses, want %d and %d",
+						p, len(res.FinalParams), len(res.Losses), len(ref.FinalParams), len(ref.Losses))
+				}
+				for j := range ref.FinalParams {
+					if res.FinalParams[j] != ref.FinalParams[j] {
+						t.Fatalf("%s diverged at param %d: %v vs %v", p, j, res.FinalParams[j], ref.FinalParams[j])
+					}
+				}
+				for j := range ref.Losses {
+					if res.Losses[j] != ref.Losses[j] {
+						t.Fatalf("%s loss diverged at iteration %d", p, j)
+					}
+				}
 			}
-		}
-		for j := range losses[0] {
-			if losses[i][j] != losses[0][j] {
-				t.Fatalf("policy %d loss diverged at iteration %d", i, j)
-			}
-		}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"prophet/internal/collective"
 	"prophet/internal/probe"
+	"prophet/internal/transport"
 )
 
 // planBoard distributes the deciding worker's per-iteration send plans to
@@ -68,20 +69,27 @@ func (b *planBoard) fail(err error) {
 	b.mu.Unlock()
 }
 
-// collectiveEngine is the liveEngine over a collective.Fabric peer: each
-// decided send becomes one lockstep all-reduce op carrying the full bytes
-// of the tensors it completes, played as the backend's chunk schedule on
-// the shared wire. The op completes on every worker simultaneously with
-// the aggregated (mean) gradient in place — there is no pull leg, so
-// PullAcked fires at the op's completion timestamp and the attribution
-// Ack component is exactly zero, matching the simulator's collective
-// invariant.
+// collectiveEngine is the liveEngine over a collective.Fabric peer: the
+// decided sends run as lockstep all-reduce ops carrying the full bytes of
+// the tensors they complete, played as the backend's chunk schedule on the
+// shared wire. The unit on the wire is a *group* of back-to-back sends, not
+// a send: a step costs every peer one hand-off however few bytes it moves,
+// so consecutive small sends share one fused op (collective.AllReduceFused)
+// up to the frame size the wire reads in one go — see fits, the one
+// grouping rule. Groups are cut from the published plan and the tensor
+// sizes alone, so every worker cuts the same ones; the decision Records are
+// the scheduler's and do not see them. The op completes on every worker
+// simultaneously with the aggregated (mean) gradient in place — there is no
+// pull leg, so PullAcked fires at the op's completion timestamp and the
+// attribution Ack component is exactly zero, matching the simulator's
+// collective invariant.
 //
 // The engine runs a single lane (the ring is itself a barrier; the
 // simulator models it as one serial link) and implements planner: worker
 // 0 decides, everyone executes worker 0's plan.
 type collectiveEngine struct {
 	peer    *collective.Peer
+	workers int
 	name    string // the transport's, for error attribution
 	board   *planBoard
 	decides bool
@@ -104,6 +112,10 @@ type collectiveEngine struct {
 	bufs   [][]float64
 	free   [][]float64
 	ranges []probe.Range // reused scratch; observers copy
+	// Scratch reused across ops: the open group's tensors in plan order, and
+	// their views into the op buffer.
+	group   []int
+	members [][]float64
 }
 
 // Bind implements liveEngine.
@@ -138,60 +150,91 @@ func (e *collectiveEngine) emitStep(step, steps int, bytes float64, start, end f
 	e.stepObs.SendStep(e.pp.worker, 0, e.curSeq, step, steps, bytes, start, end)
 }
 
-// Dispatch implements liveEngine: each send with completing tensors runs
-// as one all-reduce over their concatenated gradients. Sends that complete
-// nothing (partial credit slices mid-tensor) move no wire bytes — the live
-// protocol ships whole tensors with their completing piece, on every
-// transport — and are skipped identically by all workers.
+// fits reports whether a fused op over elems float64s still ships each step
+// as a frame the wire takes in one read: the per-peer share of the bytes —
+// the ring's chunk, the tree's smallest — plus the frame header, within the
+// mux read buffer. Priority order on the wire is therefore kept to within
+// one read buffer per peer.
+func (e *collectiveEngine) fits(elems int) bool {
+	return 8*elems/e.workers+transport.MuxHeaderSize <= transport.MuxReadBuffer
+}
+
+// Dispatch implements liveEngine: it walks the plan in order, letting each
+// send join the open group while the group still fits, and runs every group
+// as one fused all-reduce over its tensors. A send that does not fit alone
+// is a group of one. Sends that complete nothing (partial credit slices
+// mid-tensor) move no wire bytes — the live protocol ships whole tensors
+// with their completing piece, on every transport — and are skipped
+// identically by all workers.
 func (e *collectiveEngine) Dispatch(iter int, grad func(int) []float64, sends []wireSend) error {
 	e.free = append(e.free, e.bufs...)
 	e.bufs = e.bufs[:0]
-	pp := &e.pp
+	group, first, elems := e.group[:0], 0, 0 // the open group, its first plan index and size
 	for seq, snd := range sends {
-		if len(snd.tensors) == 0 {
-			continue
-		}
-		elems := 0
+		n := 0
 		for _, t := range snd.tensors {
-			elems += len(grad(t))
+			n += len(grad(t))
 		}
-		buf := e.takeBuf(elems)
-		off := 0
-		for _, t := range snd.tensors {
-			off += copy(buf[off:], grad(t))
-		}
-		pp.enqueued(0, seq, snd.tensors, 0)
-		e.ranges = pp.sendStart(e.ranges, 0, seq, iter, snd.tensors)
-		e.curSeq = seq
-		var bound *time.Timer
-		if e.opBound > 0 {
-			bound = e.armBound(iter, snd.tensors)
-		}
-		err := e.peer.AllReduce(iter, buf, e.stepFn)
-		if bound != nil {
-			bound.Stop()
-		}
-		if err != nil {
-			return fmt.Errorf("%s all-reduce %v: %w", e.name, snd.tensors, err)
-		}
-		ackWall := time.Now()
-		done := pp.clock()
-		if pp.obs != nil {
-			pp.obs.SendComplete(pp.worker, 0, iter, true, done)
-		}
-		off = 0
-		for _, t := range snd.tensors {
-			n := len(grad(t))
-			e.agg[t] = buf[off : off+n]
-			e.acked[t] = ackWall
-			off += n
-			if pp.obs != nil {
-				// Same timestamp as the op's completion: the reduced value
-				// is on the worker the moment the collective finishes, so
-				// Ack = Acked − End is exactly zero (the simulator's
-				// collectiveTx invariant).
-				pp.obs.PullAcked(pp.worker, t, iter, done)
+		if len(group) > 0 && !e.fits(elems+n) {
+			if err := e.reduce(iter, first, group, elems, grad); err != nil {
+				return err
 			}
+			group, elems = group[:0], 0
+		}
+		if len(group) == 0 {
+			first = seq
+		}
+		group = append(group, snd.tensors...)
+		elems += n
+	}
+	e.group = group[:0] // keep the grown scratch
+	if len(group) == 0 {
+		return nil
+	}
+	return e.reduce(iter, first, group, elems, grad)
+}
+
+// reduce runs one group — tensors, elems float64s in all — as one fused op
+// and one wire send at plan index seq: a span with a range per tensor, a
+// step span per fused chunk step, one never-hang timer.
+func (e *collectiveEngine) reduce(iter, seq int, tensors []int, elems int, grad func(int) []float64) error {
+	pp := &e.pp
+	buf := e.takeBuf(elems)
+	e.members = e.members[:0]
+	off := 0
+	for _, t := range tensors {
+		n := copy(buf[off:], grad(t))
+		e.members = append(e.members, buf[off:off+n])
+		off += n
+	}
+	pp.enqueued(0, seq, tensors, 0)
+	e.ranges = pp.sendStart(e.ranges, 0, seq, iter, tensors)
+	e.curSeq = seq
+	var bound *time.Timer
+	if e.opBound > 0 {
+		bound = e.armBound(iter, tensors)
+	}
+	err := e.peer.AllReduceFused(iter, e.members, e.stepFn)
+	if bound != nil {
+		bound.Stop()
+	}
+	if err != nil {
+		return fmt.Errorf("%s all-reduce %v: %w", e.name, tensors, err)
+	}
+	ackWall := time.Now()
+	done := pp.clock()
+	if pp.obs != nil {
+		pp.obs.SendComplete(pp.worker, 0, iter, true, done)
+	}
+	for i, t := range tensors {
+		e.agg[t] = e.members[i]
+		e.acked[t] = ackWall
+		if pp.obs != nil {
+			// Same timestamp as the op's completion: the reduced value
+			// is on the worker the moment the collective finishes, so
+			// Ack = Acked − End is exactly zero (the simulator's
+			// collectiveTx invariant).
+			pp.obs.PullAcked(pp.worker, t, iter, done)
 		}
 	}
 	return nil
@@ -201,6 +244,7 @@ func (e *collectiveEngine) Dispatch(iter int, grad func(int) []float64, sends []
 // outlives it is wedged — a chunk the wire lost or misrouted never arrives
 // and no peer can make progress — so the whole run aborts, attributed.
 func (e *collectiveEngine) armBound(iter int, tensors []int) *time.Timer {
+	tensors = append([]int(nil), tensors...) // the timer may outlive the group scratch
 	return time.AfterFunc(e.opBound, func() {
 		e.abort(fmt.Errorf("emu: transport %s: worker %d iter %d all-reduce %v timed out after %v",
 			e.name, e.pp.worker, iter, tensors, e.opBound))

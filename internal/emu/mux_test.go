@@ -99,9 +99,10 @@ func TestMuxManyWorkers(t *testing.T) {
 // before any byte moves and (with no bandwidth hint) contain no wire-model
 // input, so the decision log and push order must be bit-identical across
 // all four transports; the training trajectory must additionally match
-// between the two PS topologies (same aggregation arithmetic — the
-// collective's fixed ring/recursive reduction order is a different
-// float-addition order and is excluded by design).
+// between the two PS topologies (same aggregation arithmetic). A collective
+// sums a tensor's segments in its own fixed worker order, which is not the
+// server's, so its trajectory is compared with itself instead: across every
+// strategy on one backend, in TestAllPoliciesIdenticalTrajectory.
 func TestLiveTransportConformance(t *testing.T) {
 	cells := []struct {
 		key       string

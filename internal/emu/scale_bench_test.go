@@ -79,8 +79,9 @@ func BenchmarkEmu_Scale(b *testing.B) {
 		// shared pipe regardless of W, so the goroutine and RSS columns are
 		// directly comparable to the mux PS transport, and the three worker
 		// counts are what DESIGN §12's ring ÷ PS formula is checked against —
-		// a ring op is 2(W−1) steps of W chunks, a tree op 2·log₂W. (A ring
-		// of 1000 is 12 M chunks per iteration and stays out.)
+		// a ring op is 2(W−1) steps of W chunks, a tree op 2·log₂W, and fifo's
+		// four sends here fuse into one op. A ring of 1000 is then 2 M chunks
+		// per iteration (8 M unfused), about eleven seconds for the row.
 		{8, 1, true, ""}, {8, 4, true, ""},
 		{8, 1, false, "ring"}, {8, 1, false, "tree"},
 		{64, 4, false, ""}, // per-worker-pipe reference: goroutines ∝ workers×shards
@@ -89,6 +90,7 @@ func BenchmarkEmu_Scale(b *testing.B) {
 		{256, 1, true, ""}, {256, 4, true, ""},
 		{256, 1, false, "ring"}, {256, 1, false, "tree"},
 		{1000, 1, true, ""}, {1000, 4, true, ""},
+		{1000, 1, false, "ring"}, {1024, 1, false, "tree"},
 	}
 	for _, p := range points {
 		transport := "mux"

@@ -83,8 +83,22 @@ func TestPushPullBatchInterleaved(t *testing.T) {
 // goroutine cost of a cluster is per-connection, not per-worker — a 32×
 // worker increase adds zero goroutines.
 func TestMuxGoroutineBudget(t *testing.T) {
+	// settled is the goroutine count (over base) once it has stopped falling:
+	// goroutines that have signalled their exit but not yet left — an earlier
+	// test's, or the round's own below — would otherwise be counted on one
+	// side of a difference only.
+	settled := func(base int) int {
+		n := runtime.NumGoroutine() - base
+		for i := 0; i < 50; i++ {
+			time.Sleep(time.Millisecond)
+			if m := runtime.NumGoroutine() - base; m < n {
+				n = m
+			}
+		}
+		return n
+	}
 	measure := func(workers int) int {
-		before := runtime.NumGoroutine()
+		before := settled(0)
 		_, g, shutdown := newMuxCluster(t, workers)
 		// One round so everything is spun up.
 		var wg sync.WaitGroup
@@ -100,15 +114,7 @@ func TestMuxGoroutineBudget(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		// The round's worker goroutines have signalled Done but may not have
-		// exited yet: take the count once it has settled.
-		during := runtime.NumGoroutine() - before
-		for i := 0; i < 50; i++ {
-			time.Sleep(time.Millisecond)
-			if n := runtime.NumGoroutine() - before; n < during {
-				during = n
-			}
-		}
+		during := settled(before)
 		if err := shutdown(); err != nil {
 			t.Fatalf("serve (%d workers): %v", workers, err)
 		}

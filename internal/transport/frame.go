@@ -190,11 +190,7 @@ func (fw *FrameWriter) AppendFloats(t MsgType, iter, tensor uint32, xs []float64
 		return fmt.Errorf("transport: payload %d exceeds max %d", n, MaxPayload)
 	}
 	fw.appendHeader(t, iter, tensor, n)
-	off := len(fw.buf)
-	fw.buf = append(fw.buf, make([]byte, n)...)
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(fw.buf[off+8*i:], math.Float64bits(x))
-	}
+	fw.buf = appendFloats(fw.buf, xs)
 	return nil
 }
 
@@ -297,6 +293,16 @@ func FloatCount(b []byte) (int, error) {
 		return 0, fmt.Errorf("transport: float payload length %d not a multiple of 8", len(b))
 	}
 	return len(b) / 8, nil
+}
+
+// appendFloats appends xs to dst in little-endian float64 encoding.
+func appendFloats(dst []byte, xs []float64) []byte {
+	off := len(dst)
+	dst = append(dst, make([]byte, 8*len(xs))...)
+	for i, x := range xs {
+		binary.LittleEndian.PutUint64(dst[off+8*i:], math.Float64bits(x))
+	}
+	return dst
 }
 
 // DecodeFloatsInto unpacks little-endian float64 bytes into dst, which

@@ -23,7 +23,7 @@ package transport
 // only reader would wait on each other forever. Writes belong to sender
 // goroutines and to owner goroutines such as the ps server's responder.
 //
-// The receive side reads the conn through a small buffer (muxReadBuffer,
+// The receive side reads the conn through a small buffer (MuxReadBuffer,
 // allocated on the first Read, so a send-only end pays nothing): a header
 // and a small payload arrive in ONE conn.Read — one goroutine hand-off per
 // frame on a synchronous pipe instead of two. A fill asks the conn once, and
@@ -41,7 +41,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -51,10 +50,12 @@ import (
 // id plus the ordinary frame header.
 const MuxHeaderSize = 4 + headerSize
 
-// muxReadBuffer is the size of a MuxConn's read buffer: room for a header
+// MuxReadBuffer is the size of a MuxConn's read buffer: room for a header
 // and the few-hundred-byte payloads of a small-tensor run, small enough that
-// a thousand conns cost a few megabytes.
-const muxReadBuffer = 4 << 10
+// a thousand conns cost a few megabytes. A frame that fits it, header
+// included, costs the wire one read — the size a sender that can choose its
+// frames (the collective's fused ops) fills them up to.
+const MuxReadBuffer = 4 << 10
 
 // MuxOptions configures a MuxConn.
 type MuxOptions struct {
@@ -175,15 +176,22 @@ func (b *MuxBatch) AppendFrame(f *Frame) error {
 // AppendFloats stages a frame whose payload is xs in little-endian float64
 // encoding, written directly into the scratch (no intermediate slice).
 func (b *MuxBatch) AppendFloats(t MsgType, iter, tensor uint32, xs []float64) error {
-	n := 8 * len(xs)
+	return b.AppendFloatSlices(t, iter, tensor, [][]float64{xs})
+}
+
+// AppendFloatSlices stages ONE frame whose payload is the slices of xss back
+// to back — the wire bytes of their concatenation, without building it.
+func (b *MuxBatch) AppendFloatSlices(t MsgType, iter, tensor uint32, xss [][]float64) error {
+	n := 0
+	for _, xs := range xss {
+		n += 8 * len(xs)
+	}
 	if n > MaxPayload {
 		return fmt.Errorf("transport: payload %d exceeds max %d", n, MaxPayload)
 	}
 	b.buf = appendMuxHeader(b.buf, b.stream, t, iter, tensor, n)
-	off := len(b.buf)
-	b.buf = append(b.buf, make([]byte, n)...)
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(b.buf[off+8*i:], math.Float64bits(x))
+	for _, xs := range xss {
+		b.buf = appendFloats(b.buf, xs)
 	}
 	return nil
 }
@@ -233,7 +241,7 @@ func (m *MuxConn) SendFloats(stream uint32, t MsgType, iter, tensor uint32, xs [
 // back. Single caller only (the demux loop).
 func (m *MuxConn) Read() (uint32, *Frame, error) {
 	if m.br == nil {
-		m.br = bufio.NewReaderSize(m.conn, muxReadBuffer)
+		m.br = bufio.NewReaderSize(m.conn, MuxReadBuffer)
 	}
 	if _, err := io.ReadFull(m.br, m.rhdr[:]); err != nil {
 		return 0, nil, err

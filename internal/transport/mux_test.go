@@ -129,6 +129,66 @@ func TestMuxRoundTripInterleaved(t *testing.T) {
 	wg.Wait()
 }
 
+// TestMuxAppendFloatSlices: the vectored append stages exactly the bytes
+// AppendFloats stages for the concatenation — empty slices and an empty list
+// included — behind whatever the batch already holds, and refuses a frame
+// whose slices together exceed MaxPayload before staging any of it.
+func TestMuxAppendFloatSlices(t *testing.T) {
+	// wire is what a batch holding one frame already, then stage's, sends.
+	wire := func(stage func(*MuxBatch) error) []byte {
+		c := &memConn{}
+		m := NewMuxConn(c, MuxOptions{Streams: 4})
+		b := m.NewBatch(2)
+		if err := b.AppendFloats(Push, 1, 0, []float64{9}); err != nil {
+			t.Fatal(err)
+		}
+		if err := stage(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SendBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		return c.buf.Bytes()
+	}
+	for _, xss := range [][][]float64{
+		{{1.5, -2.25}, {}, {3}, nil, {4, 5, 6}},
+		{{}, nil},
+		nil,
+	} {
+		var concat []float64
+		for _, xs := range xss {
+			concat = append(concat, xs...)
+		}
+		got := wire(func(b *MuxBatch) error { return b.AppendFloatSlices(Chunk, 7, 3, xss) })
+		want := wire(func(b *MuxBatch) error { return b.AppendFloats(Chunk, 7, 3, concat) })
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v: wire bytes mismatch:\n got %x\nwant %x", xss, got, want)
+		}
+	}
+
+	// One 8 MiB slice listed 33 times declares 264 MiB without holding it.
+	big := make([]float64, 1<<20)
+	over := make([][]float64, MaxPayload/(8*len(big))+1)
+	for i := range over {
+		over[i] = big
+	}
+	c := &memConn{}
+	m := NewMuxConn(c, MuxOptions{Streams: 1})
+	b := m.NewBatch(0)
+	if err := b.AppendFloatSlices(Chunk, 0, 0, over); err == nil {
+		t.Fatalf("staged a %d-byte payload, max is %d", 8*len(big)*len(over), MaxPayload)
+	}
+	if err := b.AppendFloatSlices(Chunk, 0, 0, over[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SendBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.buf.Len(), MuxHeaderSize+8*len(big); got != want {
+		t.Fatalf("after a refused append the batch sent %d bytes, want the one %d-byte frame", got, want)
+	}
+}
+
 // TestMuxReadBufferEdges: the read buffer must be invisible to the frames —
 // a zero-length frame, a payload several buffers long (its tail lands
 // directly in the pooled slice), a small frame behind it and a payload of
@@ -140,7 +200,7 @@ func TestMuxReadBufferEdges(t *testing.T) {
 	defer src.Close()
 	defer dst.Close()
 
-	sizes := []int{0, 3*muxReadBuffer/8 + 5, 2, muxReadBuffer / 8, 0} // floats per frame
+	sizes := []int{0, 3*MuxReadBuffer/8 + 5, 2, MuxReadBuffer / 8, 0} // floats per frame
 	sent := make(chan error, 1)
 	go func() {
 		for i, n := range sizes {
