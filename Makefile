@@ -3,9 +3,9 @@
 GO ?= go
 
 # Packages with real goroutine concurrency (live PS path + fault layer,
-# profile cache, parallel sweep runner, probe observers) plus the shared
-# drive layer both execution paths schedule through.
-RACE_PKGS := ./internal/transport ./internal/ps ./internal/emu ./internal/drive ./internal/tensor ./internal/fault ./internal/profiler ./internal/experiments/runner ./internal/probe ./internal/collective
+# parallel sweep runner, probe observers) plus the shared drive layer both
+# execution paths schedule through.
+RACE_PKGS := ./internal/transport ./internal/ps ./internal/emu ./internal/drive ./internal/fault ./internal/experiments/runner ./internal/probe ./internal/collective
 
 # Native fuzz targets and their packages (go runs one target per invocation).
 FUZZTIME ?= 10s

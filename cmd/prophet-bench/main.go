@@ -26,7 +26,6 @@ import (
 
 	"prophet/internal/experiments"
 	"prophet/internal/experiments/runner"
-	"prophet/internal/profiler"
 )
 
 func main() {
@@ -108,9 +107,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "  [%s, %.1fs wall]\n", spec.ID, o.dur.Seconds())
 	}
 
-	hits, misses := profiler.Stats()
-	fmt.Fprintf(stdout, "\n%d experiments in %.1fs wall (-j %d); profile cache %d hits / %d misses\n",
-		len(specs), total.Seconds(), *jobs, hits, misses)
+	fmt.Fprintf(stdout, "\n%d experiments in %.1fs wall (-j %d)\n", len(specs), total.Seconds(), *jobs)
 	if failed > 0 {
 		return fmt.Errorf("%d experiment(s) failed", failed)
 	}

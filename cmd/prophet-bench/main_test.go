@@ -11,8 +11,7 @@ import (
 )
 
 // The command's own clock readings: the "[id, 0.3s wall]" stamp under each
-// experiment and the closing summary line (total wall time, -j, profile
-// cache counts).
+// experiment and the closing summary line (total wall time, -j).
 var (
 	wallStamp   = regexp.MustCompile(`(?m)^  \[(\S+), [0-9.]+s wall\]$`)
 	summaryLine = regexp.MustCompile(`(?m)^\d+ experiments in .*$`)

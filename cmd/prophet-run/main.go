@@ -149,6 +149,10 @@ func run(args []string, out io.Writer) error {
 	if j.credit <= 0 {
 		return fmt.Errorf("-credit %g: a credit in MB must be positive", j.credit)
 	}
+	// attrib.Analyze likewise reads a non-positive count as its default.
+	if j.topK < 1 {
+		return fmt.Errorf("-topk %d: the attribution report lists at least one gradient", j.topK)
+	}
 
 	// The recorder is the run's account and is always attached. The metrics
 	// registry and the auditor exist only when asked for; the auditor is the
@@ -378,7 +382,6 @@ func simulate(j job, _ *probe.SpanRecorder, obs probe.Observer, m *probe.Metrics
 		split := uplink
 		split.Trace = netsim.Scale(uplink.Trace, 1/float64(j.shards))
 		cfg.ShardUplink = func(int, int) netsim.LinkConfig { return split }
-		cfg.ShardDownlink = cfg.ShardUplink
 	}
 	res, err := cluster.Run(cfg)
 	if err != nil {

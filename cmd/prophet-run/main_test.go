@@ -171,6 +171,9 @@ func TestBadInvocationsAreErrors(t *testing.T) {
 		{[]string{"-policy", "bytescheduler", "-credit", "0"}, "-credit 0"},
 		{[]string{"-policy", "bytescheduler", "-credit", "-1"}, "-credit -1"},
 		{[]string{"-bandwidth", "-5"}, "-bandwidth -5"},
+		// These used to list the default three.
+		{[]string{"-topk", "0"}, "-topk 0"},
+		{[]string{"-topk", "-1"}, "-topk -1"},
 		// An unshaped live link plans nothing: prophet-emu used to print an
 		// all-zero table and exit 0.
 		{small("emu", "-bandwidth", "0", "-audit", "-"), "no planned send windows"},

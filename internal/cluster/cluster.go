@@ -60,10 +60,10 @@ type Config struct {
 	// Agg is the gradient aggregation bucketing (stepwise source). If
 	// empty, stepwise.DefaultAggregate(Model).
 	Agg stepwise.Buckets
-	// Uplink and Downlink give each worker's link configuration. If nil,
-	// netsim.DefaultLinkConfig(Const(1.25 GB/s)) (10 Gbps) is used.
-	// Downlink is unused on a collective transport, which has no pull leg.
-	Uplink, Downlink func(worker int) netsim.LinkConfig
+	// Uplink gives each worker's link configuration, used for its downlink
+	// too. If nil, netsim.DefaultLinkConfig(Const(1.25 GB/s)) (10 Gbps) is
+	// used.
+	Uplink func(worker int) netsim.LinkConfig
 	// PSShards partitions gradients (keys) across that many parameter-
 	// server shard instances, each behind its own uplink/downlink pair per
 	// worker (0 or 1 = the single PS of the paper's testbed). A block's
@@ -74,12 +74,13 @@ type Config struct {
 	PSShards int
 	// ShardPlacement selects the key→shard map (default shard.RoundRobin).
 	ShardPlacement shard.Placement
-	// ShardUplink and ShardDownlink give the per-shard link configuration.
-	// If nil, every shard of worker w uses Uplink(w)/Downlink(w) — i.e.
-	// each shard link runs at the full single-PS speed, scaling aggregate
-	// bandwidth with the shard count. Pass netsim.Scale(trace, 1/N) links
-	// to model splitting one NIC across N shards instead.
-	ShardUplink, ShardDownlink func(worker, s int) netsim.LinkConfig
+	// ShardUplink gives the per-shard link configuration, for the shard's
+	// uplink and downlink alike. If nil, every shard of worker w uses
+	// Uplink(w) — i.e. each shard link runs at the full single-PS speed,
+	// scaling aggregate bandwidth with the shard count. Pass
+	// netsim.Scale(trace, 1/N) links to model splitting one NIC across N
+	// shards instead.
+	ShardUplink func(worker, s int) netsim.LinkConfig
 	// Scheduler builds the strategy instance for a worker. The uplink is
 	// provided so strategies can attach bandwidth monitors.
 	Scheduler func(worker int, eng *sim.Engine, uplink *netsim.Link) schedule.Scheduler
@@ -209,9 +210,6 @@ func (c *Config) setDefaults() error {
 			return netsim.DefaultLinkConfig(netsim.Const(netsim.Gbps(10)))
 		}
 	}
-	if c.Downlink == nil {
-		c.Downlink = c.Uplink
-	}
 	if c.PSShards == 0 {
 		c.PSShards = 1
 	}
@@ -246,9 +244,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.ShardUplink == nil {
 		c.ShardUplink = func(w, _ int) netsim.LinkConfig { return c.Uplink(w) }
-	}
-	if c.ShardDownlink == nil {
-		c.ShardDownlink = func(w, _ int) netsim.LinkConfig { return c.Downlink(w) }
 	}
 	switch {
 	case c.Jitter == 0:

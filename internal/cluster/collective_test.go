@@ -96,7 +96,6 @@ func TestCollectivePinned(t *testing.T) {
 // transport is the parameter server, bit-identical to the commit before
 // Config.Transport existed.
 func TestTransportMatrix(t *testing.T) {
-	downlink := func(int) netsim.LinkConfig { return netsim.DefaultLinkConfig(netsim.Const(netsim.Gbps(1))) }
 	// What a parameter server gives meaning to, by Config field.
 	psOnly := []struct {
 		field string
@@ -132,13 +131,13 @@ func TestTransportMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := pinnedConfig(t, "fifo", transport)
-		cfg.PSShards, cfg.Downlink, cfg.PullPartition = 1, downlink, 1e6
+		cfg.PSShards, cfg.PullPartition = 1, 1e6
 		unused, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s with pull-leg settings: %v", transport, err)
 		}
 		if unused.Duration != plain.Duration {
-			t.Errorf("%s: Downlink/PullPartition moved the duration %v → %v", transport, plain.Duration, unused.Duration)
+			t.Errorf("%s: PullPartition moved the duration %v → %v", transport, plain.Duration, unused.Duration)
 		}
 	}
 

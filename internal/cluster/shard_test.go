@@ -85,7 +85,6 @@ func TestShardedEqualAggregateBandwidth(t *testing.T) {
 		lc.Trace = netsim.Scale(lc.Trace, 1.0/shards)
 		return lc
 	}
-	cfg.ShardDownlink = cfg.ShardUplink
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -207,7 +207,7 @@ func (w *worker) wirePS() {
 		s := s
 		w.upDoneFn[s] = func() { w.onUpDone(s) }
 		w.downDoneFn[s] = func() { w.onDownDone(s) }
-		w.down[s] = netsim.NewLink(w.eng, w.cfg.ShardDownlink(w.id, s))
+		w.down[s] = netsim.NewLink(w.eng, w.cfg.ShardUplink(w.id, s))
 		w.down[s].SetRecording(w.cfg.RecordLinks)
 	}
 	w.drv = drive.New(w.sched, w, shards, len(w.pulled), w.smap.Of)

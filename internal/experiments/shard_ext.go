@@ -106,7 +106,6 @@ func extShard(cfg Config) (*ExtShardResult, error) {
 				lc.Trace = netsim.Scale(lc.Trace, 1/float64(shards))
 				return lc
 			}
-			ccfg.ShardDownlink = ccfg.ShardUplink
 		}
 		return rateOf(cfg, ccfg)
 	}

@@ -100,6 +100,34 @@ func TestTrainingConverges(t *testing.T) {
 	}
 }
 
+// TestTrainingAllocations pins a warm training step and an evaluation of
+// the live-ring MLP to the matrices, masks and gradients they return: the
+// kernels underneath allocate nothing of their own.
+func TestTrainingAllocations(t *testing.T) {
+	m := NewMLP([]int{16, 32, 32, 4}, 1)
+	ds := Blobs(2048, 16, 4, 1)
+	x, labels := ds.Batch(0, 16)
+	for _, tc := range []struct {
+		name string
+		want float64 // 2 per matrix, 1 per mask or bias gradient
+		run  func()
+	}{
+		// Forward: 3 activations + 2 masks = 8. Backward: the logits
+		// gradient, 3 weight + 3 bias gradients, 2 input gradients = 15.
+		{"Forward+Backward+Step", 23, func() {
+			m.Backward(m.Forward(x), labels, nil)
+			m.Step(0.05)
+		}},
+		// Forward, then the logits gradient it discards.
+		{"full-dataset Loss", 10, func() { m.Loss(ds.X, ds.Labels) }},
+	} {
+		tc.run()
+		if got := testing.AllocsPerRun(10, tc.run); got != tc.want {
+			t.Errorf("%s allocates %v times, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestDeterministicInit(t *testing.T) {
 	a := NewMLP([]int{4, 8, 3}, 42)
 	b := NewMLP([]int{4, 8, 3}, 42)

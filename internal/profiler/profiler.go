@@ -105,11 +105,14 @@ func BackwardRelease(m *model.Model, hw model.Hardware, batch int, agg stepwise.
 	return agg.ReleaseTimes(raw)
 }
 
-// run profiles the job and returns the aggregated result. It is the
-// uncached implementation; the exported Run (cache.go) memoizes it per
-// canonical config, since experiments profile the same (model, batch, agg,
-// seed) tuples over and over. cfg must already have defaults applied.
-func run(cfg Config) (*Result, error) {
+// Run profiles the job and returns the aggregated result. Profiling is
+// pure and cheap (about a millisecond for the largest zoo model), so every
+// call computes afresh: two calls with the same config return equal,
+// independently owned results.
+func Run(cfg Config) (*Result, error) {
+	if err := cfg.setDefaults(); err != nil {
+		return nil, err
+	}
 	m := cfg.Model
 	n := m.NumGradients()
 	rng := sim.NewRand(cfg.Seed)

@@ -197,3 +197,83 @@ func TestBackwardReleaseJitterChangesTimes(t *testing.T) {
 		t.Fatal("jitter had no effect")
 	}
 }
+
+func cacheCfg(m *model.Model, batch int, seed uint64) Config {
+	return Config{
+		Model: m,
+		Batch: batch,
+		Agg:   stepwise.Aggregate(m, 2<<20, 0),
+		Seed:  seed,
+	}
+}
+
+func TestCacheReturnsIdenticalResults(t *testing.T) {
+	cfg := cacheCfg(model.ResNet18(), 32, 11)
+	a, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("Run returned the same *Result pointer; callers must get their own struct")
+	}
+	if len(a.Gen) != len(b.Gen) || a.WallTime != b.WallTime {
+		t.Fatal("cached result differs from original")
+	}
+	for i := range a.Gen {
+		if a.Gen[i] != b.Gen[i] || a.Bytes[i] != b.Bytes[i] {
+			t.Fatalf("gradient %d: cached result differs", i)
+		}
+	}
+}
+
+// TestCacheKeyDiscriminates: every input a profile depends on moves it, and
+// the model's identity does not — two independently built models with the
+// same content profile identically.
+func TestCacheKeyDiscriminates(t *testing.T) {
+	m := model.ResNet18()
+	run := func(cfg Config) *Result {
+		t.Helper()
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	same := func(a, b *Result) bool {
+		if a.WallTime != b.WallTime || len(a.Gen) != len(b.Gen) {
+			return false
+		}
+		for i := range a.Gen {
+			if a.Gen[i] != b.Gen[i] {
+				return false
+			}
+		}
+		return true
+	}
+	base := run(cacheCfg(m, 32, 11))
+
+	variants := map[string]func(*Config){
+		"batch":      func(c *Config) { c.Batch = 64 },
+		"seed":       func(c *Config) { c.Seed = 12 },
+		"iterations": func(c *Config) { c.Iterations = 10 },
+		"jitter":     func(c *Config) { c.Jitter = 0.05 },
+		"hardware":   func(c *Config) { c.Hardware = model.V100Like() },
+		"model":      func(c *Config) { c.Model = model.ResNet50() },
+		"agg":        func(c *Config) { c.Agg = stepwise.Aggregate(c.Model, 8<<20, 0) },
+	}
+	for name, mut := range variants {
+		c := cacheCfg(m, 32, 11)
+		mut(&c)
+		if same(run(c), base) {
+			t.Errorf("changing %s did not change Gen or WallTime", name)
+		}
+	}
+
+	if !same(run(cacheCfg(model.ResNet18(), 32, 11)), base) {
+		t.Error("content-identical configs profiled differently")
+	}
+}

@@ -48,10 +48,8 @@ func TestVecScaleZeroCloneAdd(t *testing.T) {
 	}
 }
 
-// TestVecSmallOpsDoNotAllocate: below parallelThreshold AXPY, Add and Scale
-// run serially and must not build the fan-out's closure — nn.Backward adds
-// one bias-gradient row per batch row, so an allocation here is thousands
-// per training iteration.
+// TestVecSmallOpsDoNotAllocate: nn.Backward adds one bias-gradient row per
+// batch row, so an allocation in Add is thousands per training iteration.
 func TestVecSmallOpsDoNotAllocate(t *testing.T) {
 	v, x := NewVec(32), NewVec(32)
 	for i := range x {
@@ -65,20 +63,32 @@ func TestVecSmallOpsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestVecParallelMatchesSerial: at and above parallelThreshold AXPY and
-// Scale fan out, and every element must come out as the serial loop
-// computes it.
-func TestVecParallelMatchesSerial(t *testing.T) {
-	n := parallelThreshold + 3
-	v, x := NewVec(n), NewVec(n)
-	for i := range x {
-		v[i], x[i] = float64(i), float64(n-i)
-	}
-	v.AXPY(0.5, x)
-	v.Scale(3)
-	for i := range v {
-		if want := (float64(i) + 0.5*float64(n-i)) * 3; v[i] != want {
-			t.Fatalf("element %d = %v, want %v", i, v[i], want)
+// TestKernelsDoNotAllocate: a kernel is a loop on the caller's goroutine and
+// allocates nothing it does not return — at any size, so a large SGD step
+// costs no more allocations than a small one.
+func TestKernelsDoNotAllocate(t *testing.T) {
+	// One dense layer's shapes, as nn runs them: y = x·w, dw = xᵀ·dy,
+	// dx = dy·wᵀ.
+	rng := sim.NewRand(4)
+	x, w := NewMat(16, 32), NewMat(32, 8)
+	x.FillRandn(rng, 1)
+	w.FillRandn(rng, 1)
+	y, dy, dw, dx := NewMat(16, 8), NewMat(16, 8), NewMat(32, 8), NewMat(16, 32)
+	mask := ReLU(x.Clone())
+	labels := make([]int, 16)
+	v, u := NewVec(1<<15), NewVec(1<<15)
+	for name, kernel := range map[string]func(){
+		"MatMul":              func() { MatMul(y, x, w) },
+		"MatMulTransA":        func() { MatMulTransA(dw, x, dy) },
+		"MatMulTransB":        func() { MatMulTransB(dx, dy, w) },
+		"AddRowBias":          func() { AddRowBias(y, w.Row(0)) },
+		"ReLUBackward":        func() { ReLUBackward(dx, mask) },
+		"SoftmaxCrossEntropy": func() { SoftmaxCrossEntropy(dy, y, labels) },
+		"AXPY 1<<15":          func() { v.AXPY(0.5, u) },
+		"Scale 1<<15":         func() { v.Scale(0.5) },
+	} {
+		if allocs := testing.AllocsPerRun(20, kernel); allocs != 0 {
+			t.Errorf("%s allocates %v times, want 0", name, allocs)
 		}
 	}
 }
@@ -87,30 +97,6 @@ func TestDotAndNorm(t *testing.T) {
 	v := Vec{3, 4}
 	if v.Dot(Vec{1, 2}) != 11 {
 		t.Fatal("dot")
-	}
-}
-
-func TestParallelForCoversRange(t *testing.T) {
-	n := 100000
-	seen := make([]int32, n)
-	ParallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			seen[i]++
-		}
-	})
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d visited %d times", i, c)
-		}
-	}
-}
-
-func TestParallelForEmptyAndSmall(t *testing.T) {
-	ParallelFor(0, func(lo, hi int) { t.Fatal("called for n=0") })
-	count := 0
-	ParallelFor(3, func(lo, hi int) { count += hi - lo })
-	if count != 3 {
-		t.Fatalf("count = %d", count)
 	}
 }
 
