@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"time"
 
 	"prophet/internal/cluster"
 	"prophet/internal/drive"
@@ -449,14 +450,31 @@ func emulate(j job, rec *probe.SpanRecorder, obs probe.Observer, m *probe.Metric
 	} else if j.mux {
 		wire = fmt.Sprintf("%d PS shard(s), one shared pipe each", j.shards)
 	}
+	var tail strings.Builder
+	fmt.Fprintf(&tail, "  loss:            %7.4f → %.4f, accuracy %.1f%%\n"+
+		"  push order:      %v in the last iteration\n"+
+		"  wall time:       %7.2f s for %d iterations\n",
+		res.Losses[0], res.Losses[len(res.Losses)-1], 100*res.FinalAccuracy,
+		res.PushOrder, res.Duration.Seconds(), j.iters)
+	// One row per phase of the worker loop, per iteration after the first:
+	// the mean across workers, and the max that the barrier hides.
+	ph := res.Phases
+	for _, row := range []struct {
+		name      string
+		mean, max time.Duration
+		note      string
+	}{
+		{"compute", ph.Mean.Compute, ph.Max.Compute, " across workers, per iteration after the first"},
+		{"wire", ph.Mean.Wire, ph.Max.Wire, ""},
+		{"update", ph.Mean.Update, ph.Max.Update, ""},
+		{"eval-wait", ph.Mean.EvalWait, ph.Max.EvalWait, fmt.Sprintf(" (worker 0; its helper evaluates %.2f ms)", 1e3*ph.Eval.Seconds())},
+	} {
+		fmt.Fprintf(&tail, "  %-17s%7.2f ms mean, %7.2f ms max%s\n", "phase "+row.name+":", 1e3*row.mean.Seconds(), 1e3*row.max.Seconds(), row.note)
+	}
 	return account{
 		what: fmt.Sprintf("a 16-%d-%d-4 MLP (live: %s)", j.hidden, j.hidden, wire),
 		end:  log.Ends[log.Count()-1],
 		bin:  0.005,
-		tail: fmt.Sprintf("  loss:            %7.4f → %.4f, accuracy %.1f%%\n"+
-			"  push order:      %v in the last iteration\n"+
-			"  wall time:       %7.2f s for %d iterations\n",
-			res.Losses[0], res.Losses[len(res.Losses)-1], 100*res.FinalAccuracy,
-			res.PushOrder, res.Duration.Seconds(), j.iters),
+		tail: tail.String(),
 	}, nil
 }

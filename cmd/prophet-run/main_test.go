@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -49,7 +50,7 @@ func TestEveryTransportPrintsTheSameLines(t *testing.T) {
 	shared := []string{"iteration time", "tensor-0 trip", "uplink payload"}
 	own := map[string][]string{
 		"sim": {"training rate", "GPU utilization", "simulated time"},
-		"emu": {"loss", "push order", "wall time"},
+		"emu": {"loss", "push order", "wall time", "phase compute", "phase wire", "phase update", "phase eval-wait"},
 	}
 	for _, path := range []string{"sim", "emu"} {
 		want := append(append([]string{}, shared...), own[path]...)
@@ -69,6 +70,27 @@ func TestEveryTransportPrintsTheSameLines(t *testing.T) {
 			if simCollective := path == "sim" && transport != "ps"; (ops == 1) != simCollective {
 				t.Errorf("-path %s -transport %s prints %d collective-ops lines", path, transport, ops)
 			}
+		}
+	}
+}
+
+// The live report has a row per phase of the worker loop — a mean and a max
+// across workers, max ≥ mean ≥ 0 — and the eval-wait row shows worker 0's
+// helper's own evaluation time beside it, so the overlap can be read off.
+func TestEmuPrintsPhaseRows(t *testing.T) {
+	report := mustRun(t, small("emu", "-policy", "prophet"))
+	for _, phase := range []string{"compute", "wire", "update", "eval-wait"} {
+		_, line, ok := strings.Cut(report, "  phase "+phase+":")
+		line, _, _ = strings.Cut(line, "\n")
+		var mean, max float64
+		if _, err := fmt.Sscanf(line, "%f ms mean, %f ms max", &mean, &max); !ok || err != nil {
+			t.Fatalf("no %s row in:\n%s", phase, report)
+		}
+		if mean < 0 || max < mean {
+			t.Errorf("%s: mean %v ms, max %v ms", phase, mean, max)
+		}
+		if helper := strings.Contains(line, "its helper evaluates"); helper != (phase == "eval-wait") {
+			t.Errorf("%s row %q: helper time shown %v", phase, line, helper)
 		}
 	}
 }

@@ -182,6 +182,42 @@ func TestChaosPermanentStallTimesOut(t *testing.T) {
 	}
 }
 
+// TestChaosFailureWhileEvaluating: worker 0 hands its evaluation to a helper
+// once tensor 0 is back and joins it before Step, so a pull that fails in
+// between returns with the evaluation still unjoined. The run must end in
+// an attributed error and the helper must go with it (TestMain's leak
+// check). Worker 0's own writes all happen in Dispatch, so the fault that
+// lands in its pull leg is a peer's: worker 1's link stalls in iteration 1
+// right after its tensor-0 push, so tensor 0 aggregates and tensor 1 cannot.
+func TestChaosFailureWhileEvaluating(t *testing.T) {
+	cfg := chaosConfig(t)
+	cfg.Workers = 2
+	cfg.Dataset = nn.Blobs(4096, 16, 4, 7)
+	cfg.Policy = "p3" // one send per tensor, tensor 0 first
+	cfg.Failure = WaitTimeout
+	cfg.PullTimeout = 150 * time.Millisecond
+	// Worker 1's write stream carries a push frame and a pull request per
+	// tensor per iteration.
+	var perIter, tensor0 int64
+	for _, ts := range nn.NewMLP(cfg.Layers, cfg.Seed).Tensors() {
+		frames := int64(2*transport.MuxHeaderSize + 8*ts.Elems)
+		if ts.Index == 0 {
+			tensor0 = frames
+		}
+		perIter += frames
+	}
+	cfg.Faults = map[int]fault.Spec{1: fault.StallAt(perIter+tensor0, 600*time.Millisecond)}
+	_, err := Run(cfg)
+	if err == nil {
+		t.Fatal("run completed with a pull timing out")
+	}
+	for _, want := range []string{"worker 0 pull iter 1 tensor 1", "fault injected on worker 1's pipe: stall"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q lacks %q", err, want)
+		}
+	}
+}
+
 // TestChaosDeadline: the run-level deadline aborts a stuck job with a
 // descriptive error even when per-pull timeouts are generous.
 func TestChaosDeadline(t *testing.T) {

@@ -293,13 +293,29 @@ func (c *Config) validate() error {
 	if c.Dataset.X.Cols != c.Layers[0] {
 		return fmt.Errorf("emu: dataset has %d features, model expects %d", c.Dataset.X.Cols, c.Layers[0])
 	}
+	// A label the model has no class for would panic on a worker goroutine,
+	// where no caller can recover.
+	if len(c.Dataset.Labels) != c.Dataset.X.Rows {
+		return fmt.Errorf("emu: Dataset.Labels has %d entries for %d rows", len(c.Dataset.Labels), c.Dataset.X.Rows)
+	}
+	classes := c.Layers[len(c.Layers)-1]
+	for r, label := range c.Dataset.Labels {
+		if label < 0 || label >= classes {
+			return fmt.Errorf("emu: Dataset.Labels[%d] is %d; the model has %d classes", r, label, classes)
+		}
+	}
 	return nil
 }
 
 // Result reports the emulated run.
 type Result struct {
-	// Losses[i] is the full-dataset loss after iteration i (evaluated on
-	// worker 0's model; all workers are identical).
+	// Losses[i] is the full-dataset loss after iteration i, evaluated on
+	// worker 0's model (all workers are identical). Worker 0's helper
+	// goroutine computes it during iteration i+1, from the moment tensor 0's
+	// aggregate is back until just before Step — the parameters are still
+	// iteration i's, and the remaining pulls are wire time — and computes
+	// the last iteration's at that iteration's end. Every evaluation is
+	// inside one of worker 0's IterationTime entries.
 	Losses []float64
 	// FinalAccuracy is worker 0's accuracy on the full dataset.
 	FinalAccuracy float64
@@ -326,6 +342,74 @@ type Result struct {
 	// that loses worker 0 before its last iteration fails with an error
 	// instead of returning them cut short.
 	DroppedWorkers []int
+	// Phases is where the workers' iterations went, reduced across workers.
+	Phases PhaseTimes
+}
+
+// Phases is wall time per iteration in each phase of the worker loop. What
+// no phase covers — the scheduler's decision replay, observer calls — is
+// the rest of the iteration.
+type Phases struct {
+	// Compute is Forward + Backward.
+	Compute time.Duration
+	// Wire is Dispatch plus the Await/SetGrad loop: the pushes, then the
+	// wait for every aggregate.
+	Wire time.Duration
+	// Update is Step.
+	Update time.Duration
+	// EvalWait is worker 0's time blocked joining its evaluation helper —
+	// the evaluation the pull leg did not hide — and zero on every other
+	// worker.
+	EvalWait time.Duration
+}
+
+// PhaseTimes reduces the workers' Phases the way a BSP barrier hides them:
+// each worker's mean per iteration, with iteration 0 (warm-up, and prophet's
+// profiling window) excluded, then the mean and the max of those across
+// workers. Max over mean is the straggler signal.
+type PhaseTimes struct {
+	Mean, Max Phases
+	// Eval is worker 0's helper's own evaluation time per iteration; the
+	// part of it EvalWait does not show ran alongside the pull leg.
+	Eval time.Duration
+}
+
+// phaseSlot is one worker's running totals over its iterations after the
+// first. Only that worker's goroutine writes it; Run reduces the slots once
+// every worker has returned.
+type phaseSlot struct {
+	sum   Phases
+	eval  time.Duration // worker 0's helper
+	iters int
+}
+
+func reducePhases(slots []phaseSlot) PhaseTimes {
+	var mean, most [4]time.Duration
+	n := 0
+	for _, s := range slots {
+		if s.iters == 0 {
+			continue
+		}
+		n++
+		for p, d := range [4]time.Duration{s.sum.Compute, s.sum.Wire, s.sum.Update, s.sum.EvalWait} {
+			d /= time.Duration(s.iters)
+			mean[p] += d
+			most[p] = max(most[p], d)
+		}
+	}
+	for p := range mean {
+		if n > 0 {
+			mean[p] /= time.Duration(n)
+		}
+	}
+	pt := PhaseTimes{
+		Mean: Phases{mean[0], mean[1], mean[2], mean[3]},
+		Max:  Phases{most[0], most[1], most[2], most[3]},
+	}
+	if s := slots[0]; s.iters > 0 {
+		pt.Eval = s.eval / time.Duration(s.iters)
+	}
+	return pt
 }
 
 // Run executes the emulation.
@@ -519,13 +603,14 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{}
 	workerErrs := make([]error, cfg.Workers)
+	phases := make([]phaseSlot, cfg.Workers)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := range engines {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			workerErrs[w] = runWorker(w, cfg, waitBound, engines[w], tables, res, clock)
+			workerErrs[w] = runWorker(w, cfg, waitBound, engines[w], tables, res, &phases[w], clock)
 			if lockstep && workerErrs[w] != nil {
 				// Lockstep peers are blocked mid-exchange on this worker:
 				// tear the wire down so they fail instead of hanging.
@@ -535,6 +620,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	wg.Wait()
 	res.Duration = time.Since(start)
+	res.Phases = reducePhases(phases)
 
 	// The owners hold the client-side conns: closing them is what delivers
 	// the clean EOF that lets ServeMux return.
@@ -624,8 +710,9 @@ func newWorkerTables(cfg *Config) *workerTables {
 }
 
 // runWorker executes the synchronous SGD loop for one worker, dispatching
-// the decided sends through the transport's liveEngine.
-func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, tables *workerTables, res *Result, clock func() float64) error {
+// the decided sends through the transport's liveEngine, and accumulates its
+// phase times into ph.
+func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, tables *workerTables, res *Result, ph *phaseSlot, clock func() float64) error {
 	m := nn.NewMLP(cfg.Layers, cfg.Seed)
 	nTensors := m.NumTensors()
 	shardStride := cfg.Workers * cfg.Batch
@@ -652,10 +739,13 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, tab
 	pl, isPlanned := eng.(planner)
 	decides := !isPlanned || pl.Decides()
 
+	var ev *evaluator
 	if w == 0 {
 		res.Losses = make([]float64, 0, cfg.Iterations)
 		res.IterationTime = make([]time.Duration, 0, cfg.Iterations)
 		res.Tensor0RoundTrip = make([]time.Duration, 0, cfg.Iterations)
+		ev = startEvaluator(m, cfg.Dataset, ph)
+		defer ev.stop()
 	}
 
 	params := strategy.Params{
@@ -704,6 +794,7 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, tab
 		lo := (iter*shardStride + w*cfg.Batch) % (cfg.Dataset.X.Rows - cfg.Batch + 1)
 		x, batchLabels := cfg.Dataset.Batch(lo, lo+cfg.Batch)
 
+		fwdStart := time.Now()
 		logits := m.Forward(x)
 		// Collect tensors in emission order with generation timestamps.
 		events = events[:0]
@@ -714,6 +805,7 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, tab
 				obs.Generated(w, idx, clock())
 			}
 		})
+		computed := time.Now()
 
 		var d *drive.Driver
 		var profiling *drive.Driver
@@ -747,6 +839,7 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, tab
 		// bytes move when the scheduler completes it, so a tensor
 		// completed early (priority strategies put tensor 0 first)
 		// finishes its round trip early.
+		dispatched := time.Now()
 		if err := eng.Dispatch(iter, grad, sends); err != nil {
 			return fmt.Errorf("emu: worker %d iter %d: %w", w, iter, err)
 		}
@@ -762,9 +855,31 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, tab
 			eng.Recycle(agg)
 			if idx == 0 && w == 0 {
 				res.Tensor0RoundTrip = append(res.Tensor0RoundTrip, ackedAt.Sub(bwdStart))
+				if iter > 0 {
+					// Step has not run, so the parameters are still
+					// iteration iter−1's: evaluate them while the
+					// remaining pulls are on the wire.
+					ev.start()
+				}
 			}
 		}
+		pulled := time.Now()
+		if w == 0 && iter > 0 {
+			res.Losses = append(res.Losses, ev.join())
+		}
+		stepStart := time.Now()
 		m.Step(cfg.LR)
+		if iter > 0 {
+			ph.sum.Compute += computed.Sub(fwdStart)
+			ph.sum.Wire += pulled.Sub(dispatched)
+			ph.sum.Update += time.Since(stepStart)
+			ph.iters++
+		}
+		if w == 0 && iter == cfg.Iterations-1 {
+			// The last parameters have no pull leg left to hide in.
+			ev.start()
+			res.Losses = append(res.Losses, ev.join())
+		}
 		if d != nil {
 			d.EndIteration(time.Since(iterStart).Seconds())
 		}
@@ -773,7 +888,6 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, tab
 		}
 
 		if w == 0 {
-			res.Losses = append(res.Losses, m.Loss(cfg.Dataset.X, cfg.Dataset.Labels))
 			res.IterationTime = append(res.IterationTime, time.Since(iterStart))
 		}
 
@@ -807,6 +921,57 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, tab
 		}
 	}
 	return nil
+}
+
+// evaluator is worker 0's evaluation helper: one goroutine per run that
+// computes the full-dataset loss of the MLP's parameters as they stand when
+// start is called. It reads nothing but the parameters (nn.MLP.Loss), which
+// only Step writes, so the training loop must join before its next Step; in
+// between it may Await, SetGrad and Recycle freely.
+type evaluator struct {
+	req  chan struct{}
+	done chan evaluation // buffered: the helper never waits to hand a loss over
+	ph   *phaseSlot      // worker 0's, charged by join
+}
+
+type evaluation struct {
+	loss float64
+	took time.Duration
+}
+
+func startEvaluator(m *nn.MLP, ds *nn.Dataset, ph *phaseSlot) *evaluator {
+	e := &evaluator{req: make(chan struct{}, 1), done: make(chan evaluation, 1), ph: ph}
+	go func() {
+		defer close(e.done)
+		for range e.req {
+			begin := time.Now()
+			loss := m.Loss(ds.X, ds.Labels)
+			e.done <- evaluation{loss, time.Since(begin)}
+		}
+	}()
+	return e
+}
+
+// start asks for the loss of the current parameters.
+func (e *evaluator) start() { e.req <- struct{}{} }
+
+// join waits for the loss start asked for, charging the wait to worker 0's
+// eval-wait phase and the evaluation itself to the helper's total.
+func (e *evaluator) join() float64 {
+	begin := time.Now()
+	r := <-e.done
+	e.ph.sum.EvalWait += time.Since(begin)
+	e.ph.eval += r.took
+	return r.loss
+}
+
+// stop ends the helper and waits for it to exit, dropping any loss nobody
+// joined: runWorker defers it, so the helper goes on every return path,
+// including a failed pull with an evaluation in flight.
+func (e *evaluator) stop() {
+	close(e.req)
+	for range e.done {
+	}
 }
 
 // genEvent records one tensor's gradient becoming available during

@@ -57,6 +57,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{"Batch", func(c *Config) { c.Batch = c.Dataset.X.Rows + 1 }},
 		{"Batch", func(c *Config) { c.Batch = 20 * c.Dataset.X.Rows }},
 		{"Layers[1]", func(c *Config) { c.Layers = []int{8, 0, 4} }},
+		// And two more: a label past the model's classes (tensor: label 4
+		// out of range) and fewer labels than rows (index out of range).
+		{"Dataset.Labels", func(c *Config) { c.Dataset = nn.Blobs(256, 8, 5, 1) }},
+		{"Dataset.Labels", func(c *Config) { c.Dataset = &nn.Dataset{X: c.Dataset.X, Labels: c.Dataset.Labels[:200]} }},
 	} {
 		cfg := baseConfig()
 		c.set(&cfg)
@@ -223,6 +227,45 @@ func TestTensor0RoundTripRecorded(t *testing.T) {
 		if d <= 0 {
 			t.Fatalf("round trip %d = %v", i, d)
 		}
+	}
+}
+
+// TestPhasesAccountForTheIteration: every phase is a non-negative slice of
+// an iteration, so the max across workers is at least the mean, and the
+// phase means — disjoint intervals of each worker's iterations — sum to no
+// more than the mean iteration (worker 0's, which also holds the last
+// evaluation). Worker 0's helper evaluated in every iteration counted.
+func TestPhasesAccountForTheIteration(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Workers = 4
+	cfg.Layers = []int{8, 32, 32, 4}
+	cfg.Dataset = nn.Blobs(2048, 8, 4, 3)
+	cfg.Policy = "prophet"
+	cfg.BandwidthBytesPerSec = 4e6
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := res.Phases
+	mean := []time.Duration{pt.Mean.Compute, pt.Mean.Wire, pt.Mean.Update, pt.Mean.EvalWait}
+	max := []time.Duration{pt.Max.Compute, pt.Max.Wire, pt.Max.Update, pt.Max.EvalWait}
+	var sum time.Duration
+	for p, name := range []string{"compute", "wire", "update", "eval-wait"} {
+		if mean[p] < 0 || max[p] < mean[p] {
+			t.Errorf("%s: mean %v, max %v", name, mean[p], max[p])
+		}
+		sum += mean[p]
+	}
+	var iter time.Duration
+	for _, d := range res.IterationTime[1:] {
+		iter += d
+	}
+	iter /= time.Duration(len(res.IterationTime) - 1)
+	if sum > iter {
+		t.Errorf("phase means sum to %v, more than the mean iteration %v (%+v)", sum, iter, pt)
+	}
+	if pt.Mean.Compute <= 0 || pt.Mean.Wire <= 0 || pt.Eval <= 0 {
+		t.Errorf("compute, wire or the helper's evaluation not measured: %+v", pt)
 	}
 }
 

@@ -50,6 +50,9 @@ type dense struct {
 type MLP struct {
 	layers  []*dense
 	tensors []Tensor
+	// eval is walk's scratch: eval[0] views the input block, eval[l+1] holds
+	// layer l's output for one block.
+	eval []tensor.Mat
 }
 
 // NewMLP builds a network with the given layer widths, e.g.
@@ -191,30 +194,82 @@ func (m *MLP) SetGrad(idx int, g tensor.Vec) {
 	copy(dst, g)
 }
 
-// Loss computes the mean loss for a batch without touching gradients.
+// Loss computes the mean loss for a batch without touching gradients. It is
+// bit-identical to SoftmaxCrossEntropy over Forward(x) and allocates nothing
+// once the MLP's evaluation scratch exists (see walk).
 func (m *MLP) Loss(x *tensor.Mat, labels []int) float64 {
-	logits := m.Forward(x)
-	grad := tensor.NewMat(logits.Rows, logits.Cols)
-	return tensor.SoftmaxCrossEntropy(grad, logits, labels)
+	var total float64
+	m.walk(x, labels, func(logits *tensor.Mat, labels []int) {
+		total = tensor.CrossEntropySum(total, logits, labels)
+	})
+	return total * (1.0 / float64(x.Rows))
 }
 
-// Accuracy returns the fraction of samples whose argmax matches the label.
+// Accuracy returns the fraction of samples whose argmax matches the label
+// (the first maximum on a tie), allocation-free like Loss.
 func (m *MLP) Accuracy(x *tensor.Mat, labels []int) float64 {
-	logits := m.Forward(x)
 	correct := 0
-	for r := 0; r < logits.Rows; r++ {
-		row := logits.Row(r)
-		best := 0
-		for c, v := range row {
-			if v > row[best] {
-				best = c
+	m.walk(x, labels, func(logits *tensor.Mat, labels []int) {
+		for r, label := range labels {
+			row := logits.Row(r)
+			best := 0
+			for c, v := range row {
+				if v > row[best] {
+					best = c
+				}
+			}
+			if best == label {
+				correct++
 			}
 		}
-		if best == labels[r] {
-			correct++
+	})
+	return float64(correct) / float64(x.Rows)
+}
+
+// evalBlock is how many rows walk pushes through the network at a time: a
+// block's activations stay in cache, and its scratch is a few tens of KB
+// however large the dataset.
+const evalBlock = 64
+
+// walk is the forward pass of an evaluation: x goes through every layer
+// evalBlock rows at a time, in scratch the MLP owns (allocated on first use),
+// with an in-place ReLU and none of the caches Backward reads. visit gets
+// each block's logits and labels in row order. Every row's logits are those
+// Forward computes — a row's arithmetic never involves another row — so a
+// fold over the blocks in order reproduces the whole-batch result bit for
+// bit. Besides its scratch walk only reads the parameters, which Forward,
+// Backward and SetGrad never write, so it may run concurrently with them —
+// but not with Step, and not with another walk.
+func (m *MLP) walk(x *tensor.Mat, labels []int, visit func(logits *tensor.Mat, labels []int)) {
+	if x.Cols != m.layers[0].in {
+		panic(fmt.Sprintf("nn: input has %d features, model expects %d", x.Cols, m.layers[0].in))
+	}
+	if len(labels) != x.Rows {
+		panic(fmt.Sprintf("nn: %d labels for %d rows", len(labels), x.Rows))
+	}
+	if m.eval == nil {
+		m.eval = make([]tensor.Mat, len(m.layers)+1)
+		for l, d := range m.layers {
+			m.eval[l+1] = tensor.Mat{Cols: d.out, Data: tensor.NewVec(evalBlock * d.out)}
 		}
 	}
-	return float64(correct) / float64(logits.Rows)
+	in := &m.eval[0]
+	in.Cols = x.Cols
+	for lo := 0; lo < x.Rows; lo += evalBlock {
+		n := min(evalBlock, x.Rows-lo)
+		in.Rows, in.Data = n, x.Data[lo*x.Cols:(lo+n)*x.Cols]
+		for l, d := range m.layers {
+			out := &m.eval[l+1]
+			out.Rows, out.Data = n, out.Data[:n*d.out]
+			tensor.MatMul(out, &m.eval[l], d.w)
+			tensor.AddRowBias(out, d.b)
+			if d.applyNL {
+				tensor.ReLUInPlace(out)
+			}
+		}
+		visit(&m.eval[len(m.layers)], labels[lo:lo+n])
+	}
+	in.Data = nil // do not keep the caller's dataset reachable
 }
 
 // Dataset is a labeled classification set.

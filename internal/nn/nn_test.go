@@ -100,9 +100,59 @@ func TestTrainingConverges(t *testing.T) {
 	}
 }
 
-// TestTrainingAllocations pins a warm training step and an evaluation of
-// the live-ring MLP to the matrices, masks and gradients they return: the
-// kernels underneath allocate nothing of their own.
+// TestEvaluationMatchesWholeBatch: Loss and Accuracy walk the dataset a
+// block at a time, and must return exactly — bit for bit — what one
+// whole-batch Forward followed by SoftmaxCrossEntropy or a row-wise argmax
+// does, at initialisation and after training, on a row count the block does
+// not divide.
+func TestEvaluationMatchesWholeBatch(t *testing.T) {
+	wholeBatch := func(m *MLP, ds *Dataset) (loss, acc float64) {
+		logits := m.Forward(ds.X)
+		loss = tensor.SoftmaxCrossEntropy(tensor.NewMat(logits.Rows, logits.Cols), logits, ds.Labels)
+		correct := 0
+		for r := 0; r < logits.Rows; r++ {
+			row := logits.Row(r)
+			best := 0
+			for c, v := range row {
+				if v > row[best] {
+					best = c
+				}
+			}
+			if best == ds.Labels[r] {
+				correct++
+			}
+		}
+		return loss, float64(correct) / float64(logits.Rows)
+	}
+	for _, sizes := range [][]int{{16, 32, 32, 4}, {16, 128, 128, 4}, {16, 8, 4}} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			m := NewMLP(sizes, seed)
+			ds := Blobs(2007, 16, 4, seed)
+			check := func(when string) {
+				t.Helper()
+				loss, acc := wholeBatch(m, ds)
+				if got := m.Loss(ds.X, ds.Labels); math.Float64bits(got) != math.Float64bits(loss) {
+					t.Errorf("%v seed %d %s: Loss %v, whole batch %v", sizes, seed, when, got, loss)
+				}
+				if got := m.Accuracy(ds.X, ds.Labels); math.Float64bits(got) != math.Float64bits(acc) {
+					t.Errorf("%v seed %d %s: Accuracy %v, whole batch %v", sizes, seed, when, got, acc)
+				}
+			}
+			check("at init")
+			for step := 0; step < 20; step++ {
+				x, labels := ds.Batch(step*32, step*32+32)
+				m.Backward(m.Forward(x), labels, nil)
+				m.Step(0.1)
+			}
+			check("after 20 steps")
+		}
+	}
+}
+
+// TestTrainingAllocations pins a warm training step of the live-ring MLP to
+// the matrices, masks and gradients it returns, and a full-dataset
+// evaluation to nothing: the kernels underneath allocate nothing of their
+// own.
 func TestTrainingAllocations(t *testing.T) {
 	m := NewMLP([]int{16, 32, 32, 4}, 1)
 	ds := Blobs(2048, 16, 4, 1)
@@ -118,13 +168,36 @@ func TestTrainingAllocations(t *testing.T) {
 			m.Backward(m.Forward(x), labels, nil)
 			m.Step(0.05)
 		}},
-		// Forward, then the logits gradient it discards.
-		{"full-dataset Loss", 10, func() { m.Loss(ds.X, ds.Labels) }},
+		// Evaluation walks the dataset in scratch the MLP already owns.
+		{"full-dataset Loss", 0, func() { m.Loss(ds.X, ds.Labels) }},
+		{"full-dataset Accuracy", 0, func() { m.Accuracy(ds.X, ds.Labels) }},
 	} {
 		tc.run()
 		if got := testing.AllocsPerRun(10, tc.run); got != tc.want {
 			t.Errorf("%s allocates %v times, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// BenchmarkLoss times one full-dataset evaluation — worker 0's per-iteration
+// Loss on the live path — at the MLP shapes of the live-ring and
+// live-ps-shaped workloads: the benchmark's nn.loss_eval_ms, per op.
+func BenchmarkLoss(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		sizes []int
+	}{
+		{"live-ring", []int{16, 32, 32, 4}},
+		{"live-ps-shaped", []int{16, 128, 128, 4}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := NewMLP(bc.sizes, 1)
+			ds := Blobs(2048, 16, 4, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.Loss(ds.X, ds.Labels)
+			}
+		})
 	}
 }
 

@@ -115,9 +115,9 @@ func MatMul(out, a, b *Mat) {
 			if av == 0 {
 				continue
 			}
-			br := b.Row(k)
-			for c := range or {
-				or[c] += av * br[c]
+			br := b.Row(k)[:len(or)] // same length: no bounds check below
+			for c, bv := range br {
+				or[c] += av * bv
 			}
 		}
 	}
@@ -187,6 +187,17 @@ func ReLU(m *Mat) []bool {
 	return mask
 }
 
+// ReLUInPlace applies max(0, x) elementwise like ReLU — every entry that is
+// not positive, NaN included, becomes 0 — without the mask a forward pass
+// that will not be differentiated has no use for.
+func ReLUInPlace(m *Mat) {
+	for i, v := range m.Data {
+		if !(v > 0) {
+			m.Data[i] = 0
+		}
+	}
+}
+
 // ReLUBackward zeroes gradient entries where the mask is inactive.
 func ReLUBackward(grad *Mat, mask []bool) {
 	if len(mask) != len(grad.Data) {
@@ -210,30 +221,50 @@ func SoftmaxCrossEntropy(grad, logits *Mat, labels []int) float64 {
 	var total float64
 	for r := 0; r < logits.Rows; r++ {
 		row := logits.Row(r)
-		grow := grad.Row(r)
-		max := row[0]
-		for _, v := range row {
-			if v > max {
-				max = v
-			}
-		}
-		var sum float64
-		for c, v := range row {
-			e := math.Exp(v - max)
-			grow[c] = e
-			sum += e
-		}
 		label := labels[r]
-		if label < 0 || label >= logits.Cols {
-			panic(fmt.Sprintf("tensor: label %d out of range", label))
-		}
-		p := grow[label] / sum
-		total += -math.Log(math.Max(p, 1e-300))
-		for c := range grow {
-			grow[c] = (grow[c]/sum - b2f(c == label)) * inv
+		max, sum, loss := rowCrossEntropy(row, label)
+		total += loss
+		grow := grad.Row(r)
+		for c, v := range row {
+			grow[c] = (math.Exp(v-max)/sum - b2f(c == label)) * inv
 		}
 	}
 	return total * inv
+}
+
+// CrossEntropySum adds each row's softmax cross-entropy against its label to
+// total, in row order, and returns the sum: the numerator of
+// SoftmaxCrossEntropy's mean, computed without a gradient. Calls over
+// consecutive blocks of rows, each continuing the last one's sum, add up
+// exactly what one call over all of them would.
+func CrossEntropySum(total float64, logits *Mat, labels []int) float64 {
+	if len(labels) != logits.Rows {
+		panic("tensor: CrossEntropySum shape mismatch")
+	}
+	for r := 0; r < logits.Rows; r++ {
+		_, _, loss := rowCrossEntropy(logits.Row(r), labels[r])
+		total += loss
+	}
+	return total
+}
+
+// rowCrossEntropy is the per-row softmax both cross-entropy kernels share:
+// the row's max, the sum of exp(v − max) over it, and −log p(label).
+func rowCrossEntropy(row Vec, label int) (max, sum, loss float64) {
+	if label < 0 || label >= len(row) {
+		panic(fmt.Sprintf("tensor: label %d out of range", label))
+	}
+	max = row[0]
+	for _, v := range row {
+		if v > max {
+			max = v
+		}
+	}
+	for _, v := range row {
+		sum += math.Exp(v - max)
+	}
+	p := math.Exp(row[label]-max) / sum
+	return max, sum, -math.Log(math.Max(p, 1e-300))
 }
 
 func b2f(b bool) float64 {

@@ -82,8 +82,10 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		"MatMulTransA":        func() { MatMulTransA(dw, x, dy) },
 		"MatMulTransB":        func() { MatMulTransB(dx, dy, w) },
 		"AddRowBias":          func() { AddRowBias(y, w.Row(0)) },
+		"ReLUInPlace":         func() { ReLUInPlace(dx) },
 		"ReLUBackward":        func() { ReLUBackward(dx, mask) },
 		"SoftmaxCrossEntropy": func() { SoftmaxCrossEntropy(dy, y, labels) },
+		"CrossEntropySum":     func() { CrossEntropySum(0, y, labels) },
 		"AXPY 1<<15":          func() { v.AXPY(0.5, u) },
 		"Scale 1<<15":         func() { v.Scale(0.5) },
 	} {
@@ -191,6 +193,38 @@ func TestReLUAndBackward(t *testing.T) {
 	ReLUBackward(g, mask)
 	if g.Data[0] != 0 || g.Data[1] != 5 || g.Data[2] != 0 || g.Data[3] != 5 {
 		t.Fatalf("relu backward: %v", g.Data)
+	}
+}
+
+// ReLUInPlace is ReLU without the mask: the same values, NaN and -0 included.
+func TestReLUInPlaceMatchesReLU(t *testing.T) {
+	m := NewMat(1, 6)
+	copy(m.Data, []float64{-1, 2, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1)})
+	ref := m.Clone()
+	ReLU(ref)
+	ReLUInPlace(m)
+	for i := range m.Data {
+		if math.Float64bits(m.Data[i]) != math.Float64bits(ref.Data[i]) {
+			t.Fatalf("entry %d: %v, ReLU gives %v", i, m.Data[i], ref.Data[i])
+		}
+	}
+}
+
+// CrossEntropySum continued over consecutive blocks of rows is exactly the
+// numerator of SoftmaxCrossEntropy's mean over all of them.
+func TestCrossEntropySumOverBlocks(t *testing.T) {
+	rng := sim.NewRand(5)
+	logits := NewMat(7, 4)
+	logits.FillRandn(rng, 3)
+	labels := []int{0, 3, 1, 2, 2, 0, 3}
+	want := SoftmaxCrossEntropy(NewMat(7, 4), logits, labels)
+	var total float64
+	for _, blk := range [][2]int{{0, 3}, {3, 6}, {6, 7}} {
+		rows := &Mat{Rows: blk[1] - blk[0], Cols: 4, Data: logits.Data[4*blk[0] : 4*blk[1]]}
+		total = CrossEntropySum(total, rows, labels[blk[0]:blk[1]])
+	}
+	if got := total * (1.0 / 7); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("blocked mean %v, SoftmaxCrossEntropy %v", got, want)
 	}
 }
 
