@@ -577,10 +577,3 @@ func (w *worker) debugPulled() string {
 	}
 	return fmt.Sprintf("missingPulls=%d first=%d pushedSoFar[first]=%v", missing, first, w.drv.Offset(max(first, 0)))
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

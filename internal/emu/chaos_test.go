@@ -9,7 +9,6 @@ import (
 	"prophet/internal/fault"
 	"prophet/internal/nn"
 	"prophet/internal/probe"
-	"prophet/internal/ps"
 	"prophet/internal/transport"
 )
 
@@ -170,15 +169,19 @@ func TestChaosTransientStallRecovers(t *testing.T) {
 
 // TestChaosPermanentStallTimesOut: a stall longer than the pull timeout
 // fails the run with ErrPullTimeout within the stall's duration — the
-// wait-with-timeout policy's bound, not a hang.
+// wait-with-timeout policy's bound, not a hang — and the timeout is counted.
 func TestChaosPermanentStallTimesOut(t *testing.T) {
 	cfg := chaosConfig(t)
 	cfg.Faults = map[int]fault.Spec{1: fault.StallAt(midIteration, 700*time.Millisecond)}
 	cfg.Failure = WaitTimeout
 	cfg.PullTimeout = 100 * time.Millisecond
+	cfg.Metrics = probe.NewMetrics()
 	_, err := Run(cfg)
-	if !errors.Is(err, ps.ErrPullTimeout) {
+	if !errors.Is(err, ErrPullTimeout) {
 		t.Fatalf("err = %v, want ErrPullTimeout", err)
+	}
+	if n := cfg.Metrics.Counter("emu_pull_timeouts").Value(); n < 1 {
+		t.Fatalf("emu_pull_timeouts = %d, want ≥ 1", n)
 	}
 }
 

@@ -536,7 +536,6 @@ func Run(cfg Config) (*Result, error) {
 		for w := range engines {
 			engines[w] = &collectiveEngine{
 				peer: fab.Peer(w), workers: cfg.Workers, name: cfg.Transport,
-				board: board, decides: w == 0,
 				opBound: waitBound, abort: abort,
 			}
 		}
@@ -610,7 +609,7 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			workerErrs[w] = runWorker(w, cfg, waitBound, engines[w], tables, res, &phases[w], clock)
+			workerErrs[w] = runWorker(w, cfg, waitBound, engines[w], board, tables, res, &phases[w], clock)
 			if lockstep && workerErrs[w] != nil {
 				// Lockstep peers are blocked mid-exchange on this worker:
 				// tear the wire down so they fail instead of hanging.
@@ -711,8 +710,12 @@ func newWorkerTables(cfg *Config) *workerTables {
 
 // runWorker executes the synchronous SGD loop for one worker, dispatching
 // the decided sends through the transport's liveEngine, and accumulates its
-// phase times into ph.
-func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, tables *workerTables, res *Result, ph *phaseSlot, clock func() float64) error {
+// phase times into ph. board is non-nil on a lockstep transport, where every
+// worker must execute the *same* decision sequence (collective ops are
+// synchronous and order-sensitive): worker 0 decides and publishes each
+// iteration's plan there, and the rest execute it. On the PS wire it is nil
+// and every worker decides for itself — the server aggregates per tensor.
+func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, board *planBoard, tables *workerTables, res *Result, ph *phaseSlot, clock func() float64) error {
 	m := nn.NewMLP(cfg.Layers, cfg.Seed)
 	nTensors := m.NumTensors()
 	shardStride := cfg.Workers * cfg.Batch
@@ -734,10 +737,9 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, tab
 	}
 	eng.Bind(pp)
 
-	// Lockstep transports publish one worker's plan for all: followers
-	// skip the scheduler stack entirely and execute what Plan hands them.
-	pl, isPlanned := eng.(planner)
-	decides := !isPlanned || pl.Decides()
+	// Followers skip the scheduler stack entirely and execute the board's
+	// plan.
+	decides := board == nil || w == 0
 
 	var ev *evaluator
 	if w == 0 {
@@ -821,12 +823,12 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, tab
 			if err != nil {
 				return fmt.Errorf("emu: worker %d iter %d: %w", w, iter, err)
 			}
-			if isPlanned {
-				pl.Publish(iter, sends)
+			if board != nil {
+				board.publish(iter, sends)
 			}
 		} else {
 			var err error
-			sends, err = pl.Plan(iter)
+			sends, err = board.plan(iter)
 			if err != nil {
 				return fmt.Errorf("emu: worker %d iter %d: %w", w, iter, err)
 			}

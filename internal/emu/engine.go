@@ -45,22 +45,6 @@ type liveEngine interface {
 	Recycle(buf []float64)
 }
 
-// planner is the optional second face of an engine whose transport needs
-// every worker to execute the *same* decision sequence in lockstep (the
-// collective exchange: ops are synchronous and order-sensitive). One
-// worker decides and publishes; the rest execute the published plan. The
-// PS engine does not implement it — the server aggregates per tensor, so
-// workers may decide independently.
-type planner interface {
-	// Decides reports whether this worker runs the scheduler itself.
-	Decides() bool
-	// Publish makes the deciding worker's iteration plan available to the
-	// followers.
-	Publish(iter int, sends []wireSend)
-	// Plan blocks until the deciding worker published iteration iter.
-	Plan(iter int) ([]wireSend, error)
-}
-
 // psEngine executes decided sends against the sharded parameter server:
 // push + inline pull-request batches per shard (PushPullBatch), responses
 // awaited per tensor.
@@ -203,7 +187,7 @@ func (e *psEngine) send(s, seq, iter int, tensors []int, grad func(int) []float6
 func (e *psEngine) Await(iter, idx int, timeout time.Duration) ([]float64, time.Time, error) {
 	agg, err := awaitPull(e.chans[idx], timeout)
 	if err != nil {
-		if errors.Is(err, ps.ErrPullTimeout) {
+		if errors.Is(err, ErrPullTimeout) {
 			e.metrics.Counter("emu_pull_timeouts").Inc()
 		}
 		return nil, time.Time{}, err
@@ -218,7 +202,13 @@ func (e *psEngine) Await(iter, idx int, timeout time.Duration) ([]float64, time.
 // Recycle implements liveEngine.
 func (e *psEngine) Recycle(buf []float64) { e.client.Recycle(buf) }
 
-// awaitPull waits for one pull result with an optional timeout.
+// ErrPullTimeout marks a parameter pull that outlived its bound
+// (Config.PullTimeout, or the default a faulted run gets).
+var ErrPullTimeout = errors.New("emu: pull timed out")
+
+// awaitPull waits for one pull result with an optional timeout: the only
+// bound on a pull, since the ps client waits until the response or the
+// connection's end.
 func awaitPull(ch <-chan ps.PullResult, timeout time.Duration) ([]float64, error) {
 	if timeout <= 0 {
 		r, ok := <-ch
@@ -230,7 +220,7 @@ func awaitPull(ch <-chan ps.PullResult, timeout time.Duration) ([]float64, error
 	case r, ok := <-ch:
 		return pullOutcome(r, ok)
 	case <-timer.C:
-		return nil, fmt.Errorf("%w after %v", ps.ErrPullTimeout, timeout)
+		return nil, fmt.Errorf("%w after %v", ErrPullTimeout, timeout)
 	}
 }
 

@@ -85,14 +85,12 @@ func (b *planBoard) fail(err error) {
 // collective invariant.
 //
 // The engine runs a single lane (the ring is itself a barrier; the
-// simulator models it as one serial link) and implements planner: worker
-// 0 decides, everyone executes worker 0's plan.
+// simulator models it as one serial link). Worker 0 decides; every other
+// worker executes its plan from the run's planBoard.
 type collectiveEngine struct {
 	peer    *collective.Peer
 	workers int
 	name    string // the transport's, for error attribution
-	board   *planBoard
-	decides bool
 	// opBound bounds each op the way the pull timeout bounds each pull: past
 	// it, abort tears the run down (0 = unbounded, and no timer is armed).
 	opBound time.Duration
@@ -136,15 +134,6 @@ func (e *collectiveEngine) Lanes() int { return 1 }
 
 // LaneOf implements liveEngine.
 func (e *collectiveEngine) LaneOf() func(int) int { return nil }
-
-// Decides implements planner.
-func (e *collectiveEngine) Decides() bool { return e.decides }
-
-// Publish implements planner.
-func (e *collectiveEngine) Publish(iter int, sends []wireSend) { e.board.publish(iter, sends) }
-
-// Plan implements planner.
-func (e *collectiveEngine) Plan(iter int) ([]wireSend, error) { return e.board.plan(iter) }
 
 func (e *collectiveEngine) emitStep(step, steps int, bytes float64, start, end float64) {
 	e.stepObs.SendStep(e.pp.worker, 0, e.curSeq, step, steps, bytes, start, end)

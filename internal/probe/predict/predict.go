@@ -45,6 +45,7 @@
 package predict
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -295,24 +296,12 @@ func (a *Auditor) SendComplete(worker, lane, iter int, msgDone bool, now float64
 	r.EndErr = now - p.end
 	predDur := p.end - p.start
 	obsDur := now - o.start
-	r.AbsErr = obsDur - predDur
-	if r.AbsErr < 0 {
-		r.AbsErr = -r.AbsErr
-	}
-	worst := r.StartErr
-	if worst < 0 {
-		worst = -worst
-	}
-	if e := r.EndErr; e > worst {
-		worst = e
-	} else if -e > worst {
-		worst = -e
-	}
-	r.RelErr = worst / maxf(predDur, eps)
+	r.AbsErr = math.Abs(obsDur - predDur)
+	r.RelErr = max(math.Abs(r.StartErr), math.Abs(r.EndErr)) / max(predDur, eps)
 	a.residuals = append(a.residuals, r)
 	ac.joined++
 	ac.sumAbs += r.AbsErr
-	ac.sumStartAbs += absf(r.StartErr)
+	ac.sumStartAbs += math.Abs(r.StartErr)
 	a.mu.Unlock()
 	a.cJoined.Inc()
 	a.hRelErr.Observe(r.RelErr * 100)
@@ -375,7 +364,7 @@ func (a *Auditor) Flush() {
 	var emits []scoreEmit
 	for _, k := range keys {
 		ac := a.accum[k]
-		now := maxf(maxf(ac.begin, ac.lastGen), maxf(ac.lastSendEnd, ac.lastAck))
+		now := max(ac.begin, ac.lastGen, ac.lastSendEnd, ac.lastAck)
 		emits = append(emits, a.finalizeLocked(k, now))
 	}
 	a.mu.Unlock()
@@ -425,7 +414,7 @@ func (a *Auditor) finalizeLocked(k wiKey, now float64) scoreEmit {
 	}
 	var alarm *Alarm
 	if ac.joined > 0 {
-		sc.Div = ac.sumAbs / maxf(ac.sumPred, eps)
+		sc.Div = ac.sumAbs / max(ac.sumPred, eps)
 		prev, seeded := a.ewma[k.worker]
 		if !seeded {
 			sc.Drift = sc.Div
@@ -466,18 +455,4 @@ func (a *Auditor) emit(emits []scoreEmit) {
 			a.opts.OnAlarm(*e.alarm)
 		}
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func absf(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -97,24 +97,6 @@ func TestPushPullBatchFailsAsUnit(t *testing.T) {
 	}
 }
 
-// TestShardedBatchRejectsCrossShard: the sharded wrapper only batches
-// same-destination tensors — one wire write goes to one shard.
-func TestShardedBatchRejectsCrossShard(t *testing.T) {
-	conns := []*sinkConn{newSinkConn(), newSinkConn()}
-	links := []WorkerLink{NewClient(conns[0]), NewClient(conns[1])}
-	sc := NewShardedLinks(links, func(tensor int) int { return tensor % 2 })
-	defer sc.Close()
-	err := sc.PushPullBatch(0, []int{0, 1},
-		func(tensor int) []float64 { return nil },
-		func(tensor int, ch <-chan PullResult) {})
-	if err == nil || !strings.Contains(err.Error(), "spans shards") {
-		t.Fatalf("expected cross-shard rejection, got %v", err)
-	}
-	if err := sc.PushPullBatch(0, nil, nil, nil); err != nil {
-		t.Fatalf("empty batch should be a no-op, got %v", err)
-	}
-}
-
 // TestPushPullBatchConnLost: a dead connection fails the whole batch with
 // ErrConnLost and deregisters everything.
 func TestPushPullBatchConnLost(t *testing.T) {

@@ -261,36 +261,6 @@ func TestStragglerPolicyDropsSilentWorker(t *testing.T) {
 	}
 }
 
-// TestPullTimeout: a pull whose slot never completes fails with
-// ErrPullTimeout instead of hanging.
-func TestPullTimeout(t *testing.T) {
-	srv := NewServer(2)
-	conns := make([]net.Conn, 2)
-	clients := make([]*MuxGroup, 2)
-	for w := range conns {
-		a, b := transport.Pipe(0, 0)
-		conns[w] = b
-		clients[w] = NewMuxGroup(a, 1, MuxGroupOptions{PullTimeout: 40 * time.Millisecond})
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(conns) }()
-
-	clients[0].Worker(0).Push(0, 0, []float64{1}) // worker 1 never pushes
-	_, err := clients[0].Worker(0).Pull(0, 0)
-	if !errors.Is(err, ErrPullTimeout) {
-		t.Fatalf("err = %v, want ErrPullTimeout", err)
-	}
-	for _, c := range clients {
-		c.Close()
-	}
-	for _, b := range conns {
-		b.Close()
-	}
-	if err := <-done; err != nil {
-		t.Errorf("serve: %v", err)
-	}
-}
-
 // TestOnWorkerFailureSeesCorruptFrame: a corrupted push payload surfaces
 // through the per-worker failure callback and Serve's return value instead
 // of being treated as a clean shutdown.
@@ -343,7 +313,7 @@ func TestInjectedDropSurfacesNotHangs(t *testing.T) {
 	// The push is one header plus a 64-float (512-byte) payload; drop
 	// mid-payload.
 	fa := fault.DropAt(transport.MuxHeaderSize + 512/2).Wrap(a)
-	g := NewMuxGroup(fa, 1, MuxGroupOptions{PullTimeout: 2 * time.Second})
+	g := NewMuxGroup(fa, 1, MuxGroupOptions{})
 	c := g.Worker(0)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve([]net.Conn{b}) }()
@@ -370,7 +340,7 @@ func TestStallDelaysButCompletes(t *testing.T) {
 	a, b := transport.Pipe(0, 0)
 	const stall = 60 * time.Millisecond
 	fa := fault.StallAt(transport.MuxHeaderSize+3, stall).Wrap(a) // mid-push-frame, inside the payload
-	g := NewMuxGroup(fa, 1, MuxGroupOptions{PullTimeout: 5 * time.Second})
+	g := NewMuxGroup(fa, 1, MuxGroupOptions{})
 	c := g.Worker(0)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve([]net.Conn{b}) }()

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"prophet/internal/probe"
 	"prophet/internal/transport"
@@ -203,12 +202,12 @@ func (r *muxResponder) respond(j respJob) error {
 }
 
 // MuxGroupOptions configures the client half of a connection. There is no
-// redial: reconnect policy belongs to whoever owns the group.
+// redial: reconnect policy belongs to whoever owns the group, and no pull
+// timeout: a pull waits until its response arrives or the connection goes,
+// so whoever waits on it bounds the wait.
 type MuxGroupOptions struct {
-	// PullTimeout bounds each MuxWorker.Pull (0 = wait forever).
-	PullTimeout time.Duration
-	// Metrics, when non-nil, counts pull timeouts and lost connections
-	// under the ps_client_* names (shared by all workers of the group).
+	// Metrics, when non-nil, counts lost connections under the
+	// ps_client_conn_lost name (shared by all workers of the group).
 	Metrics *probe.Metrics
 }
 
@@ -217,11 +216,10 @@ type MuxGroupOptions struct {
 // single demux goroutine. Obtain per-worker handles with Worker.
 type MuxGroup struct {
 	mc      *transport.MuxConn
-	opts    MuxGroupOptions
 	workers []*MuxWorker
 	done    chan struct{}
 
-	mTimeouts, mConnLost *probe.Counter
+	mConnLost *probe.Counter
 }
 
 // NewMuxGroup wraps conn (the peer must be a Server.ServeMux with the same
@@ -232,12 +230,10 @@ func NewMuxGroup(conn net.Conn, workers int, opts MuxGroupOptions) *MuxGroup {
 	}
 	g := &MuxGroup{
 		mc:      transport.NewMuxConn(conn, transport.MuxOptions{Streams: workers, Pool: payloads}),
-		opts:    opts,
 		workers: make([]*MuxWorker, workers),
 		done:    make(chan struct{}),
 	}
 	if m := opts.Metrics; m != nil {
-		g.mTimeouts = m.Counter("ps_client_pull_timeouts")
 		g.mConnLost = m.Counter("ps_client_conn_lost")
 	}
 	for w := range g.workers {
@@ -286,7 +282,6 @@ type MuxWorker struct {
 	mu      sync.Mutex
 	pending map[slotKey]chan PullResult
 	readErr error
-	closed  bool
 }
 
 // deliver routes one demuxed frame; the payload is decoded before the
@@ -332,9 +327,6 @@ func (mw *MuxWorker) failPending(err error) {
 func (mw *MuxWorker) register(k slotKey) (chan PullResult, error) {
 	mw.mu.Lock()
 	defer mw.mu.Unlock()
-	if mw.closed {
-		return nil, net.ErrClosed
-	}
 	if mw.readErr != nil {
 		return nil, mw.readErr
 	}
@@ -352,16 +344,8 @@ func (mw *MuxWorker) deregister(k slotKey) {
 	mw.mu.Unlock()
 }
 
-// Push sends a gradient tensor on this worker's stream. A closed worker's
-// stream rejects the push: the shared connection is still live, and a
-// stray push would count toward the server's per-iteration aggregation.
+// Push sends a gradient tensor on this worker's stream.
 func (mw *MuxWorker) Push(iter, tensor int, data []float64) error {
-	mw.mu.Lock()
-	closed := mw.closed
-	mw.mu.Unlock()
-	if closed {
-		return net.ErrClosed
-	}
 	return mw.g.mc.SendFloats(mw.stream, transport.Push, uint32(iter), uint32(tensor), data)
 }
 
@@ -431,51 +415,18 @@ func (mw *MuxWorker) PushPullBatch(iter int, tensors []int, grad func(tensor int
 	return nil
 }
 
-// Pull issues a pull and waits for the result, bounded by the group's
-// PullTimeout.
+// Pull issues a pull and waits for the result: the aggregate, or the error
+// of a failed response or a lost connection. It does not time out.
 func (mw *MuxWorker) Pull(iter, tensor int) ([]float64, error) {
 	ch, err := mw.PullAsync(iter, tensor)
 	if err != nil {
 		return nil, err
 	}
-	var timeoutC <-chan time.Time
-	if d := mw.g.opts.PullTimeout; d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		timeoutC = timer.C
-	}
-	select {
-	case r := <-ch:
-		return r.Data, r.Err
-	case <-timeoutC:
-		mw.deregister(slotKey{uint32(iter), uint32(tensor)})
-		if mw.g.mTimeouts != nil {
-			mw.g.mTimeouts.Inc()
-		}
-		return nil, fmt.Errorf("ps: pull iter %d tensor %d: %w after %v", iter, tensor, ErrPullTimeout, mw.g.opts.PullTimeout)
-	}
+	r := <-ch
+	return r.Data, r.Err
 }
 
 // Recycle hands a pull result's buffer back to the gradient pool. Optional
 // — an unrecycled result is ordinary garbage — but the caller must not use
 // data afterwards.
 func (mw *MuxWorker) Recycle(data []float64) { floats.Put(data) }
-
-// Close is worker-local: it fails this worker's pending pulls and rejects
-// new pulls and pushes, leaving the shared connection (and the group's
-// other workers) untouched. Close the MuxGroup to tear down the
-// connection itself.
-func (mw *MuxWorker) Close() error {
-	mw.mu.Lock()
-	if mw.closed {
-		mw.mu.Unlock()
-		return nil
-	}
-	mw.closed = true
-	for _, ch := range mw.pending {
-		ch <- PullResult{Err: net.ErrClosed}
-	}
-	mw.pending = make(map[slotKey]chan PullResult)
-	mw.mu.Unlock()
-	return nil
-}

@@ -23,7 +23,7 @@ func newMuxCluster(t *testing.T, workers int) (*Server, *MuxGroup, func() error)
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.ServeMux(b, ids) }()
-	g := NewMuxGroup(a, workers, MuxGroupOptions{PullTimeout: 5 * time.Second})
+	g := NewMuxGroup(a, workers, MuxGroupOptions{})
 	return s, g, func() error {
 		g.Close()
 		return <-serveErr
@@ -191,33 +191,5 @@ func TestMuxConnLossUnblocksParkedSender(t *testing.T) {
 	// New traffic is rejected, not blocked.
 	if _, err := link.PullAsync(2, 0); err == nil {
 		t.Fatal("pull after connection loss succeeded")
-	}
-}
-
-func TestMuxWorkerCloseIsLocal(t *testing.T) {
-	s, g, shutdown := newMuxCluster(t, 2)
-	if err := g.Worker(0).Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Worker(0).PullAsync(0, 0); err == nil {
-		t.Fatal("closed worker accepted a pull")
-	}
-	// The sibling's stream is untouched: once the server drops worker 0
-	// from the barrier, worker 1 trains on alone over the same conn.
-	s.DropWorker(0)
-	link := g.Worker(1)
-	if err := link.Push(0, 0, []float64{3}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := link.Pull(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[0] != 3 {
-		t.Fatalf("solo mean %v, want 3", data[0])
-	}
-	link.Recycle(data)
-	if err := shutdown(); err != nil {
-		t.Fatalf("serve: %v", err)
 	}
 }

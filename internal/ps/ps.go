@@ -28,9 +28,10 @@
 // (SetStragglerPolicy) can detect workers that never contribute to a slot
 // other workers are waiting on; DropWorker removes a worker from the
 // aggregation barrier and renormalizes the mean over the survivors, so
-// training degrades gracefully instead of hanging. The client side bounds
-// pulls with MuxGroupOptions.PullTimeout; a lost connection fails every
-// pending pull with ErrConnLost.
+// training degrades gracefully instead of hanging. On the client side a
+// lost connection fails every pending pull with ErrConnLost; a pull has no
+// timeout of its own, so whoever waits on one bounds the wait (internal/emu
+// does, per pull).
 package ps
 
 import (
@@ -47,9 +48,6 @@ import (
 
 // ErrConnLost marks client-side errors caused by a failed connection.
 var ErrConnLost = errors.New("ps: connection lost")
-
-// ErrPullTimeout marks a pull that exceeded MuxGroupOptions.PullTimeout.
-var ErrPullTimeout = errors.New("ps: pull timed out")
 
 // WorkerError attributes a server-side failure to one worker's connection.
 type WorkerError struct {

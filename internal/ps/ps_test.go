@@ -36,15 +36,17 @@ func newTopology(t *testing.T, workers int, shared bool) (*Server, []WorkerLink,
 	}
 	srv := NewServer(workers)
 	serverEnds := make([]net.Conn, workers)
+	clients := make([]*Client, workers)
 	for w := 0; w < workers; w++ {
 		a, b := transport.Pipe(0, 0)
 		serverEnds[w] = b
-		links[w] = NewClient(a)
+		clients[w] = NewClient(a)
+		links[w] = clients[w]
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(serverEnds) }()
 	return srv, links, func() error {
-		for _, c := range links {
+		for _, c := range clients {
 			c.Close()
 		}
 		return <-serveErr

@@ -1,21 +1,18 @@
 package ps
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // WorkerLink is one worker's connection surface to a parameter server
 // shard: a *MuxWorker — one stream of a connection carrying any number of
 // in-process workers — or a *Client, the one-stream case that also owns the
-// connection.
+// connection. Teardown is the connection owner's: MuxGroup.Close or
+// Client.Close.
 type WorkerLink interface {
 	Push(iter, tensor int, data []float64) error
 	PullAsync(iter, tensor int) (<-chan PullResult, error)
 	PushPullBatch(iter int, tensors []int, grad func(tensor int) []float64, res func(tensor int, ch <-chan PullResult)) error
 	Pull(iter, tensor int) ([]float64, error)
 	Recycle(data []float64)
-	Close() error
 }
 
 var (
@@ -23,17 +20,18 @@ var (
 	_ WorkerLink = (*MuxWorker)(nil)
 )
 
-// ShardedClient fans a worker's pushes and pulls across several parameter
-// server shards by a deterministic key→shard map: tensor t always talks to
-// shard of(t). Every worker and every shard server derives the same map
-// from the tensor sizes alone (internal/shard), so no coordination or
-// key-routing metadata crosses the wire — exactly how MXNet KVStore and
-// BytePS range-shard keys across PS instances.
+// ShardedClient is one worker's routing view over several parameter server
+// shards: tensor t always talks to Shard(ShardOf(t)). Every worker and every
+// shard server derives the same key→shard map from the tensor sizes alone
+// (internal/shard), so no coordination or key-routing metadata crosses the
+// wire — exactly how MXNet KVStore and BytePS range-shard keys across PS
+// instances.
 //
-// The client adds no scheduling of its own: callers decide the push order,
-// and the cross-shard priority invariant (no shard starts a lower-priority
-// block while a higher-priority one has unscheduled bytes) is the caller's
-// to enforce — internal/emu gates block dispatch for that.
+// The view adds no scheduling and owns no connection: callers send on the
+// shard links themselves, decide the push order, and enforce the
+// cross-shard priority invariant (no shard starts a lower-priority block
+// while a higher-priority one has unscheduled bytes) — internal/emu gates
+// block dispatch for that.
 type ShardedClient struct {
 	links []WorkerLink
 	of    func(tensor int) int
@@ -70,48 +68,6 @@ func (c *ShardedClient) ShardOf(t int) int {
 	return s
 }
 
-// Push sends a gradient tensor to its shard's server.
-func (c *ShardedClient) Push(iter, tensor int, data []float64) error {
-	return c.links[c.ShardOf(tensor)].Push(iter, tensor, data)
-}
-
-// PullAsync requests the aggregated tensor from its shard's server.
-func (c *ShardedClient) PullAsync(iter, tensor int) (<-chan PullResult, error) {
-	return c.links[c.ShardOf(tensor)].PullAsync(iter, tensor)
-}
-
-// PushPullBatch pushes the listed tensors — which must all live on one
-// shard — and issues their pull requests in one buffered write on that
-// shard's connection (see MuxWorker.PushPullBatch).
-func (c *ShardedClient) PushPullBatch(iter int, tensors []int, grad func(tensor int) []float64, res func(tensor int, ch <-chan PullResult)) error {
-	if len(tensors) == 0 {
-		return nil
-	}
-	s := c.ShardOf(tensors[0])
-	for _, t := range tensors[1:] {
-		if c.ShardOf(t) != s {
-			return fmt.Errorf("ps: batch spans shards %d and %d", s, c.ShardOf(t))
-		}
-	}
-	return c.links[s].PushPullBatch(iter, tensors, grad, res)
-}
-
 // Recycle hands a pull result's buffer back to the gradient pool (see
 // MuxWorker.Recycle).
 func (c *ShardedClient) Recycle(data []float64) { floats.Put(data) }
-
-// Pull blocks for the aggregated tensor from its shard's server.
-func (c *ShardedClient) Pull(iter, tensor int) ([]float64, error) {
-	return c.links[c.ShardOf(tensor)].Pull(iter, tensor)
-}
-
-// Close shuts down every shard link, joining the errors.
-func (c *ShardedClient) Close() error {
-	var errs []error
-	for s, cl := range c.links {
-		if err := cl.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", s, err))
-		}
-	}
-	return errors.Join(errs...)
-}

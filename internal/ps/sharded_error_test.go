@@ -1,18 +1,15 @@
 package ps
 
 import (
-	"errors"
-	"net"
 	"testing"
-	"time"
 
 	"prophet/internal/transport"
 )
 
-// The constructor and close paths of the sharded client and the mux
-// worker: misconfiguration must fail loudly at construction, connection
-// loss must fail a batch with a conn-flavored error instead of hanging,
-// and Close must be idempotent.
+// The constructor paths of the sharded view and the mux group, and a batch
+// on a lost connection: misconfiguration must fail loudly at construction,
+// and connection loss must fail a batch with a conn-flavored error instead
+// of hanging.
 
 func TestNewShardedLinksPanicsWithNoClients(t *testing.T) {
 	defer func() {
@@ -24,38 +21,16 @@ func TestNewShardedLinksPanicsWithNoClients(t *testing.T) {
 }
 
 func TestNewShardedLinksPanicsWithoutKeyMap(t *testing.T) {
-	conns := []*sinkConn{newSinkConn(), newSinkConn()}
-	links := []WorkerLink{NewClient(conns[0]), NewClient(conns[1])}
+	clients := []*Client{NewClient(newSinkConn()), NewClient(newSinkConn())}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic: multiple shards need a key map")
 		}
-		for _, l := range links {
-			l.Close()
+		for _, c := range clients {
+			c.Close()
 		}
 	}()
-	NewShardedLinks(links, nil)
-}
-
-// TestShardedClientDoubleClose pins Close idempotency across both link
-// flavors: the second Close must not panic, double-fail pending pulls, or
-// touch the other workers' streams.
-func TestShardedClientDoubleClose(t *testing.T) {
-	_, g, shutdown := newMuxCluster(t, 2)
-	sc := NewShardedLinks([]WorkerLink{g.Worker(0)}, nil)
-	if err := sc.Close(); err != nil {
-		t.Fatalf("first close: %v", err)
-	}
-	if err := sc.Close(); err != nil {
-		t.Fatalf("second close: %v", err)
-	}
-	// The sibling worker's stream is untouched by worker 0's close: the
-	// group connection stays up until shutdown.
-	if err := g.Worker(1).Push(0, 0, []float64{1}); err != nil {
-		t.Fatalf("sibling worker push after double close: %v", err)
-	}
-	g.Worker(1).Close()
-	shutdown() //nolint:errcheck — the server sees the torn-down conn
+	NewShardedLinks([]WorkerLink{clients[0], clients[1]}, nil)
 }
 
 // TestMuxWorkerBatchAfterConnLoss: a PushPullBatch on a mux stream whose
@@ -66,7 +41,7 @@ func TestMuxWorkerBatchAfterConnLoss(t *testing.T) {
 	a, b := transport.Pipe(0, 0)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.ServeMux(b, []int{0, 1}) }()
-	g := NewMuxGroup(a, 2, MuxGroupOptions{PullTimeout: 2 * time.Second})
+	g := NewMuxGroup(a, 2, MuxGroupOptions{})
 
 	a.Close() // kill the shared connection under both workers
 	<-serveErr
@@ -91,36 +66,6 @@ func TestMuxWorkerBatchAfterConnLoss(t *testing.T) {
 		t.Fatal("batch on dead connection reported no error")
 	}
 	g.Close()
-}
-
-// TestMuxWorkerDoubleClose: worker-local Close is idempotent and fails the
-// worker's pending pull exactly once with net.ErrClosed.
-func TestMuxWorkerDoubleClose(t *testing.T) {
-	_, g, shutdown := newMuxCluster(t, 2)
-	link := g.Worker(0)
-	ch, err := link.PullAsync(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := link.Close(); err != nil {
-		t.Fatalf("first close: %v", err)
-	}
-	select {
-	case r := <-ch:
-		if !errors.Is(r.Err, net.ErrClosed) {
-			t.Fatalf("pending pull failed with %v, want net.ErrClosed", r.Err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("pending pull not failed by Close")
-	}
-	if err := link.Close(); err != nil {
-		t.Fatalf("second close: %v", err)
-	}
-	if err := link.Push(0, 0, []float64{1}); err == nil {
-		t.Fatal("push accepted after close")
-	}
-	g.Worker(1).Close()
-	shutdown() //nolint:errcheck — remaining worker closed without pushing
 }
 
 // TestMuxGroupUnknownWorkerPanics: asking the group for a stream it never

@@ -50,13 +50,14 @@ func testShardedPushPullAggregates(t *testing.T, shared bool) {
 		go func(w int) {
 			defer wg.Done()
 			for tn := 0; tn < tensors; tn++ {
-				if err := clients[w].Push(0, tn, []float64{float64(w + tn)}); err != nil {
+				link := clients[w].Shard(clients[w].ShardOf(tn))
+				if err := link.Push(0, tn, []float64{float64(w + tn)}); err != nil {
 					t.Errorf("worker %d push %d: %v", w, tn, err)
 					return
 				}
 			}
 			for tn := 0; tn < tensors; tn++ {
-				got, err := clients[w].Pull(0, tn)
+				got, err := clients[w].Shard(clients[w].ShardOf(tn)).Pull(0, tn)
 				if err != nil {
 					t.Errorf("worker %d pull %d: %v", w, tn, err)
 					return
@@ -85,10 +86,11 @@ func TestShardedClientSingleShardNeedsNoMap(t *testing.T) {
 	_, clients, cleanup := newCluster(t, 1)
 	defer cleanup()
 	sc := NewShardedLinks(clients[:1], nil)
-	if err := sc.Push(0, 7, []float64{4}); err != nil {
+	link := sc.Shard(sc.ShardOf(7))
+	if err := link.Push(0, 7, []float64{4}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := sc.Pull(0, 7)
+	got, err := link.Pull(0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,5 +108,5 @@ func TestShardedClientRejectsBadMap(t *testing.T) {
 			t.Fatal("expected panic on out-of-range shard")
 		}
 	}()
-	sc.Push(0, 0, []float64{1})
+	sc.ShardOf(0)
 }
