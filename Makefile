@@ -73,11 +73,13 @@ conformance:
 
 # The live counterpart over real sockets: every registry strategy across
 # {per-worker PS pipes, shared PS pipe, ring, tree}, plus the sim≡live collective mirror,
-# and the one failure contract on ring/tree (seeded drop/stall/corrupt on the
+# the one failure contract on ring/tree (seeded drop/stall/corrupt on the
 # fabric pipe, the per-op bound, no goroutine left behind by emu.Run or
-# Fabric.Close), under the race detector.
+# Fabric.Close), and the engine seam's contract (every policy trains to the
+# same bits on every transport, the collective's event shape, per-shard
+# writers that overlap on private pipes), under the race detector.
 conformance-live:
-	$(GO) test -race -count=1 -run 'TestLiveTransportConformance|TestMirrorCollectiveTransports|TestCollectiveAckIsZero|TestCollectiveChaos|TestCollectiveOpBound' ./internal/emu
+	$(GO) test -race -count=1 -run 'TestLiveTransportConformance|TestMirrorCollectiveTransports|TestCollectiveAckIsZero|TestCollectiveChaos|TestCollectiveOpBound|TestAllPoliciesIdenticalTrajectory|TestCollectiveObserverContract|TestShardLanesOverlapOnPrivatePipes' ./internal/emu
 	$(GO) test -race -count=1 -run 'TestBadFrameUnblocksEveryPeer|TestCloseWaitsForReaders' ./internal/collective
 
 # Coverage gate over the scheduling core: each package in COVER_PKGS must

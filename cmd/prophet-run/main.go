@@ -457,19 +457,24 @@ func emulate(j job, rec *probe.SpanRecorder, obs probe.Observer, m *probe.Metric
 		res.Losses[0], res.Losses[len(res.Losses)-1], 100*res.FinalAccuracy,
 		res.PushOrder, res.Duration.Seconds(), j.iters)
 	// One row per phase of the worker loop, per iteration after the first:
-	// the mean across workers, and the max that the barrier hides.
-	ph := res.Phases
-	for _, row := range []struct {
-		name      string
-		mean, max time.Duration
-		note      string
-	}{
-		{"compute", ph.Mean.Compute, ph.Max.Compute, " across workers, per iteration after the first"},
-		{"wire", ph.Mean.Wire, ph.Max.Wire, ""},
-		{"update", ph.Mean.Update, ph.Max.Update, ""},
-		{"eval-wait", ph.Mean.EvalWait, ph.Max.EvalWait, fmt.Sprintf(" (worker 0; its helper evaluates %.2f ms)", 1e3*ph.Eval.Seconds())},
-	} {
-		fmt.Fprintf(&tail, "  %-17s%7.2f ms mean, %7.2f ms max%s\n", "phase "+row.name+":", 1e3*row.mean.Seconds(), 1e3*row.max.Seconds(), row.note)
+	// the mean across workers, and the max that the barrier hides. A
+	// one-iteration run has no such iteration, so it says that instead.
+	if j.iters < 2 {
+		tail.WriteString("  phases:          none timed: they exclude iteration 0, the only one\n")
+	} else {
+		ph := res.Phases
+		for _, row := range []struct {
+			name      string
+			mean, max time.Duration
+			note      string
+		}{
+			{"compute", ph.Mean.Compute, ph.Max.Compute, " across workers, per iteration after the first"},
+			{"wire", ph.Mean.Wire, ph.Max.Wire, ""},
+			{"update", ph.Mean.Update, ph.Max.Update, ""},
+			{"eval-wait", ph.Mean.EvalWait, ph.Max.EvalWait, fmt.Sprintf(" (worker 0; its helper evaluates %.2f ms)", 1e3*ph.Eval.Seconds())},
+		} {
+			fmt.Fprintf(&tail, "  %-17s%7.2f ms mean, %7.2f ms max%s\n", "phase "+row.name+":", 1e3*row.mean.Seconds(), 1e3*row.max.Seconds(), row.note)
+		}
 	}
 	return account{
 		what: fmt.Sprintf("a 16-%d-%d-4 MLP (live: %s)", j.hidden, j.hidden, wire),

@@ -95,6 +95,17 @@ func TestEmuPrintsPhaseRows(t *testing.T) {
 	}
 }
 
+// The phase rows exclude iteration 0, so a one-iteration live run has nothing
+// to put in them: it says so in one line instead of printing four rows of
+// zeros and a helper that "evaluates 0.00 ms".
+func TestEmuOneIterationPrintsNoPhaseRows(t *testing.T) {
+	got := labels(mustRun(t, small("emu", "-iters", "1")))
+	want := []string{"iteration time", "tensor-0 trip", "uplink payload", "loss", "push order", "wall time", "phases"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("-iters 1 prints %q, want %q", got, want)
+	}
+}
+
 // The transfer CSV has no worker column, so it must hold worker 0's rows
 // only — one per (iteration, tensor) — on every path. The emu and
 // collective paths used to write every worker's entries interleaved.

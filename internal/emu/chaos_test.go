@@ -2,6 +2,7 @@ package emu
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -40,22 +41,32 @@ func chaosConfig(t *testing.T) Config {
 }
 
 // TestChaosStragglerDropped: a throttled worker is detected by the
-// straggler policy, dropped, and the survivors finish training.
+// straggler policy, dropped, and the survivors finish training. Across
+// shards it is dropped by every shard server, and reported once.
 func TestChaosStragglerDropped(t *testing.T) {
-	cfg := chaosConfig(t)
-	cfg.Faults = map[int]fault.Spec{1: fault.Throttle(16 << 10)}
-	cfg.Failure = DropWorker
-	cfg.PullTimeout = 10 * time.Second
-	cfg.StragglerTimeout = 50 * time.Millisecond
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.DroppedWorkers) != 1 || res.DroppedWorkers[0] != 1 {
-		t.Fatalf("dropped %v, want [1]", res.DroppedWorkers)
-	}
-	if len(res.Losses) != cfg.Iterations {
-		t.Fatalf("worker 0 recorded %d losses, want %d", len(res.Losses), cfg.Iterations)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := chaosConfig(t)
+			cfg.Shards = shards
+			cfg.Faults = map[int]fault.Spec{1: fault.Throttle(16 << 10)}
+			cfg.Failure = DropWorker
+			cfg.PullTimeout = 10 * time.Second
+			cfg.StragglerTimeout = 50 * time.Millisecond
+			cfg.Metrics = probe.NewMetrics()
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.DroppedWorkers) != 1 || res.DroppedWorkers[0] != 1 {
+				t.Fatalf("dropped %v, want [1]", res.DroppedWorkers)
+			}
+			if n := cfg.Metrics.Counter("ps_server_dropped_workers").Value(); n != int64(shards) {
+				t.Fatalf("%d shard servers dropped a worker, want all %d", n, shards)
+			}
+			if len(res.Losses) != cfg.Iterations {
+				t.Fatalf("worker 0 recorded %d losses, want %d", len(res.Losses), cfg.Iterations)
+			}
+		})
 	}
 }
 

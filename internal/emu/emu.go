@@ -36,7 +36,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -352,8 +352,8 @@ type Result struct {
 type Phases struct {
 	// Compute is Forward + Backward.
 	Compute time.Duration
-	// Wire is Dispatch plus the Await/SetGrad loop: the pushes, then the
-	// wait for every aggregate.
+	// Wire is Dispatch plus the Await loop: the pushes, then the wait for
+	// every aggregate.
 	Wire time.Duration
 	// Update is Step.
 	Update time.Duration
@@ -589,8 +589,9 @@ func Run(cfg Config) (*Result, error) {
 			go func() { serveDone <- servers[p.shard].ServeMux(p.server, p.ids) }()
 		}
 		for w := range engines {
-			engines[w] = newPSEngine(ps.NewShardedLinks(links[w], smap.Of), cfg.Metrics, cfg.Mux)
+			engines[w] = &psEngine{links: links[w], of: smap.Of, metrics: cfg.Metrics, inline: cfg.Mux}
 		}
+		tables.lanes, tables.laneOf = shards, smap.Of
 	}
 
 	if cfg.Deadline > 0 {
@@ -634,16 +635,11 @@ func Run(cfg Config) (*Result, error) {
 		serveErrs = append(serveErrs, <-serveDone)
 	}
 	serveErr := errors.Join(serveErrs...)
-	droppedSet := make(map[int]bool)
-	for _, srv := range servers {
-		for _, w := range srv.Dropped() {
-			droppedSet[w] = true
-		}
+	if len(servers) > 0 {
+		// Every drop goes through dropEverywhere, so every shard server holds
+		// the same dropped set: one server's, already ascending, is the run's.
+		res.DroppedWorkers = servers[0].Dropped()
 	}
-	for w := range droppedSet {
-		res.DroppedWorkers = append(res.DroppedWorkers, w)
-	}
-	sort.Ints(res.DroppedWorkers)
 
 	fatalMu.Lock()
 	fatal, fired := fatalErr, injected
@@ -668,7 +664,7 @@ func Run(cfg Config) (*Result, error) {
 		if err == nil {
 			continue
 		}
-		if cfg.Failure == DropWorker && droppedSet[w] {
+		if cfg.Failure == DropWorker && slices.Contains(res.DroppedWorkers, w) {
 			if w != 0 {
 				continue // part of the configured degradation
 			}
@@ -695,10 +691,15 @@ type workerTables struct {
 	// volume (1 on the PS wire) — the same scaling the simulator's bandwidth
 	// monitor converges to.
 	payloadBw float64
+	// lanes and laneOf are the replay driver's dispatch lanes: one per PS
+	// shard, routed by the key→shard map, or a collective's one serial lane
+	// (laneOf nil), like the simulator's collective driver.
+	lanes  int
+	laneOf func(int) int
 }
 
 func newWorkerTables(cfg *Config) *workerTables {
-	t := &workerTables{sizes: tensorSizes(cfg.Layers, cfg.Seed)}
+	t := &workerTables{sizes: tensorSizes(cfg.Layers, cfg.Seed), lanes: 1}
 	if cfg.Observer != nil {
 		t.labels = pushLabels(len(t.sizes))
 	}
@@ -735,7 +736,7 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, boa
 			pp.predictBw = payloadBw
 		}
 	}
-	eng.Bind(pp)
+	eng.Bind(m, pp)
 
 	// Followers skip the scheduler stack entirely and execute the board's
 	// plan.
@@ -762,7 +763,7 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, boa
 
 	col := &collector{}
 	newDriver := func(s schedule.Scheduler) *drive.Driver {
-		d := drive.New(s, col, eng.Lanes(), nTensors, eng.LaneOf())
+		d := drive.New(s, col, tables.lanes, nTensors, tables.laneOf)
 		col.drv = d
 		if w == 0 {
 			d.SetRecording(true)
@@ -786,7 +787,6 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, boa
 	// Per-iteration scratch, allocated once: the events slice is truncated
 	// per pass.
 	events := make([]genEvent, 0, nTensors)
-	grad := func(t int) []float64 { return m.GradData(t) }
 
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		iterStart := time.Now()
@@ -842,19 +842,17 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, boa
 		// completed early (priority strategies put tensor 0 first)
 		// finishes its round trip early.
 		dispatched := time.Now()
-		if err := eng.Dispatch(iter, grad, sends); err != nil {
+		if err := eng.Dispatch(iter, sends); err != nil {
 			return fmt.Errorf("emu: worker %d iter %d: %w", w, iter, err)
 		}
 		// Collect in priority order: tensor 0's arrival is what would
 		// gate the next forward pass.
 		for idx := 0; idx < nTensors; idx++ {
-			agg, ackedAt, err := eng.Await(iter, idx, pullTimeout)
+			ackedAt, err := eng.Await(iter, idx, pullTimeout)
 			if err != nil {
 				return fmt.Errorf("emu: worker %d pull iter %d tensor %d (policy %s): %w",
 					w, iter, idx, cfg.Failure, err)
 			}
-			m.SetGrad(idx, agg) // copies: agg is safe to recycle
-			eng.Recycle(agg)
 			if idx == 0 && w == 0 {
 				res.Tensor0RoundTrip = append(res.Tensor0RoundTrip, ackedAt.Sub(bwdStart))
 				if iter > 0 {
@@ -929,7 +927,7 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, boa
 // computes the full-dataset loss of the MLP's parameters as they stand when
 // start is called. It reads nothing but the parameters (nn.MLP.Loss), which
 // only Step writes, so the training loop must join before its next Step; in
-// between it may Await, SetGrad and Recycle freely.
+// between it may Await freely: that writes gradients, never parameters.
 type evaluator struct {
 	req  chan struct{}
 	done chan evaluation // buffered: the helper never waits to hand a loss over

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"prophet/internal/nn"
 	"prophet/internal/probe"
 	"prophet/internal/ps"
 )
@@ -21,35 +22,34 @@ import (
 // lives behind the engine too, so both transports produce the event
 // stream the SpanRecorder and the attribution analyzer expect.
 //
-// An engine instance belongs to one worker goroutine; Bind attaches the
-// worker's probe context before the first Dispatch.
+// An engine instance belongs to one worker goroutine and works on that
+// worker's model: it reads the gradients it ships from m.GradData and
+// leaves each tensor's mean there, so nothing crosses the seam but the
+// sends and an ack time.
 type liveEngine interface {
-	// Bind attaches the worker's tables and probe context. Called once,
+	// Bind attaches the worker's model and probe context. Called once,
 	// before any Dispatch.
-	Bind(pp pushParams)
-	// Lanes is the driver's dispatch-lane count (PS: the shard count;
-	// collective: 1, matching the simulator's single serial link).
-	Lanes() int
-	// LaneOf maps a tensor to its lane; nil when Lanes() == 1.
-	LaneOf() func(int) int
+	Bind(m *nn.MLP, pp pushParams)
 	// Dispatch executes one iteration's decided sends on the wire, in
-	// decision order, under the cross-shard priority gate. grad returns
-	// tensor t's gradient data (valid until the iteration ends).
-	Dispatch(iter int, grad func(int) []float64, sends []wireSend) error
+	// decision order, under the cross-shard priority gate, reading each
+	// tensor's gradient from the bound model.
+	Dispatch(iter int, sends []wireSend) error
 	// Await blocks until tensor idx's aggregated gradient of iteration
-	// iter is back on the worker, returning the data and the wall-clock
-	// ack time. The buffer is the engine's; hand it back via Recycle once
-	// copied out.
-	Await(iter, idx int, timeout time.Duration) ([]float64, time.Time, error)
-	// Recycle returns an Await buffer to the engine's pool.
-	Recycle(buf []float64)
+	// iter is in the bound model's gradient (m.GradData(idx)), returning
+	// the wall-clock ack time.
+	Await(iter, idx int, timeout time.Duration) (time.Time, error)
 }
 
 // psEngine executes decided sends against the sharded parameter server:
 // push + inline pull-request batches per shard (PushPullBatch), responses
-// awaited per tensor.
+// awaited per tensor. links[s] is the worker's link to shard s, and tensor t
+// always talks to links[of(t)]: every worker and every shard server derives
+// the same key→shard map from the tensor sizes alone (internal/shard), so no
+// routing metadata crosses the wire — how MXNet KVStore and BytePS
+// range-shard keys across PS instances.
 type psEngine struct {
-	client  *ps.ShardedClient
+	links   []ps.WorkerLink
+	of      func(tensor int) int
 	metrics *probe.Metrics
 	// inline dispatches on the worker's own goroutine. Set on shared
 	// pipes, which serialize writes anyway; private pipes get a writer
@@ -57,6 +57,8 @@ type psEngine struct {
 	// parallel on their own links.
 	inline bool
 
+	m     *nn.MLP
+	grad  func(t int) []float64 // m.GradData, as the batch reads it
 	pp    pushParams
 	chans []<-chan ps.PullResult
 	// deliver files a tensor's pull-result channel. It runs inside
@@ -68,23 +70,15 @@ type psEngine struct {
 	ranges [][]probe.Range
 }
 
-func newPSEngine(client *ps.ShardedClient, metrics *probe.Metrics, inline bool) *psEngine {
-	return &psEngine{client: client, metrics: metrics, inline: inline}
-}
-
 // Bind implements liveEngine.
-func (e *psEngine) Bind(pp pushParams) {
+func (e *psEngine) Bind(m *nn.MLP, pp pushParams) {
+	e.m = m
+	e.grad = func(t int) []float64 { return m.GradData(t) }
 	e.pp = pp
 	e.chans = make([]<-chan ps.PullResult, len(pp.sizes))
 	e.deliver = func(t int, ch <-chan ps.PullResult) { e.chans[t] = ch }
-	e.ranges = make([][]probe.Range, e.client.Shards())
+	e.ranges = make([][]probe.Range, len(e.links))
 }
-
-// Lanes implements liveEngine.
-func (e *psEngine) Lanes() int { return e.client.Shards() }
-
-// LaneOf implements liveEngine.
-func (e *psEngine) LaneOf() func(int) int { return e.client.ShardOf }
 
 // Dispatch implements liveEngine: it executes the decided sends under the
 // cross-shard priority gate. One writer goroutine per shard performs the
@@ -103,12 +97,12 @@ func (e *psEngine) LaneOf() func(int) int { return e.client.ShardOf }
 // batched wire format. Strategies whose messages complete one tensor at a
 // time (FIFO, credit slices) degenerate to one push+pull-request pair per
 // flush; Prophet blocks ship all their tensors in a single write.
-func (e *psEngine) Dispatch(iter int, grad func(int) []float64, sends []wireSend) error {
+func (e *psEngine) Dispatch(iter int, sends []wireSend) error {
 	if e.inline {
-		return e.dispatchInline(iter, grad, sends)
+		return e.dispatchInline(iter, sends)
 	}
 	pp := &e.pp
-	shards := e.client.Shards()
+	shards := len(e.links)
 	jobs := make([]chan pushJob, shards)
 	errs := make([]error, shards)
 	// depths[s] counts tensors handed to shard s's writer and not yet
@@ -125,7 +119,7 @@ func (e *psEngine) Dispatch(iter int, grad func(int) []float64, sends []wireSend
 				if errs[s] != nil {
 					continue // keep draining so the coordinator never blocks
 				}
-				errs[s] = e.send(s, job.seq, iter, job.tensors, grad)
+				errs[s] = e.send(s, job.seq, iter, job.tensors)
 			}
 		}(s)
 	}
@@ -152,7 +146,7 @@ func (e *psEngine) Dispatch(iter int, grad func(int) []float64, sends []wireSend
 // probe event stream keeps the exact shape of the goroutine path:
 // ShardEnqueued per tensor, one SendStart span per flushed batch,
 // SendComplete on return.
-func (e *psEngine) dispatchInline(iter int, grad func(int) []float64, sends []wireSend) error {
+func (e *psEngine) dispatchInline(iter int, sends []wireSend) error {
 	for seq, snd := range sends {
 		if len(snd.tensors) == 0 {
 			continue
@@ -160,7 +154,7 @@ func (e *psEngine) dispatchInline(iter int, grad func(int) []float64, sends []wi
 		// Inline dispatch never queues: depth is just the position within
 		// this send's own batch.
 		e.pp.enqueued(snd.lane, seq, snd.tensors, 0)
-		if err := e.send(snd.lane, seq, iter, snd.tensors, grad); err != nil {
+		if err := e.send(snd.lane, seq, iter, snd.tensors); err != nil {
 			return err
 		}
 	}
@@ -170,10 +164,10 @@ func (e *psEngine) dispatchInline(iter int, grad func(int) []float64, sends []wi
 // send puts one decided send on shard s's wire — SendStart span, the
 // tensors plus their inline pull requests as ONE batched write,
 // SendComplete on return — whichever goroutine dispatches it.
-func (e *psEngine) send(s, seq, iter int, tensors []int, grad func(int) []float64) error {
+func (e *psEngine) send(s, seq, iter int, tensors []int) error {
 	pp := &e.pp
 	e.ranges[s] = pp.sendStart(e.ranges[s], s, seq, iter, tensors)
-	if err := e.client.Shard(s).PushPullBatch(iter, tensors, grad, e.deliver); err != nil {
+	if err := e.links[s].PushPullBatch(iter, tensors, e.grad, e.deliver); err != nil {
 		return fmt.Errorf("push batch %v (shard %d): %w", tensors, s, err)
 	}
 	if pp.obs != nil {
@@ -183,24 +177,25 @@ func (e *psEngine) send(s, seq, iter int, tensors []int, grad func(int) []float6
 }
 
 // Await implements liveEngine: it waits for tensor idx's aggregated pull
-// response, emitting the PullAcked probe event on arrival.
-func (e *psEngine) Await(iter, idx int, timeout time.Duration) ([]float64, time.Time, error) {
+// response, emits the PullAcked probe event on arrival, copies the mean into
+// the model's gradient and recycles the response buffer on the tensor's
+// link.
+func (e *psEngine) Await(iter, idx int, timeout time.Duration) (time.Time, error) {
 	agg, err := awaitPull(e.chans[idx], timeout)
 	if err != nil {
 		if errors.Is(err, ErrPullTimeout) {
 			e.metrics.Counter("emu_pull_timeouts").Inc()
 		}
-		return nil, time.Time{}, err
+		return time.Time{}, err
 	}
 	acked := time.Now()
 	if e.pp.obs != nil {
 		e.pp.obs.PullAcked(e.pp.worker, idx, iter, e.pp.clock())
 	}
-	return agg, acked, nil
+	e.m.SetGrad(idx, agg)
+	e.links[e.of(idx)].Recycle(agg)
+	return acked, nil
 }
-
-// Recycle implements liveEngine.
-func (e *psEngine) Recycle(buf []float64) { e.client.Recycle(buf) }
 
 // ErrPullTimeout marks a parameter pull that outlived its bound
 // (Config.PullTimeout, or the default a faulted run gets).

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"prophet/internal/collective"
+	"prophet/internal/nn"
 	"prophet/internal/probe"
 	"prophet/internal/transport"
 )
@@ -101,39 +102,28 @@ type collectiveEngine struct {
 	stepFn  collective.StepFunc
 	curSeq  int
 
-	// agg[t] views tensor t's slice of its op buffer between Dispatch and
-	// Await; acked[t] is the op's wall-clock completion. Op buffers cycle
-	// through free across iterations — Await hands out borrowed views and
-	// Recycle is a no-op, since the next Dispatch reclaims everything.
-	agg    [][]float64
+	// m is the worker's model: every op reduces its gradients in place.
+	// acked[t] is the wall-clock completion of the op that reduced tensor t
+	// this iteration, zero until then.
+	m      *nn.MLP
 	acked  []time.Time
-	bufs   [][]float64
-	free   [][]float64
 	ranges []probe.Range // reused scratch; observers copy
 	// Scratch reused across ops: the open group's tensors in plan order, and
-	// their views into the op buffer.
+	// their gradients.
 	group   []int
 	members [][]float64
 }
 
 // Bind implements liveEngine.
-func (e *collectiveEngine) Bind(pp pushParams) {
+func (e *collectiveEngine) Bind(m *nn.MLP, pp pushParams) {
+	e.m = m
 	e.pp = pp
-	n := len(pp.sizes)
-	e.agg = make([][]float64, n)
-	e.acked = make([]time.Time, n)
+	e.acked = make([]time.Time, len(pp.sizes))
 	if so, ok := pp.obs.(probe.StepObserver); ok {
 		e.stepObs = so
 		e.stepFn = e.emitStep
 	}
 }
-
-// Lanes implements liveEngine: one serial lane, like the simulator's
-// collective driver (drive.New(..., 1, n, nil)).
-func (e *collectiveEngine) Lanes() int { return 1 }
-
-// LaneOf implements liveEngine.
-func (e *collectiveEngine) LaneOf() func(int) int { return nil }
 
 func (e *collectiveEngine) emitStep(step, steps int, bytes float64, start, end float64) {
 	e.stepObs.SendStep(e.pp.worker, 0, e.curSeq, step, steps, bytes, start, end)
@@ -155,17 +145,15 @@ func (e *collectiveEngine) fits(elems int) bool {
 // mid-tensor) move no wire bytes — the live protocol ships whole tensors
 // with their completing piece, on every transport — and are skipped
 // identically by all workers.
-func (e *collectiveEngine) Dispatch(iter int, grad func(int) []float64, sends []wireSend) error {
-	e.free = append(e.free, e.bufs...)
-	e.bufs = e.bufs[:0]
+func (e *collectiveEngine) Dispatch(iter int, sends []wireSend) error {
 	group, first, elems := e.group[:0], 0, 0 // the open group, its first plan index and size
 	for seq, snd := range sends {
 		n := 0
 		for _, t := range snd.tensors {
-			n += len(grad(t))
+			n += len(e.m.GradData(t))
 		}
 		if len(group) > 0 && !e.fits(elems+n) {
-			if err := e.reduce(iter, first, group, elems, grad); err != nil {
+			if err := e.reduce(iter, first, group); err != nil {
 				return err
 			}
 			group, elems = group[:0], 0
@@ -180,21 +168,17 @@ func (e *collectiveEngine) Dispatch(iter int, grad func(int) []float64, sends []
 	if len(group) == 0 {
 		return nil
 	}
-	return e.reduce(iter, first, group, elems, grad)
+	return e.reduce(iter, first, group)
 }
 
-// reduce runs one group — tensors, elems float64s in all — as one fused op
-// and one wire send at plan index seq: a span with a range per tensor, a
-// step span per fused chunk step, one never-hang timer.
-func (e *collectiveEngine) reduce(iter, seq int, tensors []int, elems int, grad func(int) []float64) error {
+// reduce runs one group as one fused op over the tensors' gradients, in
+// place, and one wire send at plan index seq: a span with a range per tensor,
+// a step span per fused chunk step, one never-hang timer.
+func (e *collectiveEngine) reduce(iter, seq int, tensors []int) error {
 	pp := &e.pp
-	buf := e.takeBuf(elems)
 	e.members = e.members[:0]
-	off := 0
 	for _, t := range tensors {
-		n := copy(buf[off:], grad(t))
-		e.members = append(e.members, buf[off:off+n])
-		off += n
+		e.members = append(e.members, e.m.GradData(t))
 	}
 	pp.enqueued(0, seq, tensors, 0)
 	e.ranges = pp.sendStart(e.ranges, 0, seq, iter, tensors)
@@ -215,8 +199,7 @@ func (e *collectiveEngine) reduce(iter, seq int, tensors []int, elems int, grad 
 	if pp.obs != nil {
 		pp.obs.SendComplete(pp.worker, 0, iter, true, done)
 	}
-	for i, t := range tensors {
-		e.agg[t] = e.members[i]
+	for _, t := range tensors {
 		e.acked[t] = ackWall
 		if pp.obs != nil {
 			// Same timestamp as the op's completion: the reduced value
@@ -242,31 +225,11 @@ func (e *collectiveEngine) armBound(iter int, tensors []int) *time.Timer {
 
 // Await implements liveEngine: collective ops complete inside Dispatch, so
 // the aggregated gradient is already in place.
-func (e *collectiveEngine) Await(iter, idx int, timeout time.Duration) ([]float64, time.Time, error) {
-	buf := e.agg[idx]
-	if buf == nil {
-		return nil, time.Time{}, fmt.Errorf("collective: tensor %d was not reduced in iteration %d", idx, iter)
+func (e *collectiveEngine) Await(iter, idx int, timeout time.Duration) (time.Time, error) {
+	acked := e.acked[idx]
+	if acked.IsZero() {
+		return time.Time{}, fmt.Errorf("collective: tensor %d was not reduced in iteration %d", idx, iter)
 	}
-	e.agg[idx] = nil
-	return buf, e.acked[idx], nil
-}
-
-// Recycle implements liveEngine: Await hands out views into op buffers,
-// which the next Dispatch reclaims wholesale.
-func (e *collectiveEngine) Recycle([]float64) {}
-
-func (e *collectiveEngine) takeBuf(n int) []float64 {
-	for i := len(e.free) - 1; i >= 0; i-- {
-		if cap(e.free[i]) >= n {
-			buf := e.free[i][:n]
-			e.free[i] = e.free[len(e.free)-1]
-			e.free[len(e.free)-1] = nil
-			e.free = e.free[:len(e.free)-1]
-			e.bufs = append(e.bufs, buf)
-			return buf
-		}
-	}
-	buf := make([]float64, n)
-	e.bufs = append(e.bufs, buf)
-	return buf
+	e.acked[idx] = time.Time{}
+	return acked, nil
 }

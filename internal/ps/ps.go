@@ -19,6 +19,15 @@
 // run one worker per connection (a one-stream mux), ServeMux and MuxGroup
 // any number.
 //
+// # Sharding
+//
+// Several Servers, one per shard, split the tensors between them. Nothing on
+// the wire names a shard: a worker holds one WorkerLink per shard server and
+// sends tensor t on the link of the shard that owns it, by a key→shard map
+// every worker and server derives from the tensor sizes alone
+// (internal/shard). The routing is the caller's, and so is the cross-shard
+// priority order.
+//
 // # Failure semantics
 //
 // The server distinguishes clean shutdown (EOF after the peer closes) from
@@ -648,3 +657,23 @@ func NewClient(conn net.Conn) *Client {
 // Close shuts down the connection, failing pending pulls, and waits for the
 // reader to exit.
 func (c *Client) Close() error { return c.g.Close() }
+
+// WorkerLink is one worker's connection surface to one parameter server: a
+// *MuxWorker — one stream of a connection carrying any number of in-process
+// workers — or a *Client, the one-stream case that also owns the connection.
+// A sharded deployment gives each worker one link per shard server; the
+// caller routes a tensor to its shard's link (internal/emu does, by the
+// key→shard map of internal/shard). Teardown is the connection owner's:
+// MuxGroup.Close or Client.Close.
+type WorkerLink interface {
+	Push(iter, tensor int, data []float64) error
+	PullAsync(iter, tensor int) (<-chan PullResult, error)
+	PushPullBatch(iter int, tensors []int, grad func(tensor int) []float64, res func(tensor int, ch <-chan PullResult)) error
+	Pull(iter, tensor int) ([]float64, error)
+	Recycle(data []float64)
+}
+
+var (
+	_ WorkerLink = (*Client)(nil)
+	_ WorkerLink = (*MuxWorker)(nil)
+)

@@ -6,25 +6,25 @@ import (
 )
 
 // newShardedCluster spins up one server per shard, each on the given
-// topology, and W sharded clients routing tensor t to shard t % shards.
-func newShardedCluster(t *testing.T, workers, shards int, shared bool) ([]*Server, []*ShardedClient, func()) {
+// topology, and returns each worker's links (links[w][s] talks to shard s)
+// plus the key map routing tensor t to shard t % shards.
+func newShardedCluster(t *testing.T, workers, shards int, shared bool) ([]*Server, [][]WorkerLink, func(int) int, func()) {
 	t.Helper()
-	of := func(tensor int) int { return tensor % shards }
 	servers := make([]*Server, shards)
 	perShard := make([][]WorkerLink, shards)
 	shutdowns := make([]func() error, shards)
 	for s := range servers {
 		servers[s], perShard[s], shutdowns[s] = newTopology(t, workers, shared)
 	}
-	clients := make([]*ShardedClient, workers)
-	for w := range clients {
-		links := make([]WorkerLink, shards)
-		for s := range links {
-			links[s] = perShard[s][w]
+	links := make([][]WorkerLink, workers)
+	for w := range links {
+		links[w] = make([]WorkerLink, shards)
+		for s := range links[w] {
+			links[w][s] = perShard[s][w]
 		}
-		clients[w] = NewShardedLinks(links, of)
 	}
-	return servers, clients, func() {
+	of := func(tensor int) int { return tensor % shards }
+	return servers, links, of, func() {
 		for s, shutdown := range shutdowns {
 			if err := shutdown(); err != nil {
 				t.Errorf("shard %d serve: %v", s, err)
@@ -41,7 +41,7 @@ func TestShardedPushPullAggregates(t *testing.T) {
 
 func testShardedPushPullAggregates(t *testing.T, shared bool) {
 	const workers, shards, tensors = 3, 2, 5
-	servers, clients, cleanup := newShardedCluster(t, workers, shards, shared)
+	servers, links, of, cleanup := newShardedCluster(t, workers, shards, shared)
 	defer cleanup()
 
 	var wg sync.WaitGroup
@@ -50,14 +50,14 @@ func testShardedPushPullAggregates(t *testing.T, shared bool) {
 		go func(w int) {
 			defer wg.Done()
 			for tn := 0; tn < tensors; tn++ {
-				link := clients[w].Shard(clients[w].ShardOf(tn))
-				if err := link.Push(0, tn, []float64{float64(w + tn)}); err != nil {
+				if err := links[w][of(tn)].Push(0, tn, []float64{float64(w + tn)}); err != nil {
 					t.Errorf("worker %d push %d: %v", w, tn, err)
 					return
 				}
 			}
 			for tn := 0; tn < tensors; tn++ {
-				got, err := clients[w].Shard(clients[w].ShardOf(tn)).Pull(0, tn)
+				link := links[w][of(tn)]
+				got, err := link.Pull(0, tn)
 				if err != nil {
 					t.Errorf("worker %d pull %d: %v", w, tn, err)
 					return
@@ -66,7 +66,7 @@ func testShardedPushPullAggregates(t *testing.T, shared bool) {
 				if len(got) != 1 || got[0] != want {
 					t.Errorf("worker %d tensor %d: got %v want %v", w, tn, got, want)
 				}
-				clients[w].Recycle(got)
+				link.Recycle(got)
 			}
 		}(w)
 	}
@@ -80,33 +80,4 @@ func testShardedPushPullAggregates(t *testing.T, shared bool) {
 			t.Errorf("shard %d handled %d pushes %d pulls, want %d each", s, pushes, pulls, want[s])
 		}
 	}
-}
-
-func TestShardedClientSingleShardNeedsNoMap(t *testing.T) {
-	_, clients, cleanup := newCluster(t, 1)
-	defer cleanup()
-	sc := NewShardedLinks(clients[:1], nil)
-	link := sc.Shard(sc.ShardOf(7))
-	if err := link.Push(0, 7, []float64{4}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := link.Pull(0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != 4 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestShardedClientRejectsBadMap(t *testing.T) {
-	_, clients, cleanup := newCluster(t, 1)
-	defer cleanup()
-	sc := NewShardedLinks(clients[:1], func(int) int { return 3 })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on out-of-range shard")
-		}
-	}()
-	sc.ShardOf(0)
 }
