@@ -132,14 +132,17 @@ bench-scale:
 	$(GO) test -bench='Emu_Scale' -benchmem -benchtime=1x -count=1 -run '^$$' ./internal/emu >> BENCH_scale.txt
 	@cat BENCH_scale.txt
 
-# Prediction-audit gate: the planned-vs-observed residual invariant for
-# every strategy × {ps, ring, tree} under the race detector, plus a tiny
-# ext-predict run (drift must rise under a bandwidth dip, the seeded
-# throttle must alarm, the clean run must not — the experiment hard-fails
-# otherwise).
+# Prediction-audit gate, under the race detector: the planned-vs-observed
+# residual invariant for every strategy × {ps, ring, tree}; prediction
+# following the listener on the simulator (a recorder alone plans nothing,
+# an attached Auditor joins every window); every planned window joining
+# through a live Auditor on the live ring and tree; plus a tiny ext-predict
+# run (drift must rise under a bandwidth dip, the seeded throttle must
+# alarm, the clean run must not — the experiment hard-fails otherwise).
 predict-smoke:
-	$(GO) test -race -count=1 -run 'TestPredictionInvariant|TestPredictChaos' \
-		./internal/probe/predict ./internal/emu
+	$(GO) test -race -count=1 \
+		-run 'TestPredictionInvariant|TestPredictChaos|TestCollectiveObserverContract|TestCollectiveResultShape' \
+		./internal/probe/predict ./internal/emu ./internal/cluster
 	$(GO) run ./cmd/prophet-bench -only ext-predict -quick
 
 # The frozen benchmark is its own module (benchmark/go.mod), which the root

@@ -156,8 +156,9 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// The recorder is the run's account and is always attached. The metrics
-	// registry and the auditor exist only when asked for; the auditor is the
-	// live one on both paths because /predict serves it mid-run.
+	// registry and the auditor exist only when asked for; attaching the
+	// auditor is what makes either path predict, and /predict serves it
+	// mid-run.
 	rec := probe.NewSpanRecorder()
 	rec.SetIterationHint(j.iters)
 	obs := probe.Observer(rec)
@@ -377,7 +378,6 @@ func simulate(j job, _ *probe.SpanRecorder, obs probe.Observer, m *probe.Metrics
 		ShardPlacement: shard.Placement(j.placement),
 		RecordLinks:    j.out != "" || j.csv != "",
 		Observer:       probe.NewMulti(obs, m.Observer()),
-		Predict:        j.audit != "",
 	}
 	if j.splitNIC && j.shards > 1 {
 		split := uplink
@@ -438,7 +438,6 @@ func emulate(j job, rec *probe.SpanRecorder, obs probe.Observer, m *probe.Metric
 		Transport:            j.transport,
 		Metrics:              m,
 		Observer:             obs,
-		Predict:              j.audit != "",
 	})
 	if err != nil {
 		return account{}, err

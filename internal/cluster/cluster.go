@@ -129,17 +129,17 @@ type Config struct {
 	// that wants an uplink throughput timeline or the per-gradient
 	// transfer log (Figs. 2, 10, 11) attaches a probe.SpanRecorder here and
 	// reads its Rate(worker) / Transfers(worker) views afterwards.
+	//
+	// An Observer that is a probe.PlanObserver (a predict.Auditor, alone or
+	// in a probe.NewMulti) also switches prediction on: every worker's
+	// driver gets the wire's cost model — drive.WireCost playing the
+	// transport's chunk schedule, one step on the PS wire — stamping each
+	// decision Record with its planned wire window and announcing it
+	// through SendPlanned. The model reads the link's ground-truth trace at
+	// decision time, so on a constant trace predictions are exact and on a
+	// varying trace the error IS the drift the audit measures. Prediction
+	// is passive too: schedules are bit-identical with it on or off.
 	Observer probe.Observer
-	// Predict attaches the wire's cost model to every worker's driver —
-	// drive.WireCost playing the transport's chunk schedule, one step on the
-	// PS wire — stamping each decision Record with its planned wire window
-	// and announcing it through probe.PlanObserver — the input to the
-	// prediction audit (internal/probe/predict). The model reads the link's
-	// ground-truth trace at decision time, so on a constant trace
-	// predictions are exact and on a varying trace the error IS the drift
-	// the audit measures. Prediction is passive: schedules are bit-identical
-	// with it on or off.
-	Predict bool
 
 	// backend is Transport resolved, once, by setDefaults.
 	backend drive.Backend

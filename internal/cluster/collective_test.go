@@ -8,6 +8,7 @@ import (
 	"prophet/internal/model"
 	"prophet/internal/netsim"
 	"prophet/internal/probe"
+	"prophet/internal/probe/predict"
 	"prophet/internal/profiler"
 	"prophet/internal/strategy"
 )
@@ -171,7 +172,10 @@ func TestTransportMatrix(t *testing.T) {
 
 // TestCollectiveResultShape pins what Result documents for a collective
 // run — one lockstep timeline, one link's chunk steps, no downlink, no
-// shard map — and that observing and predicting it are passive.
+// shard map — that observing and predicting it are passive, and that
+// prediction follows the listener: a recorder alone plans nothing, an
+// auditor beside it gets a window for every decision, and every window
+// joins.
 func TestCollectiveResultShape(t *testing.T) {
 	bare, err := Run(pinnedConfig(t, "prophet", "tree"))
 	if err != nil {
@@ -179,7 +183,7 @@ func TestCollectiveResultShape(t *testing.T) {
 	}
 	cfg := pinnedConfig(t, "prophet", "tree")
 	rec := probe.NewSpanRecorder()
-	cfg.Observer, cfg.Predict, cfg.RecordLinks = rec, true, true
+	cfg.Observer, cfg.RecordLinks = rec, true
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -203,8 +207,26 @@ func TestCollectiveResultShape(t *testing.T) {
 		t.Fatalf("%d step spans, want %d", got, steps)
 	}
 	for i, m := range res.Messages {
-		if m.Planned.IsZero() {
-			t.Fatalf("decision %d carries no planned window under Predict", i)
+		if !m.Planned.IsZero() {
+			t.Fatalf("decision %d carries a planned window with no plan listener attached", i)
 		}
+	}
+
+	aud := predict.NewAuditor(predict.Options{})
+	cfg.Observer = probe.NewMulti(probe.NewSpanRecorder(), aud)
+	if res, err = Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if res.Duration != bare.Duration || res.Sends != bare.Sends {
+		t.Fatalf("prediction is not passive: %v/%d audited, %v/%d bare", res.Duration, res.Sends, bare.Duration, bare.Sends)
+	}
+	for i, m := range res.Messages {
+		if m.Planned.IsZero() {
+			t.Fatalf("decision %d carries no planned window with an auditor attached", i)
+		}
+	}
+	aud.Flush()
+	if rep := aud.Report(); rep.Planned == 0 || rep.Joined != rep.Planned {
+		t.Fatalf("%d planned windows, %d joined", rep.Planned, rep.Joined)
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 func TestTicTacCompletesAndConserves(t *testing.T) {
 	m := model.ResNet18()
-	res, rec := runRecorded(t, smallConfig(t, TicTacFactory(m), 3))
+	res, rec := runRecorded(t, smallConfig(t, mustByName("tictac", m, Options{}), 3))
 	want := m.TotalBytes() * 6 // iterations × Σ gradient bytes
 	if got := rec.Rate(0).TotalBytes(); got != want {
 		t.Fatalf("tictac pushed %v bytes, want %v", got, want)
@@ -25,7 +25,7 @@ func TestTicTacBetweenFIFOAndProphetWhenCommBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tictac, err := Run(smallConfig(t, TicTacFactory(m), 2))
+	tictac, err := Run(smallConfig(t, mustByName("tictac", m, Options{}), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestASPCompletesWithAllSchedulers(t *testing.T) {
 	m := model.ResNet18()
 	facs := []SchedulerFactory{
 		FIFOFactory(m), P3Factory(m, 4e6), ByteSchedulerFactory(m, 4e6),
-		TicTacFactory(m), prophetFactory(t, m, 32),
+		mustByName("tictac", m, Options{}), prophetFactory(t, m, 32),
 	}
 	for _, f := range facs {
 		cfg := smallConfig(t, f, 3)

@@ -134,11 +134,6 @@ func P3Factory(m *model.Model, partition float64) SchedulerFactory {
 	return mustByName("p3", m, Options{Partition: partition})
 }
 
-// TicTacFactory returns the TicTac-style op-level priority strategy.
-func TicTacFactory(m *model.Model) SchedulerFactory {
-	return mustByName("tictac", m, Options{})
-}
-
 // ByteSchedulerFactory returns the credit-based strategy with a fixed
 // credit in bytes.
 func ByteSchedulerFactory(m *model.Model, credit float64) SchedulerFactory {

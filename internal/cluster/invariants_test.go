@@ -28,7 +28,7 @@ func TestPropertyInvariantsAcrossConfigs(t *testing.T) {
 		FIFOFactory(m18),
 		P3Factory(m18, 4e6),
 		ByteSchedulerFactory(m18, 4e6),
-		TicTacFactory(m18),
+		mustByName("tictac", m18, Options{}),
 	}
 	f := func(facRaw, wRaw, bRaw, bwRaw uint8, asp bool, seed uint64) bool {
 		factory := factories[int(facRaw)%len(factories)]

@@ -178,7 +178,7 @@ func newWorker(id int, eng *sim.Engine, cfg *Config, ps *paramServer, smap *shar
 	} else {
 		w.wirePS()
 	}
-	if cfg.Predict {
+	if _, ok := cfg.Observer.(probe.PlanObserver); ok {
 		w.predict()
 	}
 	if cfg.RecordMessages && id == 0 {
@@ -213,12 +213,13 @@ func (w *worker) wirePS() {
 	w.drv = drive.New(w.sched, w, shards, len(w.pulled), w.smap.Of)
 }
 
-// predict attaches the wire's cost model to the driver (Config.Predict): the
-// perfect-monitor predictor, the netsim wire arithmetic over the transport's
-// chunk schedule with bandwidth read from the lane's ground-truth trace at
-// decision time. Shard 0's setup and ramp are representative (all shard
-// links of a worker share one configuration), but bandwidth is read per lane
-// so asymmetric traces still predict.
+// predict attaches the wire's cost model to the driver when the observer
+// listens for plans (see Config.Observer): the perfect-monitor predictor,
+// the netsim wire arithmetic over the transport's chunk schedule with
+// bandwidth read from the lane's ground-truth trace at decision time. Shard
+// 0's setup and ramp are representative (all shard links of a worker share
+// one configuration), but bandwidth is read per lane so asymmetric traces
+// still predict.
 func (w *worker) predict() {
 	lc := w.up[0].Config()
 	w.drv.SetCostModel(drive.WireCost(w.cfg.backend, w.cfg.Workers, lc.SetupTime, lc.RampBytes,

@@ -179,19 +179,17 @@ type Config struct {
 	// concurrent use: per-shard writer goroutines emit send events
 	// concurrently with the worker loops' iteration and pull events.
 	// Observation is passive — it never changes what the schedulers decide.
+	// An Observer that is a probe.PlanObserver (a predict.Auditor, alone or
+	// in a probe.NewMulti) also arms the prediction audit when
+	// BandwidthBytesPerSec is positive: each engine announces planned wire
+	// windows (dispatch + bytes at that rate, divided by the transport's
+	// wire volume) through SendPlanned just before the matching SendStart.
 	Observer probe.Observer
 	// Metrics, when non-nil, collects live counters and histograms:
 	// transport traffic, parameter-server frames and failures, pull
 	// timeouts, fault injections, per-shard queue depth. The registry is
 	// also fed the probe event stream (see Metrics.Observer).
 	Metrics *probe.Metrics
-	// Predict arms the prediction audit on the live path: each engine
-	// announces planned wire windows (dispatch + bytes at the configured
-	// BandwidthBytesPerSec, divided by the transport's wire volume)
-	// through probe.PlanObserver just before the matching SendStart.
-	// Requires an Observer implementing probe.PlanObserver and a positive
-	// BandwidthBytesPerSec; otherwise it is inert.
-	Predict bool
 
 	// backend is Transport resolved, once, by validate.
 	backend drive.Backend
@@ -730,7 +728,7 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, boa
 	obs := cfg.Observer
 	payloadBw := tables.payloadBw
 	pp := pushParams{worker: w, sizes: sizes, labels: tables.labels, obs: obs, clock: clock}
-	if cfg.Predict && obs != nil && payloadBw > 0 {
+	if payloadBw > 0 {
 		if po, ok := obs.(probe.PlanObserver); ok {
 			pp.planObs = po
 			pp.predictBw = payloadBw

@@ -139,8 +139,8 @@ func TestCollectiveObserverContract(t *testing.T) {
 				cfg.Policy = policy
 				cfg.Transport = transport
 				cfg.BandwidthBytesPerSec = 1e9
-				cfg.Predict = true
-				cfg.Observer = obs
+				aud := predict.NewAuditor(predict.Options{})
+				cfg.Observer = probe.NewMulti(obs, aud)
 				if _, err := Run(cfg); err != nil {
 					t.Fatal(err)
 				}
@@ -196,7 +196,8 @@ func TestCollectiveObserverContract(t *testing.T) {
 				if res := attrib.Analyze(obs.SpanRecorder, 3).MaxResidual(); res > 1e-9 {
 					t.Fatalf("attribution residual %g, want ~0", res)
 				}
-				rep := predict.Audit(obs.SpanRecorder, predict.Options{})
+				aud.Flush()
+				rep := aud.Report()
 				if rep.Planned == 0 || rep.Joined != rep.Planned {
 					t.Fatalf("%d planned windows, %d joined: a (worker, lane, seq, iter) key went unmatched", rep.Planned, rep.Joined)
 				}

@@ -26,7 +26,6 @@ func predictChaosConfig(iters int) Config {
 		Policy:               "fifo",
 		Seed:                 7,
 		BandwidthBytesPerSec: 2 << 20,
-		Predict:              true,
 		Deadline:             60 * time.Second,
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"prophet/internal/model"
 	"prophet/internal/netsim"
 	"prophet/internal/nn"
-	"prophet/internal/probe"
 	"prophet/internal/probe/predict"
 	"prophet/internal/schedule"
 	"prophet/internal/sim"
@@ -151,7 +150,6 @@ func extPredict(cfg Config) (*ExtPredictResult, error) {
 		Policy:               "fifo",
 		Seed:                 cfg.Seed,
 		BandwidthBytesPerSec: 2 << 20,
-		Predict:              true,
 		Deadline:             60 * time.Second,
 	}
 	emuStart := time.Now()
@@ -197,8 +195,8 @@ func extPredict(cfg Config) (*ExtPredictResult, error) {
 }
 
 // simAudit runs prophet on the simulated PS cluster over the given
-// bandwidth trace with prediction armed, and returns the offline audit,
-// the simulated duration, and how often Prophet re-planned.
+// bandwidth trace with an auditor attached, and returns its flushed
+// report, the simulated duration, and how often Prophet re-planned.
 func simAudit(cfg Config, s *setup, tr netsim.Trace) (*predict.Report, float64, int, error) {
 	inner := s.prophet()
 	var prophets []*schedule.Prophet
@@ -212,9 +210,8 @@ func simAudit(cfg Config, s *setup, tr netsim.Trace) (*predict.Report, float64, 
 	c := s.config(cfg, factory, func(int) netsim.LinkConfig {
 		return netsim.DefaultLinkConfig(tr)
 	}, 3)
-	rec := probe.NewSpanRecorder()
-	c.Observer = rec
-	c.Predict = true
+	aud := predict.NewAuditor(predict.Options{})
+	c.Observer = aud
 	res, err := cluster.Run(c)
 	if err != nil {
 		return nil, 0, 0, err
@@ -223,7 +220,8 @@ func simAudit(cfg Config, s *setup, tr netsim.Trace) (*predict.Report, float64, 
 	for _, p := range prophets {
 		replans += p.Replans()
 	}
-	return predict.Audit(rec, predict.Options{}), res.Duration, replans, nil
+	aud.Flush()
+	return aud.Report(), res.Duration, replans, nil
 }
 
 // emuAudit runs one live emulation with an online auditor attached and

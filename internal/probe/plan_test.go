@@ -6,48 +6,6 @@ import (
 	"testing"
 )
 
-func TestSpanRecorderPlannedAndAlarms(t *testing.T) {
-	rec := NewSpanRecorder()
-	// Out of order on purpose: Planned() must sort by (Worker, Lane,
-	// Start, Seq).
-	rec.SendPlanned(1, 0, 0, 0, 0, 100, 5.0, 6.0)
-	rec.SendPlanned(0, 1, 0, 0, 1, 200, 1.0, 2.0)
-	rec.SendPlanned(0, 0, 1, 0, 0, 300, 2.0, 3.0)
-	rec.SendPlanned(0, 0, 0, 0, 0, 400, 2.0, 2.5)
-
-	ps := rec.Planned()
-	if len(ps) != 4 {
-		t.Fatalf("got %d planned spans, want 4", len(ps))
-	}
-	order := [][2]int{{0, 0}, {0, 0}, {0, 1}, {1, 0}}
-	for i, want := range order {
-		if ps[i].Worker != want[0] || ps[i].Lane != want[1] {
-			t.Fatalf("planned[%d] = %+v, want worker/lane %v", i, ps[i], want)
-		}
-	}
-	if ps[0].Seq != 0 || ps[1].Seq != 1 {
-		t.Errorf("same-start planned spans not ordered by seq: %+v %+v", ps[0], ps[1])
-	}
-	if ps[3].Bytes != 100 || ps[3].Start != 5.0 || ps[3].End != 6.0 {
-		t.Errorf("planned span fields lost: %+v", ps[3])
-	}
-
-	rec.DriftAlarm(2, 7, 0.9, 0.5, 3.25)
-	rec.DriftAlarm(0, 8, 1.2, 0.5, 4.0)
-	als := rec.DriftAlarms()
-	if len(als) != 2 {
-		t.Fatalf("got %d alarms, want 2", len(als))
-	}
-	// Emission order, not sorted.
-	if als[0].Worker != 2 || als[0].Iter != 7 || als[0].Score != 0.9 ||
-		als[0].Threshold != 0.5 || als[0].Time != 3.25 {
-		t.Errorf("alarm 0 = %+v", als[0])
-	}
-	if als[1].Worker != 0 {
-		t.Errorf("alarm 1 = %+v, want emission order preserved", als[1])
-	}
-}
-
 func TestSpanRecorderSteps(t *testing.T) {
 	rec := NewSpanRecorder()
 	rec.SendStep(0, 0, 0, 1, 4, 50, 1.5, 2.0)
@@ -87,51 +45,58 @@ func TestSpanRecorderHintAndRate(t *testing.T) {
 	}
 }
 
-// planCounter implements PlanObserver and AlarmObserver on top of the
-// base Observer; countObs implements neither. Multi must forward the
-// extension events only to the entries that support them.
+// planCounter implements PlanObserver and StepObserver on top of the base
+// Observer; countObs implements neither. Multi must forward the extension
+// events only to the entries that support them.
 type planCounter struct {
 	countObs
-	planned, alarms, steps int
+	planned, steps int
 }
 
 func (p *planCounter) SendPlanned(worker, lane, seq, iter, prio int, bytes float64, start, end float64) {
 	p.planned++
 }
-func (p *planCounter) DriftAlarm(worker, iter int, score, threshold, now float64) { p.alarms++ }
 func (p *planCounter) SendStep(worker, lane, seq, step, steps int, bytes float64, start, end float64) {
 	p.steps++
 }
 
+// TestMultiForwardsExtensionInterfaces pins the rule that switches
+// prediction on: a fan-out is a PlanObserver exactly when one of its
+// entries is, at any nesting depth, and then forwards each plan once.
 func TestMultiForwardsExtensionInterfaces(t *testing.T) {
+	if _, ok := NewMulti(&countObs{}, &countObs{}).(PlanObserver); ok {
+		t.Fatal("a Multi with no plan listener must not be a PlanObserver")
+	}
+
 	plain := &countObs{}
 	ext := &planCounter{}
 	obs := NewMulti(plain, ext)
-
 	po, ok := obs.(PlanObserver)
 	if !ok {
-		t.Fatal("Multi should implement PlanObserver")
+		t.Fatal("a Multi with a plan listener should be a PlanObserver")
 	}
 	po.SendPlanned(0, 0, 0, 0, 0, 10, 0, 1)
-	ao, ok := obs.(AlarmObserver)
-	if !ok {
-		t.Fatal("Multi should implement AlarmObserver")
-	}
-	ao.DriftAlarm(0, 0, 1.0, 0.5, 1)
 	so, ok := obs.(StepObserver)
 	if !ok {
 		t.Fatal("Multi should implement StepObserver")
 	}
 	so.SendStep(0, 0, 0, 0, 2, 10, 0, 1)
-
-	if ext.planned != 1 || ext.alarms != 1 || ext.steps != 1 {
-		t.Errorf("extension observer got planned=%d alarms=%d steps=%d, want 1/1/1",
-			ext.planned, ext.alarms, ext.steps)
+	if ext.planned != 1 || ext.steps != 1 {
+		t.Errorf("extension observer got planned=%d steps=%d, want 1/1", ext.planned, ext.steps)
 	}
 	// The plain observer saw none of the base events — extension events
 	// must not leak into the base interface.
 	if plain.start != 0 || plain.complete != 0 {
 		t.Errorf("plain observer saw base events: %+v", plain)
+	}
+
+	nested, ok := NewMulti(obs, &countObs{}).(PlanObserver)
+	if !ok {
+		t.Fatal("a Multi nesting a plan-forwarding Multi should be a PlanObserver")
+	}
+	nested.SendPlanned(0, 0, 1, 0, 0, 10, 1, 2)
+	if ext.planned != 2 {
+		t.Errorf("nested forward: planned=%d, want 2", ext.planned)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"prophet/internal/core"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
-	"prophet/internal/probe"
 	"prophet/internal/probe/predict"
 	"prophet/internal/strategy"
 )
@@ -46,7 +45,7 @@ func audit(t *testing.T, name, transport string, shards int) *predict.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := probe.NewSpanRecorder()
+	aud := predict.NewAuditor(predict.Options{})
 	_, err = cluster.Run(cluster.Config{
 		Model:     m,
 		Batch:     32,
@@ -60,13 +59,13 @@ func audit(t *testing.T, name, transport string, shards int) *predict.Report {
 		Iterations: 3,
 		Jitter:     -1,
 		Seed:       3,
-		Observer:   rec,
-		Predict:    true,
+		Observer:   aud,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return predict.Audit(rec, predict.Options{})
+	aud.Flush()
+	return aud.Report()
 }
 
 func assertTight(t *testing.T, label string, rep *predict.Report) {

@@ -8,15 +8,19 @@
 //
 // # Data flow
 //
-// The drive layer, given a schedule.CostModel, announces every
-// sub-message's planned wire window through probe.PlanObserver at decision
-// time. The transports announce the observed window through the ordinary
-// SendStart/SendComplete events. The Auditor subscribes to both streams
-// and joins them on (worker, lane, seq, iter) — the sequence numbers live
-// engines assign reset per iteration, so iter is part of the key. Each
-// join yields a Residual; each EndIteration folds that worker's residuals
-// into an IterationScore and updates its EWMA drift score; a score
-// crossing the threshold after warmup raises an Alarm.
+// The Auditor is the one audit path, live or simulated: attach it as the
+// run's observer, or inside probe.NewMulti, then Flush and Report once the
+// run has drained. Its presence is what switches prediction on — a run
+// predicts only when its observer is a probe.PlanObserver. The drive layer
+// then gets a schedule.CostModel and announces every sub-message's planned
+// wire window through probe.PlanObserver at decision time. The transports
+// announce the observed window through the ordinary SendStart/SendComplete
+// events. The Auditor subscribes to both streams and joins them on
+// (worker, lane, seq, iter) — the sequence numbers live engines assign
+// reset per iteration, so iter is part of the key. Each join yields a
+// Residual; each EndIteration folds that worker's residuals into an
+// IterationScore and updates its EWMA drift score; a score crossing the
+// threshold after warmup raises an Alarm.
 //
 // # Residual definitions
 //
@@ -37,9 +41,10 @@
 // Per (worker, iteration), divergence is the byte-time-weighted transmit
 // error Div = Σ AbsErr / max(Σ planned duration, ε); the worker's drift
 // score is its EWMA, score ← α·Div + (1−α)·score. After Warmup
-// iterations, a score above Threshold raises an Alarm: delivered to the
-// OnAlarm callback, forwarded to an AlarmObserver (so a SpanRecorder in
-// the same Multi records it), and counted in Metrics. The alarm re-arms
+// iterations, a score above Threshold raises an Alarm. Alarms reach
+// callers three ways: synchronously through the OnAlarm callback (the
+// re-tuning hook), in Report().Alarms, and counted as predict_alarms in
+// Metrics. The alarm re-arms
 // every iteration — a persistent fault alarms persistently, and recovery
 // is visible as the score decaying back under threshold.
 package predict
@@ -73,9 +78,6 @@ type Options struct {
 	OnAlarm func(Alarm)
 	// Metrics, when non-nil, receives predict_* counters and histograms.
 	Metrics *probe.Metrics
-	// Alarms, when non-nil, receives probe.AlarmObserver.DriftAlarm for
-	// every alarm.
-	Alarms probe.AlarmObserver
 }
 
 func (o Options) withDefaults() Options {
@@ -166,10 +168,9 @@ type iterAccum struct {
 }
 
 // Auditor joins planned windows against observed spans online. It
-// implements probe.Observer, probe.PlanObserver, and probe.AlarmObserver
-// passthrough is not needed — it *originates* alarms. Compose it into a
-// probe.Multi alongside the recorder; it is mutex-protected and safe for
-// the live path's concurrent emitters.
+// implements probe.Observer and probe.PlanObserver, and originates alarms.
+// Compose it into a probe.Multi alongside the recorder; it is
+// mutex-protected and safe for the live path's concurrent emitters.
 type Auditor struct {
 	opts Options
 
@@ -448,9 +449,6 @@ func (a *Auditor) emit(emits []scoreEmit) {
 			continue
 		}
 		a.cAlarms.Inc()
-		if a.opts.Alarms != nil {
-			a.opts.Alarms.DriftAlarm(e.alarm.Worker, e.alarm.Iter, e.alarm.Score, e.alarm.Threshold, e.alarm.Time)
-		}
 		if a.opts.OnAlarm != nil {
 			a.opts.OnAlarm(*e.alarm)
 		}

@@ -6,8 +6,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-
-	"prophet/internal/probe"
 )
 
 // Report is the audit's output: every residual, the per-worker-iteration
@@ -123,72 +121,4 @@ func (a *Auditor) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-}
-
-// Audit replays a finished run's SpanRecorder through a fresh Auditor and
-// returns its report: the offline path for runs that record first and score
-// later (ext-predict; prophet-run -audit reads its live Auditor instead).
-// Events are replayed deterministically grouped per (worker, iteration) in
-// time order, so the same recording always yields the same report.
-func Audit(rec *probe.SpanRecorder, opts Options) *Report {
-	a := NewAuditor(opts)
-	type wi struct{ worker, iter int }
-	planned := make(map[wi][]probe.PlannedSpan)
-	spans := make(map[wi][]probe.SendSpan)
-	grads := make(map[wi][]probe.GradTimes)
-	set := make(map[wi]bool)
-	for _, p := range rec.Planned() {
-		k := wi{p.Worker, p.Iter}
-		planned[k] = append(planned[k], p)
-		set[k] = true
-	}
-	for _, s := range rec.Spans() {
-		k := wi{s.Worker, s.Iter}
-		spans[k] = append(spans[k], s)
-		set[k] = true
-	}
-	for _, g := range rec.Grads() {
-		k := wi{g.Worker, g.Iter}
-		grads[k] = append(grads[k], g)
-		set[k] = true
-	}
-	keys := make([]wi, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].worker != keys[j].worker {
-			return keys[i].worker < keys[j].worker
-		}
-		return keys[i].iter < keys[j].iter
-	})
-	for _, k := range keys {
-		begin, _ := rec.IterStart(k.worker, k.iter)
-		a.BeginIteration(k.worker, k.iter, begin)
-		end := begin
-		for _, g := range grads[k] {
-			a.Generated(k.worker, g.Grad, g.Generated)
-		}
-		for _, p := range planned[k] {
-			a.SendPlanned(p.Worker, p.Lane, p.Seq, p.Iter, p.Prio, p.Bytes, p.Start, p.End)
-		}
-		for _, s := range spans[k] {
-			a.SendStart(s.Worker, s.Lane, s.Seq, s.Iter, s.Prio, s.Label, s.Bytes, nil, s.Start)
-			a.SendComplete(s.Worker, s.Lane, s.Iter, true, s.End)
-			if s.End > end {
-				end = s.End
-			}
-		}
-		for _, g := range grads[k] {
-			if g.HasAcked {
-				a.PullAcked(k.worker, g.Grad, k.iter, g.Acked)
-				if g.Acked > end {
-					end = g.Acked
-				}
-			}
-		}
-		a.EndIteration(k.worker, k.iter, end)
-	}
-	a.Flush() // score each worker's final iteration
-	return a.Report()
 }

@@ -28,6 +28,13 @@
 //   - FaultInjected: a configured fault injector fired on the worker's
 //     connection.
 //
+// Two optional extensions ride on the same stream; emitters type-assert
+// for them. A StepObserver also receives a collective's per-chunk steps. A
+// PlanObserver also receives each send's planned wire window, and its
+// presence is what switches prediction on: the SpanRecorder is not one, so
+// recording a run never makes it predict — attaching a predict.Auditor
+// does.
+//
 // # Cost contract
 //
 // The hot loops hold a possibly-nil Observer and guard every emission with
@@ -103,13 +110,15 @@ type StepObserver interface {
 }
 
 // PlanObserver is an optional extension of Observer for the prediction
-// audit: when a drive.Driver has a schedule.CostModel attached (or a live
-// engine predicts from its configured rate), it announces each sub-message's
-// *planned* wire window at decision time — before the send happens — so the
-// audit (internal/probe/predict) can join plan against observation. The join
-// key is (worker, lane, seq, iter): live engines reuse fetch sequence
-// numbers across iterations, so iter is part of the key. Emitters
-// type-assert for it; plain Observers are unaffected.
+// audit, and the switch that turns prediction on: a run predicts if and
+// only if its observer is a PlanObserver. Then every drive.Driver gets the
+// wire's schedule.CostModel (or a live engine predicts from its configured
+// rate) and announces each sub-message's *planned* wire window at decision
+// time — before the send happens — so the audit (internal/probe/predict)
+// can join plan against observation. The predict.Auditor is the one
+// implementation. The join key is (worker, lane, seq, iter): live engines
+// reuse fetch sequence numbers across iterations, so iter is part of the
+// key.
 type PlanObserver interface {
 	// SendPlanned reports that the sub-message with fetch sequence seq on
 	// (worker, lane) in iteration iter is predicted to occupy its lane over
@@ -117,35 +126,36 @@ type PlanObserver interface {
 	SendPlanned(worker, lane, seq, iter, prio int, bytes float64, start, end float64)
 }
 
-// AlarmObserver is an optional extension of Observer for drift alarms: the
-// prediction audit raises DriftAlarm when a worker's EWMA drift score
-// crosses its threshold — the signal a re-tuning hook consumes. Emitters
-// type-assert for it; plain Observers are unaffected.
-type AlarmObserver interface {
-	// DriftAlarm reports worker's drift score crossing threshold at the end
-	// of iteration iter.
-	DriftAlarm(worker, iter int, score, threshold, now float64)
-}
-
 // Multi fans events out to several observers. A nil entry is skipped, so
-// callers can compose optional sinks without branching.
+// callers can compose optional sinks without branching. A Multi is not a
+// PlanObserver; NewMulti returns the plan-forwarding kind only when an
+// entry listens for plans, so a fan-out predicts exactly when one of its
+// entries would.
 type Multi []Observer
+
+// planMulti is a Multi with at least one PlanObserver entry.
+type planMulti struct{ Multi }
 
 // NewMulti returns an Observer fanning out to every non-nil argument, or
 // nil when none remain — preserving the nil fast path at the emission
 // sites.
 func NewMulti(obs ...Observer) Observer {
 	var m Multi
+	plans := false
 	for _, o := range obs {
 		if o != nil {
 			m = append(m, o)
+			_, po := o.(PlanObserver)
+			plans = plans || po
 		}
 	}
-	switch len(m) {
-	case 0:
+	switch {
+	case len(m) == 0:
 		return nil
-	case 1:
+	case len(m) == 1:
 		return m[0]
+	case plans:
+		return &planMulti{m}
 	default:
 		return m
 	}
@@ -224,19 +234,10 @@ func (m Multi) SendStep(worker, lane, seq, step, steps int, bytes float64, start
 }
 
 // SendPlanned implements PlanObserver, forwarding to the entries that do.
-func (m Multi) SendPlanned(worker, lane, seq, iter, prio int, bytes float64, start, end float64) {
-	for _, o := range m {
+func (m *planMulti) SendPlanned(worker, lane, seq, iter, prio int, bytes float64, start, end float64) {
+	for _, o := range m.Multi {
 		if po, ok := o.(PlanObserver); ok {
 			po.SendPlanned(worker, lane, seq, iter, prio, bytes, start, end)
-		}
-	}
-}
-
-// DriftAlarm implements AlarmObserver, forwarding to the entries that do.
-func (m Multi) DriftAlarm(worker, iter int, score, threshold, now float64) {
-	for _, o := range m {
-		if ao, ok := o.(AlarmObserver); ok {
-			ao.DriftAlarm(worker, iter, score, threshold, now)
 		}
 	}
 }

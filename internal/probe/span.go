@@ -39,22 +39,6 @@ type StepSpan struct {
 	Start, End                     float64
 }
 
-// PlannedSpan is one predicted wire window announced through PlanObserver:
-// where the cost model expected the sub-message (Worker, Lane, Seq, Iter)
-// to sit on its lane. The audit joins these against the observed SendSpans.
-type PlannedSpan struct {
-	Worker, Lane, Seq, Iter, Prio int
-	Bytes                         float64
-	Start, End                    float64
-}
-
-// DriftAlarmEvent records one drift alarm raised through AlarmObserver.
-type DriftAlarmEvent struct {
-	Worker, Iter     int
-	Score, Threshold float64
-	Time             float64
-}
-
 // FaultEvent records one fault-injector firing.
 type FaultEvent struct {
 	Worker int
@@ -77,7 +61,7 @@ type gradKey struct{ worker, iter, grad int }
 
 // SpanRecorder is an Observer that keeps the primary records of a run —
 // send spans, collective steps, gradient lifecycles, iteration logs,
-// planned windows, alarms, faults — as the probe stream delivers them, and
+// faults — as the probe stream delivers them, and
 // derives every timeline view on read: Rate(worker) from the spans,
 // Transfers(worker) from the gradient lifecycles. It is the one place any
 // executor's throughput timeline or transfer log comes from. The per-lane
@@ -100,9 +84,6 @@ type SpanRecorder struct {
 	spans []SendSpan
 	steps []StepSpan
 	grads map[gradKey]*GradTimes
-
-	planned []PlannedSpan
-	alarms  []DriftAlarmEvent
 
 	faults []FaultEvent
 	gated  map[int]int64
@@ -264,25 +245,6 @@ func (r *SpanRecorder) SendStep(worker, lane, seq, step, steps int, bytes float6
 	r.steps = append(r.steps, StepSpan{
 		Worker: worker, Lane: lane, Seq: seq, Step: step, Steps: steps,
 		Bytes: bytes, Start: start, End: end,
-	})
-	r.mu.Unlock()
-}
-
-// SendPlanned implements PlanObserver.
-func (r *SpanRecorder) SendPlanned(worker, lane, seq, iter, prio int, bytes float64, start, end float64) {
-	r.mu.Lock()
-	r.planned = append(r.planned, PlannedSpan{
-		Worker: worker, Lane: lane, Seq: seq, Iter: iter, Prio: prio,
-		Bytes: bytes, Start: start, End: end,
-	})
-	r.mu.Unlock()
-}
-
-// DriftAlarm implements AlarmObserver.
-func (r *SpanRecorder) DriftAlarm(worker, iter int, score, threshold, now float64) {
-	r.mu.Lock()
-	r.alarms = append(r.alarms, DriftAlarmEvent{
-		Worker: worker, Iter: iter, Score: score, Threshold: threshold, Time: now,
 	})
 	r.mu.Unlock()
 }
@@ -457,38 +419,6 @@ func (r *SpanRecorder) Transfers(worker int) *metrics.TransferLog {
 		return es[i].Gradient < es[j].Gradient
 	})
 	return log
-}
-
-// Planned returns a copy of the recorded planned spans, sorted by (Worker,
-// Lane, Start, Seq) like Spans.
-func (r *SpanRecorder) Planned() []PlannedSpan {
-	r.mu.Lock()
-	out := make([]PlannedSpan, len(r.planned))
-	copy(out, r.planned)
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Worker != b.Worker {
-			return a.Worker < b.Worker
-		}
-		if a.Lane != b.Lane {
-			return a.Lane < b.Lane
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.Seq < b.Seq
-	})
-	return out
-}
-
-// DriftAlarms returns the recorded drift alarms in emission order.
-func (r *SpanRecorder) DriftAlarms() []DriftAlarmEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]DriftAlarmEvent, len(r.alarms))
-	copy(out, r.alarms)
-	return out
 }
 
 // Faults returns the recorded fault events.

@@ -39,11 +39,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Range returns a uniform value in [lo, hi).
-func (r *Rand) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // NormFloat64 returns a standard normal deviate (Box-Muller).
 func (r *Rand) NormFloat64() float64 {
 	if r.hasSpare {

@@ -110,13 +110,3 @@ func TestJitterStaysPositive(t *testing.T) {
 		}
 	}
 }
-
-func TestRangeBounds(t *testing.T) {
-	r := NewRand(13)
-	for i := 0; i < 1000; i++ {
-		v := r.Range(2, 5)
-		if v < 2 || v >= 5 {
-			t.Fatalf("Range(2,5) = %v", v)
-		}
-	}
-}

@@ -50,7 +50,6 @@ var reachAllow = map[string]string{
 	"internal/probe.Histogram.Max":                  window,
 	"internal/probe.Metrics.Snapshot":               window,
 	"internal/probe.SpanRecorder.Steps":             window,
-	"internal/probe.SpanRecorder.DriftAlarms":       window,
 	"internal/probe.SpanRecorder.GatedCount":        window,
 	"internal/probe.SpanRecorder.Lanes":             window,
 	"internal/ps.Server.Stats":                      window,
@@ -66,7 +65,6 @@ var reachAllow = map[string]string{
 	"internal/stepwise.Block.Size":                  window,
 	"internal/stepwise.Buckets.NumGroups":           window,
 	"internal/stepwise.Buckets.GroupOf":             window,
-	"internal/cluster.TicTacFactory":                fixture,
 	"internal/fault.Derive":                         fixture,
 	"internal/fault.Spec.Wrap":                      fixture,
 	"internal/model.All":                            fixture,
@@ -80,7 +78,6 @@ var reachAllow = map[string]string{
 	"internal/transport.FrameWriter.WriteFrame":     fixture,
 	"internal/core.WaitModel.IterationTime":         testOnly,
 	"internal/sim.Engine.Cancel":                    testOnly,
-	"internal/sim.Rand.Range":                       testOnly,
 }
 
 // modulePackages type-checks every non-test package under the repository
