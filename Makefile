@@ -93,23 +93,19 @@ cover:
 			echo "coverage $$pct% below floor $(COVER_FLOOR)% for $$pkg"; fail=1; fi; \
 	done; exit $$fail
 
-# End-to-end trace export gate: run prophet-run on both execution paths, each
+# End-to-end run-document gate: run prophet-run on both execution paths, each
 # on its PS and ring wires — the live runs at the emu default of 32 Mbps, so
-# the limiter is on the smoke path — and validate the Chrome trace JSON
-# (structure + required fields) and that the attribution reports have content.
+# the limiter is on the smoke path and all four runs are shaped — and
+# validate each -out document with tracecheck: the trace events' structure
+# and required fields, the version, the summary, non-empty gradient and
+# attribution rows, and an audit that planned send windows.
 trace-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
-	$(GO) run ./cmd/prophet-run -path sim -policy fifo -iters 3 \
-		-out $$tmp/sim.json -attrib $$tmp/sim_attrib.txt && \
-	$(GO) run ./cmd/prophet-run -path sim -transport ring -policy prophet -iters 3 \
-		-out $$tmp/ring.json -attrib $$tmp/ring_attrib.txt && \
-	$(GO) run ./cmd/prophet-run -path emu -policy prophet -iters 4 \
-		-out $$tmp/emu.json -attrib $$tmp/emu_attrib.txt && \
-	$(GO) run ./cmd/prophet-run -path emu -transport ring -policy prophet -iters 4 \
-		-out $$tmp/emu_ring.json -attrib $$tmp/emu_ring_attrib.txt && \
-	$(GO) run ./cmd/tracecheck $$tmp/sim.json $$tmp/ring.json $$tmp/emu.json $$tmp/emu_ring.json && \
-	test -s $$tmp/sim_attrib.txt && test -s $$tmp/ring_attrib.txt && \
-	test -s $$tmp/emu_attrib.txt && test -s $$tmp/emu_ring_attrib.txt
+	$(GO) run ./cmd/prophet-run -path sim -policy fifo -iters 3 -out $$tmp/sim.json && \
+	$(GO) run ./cmd/prophet-run -path sim -transport ring -policy prophet -iters 3 -out $$tmp/ring.json && \
+	$(GO) run ./cmd/prophet-run -path emu -policy prophet -iters 4 -out $$tmp/emu.json && \
+	$(GO) run ./cmd/prophet-run -path emu -transport ring -policy prophet -iters 4 -out $$tmp/emu_ring.json && \
+	$(GO) run ./cmd/tracecheck $$tmp/sim.json $$tmp/ring.json $$tmp/emu.json $$tmp/emu_ring.json
 
 # Reproducible single-shot benchmark pass.
 bench:

@@ -2,22 +2,24 @@
 // transport — simulated (-path sim: the discrete-event cluster on a model
 // from the zoo) or live (-path emu: real data-parallel SGD on a real MLP over
 // real pipes) — and accounts for it the same way on both paths. One
-// probe.SpanRecorder is always attached; the summary block, the
-// stall-attribution report (the Fig. 11 decomposition), the prediction audit,
-// the Chrome trace and both CSVs are all read from it, so a strategy ×
-// transport × executor comparison diffs mechanically.
+// probe.SpanRecorder is always attached and the summary block is read from
+// it. -out writes the run's whole account as one JSON document: the flags,
+// that summary, worker 0's timeline, every gradient's lifecycle, the stall
+// attribution (the Fig. 11 decomposition), the prediction audit and a
+// traceEvents array, which makes the file a trace-event JSON object that
+// chrome://tracing and Perfetto open as is. A strategy × transport ×
+// executor comparison diffs two documents as data.
 //
 // Usage:
 //
 //	prophet-run -model resnet50 -policy prophet -bandwidth 3000 -iters 12
-//	prophet-run -policy p3 -transport ring -out trace.json -attrib -
-//	prophet-run -path emu -workers 4 -transport ring -attrib report.txt
+//	prophet-run -policy p3 -transport ring -out run.json
+//	prophet-run -path emu -workers 4 -transport ring -out run.json && jq .attribution run.json
 //	prophet-run -path emu -mux -workers 1000 -shards 4 -bandwidth 0 -iters 2
-//	prophet-run -path emu -audit - -debug-addr 127.0.0.1:6060  # /metrics, /predict
+//	prophet-run -path emu -debug-addr 127.0.0.1:6060  # /metrics, /predict
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -35,13 +37,11 @@ import (
 	"prophet/internal/netsim"
 	"prophet/internal/nn"
 	"prophet/internal/probe"
-	"prophet/internal/probe/attrib"
 	"prophet/internal/probe/predict"
 	"prophet/internal/profiler"
 	"prophet/internal/shard"
 	"prophet/internal/stepwise"
 	"prophet/internal/strategy"
-	"prophet/internal/trace"
 )
 
 func main() {
@@ -66,32 +66,31 @@ type job struct {
 	hidden            int     // emu
 	mux               bool    // emu
 
-	// Where the account goes: a file each, or "-" for the command's output.
-	attrib, audit, out, csv, transfers string
-	topK                               int
-	debugAddr                          string
+	out       string // the run's account, one JSON document
+	debugAddr string
 }
 
 // account is what an executor adds to the recorder's contents: the clock
-// facts the exports need, the series only a simulator keeps, and the report
+// facts the document needs, what only one executor keeps, and the report
 // lines only it can print.
 type account struct {
 	what string  // what was trained, for the header
 	end  float64 // the run's last instant on the recorder's clock
-	bin  float64 // CSV bin width on that clock
+	bin  float64 // timeline bin width on that clock
 	// gpu is worker 0's compute-busy series and down its downlink payload
 	// series; nil where the executor has none (emu; down also on a
-	// collective), and the CSV column is then omitted.
+	// collective), and the timeline then omits the series.
 	gpu  *metrics.IntervalSeries
 	down *metrics.RateSeries
-	// msgs is the message-level Chrome trace (compute, push and pull tracks)
-	// a run with link records renders instead of the recorder's send spans.
-	msgs []trace.Event
-	tail string // the report lines only this executor prints, after the shared block
+	// tracks are the trace events only the simulator has: compute intervals
+	// and downlink pulls, drawn beside the recorder's spans.
+	tracks []traceEvent
+	phases *emu.PhaseTimes // emu only
+	tail   string          // the report lines only this executor prints, after the shared block
 }
 
 // run is the whole command: parse, attach the observers, execute on one
-// path, print one report, write the requested exports.
+// path, print one report, write the document.
 func run(args []string, out io.Writer) error {
 	var j job
 	fs := flag.NewFlagSet("prophet-run", flag.ExitOnError) // as the global flag set behaves
@@ -111,13 +110,8 @@ func run(args []string, out io.Writer) error {
 	fs.BoolVar(&j.splitNIC, "split-nic", false, "sim: scale each shard link to 1/shards of the bandwidth (one NIC split across shards) instead of full speed per shard")
 	fs.IntVar(&j.hidden, "hidden", 128, "emu: hidden layer width of the MLP")
 	fs.BoolVar(&j.mux, "mux", false, "emu: put all workers on one shared pipe per shard instead of a pipe each (use for -workers ≥ 100)")
-	fs.StringVar(&j.attrib, "attrib", "", "stall-attribution report (generation/priority/bandwidth/transmit/ack per gradient) to this file, or - for stdout")
-	fs.IntVar(&j.topK, "topk", 3, "blocking gradients listed per iteration in the attribution report")
-	fs.StringVar(&j.audit, "audit", "", "prediction audit (planned vs observed send windows, drift scores) to this file, or - for stdout; served live on /predict with -debug-addr")
-	fs.StringVar(&j.out, "out", "", "Chrome trace JSON to this file")
-	fs.StringVar(&j.csv, "csv", "", "worker 0 timeline CSV (GPU utilization on sim, link throughput) to this file")
-	fs.StringVar(&j.transfers, "transfers", "", "worker 0 per-gradient transfer CSV to this file")
-	fs.StringVar(&j.debugAddr, "debug-addr", "", "serve live metrics as JSON on this address (e.g. 127.0.0.1:6060/metrics, /predict with -audit) and dump them after the run")
+	fs.StringVar(&j.out, "out", "", "the run's account to this file: one JSON document (timeline, gradients, stall attribution, prediction audit, traceEvents) that trace viewers open as is")
+	fs.StringVar(&j.debugAddr, "debug-addr", "", "serve live metrics as JSON on this address (e.g. 127.0.0.1:6060/metrics, and /predict on a shaped link) and dump them after the run")
 	_ = fs.Parse(args) // ExitOnError: Parse does not return on a bad flag
 
 	// The path picks the executor and the link speed its model is sized for.
@@ -150,15 +144,11 @@ func run(args []string, out io.Writer) error {
 	if j.credit <= 0 {
 		return fmt.Errorf("-credit %g: a credit in MB must be positive", j.credit)
 	}
-	// attrib.Analyze likewise reads a non-positive count as its default.
-	if j.topK < 1 {
-		return fmt.Errorf("-topk %d: the attribution report lists at least one gradient", j.topK)
-	}
 
 	// The recorder is the run's account and is always attached. The metrics
-	// registry and the auditor exist only when asked for; attaching the
-	// auditor is what makes either path predict, and /predict serves it
-	// mid-run.
+	// registry exists only when asked for. The auditor listens when the
+	// document or /predict has a reader for it and the wire has a rate to
+	// predict from; attaching it is what makes either path predict.
 	rec := probe.NewSpanRecorder()
 	rec.SetIterationHint(j.iters)
 	obs := probe.Observer(rec)
@@ -167,7 +157,7 @@ func run(args []string, out io.Writer) error {
 		m = probe.NewMetrics()
 	}
 	var aud *predict.Auditor
-	if j.audit != "" {
+	if (j.out != "" || j.debugAddr != "") && j.bandwidth > 0 {
 		aud = predict.NewAuditor(predict.Options{Metrics: m})
 		obs = probe.NewMulti(rec, aud)
 	}
@@ -196,7 +186,7 @@ func run(args []string, out io.Writer) error {
 	if aud != nil {
 		aud.Flush()
 		if audit = aud.Report(); audit.Planned == 0 {
-			return fmt.Errorf("-audit: no planned send windows — on an unshaped link (-bandwidth 0) the cost model has no rate to predict from")
+			return fmt.Errorf("prediction audit: no planned send windows at -bandwidth %g", j.bandwidth)
 		}
 	}
 
@@ -212,81 +202,20 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "  uplink payload:  %7.1f MB/s average\n", sum.uplinkBps/1e6)
 	fmt.Fprint(out, acct.tail)
 
-	// Every export renders the recorder through the internal/trace,
-	// attrib and predict writers; the CSV and the transfer log cover worker
-	// 0, like the figures they feed.
-	exports := []struct {
-		dest, heading string
-		render        func(io.Writer) error
-	}{
-		{j.out, "Chrome trace", func(w io.Writer) error {
-			if acct.msgs != nil {
-				return trace.WriteChromeTrace(w, acct.msgs)
-			}
-			return trace.WriteChromeTrace(w, trace.ChromeTraceSpans(rec))
-		}},
-		{j.csv, "timeline", func(w io.Writer) error {
-			up := rec.Rate(0)
-			if up == nil {
-				return fmt.Errorf("no transfers recorded for worker 0")
-			}
-			headers := []string{"time_s"}
-			var cols [][]float64
-			if acct.gpu != nil {
-				headers = append(headers, "gpu_util")
-				cols = append(cols, acct.gpu.Timeline(0, acct.end, acct.bin))
-			}
-			headers = append(headers, "uplink_Bps")
-			cols = append(cols, up.Timeline(0, acct.end, acct.bin))
-			if acct.down != nil {
-				headers = append(headers, "downlink_Bps")
-				cols = append(cols, acct.down.Timeline(0, acct.end, acct.bin))
-			}
-			return trace.WriteCSV(w, acct.bin, headers, cols...)
-		}},
-		{j.transfers, "transfers", func(w io.Writer) error {
-			return trace.WriteTransferCSV(w, rec.Transfers(0))
-		}},
-		{j.attrib, "stall attribution (a zero ack column marks collective ops: no pull leg)", func(w io.Writer) error {
-			attrib.Analyze(rec, j.topK).Render(w)
-			return nil
-		}},
-		{j.audit, "prediction audit (planned vs observed send windows)", func(w io.Writer) error {
-			audit.Render(w)
-			return nil
-		}},
-	}
-	for _, e := range exports {
-		if err := export(out, e.dest, e.heading, e.render); err != nil {
+	if j.out != "" {
+		doc, err := newDocument(fs, rec, acct, sum, audit)
+		if err != nil {
 			return err
 		}
+		if err := os.WriteFile(j.out, doc, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "wrote %s\n", j.out)
 	}
 	if m != nil {
 		fmt.Fprintln(out, "  metrics:")
 		return m.WriteJSON(out)
 	}
-	return nil
-}
-
-// export renders one account view to its destination: nowhere when dest is
-// empty, the command's own output under a heading when it is "-", otherwise
-// a file, written whole or not at all.
-func export(out io.Writer, dest, heading string, render func(io.Writer) error) error {
-	switch dest {
-	case "":
-		return nil
-	case "-":
-		fmt.Fprintf(out, "  %s:\n", heading)
-		return render(out)
-	}
-	var buf bytes.Buffer
-	if err := render(&buf); err != nil {
-		return err
-	}
-	if err := os.WriteFile(dest, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s\n", dest)
 	return nil
 }
 
@@ -338,9 +267,9 @@ func summarize(rec *probe.SpanRecorder, end float64) summary {
 	return s
 }
 
-// simulate runs the job on the discrete-event cluster. -out and -csv ask it
-// for per-message link records, which add what only the PS wire has: the
-// message-level Chrome trace and the downlink CSV column.
+// simulate runs the job on the discrete-event cluster. -out asks it for
+// per-message link records, which add what only the PS wire has: the
+// downlink track and series.
 func simulate(j job, _ *probe.SpanRecorder, obs probe.Observer, m *probe.Metrics) (account, error) {
 	if j.bandwidth == 0 {
 		return account{}, fmt.Errorf("-bandwidth 0 (unshaped) has no meaning on -path sim: a simulated link needs a rate")
@@ -376,7 +305,7 @@ func simulate(j job, _ *probe.SpanRecorder, obs probe.Observer, m *probe.Metrics
 		Seed:           j.seed,
 		PSShards:       j.shards,
 		ShardPlacement: shard.Placement(j.placement),
-		RecordLinks:    j.out != "" || j.csv != "",
+		RecordLinks:    j.out != "",
 		Observer:       probe.NewMulti(obs, m.Observer()),
 	}
 	if j.splitNIC && j.shards > 1 {
@@ -389,9 +318,8 @@ func simulate(j job, _ *probe.SpanRecorder, obs probe.Observer, m *probe.Metrics
 		return account{}, err
 	}
 
-	acct := account{what: base.Name + " (simulated)", end: res.Duration, bin: 0.05, gpu: res.GPU[0]}
+	acct := account{what: base.Name + " (simulated)", end: res.Duration, bin: 0.05, gpu: res.GPU[0], tracks: simTracks(res)}
 	if len(res.DownRecords) > 0 {
-		acct.msgs = trace.ChromeTrace(res)
 		acct.down = &metrics.RateSeries{}
 		for _, r := range res.DownRecords[0] {
 			acct.down.Add(r.Start, r.End, r.Bytes)
@@ -476,9 +404,10 @@ func emulate(j job, rec *probe.SpanRecorder, obs probe.Observer, m *probe.Metric
 		}
 	}
 	return account{
-		what: fmt.Sprintf("a 16-%d-%d-4 MLP (live: %s)", j.hidden, j.hidden, wire),
-		end:  log.Ends[log.Count()-1],
-		bin:  0.005,
-		tail: tail.String(),
+		what:   fmt.Sprintf("a 16-%d-%d-4 MLP (live: %s)", j.hidden, j.hidden, wire),
+		end:    log.Ends[log.Count()-1],
+		bin:    0.005,
+		phases: &res.Phases,
+		tail:   tail.String(),
 	}, nil
 }

@@ -8,10 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"prophet/internal/probe"
+	"prophet/internal/probe/attrib"
+	"prophet/internal/probe/predict"
 )
 
 // small is a job both executors finish in well under a second: ResNet18 on
@@ -106,55 +109,30 @@ func TestEmuOneIterationPrintsNoPhaseRows(t *testing.T) {
 	}
 }
 
-// The transfer CSV has no worker column, so it must hold worker 0's rows
-// only — one per (iteration, tensor) — on every path. The emu and
-// collective paths used to write every worker's entries interleaved.
-func TestEmuTransferCSVIsWorkerZeroOnly(t *testing.T) {
-	const iters, tensors = 4, 6 // the MLP has 2×(layers−1) tensors
-	for _, transport := range []string{"ps", "ring"} {
-		path := filepath.Join(t.TempDir(), transport+".csv")
-		mustRun(t, small("emu", "-transport", transport, "-transfers", path))
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := strings.Count(string(raw), "\n") - 1 // minus the header
-		if rows != iters*tensors {
-			t.Fatalf("%s: %d transfer rows, want %d (iterations × tensors)", transport, rows, iters*tensors)
-		}
-	}
-}
-
-// Every export flag writes a file that parses, on both paths: the trace is a
-// non-empty event array with the fields tracecheck requires, the timeline
-// CSV has the columns its executor and wire can fill, and the transfer,
-// attribution and audit files carry their tables.
+// -out writes one document that parses on both paths: its traceEvents are
+// a non-empty array with the fields tracecheck requires, the timeline has
+// the series its executor and wire can fill, and the gradient, attribution
+// and audit sections carry rows.
 func TestEveryExportParses(t *testing.T) {
-	for _, tc := range []struct{ path, transport, csvHeader string }{
-		{"sim", "ps", "time_s,gpu_util,uplink_Bps,downlink_Bps"},
-		{"sim", "ring", "time_s,gpu_util,uplink_Bps"},
-		{"emu", "ps", "time_s,uplink_Bps"},
-		{"emu", "ring", "time_s,uplink_Bps"},
+	for _, tc := range []struct {
+		path, transport string
+		timeline        []string
+	}{
+		{"sim", "ps", []string{"bin_s", "downlink_Bps", "gpu_util", "uplink_Bps"}},
+		{"sim", "ring", []string{"bin_s", "gpu_util", "uplink_Bps"}},
+		{"emu", "ps", []string{"bin_s", "uplink_Bps"}},
+		{"emu", "ring", []string{"bin_s", "uplink_Bps"}},
 	} {
-		dir := t.TempDir()
-		file := func(name string) string { return filepath.Join(dir, name) }
-		read := func(name string) string {
-			raw, err := os.ReadFile(file(name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return string(raw)
+		file := filepath.Join(t.TempDir(), "run.json")
+		report := mustRun(t, small(tc.path, "-transport", tc.transport, "-out", file))
+		if n := strings.Count(report, "wrote "); n != 1 {
+			t.Errorf("%s/%s: report names %d written files, want 1:\n%s", tc.path, tc.transport, n, report)
 		}
-		report := mustRun(t, small(tc.path, "-transport", tc.transport,
-			"-out", file("trace.json"), "-csv", file("timeline.csv"), "-transfers", file("transfers.csv"),
-			"-attrib", file("attrib.txt"), "-audit", file("audit.txt")))
-		if n := strings.Count(report, "wrote "); n != 5 {
-			t.Errorf("%s/%s: report names %d written files, want 5:\n%s", tc.path, tc.transport, n, report)
-		}
+		doc := readDocument(t, file)
 
 		var events []map[string]any
-		if err := json.Unmarshal([]byte(read("trace.json")), &events); err != nil || len(events) == 0 {
-			t.Fatalf("%s/%s: trace is not a non-empty event array (%d events, err %v)", tc.path, tc.transport, len(events), err)
+		if err := json.Unmarshal(doc["traceEvents"], &events); err != nil || len(events) == 0 {
+			t.Fatalf("%s/%s: traceEvents is not a non-empty event array (%d events, err %v)", tc.path, tc.transport, len(events), err)
 		}
 		for i, e := range events {
 			for _, field := range []string{"name", "ph", "ts", "dur", "pid", "tid"} {
@@ -163,32 +141,117 @@ func TestEveryExportParses(t *testing.T) {
 				}
 			}
 		}
-		for name, header := range map[string]string{
-			"timeline.csv":  tc.csvHeader,
-			"transfers.csv": "iteration,gradient,generated,start,end,wait,duration",
-			"attrib.txt":    "stall attribution (",
-			"audit.txt":     "wrk  iter joined",
-		} {
-			lines := strings.Split(read(name), "\n")
-			if !strings.HasPrefix(lines[0], header) || len(lines) < 3 {
-				t.Errorf("%s/%s: %s starts %q over %d lines, want %q and rows under it",
-					tc.path, tc.transport, name, lines[0], len(lines), header)
-			}
+		var series map[string]json.RawMessage
+		if err := json.Unmarshal(doc["timeline"], &series); err != nil {
+			t.Fatal(err)
+		}
+		if got := sortedKeys(series); !reflect.DeepEqual(got, tc.timeline) {
+			t.Errorf("%s/%s: timeline has %q, want %q", tc.path, tc.transport, got, tc.timeline)
+		}
+		var rows struct {
+			Gradients   []probe.GradTimes
+			Attribution attrib.Report
+			Audit       predict.Report
+		}
+		if err := json.Unmarshal(readFile(t, file), &rows); err != nil {
+			t.Fatal(err)
+		}
+		if len(rows.Gradients) < 2 || len(rows.Attribution.PerGrad) < 2 || len(rows.Audit.Scores) < 2 {
+			t.Errorf("%s/%s: %d gradient, %d attribution and %d audit rows, want rows in each",
+				tc.path, tc.transport, len(rows.Gradients), len(rows.Attribution.PerGrad), len(rows.Audit.Scores))
 		}
 	}
 }
 
-// "-" sends the attribution and audit tables to the command's own output,
-// each under its heading, after the summary.
-func TestDashPrintsUnderHeadings(t *testing.T) {
-	for _, path := range []string{"sim", "emu"} {
-		report := mustRun(t, small(path, "-attrib", "-", "-audit", "-"))
-		at := strings.Index(report, "  stall attribution (a zero ack column")
-		au := strings.Index(report, "  prediction audit (planned vs observed send windows):\nwrk  iter")
-		if at < 0 || au < at || !strings.Contains(report[au:], "\nplanned ") {
-			t.Errorf("-path %s: attribution at %d, audit at %d in:\n%s", path, at, au, report)
+// A simulated and a live run of the same job write documents that diff as
+// data: the same sections (the phase rows are the live loop's own), the
+// same summary figures, the iteration and lane tracks in both traces, and
+// attribution rows that add up on both clocks. The live gradients section
+// holds every worker's lifecycles, not worker 0's alone.
+func TestSimAndLiveDocumentsDiffAsData(t *testing.T) {
+	const workers, iters, tensors = 4, 4, 6 // the MLP has 2×(layers−1) tensors
+	for _, transport := range []string{"ps", "ring"} {
+		docs := map[string]map[string]json.RawMessage{}
+		for _, path := range []string{"sim", "emu"} {
+			file := filepath.Join(t.TempDir(), path+".json")
+			mustRun(t, small(path, "-transport", transport, "-out", file))
+			docs[path] = readDocument(t, file)
+		}
+		sim, live := docs["sim"], docs["emu"]
+		if _, ok := sim["phases"]; ok {
+			t.Errorf("%s: the simulated document has phases", transport)
+		}
+		simKeys := append(sortedKeys(sim), "phases")
+		sort.Strings(simKeys)
+		if got := sortedKeys(live); !reflect.DeepEqual(got, simKeys) {
+			t.Errorf("%s: live sections %q, simulated %q plus phases", transport, got, simKeys)
+		}
+		var simSum, liveSum map[string]float64
+		if json.Unmarshal(sim["summary"], &simSum) != nil || json.Unmarshal(live["summary"], &liveSum) != nil {
+			t.Fatalf("%s: summary is not an object of figures", transport)
+		}
+		if !reflect.DeepEqual(sortedKeys(simSum), sortedKeys(liveSum)) || len(simSum) != 3 {
+			t.Errorf("%s: summary keys %q simulated, %q live", transport, sortedKeys(simSum), sortedKeys(liveSum))
+		}
+		for path, doc := range docs {
+			var events []traceEvent
+			if err := json.Unmarshal(doc["traceEvents"], &events); err != nil {
+				t.Fatal(err)
+			}
+			iterTrack, laneTrack := false, false
+			for _, e := range events {
+				iterTrack = iterTrack || (e.Tid == 0 && e.Name == "iteration")
+				laneTrack = laneTrack || (e.Tid >= 1 && e.Tid < 99)
+			}
+			if !iterTrack || !laneTrack {
+				t.Errorf("%s/%s: iteration track %v, lane track %v", path, transport, iterTrack, laneTrack)
+			}
+			var rep attrib.Report
+			if err := json.Unmarshal(doc["attribution"], &rep); err != nil || len(rep.PerGrad) == 0 {
+				t.Fatalf("%s/%s: %d attribution rows (err %v)", path, transport, len(rep.PerGrad), err)
+			}
+			for _, c := range rep.PerGrad {
+				if d := math.Abs(c.Sum() - c.Completion); d > 1e-9 {
+					t.Errorf("%s/%s: worker %d iter %d g%d components miss completion by %g", path, transport, c.Worker, c.Iter, c.Grad, d)
+				}
+			}
+		}
+		var grads []probe.GradTimes
+		if err := json.Unmarshal(live["gradients"], &grads); err != nil {
+			t.Fatal(err)
+		}
+		if len(grads) != workers*iters*tensors {
+			t.Errorf("%s: %d live gradient rows, want %d (workers × iterations × tensors)", transport, len(grads), workers*iters*tensors)
 		}
 	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// readDocument decodes a -out document's top-level sections.
+func readDocument(t *testing.T, path string) map[string]json.RawMessage {
+	t.Helper()
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(readFile(t, path), &doc); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return doc
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func TestBadInvocationsAreErrors(t *testing.T) {
@@ -204,12 +267,6 @@ func TestBadInvocationsAreErrors(t *testing.T) {
 		{[]string{"-policy", "bytescheduler", "-credit", "0"}, "-credit 0"},
 		{[]string{"-policy", "bytescheduler", "-credit", "-1"}, "-credit -1"},
 		{[]string{"-bandwidth", "-5"}, "-bandwidth -5"},
-		// These used to list the default three.
-		{[]string{"-topk", "0"}, "-topk 0"},
-		{[]string{"-topk", "-1"}, "-topk -1"},
-		// An unshaped live link plans nothing: prophet-emu used to print an
-		// all-zero table and exit 0.
-		{small("emu", "-bandwidth", "0", "-audit", "-"), "no planned send windows"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

@@ -1,11 +1,12 @@
-// Command tracecheck validates a Chrome trace-event JSON file: the
-// trace-smoke make target runs prophet-run -out on both execution paths and
+// Command tracecheck validates the run document prophet-run -out writes: the
+// trace-smoke make target runs prophet-run on both execution paths and
 // passes the results through this gate, so a broken exporter fails CI
-// instead of producing a file the trace viewer silently rejects.
+// instead of producing a file the trace viewer silently rejects or a
+// section jq finds empty.
 //
 // Usage:
 //
-//	tracecheck trace.json [more.json ...]
+//	tracecheck run.json [more.json ...]
 package main
 
 import (
@@ -14,8 +15,8 @@ import (
 	"os"
 )
 
-// event mirrors trace.Event but keeps pointer fields so missing keys are
-// distinguishable from zero values.
+// event mirrors prophet-run's trace event but keeps pointer fields so
+// missing keys are distinguishable from zero values.
 type event struct {
 	Name *string  `json:"name"`
 	Ph   *string  `json:"ph"`
@@ -23,6 +24,22 @@ type event struct {
 	Dur  *float64 `json:"dur"`
 	Pid  *int     `json:"pid"`
 	Tid  *int     `json:"tid"`
+}
+
+// document holds the sections the gate reads; pointers and raw values keep
+// a missing key distinguishable from an empty one.
+type document struct {
+	Version     *int               `json:"version"`
+	Config      map[string]any     `json:"config"`
+	Summary     map[string]float64 `json:"summary"`
+	Gradients   []json.RawMessage  `json:"gradients"`
+	Attribution *struct {
+		PerGrad []json.RawMessage
+	} `json:"attribution"`
+	Audit *struct {
+		Planned int `json:"planned"`
+	} `json:"audit"`
+	TraceEvents []event `json:"traceEvents"`
 }
 
 func check(path string) error {
@@ -33,10 +50,25 @@ func check(path string) error {
 	if !json.Valid(data) {
 		return fmt.Errorf("%s: invalid JSON", path)
 	}
-	var events []event
-	if err := json.Unmarshal(data, &events); err != nil {
-		return fmt.Errorf("%s: not a trace-event array: %w", path, err)
+	var doc document
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return fmt.Errorf("%s: not a run document: %w", path, err)
 	}
+	switch {
+	case doc.Version == nil || *doc.Version != 1:
+		return fmt.Errorf("%s: version is not 1", path)
+	case doc.Summary == nil:
+		return fmt.Errorf("%s: no summary object", path)
+	case len(doc.Gradients) == 0:
+		return fmt.Errorf("%s: no gradients", path)
+	case doc.Attribution == nil || len(doc.Attribution.PerGrad) == 0:
+		return fmt.Errorf("%s: no attribution rows", path)
+	}
+	// A shaped link has a rate to predict from, so its run is audited.
+	if bw := doc.Config["bandwidth"]; bw != 0.0 && (doc.Audit == nil || doc.Audit.Planned <= 0) {
+		return fmt.Errorf("%s: bandwidth %v but no planned send windows audited", path, bw)
+	}
+	events := doc.TraceEvents
 	if len(events) == 0 {
 		return fmt.Errorf("%s: empty trace", path)
 	}
@@ -56,13 +88,14 @@ func check(path string) error {
 			return fmt.Errorf("%s: event %d: negative ts/dur", path, i)
 		}
 	}
-	fmt.Printf("%s: %d events ok\n", path, len(events))
+	fmt.Printf("%s: %d events, %d gradients, %d attribution rows ok\n",
+		path, len(events), len(doc.Gradients), len(doc.Attribution.PerGrad))
 	return nil
 }
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck <trace.json> [...]")
+		fmt.Fprintln(os.Stderr, "usage: tracecheck <run.json> [...]")
 		os.Exit(2)
 	}
 	for _, path := range os.Args[1:] {

@@ -18,15 +18,13 @@ import "fmt"
 // exactly as the underlying BytePS priority queues do.
 //
 // The queue is reset at the start of each iteration (ResetIteration) and
-// consumed by the transport via PopIndexed. It also accepts the
-// reportFinish signal so callers can keep per-iteration transfer logs.
+// consumed by the transport via PopIndexed.
 type Queue struct {
 	plan      *Plan
 	sent      []bool
 	nSent     int
 	generated []bool
 	nGrads    int
-	finished  int
 }
 
 // NewQueue creates a queue over plan for a model with nGrads gradients.
@@ -40,7 +38,6 @@ func NewQueue(plan *Plan, nGrads int) *Queue {
 // training iteration. The mark slices are reused across iterations.
 func (q *Queue) ResetIteration() {
 	q.nSent = 0
-	q.finished = 0
 	if cap(q.sent) < len(q.plan.Units) {
 		q.sent = make([]bool, len(q.plan.Units))
 	} else {
@@ -116,13 +113,6 @@ func (q *Queue) PopIndexed() (Unit, int, bool) {
 	q.nSent++
 	return q.plan.Units[i], i, true
 }
-
-// ReportFinish records that a previously popped unit completed its network
-// transfer (the reportFinish interface in the BytePS core).
-func (q *Queue) ReportFinish(Unit) { q.finished++ }
-
-// Finished returns how many units have reported completion this iteration.
-func (q *Queue) Finished() int { return q.finished }
 
 // Exhausted reports whether every unit has been dispatched.
 func (q *Queue) Exhausted() bool { return q.nSent >= len(q.plan.Units) }

@@ -149,11 +149,7 @@ func TestQueueResetIteration(t *testing.T) {
 		q.MarkGenerated(g)
 	}
 	q.PopIndexed()
-	q.ReportFinish(Unit{})
 	q.ResetIteration()
-	if q.Finished() != 0 {
-		t.Fatal("Finished not reset")
-	}
 	if q.Remaining() != len(plan.Units) {
 		t.Fatalf("Remaining = %d after reset", q.Remaining())
 	}
@@ -187,14 +183,4 @@ func TestQueueMarkGeneratedOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	q.MarkGenerated(n + 5)
-}
-
-func TestQueueReportFinishCounts(t *testing.T) {
-	plan, n := planForQueue(t)
-	q := NewQueue(plan, n)
-	q.ReportFinish(Unit{})
-	q.ReportFinish(Unit{})
-	if q.Finished() != 2 {
-		t.Fatalf("Finished = %d, want 2", q.Finished())
-	}
 }

@@ -50,16 +50,6 @@ func (m WaitModel) Eval(t []float64) (tWait float64, u, p []float64, err error) 
 	return tWait, u, p, nil
 }
 
-// IterationTime returns the length of one iteration under schedule t:
-// backward time (= c(0)) plus the forward span ending at p(n-1).
-func (m WaitModel) IterationTime(t []float64) (float64, error) {
-	_, _, p, err := m.Eval(t)
-	if err != nil {
-		return 0, err
-	}
-	return p[len(p)-1], nil
-}
-
 // FIFOStarts returns the transfer schedule of the default framework: every
 // gradient starts as soon as both it is generated and the link is free,
 // in generation (FIFO) order — the behaviour of unscheduled MXNet.

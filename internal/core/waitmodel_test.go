@@ -69,17 +69,6 @@ func TestEvalLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestIterationTime(t *testing.T) {
-	m := toyModel()
-	it, err := m.IterationTime([]float64{3, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if it != 6.5 {
-		t.Fatalf("iteration time = %v, want 6.5", it)
-	}
-}
-
 func TestFIFOStartsSerializeGenerationOrder(t *testing.T) {
 	m := WaitModel{
 		Gen:     []float64{3, 2, 1},

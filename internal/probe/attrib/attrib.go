@@ -23,8 +23,6 @@
 package attrib
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -192,39 +190,4 @@ func (r *Report) Mean(worker, warmup int) Components {
 	sum.Ack *= inv
 	sum.Completion *= inv
 	return sum
-}
-
-// Render writes the human-readable attribution report: per-worker mean
-// components followed by the top blocking gradients of every iteration.
-func (r *Report) Render(w io.Writer) {
-	workers := map[int]bool{}
-	for _, c := range r.PerGrad {
-		workers[c.Worker] = true
-	}
-	ids := make([]int, 0, len(workers))
-	for id := range workers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	fmt.Fprintf(w, "stall attribution (%d gradients", len(r.PerGrad))
-	if r.Skipped > 0 {
-		fmt.Fprintf(w, ", %d incomplete skipped", r.Skipped)
-	}
-	fmt.Fprintf(w, ")\n\n")
-	fmt.Fprintf(w, "%-8s %12s %12s %12s %12s %12s %12s\n",
-		"worker", "generation", "prio-wait", "bw-wait", "transmit", "ack", "completion")
-	for _, id := range ids {
-		m := r.Mean(id, 0)
-		fmt.Fprintf(w, "%-8d %11.3fms %11.3fms %11.3fms %11.3fms %11.3fms %11.3fms\n",
-			id, 1e3*m.Generation, 1e3*m.PriorityWait, 1e3*m.BandwidthWait,
-			1e3*m.Transmit, 1e3*m.Ack, 1e3*m.Completion)
-	}
-	fmt.Fprintf(w, "\ntop blocking gradients per iteration (by prio-wait + bw-wait)\n")
-	for _, it := range r.Top {
-		fmt.Fprintf(w, "worker %d iter %d:", it.Worker, it.Iter)
-		for _, c := range it.Top {
-			fmt.Fprintf(w, "  g%d wait=%.3fms", c.Grad, 1e3*c.Wait())
-		}
-		fmt.Fprintln(w)
-	}
 }

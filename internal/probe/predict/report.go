@@ -2,7 +2,6 @@ package predict
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -78,30 +77,6 @@ func (r *Report) MaxDrift() float64 {
 		}
 	}
 	return m
-}
-
-// Render writes the predicted-vs-actual table — the prophet-run -audit
-// view. One row per (worker, iteration); times in milliseconds.
-func (r *Report) Render(w io.Writer) {
-	fmt.Fprintf(w, "%-4s %-4s %6s %6s  %10s %10s %8s %9s %8s %8s %8s %s\n",
-		"wrk", "iter", "joined", "unj",
-		"pred(ms)", "obs(ms)", "err%", "start(ms)", "gen(ms)", "ack(ms)", "drift%", "alarm")
-	for _, s := range r.Scores {
-		errPct := 0.0
-		if s.PredTransmit > eps {
-			errPct = 100 * (s.ObsTransmit - s.PredTransmit) / s.PredTransmit
-		}
-		alarm := ""
-		if s.Alarmed {
-			alarm = "ALARM"
-		}
-		fmt.Fprintf(w, "%-4d %-4d %6d %6d  %10.3f %10.3f %+8.2f %9.3f %8.3f %8.3f %8.2f %s\n",
-			s.Worker, s.Iter, s.Joined, s.Unjoined,
-			s.PredTransmit*1e3, s.ObsTransmit*1e3, errPct,
-			s.StartErr*1e3, s.Gen*1e3, s.Ack*1e3, 100*s.Drift, alarm)
-	}
-	fmt.Fprintf(w, "planned %d  joined %d  max rel err %.3g  alarms %d\n",
-		r.Planned, r.Joined, r.MaxRel, len(r.Alarms))
 }
 
 // WriteJSON dumps the report (scores and alarms; residuals are omitted —

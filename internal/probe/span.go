@@ -8,7 +8,7 @@ import (
 )
 
 // SendSpan is one completed wire transfer: a per-lane sub-message from
-// SendStart to SendComplete. The slice of these is what trace.ChromeTraceSpans
+// SendStart to SendComplete. The slice of these is what prophet-run's trace
 // renders as complete ("X") events.
 type SendSpan struct {
 	Worker, Lane, Seq, Iter, Prio int

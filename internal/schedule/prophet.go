@@ -157,9 +157,7 @@ func (p *Prophet) renderUnit(u core.Unit) Message {
 }
 
 // OnSent implements Scheduler.
-func (p *Prophet) OnSent(msg Message, _, _ float64) {
-	p.queue.ReportFinish(core.Unit{})
-}
+func (p *Prophet) OnSent(Message, float64, float64) {}
 
 // OnIterationEnd implements Scheduler.
 func (p *Prophet) OnIterationEnd(float64) {}

@@ -35,7 +35,6 @@ var reachAllow = map[string]string{
 	"internal/core.Plan.Blocks":                     window,
 	"internal/core.Plan.UnitOf":                     window,
 	"internal/core.Queue.Plan":                      window,
-	"internal/core.Queue.Finished":                  window,
 	"internal/core.Queue.Exhausted":                 window,
 	"internal/core.Queue.Remaining":                 window,
 	"internal/metrics.RateSeries.TotalBytes":        window,
@@ -65,6 +64,7 @@ var reachAllow = map[string]string{
 	"internal/stepwise.Block.Size":                  window,
 	"internal/stepwise.Buckets.NumGroups":           window,
 	"internal/stepwise.Buckets.GroupOf":             window,
+	"internal/core.WaitModel.Eval":                  fixture,
 	"internal/fault.Derive":                         fixture,
 	"internal/fault.Spec.Wrap":                      fixture,
 	"internal/model.All":                            fixture,
@@ -76,7 +76,6 @@ var reachAllow = map[string]string{
 	"internal/tensor.Mat.Clone":                     fixture,
 	"internal/tensor.Vec.Scale":                     fixture,
 	"internal/transport.FrameWriter.WriteFrame":     fixture,
-	"internal/core.WaitModel.IterationTime":         testOnly,
 	"internal/sim.Engine.Cancel":                    testOnly,
 }
 
