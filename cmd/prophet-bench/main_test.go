@@ -11,22 +11,24 @@ import (
 )
 
 // The command's own clock readings: the "[id, 0.3s wall]" stamp under each
-// experiment and the closing summary line (total wall time, -j).
+// experiment, and the closing summary line's total wall time and -j count
+// (the rest of that line must still match).
 var (
 	wallStamp   = regexp.MustCompile(`(?m)^  \[(\S+), [0-9.]+s wall\]$`)
-	summaryLine = regexp.MustCompile(`(?m)^\d+ experiments in .*$`)
+	summaryLine = regexp.MustCompile(`(?m)^(\d+ experiments in )[0-9.]+(s wall \(-j )\d+\)$`)
 )
 
 // maskClocks blanks everything in a prophet-bench transcript that is read
-// from a real clock: the live-emulation columns the experiments package
-// names, then the command's own stamps. What remains is simulated and must
+// from a real clock: the command's own stamps, then the live-emulation
+// columns the experiments package names. What remains is simulated and must
 // reproduce to the byte.
 func maskClocks(b []byte) []byte {
+	b = summaryLine.ReplaceAll(b, []byte("${1}X${2}X)"))
+	b = wallStamp.ReplaceAll(b, []byte("  [$1, X wall]"))
 	for _, re := range experiments.LiveClock {
 		b = re.ReplaceAll(b, []byte("X"))
 	}
-	b = wallStamp.ReplaceAll(b, []byte("  [$1, X wall]"))
-	return summaryLine.ReplaceAll(b, []byte("X"))
+	return b
 }
 
 // TestBenchResultsCurrent is the full-evaluation golden: a default-flag run

@@ -6,7 +6,6 @@ import (
 
 	"prophet/internal/cluster"
 	"prophet/internal/core"
-	"prophet/internal/metrics"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
 	"prophet/internal/probe"
@@ -15,9 +14,9 @@ import (
 )
 
 // fullStack builds the complete profile → plan → simulate pipeline once.
-// The returned log is worker 0's per-gradient transfer log, read from the
-// run's probe recording.
-func fullStack(t testing.TB, base *model.Model, batch int, mbps float64) (*profiler.Result, *cluster.Result, *metrics.TransferLog) {
+// The returned rows are worker 0's completed gradient transfers, read from
+// the run's probe recording.
+func fullStack(t testing.TB, base *model.Model, batch int, mbps float64) (*profiler.Result, *cluster.Result, []probe.GradTimes) {
 	t.Helper()
 	wire := model.WithWireFactor(base, 2)
 	agg := stepwise.DefaultAggregate(wire)
@@ -39,7 +38,13 @@ func fullStack(t testing.TB, base *model.Model, batch int, mbps float64) (*profi
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prof, res, rec.Transfers(0)
+	var log []probe.GradTimes
+	for _, g := range rec.Grads() {
+		if g.Worker == 0 && g.HasEnd {
+			log = append(log, g)
+		}
+	}
+	return prof, res, log
 }
 
 // TestProfiledTimesMatchExecution checks the core premise of Prophet's
@@ -48,13 +53,13 @@ func fullStack(t testing.TB, base *model.Model, batch int, mbps float64) (*profi
 func TestProfiledTimesMatchExecution(t *testing.T) {
 	prof, _, log := fullStack(t, model.ResNet50(), 64, 3000)
 	// Executed generation times, relative to each iteration's backward
-	// start, from the transfer log.
+	// start, from the gradient rows.
 	byIter := map[int]map[int]float64{}
-	for _, e := range log.Entries {
-		if byIter[e.Iteration] == nil {
-			byIter[e.Iteration] = map[int]float64{}
+	for _, e := range log {
+		if byIter[e.Iter] == nil {
+			byIter[e.Iter] = map[int]float64{}
 		}
-		byIter[e.Iteration][e.Gradient] = e.Generated
+		byIter[e.Iter][e.Grad] = e.Generated
 	}
 	n := len(prof.Gen)
 	for iter := 1; iter < 5; iter++ {
@@ -119,11 +124,11 @@ func TestFullStackDeterminism(t *testing.T) {
 	if a.Duration != b.Duration {
 		t.Fatalf("durations differ: %v vs %v", a.Duration, b.Duration)
 	}
-	if len(alog.Entries) != len(blog.Entries) {
-		t.Fatal("transfer logs differ in length")
+	if len(alog) != len(blog) {
+		t.Fatal("transfer rows differ in length")
 	}
-	for i := range alog.Entries {
-		if alog.Entries[i] != blog.Entries[i] {
+	for i := range alog {
+		if alog[i] != blog[i] {
 			t.Fatalf("transfer %d differs", i)
 		}
 	}
@@ -134,10 +139,10 @@ func TestFullStackDeterminism(t *testing.T) {
 // verified on the real event stream rather than the plan.
 func TestConstraint7HoldsEndToEnd(t *testing.T) {
 	_, _, log := fullStack(t, model.ResNet50(), 64, 2000)
-	for _, e := range log.Entries {
+	for _, e := range log {
 		if e.Start < e.Generated-1e-9 {
 			t.Fatalf("gradient %d iteration %d pushed at %v before generation %v",
-				e.Gradient, e.Iteration, e.Start, e.Generated)
+				e.Grad, e.Iter, e.Start, e.Generated)
 		}
 	}
 }
@@ -149,14 +154,14 @@ func TestGradientZeroWaitsLeastUnderProphet(t *testing.T) {
 	_, _, log := fullStack(t, model.ResNet50(), 64, 2000)
 	var g0, all float64
 	var g0n, alln int
-	for _, e := range log.Entries {
-		if e.Iteration == 0 {
+	for _, e := range log {
+		if e.Iter == 0 {
 			continue // warmup
 		}
-		w := e.Wait()
+		w := e.Start - e.Generated
 		all += w
 		alln++
-		if e.Gradient == 0 {
+		if e.Grad == 0 {
 			g0 += w
 			g0n++
 		}

@@ -106,13 +106,6 @@ type Config struct {
 	// cluster — at the cost of gradient staleness (not modeled; this
 	// simulator measures timing, not accuracy).
 	ASP bool
-	// PullPartition bounds the size of pull (parameter response)
-	// messages: a push message larger than this mirrors back as several
-	// pulls, each unlocking its gradients as it lands — BytePS serves
-	// parameter responses per partition regardless of how pushes were
-	// batched. Default 6 MB; negative disables splitting. Unused on a
-	// collective transport, which has no pull leg.
-	PullPartition float64
 	// Faults injects crash-stop worker failures (the degraded workers of
 	// the paper's Sec. 7 discussion): each faulted worker halts at the
 	// start of its AtIteration and pushes nothing further.
@@ -127,8 +120,8 @@ type Config struct {
 	// with an Observer attached produces bit-identical schedules to one
 	// without. The stream is the only record of when bytes moved: a run
 	// that wants an uplink throughput timeline or the per-gradient
-	// transfer log (Figs. 2, 10, 11) attaches a probe.SpanRecorder here and
-	// reads its Rate(worker) / Transfers(worker) views afterwards.
+	// lifecycles (Figs. 2, 10, 11) attaches a probe.SpanRecorder here and
+	// reads its Rate(worker) view or Grads() afterwards.
 	//
 	// An Observer that is a probe.PlanObserver (a predict.Auditor, alone or
 	// in a probe.NewMulti) also switches prediction on: every worker's
@@ -250,12 +243,6 @@ func (c *Config) setDefaults() error {
 		c.Jitter = 0.02
 	case c.Jitter < 0:
 		c.Jitter = 0
-	}
-	switch {
-	case c.PullPartition == 0:
-		c.PullPartition = 6e6
-	case c.PullPartition < 0:
-		c.PullPartition = 0
 	}
 	switch c.FaultPolicy {
 	case FaultFailFast, FaultDrop:

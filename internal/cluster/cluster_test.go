@@ -219,17 +219,21 @@ func TestTransferLogPopulated(t *testing.T) {
 	}
 	n := model.ResNet18().NumGradients()
 	want := n * cfg.Iterations
-	log := rec.Transfers(0)
-	if len(log.Entries) != want {
-		t.Fatalf("transfer log has %d entries, want %d", len(log.Entries), want)
-	}
-	for _, e := range log.Entries {
+	got := 0
+	for _, e := range rec.Grads() {
+		if e.Worker != 0 || !e.HasEnd {
+			continue
+		}
+		got++
 		if e.Start < e.Generated-1e-9 {
-			t.Fatalf("gradient %d pushed before generated", e.Gradient)
+			t.Fatalf("gradient %d pushed before generated", e.Grad)
 		}
 		if e.End < e.Start {
-			t.Fatalf("gradient %d negative duration", e.Gradient)
+			t.Fatalf("gradient %d negative duration", e.Grad)
 		}
+	}
+	if got != want {
+		t.Fatalf("worker 0 completed %d transfers, want %d", got, want)
 	}
 }
 

@@ -125,21 +125,6 @@ func TestTransportMatrix(t *testing.T) {
 				t.Errorf("%s with %s: error %v, want one naming the field", transport, o.field, err)
 			}
 		}
-
-		// The pull-leg settings are unused, not rejected.
-		plain, err := Run(pinnedConfig(t, "fifo", transport))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := pinnedConfig(t, "fifo", transport)
-		cfg.PSShards, cfg.PullPartition = 1, 1e6
-		unused, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s with pull-leg settings: %v", transport, err)
-		}
-		if unused.Duration != plain.Duration {
-			t.Errorf("%s: PullPartition moved the duration %v → %v", transport, plain.Duration, unused.Duration)
-		}
 	}
 
 	cfg := pinnedConfig(t, "fifo", "")

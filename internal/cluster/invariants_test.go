@@ -77,8 +77,8 @@ func TestPropertyInvariantsAcrossConfigs(t *testing.T) {
 				return false
 			}
 		}
-		for _, e := range rec.Transfers(0).Entries {
-			if e.Start < e.Generated-1e-9 || e.End < e.Start {
+		for _, e := range rec.Grads() {
+			if e.Worker == 0 && e.HasEnd && (e.Start < e.Generated-1e-9 || e.End < e.Start) {
 				return false
 			}
 		}

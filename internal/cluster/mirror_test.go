@@ -15,8 +15,7 @@ func TestMirrorPullsConservesBytes(t *testing.T) {
 		if len(sizesRaw) == 0 {
 			return true
 		}
-		cfg := Config{PullPartition: float64(limRaw%100)*1e5 + 1e5}
-		w := &worker{cfg: &cfg, eng: sim.New()}
+		w := &worker{eng: sim.New()}
 		var ranges []drive.Range
 		want := map[int]float64{}
 		for i, r := range sizesRaw {
@@ -24,7 +23,7 @@ func TestMirrorPullsConservesBytes(t *testing.T) {
 			ranges = append(ranges, drive.Range{Grad: i, Bytes: b, Last: true})
 			want[i] = b
 		}
-		pulls := w.mirrorPulls(0, ranges)
+		pulls := w.mirrorPulls(0, ranges, float64(limRaw%100)*1e5+1e5)
 		got := map[int]float64{}
 		for _, pm := range pulls {
 			var s float64

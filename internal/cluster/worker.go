@@ -234,7 +234,7 @@ func (w *worker) Busy(s int) bool { return w.up[s].Busy() }
 // released once the transfer — and the PS aggregation it completes — lands.
 func (w *worker) Start(s *drive.Send) {
 	w.sends++
-	pulls := w.mirrorPulls(s.Iter, s.Ranges)
+	pulls := w.mirrorPulls(s.Iter, s.Ranges, pullPartition)
 	for _, pm := range pulls {
 		pm.stall = s.Msg.Stall
 	}
@@ -389,25 +389,23 @@ func (w *worker) onUpDone(s int) {
 	w.drv.Pump(w.eng.Now())
 }
 
+// pullPartition bounds the size of a pull (parameter response) message,
+// in bytes: a larger push mirrors back as several pulls, each unlocking
+// its gradients as it lands. A collective transport has no pull leg.
+const pullPartition = 6e6
+
 // mirrorPulls converts a push (sub-)message's byte ranges into one or more
-// pull messages, each at most PullPartition bytes: BytePS serves parameter
+// pull messages, each at most lim (> 0) bytes: BytePS serves parameter
 // responses per partition regardless of how pushes were batched, so a
 // large pushed block pipelines back to the worker in partition-sized
 // responses that unlock forward segments as they land. Pulls are served on
 // the shard link the pieces were pushed through.
-func (w *worker) mirrorPulls(iter int, ranges []drive.Range) []*pullMsg {
+func (w *worker) mirrorPulls(iter int, ranges []drive.Range, lim float64) []*pullMsg {
 	var total float64
 	for _, rg := range ranges {
 		total += rg.Bytes
 	}
-	lim := w.cfg.PullPartition
-	chunks := 1
-	if lim > 0 && total > lim {
-		chunks = int(total/lim + 0.5)
-		if chunks < 1 {
-			chunks = 1
-		}
-	}
+	chunks := max(1, int(total/lim+0.5))
 	// Equal-sized chunks avoid tiny remainder messages that would pay a
 	// full per-message overhead for a sliver of payload.
 	target := total / float64(chunks)

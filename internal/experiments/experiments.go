@@ -274,8 +274,8 @@ func (s *setup) run(cfg Config, factory cluster.SchedulerFactory, link func(int)
 }
 
 // runRecorded is run with a probe.SpanRecorder attached: the uplink
-// throughput timeline (Figs. 2, 10) and the per-gradient transfer log
-// (Fig. 11) are read from the recorder's Rate/Transfers views.
+// throughput timeline (Figs. 2, 10) is read from the recorder's Rate view,
+// and the per-gradient wait and transfer (Fig. 11) from attrib.Analyze.
 func (s *setup) runRecorded(cfg Config, factory cluster.SchedulerFactory, link func(int) netsim.LinkConfig, workers int) (*cluster.Result, *probe.SpanRecorder, error) {
 	c := s.config(cfg, factory, link, workers)
 	rec := probe.NewSpanRecorder()

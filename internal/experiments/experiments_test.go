@@ -296,9 +296,9 @@ func TestSparkline(t *testing.T) {
 
 // The three tests below pin the numbers Fig. 2/10/11 print at quickCfg, as
 // literals captured while the simulator still kept its own rate series and
-// transfer log. They now guard the probe recorder's derived Rate/Transfers
-// views: any change to what a view contains or to its summation order moves
-// the last digits.
+// transfer log. They now guard the probe recorder's derived Rate view and
+// the attribution Fig. 11 reads: any change to what a view contains or to
+// its summation order moves the last digits.
 
 func equalFloats(t *testing.T, what string, got, want []float64) {
 	t.Helper()
@@ -359,7 +359,7 @@ func TestFig11Pinned(t *testing.T) {
 		wait, transfer = append(wait, row.WaitMS), append(transfer, row.TransferMS)
 	}
 	equalFloats(t, "mean wait ms", wait,
-		[]float64{343.0267106617354, 105.96839380872295, 39.12429100678827})
+		[]float64{343.02671066173565, 105.96839380872295, 39.12429100678832})
 	equalFloats(t, "mean transfer ms", transfer,
-		[]float64{6.239715445134694, 52.77834898550694, 102.28013890959252})
+		[]float64{6.239715445134694, 52.77834898550693, 102.28013890959247})
 }

@@ -7,6 +7,7 @@ import (
 	"prophet/internal/cluster"
 	"prophet/internal/experiments/runner"
 	"prophet/internal/model"
+	"prophet/internal/probe/attrib"
 	"prophet/internal/sim"
 )
 
@@ -214,8 +215,8 @@ func fig11(cfg Config) (*Fig11Result, error) {
 		if err != nil {
 			return Fig11Row{}, err
 		}
-		log := rec.Transfers(0)
-		return Fig11Row{Strategy: st.name, WaitMS: 1e3 * log.MeanWait(), TransferMS: 1e3 * log.MeanDuration()}, nil
+		m := attrib.Analyze(rec, 3).Mean(0, 0)
+		return Fig11Row{Strategy: st.name, WaitMS: 1e3 * m.Wait(), TransferMS: 1e3 * m.Transmit}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -178,53 +178,6 @@ func (r *RateSeries) Timeline(a, b, width float64) []float64 {
 	})
 }
 
-// TransferEntry records one gradient transfer for the Fig. 11 analysis.
-type TransferEntry struct {
-	Iteration int
-	Gradient  int
-	// Generated, Start, End are absolute simulation times of gradient
-	// generation, transfer start, and transfer completion.
-	Generated, Start, End float64
-}
-
-// Wait returns how long the gradient sat ready before its transfer began.
-func (e TransferEntry) Wait() float64 { return e.Start - e.Generated }
-
-// Duration returns the transfer's wire time.
-func (e TransferEntry) Duration() float64 { return e.End - e.Start }
-
-// TransferLog accumulates per-gradient transfer entries.
-type TransferLog struct {
-	Entries []TransferEntry
-}
-
-// Add appends an entry.
-func (l *TransferLog) Add(e TransferEntry) { l.Entries = append(l.Entries, e) }
-
-// MeanWait returns the average wait across all entries.
-func (l *TransferLog) MeanWait() float64 {
-	if len(l.Entries) == 0 {
-		return 0
-	}
-	var s float64
-	for _, e := range l.Entries {
-		s += e.Wait()
-	}
-	return s / float64(len(l.Entries))
-}
-
-// MeanDuration returns the average transfer time across all entries.
-func (l *TransferLog) MeanDuration() float64 {
-	if len(l.Entries) == 0 {
-		return 0
-	}
-	var s float64
-	for _, e := range l.Entries {
-		s += e.Duration()
-	}
-	return s / float64(len(l.Entries))
-}
-
 // IterationLog records iteration boundaries and converts them to training
 // rates (samples/sec) given the per-iteration sample count.
 type IterationLog struct {

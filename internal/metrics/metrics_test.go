@@ -155,32 +155,6 @@ func TestRateSeriesBadAddPanics(t *testing.T) {
 	r.Add(2, 1, 10)
 }
 
-func TestTransferEntryDerived(t *testing.T) {
-	e := TransferEntry{Generated: 1, Start: 1.5, End: 3}
-	if e.Wait() != 0.5 || e.Duration() != 1.5 {
-		t.Fatalf("wait=%v dur=%v", e.Wait(), e.Duration())
-	}
-}
-
-func TestTransferLogAggregates(t *testing.T) {
-	var l TransferLog
-	l.Add(TransferEntry{Iteration: 0, Gradient: 1, Generated: 0, Start: 1, End: 2})
-	l.Add(TransferEntry{Iteration: 1, Gradient: 1, Generated: 0, Start: 3, End: 7})
-	if got := l.MeanWait(); got != 2 {
-		t.Fatalf("mean wait = %v, want 2", got)
-	}
-	if got := l.MeanDuration(); got != 2.5 {
-		t.Fatalf("mean duration = %v, want 2.5", got)
-	}
-}
-
-func TestTransferLogEmpty(t *testing.T) {
-	var l TransferLog
-	if l.MeanWait() != 0 || l.MeanDuration() != 0 {
-		t.Fatal("empty log should average to 0")
-	}
-}
-
 func TestIterationLogRates(t *testing.T) {
 	var l IterationLog
 	l.Add(0, 2)

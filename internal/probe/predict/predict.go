@@ -40,13 +40,19 @@
 //
 // Per (worker, iteration), divergence is the byte-time-weighted transmit
 // error Div = Σ AbsErr / max(Σ planned duration, ε); the worker's drift
-// score is its EWMA, score ← α·Div + (1−α)·score. After Warmup
-// iterations, a score above Threshold raises an Alarm. Alarms reach
+// score is its EWMA, score ← α·Div + (1−α)·score, with α = 0.3 fixed (the
+// first scored iteration seeds it). After one warm-up iteration per
+// worker — the first pays cold caches and connection ramp on the live
+// path — a score above Threshold raises an Alarm. Alarms reach
 // callers three ways: synchronously through the OnAlarm callback (the
 // re-tuning hook), in Report().Alarms, and counted as predict_alarms in
 // Metrics. The alarm re-arms
 // every iteration — a persistent fault alarms persistently, and recovery
 // is visible as the score decaying back under threshold.
+//
+// The audit scores only the wire windows it can join; the generation and
+// ack legs around them are package attrib's decomposition, not repeated
+// here.
 package predict
 
 import (
@@ -57,42 +63,27 @@ import (
 	"prophet/internal/probe"
 )
 
-// eps floors denominators so zero-length plans (W ≤ 1 collectives) score
-// zero error instead of dividing by zero.
-const eps = 1e-12
+const (
+	// eps floors denominators so zero-length plans (W ≤ 1 collectives)
+	// score zero error instead of dividing by zero.
+	eps = 1e-12
+	// alpha is the drift score's EWMA smoothing factor.
+	alpha = 0.3
+	// warmup is how many scored iterations per worker pass before alarms
+	// arm.
+	warmup = 1
+)
 
 // Options configures an audit.
 type Options struct {
-	// Alpha is the EWMA smoothing factor for the drift score (0, 1];
-	// default 0.3.
-	Alpha float64
 	// Threshold is the drift score above which an alarm fires; default
 	// 0.5 (predictions off by 50% of planned transmit time).
 	Threshold float64
-	// Warmup is how many iterations per worker must complete before
-	// alarms arm; default 1 (the first iteration pays cold caches and
-	// connection ramp on the live path).
-	Warmup int
 	// OnAlarm, when non-nil, is invoked synchronously for every alarm —
 	// the hook an autoconf re-tuner plugs into.
 	OnAlarm func(Alarm)
 	// Metrics, when non-nil, receives predict_* counters and histograms.
 	Metrics *probe.Metrics
-}
-
-func (o Options) withDefaults() Options {
-	if o.Alpha <= 0 || o.Alpha > 1 {
-		o.Alpha = 0.3
-	}
-	if o.Threshold <= 0 {
-		o.Threshold = 0.5
-	}
-	if o.Warmup < 0 {
-		o.Warmup = 0
-	} else if o.Warmup == 0 {
-		o.Warmup = 1
-	}
-	return o
 }
 
 // Residual is one joined planned-vs-observed sub-message window.
@@ -117,11 +108,6 @@ type IterationScore struct {
 	PredTransmit, ObsTransmit float64
 	// StartErr is the mean |scheduling error| across joined sends.
 	StartErr float64
-	// Gen and Ack are the unmodeled components bracketing the wire (the
-	// attrib decomposition's generation and ack legs): time from
-	// iteration start to the last gradient release, and from the last
-	// send completion to the last pull ack.
-	Gen, Ack float64
 	// Div is this iteration's divergence; Drift the worker's EWMA score
 	// after folding it in; Alarmed whether that crossing raised an alarm.
 	Div, Drift float64
@@ -158,13 +144,10 @@ type iterAccum struct {
 	sumAbs, sumPred  float64
 	sumObs           float64
 	sumStartAbs      float64
-	begin            float64
-	lastGen          float64
-	lastSendEnd      float64
-	lastAck          float64
-	hasGen, hasSend  bool
-	hasAck, hasBegin bool
-	plannedThisIter  int
+	// last is the latest iteration begin, gradient release, completed
+	// send or pull ack seen: the alarm time Flush falls back to.
+	last            float64
+	plannedThisIter int
 }
 
 // Auditor joins planned windows against observed spans online. It
@@ -191,7 +174,9 @@ type Auditor struct {
 
 // NewAuditor returns an Auditor with opts (zero fields take defaults).
 func NewAuditor(opts Options) *Auditor {
-	opts = opts.withDefaults()
+	if opts.Threshold <= 0 {
+		opts.Threshold = 0.5
+	}
 	return &Auditor{
 		opts:     opts,
 		curIter:  make(map[int]int),
@@ -223,8 +208,7 @@ func (a *Auditor) BeginIteration(worker, iter int, now float64) {
 	a.mu.Lock()
 	a.curIter[worker] = iter
 	ac := a.acc(worker, iter)
-	ac.begin = now
-	ac.hasBegin = true
+	ac.last = max(ac.last, now)
 	a.mu.Unlock()
 }
 
@@ -232,10 +216,7 @@ func (a *Auditor) BeginIteration(worker, iter int, now float64) {
 func (a *Auditor) Generated(worker, grad int, now float64) {
 	a.mu.Lock()
 	ac := a.acc(worker, a.curIter[worker])
-	if !ac.hasGen || now > ac.lastGen {
-		ac.lastGen = now
-		ac.hasGen = true
-	}
+	ac.last = max(ac.last, now)
 	a.mu.Unlock()
 }
 
@@ -275,10 +256,7 @@ func (a *Auditor) SendComplete(worker, lane, iter int, msgDone bool, now float64
 	}
 	delete(a.open, lk)
 	ac := a.acc(worker, o.iter)
-	if !ac.hasSend || now > ac.lastSendEnd {
-		ac.lastSendEnd = now
-		ac.hasSend = true
-	}
+	ac.last = max(ac.last, now)
 	ac.sumObs += now - o.start
 	jk := joinKey{worker, lane, o.seq, o.iter}
 	p, ok := a.planned[jk]
@@ -312,10 +290,7 @@ func (a *Auditor) SendComplete(worker, lane, iter int, msgDone bool, now float64
 func (a *Auditor) PullAcked(worker, grad, iter int, now float64) {
 	a.mu.Lock()
 	ac := a.acc(worker, iter)
-	if !ac.hasAck || now > ac.lastAck {
-		ac.lastAck = now
-		ac.hasAck = true
-	}
+	ac.last = max(ac.last, now)
 	a.mu.Unlock()
 }
 
@@ -364,9 +339,7 @@ func (a *Auditor) Flush() {
 	})
 	var emits []scoreEmit
 	for _, k := range keys {
-		ac := a.accum[k]
-		now := max(ac.begin, ac.lastGen, ac.lastSendEnd, ac.lastAck)
-		emits = append(emits, a.finalizeLocked(k, now))
+		emits = append(emits, a.finalizeLocked(k, a.accum[k].last))
 	}
 	a.mu.Unlock()
 	a.emit(emits)
@@ -407,12 +380,6 @@ func (a *Auditor) finalizeLocked(k wiKey, now float64) scoreEmit {
 	if ac.joined > 0 {
 		sc.StartErr = ac.sumStartAbs / float64(ac.joined)
 	}
-	if ac.hasBegin && ac.hasGen {
-		sc.Gen = ac.lastGen - ac.begin
-	}
-	if ac.hasSend && ac.hasAck {
-		sc.Ack = ac.lastAck - ac.lastSendEnd
-	}
 	var alarm *Alarm
 	if ac.joined > 0 {
 		sc.Div = ac.sumAbs / max(ac.sumPred, eps)
@@ -420,11 +387,11 @@ func (a *Auditor) finalizeLocked(k wiKey, now float64) scoreEmit {
 		if !seeded {
 			sc.Drift = sc.Div
 		} else {
-			sc.Drift = a.opts.Alpha*sc.Div + (1-a.opts.Alpha)*prev
+			sc.Drift = alpha*sc.Div + (1-alpha)*prev
 		}
 		a.ewma[k.worker] = sc.Drift
 		a.warm[k.worker]++
-		if a.warm[k.worker] > a.opts.Warmup && sc.Drift > a.opts.Threshold {
+		if a.warm[k.worker] > warmup && sc.Drift > a.opts.Threshold {
 			sc.Alarmed = true
 			al := Alarm{
 				Worker: k.worker, Iter: k.iter,

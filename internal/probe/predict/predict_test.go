@@ -52,19 +52,17 @@ func TestAuditorAlarmAfterWarmupAndRecovery(t *testing.T) {
 	var cb []predict.Alarm
 	m := probe.NewMetrics()
 	a := predict.NewAuditor(predict.Options{
-		Alpha:     0.5,
 		Threshold: 0.5,
-		Warmup:    1,
 		OnAlarm:   func(al predict.Alarm) { cb = append(cb, al) },
 		Metrics:   m,
 	})
 	// Iteration 0: exact (warmup). Iterations 1-2: observed 2x planned,
 	// divergence 1.0 — past threshold, but iteration 0 seeds the EWMA at
-	// 0 so iteration 1 lands at 0.5 (not above) and iteration 2 at 0.75.
+	// 0 so iteration 1 lands at 0.3 and iteration 2 at 0.51.
 	feedIteration(a, 0, 0, 2, 0, 0.010, 0.010)
 	feedIteration(a, 0, 1, 2, 1, 0.010, 0.020)
 	feedIteration(a, 0, 2, 2, 2, 0.010, 0.020)
-	// Recovery: exact again, score decays 0.375, 0.1875 — no new alarms.
+	// Recovery: exact again, score decays 0.357, 0.2499 — no new alarms.
 	feedIteration(a, 0, 3, 2, 3, 0.010, 0.010)
 	feedIteration(a, 0, 4, 2, 4, 0.010, 0.010)
 	a.Flush()
@@ -74,8 +72,8 @@ func TestAuditorAlarmAfterWarmupAndRecovery(t *testing.T) {
 		t.Fatalf("alarms %+v, want exactly one (iteration 2)", rep.Alarms)
 	}
 	al := rep.Alarms[0]
-	if al.Worker != 0 || al.Iter != 2 || math.Abs(al.Score-0.75) > 1e-9 {
-		t.Fatalf("alarm %+v, want worker 0 iter 2 score 0.75", al)
+	if al.Worker != 0 || al.Iter != 2 || math.Abs(al.Score-0.51) > 1e-9 {
+		t.Fatalf("alarm %+v, want worker 0 iter 2 score 0.51", al)
 	}
 	if len(cb) != 1 || cb[0] != al {
 		t.Fatalf("OnAlarm callback got %+v, want %+v", cb, al)
@@ -94,7 +92,7 @@ func TestAuditorAlarmAfterWarmupAndRecovery(t *testing.T) {
 }
 
 func TestAuditorWarmupSuppressesFirstIteration(t *testing.T) {
-	a := predict.NewAuditor(predict.Options{Threshold: 0.5, Warmup: 1})
+	a := predict.NewAuditor(predict.Options{Threshold: 0.5})
 	// Massive divergence immediately: iteration 0 seeds the EWMA above
 	// threshold but must not alarm (warmup); iteration 1 must.
 	feedIteration(a, 0, 0, 2, 0, 0.010, 0.100)
@@ -144,7 +142,7 @@ func TestAuditorStrayEventsIgnored(t *testing.T) {
 }
 
 func TestReportRenderAndJSON(t *testing.T) {
-	a := predict.NewAuditor(predict.Options{Threshold: 0.5, Warmup: 1})
+	a := predict.NewAuditor(predict.Options{Threshold: 0.5})
 	feedIteration(a, 0, 0, 2, 0, 0.010, 0.010)
 	feedIteration(a, 0, 1, 2, 1, 0.010, 0.030)
 	a.Flush()

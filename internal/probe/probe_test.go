@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"prophet/internal/metrics"
 )
 
 // countObs counts events per method (single-threaded test helper).
@@ -93,9 +91,12 @@ func TestSpanRecorderScript(t *testing.T) {
 	if len(grads) != 2 {
 		t.Fatalf("got %d gradient lifecycles, want 2 (borrowed ranges not copied?)", len(grads))
 	}
-	g1 := grads[1] // sorted by grad id: grads[1] is gradient 1
+	g0, g1 := grads[0], grads[1] // sorted by grad id
 	if g1.Grad != 1 || g1.Generated != 1.0 || g1.Start != 2.0 || g1.End != 3.0 || g1.Acked != 4.0 {
 		t.Errorf("gradient 1 lifecycle = %+v", g1)
+	}
+	if g0.Grad != 0 || g0.Generated != 1.5 || g0.Start != 3.0 || g0.End != 3.5 || !g0.HasEnd {
+		t.Errorf("gradient 0 lifecycle = %+v", g0)
 	}
 	if !g1.HasStart || !g1.HasEnd || !g1.HasAcked || g1.Lane != 0 {
 		t.Errorf("gradient 1 flags = %+v", g1)
@@ -109,16 +110,6 @@ func TestSpanRecorderScript(t *testing.T) {
 	}
 	if n := rec.Iterations(0).Count(); n != 1 {
 		t.Errorf("iteration count = %d, want 1", n)
-	}
-	wantLog := []metrics.TransferEntry{
-		{Iteration: 0, Gradient: 1, Generated: 1.0, Start: 2.0, End: 3.0},
-		{Iteration: 0, Gradient: 0, Generated: 1.5, Start: 3.0, End: 3.5},
-	}
-	if tl := rec.Transfers(0); !reflect.DeepEqual(tl.Entries, wantLog) {
-		t.Errorf("transfer log = %+v, want %+v", tl.Entries, wantLog)
-	}
-	if tl := rec.Transfers(1); len(tl.Entries) != 0 {
-		t.Errorf("worker 1 never transmitted, got %d transfer entries", len(tl.Entries))
 	}
 	if rt := rec.Rate(0); rt.TotalBytes() != 150 || rt.BytesBetween(2.5, 3.25) != 75 {
 		t.Errorf("rate series: total %v, [2.5, 3.25) %v; want 150, 75", rt.TotalBytes(), rt.BytesBetween(2.5, 3.25))
@@ -137,8 +128,8 @@ func TestSpanRecorderScript(t *testing.T) {
 	}
 }
 
-// Rate and Transfers are views: derived from the spans and gradient
-// lifecycles on every call, per worker, in time order across lanes, without
+// Rate and Grads are views: derived from the spans and gradient lifecycles
+// on every call — Rate per worker, in time order across lanes — without
 // touching the recorder.
 func TestRateAndTransfersAreViews(t *testing.T) {
 	rec := NewSpanRecorder()
@@ -162,23 +153,16 @@ func TestRateAndTransfersAreViews(t *testing.T) {
 	if r1.TotalBytes() != 100 {
 		t.Errorf("worker 1 moved %v bytes, want 100 (its own spans only)", r1.TotalBytes())
 	}
-	t1, t2 := rec.Transfers(1), rec.Transfers(1)
-	if !reflect.DeepEqual(t1, t2) {
-		t.Errorf("Transfers differ between calls: %+v vs %+v", t1, t2)
+	want := []GradTimes{
+		{Worker: 1, Grad: 0, Generated: 0.1, Start: 0.2, End: 0.6, HasStart: true, HasEnd: true},
+		{Worker: 1, Grad: 1, Generated: 0.1, Start: 0.25, End: 0.3, HasStart: true, HasEnd: true, Lane: 1},
 	}
-	want := []metrics.TransferEntry{
-		{Gradient: 1, Generated: 0.1, Start: 0.25, End: 0.3},
-		{Gradient: 0, Generated: 0.1, Start: 0.2, End: 0.6},
+	if !reflect.DeepEqual(grads[2:], want) {
+		t.Errorf("worker 1 gradient rows = %+v, want %+v", grads[2:], want)
 	}
-	if !reflect.DeepEqual(t1.Entries, want) {
-		t.Errorf("worker 1 transfer log = %+v, want %+v (completion order)", t1.Entries, want)
-	}
-	t1.Entries[0].End = 99 // a caller's edit must not reach the recorder
-	if !reflect.DeepEqual(rec.Transfers(1), t2) {
-		t.Error("editing a returned log changed the next view")
-	}
+	rec.Grads()[2].End = 99 // a caller's edit must not reach the recorder
 	if !reflect.DeepEqual(rec.Spans(), spans) || !reflect.DeepEqual(rec.Grads(), grads) {
-		t.Error("reading the views mutated the recorder's primary records")
+		t.Error("reading or editing the views mutated the recorder's primary records")
 	}
 }
 

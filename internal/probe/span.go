@@ -60,13 +60,13 @@ type laneKey struct{ worker, lane int }
 type gradKey struct{ worker, iter, grad int }
 
 // SpanRecorder is an Observer that keeps the primary records of a run —
-// send spans, collective steps, gradient lifecycles, iteration logs,
-// faults — as the probe stream delivers them, and
-// derives every timeline view on read: Rate(worker) from the spans,
-// Transfers(worker) from the gradient lifecycles. It is the one place any
-// executor's throughput timeline or transfer log comes from. The per-lane
-// busy series is the single derived structure maintained eagerly, because
-// attrib.Analyze looks it up once per gradient. The recorder is
+// send spans, collective steps, gradient lifecycles, iteration starts and
+// logs, faults — as the probe stream delivers them. It is the one place
+// any executor's throughput timeline (Rate, derived from the spans on
+// read) and per-gradient lifecycle (Grads, which attrib decomposes into
+// Fig. 11's wait and transfer) come from. The per-lane busy series is the
+// single derived structure maintained eagerly, because attrib.Analyze
+// looks it up once per gradient. The recorder is
 // mutex-protected and safe for the live path's concurrent emitters;
 // per-(worker, lane) event order is the only ordering it relies on (lanes
 // are serial).
@@ -74,7 +74,6 @@ type SpanRecorder struct {
 	mu sync.Mutex
 
 	curIter   map[int]int
-	iterOpen  map[int]float64
 	iterStart map[[2]int]float64
 	iters     map[int]*metrics.IterationLog
 
@@ -96,7 +95,6 @@ type SpanRecorder struct {
 func NewSpanRecorder() *SpanRecorder {
 	return &SpanRecorder{
 		curIter:   make(map[int]int),
-		iterOpen:  make(map[int]float64),
 		iterStart: make(map[[2]int]float64),
 		iters:     make(map[int]*metrics.IterationLog),
 		lanes:     make(map[laneKey]*metrics.IntervalSeries),
@@ -119,7 +117,6 @@ func (r *SpanRecorder) grad(k gradKey) *GradTimes {
 func (r *SpanRecorder) BeginIteration(worker, iter int, now float64) {
 	r.mu.Lock()
 	r.curIter[worker] = iter
-	r.iterOpen[worker] = now
 	r.iterStart[[2]int{worker, iter}] = now
 	r.mu.Unlock()
 }
@@ -127,11 +124,10 @@ func (r *SpanRecorder) BeginIteration(worker, iter int, now float64) {
 // EndIteration implements Observer.
 func (r *SpanRecorder) EndIteration(worker, iter int, now float64) {
 	r.mu.Lock()
-	start, ok := r.iterOpen[worker]
+	start, ok := r.iterStart[[2]int{worker, iter}]
 	if !ok {
 		start = now
 	}
-	delete(r.iterOpen, worker)
 	log, ok := r.iters[worker]
 	if !ok {
 		log = &metrics.IterationLog{}
@@ -339,8 +335,8 @@ func (r *SpanRecorder) Grads() []GradTimes {
 // IterStart returns the recorded start time of (worker, iter).
 func (r *SpanRecorder) IterStart(worker, iter int) (float64, bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	t, ok := r.iterStart[[2]int{worker, iter}]
+	r.mu.Unlock()
 	return t, ok
 }
 
@@ -390,35 +386,6 @@ func (r *SpanRecorder) Rate(worker int) *metrics.RateSeries {
 		rate.Add(s.Start, s.End, s.Bytes)
 	}
 	return rate
-}
-
-// Transfers returns worker's per-gradient transfer log (the Fig. 11
-// input): one entry per gradient whose last byte left the wire, in time
-// order (End, then Iteration, Gradient). Like Rate it is a view, derived
-// from the gradient lifecycles on every call.
-func (r *SpanRecorder) Transfers(worker int) *metrics.TransferLog {
-	log := &metrics.TransferLog{}
-	r.mu.Lock()
-	for _, g := range r.grads {
-		if g.Worker == worker && g.HasEnd {
-			log.Add(metrics.TransferEntry{
-				Iteration: g.Iter, Gradient: g.Grad,
-				Generated: g.Generated, Start: g.Start, End: g.End,
-			})
-		}
-	}
-	r.mu.Unlock()
-	es := log.Entries
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].End != es[j].End {
-			return es[i].End < es[j].End
-		}
-		if es[i].Iteration != es[j].Iteration {
-			return es[i].Iteration < es[j].Iteration
-		}
-		return es[i].Gradient < es[j].Gradient
-	})
-	return log
 }
 
 // Faults returns the recorded fault events.
