@@ -98,8 +98,10 @@ cover:
 # the limiter is on the smoke path and all four runs are shaped — and
 # validate each -out document with tracecheck: the trace events' structure
 # and required fields, the version, the summary, non-empty gradient and
-# attribution rows, and an audit that planned send windows.
+# attribution rows, and an audit that planned send windows. It also runs
+# prophet-profile with a plan, so every main under cmd/ runs somewhere.
 trace-smoke:
+	$(GO) run ./cmd/prophet-profile -plan -profile-iters 5 > /dev/null
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) run ./cmd/prophet-run -path sim -policy fifo -iters 3 -out $$tmp/sim.json && \
 	$(GO) run ./cmd/prophet-run -path sim -transport ring -policy prophet -iters 3 -out $$tmp/ring.json && \

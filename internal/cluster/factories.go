@@ -20,9 +20,8 @@ type SchedulerFactory = func(worker int, eng *sim.Engine, uplink *netsim.Link) s
 type Options struct {
 	// Partition is P3's slice size in bytes.
 	Partition float64
-	// Credit is ByteScheduler's credit in bytes; MinCredit/MaxCredit bound
-	// the tuner's exploration.
-	Credit, MinCredit, MaxCredit float64
+	// Credit is ByteScheduler's credit in bytes.
+	Credit float64
 	// Seed drives the tuner's per-worker exploration streams.
 	Seed uint64
 	// Profile is the profiled generation pattern Prophet plans against.
@@ -70,8 +69,6 @@ func ByNameTransport(name, transport string, workers int, m *model.Model, opt Op
 			Sizes:     sizes,
 			Partition: opt.Partition,
 			Credit:    opt.Credit,
-			MinCredit: opt.MinCredit,
-			MaxCredit: opt.MaxCredit,
 			Seed:      opt.Seed,
 			Worker:    w,
 			Profile:   opt.Profile,
@@ -141,11 +138,10 @@ func ByteSchedulerFactory(m *model.Model, credit float64) SchedulerFactory {
 }
 
 // TunedByteSchedulerFactory returns ByteScheduler with its online credit
-// auto-tuner enabled (exploring minCredit..maxCredit), as in Fig. 3(b).
-func TunedByteSchedulerFactory(m *model.Model, credit, minCredit, maxCredit float64, seed uint64) SchedulerFactory {
-	return mustByName("bytescheduler-tuned", m, Options{
-		Credit: credit, MinCredit: minCredit, MaxCredit: maxCredit, Seed: seed,
-	})
+// auto-tuner enabled, starting at the default credit and exploring
+// strategy.DefaultMinCredit..DefaultMaxCredit, as in Fig. 3(b).
+func TunedByteSchedulerFactory(m *model.Model, seed uint64) SchedulerFactory {
+	return mustByName("bytescheduler-tuned", m, Options{Seed: seed})
 }
 
 // ProphetFactory returns the Prophet strategy on the PS transport: each

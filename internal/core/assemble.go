@@ -170,26 +170,10 @@ type Config struct {
 	// grow until the next release interrupts them, losing the preemption
 	// guarantee. Exists only for the DESIGN.md §5 ablation.
 	IgnoreWindows bool
-	// Estimate overrides the E estimator when non-nil; it receives a
-	// payload size in bytes and returns seconds. Use it to plug in the
-	// effective-bandwidth model f(s, B) (Eq. 10) instead of the ideal
-	// linear estimate.
-	Estimate func(bytes float64) float64
 }
 
 // DefaultPartition is the default slicing granularity (4 MB).
 const DefaultPartition = 4e6
-
-func (c Config) estimator() func(float64) float64 {
-	if c.Estimate != nil {
-		return c.Estimate
-	}
-	if c.Bandwidth <= 0 {
-		panic("core: Config needs positive Bandwidth or an Estimate function")
-	}
-	b := c.Bandwidth
-	return func(s float64) float64 { return s / b }
-}
 
 // releaseOrder sorts gradient indices by (generation time, descending
 // index); a concrete sort.Interface keeps the hot Assemble path free of the
@@ -246,7 +230,9 @@ func Assemble(prof *Profile, cfg Config) (*Plan, error) {
 	if err := prof.validate(); err != nil {
 		return nil, err
 	}
-	est := cfg.estimator()
+	if cfg.Bandwidth <= 0 {
+		panic("core: Config needs positive Bandwidth")
+	}
 	if cfg.Partition == 0 {
 		cfg.Partition = DefaultPartition
 	}
@@ -325,7 +311,7 @@ func Assemble(prof *Profile, cfg Config) (*Plan, error) {
 			if take > remaining[q] {
 				take = remaining[q]
 			}
-			e := est(take)
+			e := take / cfg.Bandwidth
 			// Deadline: the next release of (necessarily higher-priority)
 			// gradients; c(0) bounds it because gradient 0 must go out
 			// the moment backward ends.
@@ -418,7 +404,7 @@ func Assemble(prof *Profile, cfg Config) (*Plan, error) {
 			PlannedStart: tNext,
 			Phase:        Forward,
 		})
-		tNext += cfg.PerMessageTime + est(bytes)
+		tNext += cfg.PerMessageTime + bytes/cfg.Bandwidth
 		base = len(spanBuf)
 		bytes = 0
 	}
@@ -431,7 +417,7 @@ func Assemble(prof *Profile, cfg Config) (*Plan, error) {
 			// per-message overhead and the bytes queued ahead of it —
 			// mirroring the backward phase, where tUsed opens at
 			// PerMessageTime before the first span's wire time.
-			start[q] = tNext + cfg.PerMessageTime + est(bytes)
+			start[q] = tNext + cfg.PerMessageTime + bytes/cfg.Bandwidth
 		}
 		spanBuf = append(spanBuf, Span{Grad: q, Bytes: remaining[q], Last: true})
 		bytes += remaining[q]

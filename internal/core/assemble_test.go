@@ -323,24 +323,6 @@ func TestAssembleUnitsChronological(t *testing.T) {
 	}
 }
 
-func TestAssembleCustomEstimator(t *testing.T) {
-	prof := stepProfile(t, 2, 3, 0.1, 1e6)
-	calls := 0
-	plan, err := Assemble(prof, Config{Estimate: func(b float64) float64 {
-		calls++
-		return b / 50e6
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("custom estimator never called")
-	}
-	if plan == nil || len(plan.Units) == 0 {
-		t.Fatal("no plan")
-	}
-}
-
 func TestAssembleNoBandwidthPanics(t *testing.T) {
 	prof := stepProfile(t, 2, 3, 0.1, 1e6)
 	defer func() {

@@ -145,7 +145,7 @@ func TestChaosCorruptFrameFailsDescriptively(t *testing.T) {
 }
 
 // TestChaosTransientStallRecovers: a stall shorter than the pull timeout
-// under wait-timeout fires, is attributed to the worker whose spec it was,
+// fires, is attributed to the worker whose spec it was,
 // and training completes with no drops.
 func TestChaosTransientStallRecovers(t *testing.T) {
 	for _, topo := range topologies {
@@ -155,7 +155,6 @@ func TestChaosTransientStallRecovers(t *testing.T) {
 			cfg.Mux = topo.mux
 			cfg.Observer = rec
 			cfg.Faults = map[int]fault.Spec{1: fault.StallAt(midIteration, 80*time.Millisecond)}
-			cfg.Failure = WaitTimeout
 			cfg.PullTimeout = 10 * time.Second
 			res, err := Run(cfg)
 			if err != nil {
@@ -180,11 +179,10 @@ func TestChaosTransientStallRecovers(t *testing.T) {
 
 // TestChaosPermanentStallTimesOut: a stall longer than the pull timeout
 // fails the run with ErrPullTimeout within the stall's duration — the
-// wait-with-timeout policy's bound, not a hang — and the timeout is counted.
+// pull timeout's bound, not a hang — and the timeout is counted.
 func TestChaosPermanentStallTimesOut(t *testing.T) {
 	cfg := chaosConfig(t)
 	cfg.Faults = map[int]fault.Spec{1: fault.StallAt(midIteration, 700*time.Millisecond)}
-	cfg.Failure = WaitTimeout
 	cfg.PullTimeout = 100 * time.Millisecond
 	cfg.Metrics = probe.NewMetrics()
 	_, err := Run(cfg)
@@ -208,7 +206,6 @@ func TestChaosFailureWhileEvaluating(t *testing.T) {
 	cfg.Workers = 2
 	cfg.Dataset = nn.Blobs(4096, 16, 4, 7)
 	cfg.Policy = "p3" // one send per tensor, tensor 0 first
-	cfg.Failure = WaitTimeout
 	cfg.PullTimeout = 150 * time.Millisecond
 	// Worker 1's write stream carries a push frame and a pull request per
 	// tensor per iteration.
@@ -237,7 +234,6 @@ func TestChaosFailureWhileEvaluating(t *testing.T) {
 func TestChaosDeadline(t *testing.T) {
 	cfg := chaosConfig(t)
 	cfg.Faults = map[int]fault.Spec{1: fault.StallAt(midIteration, 2*time.Second)}
-	cfg.Failure = WaitTimeout
 	cfg.PullTimeout = time.Minute
 	cfg.Deadline = 150 * time.Millisecond
 	start := time.Now()

@@ -147,7 +147,6 @@ func TestValidateTransportMatrix(t *testing.T) {
 		{"ring needs a peer", func(c *Config) { c.Transport, c.Workers = "ring", 1 }, "at least 2 workers"},
 		{"ring has nothing to shard", func(c *Config) { c.Transport, c.Shards = "ring", 2 }, "no parameter server to shard"},
 		{"tree cannot drop a peer", func(c *Config) { c.Transport, c.Failure = "tree", DropWorker }, "only fail fast"},
-		{"ring cannot wait out a peer", func(c *Config) { c.Transport, c.Failure = "ring", WaitTimeout }, "only fail fast"},
 		{"throttle on the shared PS pipe", func(c *Config) { c.Mux, c.Faults = true, throttle }, "throttle"},
 		{"throttle on the ring", func(c *Config) { c.Transport, c.Faults = "ring", throttle }, "throttle"},
 		{"throttle on the tree", func(c *Config) { c.Transport, c.Faults = "tree", throttle }, "throttle"},

@@ -60,14 +60,12 @@ type FailurePolicy string
 
 // Supported failure policies.
 const (
-	// FailFast aborts the whole run the moment the server detects a worker
-	// failure, and on the first pull timeout. Default.
+	// FailFast aborts the whole run the moment the server sees a worker's
+	// link fail. A stall breaks no link, so it aborts nothing eagerly:
+	// PullTimeout bounds every wait instead, a stall shorter than it
+	// completes the run, and a longer one ends the worker whose pull timed
+	// out while the others stop at their own bounded waits. Default.
 	FailFast FailurePolicy = "fail-fast"
-	// WaitTimeout gives faults a grace period: nothing aborts eagerly, but
-	// every pull is bounded by PullTimeout, so a transient stall shorter
-	// than the grace completes the run while a permanent fault still fails
-	// it within the timeout.
-	WaitTimeout FailurePolicy = "wait-timeout"
 	// DropWorker removes failed or straggling workers from the aggregation
 	// barrier and renormalizes the gradient mean over the survivors; the
 	// run completes with Result.DroppedWorkers recording the casualties.
@@ -115,8 +113,8 @@ type Config struct {
 	// takes everything a shared pipe takes — byte-offset Faults, Deadline,
 	// PullTimeout as the per-op bound — and rejects only what has no
 	// physical meaning: fewer than 2 workers (tree: not a power of two),
-	// Shards > 1 (no server to shard), and the wait-timeout / drop-worker
-	// policies (a lockstep exchange that loses a peer can only stop).
+	// Shards > 1 (no server to shard), and the drop-worker policy (a
+	// lockstep exchange that loses a peer can only stop).
 	Transport string
 
 	// Shards runs that many parameter server instances, partitioning
@@ -240,7 +238,7 @@ func (c *Config) validate() error {
 		return fmt.Errorf("emu: %w", err)
 	}
 	switch c.Failure {
-	case FailFast, WaitTimeout, DropWorker:
+	case FailFast, DropWorker:
 	case "":
 		c.Failure = FailFast
 	default:
@@ -566,10 +564,6 @@ func Run(cfg Config) (*Result, error) {
 				srv.OnWorkerFailure(func(w int, err error) {
 					abort(fmt.Errorf("emu: fail-fast: %w", err))
 				})
-			case WaitTimeout:
-				// No eager abort: transient faults may recover; permanent ones
-				// are bounded by the per-pull timeout and surface through the
-				// workers.
 			}
 			servers = append(servers, srv)
 		}

@@ -23,6 +23,7 @@ import (
 	"prophet/internal/probe"
 	"prophet/internal/profiler"
 	"prophet/internal/stepwise"
+	"prophet/internal/strategy"
 )
 
 // Config holds the global experiment knobs.
@@ -226,26 +227,25 @@ func sharedPSLink(workers int) func(int) netsim.LinkConfig {
 	}
 }
 
-// strategies
-const (
-	p3Partition = 4e6 // paper Sec. 5.1: "we set the partition size of P3 as 4 MB"
-	bsCredit    = 4e6 // BytePS default credit
-)
+// strategies, at the paper's testbed parameters (Sec. 5.1: 4 MB P3
+// partition and ByteScheduler credit)
 
 func (s *setup) fifo() cluster.SchedulerFactory { return cluster.FIFOFactory(s.wire) }
 
-func (s *setup) p3() cluster.SchedulerFactory { return cluster.P3Factory(s.wire, p3Partition) }
+func (s *setup) p3() cluster.SchedulerFactory {
+	return cluster.P3Factory(s.wire, strategy.DefaultPartition)
+}
 
 func (s *setup) p3At(partition float64) cluster.SchedulerFactory {
 	return cluster.P3Factory(s.wire, partition)
 }
 
 func (s *setup) byteScheduler() cluster.SchedulerFactory {
-	return cluster.ByteSchedulerFactory(s.wire, bsCredit)
+	return cluster.ByteSchedulerFactory(s.wire, strategy.DefaultCredit)
 }
 
 func (s *setup) tunedByteScheduler(seed uint64) cluster.SchedulerFactory {
-	return cluster.TunedByteSchedulerFactory(s.wire, bsCredit, 1e6, 16e6, seed)
+	return cluster.TunedByteSchedulerFactory(s.wire, seed)
 }
 
 func (s *setup) prophet() cluster.SchedulerFactory {

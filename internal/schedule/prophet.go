@@ -6,7 +6,10 @@ import (
 	"prophet/internal/core"
 )
 
-// DefaultProphetEngineCost is the calibrated per-block dispatch cost.
+// DefaultProphetEngineCost is the calibrated per-block dispatch cost of
+// Prophet's C++ BytePS core integration (the paper reports negligible
+// runtime overhead; the Scheduled Queue is consulted once per block, not per
+// partition).
 const DefaultProphetEngineCost = 0.5e-3
 
 // Prophet is the paper's strategy: using the profiled stepwise pattern
@@ -17,11 +20,6 @@ const DefaultProphetEngineCost = 0.5e-3
 // after backward completes, remaining gradients go one by one in strict
 // priority order, starting with gradient 0 at its generation instant.
 type Prophet struct {
-	// EngineCost is the per-block dispatch cost of Prophet's C++ BytePS
-	// core integration (the paper reports negligible runtime overhead;
-	// the Scheduled Queue is consulted once per block, not per partition).
-	EngineCost float64
-
 	prof          *core.Profile
 	bandwidth     func() float64
 	overhead      func(bw float64) float64
@@ -46,7 +44,7 @@ func NewProphet(prof *core.Profile, bandwidth func() float64, overhead func(bw f
 	if bandwidth == nil {
 		return nil, fmt.Errorf("schedule: Prophet needs a bandwidth source")
 	}
-	p := &Prophet{prof: prof, bandwidth: bandwidth, overhead: overhead, EngineCost: DefaultProphetEngineCost}
+	p := &Prophet{prof: prof, bandwidth: bandwidth, overhead: overhead}
 	if err := p.replan(bandwidth()); err != nil {
 		return nil, err
 	}
@@ -58,7 +56,7 @@ func (p *Prophet) replan(bw float64) error {
 	if bw <= 0 {
 		return fmt.Errorf("schedule: Prophet got non-positive bandwidth %v", bw)
 	}
-	cfg := core.Config{Bandwidth: bw, PerMessageTime: p.EngineCost, IgnoreWindows: p.ignoreWindows}
+	cfg := core.Config{Bandwidth: bw, PerMessageTime: DefaultProphetEngineCost, IgnoreWindows: p.ignoreWindows}
 	if p.overhead != nil {
 		cfg.PerMessageTime += p.overhead(bw)
 	}
@@ -132,7 +130,7 @@ func (p *Prophet) Next(float64) (Message, bool) {
 		p.msgCache = make([]Message, len(p.plan.Units))
 	}
 	if p.msgCache[i].Pieces == nil {
-		p.msgCache[i] = p.renderUnit(u)
+		p.msgCache[i] = renderUnit(u)
 	}
 	return p.msgCache[i], true
 }
@@ -140,8 +138,8 @@ func (p *Prophet) Next(float64) (Message, bool) {
 // renderUnit builds the wire Message for one plan unit. Callers must treat
 // the result (in particular Pieces) as immutable: it is cached and re-used
 // on every subsequent iteration.
-func (p *Prophet) renderUnit(u core.Unit) Message {
-	msg := Message{Bytes: u.Bytes}
+func renderUnit(u core.Unit) Message {
+	msg := Message{Bytes: u.Bytes, Stall: DefaultProphetEngineCost}
 	msg.Pieces = make([]Piece, 0, len(u.Spans))
 	for _, s := range u.Spans {
 		msg.Pieces = append(msg.Pieces, Piece{Grad: s.Grad, Bytes: s.Bytes, Last: s.Last})
@@ -152,7 +150,6 @@ func (p *Prophet) renderUnit(u core.Unit) Message {
 	} else {
 		msg.Label = fmt.Sprintf("fwd[g%d]", lo)
 	}
-	msg.Stall = p.EngineCost
 	return msg
 }
 

@@ -38,9 +38,6 @@ type Params struct {
 	Partition float64
 	// Credit is ByteScheduler's credit in bytes (default DefaultCredit).
 	Credit float64
-	// MinCredit and MaxCredit bound the credit auto-tuner's exploration
-	// (defaults DefaultMinCredit/DefaultMaxCredit).
-	MinCredit, MaxCredit float64
 	// FusionBytes is fusion's buffer threshold in bytes (default
 	// DefaultFusionBytes).
 	FusionBytes float64
@@ -76,8 +73,7 @@ var factories = map[string]func(p Params) (schedule.Scheduler, error){
 	},
 	"bytescheduler-tuned": func(p Params) (schedule.Scheduler, error) {
 		b := schedule.NewByteScheduler(p.Sizes, p.credit())
-		min, max := p.creditBounds()
-		b.EnableTuning(min, max, p.tunerSeed())
+		b.EnableTuning(DefaultMinCredit, DefaultMaxCredit, p.tunerSeed())
 		return b, nil
 	},
 	"fusion": func(p Params) (schedule.Scheduler, error) {
@@ -145,17 +141,6 @@ func (p Params) fusionBytes() float64 {
 		return p.FusionBytes
 	}
 	return DefaultFusionBytes
-}
-
-func (p Params) creditBounds() (float64, float64) {
-	min, max := p.MinCredit, p.MaxCredit
-	if min <= 0 {
-		min = DefaultMinCredit
-	}
-	if max <= 0 {
-		max = DefaultMaxCredit
-	}
-	return min, max
 }
 
 // tunerSeed derives the per-worker tuner stream (the same formula the

@@ -1,8 +1,12 @@
 package strategy
 
 import (
+	"math"
 	"reflect"
 	"testing"
+
+	"prophet/internal/core"
+	"prophet/internal/schedule"
 )
 
 func TestNamesCoverTheRegistry(t *testing.T) {
@@ -70,5 +74,58 @@ func TestFusionBytesSetsTheThreshold(t *testing.T) {
 		if got != tc.messages || total != 600 {
 			t.Errorf("threshold %v: %d messages carrying %v bytes, want %d carrying 600", tc.threshold, got, total, tc.messages)
 		}
+	}
+}
+
+// Partition and Credit set the p3 and bytescheduler message sizes (0: 4 MB).
+func TestPartitionAndCreditSetMessageSizes(t *testing.T) {
+	sizes := func(name string, p Params) []float64 {
+		p.Sizes = []float64{10e6}
+		s, _ := New(name, p)
+		s.OnGenerated(0, 0)
+		var got []float64
+		for msg, ok := s.Next(0); ok; msg, ok = s.Next(0) {
+			got = append(got, msg.Bytes)
+		}
+		return got
+	}
+	for i, tc := range []struct{ got, want []float64 }{
+		{sizes("p3", Params{}), []float64{4e6, 4e6, 2e6}},
+		{sizes("p3", Params{Partition: 3e6}), []float64{3e6, 3e6, 3e6, 1e6}},
+		{sizes("bytescheduler", Params{}), []float64{4e6, 4e6, 2e6}},
+		{sizes("bytescheduler", Params{Credit: 6e6}), []float64{6e6, 4e6}},
+	} {
+		if !reflect.DeepEqual(tc.got, tc.want) {
+			t.Errorf("row %d: messages %v, want %v", i, tc.got, tc.want)
+		}
+	}
+}
+
+// The tuned row explores [DefaultMinCredit, DefaultMaxCredit]: rewarded for
+// nearing one bound, it reaches that bound and never leaves the range.
+func TestTunedCreditStaysWithinDefaultBounds(t *testing.T) {
+	for _, bound := range []float64{DefaultMinCredit, DefaultMaxCredit} {
+		s, _ := New("bytescheduler-tuned", Params{Sizes: []float64{1e6}, Seed: 1})
+		lo, hi := math.Inf(1), 0.0
+		for iter := 0; iter < 100; iter++ {
+			s.BeginIteration(iter)
+			c := s.(*schedule.Queue).Credit()
+			lo, hi = math.Min(lo, c), math.Max(hi, c)
+			s.OnIterationEnd(math.Abs(math.Log(c / bound)))
+		}
+		if lo < DefaultMinCredit || hi > DefaultMaxCredit || (lo != bound && hi != bound) {
+			t.Errorf("credits spanned [%v, %v] in 100 iterations; want within the default bounds, reaching %v", lo, hi, bound)
+		}
+	}
+}
+
+// Prophet with a profile and no bandwidth source plans at 1e9 B/s.
+func TestProphetWithoutBandwidthPlansAt1e9(t *testing.T) {
+	prof, _ := core.NewProfile([]float64{0.02, 0.02, 0.01, 0.01, 0}, []float64{1e6, 1e6, 1e6, 1e6, 1e6}, 1e-6)
+	s, err := New("prophet", Params{Profile: prof})
+	at1e9, _ := schedule.NewProphet(prof, func() float64 { return 1e9 }, nil)
+	at1e6, _ := schedule.NewProphet(prof, func() float64 { return 1e6 }, nil)
+	if err != nil || !reflect.DeepEqual(s.(*schedule.Prophet).Plan(), at1e9.Plan()) || reflect.DeepEqual(at1e9.Plan(), at1e6.Plan()) {
+		t.Fatalf("New(prophet) without Bandwidth (err %v) did not plan as at 1e9 B/s, or 1e6 B/s plans the same", err)
 	}
 }
