@@ -19,12 +19,16 @@ FUZZTIME ?= 10s
 COVER_PKGS  := ./internal/schedule ./internal/drive ./internal/cluster ./internal/strategy ./internal/ps ./internal/transport ./internal/collective ./internal/probe ./internal/probe/attrib ./internal/probe/predict
 COVER_FLOOR ?= 80
 
-.PHONY: check tier1 build vet test lint race bench bench-results bench-scale fuzz trace-smoke conformance conformance-live cover predict-smoke benchmark-smoke loc
+.PHONY: check tier1 build vet test lint race bench bench-results bench-scale fuzz profile-smoke conformance conformance-live cover benchmark-smoke loc
 
-# conformance and conformance-live are not prerequisites: race has just run
-# the full ./internal/drive, ./internal/emu and ./internal/collective suites
-# under -race, of which those two targets are -run subsets for focused runs.
-check: tier1 lint race cover trace-smoke predict-smoke benchmark-smoke loc
+# Each check runs once. conformance and conformance-live are not
+# prerequisites: race has just run the full ./internal/drive, ./internal/emu
+# and ./internal/collective suites under -race, of which those two targets
+# are -run subsets for focused runs. The run document's gate is
+# cmd/prophet-run's TestEveryExportParses, inside test; the prediction
+# audit's are its tests, which test and race run, and the full ext-predict
+# run inside test's TestBenchResultsCurrent golden.
+check: tier1 lint race cover profile-smoke benchmark-smoke loc
 
 # The figure a simplicity change is counted by: Go lines outside the frozen
 # benchmark/ module, non-test and test.
@@ -93,21 +97,10 @@ cover:
 			echo "coverage $$pct% below floor $(COVER_FLOOR)% for $$pkg"; fail=1; fi; \
 	done; exit $$fail
 
-# End-to-end run-document gate: run prophet-run on both execution paths, each
-# on its PS and ring wires — the live runs at the emu default of 32 Mbps, so
-# the limiter is on the smoke path and all four runs are shaped — and
-# validate each -out document with tracecheck: the trace events' structure
-# and required fields, the version, the summary, non-empty gradient and
-# attribution rows, and an audit that planned send windows. It also runs
-# prophet-profile with a plan, so every main under cmd/ runs somewhere.
-trace-smoke:
+# prophet-profile with a plan: the one main under cmd/ no test drives, so
+# every main runs somewhere (prophet-run and prophet-bench run in test).
+profile-smoke:
 	$(GO) run ./cmd/prophet-profile -plan -profile-iters 5 > /dev/null
-	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
-	$(GO) run ./cmd/prophet-run -path sim -policy fifo -iters 3 -out $$tmp/sim.json && \
-	$(GO) run ./cmd/prophet-run -path sim -transport ring -policy prophet -iters 3 -out $$tmp/ring.json && \
-	$(GO) run ./cmd/prophet-run -path emu -policy prophet -iters 4 -out $$tmp/emu.json && \
-	$(GO) run ./cmd/prophet-run -path emu -transport ring -policy prophet -iters 4 -out $$tmp/emu_ring.json && \
-	$(GO) run ./cmd/tracecheck $$tmp/sim.json $$tmp/ring.json $$tmp/emu.json $$tmp/emu_ring.json
 
 # Reproducible single-shot benchmark pass.
 bench:
@@ -129,19 +122,6 @@ bench-scale:
 	@echo "$$(git rev-parse --short HEAD) $$(date -u +%Y-%m-%d)" > BENCH_scale.txt
 	$(GO) test -bench='Emu_Scale' -benchmem -benchtime=1x -count=1 -run '^$$' ./internal/emu >> BENCH_scale.txt
 	@cat BENCH_scale.txt
-
-# Prediction-audit gate, under the race detector: the planned-vs-observed
-# residual invariant for every strategy × {ps, ring, tree}; prediction
-# following the listener on the simulator (a recorder alone plans nothing,
-# an attached Auditor joins every window); every planned window joining
-# through a live Auditor on the live ring and tree; plus a tiny ext-predict
-# run (drift must rise under a bandwidth dip, the seeded throttle must
-# alarm, the clean run must not — the experiment hard-fails otherwise).
-predict-smoke:
-	$(GO) test -race -count=1 \
-		-run 'TestPredictionInvariant|TestPredictChaos|TestCollectiveObserverContract|TestCollectiveResultShape' \
-		./internal/probe/predict ./internal/emu ./internal/cluster
-	$(GO) run ./cmd/prophet-bench -only ext-predict -quick
 
 # The frozen benchmark is its own module (benchmark/go.mod), which the root
 # build does not compile: vet and test it against the current API, then run

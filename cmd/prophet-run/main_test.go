@@ -109,56 +109,69 @@ func TestEmuOneIterationPrintsNoPhaseRows(t *testing.T) {
 	}
 }
 
-// -out writes one document that parses on both paths: its traceEvents are
-// a non-empty array with the fields tracecheck requires, the timeline has
-// the series its executor and wire can fill, and the gradient, attribution
-// and audit sections carry rows.
+// The run document's only gate: on both paths and both wires, -out writes a
+// version-1 document with a summary object, a timeline holding the series
+// its executor and wire can fill, gradient and attribution rows, an audit
+// that planned send windows (every run here is shaped: the simulator at
+// 3 Gbps, the live path at the 32 Mbps default), and a non-empty
+// traceEvents array of complete events a trace viewer accepts.
 func TestEveryExportParses(t *testing.T) {
 	for _, tc := range []struct {
-		path, transport string
-		timeline        []string
+		path, transport, policy string
+		timeline                []string
 	}{
-		{"sim", "ps", []string{"bin_s", "downlink_Bps", "gpu_util", "uplink_Bps"}},
-		{"sim", "ring", []string{"bin_s", "gpu_util", "uplink_Bps"}},
-		{"emu", "ps", []string{"bin_s", "uplink_Bps"}},
-		{"emu", "ring", []string{"bin_s", "uplink_Bps"}},
+		{"sim", "ps", "fifo", []string{"bin_s", "downlink_Bps", "gpu_util", "uplink_Bps"}},
+		{"sim", "ring", "prophet", []string{"bin_s", "gpu_util", "uplink_Bps"}},
+		{"emu", "ps", "prophet", []string{"bin_s", "uplink_Bps"}},
+		{"emu", "ring", "prophet", []string{"bin_s", "uplink_Bps"}},
 	} {
+		name := tc.path + "/" + tc.transport + "/" + tc.policy
 		file := filepath.Join(t.TempDir(), "run.json")
-		report := mustRun(t, small(tc.path, "-transport", tc.transport, "-out", file))
+		report := mustRun(t, small(tc.path, "-transport", tc.transport, "-policy", tc.policy, "-out", file))
 		if n := strings.Count(report, "wrote "); n != 1 {
-			t.Errorf("%s/%s: report names %d written files, want 1:\n%s", tc.path, tc.transport, n, report)
+			t.Errorf("%s: report names %d written files, want 1:\n%s", name, n, report)
 		}
-		doc := readDocument(t, file)
-
-		var events []map[string]any
-		if err := json.Unmarshal(doc["traceEvents"], &events); err != nil || len(events) == 0 {
-			t.Fatalf("%s/%s: traceEvents is not a non-empty event array (%d events, err %v)", tc.path, tc.transport, len(events), err)
-		}
-		for i, e := range events {
-			for _, field := range []string{"name", "ph", "ts", "dur", "pid", "tid"} {
-				if _, ok := e[field]; !ok {
-					t.Fatalf("%s/%s: event %d lacks %q", tc.path, tc.transport, i, field)
-				}
-			}
-		}
-		var series map[string]json.RawMessage
-		if err := json.Unmarshal(doc["timeline"], &series); err != nil {
-			t.Fatal(err)
-		}
-		if got := sortedKeys(series); !reflect.DeepEqual(got, tc.timeline) {
-			t.Errorf("%s/%s: timeline has %q, want %q", tc.path, tc.transport, got, tc.timeline)
-		}
-		var rows struct {
+		var doc struct {
+			Version     *int
+			Summary     map[string]float64
+			Timeline    map[string]json.RawMessage
 			Gradients   []probe.GradTimes
 			Attribution attrib.Report
 			Audit       predict.Report
+			TraceEvents []map[string]any
 		}
-		if err := json.Unmarshal(readFile(t, file), &rows); err != nil {
-			t.Fatal(err)
+		if err := json.Unmarshal(readFile(t, file), &doc); err != nil {
+			t.Fatalf("%s: not a run document: %v", name, err)
 		}
-		if len(rows.Gradients) < 2 || len(rows.Attribution.PerGrad) < 2 || len(rows.Audit.Scores) < 2 {
-			t.Errorf("%s/%s: %d gradient, %d attribution and %d audit rows, want rows in each",
-				tc.path, tc.transport, len(rows.Gradients), len(rows.Attribution.PerGrad), len(rows.Audit.Scores))
+		if doc.Version == nil || *doc.Version != 1 {
+			t.Errorf("%s: version is not 1", name)
+		}
+		if doc.Summary == nil {
+			t.Errorf("%s: no summary object", name)
+		}
+		if got := sortedKeys(doc.Timeline); !reflect.DeepEqual(got, tc.timeline) {
+			t.Errorf("%s: timeline has %q, want %q", name, got, tc.timeline)
+		}
+		if len(doc.Gradients) < 2 || len(doc.Attribution.PerGrad) < 2 || len(doc.Audit.Scores) < 2 {
+			t.Errorf("%s: %d gradient, %d attribution and %d audit rows, want rows in each",
+				name, len(doc.Gradients), len(doc.Attribution.PerGrad), len(doc.Audit.Scores))
+		}
+		if doc.Audit.Planned <= 0 {
+			t.Errorf("%s: a shaped run audited %d planned send windows", name, doc.Audit.Planned)
+		}
+		if len(doc.TraceEvents) == 0 {
+			t.Fatalf("%s: traceEvents is not a non-empty event array", name)
+		}
+		for i, e := range doc.TraceEvents {
+			evName, _ := e["name"].(string)
+			ph, _ := e["ph"].(string)
+			ts, hasTs := e["ts"].(float64)
+			dur, hasDur := e["dur"].(float64)
+			_, hasPid := e["pid"]
+			_, hasTid := e["tid"]
+			if evName == "" || ph == "" || !hasTs || !hasDur || ts < 0 || dur < 0 || !hasPid || !hasTid {
+				t.Fatalf("%s: event %d is not a complete event with a name, ph, ts ≥ 0, dur ≥ 0, pid and tid: %v", name, i, e)
+			}
 		}
 	}
 }

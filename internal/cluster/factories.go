@@ -28,8 +28,8 @@ type Options struct {
 	Profile *core.Profile
 }
 
-// ByName builds a factory from a registry name for the PS transport: the
-// single entry point the -policy flags and experiments use.
+// ByName is ByNameTransport on the PS transport. prophet-run's -policy flag
+// and most experiments go through ByNameTransport or the typed factories.
 func ByName(name string, m *model.Model, opt Options) (SchedulerFactory, error) {
 	return ByNameTransport(name, "ps", 0, m, opt)
 }

@@ -112,13 +112,11 @@ func (p *Plan) NumBlocks() int {
 
 // Blocks flattens the plan into ordered groups of whole gradients, one
 // group per unit, deduplicated at first occurrence: a partitioned tensor
-// whose spans straddle consecutive units belongs to the earlier one. This
-// is the granularity the live emulation schedules at — its wire protocol
-// pushes whole tensors — and the unit of the cross-shard priority
-// invariant: all gradients of block k must have started transferring (on
-// whichever shard link owns each) before any gradient of block k+1 may
-// start. Units whose gradients were all claimed by earlier units vanish,
-// so every gradient appears in exactly one block and no block is empty.
+// whose spans straddle consecutive units belongs to the earlier one. Units
+// whose gradients were all claimed by earlier units vanish, so every
+// gradient appears in exactly one block and no block is empty. No executor
+// schedules at this granularity — both replay the plan's decisions through
+// drive — so Blocks is a view of the plan for tests and readers.
 func (p *Plan) Blocks() [][]int {
 	seen := make(map[int]bool)
 	var out [][]int

@@ -41,11 +41,6 @@ type Backend interface {
 	// dst and returns it: len == Steps(workers), and the sum is the
 	// per-link wire volume of the whole operation.
 	ChunkBytes(s float64, workers int, dst []float64) []float64
-	// Segments appends the payload partition the collective divides the
-	// message into (the ring's reduce-scatter segments) to dst and returns
-	// it. The segments are contiguous and sum to s — every payload byte
-	// belongs to exactly one segment.
-	Segments(s float64, workers int, dst []float64) []float64
 }
 
 // psBackend is the parameter-server push path: one transfer per message.
@@ -55,10 +50,6 @@ func (psBackend) Name() string          { return "ps" }
 func (psBackend) Steps(workers int) int { return 1 }
 
 func (psBackend) ChunkBytes(s float64, workers int, dst []float64) []float64 {
-	return append(dst, s)
-}
-
-func (psBackend) Segments(s float64, workers int, dst []float64) []float64 {
 	return append(dst, s)
 }
 
@@ -81,17 +72,6 @@ func (r ringBackend) ChunkBytes(s float64, workers int, dst []float64) []float64
 	chunk := s / float64(workers)
 	for i := 0; i < 2*(workers-1); i++ {
 		dst = append(dst, chunk)
-	}
-	return dst
-}
-
-func (ringBackend) Segments(s float64, workers int, dst []float64) []float64 {
-	if workers <= 1 {
-		return append(dst, s)
-	}
-	seg := s / float64(workers)
-	for i := 0; i < workers; i++ {
-		dst = append(dst, seg)
 	}
 	return dst
 }
@@ -134,12 +114,6 @@ func (t treeBackend) ChunkBytes(s float64, workers int, dst []float64) []float64
 		dst = append(dst, dst[base+k])
 	}
 	return dst
-}
-
-func (treeBackend) Segments(s float64, workers int, dst []float64) []float64 {
-	// Same segment space as the ring: the tree reduces the identical
-	// partition, only the step schedule differs.
-	return ringBackend{}.Segments(s, workers, dst)
 }
 
 func ceilLog2(n int) int {

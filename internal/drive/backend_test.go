@@ -51,16 +51,11 @@ func TestBackendRegistry(t *testing.T) {
 	if len(chunks) != 1 || chunks[0] != 5e6 {
 		t.Fatalf("ps chunks = %v", chunks)
 	}
-	segs := ps.Segments(5e6, 7, nil)
-	if len(segs) != 1 || segs[0] != 5e6 {
-		t.Fatalf("ps segments = %v", segs)
-	}
 }
 
 // TestRingChunkingProperties runs seedable random trials over (payload,
 // ring size) and asserts the ring's wire shape: 2(W−1) equal chunks of
-// s/W, a W-way segment partition in which every payload byte appears
-// exactly once, and the closed-form per-link volume 2(W−1)/W·s.
+// s/W and the closed-form per-link volume 2(W−1)/W·s.
 func TestRingChunkingProperties(t *testing.T) {
 	ring, err := drive.BackendByName("ring")
 	if err != nil {
@@ -84,28 +79,11 @@ func TestRingChunkingProperties(t *testing.T) {
 		if !relClose(wire, 2*float64(w-1)/float64(w)*s, 1e-9) {
 			t.Fatalf("trial %d: wire volume %v, want 2(W−1)/W·s=%v", trial, wire, 2*float64(w-1)/float64(w)*s)
 		}
-		// Segment partition: W contiguous pieces covering [0, s) exactly
-		// once — positive, no gaps, no overlap, summing to s.
-		segs := ring.Segments(s, w, nil)
-		if len(segs) != w {
-			t.Fatalf("trial %d: %d segments for W=%d", trial, len(segs), w)
-		}
-		covered := 0.0
-		for i, seg := range segs {
-			if seg <= 0 {
-				t.Fatalf("trial %d: segment %d non-positive (%v)", trial, i, seg)
-			}
-			covered += seg
-		}
-		if !relClose(covered, s, 1e-9) {
-			t.Fatalf("trial %d: segments cover %v of %v bytes", trial, covered, s)
-		}
 	}
 }
 
 // TestRingDegeneratesAtOneWorker guards the W=1 edge: a single worker has
-// nothing to reduce, so the collective backends take zero wire steps and
-// the payload stays whole.
+// nothing to reduce, so the collective backends take zero wire steps.
 func TestRingDegeneratesAtOneWorker(t *testing.T) {
 	for _, name := range []string{"ring", "tree"} {
 		be, err := drive.BackendByName(name)
@@ -119,18 +97,13 @@ func TestRingDegeneratesAtOneWorker(t *testing.T) {
 			if chunks := be.ChunkBytes(7e6, w, nil); len(chunks) != 0 {
 				t.Errorf("%s: ChunkBytes at W=%d = %v, want none", name, w, chunks)
 			}
-			segs := be.Segments(7e6, w, nil)
-			if len(segs) != 1 || segs[0] != 7e6 {
-				t.Errorf("%s: Segments at W=%d = %v, want [7e6]", name, w, segs)
-			}
 		}
 	}
 }
 
 // TestTreeMatchesRingTotals asserts the tree backend is ring-equivalent in
 // total per-link volume (both are bandwidth-optimal: 2(W−1)/W·s) while
-// taking only 2⌈log2 W⌉ steps, with a symmetric halving/doubling schedule
-// and the identical segment partition.
+// taking only 2⌈log2 W⌉ steps, with a symmetric halving/doubling schedule.
 func TestTreeMatchesRingTotals(t *testing.T) {
 	ring, _ := drive.BackendByName("ring")
 	tree, err := drive.BackendByName("tree")
@@ -167,18 +140,6 @@ func TestTreeMatchesRingTotals(t *testing.T) {
 		}
 		if !relClose(treeWire, ringWire, 1e-9) {
 			t.Fatalf("trial %d: W=%d: tree wire %v != ring wire %v", trial, w, treeWire, ringWire)
-		}
-		treeSegs := tree.Segments(s, w, nil)
-		ringSegs := ring.Segments(s, w, nil)
-		if len(treeSegs) != len(ringSegs) {
-			t.Fatalf("trial %d: W=%d: segment counts differ: %d vs %d",
-				trial, w, len(treeSegs), len(ringSegs))
-		}
-		for i := range treeSegs {
-			if treeSegs[i] != ringSegs[i] {
-				t.Fatalf("trial %d: W=%d: segment %d differs: %v vs %v",
-					trial, w, i, treeSegs[i], ringSegs[i])
-			}
 		}
 	}
 }

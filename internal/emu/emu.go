@@ -555,10 +555,7 @@ func Run(cfg Config) (*Result, error) {
 				if st <= 0 {
 					st = waitBound / 2
 				}
-				srv.SetStragglerPolicy(st, func(iter, tensor int, missing []int) bool {
-					dropEverywhere(missing)
-					return true
-				})
+				srv.SetStragglerPolicy(st, dropEverywhere)
 				srv.OnWorkerFailure(func(w int, err error) { dropEverywhere([]int{w}) })
 			case FailFast:
 				srv.OnWorkerFailure(func(w int, err error) {

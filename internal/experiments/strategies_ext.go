@@ -13,10 +13,11 @@ import (
 // ExtStrategiesResult sweeps every strategy in the shared registry —
 // including TicTac's op-level priority order, which the paper discusses but
 // its testbed comparison omits — over one simulated configuration. It is
-// the registry's end-to-end exercise: each row is built through the same
-// cluster.ByName entry point the -policy flags use, so a strategy
-// registered in internal/strategy lands here (and in both binaries) with
-// no further wiring.
+// the registry's end-to-end exercise: each row is built by registry name
+// through cluster.ByName, as prophet-run's -policy flag builds its
+// strategy through ByNameTransport, so a strategy registered in
+// internal/strategy lands here (and in both binaries) with no further
+// wiring.
 type ExtStrategiesResult struct {
 	Workers int
 	Rows    []ExtStrategiesRow

@@ -5,7 +5,6 @@ import (
 	"math"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -173,11 +172,9 @@ func TestLastServingCallStopsStragglerTimers(t *testing.T) {
 		t.Run(topo.name, func(t *testing.T) {
 			const timeout = 50 * time.Millisecond
 			srv, clients, shutdown := newTopology(t, 2, topo.shared)
+			frames := countFrames(srv)
 			fired := make(chan []int, 1)
-			srv.SetStragglerPolicy(timeout, func(iter, tensor int, missing []int) bool {
-				fired <- missing
-				return true
-			})
+			srv.SetStragglerPolicy(timeout, func(missing []int) { fired <- missing })
 			if err := clients[0].Push(0, 0, []float64{1}); err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +183,7 @@ func TestLastServingCallStopsStragglerTimers(t *testing.T) {
 			}
 			deadline := time.Now().Add(5 * time.Second)
 			for {
-				if _, pulls := srv.Stats(); pulls == 1 {
+				if _, pulls := frames(); pulls == 1 {
 					break // the timer is armed
 				}
 				if time.Now().After(deadline) {
@@ -218,16 +215,8 @@ func TestStragglerPolicyDropsSilentWorker(t *testing.T) {
 		conns[w] = b
 		clients[w] = NewClient(a)
 	}
-	var decided struct {
-		sync.Mutex
-		missing []int
-	}
-	srv.SetStragglerPolicy(30*time.Millisecond, func(iter, tensor int, missing []int) bool {
-		decided.Lock()
-		decided.missing = append([]int(nil), missing...)
-		decided.Unlock()
-		return true
-	})
+	dropped := make(chan []int, 1)
+	srv.SetStragglerPolicy(30*time.Millisecond, func(missing []int) { dropped <- missing })
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(conns) }()
 
@@ -241,11 +230,8 @@ func TestStragglerPolicyDropsSilentWorker(t *testing.T) {
 	if math.Abs(got[0]-8) > 1e-15 {
 		t.Fatalf("renormalized mean = %v, want 8/1", got[0])
 	}
-	decided.Lock()
-	missing := decided.missing
-	decided.Unlock()
-	if len(missing) != 1 || missing[0] != 1 {
-		t.Fatalf("policy saw missing %v, want [1]", missing)
+	if missing := <-dropped; len(missing) != 1 || missing[0] != 1 {
+		t.Fatalf("policy reported dropping %v, want [1]", missing)
 	}
 	if !srv.IsDropped(1) {
 		t.Fatal("straggler not dropped")

@@ -108,7 +108,7 @@ type Server struct {
 	// done records fully-served slots so a duplicate or late request after
 	// garbage collection is a protocol error instead of a silent hang. It
 	// grows with the number of distinct (iteration, tensor) pairs of one
-	// run — bounded by run length, like the push/pull counters.
+	// run — bounded by run length.
 	done map[slotKey]bool
 	dead []bool // workers removed from the aggregation barrier
 	live int
@@ -120,8 +120,6 @@ type Server struct {
 	// return stops the straggler timers.
 	serving int
 
-	pushes, pulls int
-
 	// probe counter handles; nil unless SetMetrics attached a registry.
 	mPushes, mPulls, mDrops, mFailures, mStragglers *probe.Counter
 
@@ -129,7 +127,7 @@ type Server struct {
 	onFailure  func(worker int, err error)
 
 	stragglerTimeout time.Duration
-	onStraggler      func(iter, tensor int, missing []int) bool
+	onStraggler      func(missing []int)
 }
 
 // workerLink locates a worker on the connection currently serving it.
@@ -156,7 +154,8 @@ func NewServer(workers int) *Server {
 
 // SetMetrics attaches a probe registry: the server counts handled frames,
 // dropped workers, worker failures, and straggler-policy firings under the
-// ps_server_* names. Attach before Serve; a nil registry is a no-op.
+// ps_server_* names. Attach before Serve, or at least before the first
+// frame: frames handled earlier go uncounted. A nil registry is a no-op.
 func (s *Server) SetMetrics(m *probe.Metrics) {
 	if m == nil {
 		return
@@ -168,13 +167,6 @@ func (s *Server) SetMetrics(m *probe.Metrics) {
 	s.mDrops = m.Counter("ps_server_dropped_workers")
 	s.mFailures = m.Counter("ps_server_worker_failures")
 	s.mStragglers = m.Counter("ps_server_straggler_fires")
-}
-
-// Stats returns the number of push and pull frames handled so far.
-func (s *Server) Stats() (pushes, pulls int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pushes, s.pulls
 }
 
 // OnWorkerFailure registers a callback invoked when a worker's connection
@@ -189,14 +181,14 @@ func (s *Server) OnWorkerFailure(fn func(worker int, err error)) {
 }
 
 // SetStragglerPolicy arms a per-slot detection timer: when a pull has been
-// waiting for `timeout` on a slot that is still missing contributions,
-// `decide` is called with the missing worker ids; returning true drops them
-// (renormalizing the mean over the survivors). Register before Serve.
-func (s *Server) SetStragglerPolicy(timeout time.Duration, decide func(iter, tensor int, missing []int) bool) {
+// waiting for `timeout` on a slot that is still missing contributions, the
+// server drops the missing workers (renormalizing the mean over the
+// survivors) and then calls `dropped` with their ids. Register before Serve.
+func (s *Server) SetStragglerPolicy(timeout time.Duration, dropped func(missing []int)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stragglerTimeout = timeout
-	s.onStraggler = decide
+	s.onStraggler = dropped
 }
 
 // IsDropped reports whether worker w has been removed from the barrier.
@@ -329,7 +321,6 @@ func (s *Server) handlePush(w int, f *transport.Frame) error {
 		floats.Put(data)
 		return nil
 	}
-	s.pushes++
 	if s.mPushes != nil {
 		s.mPushes.Inc()
 	}
@@ -448,7 +439,6 @@ func (s *Server) handlePull(w int, f *transport.Frame) error {
 		s.mu.Unlock()
 		return nil
 	}
-	s.pulls++
 	if s.mPulls != nil {
 		s.mPulls.Inc()
 	}
@@ -505,11 +495,10 @@ func (s *Server) stragglerFire(k slotKey) {
 	if s.mStragglers != nil {
 		s.mStragglers.Inc()
 	}
-	if cb(int(k.iter), int(k.tensor), missing) {
-		for _, w := range missing {
-			s.DropWorker(w)
-		}
+	for _, w := range missing {
+		s.DropWorker(w)
 	}
+	cb(missing)
 }
 
 // DropWorker removes worker w from the aggregation barrier: slots waiting

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"prophet/internal/probe"
 	"prophet/internal/transport"
 )
 
@@ -243,15 +244,27 @@ func TestDoublePushRejected(t *testing.T) {
 	}
 }
 
+// countFrames attaches a fresh registry to srv and returns a reader of its
+// ps_server_pushes and ps_server_pulls counters. The server reads its
+// counter handles under its lock, so attaching before the first frame
+// counts every frame.
+func countFrames(srv *Server) func() (pushes, pulls int64) {
+	m := probe.NewMetrics()
+	srv.SetMetrics(m)
+	return func() (int64, int64) {
+		return m.Counter("ps_server_pushes").Value(), m.Counter("ps_server_pulls").Value()
+	}
+}
+
 func TestServerStats(t *testing.T) {
 	srv, clients, cleanup := newCluster(t, 1)
 	defer cleanup()
+	frames := countFrames(srv)
 	clients[0].Push(0, 0, []float64{1})
 	if _, err := clients[0].Pull(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	pushes, pulls := srv.Stats()
-	if pushes != 1 || pulls != 1 {
+	if pushes, pulls := frames(); pushes != 1 || pulls != 1 {
 		t.Fatalf("stats = %d, %d", pushes, pulls)
 	}
 }

@@ -43,6 +43,10 @@ func testShardedPushPullAggregates(t *testing.T, shared bool) {
 	const workers, shards, tensors = 3, 2, 5
 	servers, links, of, cleanup := newShardedCluster(t, workers, shards, shared)
 	defer cleanup()
+	frames := make([]func() (int64, int64), shards)
+	for s, srv := range servers {
+		frames[s] = countFrames(srv)
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -73,9 +77,9 @@ func testShardedPushPullAggregates(t *testing.T, shared bool) {
 	wg.Wait()
 
 	// Routing: shard s saw exactly the traffic for tensors with t%shards==s.
-	want := []int{3 * workers, 2 * workers} // tensors 0,2,4 vs 1,3
-	for s, srv := range servers {
-		pushes, pulls := srv.Stats()
+	want := []int64{3 * workers, 2 * workers} // tensors 0,2,4 vs 1,3
+	for s := range servers {
+		pushes, pulls := frames[s]()
 		if pushes != want[s] || pulls != want[s] {
 			t.Errorf("shard %d handled %d pushes %d pulls, want %d each", s, pushes, pulls, want[s])
 		}

@@ -12,22 +12,26 @@ func (q *Queue) EnableTuning(minCredit, maxCredit float64, seed uint64) {
 // Credit returns the current credit — the row's budget — in bytes.
 func (q *Queue) Credit() float64 { return q.budget }
 
+// The tuner probes every probeEvery iterations, at a credit probeSpread
+// times or 1/probeSpread times the incumbent (before jitter).
+const (
+	probeEvery  = 4
+	probeSpread = 2.0
+)
+
 // CreditTuner is a stochastic hill-climbing credit optimizer: it keeps the
 // best credit seen so far and, on a fixed cadence, spends one iteration
 // probing a random multiplicative perturbation. Probes at off-optimum
 // credits are what make the training rate fluctuate, matching the
 // auto-tuning instability the paper reports for ByteScheduler.
 type CreditTuner struct {
-	rng          *sim.Rand
-	min, max     float64
-	best         float64
-	bestDur      float64
-	current      float64
-	probing      bool
-	sinceProbe   int
-	ProbeEvery   int     // iterations between probes (default 4)
-	ProbeSpread  float64 // multiplicative spread of probes (default 2.0)
-	measurements int
+	rng        *sim.Rand
+	min, max   float64
+	best       float64
+	bestDur    float64
+	current    float64
+	probing    bool
+	sinceProbe int
 }
 
 // NewCreditTuner creates a tuner starting from `initial` bytes.
@@ -36,23 +40,20 @@ func NewCreditTuner(initial, min, max float64, seed uint64) *CreditTuner {
 		panic("schedule: bad tuner bounds")
 	}
 	return &CreditTuner{
-		rng:         sim.NewRand(seed),
-		min:         min,
-		max:         max,
-		best:        clamp(initial, min, max),
-		bestDur:     0,
-		ProbeEvery:  4,
-		ProbeSpread: 2.0,
+		rng:  sim.NewRand(seed),
+		min:  min,
+		max:  max,
+		best: clamp(initial, min, max),
 	}
 }
 
 // Propose returns the credit to use for the next iteration.
 func (t *CreditTuner) Propose() float64 {
 	t.sinceProbe++
-	if t.sinceProbe >= t.ProbeEvery {
+	if t.sinceProbe >= probeEvery {
 		t.sinceProbe = 0
 		t.probing = true
-		factor := t.ProbeSpread
+		factor := probeSpread
 		if t.rng.Float64() < 0.5 {
 			factor = 1 / factor
 		}
@@ -69,7 +70,6 @@ func (t *CreditTuner) Propose() float64 {
 // Report feeds back the duration of the iteration that used the proposed
 // credit. Shorter is better.
 func (t *CreditTuner) Report(iterDur float64) {
-	t.measurements++
 	if t.bestDur == 0 {
 		t.bestDur = iterDur
 		return

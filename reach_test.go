@@ -51,7 +51,6 @@ var reachAllow = map[string]string{
 	"internal/probe.SpanRecorder.Steps":             window,
 	"internal/probe.SpanRecorder.GatedCount":        window,
 	"internal/probe.SpanRecorder.Lanes":             window,
-	"internal/ps.Server.Stats":                      window,
 	"internal/schedule.Queue.Credit":                window,
 	"internal/schedule.CreditTuner.Best":            window,
 	"internal/schedule.Prophet.Plan":                window,
