@@ -14,9 +14,10 @@ FUZZTIME ?= 10s
 # live wire beneath it: the strategies themselves, the drive layer, the one
 # simulated executor on top of it (PS and collective wires) and the live
 # collective, the strategy registry, the PS + frame transport packages the
-# emulation runs over, and the observability stack (probe events, stall
-# attribution, prediction audit).
-COVER_PKGS  := ./internal/schedule ./internal/drive ./internal/cluster ./internal/strategy ./internal/ps ./internal/transport ./internal/collective ./internal/probe ./internal/probe/attrib ./internal/probe/predict
+# emulation runs over, the observability stack (probe events, stall
+# attribution, prediction audit), and the kernels and MLP every live worker
+# computes its gradients with.
+COVER_PKGS  := ./internal/schedule ./internal/drive ./internal/cluster ./internal/strategy ./internal/ps ./internal/transport ./internal/collective ./internal/probe ./internal/probe/attrib ./internal/probe/predict ./internal/tensor ./internal/nn
 COVER_FLOOR ?= 80
 
 .PHONY: check tier1 build vet test lint race bench bench-results bench-scale fuzz profile-smoke conformance conformance-live cover benchmark-smoke loc

@@ -35,21 +35,24 @@ type dense struct {
 	in, out int
 	w       *tensor.Mat // in×out
 	b       tensor.Vec  // out
-
-	// forward cache (per batch)
-	input   *tensor.Mat
-	preAct  *tensor.Mat
-	mask    []bool // ReLU mask; nil for the output layer
-	gradW   *tensor.Mat
-	gradB   tensor.Vec
-	gradIn  *tensor.Mat
 	applyNL bool
+
+	// Training scratch, reused by every Forward and Backward; the
+	// batch-shaped buffers are reallocated only when the row count changes.
+	input  *tensor.Mat // the batch Forward fed this layer (not owned)
+	act    *tensor.Mat // rows×out: the layer's output, after the ReLU
+	mask   []bool      // rows×out ReLU mask; unused on the output layer
+	gradW  *tensor.Mat // in×out
+	gradB  tensor.Vec  // out
+	gradIn *tensor.Mat // rows×in; unused on layer 0
 }
 
 // MLP is a feed-forward classifier.
 type MLP struct {
 	layers  []*dense
 	tensors []Tensor
+	// dLogits is Backward's scratch for the loss gradient.
+	dLogits *tensor.Mat
 	// eval is walk's scratch: eval[0] views the input block, eval[l+1] holds
 	// layer l's output for one block.
 	eval []tensor.Mat
@@ -71,6 +74,8 @@ func NewMLP(sizes []int, seed uint64) *MLP {
 			w:       tensor.NewMat(sizes[l], sizes[l+1]),
 			b:       tensor.NewVec(sizes[l+1]),
 			applyNL: l+2 < len(sizes), // ReLU on all but the output layer
+			gradW:   tensor.NewMat(sizes[l], sizes[l+1]),
+			gradB:   tensor.NewVec(sizes[l+1]),
 		}
 		d.w.FillRandn(rng, math.Sqrt2/math.Sqrt(float64(sizes[l])))
 		m.layers = append(m.layers, d)
@@ -109,7 +114,7 @@ func (m *MLP) ParamData(idx int) tensor.Vec {
 }
 
 // GradData returns the raw storage of tensor idx's most recent gradient.
-// Valid after Backward.
+// Valid after Backward, until the next Backward overwrites it in place.
 func (m *MLP) GradData(idx int) tensor.Vec {
 	t := m.tensors[idx]
 	d := m.layers[t.Layer]
@@ -119,24 +124,37 @@ func (m *MLP) GradData(idx int) tensor.Vec {
 	return d.gradW.Data
 }
 
-// Forward computes logits for a batch (rows = samples).
+// scratch returns buf if it already has the given row count, else a fresh
+// rows×cols matrix: batch-shaped scratch survives every step of a fixed
+// batch size.
+func scratch(buf *tensor.Mat, rows, cols int) *tensor.Mat {
+	if buf != nil && buf.Rows == rows {
+		return buf
+	}
+	return tensor.NewMat(rows, cols)
+}
+
+// Forward computes logits for a batch (rows = samples). The result is the
+// MLP's scratch, valid until the next Forward; Backward reads it and the
+// per-layer caches Forward leaves, so the pair allocates nothing once a
+// batch size has been seen.
 func (m *MLP) Forward(x *tensor.Mat) *tensor.Mat {
+	if x.Cols != m.layers[0].in {
+		panic(fmt.Sprintf("nn: input has %d features, model expects %d", x.Cols, m.layers[0].in))
+	}
 	cur := x
 	for _, d := range m.layers {
-		if x.Cols != m.layers[0].in && cur == x {
-			panic(fmt.Sprintf("nn: input has %d features, model expects %d", x.Cols, m.layers[0].in))
-		}
 		d.input = cur
-		out := tensor.NewMat(cur.Rows, d.out)
-		tensor.MatMul(out, cur, d.w)
-		tensor.AddRowBias(out, d.b)
-		d.preAct = out
+		d.act = scratch(d.act, cur.Rows, d.out)
+		tensor.MatMul(d.act, cur, d.w)
+		tensor.AddRowBias(d.act, d.b)
 		if d.applyNL {
-			d.mask = tensor.ReLU(out)
-		} else {
-			d.mask = nil
+			if len(d.mask) != len(d.act.Data) {
+				d.mask = make([]bool, len(d.act.Data))
+			}
+			tensor.ReLU(d.act, d.mask)
 		}
-		cur = out
+		cur = d.act
 	}
 	return cur
 }
@@ -145,25 +163,26 @@ func (m *MLP) Forward(x *tensor.Mat) *tensor.Mat {
 // invoking onTensor (if non-nil) for each tensor as its gradient becomes
 // available — in backward order, highest index first, exactly as a DNN
 // framework's communication layer sees them. It returns the mean loss.
+// logits must be the last Forward's result; the gradients overwrite the
+// previous ones in place (see GradData).
 func (m *MLP) Backward(logits *tensor.Mat, labels []int, onTensor func(idx int)) float64 {
-	grad := tensor.NewMat(logits.Rows, logits.Cols)
-	loss := tensor.SoftmaxCrossEntropy(grad, logits, labels)
-	upstream := grad
+	m.dLogits = scratch(m.dLogits, logits.Rows, logits.Cols)
+	loss := tensor.SoftmaxCrossEntropy(m.dLogits, logits, labels)
+	upstream := m.dLogits
 	for l := len(m.layers) - 1; l >= 0; l-- {
 		d := m.layers[l]
 		if d.applyNL {
 			tensor.ReLUBackward(upstream, d.mask)
 		}
 		// dW = inputᵀ · upstream; db = column sums of upstream.
-		d.gradW = tensor.NewMat(d.in, d.out)
 		tensor.MatMulTransA(d.gradW, d.input, upstream)
-		d.gradB = tensor.NewVec(d.out)
+		d.gradB.Zero()
 		for r := 0; r < upstream.Rows; r++ {
 			d.gradB.Add(upstream.Row(r))
 		}
 		// dInput = upstream · Wᵀ (skip for layer 0 — nothing consumes it).
 		if l > 0 {
-			d.gradIn = tensor.NewMat(upstream.Rows, d.in)
+			d.gradIn = scratch(d.gradIn, upstream.Rows, d.in)
 			tensor.MatMulTransB(d.gradIn, upstream, d.w)
 		}
 		// Bias then weight, mirroring frameworks that emit auxiliary
@@ -238,8 +257,9 @@ const evalBlock = 64
 // Forward computes — a row's arithmetic never involves another row — so a
 // fold over the blocks in order reproduces the whole-batch result bit for
 // bit. Besides its scratch walk only reads the parameters, which Forward,
-// Backward and SetGrad never write, so it may run concurrently with them —
-// but not with Step, and not with another walk.
+// Backward and SetGrad never write — they write buffers the MLP owns, but
+// none walk reads — so it may run concurrently with them, but not with
+// Step, and not with another walk.
 func (m *MLP) walk(x *tensor.Mat, labels []int, visit func(logits *tensor.Mat, labels []int)) {
 	if x.Cols != m.layers[0].in {
 		panic(fmt.Sprintf("nn: input has %d features, model expects %d", x.Cols, m.layers[0].in))

@@ -83,9 +83,6 @@ func NewMat(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: NewVec(rows * cols)}
 }
 
-// At returns element (r, c).
-func (m *Mat) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
-
 // Set writes element (r, c).
 func (m *Mat) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
 
@@ -106,20 +103,9 @@ func MatMul(out, a, b *Mat) {
 		panic(fmt.Sprintf("tensor: MatMul shapes (%dx%d)·(%dx%d)→(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
+	var terms [gatherBlock]term
 	for r := 0; r < a.Rows; r++ {
-		ar := a.Row(r)
-		or := out.Row(r)
-		or.Zero()
-		for k := 0; k < a.Cols; k++ {
-			av := ar[k]
-			if av == 0 {
-				continue
-			}
-			br := b.Row(k)[:len(or)] // same length: no bounds check below
-			for c, bv := range br {
-				or[c] += av * bv
-			}
-		}
+		productRow(out.Row(r), a.Row(r), 1, a.Cols, b, &terms)
 	}
 }
 
@@ -129,23 +115,111 @@ func MatMulTransA(out, a, b *Mat) {
 		panic(fmt.Sprintf("tensor: MatMulTransA shapes (%dx%d)ᵀ·(%dx%d)→(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
+	var terms [gatherBlock]term
 	for r := 0; r < out.Rows; r++ {
-		or := out.Row(r)
-		or.Zero()
-		for k := 0; k < a.Rows; k++ {
-			av := a.At(k, r)
-			if av == 0 {
-				continue
-			}
-			br := b.Row(k)
-			for c := range or {
-				or[c] += av * br[c]
-			}
-		}
+		productRow(out.Row(r), a.Data[r:], a.Cols, a.Rows, b, &terms)
 	}
 }
 
-// MatMulTransB computes out = a · bᵀ.
+// productRow writes one output row of MatMul or MatMulTransA: or[c] is the
+// sum over k < kn, in k order from +0, of a[k·step]·b[k][c], skipping the
+// k whose multiplier a[k·step] is zero — a row of a for MatMul (step 1), a
+// column for MatMulTransA (step a.Cols). It gathers the non-zero multipliers
+// gatherBlock at a time and accumulates each block into the row.
+func productRow(or Vec, a []float64, step, kn int, b *Mat, terms *[gatherBlock]term) {
+	n, k := gather(terms, a, step, b.Cols, 0, kn)
+	accumulate(or, b.Data, terms[:n], true)
+	for k < kn {
+		n, k = gather(terms, a, step, b.Cols, k, kn)
+		accumulate(or, b.Data, terms[:n], false)
+	}
+}
+
+// gatherBlock is how many non-zero multipliers productRow gathers before
+// accumulating them into an output row.
+const gatherBlock = 64
+
+// term is one gathered multiplier: the offset of its row of b in b's data,
+// and its value.
+type term struct {
+	off int
+	v   float64
+}
+
+// gather fills terms with the non-zero a[k·step] from k on, each with its
+// row's offset k·stride in b, until it has gatherBlock of them or k reaches
+// kn, and returns how many it gathered and the k it stopped at. Every value
+// is written into the next slot, which advances only past a non-zero one:
+// a conditional move, where a branch would mispredict on every ReLU-sparse
+// row.
+func gather(terms *[gatherBlock]term, a []float64, step, stride, k, kn int) (n, next int) {
+	for ; k < kn && n < gatherBlock; k++ {
+		av := a[k*step]
+		terms[n] = term{k * stride, av}
+		if av != 0 {
+			n++
+		}
+	}
+	return n, k
+}
+
+// accumulate adds the terms' products into every column of the output row
+// or, in the terms' order: or[c] += t.v·b[t.off+c], starting from +0 when
+// fresh, else from the partial sums or already holds. It keeps eight, then
+// four, then one column's sums in registers across the whole list, so each
+// output element is loaded and stored once per list rather than once per
+// term — and still sums exactly the products a plain k loop does, in the
+// same order, so the result is the same to the bit.
+func accumulate(or Vec, b []float64, terms []term, fresh bool) {
+	c := 0
+	for ; c+8 <= len(or); c += 8 {
+		o := (*[8]float64)(or[c:])
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		if !fresh {
+			s0, s1, s2, s3, s4, s5, s6, s7 = o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]
+		}
+		for _, t := range terms {
+			bv := (*[8]float64)(b[t.off+c:])
+			s0 += t.v * bv[0]
+			s1 += t.v * bv[1]
+			s2 += t.v * bv[2]
+			s3 += t.v * bv[3]
+			s4 += t.v * bv[4]
+			s5 += t.v * bv[5]
+			s6 += t.v * bv[6]
+			s7 += t.v * bv[7]
+		}
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+	for ; c+4 <= len(or); c += 4 {
+		o := (*[4]float64)(or[c:])
+		var s0, s1, s2, s3 float64
+		if !fresh {
+			s0, s1, s2, s3 = o[0], o[1], o[2], o[3]
+		}
+		for _, t := range terms {
+			bv := (*[4]float64)(b[t.off+c:])
+			s0 += t.v * bv[0]
+			s1 += t.v * bv[1]
+			s2 += t.v * bv[2]
+			s3 += t.v * bv[3]
+		}
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	for ; c < len(or); c++ {
+		var s float64
+		if !fresh {
+			s = or[c]
+		}
+		for _, t := range terms {
+			s += t.v * b[t.off+c]
+		}
+		or[c] = s
+	}
+}
+
+// MatMulTransB computes out = a · bᵀ: out[r][c] is a.Row(r).Dot(b.Row(c)),
+// computed for four columns at once in four independent sums.
 func MatMulTransB(out, a, b *Mat) {
 	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransB shapes (%dx%d)·(%dx%d)ᵀ→(%dx%d)",
@@ -154,7 +228,23 @@ func MatMulTransB(out, a, b *Mat) {
 	for r := 0; r < a.Rows; r++ {
 		ar := a.Row(r)
 		or := out.Row(r)
-		for c := 0; c < b.Rows; c++ {
+		c := 0
+		for ; c+4 <= b.Rows; c += 4 {
+			// Same length as ar: no bounds checks in the loop below.
+			b0 := b.Row(c)[:len(ar)]
+			b1 := b.Row(c + 1)[:len(ar)]
+			b2 := b.Row(c + 2)[:len(ar)]
+			b3 := b.Row(c + 3)[:len(ar)]
+			var s0, s1, s2, s3 float64
+			for k, av := range ar {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			or[c], or[c+1], or[c+2], or[c+3] = s0, s1, s2, s3
+		}
+		for ; c < b.Rows; c++ {
 			or[c] = ar.Dot(b.Row(c))
 		}
 	}
@@ -173,18 +263,16 @@ func AddRowBias(m *Mat, b Vec) {
 	}
 }
 
-// ReLU applies max(0, x) elementwise, returning a mask of active units for
-// the backward pass.
-func ReLU(m *Mat) []bool {
-	mask := make([]bool, len(m.Data))
-	for i, v := range m.Data {
-		if v > 0 {
-			mask[i] = true
-		} else {
-			m.Data[i] = 0
-		}
+// ReLU applies max(0, x) elementwise and records in mask, which must have
+// one entry per element, which units are active for the backward pass.
+func ReLU(m *Mat, mask []bool) {
+	if len(mask) != len(m.Data) {
+		panic("tensor: ReLU mask mismatch")
 	}
-	return mask
+	for i, v := range m.Data {
+		mask[i] = v > 0
+		m.Data[i] = keep(v, mask[i])
+	}
 }
 
 // ReLUInPlace applies max(0, x) elementwise like ReLU — every entry that is
@@ -192,9 +280,7 @@ func ReLU(m *Mat) []bool {
 // that will not be differentiated has no use for.
 func ReLUInPlace(m *Mat) {
 	for i, v := range m.Data {
-		if !(v > 0) {
-			m.Data[i] = 0
-		}
+		m.Data[i] = keep(v, v > 0)
 	}
 }
 
@@ -204,10 +290,19 @@ func ReLUBackward(grad *Mat, mask []bool) {
 		panic("tensor: ReLUBackward mask mismatch")
 	}
 	for i, active := range mask {
-		if !active {
-			grad.Data[i] = 0
-		}
+		grad.Data[i] = keep(grad.Data[i], active)
 	}
+}
+
+// keep returns v if active, else +0, as a conditional move rather than a
+// branch: half of a layer's units are inactive, in no pattern a branch
+// predictor can learn.
+func keep(v float64, active bool) float64 {
+	var mask uint64
+	if active {
+		mask = ^uint64(0)
+	}
+	return math.Float64frombits(math.Float64bits(v) & mask)
 }
 
 // SoftmaxCrossEntropy computes, per row of logits, softmax + cross-entropy

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -74,7 +75,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 	x.FillRandn(rng, 1)
 	w.FillRandn(rng, 1)
 	y, dy, dw, dx := NewMat(16, 8), NewMat(16, 8), NewMat(32, 8), NewMat(16, 32)
-	mask := ReLU(x.Clone())
+	mask := make([]bool, len(dx.Data))
 	labels := make([]int, 16)
 	v, u := NewVec(1<<15), NewVec(1<<15)
 	for name, kernel := range map[string]func(){
@@ -82,6 +83,7 @@ func TestKernelsDoNotAllocate(t *testing.T) {
 		"MatMulTransA":        func() { MatMulTransA(dw, x, dy) },
 		"MatMulTransB":        func() { MatMulTransB(dx, dy, w) },
 		"AddRowBias":          func() { AddRowBias(y, w.Row(0)) },
+		"ReLU":                func() { ReLU(dx, mask) },
 		"ReLUInPlace":         func() { ReLUInPlace(dx) },
 		"ReLUBackward":        func() { ReLUBackward(dx, mask) },
 		"SoftmaxCrossEntropy": func() { SoftmaxCrossEntropy(dy, y, labels) },
@@ -138,7 +140,7 @@ func TestMatMulTransAMatchesExplicit(t *testing.T) {
 	at := NewMat(3, 4)
 	for r := 0; r < 4; r++ {
 		for c := 0; c < 3; c++ {
-			at.Set(c, r, a.At(r, c))
+			at.Set(c, r, a.Row(r)[c])
 		}
 	}
 	ref := NewMat(3, 5)
@@ -161,7 +163,7 @@ func TestMatMulTransBMatchesExplicit(t *testing.T) {
 	bt := NewMat(3, 5)
 	for r := 0; r < 5; r++ {
 		for c := 0; c < 3; c++ {
-			bt.Set(c, r, b.At(r, c))
+			bt.Set(c, r, b.Row(r)[c])
 		}
 	}
 	ref := NewMat(4, 5)
@@ -176,7 +178,7 @@ func TestMatMulTransBMatchesExplicit(t *testing.T) {
 func TestAddRowBias(t *testing.T) {
 	m := NewMat(2, 2)
 	AddRowBias(m, Vec{1, 2})
-	if m.At(0, 0) != 1 || m.At(0, 1) != 2 || m.At(1, 0) != 1 || m.At(1, 1) != 2 {
+	if m.Data[0] != 1 || m.Data[1] != 2 || m.Data[2] != 1 || m.Data[3] != 2 {
 		t.Fatalf("m = %v", m.Data)
 	}
 }
@@ -184,9 +186,13 @@ func TestAddRowBias(t *testing.T) {
 func TestReLUAndBackward(t *testing.T) {
 	m := NewMat(1, 4)
 	copy(m.Data, []float64{-1, 2, 0, 3})
-	mask := ReLU(m)
+	mask := []bool{true, false, true, false} // ReLU overwrites every entry
+	ReLU(m, mask)
 	if m.Data[0] != 0 || m.Data[1] != 2 || m.Data[3] != 3 {
 		t.Fatalf("relu: %v", m.Data)
+	}
+	if mask[0] || !mask[1] || mask[2] || !mask[3] {
+		t.Fatalf("relu mask: %v", mask)
 	}
 	g := NewMat(1, 4)
 	copy(g.Data, []float64{5, 5, 5, 5})
@@ -196,16 +202,21 @@ func TestReLUAndBackward(t *testing.T) {
 	}
 }
 
-// ReLUInPlace is ReLU without the mask: the same values, NaN and -0 included.
+// ReLUInPlace is ReLU without the mask: the same values, NaN and -0 included
+// — every entry that is not positive becomes +0.
 func TestReLUInPlaceMatchesReLU(t *testing.T) {
 	m := NewMat(1, 6)
 	copy(m.Data, []float64{-1, 2, 0, math.Copysign(0, -1), math.NaN(), math.Inf(1)})
+	want := []float64{0, 2, 0, 0, 0, math.Inf(1)}
 	ref := m.Clone()
-	ReLU(ref)
+	ReLU(ref, make([]bool, len(ref.Data)))
 	ReLUInPlace(m)
 	for i := range m.Data {
 		if math.Float64bits(m.Data[i]) != math.Float64bits(ref.Data[i]) {
 			t.Fatalf("entry %d: %v, ReLU gives %v", i, m.Data[i], ref.Data[i])
+		}
+		if math.Float64bits(m.Data[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("entry %d: %v, want %v", i, m.Data[i], want[i])
 		}
 	}
 }
@@ -236,10 +247,10 @@ func TestSoftmaxCrossEntropyUniform(t *testing.T) {
 	if math.Abs(loss-math.Log(4)) > 1e-12 {
 		t.Fatalf("loss = %v, want ln4", loss)
 	}
-	if math.Abs(grad.At(0, 0)-(0.25-1)/2) > 1e-12 {
+	if math.Abs(grad.Data[0]-(0.25-1)/2) > 1e-12 {
 		t.Fatalf("grad = %v", grad.Row(0))
 	}
-	if math.Abs(grad.At(0, 1)-0.25/2) > 1e-12 {
+	if math.Abs(grad.Data[1]-0.25/2) > 1e-12 {
 		t.Fatalf("grad = %v", grad.Row(0))
 	}
 }
@@ -336,4 +347,180 @@ func TestNewMatInvalidPanics(t *testing.T) {
 		}
 	}()
 	NewMat(0, 3)
+}
+
+// The plain matmul loops the register-blocked kernels replaced, kept as
+// their oracle: each output element is +0 plus its products, in k order,
+// skipping zero multipliers of a in MatMul and MatMulTransA.
+
+func refMatMul(out, a, b *Mat) {
+	for r := 0; r < a.Rows; r++ {
+		ar := a.Row(r)
+		or := out.Row(r)
+		or.Zero()
+		for k := 0; k < a.Cols; k++ {
+			av := ar[k]
+			if av == 0 {
+				continue
+			}
+			br := b.Row(k)[:len(or)]
+			for c, bv := range br {
+				or[c] += av * bv
+			}
+		}
+	}
+}
+
+func refMatMulTransA(out, a, b *Mat) {
+	for r := 0; r < out.Rows; r++ {
+		or := out.Row(r)
+		or.Zero()
+		for k := 0; k < a.Rows; k++ {
+			av := a.Row(k)[r]
+			if av == 0 {
+				continue
+			}
+			br := b.Row(k)
+			for c := range or {
+				or[c] += av * br[c]
+			}
+		}
+	}
+}
+
+func refMatMulTransB(out, a, b *Mat) {
+	for r := 0; r < a.Rows; r++ {
+		ar := a.Row(r)
+		or := out.Row(r)
+		for c := 0; c < b.Rows; c++ {
+			or[c] = ar.Dot(b.Row(c))
+		}
+	}
+}
+
+// matmuls lists the three kernels, each with its oracle and the operand
+// shapes it takes for a rows×cols output summed over inner.
+var matmuls = []struct {
+	name     string
+	run, ref func(out, a, b *Mat)
+	operands func(rows, inner, cols int) (a, b *Mat)
+}{
+	{"MatMul", MatMul, refMatMul, func(r, k, c int) (*Mat, *Mat) { return NewMat(r, k), NewMat(k, c) }},
+	{"MatMulTransA", MatMulTransA, refMatMulTransA, func(r, k, c int) (*Mat, *Mat) { return NewMat(k, r), NewMat(k, c) }},
+	{"MatMulTransB", MatMulTransB, refMatMulTransB, func(r, k, c int) (*Mat, *Mat) { return NewMat(r, k), NewMat(c, k) }},
+}
+
+// fillSparse fills m with N(0, 1) values, ~40 % of them zero and a few -0,
+// zeroes one whole row and one whole column, and, when special, plants a
+// NaN, a +Inf and a -Inf at random entries.
+func fillSparse(m *Mat, rng *sim.Rand, special bool) {
+	for i := range m.Data {
+		switch p := rng.Intn(100); {
+		case p < 40:
+			m.Data[i] = 0
+		case p < 43:
+			m.Data[i] = math.Copysign(0, -1)
+		default:
+			m.Data[i] = rng.NormFloat64()
+		}
+	}
+	m.Row(rng.Intn(m.Rows)).Zero()
+	c := rng.Intn(m.Cols)
+	for r := 0; r < m.Rows; r++ {
+		m.Row(r)[c] = 0
+	}
+	if special {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			m.Data[rng.Intn(len(m.Data))] = v
+		}
+	}
+}
+
+// sameBits reports whether x and y are the same float64 to the bit, or both
+// NaN. Which NaN's payload an operation on two NaNs keeps is not specified by
+// Go: on amd64 it is the destination register's, a register-allocation
+// choice that differs between any two compiled loops. Every other result —
+// ±0 and ±Inf included — must match exactly.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+// TestMatMulKernelsBitIdentical: every kernel writes, bit for bit, what its
+// plain loop does — at the live MLP shapes, across the 64-term gather block,
+// at degenerate shapes and column counts that are not a multiple of 4 or 8,
+// on sparse inputs with zero rows and columns, -0, NaN and ±Inf — into an
+// output that starts dirty, so every element is written.
+func TestMatMulKernelsBitIdentical(t *testing.T) {
+	shapes := [][3]int{ // rows, inner, cols
+		{64, 16, 128}, {64, 128, 128}, {64, 128, 4}, {16, 16, 32}, {16, 32, 4},
+		{64, 129, 13}, {200, 150, 9}, {3, 64, 8}, {2, 65, 12},
+		{1, 1, 1}, {1, 7, 1}, {5, 3, 7}, {4, 9, 3}, {7, 2, 15},
+	}
+	for _, kc := range matmuls {
+		for _, sh := range shapes {
+			for seed := uint64(1); seed <= 4; seed++ {
+				rng := sim.NewRand(seed)
+				a, b := kc.operands(sh[0], sh[1], sh[2])
+				fillSparse(a, rng, seed%2 == 0)
+				fillSparse(b, rng, seed%2 == 0)
+				got, want := NewMat(sh[0], sh[2]), NewMat(sh[0], sh[2])
+				for i := range got.Data {
+					got.Data[i], want.Data[i] = math.NaN(), 12345
+				}
+				kc.run(got, a, b)
+				kc.ref(want, a, b)
+				for i := range got.Data {
+					if !sameBits(got.Data[i], want.Data[i]) {
+						t.Fatalf("%s %v seed %d: element %d = %v (%#x), plain loop %v (%#x)", kc.name, sh, seed,
+							i, got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkMatMul times each kernel at the shapes the live workloads' MLPs
+// run it at (live-ps-shaped: layers {16,128,128,4}, batch 64; live-ring and
+// live-mux-scale: {16,32,32,4}, batch 16): forward MatMul, then Backward's
+// MatMulTransA for the weight gradient and MatMulTransB for the input
+// gradient.
+func BenchmarkMatMul(b *testing.B) {
+	for _, wl := range []struct {
+		name   string
+		layers []int
+		batch  int
+	}{
+		{"live-ps-shaped", []int{16, 128, 128, 4}, 64},
+		{"live-ring", []int{16, 32, 32, 4}, 16},
+	} {
+		for _, kc := range matmuls {
+			for l := 0; l+1 < len(wl.layers); l++ {
+				in, out := wl.layers[l], wl.layers[l+1]
+				var sh [3]int // rows, inner, cols
+				switch kc.name {
+				case "MatMul":
+					sh = [3]int{wl.batch, in, out}
+				case "MatMulTransA":
+					sh = [3]int{in, wl.batch, out}
+				case "MatMulTransB":
+					if l == 0 {
+						continue // Backward computes no input gradient for layer 0
+					}
+					sh = [3]int{wl.batch, out, in}
+				}
+				b.Run(fmt.Sprintf("%s/%s/%dx%dx%d", wl.name, kc.name, sh[0], sh[1], sh[2]), func(b *testing.B) {
+					rng := sim.NewRand(1)
+					x, y := kc.operands(sh[0], sh[1], sh[2])
+					x.FillRandn(rng, 1)
+					y.FillRandn(rng, 1)
+					dst := NewMat(sh[0], sh[2])
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						kc.run(dst, x, y)
+					}
+				})
+			}
+		}
+	}
 }
