@@ -20,7 +20,7 @@ FUZZTIME ?= 10s
 COVER_PKGS  := ./internal/schedule ./internal/drive ./internal/cluster ./internal/strategy ./internal/ps ./internal/transport ./internal/collective ./internal/probe ./internal/probe/attrib ./internal/probe/predict ./internal/tensor ./internal/nn
 COVER_FLOOR ?= 80
 
-.PHONY: check tier1 build vet test lint race bench bench-results bench-scale fuzz profile-smoke conformance conformance-live cover benchmark-smoke loc
+.PHONY: check tier1 build vet test lint race bench bench-results bench-scale fuzz conformance conformance-live cover benchmark-smoke loc
 
 # Each check runs once. conformance and conformance-live are not
 # prerequisites: race has just run the full ./internal/drive, ./internal/emu
@@ -29,7 +29,7 @@ COVER_FLOOR ?= 80
 # cmd/prophet-run's TestEveryExportParses, inside test; the prediction
 # audit's are its tests, which test and race run, and the full ext-predict
 # run inside test's TestBenchResultsCurrent golden.
-check: tier1 lint race cover profile-smoke benchmark-smoke loc
+check: tier1 lint race cover benchmark-smoke loc
 
 # The figure a simplicity change is counted by: Go lines outside the frozen
 # benchmark/ module, non-test and test.
@@ -97,11 +97,6 @@ cover:
 		elif awk "BEGIN{exit !($$pct < $(COVER_FLOOR))}"; then \
 			echo "coverage $$pct% below floor $(COVER_FLOOR)% for $$pkg"; fail=1; fi; \
 	done; exit $$fail
-
-# prophet-profile with a plan: the one main under cmd/ no test drives, so
-# every main runs somewhere (prophet-run and prophet-bench run in test).
-profile-smoke:
-	$(GO) run ./cmd/prophet-profile -plan -profile-iters 5 > /dev/null
 
 # Reproducible single-shot benchmark pass.
 bench:

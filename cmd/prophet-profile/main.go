@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"prophet/internal/core"
@@ -20,20 +21,37 @@ import (
 )
 
 func main() {
-	var (
-		modelName = flag.String("model", "resnet50", "model to profile")
-		batch     = flag.Int("batch", 64, "per-worker mini-batch size")
-		iters     = flag.Int("profile-iters", 50, "profiling iterations")
-		bandwidth = flag.Float64("bandwidth", 3000, "bandwidth in Mbps for the example plan")
-		seed      = flag.Uint64("seed", 1, "seed")
-		showPlan  = flag.Bool("plan", false, "also print the Algorithm 1 block plan at -bandwidth")
-	)
-	flag.Parse()
-
-	base, err := model.ByName(*modelName)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+}
+
+// run is the whole command: profile, print the pattern, and with -plan the
+// Algorithm 1 plan.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("prophet-profile", flag.ExitOnError) // as the global flag set behaves
+	var (
+		modelName = fs.String("model", "resnet50", "model to profile")
+		batch     = fs.Int("batch", 64, "per-worker mini-batch size")
+		iters     = fs.Int("profile-iters", 50, "profiling iterations")
+		bandwidth = fs.Float64("bandwidth", 3000, "bandwidth in Mbps for the example plan")
+		seed      = fs.Uint64("seed", 1, "seed")
+		showPlan  = fs.Bool("plan", false, "also print the Algorithm 1 block plan at -bandwidth")
+	)
+	_ = fs.Parse(args) // ExitOnError: Parse does not return on a bad flag
+
+	// The profiler reads 0 as its default of 50 and the planner panics on a
+	// non-positive rate: both are typos here, not requests.
+	if *iters < 1 {
+		return fmt.Errorf("-profile-iters %d: profiling needs at least one iteration", *iters)
+	}
+	if !(*bandwidth > 0) {
+		return fmt.Errorf("-bandwidth %g: a link rate in Mbps must be positive", *bandwidth)
+	}
+	base, err := model.ByName(*modelName)
+	if err != nil {
+		return err
 	}
 	wire := model.WithWireFactor(base, 2)
 	agg := stepwise.DefaultAggregate(wire)
@@ -41,15 +59,14 @@ func main() {
 		Model: wire, Batch: *batch, Agg: agg, Iterations: *iters, Seed: *seed,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
-	fmt.Printf("%s (batch %d): %d gradient tensors, %.1f MB on the wire per direction\n",
+	fmt.Fprintf(out, "%s (batch %d): %d gradient tensors, %.1f MB on the wire per direction\n",
 		base.Name, *batch, wire.NumGradients(), wire.TotalBytes()/1e6)
-	fmt.Printf("profiled %d iterations in %.1f s of simulated training\n", prof.Iterations, prof.WallTime)
-	fmt.Printf("backward propagation: %.1f ms; stepwise pattern: %d blocks\n\n", 1e3*prof.Gen[0], len(prof.Blocks))
-	fmt.Printf("%-28s %10s %10s %10s\n", "block", "release", "bytes", "window")
+	fmt.Fprintf(out, "profiled %d iterations in %.1f s of simulated training\n", prof.Iterations, prof.WallTime)
+	fmt.Fprintf(out, "backward propagation: %.1f ms; stepwise pattern: %d blocks\n\n", 1e3*prof.Gen[0], len(prof.Blocks))
+	fmt.Fprintf(out, "%-28s %10s %10s %10s\n", "block", "release", "bytes", "window")
 	for i, b := range prof.Blocks {
 		var bytes float64
 		for g := b.Lo; g <= b.Hi; g++ {
@@ -59,23 +76,24 @@ func main() {
 		if i+1 < len(prof.Blocks) {
 			window = fmt.Sprintf("%7.1f ms", 1e3*(prof.Blocks[i+1].Release-b.Release))
 		}
-		fmt.Printf("{gradient %3d - gradient %3d} %7.1f ms %7.1f MB %10s\n",
+		fmt.Fprintf(out, "{gradient %3d - gradient %3d} %7.1f ms %7.1f MB %10s\n",
 			b.Lo, b.Hi, 1e3*b.Release, bytes/1e6, window)
 	}
 
-	if *showPlan {
-		bw := netsim.Goodput(netsim.Mbps(*bandwidth))
-		plan, err := core.Assemble(prof.Profile(), core.Config{Bandwidth: bw})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nAlgorithm 1 plan at %.0f Mbps (%d units, %d backward blocks):\n",
-			*bandwidth, len(plan.Units), plan.NumBlocks())
-		for i, u := range plan.Units {
-			grads := u.Grads()
-			fmt.Printf("  %3d %-8s t=%7.1f ms %7.2f MB  g%d..g%d (%d gradients)\n",
-				i, u.Phase, 1e3*u.PlannedStart, u.Bytes/1e6, grads[0], grads[len(grads)-1], len(grads))
-		}
+	if !*showPlan {
+		return nil
 	}
+	bw := netsim.Goodput(netsim.Mbps(*bandwidth))
+	plan, err := core.Assemble(prof.Profile(), core.Config{Bandwidth: bw})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "\nAlgorithm 1 plan at %.0f Mbps (%d units, %d backward blocks):\n",
+		*bandwidth, len(plan.Units), plan.NumBlocks())
+	for i, u := range plan.Units {
+		grads := u.Grads()
+		fmt.Fprintf(out, "  %3d %-8s t=%7.1f ms %7.2f MB  g%d..g%d (%d gradients)\n",
+			i, u.Phase, 1e3*u.PlannedStart, u.Bytes/1e6, grads[0], grads[len(grads)-1], len(grads))
+	}
+	return nil
 }

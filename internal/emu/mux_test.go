@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"prophet/internal/core"
+	"prophet/internal/shard"
 	"prophet/internal/strategy"
 )
 
@@ -34,37 +35,41 @@ func muxConformanceConfig(t *testing.T, policy string) Config {
 }
 
 // TestMuxConformance is the topology-equivalence table: every registry
-// strategy, run once over a private pipe per worker×shard and once over
-// one shared pipe per shard, must produce the bit-identical scheduler
-// decision log, push order, and training trajectory. Sharing a pipe is a
-// wire-level change below the decision layer; any divergence here means
-// stream interleaving leaked into scheduling.
+// strategy under each key→shard placement, run once over a private pipe
+// per worker×shard and once over one shared pipe per shard, must produce
+// the bit-identical scheduler decision log, push order, and training
+// trajectory. Sharing a pipe is a wire-level change below the decision
+// layer; any divergence here means stream interleaving leaked into
+// scheduling.
 func TestMuxConformance(t *testing.T) {
 	for _, name := range strategy.Names() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			base, err := Run(muxConformanceConfig(t, name))
-			if err != nil {
-				t.Fatalf("unmuxed: %v", err)
-			}
-			cfg := muxConformanceConfig(t, name)
-			cfg.Mux = true
-			muxed, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("muxed: %v", err)
-			}
-			if !reflect.DeepEqual(base.Messages, muxed.Messages) {
-				t.Fatalf("decision logs diverged across transports:\nunmuxed: %v\nmuxed:   %v",
-					base.Messages, muxed.Messages)
-			}
-			if !reflect.DeepEqual(base.PushOrder, muxed.PushOrder) {
-				t.Fatalf("push order diverged: unmuxed %v, muxed %v", base.PushOrder, muxed.PushOrder)
-			}
-			if !reflect.DeepEqual(base.FinalParams, muxed.FinalParams) {
-				t.Fatal("final parameters diverged across transports")
-			}
-			if !reflect.DeepEqual(base.Losses, muxed.Losses) {
-				t.Fatalf("loss curves diverged: unmuxed %v, muxed %v", base.Losses, muxed.Losses)
+			for _, placement := range []shard.Placement{shard.RoundRobin, shard.SizeBalanced} {
+				cfg := muxConformanceConfig(t, name)
+				cfg.ShardPlacement = placement
+				base, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s unmuxed: %v", placement, err)
+				}
+				cfg.Mux = true
+				muxed, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s muxed: %v", placement, err)
+				}
+				if !reflect.DeepEqual(base.Messages, muxed.Messages) {
+					t.Fatalf("%s: decision logs diverged across transports:\nunmuxed: %v\nmuxed:   %v",
+						placement, base.Messages, muxed.Messages)
+				}
+				if !reflect.DeepEqual(base.PushOrder, muxed.PushOrder) {
+					t.Fatalf("%s: push order diverged: unmuxed %v, muxed %v", placement, base.PushOrder, muxed.PushOrder)
+				}
+				if !reflect.DeepEqual(base.FinalParams, muxed.FinalParams) {
+					t.Fatalf("%s: final parameters diverged across transports", placement)
+				}
+				if !reflect.DeepEqual(base.Losses, muxed.Losses) {
+					t.Fatalf("%s: loss curves diverged: unmuxed %v, muxed %v", placement, base.Losses, muxed.Losses)
+				}
 			}
 		})
 	}

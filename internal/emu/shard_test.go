@@ -10,9 +10,10 @@ import (
 
 // TestShardedTrajectoryMatchesSinglePS is the live-path tentpole check:
 // sharding the parameter server must change only the timing of tensor
-// movement, never the math. Every policy at 2 shards must reproduce the
-// single-PS trajectory bit for bit (deterministic aggregation on each
-// shard, disjoint key sets across shards).
+// movement, never the math. Every policy at 2 shards, under each placement,
+// on unshaped and on shaped links (which Prophet's plan reads), must
+// reproduce the unshaped single-PS trajectory bit for bit (deterministic
+// aggregation on each shard, disjoint key sets across shards).
 func TestShardedTrajectoryMatchesSinglePS(t *testing.T) {
 	base, err := Run(baseConfig())
 	if err != nil {
@@ -20,24 +21,27 @@ func TestShardedTrajectoryMatchesSinglePS(t *testing.T) {
 	}
 	for _, p := range strategy.Names() {
 		for _, placement := range []shard.Placement{shard.RoundRobin, shard.SizeBalanced} {
-			cfg := baseConfig()
-			cfg.Policy = p
-			cfg.Shards = 2
-			cfg.ShardPlacement = placement
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", p, placement, err)
-			}
-			if len(res.Losses) != cfg.Iterations {
-				t.Fatalf("%s/%s: got %d losses, want %d", p, placement, len(res.Losses), cfg.Iterations)
-			}
-			if len(res.FinalParams) != len(base.FinalParams) {
-				t.Fatalf("%s/%s: param length mismatch", p, placement)
-			}
-			for j := range base.FinalParams {
-				if res.FinalParams[j] != base.FinalParams[j] {
-					t.Fatalf("%s/%s: sharded run diverged at param %d: %v vs %v",
-						p, placement, j, res.FinalParams[j], base.FinalParams[j])
+			for _, rate := range []float64{0, 4 << 20} {
+				cfg := baseConfig()
+				cfg.Policy = p
+				cfg.Shards = 2
+				cfg.ShardPlacement = placement
+				cfg.BandwidthBytesPerSec = rate
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s/%s/%g B/s: %v", p, placement, rate, err)
+				}
+				if len(res.Losses) != cfg.Iterations {
+					t.Fatalf("%s/%s/%g B/s: got %d losses, want %d", p, placement, rate, len(res.Losses), cfg.Iterations)
+				}
+				if len(res.FinalParams) != len(base.FinalParams) {
+					t.Fatalf("%s/%s/%g B/s: param length mismatch", p, placement, rate)
+				}
+				for j := range base.FinalParams {
+					if res.FinalParams[j] != base.FinalParams[j] {
+						t.Fatalf("%s/%s/%g B/s: sharded run diverged at param %d: %v vs %v",
+							p, placement, rate, j, res.FinalParams[j], base.FinalParams[j])
+					}
 				}
 			}
 		}

@@ -139,11 +139,10 @@ var registry = []Spec{
 	entry("ext-transformer", "extension", "Schedulers on a BERT-base-like encoder (embedding-first)", extTransformer),
 	entry("ext-allreduce", "extension", "PS+Prophet vs ring all-reduce with and without fusion", extAllReduce),
 	entry("ext-fault", "Sec. 7", "Schedulers under injected link faults: straggler drop-and-renormalize vs fail-fast", extFault),
-	entry("ext-shard", "extension", "Key-sharded multi-PS: FIFO/ByteScheduler/Prophet at 1/2/4 shards, both paths", extShard),
+	entry("ext-shard", "extension", "Key-sharded multi-PS: FIFO/ByteScheduler/Prophet at 1/2/4 shards", extShard),
 	entry("ext-strategies", "extension", "Every registry strategy (incl. TicTac) on one configuration", extStrategies),
 	entry("ext-attrib", "extension", "Stall attribution: completion-time decomposition per strategy", extAttrib),
 	entry("ext-transport", "extension", "Pluggable transports under the drive layer: PS vs ring vs tree, with attribution", extTransport),
-	entry("ext-scale", "extension", "Shared-connection mux: decision/trajectory equivalence plus a worker-count sweep", extScale),
 	entry("ext-live-transport", "extension", "Live wire engines over real sockets: PS (dedicated/mux) vs ring/tree collective, with attribution", extLiveTransport),
 	entry("ext-predict", "extension", "Prediction audit: planned-vs-observed residuals, drift under bandwidth shifts and faults", extPredict),
 }

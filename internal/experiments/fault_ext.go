@@ -147,3 +147,12 @@ func extFault(cfg Config) (*ExtFaultResult, error) {
 	}
 	return out, nil
 }
+
+// finalLoss is the last iteration's training loss, 0 for a run that
+// recorded none.
+func finalLoss(res *emu.Result) float64 {
+	if n := len(res.Losses); n > 0 {
+		return res.Losses[n-1]
+	}
+	return 0
+}

@@ -13,7 +13,7 @@ import (
 	"prophet/internal/probe/attrib"
 )
 
-// mlpProfile is the explicit Prophet profile the live comparisons pin their
+// mlpProfile is the explicit Prophet profile the live comparison pins its
 // plan with: tensor sizes from the MLP itself, generation in backward order
 // one unit apart, so no wall-clock profiling iteration feeds the planner.
 func mlpProfile(layers []int, seed uint64) (*core.Profile, error) {
@@ -25,15 +25,6 @@ func mlpProfile(layers []int, seed uint64) (*core.Profile, error) {
 		gen[idx] = float64(m.NumTensors() - idx)
 	}
 	return core.NewProfile(gen, sizes, 1e-6)
-}
-
-// finalLoss is the last iteration's training loss, 0 for a run that
-// recorded none.
-func finalLoss(res *emu.Result) float64 {
-	if n := len(res.Losses); n > 0 {
-		return res.Losses[n-1]
-	}
-	return 0
 }
 
 // ExtLiveTransportResult compares the live wire engines under the

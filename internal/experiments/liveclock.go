@@ -2,7 +2,7 @@ package experiments
 
 import "regexp"
 
-// The four patterns below are the only parts of a rendered evaluation that
+// The three patterns below are the only parts of a rendered evaluation that
 // are measured against a real clock (the live-emulation legs). Everything
 // outside them is simulated and reproduces to the byte, which is what the
 // serial≡parallel test here and cmd/prophet-bench's bench_results.txt golden
@@ -30,13 +30,5 @@ var liveFailFast = regexp.MustCompile(`error: emu: fail-fast: .*`)
 // deterministic) out of the mask.
 var liveXportRow = regexp.MustCompile(`(?m)^  (ps|ps-mux|ring|tree) +[0-9. ]+$`)
 
-// livePredictRow matches ext-predict's live-emulation rows: drift scores
-// and alarm timing there come from real SGD over a real clock, so the
-// numbers wobble between any two runs. The invariants those rows render —
-// clean run alarm-free, alarms only on the throttled worker — are
-// hard-failed inside extPredict itself, so masking the numerics here
-// loses nothing. The simulator legs above them stay byte-compared.
-var livePredictRow = regexp.MustCompile(`(?m)^    (clean run|worker 1 at 1/4 rate):.*$`)
-
 // LiveClock lists the live-clock patterns for readers outside the package.
-var LiveClock = []*regexp.Regexp{liveWallTime, liveFailFast, liveXportRow, livePredictRow}
+var LiveClock = []*regexp.Regexp{liveWallTime, liveFailFast, liveXportRow}

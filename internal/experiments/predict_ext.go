@@ -3,14 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"prophet/internal/cluster"
-	"prophet/internal/emu"
-	"prophet/internal/fault"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
-	"prophet/internal/nn"
 	"prophet/internal/probe/predict"
 	"prophet/internal/schedule"
 	"prophet/internal/sim"
@@ -18,7 +14,7 @@ import (
 
 // ExtPredictResult audits Prophet's own predictability — the paper's core
 // premise (§III: profiled generation plus monitored bandwidth make
-// communication schedulable ahead of time). Three regimes:
+// communication schedulable ahead of time). Two regimes:
 //
 //  1. Stable simulator: constant bandwidth, so the cost model IS the wire
 //     model and predicted windows must match observed ones to float
@@ -28,10 +24,10 @@ import (
 //     rises; Prophet's monitor notices and re-plans; once the trace
 //     recovers the EWMA decays back — degradation and recovery are both
 //     visible in the drift series.
-//  3. Live emulation: a clean run stays under the alarm threshold while a
-//     seeded throttle on one worker trips the drift alarm on that worker
-//     within a few iterations — the audit separates real faults from live
-//     wire noise.
+//
+// The live regime — a clean run stays under the alarm threshold while a
+// seeded throttle trips the alarm on the throttled worker only — is
+// emu.TestPredictChaosCleanNeverAlarms and TestPredictChaosThrottleTripsAlarm.
 type ExtPredictResult struct {
 	// Stable simulator leg: prophet on a constant 3 Gbps trace.
 	StableMaxRel   float64 // worst relative window error (invariant floor)
@@ -47,15 +43,6 @@ type ExtPredictResult struct {
 	VaryReplans  int       // Prophet re-plans triggered by the monitored dip
 	VaryDrift    []float64 // per-iteration max drift across workers
 	VaryEndDrift float64   // last iteration's max drift (recovery)
-
-	// Live emulation legs: clean vs a seeded quarter-rate throttle on
-	// worker 1.
-	EmuCleanMaxDrift float64
-	EmuCleanAlarms   int
-	EmuFaultAlarms   int
-	EmuFaultFirst    int   // iteration of the first alarm
-	EmuFaultWorkers  []int // distinct workers that alarmed (want: only 1)
-	EmuWall          time.Duration
 }
 
 // Render implements Result.
@@ -70,11 +57,6 @@ func (r *ExtPredictResult) Render(w io.Writer) {
 	lo, hi := 0.0, r.VaryMaxDrift
 	fmt.Fprintf(w, "    drift per iteration: %s (end %.3f — decayed after recovery)\n",
 		sparkline(r.VaryDrift, lo, hi), r.VaryEndDrift)
-	fmt.Fprintf(w, "  live emulation, fifo, shaped links (wall %s):\n", r.EmuWall.Round(time.Millisecond))
-	fmt.Fprintf(w, "    clean run:            max drift %.3f, alarms %d\n",
-		r.EmuCleanMaxDrift, r.EmuCleanAlarms)
-	fmt.Fprintf(w, "    worker 1 at 1/4 rate: %d alarms, first at iteration %d, workers %v\n",
-		r.EmuFaultAlarms, r.EmuFaultFirst, r.EmuFaultWorkers)
 	fmt.Fprintf(w, "  predictions hold to float precision when the wire matches the model,\n")
 	fmt.Fprintf(w, "  degrade visibly when bandwidth shifts, and the drift alarm singles out\n")
 	fmt.Fprintf(w, "  the faulted worker without false positives on healthy ones\n")
@@ -132,65 +114,6 @@ func extPredict(cfg Config) (*ExtPredictResult, error) {
 	if n := len(out.VaryDrift); n > 0 {
 		out.VaryEndDrift = out.VaryDrift[n-1]
 	}
-
-	// Legs 3+4: the live emulation. The model must dwarf the transport's
-	// 64 KB token-bucket burst or every transfer completes "free" and
-	// shaped-rate plans read as pure drift (same sizing as the chaos test).
-	emuIters := 6
-	if cfg.Quick {
-		emuIters = 4
-	}
-	emuBase := emu.Config{
-		Workers:              3,
-		Layers:               []int{128, 256, 32},
-		Dataset:              nn.Blobs(256, 128, 32, cfg.Seed),
-		Batch:                16,
-		Iterations:           emuIters,
-		LR:                   0.1,
-		Policy:               "fifo",
-		Seed:                 cfg.Seed,
-		BandwidthBytesPerSec: 2 << 20,
-		Deadline:             60 * time.Second,
-	}
-	emuStart := time.Now()
-	cleanRep, err := emuAudit(emuBase)
-	if err != nil {
-		return nil, fmt.Errorf("ext-predict: emu clean leg: %w", err)
-	}
-	out.EmuCleanMaxDrift = cleanRep.MaxDrift()
-	out.EmuCleanAlarms = len(cleanRep.Alarms)
-
-	faulted := emuBase
-	faulted.Iterations = emuIters - 1
-	faulted.Faults = map[int]fault.Spec{1: fault.Throttle(float64(emuBase.BandwidthBytesPerSec) / 4)}
-	faultRep, err := emuAudit(faulted)
-	if err != nil {
-		return nil, fmt.Errorf("ext-predict: emu fault leg: %w", err)
-	}
-	out.EmuWall = time.Since(emuStart)
-	out.EmuFaultAlarms = len(faultRep.Alarms)
-	if len(faultRep.Alarms) == 0 {
-		return nil, fmt.Errorf("ext-predict: throttled emu run raised no drift alarms (max drift %.2f)", faultRep.MaxDrift())
-	}
-	out.EmuFaultFirst = faultRep.Alarms[0].Iter
-	seen := map[int]bool{}
-	for _, al := range faultRep.Alarms {
-		if al.Iter < out.EmuFaultFirst {
-			out.EmuFaultFirst = al.Iter
-		}
-		if !seen[al.Worker] {
-			seen[al.Worker] = true
-			out.EmuFaultWorkers = append(out.EmuFaultWorkers, al.Worker)
-		}
-	}
-	if out.EmuCleanAlarms != 0 {
-		return nil, fmt.Errorf("ext-predict: clean emu run raised %d drift alarms", out.EmuCleanAlarms)
-	}
-	for _, w := range out.EmuFaultWorkers {
-		if w != 1 {
-			return nil, fmt.Errorf("ext-predict: drift alarm on healthy worker %d (throttle was on worker 1)", w)
-		}
-	}
 	return out, nil
 }
 
@@ -222,18 +145,4 @@ func simAudit(cfg Config, s *setup, tr netsim.Trace) (*predict.Report, float64, 
 	}
 	aud.Flush()
 	return aud.Report(), res.Duration, replans, nil
-}
-
-// emuAudit runs one live emulation with an online auditor attached and
-// returns its flushed report. The chaos threshold separates live-path
-// noise (scheduler jitter plus the limiter burst, well under 1x) from a
-// genuine quarter-rate throttle (~3x divergence every iteration).
-func emuAudit(c emu.Config) (*predict.Report, error) {
-	aud := predict.NewAuditor(predict.Options{Threshold: 1.5})
-	c.Observer = aud
-	if _, err := emu.Run(c); err != nil {
-		return nil, err
-	}
-	aud.Flush()
-	return aud.Report(), nil
 }

@@ -3,14 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"prophet/internal/cluster"
-	"prophet/internal/emu"
 	"prophet/internal/experiments/runner"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
-	"prophet/internal/nn"
 	"prophet/internal/shard"
 )
 
@@ -20,9 +17,9 @@ import (
 // for FIFO, ByteScheduler, and Prophet under two bandwidth regimes —
 // shard links at full single-PS speed (aggregate ingest scales with the
 // shard count) and shard links scaled to 1/N (equal aggregate bandwidth,
-// modeling one NIC split across shard processes). The live emulation
-// trains a real model to completion at 2 shards under every policy and
-// checks the trajectory stays bit-identical to the single-PS run.
+// modeling one NIC split across shard processes). The live half — every
+// policy at 2 shards trains to the single-PS trajectory bit for bit — is
+// emu.TestShardedTrajectoryMatchesSinglePS.
 //
 // Expected shape: at equal aggregate bandwidth, extra shards add
 // per-message overhead without adding capacity, and the parallel shard
@@ -35,11 +32,6 @@ type ExtShardResult struct {
 	// SimRows is the shards × regime sweep; rates are per-worker
 	// samples/sec.
 	SimRows []ExtShardSimRow
-	// EmuRows records the live runs at 2 shards.
-	EmuRows []ExtShardEmuRow
-	// EmuTrajectoriesMatch reports that every live sharded run reproduced
-	// the single-PS parameter trajectory exactly.
-	EmuTrajectoriesMatch bool
 }
 
 // ExtShardSimRow is one (shard count, bandwidth regime) simulator result.
@@ -48,14 +40,6 @@ type ExtShardSimRow struct {
 	// EqualAggregate marks the 1/N-scaled regime.
 	EqualAggregate bool
 	FIFO, BS, Pro  float64
-}
-
-// ExtShardEmuRow is one live-emulation run.
-type ExtShardEmuRow struct {
-	Policy    string
-	Shards    int
-	Duration  time.Duration
-	FinalLoss float64
 }
 
 // Render implements Result.
@@ -71,12 +55,6 @@ func (r *ExtShardResult) Render(w io.Writer) {
 		fmt.Fprintf(w, "  %-26s %7.2f %7.2f %7.2f %+7.1f%%\n",
 			regime, row.FIFO, row.BS, row.Pro, pct(row.Pro, row.FIFO))
 	}
-	fmt.Fprintf(w, "  live emulation, 2 shards, size-balanced placement:\n")
-	for _, row := range r.EmuRows {
-		fmt.Fprintf(w, "    %-8s  wall %8s  final loss %.4f\n",
-			row.Policy, row.Duration.Round(time.Millisecond), row.FinalLoss)
-	}
-	fmt.Fprintf(w, "  sharded trajectories bit-identical to single PS: %v\n", r.EmuTrajectoriesMatch)
 	fmt.Fprintf(w, "  sharding adds capacity only when shard links add bandwidth; at equal\n")
 	fmt.Fprintf(w, "  aggregate bandwidth Prophet's lead narrows as shards multiply (parallel\n")
 	fmt.Fprintf(w, "  links relax ordering pressure), while the cross-shard priority gate\n")
@@ -86,8 +64,6 @@ func (r *ExtShardResult) Render(w io.Writer) {
 // extShard runs the extension.
 func extShard(cfg Config) (*ExtShardResult, error) {
 	const workers = 3
-	out := &ExtShardResult{Workers: workers}
-
 	s, err := prepare(model.ResNet50(), 32, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -141,63 +117,5 @@ func extShard(cfg Config) (*ExtShardResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.SimRows = simRows
-
-	// Live emulation: a real model at 2 shards under every policy, with
-	// the single-PS run as the trajectory reference.
-	ds := nn.Blobs(512, 16, 4, cfg.Seed)
-	iters := 6
-	if cfg.Quick {
-		iters = 4
-	}
-	base := emu.Config{
-		Workers:              workers,
-		Layers:               []int{16, 64, 4},
-		Dataset:              ds,
-		Batch:                16,
-		Iterations:           iters,
-		LR:                   0.1,
-		Seed:                 cfg.Seed,
-		BandwidthBytesPerSec: 4 << 20,
-	}
-	ref, err := emu.Run(base)
-	if err != nil {
-		return nil, fmt.Errorf("ext-shard: single-PS reference: %w", err)
-	}
-	out.EmuTrajectoriesMatch = true
-	policies := []string{"fifo", "p3", "bytescheduler", "prophet"}
-	emuResults, err := runner.Map(cfg.Jobs, policies, func(_ int, pol string) (*emu.Result, error) {
-		c := base
-		c.Policy = pol
-		c.Shards = 2
-		c.ShardPlacement = shard.SizeBalanced
-		res, err := emu.Run(c)
-		if err != nil {
-			return nil, fmt.Errorf("ext-shard: %s at 2 shards: %w", pol, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, pol := range policies {
-		res := emuResults[i]
-		out.EmuRows = append(out.EmuRows, ExtShardEmuRow{
-			Policy: pol, Shards: 2, Duration: res.Duration, FinalLoss: finalLoss(res),
-		})
-		if len(res.FinalParams) != len(ref.FinalParams) {
-			out.EmuTrajectoriesMatch = false
-			continue
-		}
-		for j := range ref.FinalParams {
-			if res.FinalParams[j] != ref.FinalParams[j] {
-				out.EmuTrajectoriesMatch = false
-				break
-			}
-		}
-	}
-	if !out.EmuTrajectoriesMatch {
-		return nil, fmt.Errorf("ext-shard: a sharded live run diverged from the single-PS trajectory")
-	}
-	return out, nil
+	return &ExtShardResult{Workers: workers, SimRows: simRows}, nil
 }
