@@ -73,7 +73,7 @@ func (r *AblationMonitorResult) Render(w io.Writer) {
 
 // ablationMonitor runs the ablation.
 func ablationMonitor(cfg Config) (*AblationMonitorResult, error) {
-	if cfg.Iterations < 16 && !cfg.Quick {
+	if cfg.Iterations < 16 {
 		cfg.Iterations = 16
 	}
 	s, err := prepare(model.ResNet50(), 64, cfg.Seed)

@@ -46,9 +46,6 @@ func extAllReduce(cfg Config) (*ExtAllReduceResult, error) {
 		return nil, err
 	}
 	limits := []float64{2000, 4500, 10000}
-	if cfg.Quick {
-		limits = []float64{3000}
-	}
 	sizes := make([]float64, s.wire.NumGradients())
 	for i, g := range s.wire.Grads {
 		sizes[i] = g.Bytes()

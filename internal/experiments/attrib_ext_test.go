@@ -11,7 +11,7 @@ func TestExtAttribDecomposes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	r, err := run[*ExtAttribResult]("ext-attrib", quickCfg())
+	r, err := run[*ExtAttribResult]("ext-attrib", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,13 +15,9 @@ func TestWithDefaults(t *testing.T) {
 			t.Fatalf("defaults = %+v", c)
 		}
 	})
-	t.Run("explicit zero warmup", func(t *testing.T) {
-		c, err := Config{Warmup: -1}.withDefaults()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Warmup != 0 {
-			t.Fatalf("Warmup = %d, want 0 (negative is the explicit-zero sentinel)", c.Warmup)
+	t.Run("negative warmup", func(t *testing.T) {
+		if _, err := (Config{Iterations: 20, Warmup: -1}).withDefaults(); err == nil {
+			t.Fatal("negative Warmup accepted")
 		}
 	})
 	t.Run("iterations must exceed warmup", func(t *testing.T) {
@@ -36,20 +32,6 @@ func TestWithDefaults(t *testing.T) {
 			} else if !strings.Contains(err.Error(), "must exceed Warmup") {
 				t.Errorf("%+v: unclear error %q", cfg, err)
 			}
-		}
-	})
-	t.Run("quick trims but stays valid", func(t *testing.T) {
-		c, err := Config{Iterations: 20, Quick: true}.withDefaults()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.Iterations != 8 {
-			t.Fatalf("Quick Iterations = %d, want 8", c.Iterations)
-		}
-	})
-	t.Run("quick trim below explicit warmup is an error", func(t *testing.T) {
-		if _, err := (Config{Iterations: 20, Warmup: 9, Quick: true}).withDefaults(); err == nil {
-			t.Fatal("Quick trimmed Iterations below Warmup without erroring")
 		}
 	})
 	t.Run("negative iterations", func(t *testing.T) {

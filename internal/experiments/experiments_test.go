@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func quickCfg() Config { return Config{Quick: true, Iterations: 6, Warmup: 1, Seed: 3} }
+func testCfg() Config { return Config{Iterations: 6, Warmup: 1, Seed: 3} }
 
 // run executes the registered experiment id — the same entry point
 // prophet-bench uses — and returns its result as the concrete type R.
@@ -58,30 +58,8 @@ func TestByIDUnknown(t *testing.T) {
 	}
 }
 
-// TestEveryExperimentRunsAndRenders smoke-runs the full registry in quick
-// mode: each must complete and render non-empty output.
-func TestEveryExperimentRunsAndRenders(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long")
-	}
-	for _, spec := range All() {
-		spec := spec
-		t.Run(spec.ID, func(t *testing.T) {
-			res, err := spec.Run(quickCfg())
-			if err != nil {
-				t.Fatalf("%s: %v", spec.ID, err)
-			}
-			var buf bytes.Buffer
-			res.Render(&buf)
-			if buf.Len() == 0 {
-				t.Fatal("empty render")
-			}
-		})
-	}
-}
-
 func TestFig2ShowsIdleGPU(t *testing.T) {
-	r, err := run[*Fig2Result]("fig2", quickCfg())
+	r, err := run[*Fig2Result]("fig2", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +72,7 @@ func TestFig2ShowsIdleGPU(t *testing.T) {
 }
 
 func TestFig3aMonotoneInPartition(t *testing.T) {
-	r, err := run[*Fig3aResult]("fig3a", quickCfg())
+	r, err := run[*Fig3aResult]("fig3a", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +95,7 @@ func TestFig3aMonotoneInPartition(t *testing.T) {
 }
 
 func TestFig3bTunedFluctuatesMore(t *testing.T) {
-	cfg := quickCfg()
-	cfg.Iterations = 24
-	r, err := run[*Fig3bResult]("fig3b", cfg)
+	r, err := run[*Fig3bResult]("fig3b", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +105,7 @@ func TestFig3bTunedFluctuatesMore(t *testing.T) {
 }
 
 func TestFig4BlockStructure(t *testing.T) {
-	r, err := run[*Fig4Result]("fig4", quickCfg())
+	r, err := run[*Fig4Result]("fig4", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +118,7 @@ func TestFig4BlockStructure(t *testing.T) {
 }
 
 func TestFig5ProphetStartsGradZeroOnTime(t *testing.T) {
-	r, err := run[*Fig5Result]("fig5", quickCfg())
+	r, err := run[*Fig5Result]("fig5", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +140,7 @@ func TestFig8ProphetWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	r, err := run[*Fig8Result]("fig8", quickCfg())
+	r, err := run[*Fig8Result]("fig8", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +156,7 @@ func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	cfg := quickCfg()
-	cfg.Quick = false // need the full sweep for the shape assertions
+	cfg := testCfg()
 	cfg.Iterations = 8
 	r, err := run[*Table2Result]("table2", cfg)
 	if err != nil {
@@ -209,7 +184,7 @@ func TestFig12NearLinearScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	r, err := run[*Fig12Result]("fig12", quickCfg())
+	r, err := run[*Fig12Result]("fig12", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +199,7 @@ func TestSec53HeteroOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	r, err := run[*Sec53HeteroResult]("sec53-hetero", quickCfg())
+	r, err := run[*Sec53HeteroResult]("sec53-hetero", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +209,7 @@ func TestSec53HeteroOrdering(t *testing.T) {
 }
 
 func TestSec54ProfilingOrdering(t *testing.T) {
-	r, err := run[*Sec54ProfilingResult]("sec54-profiling", quickCfg())
+	r, err := run[*Sec54ProfilingResult]("sec54-profiling", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +232,7 @@ func TestAblationOverheadConverges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	r, err := run[*AblationOverheadResult]("ablation-overhead", quickCfg())
+	r, err := run[*AblationOverheadResult]("ablation-overhead", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +248,7 @@ func TestAblationOverheadConverges(t *testing.T) {
 func TestRenderMentionsPaperNumbers(t *testing.T) {
 	// The renders double as the EXPERIMENTS.md source, so every one must
 	// reference the paper's reported values.
-	r, err := run[*Fig5Result]("fig5", quickCfg())
+	r, err := run[*Fig5Result]("fig5", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +269,7 @@ func TestSparkline(t *testing.T) {
 	}
 }
 
-// The three tests below pin the numbers Fig. 2/10/11 print at quickCfg, as
+// The three tests below pin the numbers Fig. 2/10/11 print at testCfg, as
 // literals captured while the simulator still kept its own rate series and
 // transfer log. They now guard the probe recorder's derived Rate view and
 // the attribution Fig. 11 reads: any change to what a view contains or to
@@ -313,7 +288,7 @@ func equalFloats(t *testing.T, what string, got, want []float64) {
 }
 
 func TestFig2Pinned(t *testing.T) {
-	r, err := run[*Fig2Result]("fig2", quickCfg())
+	r, err := run[*Fig2Result]("fig2", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +305,7 @@ func TestFig2Pinned(t *testing.T) {
 }
 
 func TestFig10Pinned(t *testing.T) {
-	r, err := run[*Fig10Result]("fig10", quickCfg())
+	r, err := run[*Fig10Result]("fig10", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +325,7 @@ func TestFig10Pinned(t *testing.T) {
 }
 
 func TestFig11Pinned(t *testing.T) {
-	r, err := run[*Fig11Result]("fig11", quickCfg())
+	r, err := run[*Fig11Result]("fig11", testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

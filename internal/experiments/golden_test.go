@@ -55,7 +55,7 @@ func checkGolden(t *testing.T, name, got string) {
 // fixed, so the per-strategy gradient-0 start and finish times must
 // reproduce bit-for-bit on every run.
 func TestFig5Golden(t *testing.T) {
-	res, err := run[*Fig5Result]("fig5", Config{Quick: true, Seed: 1})
+	res, err := run[*Fig5Result]("fig5", Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +67,12 @@ func TestFig5Golden(t *testing.T) {
 	checkGolden(t, "fig5.golden", b.String())
 }
 
-// TestTable3Golden pins the quick batch-size sweep end to end: profiler,
+// TestTable3Golden pins the batch-size sweep end to end: profiler,
 // block assembly, and the event-driven cluster sim all feed these rates, so
 // a bit-exact match here certifies the whole sim path is deterministic for
 // a fixed seed.
 func TestTable3Golden(t *testing.T) {
-	res, err := run[*Table3Result]("table3", Config{Quick: true, Seed: 1})
+	res, err := run[*Table3Result]("table3", Config{Iterations: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

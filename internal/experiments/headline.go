@@ -50,9 +50,6 @@ func fig8(cfg Config) (*Fig8Result, error) {
 		{model.ResNet152(), 16}, {model.ResNet152(), 32},
 		{model.InceptionV3(), 16}, {model.InceptionV3(), 32},
 	}
-	if cfg.Quick {
-		jobs = []job{{model.ResNet18(), 32}, {model.ResNet50(), 32}}
-	}
 	const workers = 3
 	rows, err := runner.Map(cfg.Jobs, jobs, func(_ int, j job) (Fig8Row, error) {
 		s, err := prepare(j.base, j.batch, cfg.Seed)
@@ -266,9 +263,6 @@ func table2(cfg Config) (*Table2Result, error) {
 		{LimitMbps: 6000, PaperProphet: 69.5, PaperBS: 70, PaperP3: 68.93},
 		{LimitMbps: 10000, PaperProphet: 70.6, PaperBS: 71.1, PaperP3: 72.83},
 	}
-	if cfg.Quick {
-		limits = []Table2Row{limits[1], limits[5]}
-	}
 	rows, err := runner.Map(cfg.Jobs, limits, func(_ int, row Table2Row) (Table2Row, error) {
 		link := linkMbps(row.LimitMbps)
 		var err error
@@ -324,9 +318,6 @@ func table3(cfg Config) (*Table3Result, error) {
 		{model.ResNet50(), 16, 1.5},
 		{model.ResNet50(), 32, 22},
 		{model.ResNet50(), 64, 36},
-	}
-	if cfg.Quick {
-		jobs = jobs[2:4]
 	}
 	rows, err := runner.Map(cfg.Jobs, jobs, func(_ int, j job) (Table3Row, error) {
 		s, err := prepare(j.base, j.batch, cfg.Seed)

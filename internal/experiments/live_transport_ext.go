@@ -80,11 +80,7 @@ func (r *ExtLiveTransportResult) Render(w io.Writer) {
 // rows run serially regardless of Config.Jobs.
 func extLiveTransport(cfg Config) (*ExtLiveTransportResult, error) {
 	const workers = 4 // power of two so the tree schedule applies
-	iters := cfg.Iterations
-	if cfg.Quick {
-		iters = 6
-	}
-	out := &ExtLiveTransportResult{Workers: workers, Iterations: iters, DecisionsMatch: true}
+	out := &ExtLiveTransportResult{Workers: workers, Iterations: cfg.Iterations, DecisionsMatch: true}
 
 	// An explicit profile pins the prophet plan: no wall-clock profiling
 	// iteration feeds the planner, so the decision stream is a pure function
@@ -108,13 +104,13 @@ func extLiveTransport(cfg Config) (*ExtLiveTransportResult, error) {
 	var refMessages any
 	for i, cell := range cells {
 		rec := probe.NewSpanRecorder()
-		rec.SetIterationHint(iters)
+		rec.SetIterationHint(cfg.Iterations)
 		res, err := emu.Run(emu.Config{
 			Workers:              workers,
 			Layers:               layers,
 			Dataset:              nn.Blobs(2048, 16, 4, cfg.Seed),
 			Batch:                32,
-			Iterations:           iters,
+			Iterations:           cfg.Iterations,
 			LR:                   0.1,
 			Policy:               "prophet",
 			Profile:              prof,

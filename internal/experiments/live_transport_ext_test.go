@@ -2,15 +2,15 @@ package experiments
 
 import "testing"
 
-// TestExtLiveTransportInvariants exercises the live comparison in quick
-// mode and checks the transport-independent structure. No golden file:
+// TestExtLiveTransportInvariants exercises the live comparison over six
+// iterations and checks the transport-independent structure. No golden file:
 // the wall-clock columns are real measurements and vary run to run; what
 // must hold regardless is the decision equivalence across rows, the
 // strictly positive ack on the PS rows (the pull leg is never free), and
 // the exactly-zero ack on the collective rows (the aggregate lands with
 // the last chunk step — there is no pull).
 func TestExtLiveTransportInvariants(t *testing.T) {
-	res, err := run[*ExtLiveTransportResult]("ext-live-transport", Config{Quick: true, Seed: 1})
+	res, err := run[*ExtLiveTransportResult]("ext-live-transport", Config{Iterations: 6, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,9 +89,6 @@ func fig3a(cfg Config) (*Fig3aResult, error) {
 		return nil, err
 	}
 	parts := []float64{0.25e6, 0.5e6, 1e6, 2e6, 4e6, 8e6, 16e6}
-	if cfg.Quick {
-		parts = []float64{0.5e6, 4e6, 16e6}
-	}
 	rates, err := runner.Map(cfg.Jobs, parts, func(_ int, p float64) (float64, error) {
 		return s.rate(cfg, s.p3At(p), linkMbps(3000), 3)
 	})
@@ -130,7 +127,7 @@ func (r *Fig3bResult) Render(w io.Writer) {
 
 // fig3b runs the experiment.
 func fig3b(cfg Config) (*Fig3bResult, error) {
-	if !cfg.Quick && cfg.Iterations < 40 {
+	if cfg.Iterations < 40 {
 		cfg.Iterations = 40 // tuning needs iterations to show its probes
 	}
 	s, err := prepare(model.ResNet50(), 64, cfg.Seed)

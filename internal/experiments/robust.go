@@ -41,9 +41,6 @@ func fig12(cfg Config) (*Fig12Result, error) {
 		return nil, err
 	}
 	counts := []int{2, 4, 6, 8}
-	if cfg.Quick {
-		counts = []int{2, 4}
-	}
 	rows, err := runner.Map(cfg.Jobs, counts, func(_ int, n int) (Fig12Row, error) {
 		res, err := s.run(cfg, s.prophet(), linkMbps(4500), n)
 		if err != nil {
@@ -107,7 +104,7 @@ func fig13(cfg Config) (*Fig13Result, error) {
 		var err error
 		switch i {
 		case 0:
-			pre, err = s.run(Config{Iterations: profileIters, Warmup: 1, Seed: cfg.Seed, Quick: cfg.Quick}, s.fifo(), link, workers)
+			pre, err = s.run(Config{Iterations: profileIters, Seed: cfg.Seed}, s.fifo(), link, workers)
 		case 1:
 			post, err = s.run(cfg, s.prophet(), link, workers)
 		case 2:

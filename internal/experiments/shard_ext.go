@@ -70,9 +70,6 @@ func extShard(cfg Config) (*ExtShardResult, error) {
 	}
 	link := linkMbps(3000)
 	shardCounts := []int{1, 2, 4}
-	if cfg.Quick {
-		shardCounts = []int{1, 2}
-	}
 	runOne := func(factory cluster.SchedulerFactory, shards int, equalAgg bool) (float64, error) {
 		ccfg := s.config(cfg, factory, link, workers)
 		ccfg.PSShards, ccfg.ShardPlacement = shards, shard.SizeBalanced

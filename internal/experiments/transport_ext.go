@@ -88,9 +88,6 @@ func extTransport(cfg Config) (*ExtTransportResult, error) {
 		{model.InceptionV3(), 64},
 		{model.VGG19(), 64},
 	}
-	if cfg.Quick {
-		jobs = jobs[:2]
-	}
 	link := linkMbps(3000)
 	for _, j := range jobs {
 		s, err := prepare(j.base, j.batch, cfg.Seed)

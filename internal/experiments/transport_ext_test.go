@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-// TestExtTransportGolden pins the quick transport comparison bit-for-bit:
+// TestExtTransportGolden pins the transport comparison bit-for-bit:
 // the PS rows exercise the cluster path and the ring/tree rows the
 // collective path, so this one fixture certifies both executions of the
 // drive layer stay deterministic — rates AND the attribution decomposition
 // that rides along.
 func TestExtTransportGolden(t *testing.T) {
-	res, err := run[*ExtTransportResult]("ext-transport", Config{Quick: true, Seed: 1})
+	res, err := run[*ExtTransportResult]("ext-transport", Config{Iterations: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestExtTransportGolden(t *testing.T) {
 // rows have exactly-zero ack, and the PS row has a strictly positive ack
 // (the pull is never free).
 func TestExtTransportRanking(t *testing.T) {
-	res, err := run[*ExtTransportResult]("ext-transport", Config{Quick: true, Seed: 1})
+	res, err := run[*ExtTransportResult]("ext-transport", Config{Iterations: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

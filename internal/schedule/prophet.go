@@ -118,9 +118,11 @@ func relDiff(a, b float64) float64 {
 // OnGenerated implements Scheduler.
 func (p *Prophet) OnGenerated(g int, _ float64) { p.queue.MarkGenerated(g) }
 
-// Next implements Scheduler. Units are delivered strictly in plan order; a
-// unit whose gradients are not all generated blocks the stream, preserving
-// both block structure and priority.
+// Next implements Scheduler. It delivers the highest-priority eligible
+// unit: among the unsent units whose gradients are all generated, the one
+// whose lowest gradient index is smallest. A unit still waiting on a
+// gradient is skipped, not waited for, so a later eligible unit may go
+// first; each unit still goes whole, preserving the block structure.
 func (p *Prophet) Next(float64) (Message, bool) {
 	u, i, ok := p.queue.PopIndexed()
 	if !ok {
