@@ -3,12 +3,15 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"prophet/internal/model"
 	"prophet/internal/netsim"
+	"prophet/internal/schedule"
 	"prophet/internal/shard"
+	"prophet/internal/sim"
 )
 
 // shardedConfig is smallConfig with PSShards set.
@@ -218,5 +221,51 @@ func TestCrossShardPriorityInvariant(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// scribbler overwrites every message's pieces in OnSent before passing it
+// on: the Scheduler contract hands the pieces back to the scheduler there,
+// so it may.
+type scribbler struct{ schedule.Scheduler }
+
+func (s scribbler) OnSent(msg schedule.Message, start, end float64) {
+	for i := range msg.Pieces {
+		msg.Pieces[i] = schedule.Piece{}
+	}
+	s.Scheduler.OnSent(msg, start, end)
+}
+
+// TestPiecesReturnToSchedulerAtOnSent pins the piece ownership contract on
+// the PS wire. A message's last uplink completion fires OnSent (inside
+// drive.Driver.Completed) before the PS books the pushed pieces, so the
+// pieces the PS reads must be the driver's copy, not the scheduler's slice:
+// with one shard there is no split to copy them, and a scheduler reusing its
+// pieces at OnSent would starve the pulls. Runs with and without the
+// scribbler must match, on one shard and on four.
+func TestPiecesReturnToSchedulerAtOnSent(t *testing.T) {
+	m := model.ResNet18()
+	for _, name := range []string{"fifo", "p3", "bytescheduler"} {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/%d", name, shards), func(t *testing.T) {
+				factory := mustByName(name, m, Options{})
+				cfg := shardedConfig(t, factory, 5, shards, shard.RoundRobin)
+				want, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Scheduler = func(w int, eng *sim.Engine, up *netsim.Link) schedule.Scheduler {
+					return scribbler{factory(w, eng, up)}
+				}
+				got, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("a scheduler reusing its pieces at OnSent changed the run: %v vs %v",
+						got.Iters.Ends, want.Iters.Ends)
+				}
+			})
+		}
 	}
 }

@@ -385,6 +385,8 @@ func (w *worker) onUpDone(s int) {
 	iter, _ := w.drv.Completed(s, w.eng.Now()) // fires OnSent on the group's last sub-send
 	w.pullQ[s] = append(w.pullQ[s], in.pulls...)
 	w.recyclePulls(in.pulls)
+	// OnSent has handed the scheduler its pieces back; in.sub's are the
+	// driver's copy, valid until the Pump below dispatches on lane s.
 	w.ps.onPush(w.id, iter, in.sub) // may unlock pulls on every worker
 	w.drv.Pump(w.eng.Now())
 }

@@ -15,15 +15,18 @@
 //     higher-priority one has unscheduled bytes);
 //   - shard splitting: each scheduler message is sliced by the key→lane map
 //     into per-lane sub-messages with per-gradient byte ranges assigned in
-//     scheduler emission order.
+//     scheduler emission order. The sub-messages' pieces are copies the
+//     driver owns, so a scheduler gets its pieces back at OnSent.
 //
 // The transport provides only a Transmitter: lane busy-state plus a Start
 // hook that puts one Send on the wire and later reports Completed. The
 // cluster's Transmitter schedules netsim transfers; the emulation's replays
 // decisions instantly and executes them on live connections afterwards.
 //
-// Containers cycle through free lists, so a Driver allocates nothing in the
-// steady state (the cluster's hot loop depends on this).
+// Containers — groups, piece and range slices, the Send handed to Start —
+// cycle through free lists, so a Driver allocates nothing in the steady state
+// (the cluster's hot loop and the emulation's decision replay depend on
+// this).
 package drive
 
 import (
@@ -37,9 +40,13 @@ import (
 // hands its per-send ranges to an Observer without conversion or copy.
 type Range = probe.Range
 
-// Send is one per-lane sub-message ready for transmission. It is valid only
-// for the duration of Transmitter.Start — the Ranges backing array is
-// recycled once Start returns, so transports must copy what they keep.
+// Send is one per-lane sub-message ready for transmission. The Send itself
+// is valid only for the duration of Transmitter.Start, but Msg.Pieces and
+// Ranges are the driver's own slices and stay valid until the driver next
+// dispatches on the same lane (a lane has one send in flight), when they are
+// recycled: a transport may read them until it reports the send Completed
+// and its own completion bookkeeping is done, and must copy what it keeps
+// longer.
 type Send struct {
 	// Lane is the transmitter lane (PS shard) the sub-message ships on.
 	Lane int
@@ -51,7 +58,8 @@ type Send struct {
 	// Prio is the parent message's priority (schedule.Message.Priority).
 	Prio int
 	// Msg is this lane's slice of the scheduler's message (the whole
-	// message when the driver runs a single lane).
+	// message when the driver runs a single lane), its Pieces copied into
+	// a driver-owned slice.
 	Msg schedule.Message
 	// Ranges gives the per-gradient byte offsets of Msg's pieces.
 	Ranges []Range
@@ -99,6 +107,28 @@ type group struct {
 	firstStart float64
 }
 
+// lane is the driver's state for one transmitter lane.
+type lane struct {
+	// queue holds the lane's not-yet-started sub-messages, in scheduler
+	// emission order; head indexes the next one to dispatch. Popping by
+	// head (instead of re-slicing) keeps the backing array's capacity, so a
+	// drained queue is reset and reused without reallocating. All queues
+	// empty ⟺ every fetched message's bytes are scheduled, which is the
+	// fetch gate for the next message.
+	queue []Send
+	head  int
+	// inflight is the group of the send on the wire.
+	inflight *group
+	// split collects the lane's pieces of the message being enqueued.
+	split schedule.Message
+	// pieces and ranges belong to the lane's last dispatched send, held
+	// until the lane dispatches again (see Send).
+	pieces []schedule.Piece
+	ranges []Range
+	// planFree is the lane's predicted free time (see Driver.cost).
+	planFree float64
+}
+
 // Driver runs one worker's scheduler against a Transmitter.
 type Driver struct {
 	sched   schedule.Scheduler
@@ -110,21 +140,13 @@ type Driver struct {
 	// offsets is the cumulative bytes handed to the lanes per gradient
 	// this iteration.
 	offsets []float64
-	// queues[s] holds lane s's not-yet-started sub-messages, in scheduler
-	// emission order; heads[s] indexes the next one to dispatch. Popping by
-	// head (instead of re-slicing) keeps the backing array's capacity, so a
-	// drained queue is reset and reused without reallocating. All queues
-	// empty ⟺ every fetched message's bytes are scheduled, which is the
-	// fetch gate for the next message.
-	queues   [][]Send
-	heads    []int
-	inflight []*group
+	lanes   []lane
 
 	// Free lists: containers keep their grown capacity across reuse, so
 	// the steady state allocates nothing.
-	gFree  []*group
-	rFree  [][]Range
-	oneSub [1]schedule.Message
+	gFree []*group
+	pFree [][]schedule.Piece
+	rFree [][]Range
 	// scratch is the Send handed to Transmitter.Start: passing a pointer
 	// into an interface method would heap-allocate a fresh Send per
 	// dispatch, so dispatch copies into this reusable slot instead (the
@@ -142,15 +164,14 @@ type Driver struct {
 	worker int
 
 	// cost, when non-nil, predicts each sub-send's wire window at enqueue
-	// time (the prediction-audit input). planFree[s] is lane s's predicted
+	// time (the prediction-audit input). A lane's planFree is its predicted
 	// free time: per-lane queues are FIFO and a freed lane dispatches its
 	// next queued sub immediately, so chaining predictions off the previous
 	// predicted end mirrors the dispatch timeline exactly when the model is
 	// exact. planObs is obs's optional PlanObserver face, resolved once in
 	// SetObserver.
-	cost     schedule.CostModel
-	planFree []float64
-	planObs  probe.PlanObserver
+	cost    schedule.CostModel
+	planObs probe.PlanObserver
 }
 
 // New builds a Driver for one worker: sched decides the order, tx moves the
@@ -158,13 +179,11 @@ type Driver struct {
 // (ignored when lanes is 1), and nGrads sizes the per-gradient bookkeeping.
 func New(sched schedule.Scheduler, tx Transmitter, lanes, nGrads int, shardOf func(int) int) *Driver {
 	return &Driver{
-		sched:    sched,
-		tx:       tx,
-		shardOf:  shardOf,
-		offsets:  make([]float64, nGrads),
-		queues:   make([][]Send, lanes),
-		heads:    make([]int, lanes),
-		inflight: make([]*group, lanes),
+		sched:   sched,
+		tx:      tx,
+		shardOf: shardOf,
+		offsets: make([]float64, nGrads),
+		lanes:   make([]lane, lanes),
 	}
 }
 
@@ -189,12 +208,7 @@ func (d *Driver) SetObserver(worker int, obs probe.Observer) {
 // probe.PlanObserver). Passing nil detaches it. Prediction is passive — it
 // never changes what the driver dispatches — and costs nothing when
 // detached (one nil check per enqueue).
-func (d *Driver) SetCostModel(cost schedule.CostModel) {
-	d.cost = cost
-	if cost != nil && d.planFree == nil {
-		d.planFree = make([]float64, len(d.queues))
-	}
-}
+func (d *Driver) SetCostModel(cost schedule.CostModel) { d.cost = cost }
 
 // Records returns the decision log accumulated so far (fetch order).
 func (d *Driver) Records() []Record { return d.records }
@@ -211,8 +225,8 @@ func (d *Driver) BeginIteration(iter int) {
 	// The barrier guarantees every previous send completed, so lane
 	// predictions re-anchor on real time each iteration instead of
 	// compounding drift across the run.
-	for i := range d.planFree {
-		d.planFree[i] = 0
+	for s := range d.lanes {
+		d.lanes[s].planFree = 0
 	}
 	d.sched.BeginIteration(iter)
 }
@@ -252,11 +266,11 @@ func (d *Driver) Iteration() int { return d.iter }
 // send, repeat.
 func (d *Driver) Pump(now float64) {
 	for {
-		for s := range d.queues {
+		for s := range d.lanes {
 			// A transport that completes sends synchronously (the
 			// emulation's decision replay) frees the lane inside Start, so
 			// keep draining the lane's queue while it stays free.
-			for !d.tx.Busy(s) && len(d.queues[s]) > d.heads[s] {
+			for !d.tx.Busy(s) && len(d.lanes[s].queue) > d.lanes[s].head {
 				d.dispatch(s, now)
 			}
 		}
@@ -284,8 +298,8 @@ func (d *Driver) Pump(now float64) {
 // pumping afterwards (after its own completion bookkeeping). Returns the
 // iteration the send carried and whether the parent message is done.
 func (d *Driver) Completed(lane int, now float64) (iter int, msgDone bool) {
-	g := d.inflight[lane]
-	d.inflight[lane] = nil
+	g := d.lanes[lane].inflight
+	d.lanes[lane].inflight = nil
 	g.done++
 	msgDone = g.done == g.total
 	if msgDone {
@@ -302,10 +316,11 @@ func (d *Driver) Completed(lane int, now float64) (iter int, msgDone bool) {
 }
 
 // enqueue splits a scheduler message by the key→lane map and queues each
-// sub-message on its lane. Byte offsets are assigned here, in scheduler
-// emission order, so a gradient's ranges land in order regardless of when
-// each lane frees (a key lives on exactly one lane, and per-lane queues are
-// FIFO).
+// sub-message on its lane. Every sub-message carries a driver-owned copy of
+// its pieces, so the scheduler's own slice is free again once OnSent hands
+// it back. Byte offsets are assigned here, in scheduler emission order, so
+// a gradient's ranges land in order regardless of when each lane frees (a
+// key lives on exactly one lane, and per-lane queues are FIFO).
 func (d *Driver) enqueue(msg schedule.Message, now float64) {
 	g := d.newGroup()
 	g.msg, g.iter, g.seq = msg, d.iter, d.seq
@@ -318,22 +333,37 @@ func (d *Driver) enqueue(msg schedule.Message, now float64) {
 			Completes: msg.Completes(),
 		})
 	}
-	var subs []schedule.Message
-	if len(d.queues) == 1 {
-		// Single lane: the message ships whole; skip the split (and its
-		// slice) entirely.
-		d.oneSub[0] = msg
-		subs = d.oneSub[:]
+	// A key lives on exactly one lane, so every piece lands whole in one
+	// sub-message, in emission order; a lane that gets no piece sends
+	// nothing. Each sub-message pays the per-message overhead and the
+	// dispatch Stall itself: it is a real message on its lane's link.
+	n := len(msg.Pieces)
+	if len(d.lanes) == 1 {
+		// One lane: the message ships whole, at its own size.
+		if n > 0 {
+			d.lanes[0].split = schedule.Message{Pieces: append(d.newPieces(n), msg.Pieces...), Bytes: msg.Bytes}
+		}
 	} else {
-		subs = schedule.SplitByShard(msg, len(d.queues), d.shardOf)
+		for _, pc := range msg.Pieces {
+			sub := &d.lanes[d.shardOf(pc.Grad)].split
+			if sub.Pieces == nil {
+				sub.Pieces = d.newPieces(n)
+			}
+			sub.Pieces = append(sub.Pieces, pc)
+			sub.Bytes += pc.Bytes
+		}
 	}
 	prio := msg.Priority()
 	var planned schedule.Window
-	for s, sub := range subs {
-		if len(sub.Pieces) == 0 {
+	for s := range d.lanes {
+		ln := &d.lanes[s]
+		sub := ln.split
+		ln.split = schedule.Message{}
+		if sub.Pieces == nil {
 			continue
 		}
-		ranges := d.newRanges()
+		sub.Label, sub.Stall = msg.Label, msg.Stall
+		ranges := d.newRanges(len(sub.Pieces))
 		for _, pc := range sub.Pieces {
 			ranges = append(ranges, Range{
 				Grad:  pc.Grad,
@@ -348,11 +378,11 @@ func (d *Driver) enqueue(msg schedule.Message, now float64) {
 			// Predicted dispatch: now if the lane is (predicted) free,
 			// else chained behind the lane's predicted in-flight work.
 			start := now
-			if f := d.planFree[s]; f > start {
-				start = f
+			if ln.planFree > start {
+				start = ln.planFree
 			}
 			end := start + d.cost.MessageTime(s, sub.Bytes, sub.Stall)
-			d.planFree[s] = end
+			ln.planFree = end
 			if planned.IsZero() || start < planned.Start {
 				planned.Start = start
 			}
@@ -363,12 +393,12 @@ func (d *Driver) enqueue(msg schedule.Message, now float64) {
 				d.planObs.SendPlanned(d.worker, s, g.seq, g.iter, prio, sub.Bytes, start, end)
 			}
 		}
-		d.queues[s] = append(d.queues[s], Send{
+		ln.queue = append(ln.queue, Send{
 			Lane: s, Seq: g.seq, Iter: g.iter, Prio: prio,
 			Msg: sub, Ranges: ranges, group: g,
 		})
 		if d.obs != nil {
-			d.obs.ShardEnqueued(d.worker, s, g.seq, prio, sub.Bytes, len(d.queues[s])-d.heads[s], now)
+			d.obs.ShardEnqueued(d.worker, s, g.seq, prio, sub.Bytes, len(ln.queue)-ln.head, now)
 		}
 	}
 	if d.recording && d.cost != nil {
@@ -378,19 +408,20 @@ func (d *Driver) enqueue(msg schedule.Message, now float64) {
 
 // dispatch starts lane s's next queued sub-message on the transmitter.
 func (d *Driver) dispatch(s int, now float64) {
-	item := d.queues[s][d.heads[s]]
-	d.heads[s]++
-	if d.heads[s] == len(d.queues[s]) {
+	ln := &d.lanes[s]
+	item := ln.queue[ln.head]
+	ln.head++
+	if ln.head == len(ln.queue) {
 		// Drained: rewind onto the same backing array.
-		d.queues[s] = d.queues[s][:0]
-		d.heads[s] = 0
+		ln.queue = ln.queue[:0]
+		ln.head = 0
 	}
 	g := item.group
 	if g.started == 0 {
 		g.firstStart = now
 	}
 	g.started++
-	d.inflight[s] = g
+	ln.inflight = g
 	if d.obs != nil {
 		// Emit before Start: a transport that completes synchronously
 		// (the emulation's decision replay) reports SendComplete from
@@ -398,16 +429,18 @@ func (d *Driver) dispatch(s int, now float64) {
 		d.obs.SendStart(d.worker, item.Lane, item.Seq, item.Iter, item.Prio,
 			item.Msg.Label, item.Msg.Bytes, item.Ranges, now)
 	}
+	// The lane is free, so its previous send is done with the driver's
+	// slices: recycle them and hold this send's until the next dispatch.
+	d.recyclePieces(ln.pieces)
+	d.recycleRanges(ln.ranges)
+	ln.pieces, ln.ranges = item.Msg.Pieces, item.Ranges
 	d.scratch = item
 	d.tx.Start(&d.scratch)
-	// The ranges are consumed by Start (transports copy what they keep);
-	// the backing array is dead once the send is on the wire.
-	d.recycleRanges(item.Ranges)
 }
 
 func (d *Driver) queuesEmpty() bool {
-	for s, q := range d.queues {
-		if len(q) > d.heads[s] {
+	for s := range d.lanes {
+		if len(d.lanes[s].queue) > d.lanes[s].head {
 			return false
 		}
 	}
@@ -415,7 +448,7 @@ func (d *Driver) queuesEmpty() bool {
 }
 
 func (d *Driver) anyLaneFree() bool {
-	for s := range d.queues {
+	for s := range d.lanes {
 		if !d.tx.Busy(s) {
 			return true
 		}
@@ -435,13 +468,31 @@ func (d *Driver) newGroup() *group {
 
 func (d *Driver) recycleGroup(g *group) { d.gFree = append(d.gFree, g) }
 
-func (d *Driver) newRanges() []Range {
-	if n := len(d.rFree); n > 0 {
-		r := d.rFree[n-1]
-		d.rFree = d.rFree[:n-1]
+// newPieces and newRanges return an empty pooled slice, or a new one with
+// room for n elements and for one per gradient, so that a pooled slice
+// seldom has to grow and a fresh driver warms up in a few allocations.
+func (d *Driver) newPieces(n int) []schedule.Piece {
+	if k := len(d.pFree); k > 0 {
+		p := d.pFree[k-1]
+		d.pFree = d.pFree[:k-1]
+		return p[:0]
+	}
+	return make([]schedule.Piece, 0, max(n, len(d.offsets)))
+}
+
+func (d *Driver) recyclePieces(p []schedule.Piece) {
+	if cap(p) > 0 {
+		d.pFree = append(d.pFree, p)
+	}
+}
+
+func (d *Driver) newRanges(n int) []Range {
+	if k := len(d.rFree); k > 0 {
+		r := d.rFree[k-1]
+		d.rFree = d.rFree[:k-1]
 		return r[:0]
 	}
-	return make([]Range, 0, 8)
+	return make([]Range, 0, max(n, len(d.offsets)))
 }
 
 func (d *Driver) recycleRanges(r []Range) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"prophet/internal/core"
 	"prophet/internal/drive"
 	"prophet/internal/probe"
 	"prophet/internal/schedule"
@@ -241,5 +242,60 @@ func TestNilObserverZeroAlloc(t *testing.T) {
 	}
 	if got := run(&eventCount{}); got != 0 {
 		t.Errorf("counting observer: %v allocs per iteration, want 0", got)
+	}
+}
+
+// TestSchedulerRowsZeroAlloc pins the warm message path over the real
+// schedulers, which TestNilObserverZeroAlloc's prebuilt one never reaches:
+// every Queue row and Prophet, on one lane and on four, through a
+// synchronous transmitter. The driver copies each message's pieces into its
+// own pooled slices, and the schedulers refill theirs once OnSent hands them
+// back and reuse their rendered labels, so a warm iteration allocates
+// nothing.
+func TestSchedulerRowsZeroAlloc(t *testing.T) {
+	// Sizes above the 4 MB partition and credit defaults, so p3 and
+	// bytescheduler slice and fusion and bytescheduler span.
+	sizes := []float64{9e6, 0.5e6, 2.5e6, 64e3, 5e6, 128e3}
+	gen := make([]float64, len(sizes))
+	for g := range gen {
+		gen[g] = float64(len(sizes)-g) * 0.01
+	}
+	prof, err := core.NewProfile(gen, sizes, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"fifo", "fusion", "tictac", "p3", "bytescheduler", "prophet"} {
+		for _, lanes := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/%d", name, lanes), func(t *testing.T) {
+				sched, err := strategy.New(name, strategy.Params{Sizes: sizes, Profile: prof})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tx := &freeTx{}
+				drv := drive.New(sched, tx, lanes, len(sizes), func(g int) int { return g % lanes })
+				tx.drv = drv
+				iterate := func(iter int) {
+					drv.BeginIteration(iter)
+					for g := len(sizes) - 1; g >= 0; g-- {
+						drv.Generate(g, gen[g])
+						drv.Pump(gen[g])
+					}
+					for g, b := range sizes {
+						if drv.Offset(g) != b {
+							t.Fatalf("iter %d: gradient %d shipped %v of %v bytes", iter, g, drv.Offset(g), b)
+						}
+					}
+					drv.EndIteration(1.0)
+				}
+				iterate(0) // warm the free lists and the label caches
+				iter := 1
+				if got := testing.AllocsPerRun(50, func() {
+					iterate(iter)
+					iter++
+				}); got != 0 {
+					t.Errorf("%v allocs per warm iteration, want 0", got)
+				}
+			})
+		}
 	}
 }

@@ -2,9 +2,11 @@ package emu
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"prophet/internal/metrics"
+	"prophet/internal/nn"
 	"prophet/internal/probe"
 )
 
@@ -69,5 +71,39 @@ func TestSampleGrowthAllocBound(t *testing.T) {
 		}
 	}); allocs > 2 {
 		t.Fatalf("pre-sized IterationLog allocates %.1f times for %d iterations, want ≤ 2", allocs, n)
+	}
+}
+
+// TestMuxSteadyStateAllocs pins the warm live iteration on the muxed PS at
+// W=64 over 4 shards, fifo: the decision replay, the driver, the schedulers
+// and the pull channels recycle their per-message memory, so what a worker
+// allocates per iteration is a small constant. Two runs that differ only in
+// length difference out the set-up: (Mallocs of 60 iterations − Mallocs of
+// 20) ÷ (40 · 64) is the steady-state count per worker-iteration.
+func TestMuxSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are only meaningful without -race")
+	}
+	const workers, short, long, bound = 64, 20, 60, 4.0
+	cfg := Config{
+		Workers: workers, Layers: []int{16, 32, 32, 4}, Dataset: nn.Blobs(256, 16, 4, 11),
+		Batch: 16, LR: 0.1, Seed: 5, Policy: "fifo", Shards: 4, Mux: true,
+	}
+	mallocs := func(iters int) uint64 {
+		cfg.Iterations = iters
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	mallocs(short) // warm the process-wide payload and float pools
+	a, b := mallocs(short), mallocs(long)
+	per := (float64(b) - float64(a)) / float64((long-short)*workers)
+	t.Logf("%d mallocs at %d iterations, %d at %d: %.2f per worker-iteration", a, short, b, long, per)
+	if per > bound {
+		t.Errorf("%.2f allocations per worker-iteration in the steady state, want ≤ %v", per, bound)
 	}
 }

@@ -34,12 +34,21 @@ func newPlanBoard(iterations int) *planBoard {
 	return b
 }
 
-// publish stores iteration iter's plan. The entries are copied: the
-// deciding worker's collector reuses its sends array across iterations,
-// while the per-entry tensors slices are freshly built each decision and
-// safe to share.
+// publish stores iteration iter's plan. It is copied whole, the tensors
+// lists included: the deciding worker's collector reuses both across
+// iterations.
 func (b *planBoard) publish(iter int, sends []wireSend) {
-	plan := append([]wireSend(nil), sends...)
+	plan := make([]wireSend, len(sends))
+	n := 0
+	for _, snd := range sends {
+		n += len(snd.tensors)
+	}
+	flat := make([]int, 0, n)
+	for i, snd := range sends {
+		from := len(flat)
+		flat = append(flat, snd.tensors...)
+		plan[i] = wireSend{lane: snd.lane, tensors: flat[from:len(flat):len(flat)]}
+	}
 	b.mu.Lock()
 	b.plans[iter] = plan
 	b.ready[iter] = true

@@ -3,7 +3,7 @@
 // predictable enough to schedule ahead of time (profiled s(i)/c(i) plus
 // monitored bandwidth, §III); this package measures how close those plans
 // come to what the wire actually did, and raises an alarm when they stop
-// being close — the drift signal a re-tuning hook (ROADMAP item 2)
+// being close — the drift signal a re-tuning hook (ROADMAP item 10(b))
 // consumes.
 //
 // # Data flow

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"prophet/internal/transport"
 )
 
 // sinkConn is a net.Conn whose writes vanish and whose reads block until
@@ -114,5 +116,58 @@ func TestPushPullBatchConnLost(t *testing.T) {
 	}
 	if !errors.Is(err, ErrConnLost) && !strings.Contains(err.Error(), "connection lost") {
 		t.Fatalf("want conn-lost flavored error, got %v", err)
+	}
+}
+
+// TestResultChannelReuse pins the pull path's channel recycling: a result
+// channel whose one value has been received serves a later pull, and that
+// pull's whole round — register, deliver, receive, recycle — allocates
+// nothing; a channel whose value is still unread (a receiver that gave up,
+// like a timed-out wait) is never handed out again.
+func TestResultChannelReuse(t *testing.T) {
+	c := NewClient(newSinkConn()) // the read loop stays parked: this test delivers
+	defer c.Close()
+	payload := make([]byte, 8*16)
+	respond := func(iter, tensor int) {
+		c.deliver(&transport.Frame{Type: transport.PullResp, Iter: uint32(iter), Tensor: uint32(tensor), Payload: payload})
+	}
+	pull := func(iter, tensor int) chan PullResult {
+		ch, err := c.register(slotKey{uint32(iter), uint32(tensor)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ch
+	}
+
+	first := pull(0, 0)
+	respond(0, 0)
+	c.Recycle((<-first).Data)
+	iter := 1
+	allocs := testing.AllocsPerRun(100, func() {
+		ch := pull(iter, 0)
+		if ch != first {
+			t.Fatalf("iter %d: a received channel was not reused", iter)
+		}
+		respond(iter, 0)
+		c.Recycle((<-ch).Data)
+		iter++
+	})
+	if allocs != 0 && !raceEnabled {
+		t.Errorf("a warm pull round allocated %v times, want 0", allocs)
+	}
+
+	stale := pull(iter, 1)
+	respond(iter, 1) // its value is never received
+	for i := 1; i <= 4; i++ {
+		ch := pull(iter+i, 1)
+		if ch == stale {
+			<-stale // free the slot, or teardown blocks failing the pull
+			t.Fatalf("pull %d reused a channel whose value is unread", i)
+		}
+		respond(iter+i, 1)
+		<-ch
+	}
+	if r := <-stale; r.Err != nil || len(r.Data) != 16 {
+		t.Fatalf("the unread value changed: %+v", r)
 	}
 }

@@ -281,7 +281,12 @@ type MuxWorker struct {
 
 	mu      sync.Mutex
 	pending map[slotKey]chan PullResult
-	readErr error
+	// answered holds, oldest first from answeredHead, the channels deliver
+	// has sent their one value on: register reuses the first whose value
+	// has been received, so a warm pull allocates no channel.
+	answered     []chan PullResult
+	answeredHead int
+	readErr      error
 }
 
 // deliver routes one demuxed frame; the payload is decoded before the
@@ -300,14 +305,23 @@ func (mw *MuxWorker) deliver(f *transport.Frame) {
 	if !ok {
 		return
 	}
-	n, derr := transport.FloatCount(f.Payload)
-	if derr != nil {
-		ch <- PullResult{Err: fmt.Errorf("ps: pull response for iter %d tensor %d: %w", f.Iter, f.Tensor, derr)}
-		return
+	var r PullResult
+	if n, derr := transport.FloatCount(f.Payload); derr != nil {
+		r.Err = fmt.Errorf("ps: pull response for iter %d tensor %d: %w", f.Iter, f.Tensor, derr)
+	} else {
+		r.Data = floats.Get(n)
+		transport.DecodeFloatsInto(r.Data, f.Payload)
 	}
-	data := floats.Get(n)
-	transport.DecodeFloatsInto(data, f.Payload)
-	ch <- PullResult{Data: data}
+	ch <- r
+	mw.mu.Lock()
+	if mw.answeredHead > 0 && len(mw.answered) == cap(mw.answered) {
+		// Full with a consumed prefix: shift down instead of growing.
+		n := copy(mw.answered, mw.answered[mw.answeredHead:])
+		clear(mw.answered[n:])
+		mw.answered, mw.answeredHead = mw.answered[:n], 0
+	}
+	mw.answered = append(mw.answered, ch)
+	mw.mu.Unlock()
 }
 
 // failPending fails every registered pull with err and latches it for
@@ -333,9 +347,31 @@ func (mw *MuxWorker) register(k slotKey) (chan PullResult, error) {
 	if _, dup := mw.pending[k]; dup {
 		return nil, fmt.Errorf("ps: duplicate pull for iter %d tensor %d", k.iter, k.tensor)
 	}
-	ch := make(chan PullResult, 1)
+	ch := mw.reusable()
+	if ch == nil {
+		ch = make(chan PullResult, 1)
+	}
 	mw.pending[k] = ch
 	return ch, nil
+}
+
+// reusable pops answered channels until one is empty again — its one value
+// received — and returns it, or nil when none is. A channel still holding
+// its value (a receiver that gave up, like a timed-out wait) is dropped,
+// never reused: whoever holds it may yet read it. Called with mu held.
+func (mw *MuxWorker) reusable() chan PullResult {
+	for mw.answeredHead < len(mw.answered) {
+		ch := mw.answered[mw.answeredHead]
+		mw.answered[mw.answeredHead] = nil
+		mw.answeredHead++
+		if mw.answeredHead == len(mw.answered) {
+			mw.answered, mw.answeredHead = mw.answered[:0], 0
+		}
+		if len(ch) == 0 {
+			return ch
+		}
+	}
+	return nil
 }
 
 func (mw *MuxWorker) deregister(k slotKey) {
@@ -353,7 +389,8 @@ func (mw *MuxWorker) Push(iter, tensor int, data []float64) error {
 // and returns a channel that delivers the result — the aggregated value or
 // the error that doomed it. The request frame is tiny, so issuing it inline
 // between pushes costs almost nothing and lets the response overlap later
-// pushes.
+// pushes. The channel delivers exactly one value and is reused for a later
+// pull once that value has been received (see WorkerLink).
 func (mw *MuxWorker) PullAsync(iter, tensor int) (<-chan PullResult, error) {
 	k := slotKey{uint32(iter), uint32(tensor)}
 	ch, err := mw.register(k)

@@ -654,6 +654,11 @@ func (c *Client) Close() error { return c.g.Close() }
 // caller routes a tensor to its shard's link (internal/emu does, by the
 // key→shard map of internal/shard). Teardown is the connection owner's:
 // MuxGroup.Close or Client.Close.
+//
+// A result channel from PullAsync or PushPullBatch delivers exactly one
+// value. Once that value has been received the link may hand the same
+// channel out for a later pull, so receive from it once and then drop it;
+// a channel whose value is never received is never reused.
 type WorkerLink interface {
 	Push(iter, tensor int, data []float64) error
 	PullAsync(iter, tensor int) (<-chan PullResult, error)

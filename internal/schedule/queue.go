@@ -40,6 +40,12 @@ type Queue struct {
 	remaining []float64
 	queued    []bool
 
+	// pieces holds the piece slices OnSent handed back, for Next to refill;
+	// labels caches each rendered label by (first gradient, piece count).
+	// A warm iteration allocates nothing.
+	pieces [][]Piece
+	labels map[[2]int]string
+
 	tuner *CreditTuner
 }
 
@@ -79,6 +85,7 @@ func newQueue(sizes []float64, r row) *Queue {
 		sizes:     sizes,
 		remaining: make([]float64, len(sizes)),
 		queued:    make([]bool, len(sizes)),
+		labels:    make(map[[2]int]string),
 	}
 }
 
@@ -173,7 +180,12 @@ func (q *Queue) OnGenerated(g int, _ float64) {
 
 // Next implements Scheduler.
 func (q *Queue) Next(float64) (Message, bool) {
-	var msg Message
+	if q.head == len(q.ready) {
+		return Message{}, false
+	}
+	// The head always yields a piece: one within the room, one cut at it,
+	// or a whole tensor over the budget shipping alone.
+	msg := Message{Pieces: q.newPieces(), Stall: q.stall}
 	room := q.budget
 	for q.head < len(q.ready) {
 		g := q.ready[q.head]
@@ -202,17 +214,37 @@ func (q *Queue) Next(float64) (Message, bool) {
 			break
 		}
 	}
-	if len(msg.Pieces) == 0 {
-		return Message{}, false
-	}
-	n := len(msg.Pieces)
-	msg.Label = fmt.Sprintf(q.label, msg.Pieces[0].Grad, n, n-1)
-	msg.Stall = q.stall
+	msg.Label = q.labelOf(msg.Pieces[0].Grad, len(msg.Pieces))
 	return msg, true
 }
 
-// OnSent implements Scheduler.
-func (q *Queue) OnSent(Message, float64, float64) {}
+func (q *Queue) newPieces() []Piece {
+	if n := len(q.pieces); n > 0 {
+		p := q.pieces[n-1]
+		q.pieces = q.pieces[:n-1]
+		return p[:0]
+	}
+	return nil
+}
+
+// labelOf renders the row's label for a message of n pieces starting at
+// gradient first, once per distinct pair.
+func (q *Queue) labelOf(first, n int) string {
+	k := [2]int{first, n}
+	l, ok := q.labels[k]
+	if !ok {
+		l = fmt.Sprintf(q.label, first, n, n-1)
+		q.labels[k] = l
+	}
+	return l
+}
+
+// OnSent implements Scheduler: the message's pieces come back for reuse.
+func (q *Queue) OnSent(msg Message, _, _ float64) {
+	if cap(msg.Pieces) > 0 {
+		q.pieces = append(q.pieces, msg.Pieces)
+	}
+}
 
 // OnIterationEnd implements Scheduler: an attached tuner learns how the
 // budget it proposed did.

@@ -92,10 +92,14 @@ type Scheduler interface {
 	OnGenerated(g int, now float64)
 	// Next returns the next message to transmit when the uplink is free.
 	// ok is false when nothing is currently eligible (the link idles until
-	// the next OnGenerated).
+	// the next OnGenerated). The message's Pieces stay the scheduler's: the
+	// caller reads them and never writes them.
 	Next(now float64) (msg Message, ok bool)
 	// OnSent reports that a previously returned message finished its
-	// uplink transfer.
+	// uplink transfer, and hands the message's Pieces back: from here on
+	// the scheduler may overwrite and reuse them, so the caller must have
+	// copied whatever it still reads (drive.Driver copies every message's
+	// pieces when it enqueues it).
 	OnSent(msg Message, start, end float64)
 	// OnIterationEnd reports the duration of the completed iteration
 	// (used by auto-tuners).

@@ -65,7 +65,7 @@ type MuxOptions struct {
 	Pool *PayloadPool
 	// AutoGrant is inert: nothing reads it. It remains only because the
 	// frozen benchmark/ module sets it, and goes in the benchmark-only PR
-	// that also deletes internal/allreduce (ROADMAP item 5).
+	// that also deletes internal/allreduce (ROADMAP item 1).
 	AutoGrant bool
 }
 
@@ -301,7 +301,7 @@ func (m *MuxConn) Demux(handle func(stream uint32, f *Frame) error) error {
 
 // Done ends a received frame's lifetime: the pooled payload is recycled.
 // Every frame returned by Read should be Done'd once. The stream parameter
-// is unused; it stays until the benchmark-only PR (ROADMAP item 5) because
+// is unused; it stays until the benchmark-only PR (ROADMAP item 1) because
 // the frozen benchmark/ module passes it.
 func (m *MuxConn) Done(_ uint32, f *Frame) {
 	if f == nil || f.Payload == nil {
