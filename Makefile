@@ -53,8 +53,8 @@ test:
 
 # Formatting gate, the offline reachability gate (reach_test.go: every
 # function declared in a non-test file is referenced from one, or is
-# allowlisted with a reason — stdlib only, so it runs where nothing can be
-# installed), plus staticcheck and deadcode when the tools are installed
+# allowlisted with a reason, and every type is named by one — stdlib only,
+# so it runs where nothing can be installed), plus staticcheck and deadcode when the tools are installed
 # (the gate must not require network access to fetch them; CI installs
 # both). deadcode prints functions no main package or test reaches; any
 # output fails the gate. Tests count as callers (-test) because the frozen

@@ -1,8 +1,9 @@
 package core
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -173,34 +174,49 @@ type Config struct {
 // DefaultPartition is the default slicing granularity (4 MB).
 const DefaultPartition = 4e6
 
-// releaseOrder sorts gradient indices by (generation time, descending
-// index); a concrete sort.Interface keeps the hot Assemble path free of the
-// closure and reflection machinery of sort.SliceStable.
-type releaseOrder struct {
-	order []int
-	gen   []float64
-}
+// GradHeap is a min-heap of gradient indices: the lowest index, the most
+// urgent gradient, sits at [0]. Algorithm 1's ready set and the priority
+// rows of schedule.Queue pop from it; it is typed, so Push and Pop box
+// nothing.
+type GradHeap []int
 
-func (r releaseOrder) Len() int { return len(r.order) }
-func (r releaseOrder) Less(a, b int) bool {
-	if r.gen[r.order[a]] != r.gen[r.order[b]] {
-		return r.gen[r.order[a]] < r.gen[r.order[b]]
+// Push adds gradient g.
+func (h *GradHeap) Push(g int) {
+	s := append(*h, g)
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p] <= s[i] {
+			break
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
 	}
-	return r.order[a] > r.order[b]
+	*h = s
 }
-func (r releaseOrder) Swap(a, b int) { r.order[a], r.order[b] = r.order[b], r.order[a] }
 
-// intHeap is a min-heap of gradient indices (highest priority = smallest).
-type intHeap []int
-
-func (h intHeap) Len() int           { return len(h) }
-func (h intHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h intHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *intHeap) Push(x any)        { *h = append(*h, x.(int)) }
-func (h *intHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-func (h *intHeap) peek() int         { return (*h)[0] }
-func (h *intHeap) popMin() int       { return heap.Pop(h).(int) }
-func (h *intHeap) pushIdx(v int)     { heap.Push(h, v) }
+// Pop removes and returns the lowest index.
+func (h *GradHeap) Pop() int {
+	s := *h
+	g, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1] < s[c] {
+			c++
+		}
+		if s[i] <= s[c] {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return g
+}
 
 // Assemble runs Algorithm 1 over a profile and returns the transfer plan
 // for one iteration.
@@ -245,7 +261,9 @@ func Assemble(prof *Profile, cfg Config) (*Plan, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Stable(releaseOrder{order: order, gen: prof.Gen})
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(prof.Gen[a], prof.Gen[b]), cmp.Compare(b, a))
+	})
 
 	c0 := prof.BackwardEnd()
 	start := make([]float64, n)
@@ -266,11 +284,11 @@ func Assemble(prof *Profile, cfg Config) (*Plan, error) {
 	spanBuf := make([]Span, 0, maxSpans)
 	plan := &Plan{Start: start, Units: make([]Unit, 0, 64)}
 
-	ready := make(intHeap, 0, n)
+	ready := make(GradHeap, 0, n)
 	next := 0 // next index into order not yet released
 	absorb := func(now float64) {
 		for next < n && prof.Gen[order[next]] <= now {
-			ready.pushIdx(order[next])
+			ready.Push(order[next])
 			next++
 		}
 	}
@@ -279,7 +297,7 @@ func Assemble(prof *Profile, cfg Config) (*Plan, error) {
 	reachedZero := false
 	for left > 0 && !reachedZero {
 		absorb(linkFree)
-		if ready.Len() == 0 {
+		if len(ready) == 0 {
 			if next >= n {
 				break
 			}
@@ -299,8 +317,8 @@ func Assemble(prof *Profile, cfg Config) (*Plan, error) {
 		tUsed := cfg.PerMessageTime
 		base := len(spanBuf)
 		var bytes float64
-		for ready.Len() > 0 {
-			q := ready.peek()
+		for len(ready) > 0 {
+			q := ready[0]
 			if q == 0 {
 				reachedZero = true // c(0) reached: the rest is forward phase
 				break
@@ -342,7 +360,7 @@ func Assemble(prof *Profile, cfg Config) (*Plan, error) {
 			remaining[q] -= take
 			last := remaining[q] <= 0
 			if last {
-				ready.popMin()
+				ready.Pop()
 				left--
 			}
 			// Merge consecutive spans of the same gradient.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -548,5 +549,51 @@ func TestAssembleForwardBundleChargesPerMessageTime(t *testing.T) {
 	}
 	if checkedAtOffset == 0 {
 		t.Fatal("no bundled gradient started at a nonzero offset; test exercises nothing")
+	}
+}
+
+// TestAssembleAllocsDoNotGrowWithGradients: Algorithm 1 sizes its buffers
+// once per plan, so tripling the gradient count adds at most a couple of
+// objects (the unit slice outgrowing its presize), not one per gradient.
+func TestAssembleAllocsDoNotGrowWithGradients(t *testing.T) {
+	allocs := func(nBlocks int) float64 {
+		prof := stepProfile(t, nBlocks, 10, 1e-3, 1e6)
+		cfg := Config{Bandwidth: 5e9, PerMessageTime: 1e-5}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Assemble(prof, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(10), allocs(30); large > small+2 {
+		t.Errorf("Assemble allocates %v objects on 300 gradients, %v on 100: want at most 2 more", large, small)
+	}
+}
+
+// TestGradHeapPopsLowestFirst interleaves pushes and pops of distinct
+// indices and checks every pop against a sorted reference.
+func TestGradHeapPopsLowestFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h GradHeap
+	var ref []int
+	for _, g := range rng.Perm(500) {
+		h.Push(g)
+		ref = append(ref, g)
+		for len(ref) > 0 && rng.Intn(3) == 0 {
+			sort.Ints(ref)
+			if got := h.Pop(); got != ref[0] {
+				t.Fatalf("Pop = %d, want %d", got, ref[0])
+			}
+			ref = ref[1:]
+		}
+	}
+	sort.Ints(ref)
+	for _, want := range ref {
+		if got := h.Pop(); got != want {
+			t.Fatalf("Pop = %d, want %d", got, want)
+		}
+	}
+	if len(h) != 0 {
+		t.Fatalf("%d indices left after draining", len(h))
 	}
 }

@@ -1,7 +1,5 @@
 package drive
 
-import "prophet/internal/schedule"
-
 // WireVolume returns the wire bytes a backend moves per payload byte of one
 // message: 1 for the parameter server's single transfer, Σ ChunkBytes(1, W)
 // for a collective (2(W−1)/W for both ring and tree — the bandwidth-optimal
@@ -15,7 +13,19 @@ func WireVolume(be Backend, workers int) float64 {
 	return total
 }
 
-// WireCost returns the one CostModel of a serial store-and-forward link: a
+// Window is one message's predicted wire window: the half-open interval
+// [Start, End) the cost model expects the transfer to occupy on its lane,
+// in seconds on the path's clock. The zero value means "no prediction was
+// made" — the Driver only fills it when a CostModel is attached, so
+// decision Records stay bit-identical across paths that don't predict.
+type Window struct {
+	Start, End float64
+}
+
+// IsZero reports whether no prediction was recorded.
+func (w Window) IsZero() bool { return w == Window{} }
+
+// WireCost returns the CostModel of a serial store-and-forward link: a
 // message played as a backend's chunk schedule (the netsim wire arithmetic
 // in closed form). The dispatch stall is serialized once before the first
 // chunk, and every chunk step pays the link's per-message setup and ramp —
@@ -30,11 +40,17 @@ func WireVolume(be Backend, workers int) float64 {
 // signal the audit exists to measure — and a re-read after the rate settles
 // re-anchors the plan. W ≤ 1 collectives have no chunks and predict zero
 // (cluster.Run rejects them).
-func WireCost(be Backend, workers int, setup, ramp float64, bandwidth func(lane int) float64) schedule.CostModel {
-	return &wireCost{be: be, workers: workers, setup: setup, ramp: ramp, bandwidth: bandwidth}
+func WireCost(be Backend, workers int, setup, ramp float64, bandwidth func(lane int) float64) *CostModel {
+	return &CostModel{be: be, workers: workers, setup: setup, ramp: ramp, bandwidth: bandwidth}
 }
 
-type wireCost struct {
+// CostModel predicts how long one dispatched sub-message occupies its lane:
+// the same quantity the strategies' own planners reason about (Eq. 10's
+// f(s, B) plus the engine dispatch stall), so the Driver can stamp every
+// decision with its planned window and the prediction audit
+// (internal/probe/predict) can score the plan against what the wire
+// actually did. The Driver calls it single-threaded from its enqueue path.
+type CostModel struct {
 	be        Backend
 	workers   int
 	setup     float64 // per-message fixed overhead, seconds (netsim.LinkConfig.SetupTime)
@@ -43,8 +59,9 @@ type wireCost struct {
 	chunks    []float64 // reused scratch: predictions allocate nothing steady-state
 }
 
-// MessageTime implements schedule.CostModel.
-func (c *wireCost) MessageTime(lane int, bytes, stall float64) float64 {
+// MessageTime returns the predicted lane-busy time of a sub-message of
+// `bytes` payload with engine dispatch cost `stall`, dispatched on `lane`.
+func (c *CostModel) MessageTime(lane int, bytes, stall float64) float64 {
 	c.chunks = c.be.ChunkBytes(bytes, c.workers, c.chunks[:0])
 	if len(c.chunks) == 0 {
 		return 0

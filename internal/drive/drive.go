@@ -93,7 +93,7 @@ type Record struct {
 	// ([earliest predicted start, latest predicted end]). It stays zero
 	// unless a CostModel is attached (SetCostModel), so recorded decision
 	// sequences remain comparable across paths that don't predict.
-	Planned schedule.Window
+	Planned Window
 }
 
 // group tracks one scheduler message across its per-lane sub-sends.
@@ -170,7 +170,7 @@ type Driver struct {
 	// predicted end mirrors the dispatch timeline exactly when the model is
 	// exact. planObs is obs's optional PlanObserver face, resolved once in
 	// SetObserver.
-	cost    schedule.CostModel
+	cost    *CostModel
 	planObs probe.PlanObserver
 }
 
@@ -208,7 +208,7 @@ func (d *Driver) SetObserver(worker int, obs probe.Observer) {
 // probe.PlanObserver). Passing nil detaches it. Prediction is passive — it
 // never changes what the driver dispatches — and costs nothing when
 // detached (one nil check per enqueue).
-func (d *Driver) SetCostModel(cost schedule.CostModel) { d.cost = cost }
+func (d *Driver) SetCostModel(cost *CostModel) { d.cost = cost }
 
 // Records returns the decision log accumulated so far (fetch order).
 func (d *Driver) Records() []Record { return d.records }
@@ -354,7 +354,7 @@ func (d *Driver) enqueue(msg schedule.Message, now float64) {
 		}
 	}
 	prio := msg.Priority()
-	var planned schedule.Window
+	var planned Window
 	for s := range d.lanes {
 		ln := &d.lanes[s]
 		sub := ln.split

@@ -254,48 +254,60 @@ func TestNilObserverZeroAlloc(t *testing.T) {
 // nothing.
 func TestSchedulerRowsZeroAlloc(t *testing.T) {
 	// Sizes above the 4 MB partition and credit defaults, so p3 and
-	// bytescheduler slice and fusion and bytescheduler span.
-	sizes := []float64{9e6, 0.5e6, 2.5e6, 64e3, 5e6, 128e3}
-	gen := make([]float64, len(sizes))
-	for g := range gen {
-		gen[g] = float64(len(sizes)-g) * 0.01
+	// bytescheduler slice and fusion and bytescheduler span. Repeated to
+	// 300 gradients they also cover indices of 256 and up, which Go boxes
+	// into an interface only by allocating.
+	six := []float64{9e6, 0.5e6, 2.5e6, 64e3, 5e6, 128e3}
+	var many []float64
+	for len(many) < 300 {
+		many = append(many, six...)
 	}
-	prof, err := core.NewProfile(gen, sizes, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"fifo", "fusion", "tictac", "p3", "bytescheduler", "prophet"} {
-		for _, lanes := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/%d", name, lanes), func(t *testing.T) {
-				sched, err := strategy.New(name, strategy.Params{Sizes: sizes, Profile: prof})
-				if err != nil {
-					t.Fatal(err)
-				}
-				tx := &freeTx{}
-				drv := drive.New(sched, tx, lanes, len(sizes), func(g int) int { return g % lanes })
-				tx.drv = drv
-				iterate := func(iter int) {
-					drv.BeginIteration(iter)
-					for g := len(sizes) - 1; g >= 0; g-- {
-						drv.Generate(g, gen[g])
-						drv.Pump(gen[g])
+	for _, model := range []struct {
+		suffix string
+		sizes  []float64
+	}{{"", six}, {"/300", many}} {
+		sizes := model.sizes
+		gen := make([]float64, len(sizes))
+		for g := range gen {
+			gen[g] = float64(len(sizes)-g) * 0.01
+		}
+		prof, err := core.NewProfile(gen, sizes, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"fifo", "fusion", "tictac", "p3", "bytescheduler", "prophet"} {
+			for _, lanes := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%d%s", name, lanes, model.suffix), func(t *testing.T) {
+					sched, err := strategy.New(name, strategy.Params{Sizes: sizes, Profile: prof})
+					if err != nil {
+						t.Fatal(err)
 					}
-					for g, b := range sizes {
-						if drv.Offset(g) != b {
-							t.Fatalf("iter %d: gradient %d shipped %v of %v bytes", iter, g, drv.Offset(g), b)
+					tx := &freeTx{}
+					drv := drive.New(sched, tx, lanes, len(sizes), func(g int) int { return g % lanes })
+					tx.drv = drv
+					iterate := func(iter int) {
+						drv.BeginIteration(iter)
+						for g := len(sizes) - 1; g >= 0; g-- {
+							drv.Generate(g, gen[g])
+							drv.Pump(gen[g])
 						}
+						for g, b := range sizes {
+							if drv.Offset(g) != b {
+								t.Fatalf("iter %d: gradient %d shipped %v of %v bytes", iter, g, drv.Offset(g), b)
+							}
+						}
+						drv.EndIteration(1.0)
 					}
-					drv.EndIteration(1.0)
-				}
-				iterate(0) // warm the free lists and the label caches
-				iter := 1
-				if got := testing.AllocsPerRun(50, func() {
-					iterate(iter)
-					iter++
-				}); got != 0 {
-					t.Errorf("%v allocs per warm iteration, want 0", got)
-				}
-			})
+					iterate(0) // warm the free lists and the label caches
+					iter := 1
+					if got := testing.AllocsPerRun(50, func() {
+						iterate(iter)
+						iter++
+					}); got != 0 {
+						t.Errorf("%v allocs per warm iteration, want 0", got)
+					}
+				})
+			}
 		}
 	}
 }

@@ -95,36 +95,6 @@ func (st *StepTrace) NextChange(t sim.Time) sim.Time {
 	return st.steps[i].From
 }
 
-// Periodic wraps a base trace and repeats it with the given period. It
-// models recurring contention (e.g. a colocated tenant with a duty cycle).
-type Periodic struct {
-	Base   Trace
-	Period sim.Time
-}
-
-// At implements Trace.
-func (p Periodic) At(t sim.Time) float64 {
-	if p.Period <= 0 {
-		return p.Base.At(t)
-	}
-	cycles := float64(int64(t / p.Period))
-	return p.Base.At(t - cycles*p.Period)
-}
-
-// NextChange implements Trace.
-func (p Periodic) NextChange(t sim.Time) sim.Time {
-	if p.Period <= 0 {
-		return p.Base.NextChange(t)
-	}
-	cycles := float64(int64(t / p.Period))
-	base := t - cycles*p.Period
-	nc := p.Base.NextChange(base)
-	if nc >= p.Period || nc >= inf {
-		nc = p.Period
-	}
-	return cycles*p.Period + nc
-}
-
 // Scaled multiplies a base trace's bandwidth by a constant factor. Its
 // main use is shard links: splitting one PS NIC across N shard instances
 // gives each shard link Scale(base, 1/N) while preserving the base trace's

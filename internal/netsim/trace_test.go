@@ -128,23 +128,6 @@ func TestTransferTimeDeadForever(t *testing.T) {
 	}
 }
 
-func TestPeriodicTrace(t *testing.T) {
-	base := NewStepTrace(Step{0, 10}, Step{1, 20})
-	p := Periodic{Base: base, Period: 2}
-	if p.At(0) != 10 || p.At(1.5) != 20 || p.At(2.0) != 10 || p.At(3.5) != 20 {
-		t.Fatal("Periodic trace wrong values")
-	}
-	if got := p.NextChange(0.5); got != 1 {
-		t.Fatalf("NextChange(0.5) = %v, want 1", got)
-	}
-	if got := p.NextChange(1.5); got != 2 {
-		t.Fatalf("NextChange(1.5) = %v, want 2 (period wrap)", got)
-	}
-	if got := p.NextChange(2.5); got != 3 {
-		t.Fatalf("NextChange(2.5) = %v, want 3", got)
-	}
-}
-
 // Property: transfer time under a constant trace equals bytes/rate.
 func TestPropertyTransferTimeConst(t *testing.T) {
 	f := func(bRaw, rRaw uint32) bool {

@@ -12,7 +12,7 @@
 // run's observer, or inside probe.NewMulti, then Flush and Report once the
 // run has drained. Its presence is what switches prediction on — a run
 // predicts only when its observer is a probe.PlanObserver. The drive layer
-// then gets a schedule.CostModel and announces every sub-message's planned
+// then gets the wire's cost model, drive.WireCost, and announces every sub-message's planned
 // wire window through probe.PlanObserver at decision time. The transports
 // announce the observed window through the ordinary SendStart/SendComplete
 // events. The Auditor subscribes to both streams and joins them on

@@ -112,7 +112,7 @@ type StepObserver interface {
 // PlanObserver is an optional extension of Observer for the prediction
 // audit, and the switch that turns prediction on: a run predicts if and
 // only if its observer is a PlanObserver. Then every drive.Driver gets the
-// wire's schedule.CostModel (or a live engine predicts from its configured
+// wire's cost model, drive.WireCost (or a live engine predicts from its configured
 // rate) and announces each sub-message's *planned* wire window at decision
 // time — before the send happens — so the audit (internal/probe/predict)
 // can join plan against observation. The predict.Auditor is the one

@@ -1,9 +1,10 @@
 package schedule
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+
+	"prophet/internal/core"
 )
 
 // Queue is every baseline the paper compares Prophet with: one design
@@ -33,7 +34,7 @@ type Queue struct {
 
 	// ready holds the queued gradients from head on: in release order, or as
 	// a min-heap on the gradient index with head fixed at 0.
-	ready gradHeap
+	ready core.GradHeap
 	head  int
 	// remaining[g] is what gradient g still has to send; queued[g] marks it
 	// as being in ready.
@@ -172,7 +173,7 @@ func (q *Queue) OnGenerated(g int, _ float64) {
 	}
 	q.remaining[g], q.queued[g] = q.sizes[g], true
 	if q.byPriority {
-		heap.Push(&q.ready, g)
+		q.ready.Push(g)
 	} else {
 		q.ready = append(q.ready, g)
 	}
@@ -202,7 +203,7 @@ func (q *Queue) Next(float64) (Message, bool) {
 		if last {
 			q.queued[g] = false
 			if q.byPriority {
-				heap.Pop(&q.ready)
+				q.ready.Pop()
 			} else {
 				q.head++
 			}
@@ -252,20 +253,4 @@ func (q *Queue) OnIterationEnd(iterDur float64) {
 	if q.tuner != nil {
 		q.tuner.Report(iterDur)
 	}
-}
-
-// gradHeap is a min-heap of gradient indices (lowest index = highest
-// priority at the top).
-type gradHeap []int
-
-func (h gradHeap) Len() int           { return len(h) }
-func (h gradHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h gradHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *gradHeap) Push(x any)        { *h = append(*h, x.(int)) }
-func (h *gradHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
 }

@@ -229,8 +229,10 @@ func satisfies(fn *types.Func, ifaces []*types.Interface) bool {
 // repository is built): every function or method declared in a non-test
 // file outside benchmark/ is referenced from some non-test file — the frozen
 // benchmark's files count as callers — outside its own body, or is a method
-// an interface demands, or is in reachAllow with a reason. A function only
-// its own test calls is production code nobody runs.
+// an interface demands, or is in reachAllow with a reason; and every type
+// declared there is named by some non-test file outside its own methods'
+// receivers. A function only its own test calls is production code nobody
+// runs.
 func TestEveryFunctionIsReferenced(t *testing.T) {
 	m := loadModule(t)
 	type decl struct {
@@ -238,13 +240,31 @@ func TestEveryFunctionIsReferenced(t *testing.T) {
 		pos, end token.Pos
 	}
 	declared := map[*types.Func]decl{}
+	typeDecls := map[*types.TypeName]decl{}
+	inReceiver := map[token.Pos]bool{} // identifiers inside a method's receiver
 	for path, files := range m.files {
 		if path == "prophet/benchmark" {
 			continue
 		}
 		for _, f := range files {
 			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+					for _, spec := range gd.Specs {
+						ts := spec.(*ast.TypeSpec)
+						name := strings.TrimPrefix(path, "prophet/") + "." + ts.Name.Name
+						typeDecls[m.info.Defs[ts.Name].(*types.TypeName)] = decl{name, ts.Pos(), ts.End()}
+					}
+					continue
+				}
 				fd, ok := d.(*ast.FuncDecl)
+				if ok && fd.Recv != nil {
+					ast.Inspect(fd.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							inReceiver[id.Pos()] = true
+						}
+						return true
+					})
+				}
 				if !ok || fd.Name.Name == "_" || fd.Name.Name == "init" || (fd.Name.Name == "main" && f.Name.Name == "main") {
 					continue
 				}
@@ -258,11 +278,17 @@ func TestEveryFunctionIsReferenced(t *testing.T) {
 		}
 	}
 	referenced := map[*types.Func]bool{}
+	typeNamed := map[*types.TypeName]bool{}
 	for id, obj := range m.info.Uses {
-		if fn, ok := obj.(*types.Func); ok {
-			fn = fn.Origin()
+		switch obj := obj.(type) {
+		case *types.Func:
+			fn := obj.Origin()
 			if d, ok := declared[fn]; ok && (id.Pos() < d.pos || id.Pos() >= d.end) {
 				referenced[fn] = true
+			}
+		case *types.TypeName:
+			if !inReceiver[id.Pos()] {
+				typeNamed[obj] = true
 			}
 		}
 	}
@@ -293,6 +319,18 @@ func TestEveryFunctionIsReferenced(t *testing.T) {
 	sort.Strings(dead)
 	for _, line := range dead {
 		t.Errorf("%s is referenced by no non-test file: delete it, or add it to reachAllow with the reason it stays", line)
+	}
+	// A type nothing names, its own methods' receivers aside, is never
+	// built: its methods run only in tests, whatever interface names them.
+	var deadTypes []string
+	for tn, d := range typeDecls {
+		if !typeNamed[tn] {
+			deadTypes = append(deadTypes, m.fset.Position(d.pos).String()+": type "+d.name)
+		}
+	}
+	sort.Strings(deadTypes)
+	for _, line := range deadTypes {
+		t.Errorf("%s is named by no non-test file outside its methods' receivers: delete it", line)
 	}
 	for name := range reachAllow {
 		if !allowed[name] {
