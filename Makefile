@@ -139,5 +139,6 @@ fuzz:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadFrameFaultStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDecodeFloats$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzMuxReadFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzMuxCombinedWrites$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ps -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/collective -run '^$$' -fuzz '^FuzzFabricDeliver$$' -fuzztime $(FUZZTIME)

@@ -351,12 +351,14 @@ func TestMeteredFabric(t *testing.T) {
 	if tx := m.Counter("transport_collective_tx_bytes").Value(); tx == 0 {
 		t.Fatal("metered fabric recorded no tx bytes")
 	}
-	// One pipe hand-off per frame, counted rather than timed: a chunk's header
-	// and its 128-byte payload are one Write on the send end and must be one
-	// Read on the receive end (the +1 is the demux loop's next, parked, read).
+	// At most one pipe hand-off per frame, counted rather than timed: a
+	// chunk's header and its 128-byte payload are one Write on the send end
+	// — two peers' chunks of a step may share one, the mux combines
+	// concurrent senders — and each Write must be one Read on the receive
+	// end (the +1 is the demux loop's next, parked, read).
 	writes, reads := m.Counter("transport_collective_writes").Value(), m.Counter("transport_collective_reads").Value()
-	if writes != 4 || reads > writes+1 {
-		t.Fatalf("%d writes (want 4: 2 peers x 2 steps) took %d reads on the receive end, want at most one each", writes, reads)
+	if writes < 2 || writes > 4 || reads > writes+1 {
+		t.Fatalf("%d writes (want 2–4: 2 peers x 2 steps, a step's two chunks possibly combined) took %d reads on the receive end, want at most one each", writes, reads)
 	}
 }
 

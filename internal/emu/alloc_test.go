@@ -84,7 +84,7 @@ func TestMuxSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts are only meaningful without -race")
 	}
-	const workers, short, long, bound = 64, 20, 60, 4.0
+	const workers, short, long, bound = 64, 20, 60, 1.0
 	cfg := Config{
 		Workers: workers, Layers: []int{16, 32, 32, 4}, Dataset: nn.Blobs(256, 16, 4, 11),
 		Batch: 16, LR: 0.1, Seed: 5, Policy: "fifo", Shards: 4, Mux: true,

@@ -51,6 +51,7 @@ import (
 	"prophet/internal/schedule"
 	"prophet/internal/shard"
 	"prophet/internal/strategy"
+	"prophet/internal/tensor"
 	"prophet/internal/transport"
 )
 
@@ -774,8 +775,9 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, boa
 	var records []drive.Record
 
 	// Per-iteration scratch, allocated once: the events slice is truncated
-	// per pass.
+	// per pass, and x is re-pointed at each iteration's batch.
 	events := make([]genEvent, 0, nTensors)
+	x := new(tensor.Mat)
 
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		iterStart := time.Now()
@@ -783,7 +785,7 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, boa
 			obs.BeginIteration(w, iter, clock())
 		}
 		lo := (iter*shardStride + w*cfg.Batch) % (cfg.Dataset.X.Rows - cfg.Batch + 1)
-		x, batchLabels := cfg.Dataset.Batch(lo, lo+cfg.Batch)
+		batchLabels := cfg.Dataset.BatchInto(x, lo, lo+cfg.Batch)
 
 		fwdStart := time.Now()
 		logits := m.Forward(x)

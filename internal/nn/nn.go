@@ -320,12 +320,17 @@ func Blobs(n, features, classes int, seed uint64) *Dataset {
 
 // Batch returns rows [lo, hi) as a copy-free view plus labels.
 func (d *Dataset) Batch(lo, hi int) (*tensor.Mat, []int) {
+	x := new(tensor.Mat)
+	return x, d.BatchInto(x, lo, hi)
+}
+
+// BatchInto points x at rows [lo, hi) — a copy-free view, so a caller that
+// keeps one x pays no header per batch — and returns their labels.
+func (d *Dataset) BatchInto(x *tensor.Mat, lo, hi int) []int {
 	if lo < 0 || hi > d.X.Rows || lo >= hi {
 		panic(fmt.Sprintf("nn: Batch [%d, %d) out of range", lo, hi))
 	}
-	return &tensor.Mat{
-		Rows: hi - lo,
-		Cols: d.X.Cols,
-		Data: d.X.Data[lo*d.X.Cols : hi*d.X.Cols],
-	}, d.Labels[lo:hi]
+	x.Rows, x.Cols = hi-lo, d.X.Cols
+	x.Data = d.X.Data[lo*d.X.Cols : hi*d.X.Cols]
+	return d.Labels[lo:hi]
 }

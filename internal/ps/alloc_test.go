@@ -3,6 +3,7 @@ package ps
 import (
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -169,5 +170,77 @@ func TestResultChannelReuse(t *testing.T) {
 	}
 	if r := <-stale; r.Err != nil || len(r.Data) != 16 {
 		t.Fatalf("the unread value changed: %+v", r)
+	}
+}
+
+// TestServerRoundSteadyStateAllocs pins the server's per-round recycling:
+// once warm, a round — every worker pushes every tensor and pulls its mean,
+// some pulls parked until the last push aggregates, some answered at once —
+// reuses retired slots (their per-worker slices and waiting lists) and
+// pooled means, and builds no flush list: the server allocates nothing. The
+// done map's amortised growth stays below one object per round.
+func TestServerRoundSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are only meaningful without -race")
+	}
+	const workers, tensors = 4, 3
+	s := NewServer(workers)
+	a, b := transport.Pipe(0, 0)
+	ids := make([]int, workers)
+	for w := range ids {
+		ids[w] = w
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.ServeMux(a, ids) }()
+	mc := transport.NewMuxConn(b, transport.MuxOptions{Streams: workers, Pool: transport.NewPayloadPool()})
+	defer func() {
+		mc.Close()
+		if err := <-served; err != nil {
+			t.Error(err)
+		}
+	}()
+	grad := make([]float64, 64)
+	var pull transport.Frame
+	iter := uint32(0)
+	round := func() {
+		iter++
+		for tn := uint32(0); tn < tensors; tn++ {
+			for w := uint32(0); w < workers; w++ {
+				if err := mc.SendFloats(w, transport.Push, iter, tn, grad); err != nil {
+					t.Fatal(err)
+				}
+				pull.Type, pull.Iter, pull.Tensor = transport.PullReq, iter, tn
+				if err := mc.SendFrame(w, &pull); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for range workers * tensors {
+			st, f, err := mc.Read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Type != transport.PullResp || f.Iter != iter || len(f.Payload) != 8*len(grad) {
+				t.Fatalf("got %v iter %d with %d bytes, want the iteration-%d mean", f.Type, f.Iter, len(f.Payload), iter)
+			}
+			mc.Done(st, f)
+		}
+		// The last response's bookkeeping runs after its write: wait for
+		// every slot to retire.
+		for {
+			s.mu.Lock()
+			open := len(s.slots)
+			s.mu.Unlock()
+			if open == 0 {
+				break
+			}
+			runtime.Gosched()
+		}
+	}
+	for range 3 {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a warm round allocated %v objects, want 0", allocs)
 	}
 }

@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -105,6 +106,9 @@ type Server struct {
 
 	mu    sync.Mutex
 	slots map[slotKey]*slot
+	// slotFree recycles retired slots, with their per-worker slices and
+	// their waiting list, for the next (iteration, tensor).
+	slotFree []*slot
 	// done records fully-served slots so a duplicate or late request after
 	// garbage collection is a protocol error instead of a silent hang. It
 	// grows with the number of distinct (iteration, tensor) pairs of one
@@ -294,14 +298,45 @@ func (s *Server) addServing(delta int) {
 func (s *Server) getSlot(k slotKey) *slot {
 	sl, ok := s.slots[k]
 	if !ok {
-		sl = &slot{
-			contrib:  make([][]float64, s.workers),
-			servedBy: make([]bool, s.workers),
-			inflight: make([]bool, s.workers),
+		if n := len(s.slotFree); n > 0 {
+			sl = s.slotFree[n-1]
+			s.slotFree[n-1] = nil
+			s.slotFree = s.slotFree[:n-1]
+		} else {
+			sl = &slot{
+				contrib:  make([][]float64, s.workers),
+				servedBy: make([]bool, s.workers),
+				inflight: make([]bool, s.workers),
+			}
 		}
 		s.slots[k] = sl
 	}
 	return sl
+}
+
+// retireSlotLocked ends a slot every live worker has received: k is marked
+// done, and the slot, cleared, goes back to the freelist. Nothing holds a
+// slot across an unlock — every other site looks it up by key — so none
+// can see it reused. A responder holds the mean from meanFor until its
+// finishRespond, always under an inflight mark, so the mean goes back to
+// the float pool only when no mark is set; a worker dropped mid-response
+// leaves it to the garbage collector.
+func (s *Server) retireSlotLocked(k slotKey, sl *slot) {
+	if sl.timer != nil {
+		sl.timer.Stop()
+		sl.timer = nil
+	}
+	delete(s.slots, k)
+	s.done[k] = true
+	if !slices.Contains(sl.inflight, true) {
+		floats.Put(sl.mean)
+	}
+	clear(sl.contrib)
+	clear(sl.servedBy)
+	clear(sl.inflight)
+	clear(sl.waiting)
+	sl.got, sl.mean, sl.waiting = 0, nil, sl.waiting[:0]
+	s.slotFree = append(s.slotFree, sl)
 }
 
 func (s *Server) handlePush(w int, f *transport.Frame) error {
@@ -337,53 +372,47 @@ func (s *Server) handlePush(w int, f *transport.Frame) error {
 	}
 	sl.contrib[w] = data
 	sl.got++
-	var flush []pendingPull
 	if sl.got == s.live {
 		if err := sl.aggregate(s.dead, s.live); err != nil {
 			s.mu.Unlock()
 			return err
 		}
-		flush = s.takeWaitingLocked(sl)
+		s.flushWaitingLocked(k, sl)
 	}
 	s.mu.Unlock()
-	for _, p := range flush {
-		s.respondAsync(p.worker, k)
-	}
 	return nil
 }
 
-// takeWaitingLocked detaches a freshly aggregated slot's parked pulls
+// flushWaitingLocked answers a freshly aggregated slot's parked pulls
 // (skipping dropped workers) and disarms its straggler timer.
-func (s *Server) takeWaitingLocked(sl *slot) []pendingPull {
+func (s *Server) flushWaitingLocked(k slotKey, sl *slot) {
 	if sl.timer != nil {
 		sl.timer.Stop()
 		sl.timer = nil
 	}
-	var flush []pendingPull
 	for _, p := range sl.waiting {
 		if !s.dead[p.worker] {
-			flush = append(flush, p)
+			s.respondLocked(p.worker, k, sl)
 		}
 	}
-	sl.waiting = nil
-	return flush
+	clear(sl.waiting)
+	sl.waiting = sl.waiting[:0]
 }
 
-// respondAsync hands a response to the responder of the connection serving
-// w, without blocking the caller's demux loop — a connection stays full
-// duplex: pushes keep flowing while a large parameter response streams back.
-// A worker no connection is serving any more has nowhere to be answered:
-// the slot stays unmarked, hence retryable.
-func (s *Server) respondAsync(w int, k slotKey) {
-	s.mu.Lock()
+// respondLocked hands worker w's response for slot sl (key k) to the
+// responder of the connection serving w, without blocking the caller's
+// demux loop — a connection stays full duplex: pushes keep flowing while a
+// large parameter response streams back. A worker no connection is serving
+// any more has nowhere to be answered: the slot stays unmarked, hence
+// retryable. The responder's queue lock nests inside s.mu; the responder
+// never takes s.mu while holding it.
+func (s *Server) respondLocked(w int, k slotKey, sl *slot) {
 	l := s.links[w]
-	if sl, ok := s.slots[k]; ok && l.r != nil {
-		sl.inflight[w] = true
+	if l.r == nil {
+		return
 	}
-	s.mu.Unlock()
-	if l.r != nil {
-		l.r.enqueue(respJob{w, l.stream, k})
-	}
+	sl.inflight[w] = true
+	l.r.enqueue(respJob{w, l.stream, k})
 }
 
 // aggregate sums live contributions in worker-id order and divides by the
@@ -404,7 +433,8 @@ func (sl *slot) aggregate(dead []bool, live int) error {
 	if n < 0 {
 		return fmt.Errorf("ps: aggregate with no live contributions")
 	}
-	mean := make([]float64, n)
+	mean := floats.Get(n)
+	clear(mean)
 	for w, c := range sl.contrib {
 		if dead[w] || c == nil {
 			continue
@@ -419,16 +449,14 @@ func (sl *slot) aggregate(dead []bool, live int) error {
 	}
 	sl.mean = mean
 	// Every contribution (live or dead) is summed or abandoned by now:
-	// recycle the decoded buffers for the next pushes. The mean itself is
-	// not pooled — concurrent responders may still hold a reference when
-	// the slot is garbage-collected.
+	// recycle the decoded buffers for the next pushes. The mean goes back
+	// when the slot retires (retireSlotLocked).
 	for w, c := range sl.contrib {
 		if c != nil {
 			sl.contrib[w] = nil
 			floats.Put(c)
 		}
 	}
-	sl.contrib = nil
 	return nil
 }
 
@@ -457,11 +485,10 @@ func (s *Server) handlePull(w int, f *transport.Frame) error {
 	if sl.mean == nil {
 		sl.waiting = append(sl.waiting, pendingPull{worker: w})
 		s.armStragglerLocked(k, sl)
-		s.mu.Unlock()
-		return nil
+	} else {
+		s.respondLocked(w, k, sl)
 	}
 	s.mu.Unlock()
-	s.respondAsync(w, k)
 	return nil
 }
 
@@ -521,11 +548,6 @@ func (s *Server) DropWorker(w int) {
 	if r := s.links[w].r; r != nil && s.allDeadLocked(r.ids) {
 		orphaned = r
 	}
-	type flushItem struct {
-		k  slotKey
-		ps []pendingPull
-	}
-	var flush []flushItem
 	if s.live > 0 {
 		for k, sl := range s.slots {
 			if sl.mean == nil {
@@ -534,20 +556,12 @@ func (s *Server) DropWorker(w int) {
 					sl.got--
 					floats.Put(c)
 				}
-				if sl.got == s.live {
-					if err := sl.aggregate(s.dead, s.live); err != nil {
-						continue
-					}
-					flush = append(flush, flushItem{k, s.takeWaitingLocked(sl)})
+				if sl.got == s.live && sl.aggregate(s.dead, s.live) == nil {
+					s.flushWaitingLocked(k, sl)
 				}
 			} else if s.allServedLocked(sl) {
 				// w may have been the only worker not yet served.
-				if sl.timer != nil {
-					sl.timer.Stop()
-					sl.timer = nil
-				}
-				delete(s.slots, k)
-				s.done[k] = true
+				s.retireSlotLocked(k, sl)
 			}
 		}
 	}
@@ -556,11 +570,6 @@ func (s *Server) DropWorker(w int) {
 		// Nobody left to serve on the connection: close it so the dropped
 		// workers observe the failure instead of waiting out their pulls.
 		orphaned.mc.Close()
-	}
-	for _, fi := range flush {
-		for _, p := range fi.ps {
-			s.respondAsync(p.worker, fi.k)
-		}
 	}
 }
 
@@ -614,12 +623,7 @@ func (s *Server) finishRespond(w int, k slotKey, werr error) error {
 	}
 	sl.servedBy[w] = true
 	if s.allServedLocked(sl) {
-		if sl.timer != nil {
-			sl.timer.Stop()
-			sl.timer = nil
-		}
-		delete(s.slots, k)
-		s.done[k] = true
+		s.retireSlotLocked(k, sl)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"sync"
 	"testing"
 )
 
@@ -97,5 +98,108 @@ func FuzzMuxReadFrame(f *testing.F) {
 			}
 			m.Done(s, fr)
 		}
+	})
+}
+
+// muxFuzzBatch is one batch of the combining-write fuzz target: the frames
+// (payload bytes each) one sender ships on its stream with one SendBatch.
+type muxFuzzBatch struct {
+	stream   uint32
+	payloads [][]byte
+}
+
+// parseMuxFuzzBatches cuts fuzz input into batches. Per batch one control
+// byte c picks the stream (c mod muxFuzzStreams) and the frame count
+// (1 + c>>2 mod 3); per frame one byte picks the payload length (mod 64),
+// taken from the input that follows.
+func parseMuxFuzzBatches(data []byte) []muxFuzzBatch {
+	var out []muxFuzzBatch
+	for len(data) > 0 {
+		c := data[0]
+		data = data[1:]
+		b := muxFuzzBatch{stream: uint32(c) % muxFuzzStreams}
+		for j := 0; j < 1+int(c>>2)%3 && len(data) > 0; j++ {
+			n := min(int(data[0])%64, len(data)-1)
+			b.payloads = append(b.payloads, data[1:1+n])
+			data = data[1+n:]
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// FuzzMuxCombinedWrites ships fuzzed batch lists over one pipe, one sender
+// goroutine per stream, all at once, so that writes combine. The demuxed
+// frames must be the serial reference: per stream, exactly the frames that
+// stream's batches staged, in order, byte for byte, each batch's frames
+// back to back on the wire.
+func FuzzMuxCombinedWrites(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 1, 2, 3, 1, 0, 2, 5, 9, 9, 9, 9, 9})
+	f.Add(bytes.Repeat([]byte{0x09, 7, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 0}, 12))
+	f.Add([]byte{0xFF, 63, 0xFE, 0, 0x0A, 1, 2})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		batches := parseMuxFuzzBatches(data)
+		a, b := Pipe(0, 0)
+		src := NewMuxConn(a, MuxOptions{Streams: muxFuzzStreams})
+		dst := NewMuxConn(b, MuxOptions{Streams: muxFuzzStreams, Pool: NewPayloadPool()})
+		defer src.Close()
+		defer dst.Close()
+
+		// The serial reference: per stream, its batches in order.
+		var want [muxFuzzStreams][]muxFuzzBatch
+		frames := 0
+		for _, bt := range batches {
+			want[bt.stream] = append(want[bt.stream], bt)
+			frames += len(bt.payloads)
+		}
+		var wg sync.WaitGroup
+		for s := range want {
+			wg.Add(1)
+			go func(list []muxFuzzBatch) {
+				defer wg.Done()
+				for r, bt := range list {
+					mb := src.NewBatch(bt.stream)
+					for j, p := range bt.payloads {
+						if err := mb.AppendFrame(&Frame{Type: Push, Iter: uint32(r), Tensor: uint32(j), Payload: p}); err != nil {
+							t.Error(err)
+						}
+					}
+					if err := src.SendBatch(mb); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(want[s])
+		}
+
+		next := [muxFuzzStreams]int{} // next batch per stream
+		open, at := -1, 0             // the stream whose batch is part-read, and its next frame
+		for n := 0; n < frames; n++ {
+			s, fr, err := dst.Read()
+			if err != nil {
+				t.Fatalf("frame %d of %d: %v", n, frames, err)
+			}
+			if open >= 0 && int(s) != open {
+				t.Fatalf("stream %d frame inside stream %d's batch", s, open)
+			}
+			if next[s] >= len(want[s]) {
+				t.Fatalf("stream %d: frame beyond its %d batches", s, len(want[s]))
+			}
+			bt := want[s][next[s]]
+			if fr.Type != Push || int(fr.Iter) != next[s] || int(fr.Tensor) != at || !bytes.Equal(fr.Payload, bt.payloads[at]) {
+				t.Fatalf("stream %d: got %v iter %d tensor %d payload %x, want batch %d frame %d payload %x",
+					s, fr.Type, fr.Iter, fr.Tensor, fr.Payload, next[s], at, bt.payloads[at])
+			}
+			dst.Done(s, fr)
+			if at++; at < len(bt.payloads) {
+				open = int(s)
+				continue
+			}
+			open, at = -1, 0
+			next[s]++
+		}
+		wg.Wait()
 	})
 }
