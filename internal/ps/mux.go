@@ -6,9 +6,12 @@ package ps
 // Server side, ServeMux runs the demux loop on the caller's goroutine and
 // one responder goroutine that owns every server write (the pull responses)
 // — two goroutines per physical connection regardless of how many workers it
-// carries. Client side, a MuxGroup owns one demux goroutine and nothing
-// else, and hands out per-worker MuxWorker handles implementing WorkerLink.
-// Three goroutines per pipe in all.
+// carries. The demux loop queues a response under the server lock; the
+// responder encodes every response queued so far, whatever its stream, into
+// one batch (up to transport.MaxCombinedWrite) and ships it as one write.
+// Client side, a MuxGroup owns one demux goroutine and nothing else, and
+// hands out per-worker MuxWorker handles implementing WorkerLink. Three
+// goroutines per pipe in all.
 //
 // Frames are tagged with a stream id equal to the worker's position in the
 // ServeMux ids slice (the MuxGroup uses worker id == stream id directly).
@@ -49,6 +52,7 @@ func (s *Server) ServeMux(conn net.Conn, ids []int) error {
 		s:      s,
 		mc:     mc,
 		ids:    ids,
+		queue:  make([]queuedResponse, 0, len(ids)),
 		notify: make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 	}
@@ -123,38 +127,26 @@ func (s *Server) ServeMux(conn net.Conn, ids []int) error {
 	return s.collectErrors(ids)
 }
 
-// respJob is one queued pull response: worker w's, on its stream.
-type respJob struct {
-	w      int
+// queuedResponse is one pull response waiting for the responder: the mean
+// of slot k, for the worker on stream.
+type queuedResponse struct {
 	stream uint32
 	k      slotKey
 }
 
 // muxResponder is the single writer goroutine of a ServeMux connection: it
-// writes the pull responses the demux loop queues (a demux loop never
-// writes), keeping the server at two goroutines per physical conn.
+// encodes and writes the pull responses the demux loop queues (a demux loop
+// never does either), as many per write as the bound allows, keeping the
+// server at two goroutines per physical conn.
 type muxResponder struct {
 	s   *Server
 	mc  *transport.MuxConn
 	ids []int
 
-	mu    sync.Mutex
-	queue []respJob
-	spare []respJob // swap buffer: drained queues are reused, not reallocated
+	queue []queuedResponse // oldest first; guarded by s.mu
 
 	notify chan struct{}
 	stop   chan struct{}
-}
-
-// enqueue queues one pull response and wakes the responder.
-func (r *muxResponder) enqueue(j respJob) {
-	r.mu.Lock()
-	r.queue = append(r.queue, j)
-	r.mu.Unlock()
-	select {
-	case r.notify <- struct{}{}:
-	default:
-	}
 }
 
 func (r *muxResponder) loop() {
@@ -165,40 +157,55 @@ func (r *muxResponder) loop() {
 		case <-r.notify:
 		}
 		for {
-			// Swap queue and spare under the lock, and only when non-empty:
-			// swapping on an empty take would leave both fields aliased to
-			// one array, letting concurrent enqueues overwrite a jobs slice
-			// mid-iteration.
-			r.mu.Lock()
-			if len(r.queue) == 0 {
-				r.mu.Unlock()
+			b, first := r.encode()
+			if b == nil {
 				break
 			}
-			jobs := r.queue
-			r.queue = r.spare[:0]
-			r.spare = jobs
-			r.mu.Unlock()
-			for _, j := range jobs {
-				if err := r.respond(j); err != nil {
-					// A mux write failure poisons the shared connection:
-					// close it so the demux loop (and every sender) unwinds.
-					r.s.workerFailed(j.w, fmt.Errorf("write pull response: %w", err))
-					r.mc.Close()
-					return
-				}
+			if err := r.mc.SendBatch(b); err != nil {
+				// A mux write failure poisons the shared connection:
+				// close it so the demux loop (and every sender) unwinds.
+				r.s.workerFailed(first, fmt.Errorf("write pull response: %w", err))
+				r.mc.Close()
+				return
 			}
 		}
 	}
 }
 
-// respond writes one queued pull response on the worker's stream.
-func (r *muxResponder) respond(j respJob) error {
-	mean := r.s.meanFor(j.w, j.k)
-	if mean == nil {
-		return nil // collected, not aggregated yet, or worker dropped
+// encode takes the queued responses, oldest first, into one batch of at
+// most transport.MaxCombinedWrite bytes (a single larger response goes
+// alone) and returns it with the first worker it answers, or nil when
+// nothing is left to write. A dropped worker's response is skipped. Each
+// response taken is one slot reader fewer; a slot served to every live
+// worker retires once its last response is encoded.
+func (r *muxResponder) encode() (*transport.MuxBatch, int) {
+	s := r.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var b *transport.MuxBatch
+	first, size, n := -1, 0, 0
+	for ; n < len(r.queue); n++ {
+		q := r.queue[n]
+		sl := s.slots[q.k]
+		if w := r.ids[q.stream]; !s.dead[w] {
+			frame := transport.MuxHeaderSize + 8*len(sl.mean)
+			if b == nil {
+				b, first = r.mc.NewBatch(q.stream), w
+			} else if size+frame > transport.MaxCombinedWrite {
+				break
+			}
+			size += frame
+			b.On(q.stream)
+			// Cannot fail: the mean is as long as a contribution that
+			// arrived in one frame.
+			_ = b.AppendFloats(transport.PullResp, q.k.iter, q.k.tensor, sl.mean)
+		}
+		if sl.queued--; sl.queued == 0 && s.allServedLocked(sl) {
+			s.retireSlotLocked(q.k, sl)
+		}
 	}
-	werr := r.mc.SendFloats(j.stream, transport.PullResp, j.k.iter, j.k.tensor, mean)
-	return r.s.finishRespond(j.w, j.k, werr)
+	r.queue = r.queue[:copy(r.queue, r.queue[n:])]
+	return b, first
 }
 
 // MuxGroupOptions configures the client half of a connection. There is no

@@ -14,10 +14,12 @@
 //
 // Every connection speaks the multiplexed protocol of mux.go: tagged frames,
 // one demux loop and one responder per connection on the server, one demux
-// goroutine on the client, and the pipe itself as flow control. How many
-// workers share a connection is topology, not protocol: Serve and NewClient
-// run one worker per connection (a one-stream mux), ServeMux and MuxGroup
-// any number.
+// goroutine on the client, and the pipe itself as flow control. The demux
+// loop only queues a pull's answer; the responder encodes whatever is
+// queued, every stream's alike, into one batch and ships it as one write.
+// How many workers share a connection is topology, not protocol: Serve and
+// NewClient run one worker per connection (a one-stream mux), ServeMux and
+// MuxGroup any number.
 //
 // # Sharding
 //
@@ -48,7 +50,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
@@ -86,13 +87,8 @@ type slot struct {
 	got      int         // live contributions received
 	mean     []float64
 	waiting  []pendingPull
-	servedBy []bool // workers that have received the aggregate
-	// inflight[w] marks a response to worker w queued or being written.
-	// It closes the window between a response's delivery and its servedBy
-	// bookkeeping: a duplicate pull arriving in that window is rejected as
-	// a protocol error instead of being served twice (or, worse, parked
-	// forever on a slot the first response is about to garbage-collect).
-	inflight []bool
+	servedBy []bool // workers whose response has been queued
+	queued   int    // responses queued and not yet encoded: they read mean
 	timer    *time.Timer
 }
 
@@ -118,7 +114,8 @@ type Server struct {
 	live int
 
 	// links[w] is where worker w's pull responses go while a ServeMux call
-	// carries it: the connection's responder and w's stream on it.
+	// carries it: the connection's responder and w's stream on it. The
+	// responders' queues are guarded by mu too.
 	links []workerLink
 	// serving counts Serve and ServeMux calls in progress; the last one to
 	// return stops the straggler timers.
@@ -306,7 +303,6 @@ func (s *Server) getSlot(k slotKey) *slot {
 			sl = &slot{
 				contrib:  make([][]float64, s.workers),
 				servedBy: make([]bool, s.workers),
-				inflight: make([]bool, s.workers),
 			}
 		}
 		s.slots[k] = sl
@@ -314,13 +310,11 @@ func (s *Server) getSlot(k slotKey) *slot {
 	return sl
 }
 
-// retireSlotLocked ends a slot every live worker has received: k is marked
-// done, and the slot, cleared, goes back to the freelist. Nothing holds a
-// slot across an unlock — every other site looks it up by key — so none
-// can see it reused. A responder holds the mean from meanFor until its
-// finishRespond, always under an inflight mark, so the mean goes back to
-// the float pool only when no mark is set; a worker dropped mid-response
-// leaves it to the garbage collector.
+// retireSlotLocked ends a slot every live worker has been answered from —
+// all served, none queued: k is marked done, the mean goes back to the
+// float pool, and the slot, cleared, goes back to the freelist. Nothing
+// holds a slot or its mean across an unlock — every other site looks it up
+// by key, and a responder encodes under mu — so none can see either reused.
 func (s *Server) retireSlotLocked(k slotKey, sl *slot) {
 	if sl.timer != nil {
 		sl.timer.Stop()
@@ -328,12 +322,9 @@ func (s *Server) retireSlotLocked(k slotKey, sl *slot) {
 	}
 	delete(s.slots, k)
 	s.done[k] = true
-	if !slices.Contains(sl.inflight, true) {
-		floats.Put(sl.mean)
-	}
+	floats.Put(sl.mean)
 	clear(sl.contrib)
 	clear(sl.servedBy)
-	clear(sl.inflight)
 	clear(sl.waiting)
 	sl.got, sl.mean, sl.waiting = 0, nil, sl.waiting[:0]
 	s.slotFree = append(s.slotFree, sl)
@@ -399,20 +390,26 @@ func (s *Server) flushWaitingLocked(k slotKey, sl *slot) {
 	sl.waiting = sl.waiting[:0]
 }
 
-// respondLocked hands worker w's response for slot sl (key k) to the
-// responder of the connection serving w, without blocking the caller's
-// demux loop — a connection stays full duplex: pushes keep flowing while a
-// large parameter response streams back. A worker no connection is serving
-// any more has nowhere to be answered: the slot stays unmarked, hence
-// retryable. The responder's queue lock nests inside s.mu; the responder
-// never takes s.mu while holding it.
+// respondLocked queues worker w's response for slot sl (key k) on the
+// responder of the connection serving w, without encoding or writing it —
+// the caller's demux loop never does either, so a connection stays full
+// duplex: pushes keep flowing while a large parameter response streams
+// back. w counts as served from here on, so a second pull is a duplicate
+// however far the first response has got, and the slot stays open until
+// the responder has encoded it. A worker no connection is serving any more
+// has nowhere to be answered: the slot stays unmarked, hence retryable.
 func (s *Server) respondLocked(w int, k slotKey, sl *slot) {
 	l := s.links[w]
 	if l.r == nil {
 		return
 	}
-	sl.inflight[w] = true
-	l.r.enqueue(respJob{w, l.stream, k})
+	sl.servedBy[w] = true
+	sl.queued++
+	l.r.queue = append(l.r.queue, queuedResponse{l.stream, k})
+	select {
+	case l.r.notify <- struct{}{}:
+	default:
+	}
 }
 
 // aggregate sums live contributions in worker-id order and divides by the
@@ -475,10 +472,10 @@ func (s *Server) handlePull(w int, f *transport.Frame) error {
 		return fmt.Errorf("duplicate or late pull: tensor %d of iteration %d was already served to every worker", f.Tensor, f.Iter)
 	}
 	sl := s.getSlot(k)
-	if sl.servedBy[w] || sl.inflight[w] {
+	if sl.servedBy[w] {
 		// The slot survives only because other workers are not yet served
-		// (or the first response's bookkeeping is still in flight) — for
-		// THIS worker the pull is a duplicate either way.
+		// (or a response is not yet encoded) — for THIS worker the pull is
+		// a duplicate either way.
 		s.mu.Unlock()
 		return fmt.Errorf("duplicate pull: tensor %d of iteration %d was already served to this worker", f.Tensor, f.Iter)
 	}
@@ -559,7 +556,7 @@ func (s *Server) DropWorker(w int) {
 				if sl.got == s.live && sl.aggregate(s.dead, s.live) == nil {
 					s.flushWaitingLocked(k, sl)
 				}
-			} else if s.allServedLocked(sl) {
+			} else if sl.queued == 0 && s.allServedLocked(sl) {
 				// w may have been the only worker not yet served.
 				s.retireSlotLocked(k, sl)
 			}
@@ -591,41 +588,6 @@ func (s *Server) allServedLocked(sl *slot) bool {
 		}
 	}
 	return true
-}
-
-// meanFor returns the aggregated mean for k if it is ready and w is still
-// live, or nil when there is nothing to deliver (slot collected, not yet
-// aggregated, or worker dropped).
-func (s *Server) meanFor(w int, k slotKey) []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sl, ok := s.slots[k]
-	if !ok || sl.mean == nil || s.dead[w] {
-		return nil
-	}
-	return sl.mean
-}
-
-// finishRespond records a response delivery's outcome and passes werr
-// through. On failure the in-flight mark is cleared and the worker is not
-// counted as served; on success the slot is marked served — and
-// garbage-collected once every live worker has it.
-func (s *Server) finishRespond(w int, k slotKey, werr error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sl, ok := s.slots[k]
-	if !ok {
-		return werr
-	}
-	sl.inflight[w] = false
-	if werr != nil {
-		return werr
-	}
-	sl.servedBy[w] = true
-	if s.allServedLocked(sl) {
-		s.retireSlotLocked(k, sl)
-	}
-	return nil
 }
 
 // PullResult is one pull's outcome: the aggregated tensor, or the error

@@ -19,7 +19,7 @@ package transport
 //
 // Writes combine (group commit). A sender queues its batch; if no write is
 // in progress it becomes the writer and ships the batches queued so far —
-// up to maxCombinedWrite bytes of them — as ONE conn.Write, then hands the
+// up to MaxCombinedWrite bytes of them — as ONE conn.Write, then hands the
 // writer role to the oldest sender still queued.
 // Each pipe write is a rendezvous with the reader whatever its size, so N
 // concurrent senders cost the wire one write instead of N, and the reader's
@@ -67,13 +67,14 @@ const MuxHeaderSize = 4 + headerSize
 // frames (the collective's fused ops) fills them up to.
 const MuxReadBuffer = 4 << 10
 
-// maxCombinedWrite bounds a combined write (a batch larger than it still
-// goes out whole, alone). The reader takes at most MuxReadBuffer per pipe
-// read, so a write many buffers long already costs it a rendezvous per
-// buffer: combining past that saves a partial read per batch and only
-// grows the concatenation buffer — on a 64-worker shard pushing 3.5 KB
-// each, by ~0.2 MB per pipe.
-const maxCombinedWrite = 16 * MuxReadBuffer
+// MaxCombinedWrite bounds a combined write (a batch larger than it still
+// goes out whole, alone), and a caller that packs many frames into one
+// batch (the ps server's responder) bounds its batch by it too. The reader
+// takes at most MuxReadBuffer per pipe read, so a write many buffers long
+// already costs it a rendezvous per buffer: combining past that saves a
+// partial read per batch and only grows the concatenation buffer — on a
+// 64-worker shard pushing 3.5 KB each, by ~0.2 MB per pipe.
+const MaxCombinedWrite = 16 * MuxReadBuffer
 
 // MuxOptions configures a MuxConn.
 type MuxOptions struct {
@@ -154,13 +155,15 @@ func appendMuxHeader(dst []byte, stream uint32, t MsgType, iter, tensor uint32, 
 	return append(dst, hdr[:]...)
 }
 
-// MuxBatch stages any number of frames for one stream, shipped with a
-// single Write by SendBatch. Obtained from NewBatch; the scratch is pooled
-// and returns to the conn's freelist when the batch is sent (or discarded
-// with PutBatch).
+// MuxBatch stages any number of frames, shipped with a single Write by
+// SendBatch. Frames go on the stream the batch was made for until On points
+// them at another. Obtained from NewBatch; the scratch is pooled and returns
+// to the conn's freelist when the batch is sent (or discarded with
+// PutBatch).
 type MuxBatch struct {
-	stream uint32
-	buf    []byte
+	stream  uint32
+	streams uint32 // the conn's stream count
+	buf     []byte
 
 	// Write-queue state, guarded by the conn's wmu: the writer sets err
 	// and settled, or lead when it hands this batch's sender the writer
@@ -187,9 +190,18 @@ func (m *MuxConn) NewBatch(stream uint32) *MuxBatch {
 		return b
 	}
 	m.batchMu.Unlock()
-	b := &MuxBatch{stream: stream}
+	b := &MuxBatch{stream: stream, streams: uint32(m.streams)}
 	b.ready.L = &m.wmu
 	return b
+}
+
+// On points the frames staged next at stream: one batch, hence one write,
+// may carry frames of several streams.
+func (b *MuxBatch) On(stream uint32) {
+	if stream >= b.streams {
+		panic(fmt.Sprintf("transport: stream %d of %d", stream, b.streams))
+	}
+	b.stream = stream
 }
 
 // PutBatch discards an unsent batch back to the freelist.
@@ -276,14 +288,14 @@ func (m *MuxConn) SendBatch(b *MuxBatch) error {
 }
 
 // flushLocked ships the queued batches, oldest first and up to
-// maxCombinedWrite bytes of them, as one conn.Write with wmu released for
+// MaxCombinedWrite bytes of them, as one conn.Write with wmu released for
 // the write, and settles each: a batch whose bytes all lie below what the
 // write delivered succeeded, every later one gets the write's error. The
 // rest stay queued. Called with wmu held by the writer.
 func (m *MuxConn) flushLocked() {
 	pending := m.queue
 	k, size := 1, len(pending[0].buf)
-	for k < len(pending) && size+len(pending[k].buf) <= maxCombinedWrite {
+	for k < len(pending) && size+len(pending[k].buf) <= MaxCombinedWrite {
 		size += len(pending[k].buf)
 		k++
 	}

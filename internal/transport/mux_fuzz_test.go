@@ -101,26 +101,35 @@ func FuzzMuxReadFrame(f *testing.F) {
 	})
 }
 
+// muxFuzzFrame is one frame a fuzzed batch stages: its stream and payload.
+type muxFuzzFrame struct {
+	stream  uint32
+	payload []byte
+}
+
 // muxFuzzBatch is one batch of the combining-write fuzz target: the frames
-// (payload bytes each) one sender ships on its stream with one SendBatch.
+// one sender ships with one SendBatch, each on its own stream.
 type muxFuzzBatch struct {
-	stream   uint32
-	payloads [][]byte
+	sender int
+	frames []muxFuzzFrame
 }
 
 // parseMuxFuzzBatches cuts fuzz input into batches. Per batch one control
-// byte c picks the stream (c mod muxFuzzStreams) and the frame count
-// (1 + c>>2 mod 3); per frame one byte picks the payload length (mod 64),
-// taken from the input that follows.
+// byte c picks the sender (c mod muxFuzzStreams) and the frame count
+// (1 + c>>2 mod 3); per frame one byte x picks the payload length (x mod
+// 64), taken from the input that follows, and the stream (the sender's
+// plus x>>6, mod muxFuzzStreams), so one batch may carry several streams.
 func parseMuxFuzzBatches(data []byte) []muxFuzzBatch {
 	var out []muxFuzzBatch
 	for len(data) > 0 {
 		c := data[0]
 		data = data[1:]
-		b := muxFuzzBatch{stream: uint32(c) % muxFuzzStreams}
+		b := muxFuzzBatch{sender: int(c) % muxFuzzStreams}
 		for j := 0; j < 1+int(c>>2)%3 && len(data) > 0; j++ {
-			n := min(int(data[0])%64, len(data)-1)
-			b.payloads = append(b.payloads, data[1:1+n])
+			x := data[0]
+			n := min(int(x)%64, len(data)-1)
+			st := uint32(b.sender+int(x>>6)) % muxFuzzStreams
+			b.frames = append(b.frames, muxFuzzFrame{st, data[1 : 1+n]})
 			data = data[1+n:]
 		}
 		out = append(out, b)
@@ -129,15 +138,17 @@ func parseMuxFuzzBatches(data []byte) []muxFuzzBatch {
 }
 
 // FuzzMuxCombinedWrites ships fuzzed batch lists over one pipe, one sender
-// goroutine per stream, all at once, so that writes combine. The demuxed
-// frames must be the serial reference: per stream, exactly the frames that
-// stream's batches staged, in order, byte for byte, each batch's frames
-// back to back on the wire.
+// goroutine per list, all at once, so that writes combine; a batch points
+// its frames at their streams with On. The demuxed frames must be the
+// serial reference: per sender, exactly the frames its batches staged, in
+// order, byte for byte and each on its stream, each batch's frames back to
+// back on the wire. A frame names its sender and batch in its iter.
 func FuzzMuxCombinedWrites(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 2, 3, 1, 0, 2, 5, 9, 9, 9, 9, 9})
 	f.Add(bytes.Repeat([]byte{0x09, 7, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 0}, 12))
 	f.Add([]byte{0xFF, 63, 0xFE, 0, 0x0A, 1, 2})
+	f.Add([]byte{0x08, 0x41, 'a', 0x82, 'b', 'c', 0xC0, 0x05, 0x43, 1, 2, 3, 0x80}) // frames on several streams per batch
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batches := parseMuxFuzzBatches(data)
@@ -147,12 +158,12 @@ func FuzzMuxCombinedWrites(f *testing.F) {
 		defer src.Close()
 		defer dst.Close()
 
-		// The serial reference: per stream, its batches in order.
+		// The serial reference: per sender, its batches in order.
 		var want [muxFuzzStreams][]muxFuzzBatch
 		frames := 0
 		for _, bt := range batches {
-			want[bt.stream] = append(want[bt.stream], bt)
-			frames += len(bt.payloads)
+			want[bt.sender] = append(want[bt.sender], bt)
+			frames += len(bt.frames)
 		}
 		var wg sync.WaitGroup
 		for s := range want {
@@ -160,9 +171,10 @@ func FuzzMuxCombinedWrites(f *testing.F) {
 			go func(list []muxFuzzBatch) {
 				defer wg.Done()
 				for r, bt := range list {
-					mb := src.NewBatch(bt.stream)
-					for j, p := range bt.payloads {
-						if err := mb.AppendFrame(&Frame{Type: Push, Iter: uint32(r), Tensor: uint32(j), Payload: p}); err != nil {
+					mb := src.NewBatch(uint32(bt.sender))
+					for j, fr := range bt.frames {
+						mb.On(fr.stream)
+						if err := mb.AppendFrame(&Frame{Type: Push, Iter: uint32(bt.sender)<<16 | uint32(r), Tensor: uint32(j), Payload: fr.payload}); err != nil {
 							t.Error(err)
 						}
 					}
@@ -174,31 +186,36 @@ func FuzzMuxCombinedWrites(f *testing.F) {
 			}(want[s])
 		}
 
-		next := [muxFuzzStreams]int{} // next batch per stream
-		open, at := -1, 0             // the stream whose batch is part-read, and its next frame
+		next := [muxFuzzStreams]int{} // next batch per sender
+		open, at := -1, 0             // the sender whose batch is part-read, and its next frame
 		for n := 0; n < frames; n++ {
 			s, fr, err := dst.Read()
 			if err != nil {
 				t.Fatalf("frame %d of %d: %v", n, frames, err)
 			}
-			if open >= 0 && int(s) != open {
-				t.Fatalf("stream %d frame inside stream %d's batch", s, open)
+			sender := int(fr.Iter >> 16)
+			if sender >= muxFuzzStreams {
+				t.Fatalf("frame names sender %d", sender)
 			}
-			if next[s] >= len(want[s]) {
-				t.Fatalf("stream %d: frame beyond its %d batches", s, len(want[s]))
+			if open >= 0 && sender != open {
+				t.Fatalf("sender %d frame inside sender %d's batch", sender, open)
 			}
-			bt := want[s][next[s]]
-			if fr.Type != Push || int(fr.Iter) != next[s] || int(fr.Tensor) != at || !bytes.Equal(fr.Payload, bt.payloads[at]) {
-				t.Fatalf("stream %d: got %v iter %d tensor %d payload %x, want batch %d frame %d payload %x",
-					s, fr.Type, fr.Iter, fr.Tensor, fr.Payload, next[s], at, bt.payloads[at])
+			if next[sender] >= len(want[sender]) {
+				t.Fatalf("sender %d: frame beyond its %d batches", sender, len(want[sender]))
+			}
+			bt := want[sender][next[sender]]
+			wf := bt.frames[at]
+			if s != wf.stream || fr.Type != Push || int(fr.Iter&0xFFFF) != next[sender] || int(fr.Tensor) != at || !bytes.Equal(fr.Payload, wf.payload) {
+				t.Fatalf("sender %d: got stream %d %v iter %d tensor %d payload %x, want stream %d batch %d frame %d payload %x",
+					sender, s, fr.Type, fr.Iter&0xFFFF, fr.Tensor, fr.Payload, wf.stream, next[sender], at, wf.payload)
 			}
 			dst.Done(s, fr)
-			if at++; at < len(bt.payloads) {
-				open = int(s)
+			if at++; at < len(bt.frames) {
+				open = sender
 				continue
 			}
 			open, at = -1, 0
-			next[s]++
+			next[sender]++
 		}
 		wg.Wait()
 	})

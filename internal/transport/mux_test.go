@@ -528,7 +528,7 @@ func (c *recordConn) Write(p []byte) (int, error) {
 // TestMuxCombinedWrite: senders that queue behind a write in progress go
 // out together as ONE conn write, byte for byte their batches in queue
 // order, and each gets its own result. A write takes queued batches, oldest
-// first, only while they fit maxCombinedWrite — the rest wait for the next
+// first, only while they fit MaxCombinedWrite — the rest wait for the next
 // write — and a batch larger than that goes out whole, alone.
 func TestMuxCombinedWrite(t *testing.T) {
 	a, b := Pipe(0, 0)
@@ -538,8 +538,8 @@ func TestMuxCombinedWrite(t *testing.T) {
 	defer b.Close()
 	// Three frames of `third` floats fill all but ~370 bytes of the bound,
 	// so a 100-float frame no longer fits behind them.
-	third := maxCombinedWrite/3/8 - MuxHeaderSize
-	batches, wire := floatBatches(t, src, []int{1, third, third, third, 100, 2 * maxCombinedWrite / 8})
+	third := MaxCombinedWrite/3/8 - MuxHeaderSize
+	batches, wire := floatBatches(t, src, []int{1, third, third, third, 100, 2 * MaxCombinedWrite / 8})
 	res := StageSends(t, src, batches)
 	got, err := io.ReadAll(io.LimitReader(b, int64(len(bytes.Join(wire, nil)))))
 	if err != nil {
@@ -559,7 +559,7 @@ func TestMuxCombinedWrite(t *testing.T) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if !slices.Equal(rc.sizes, want) {
-		t.Fatalf("writes of %v bytes, want %v (bound %d)", rc.sizes, want, maxCombinedWrite)
+		t.Fatalf("writes of %v bytes, want %v (bound %d)", rc.sizes, want, MaxCombinedWrite)
 	}
 }
 
@@ -750,4 +750,17 @@ func TestMuxCombinedWriteSteadyStateAllocs(t *testing.T) {
 	if w := cc.writes.Load() - w0; w != 2*(runs+1) {
 		t.Fatalf("%d rounds took %d conn writes, want 2 each", runs+1, w)
 	}
+}
+
+// TestBatchOnRejectsUnknownStream: a batch points its frames only at the
+// conn's streams.
+func TestBatchOnRejectsUnknownStream(t *testing.T) {
+	b := NewMuxConn(&memConn{}, MuxOptions{Streams: 2}).NewBatch(1)
+	b.On(0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("On(2) on a two-stream conn did not panic")
+		}
+	}()
+	b.On(2)
 }

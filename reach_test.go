@@ -22,7 +22,7 @@ const (
 	// Tests build what they exercise through it.
 	fixture = "helper tests build their fixtures or reference values through"
 	// Not an observation window and not a fixture: candidates for ROADMAP
-	// item 5's "delete what only tests keep alive".
+	// item 8, the deletion residue.
 	testOnly = "only its package's tests call it"
 )
 
