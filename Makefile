@@ -54,7 +54,9 @@ test:
 # Formatting gate, the offline reachability gate (reach_test.go: every
 # function declared in a non-test file is referenced from one, or is
 # allowlisted with a reason, and every type is named by one — stdlib only,
-# so it runs where nothing can be installed), plus staticcheck and deadcode when the tools are installed
+# so it runs where nothing can be installed), a vet of the kernel packages
+# for arm64, which keeps the portable path (no accumulate_amd64.s) compiling,
+# plus staticcheck and deadcode when the tools are installed
 # (the gate must not require network access to fetch them; CI installs
 # both). deadcode prints functions no main package or test reaches; any
 # output fails the gate. Tests count as callers (-test) because the frozen
@@ -64,6 +66,7 @@ lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) test -count=1 -run '^TestEveryFunctionIsReferenced$$' .
+	GOARCH=arm64 $(GO) vet ./internal/tensor ./internal/nn
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping"; fi
 	@if command -v deadcode >/dev/null 2>&1; then \
@@ -142,3 +145,4 @@ fuzz:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzMuxCombinedWrites$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ps -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/collective -run '^$$' -fuzz '^FuzzFabricDeliver$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzAccumulate$$' -fuzztime $(FUZZTIME)

@@ -139,10 +139,11 @@ func (q *inbox) take(iter, step uint32) (chunk, bool) {
 // Peer, and Close when the run ends — closing unblocks every peer with an
 // error.
 type Fabric struct {
-	workers int
-	steps   int                       // the backend's Steps(workers)
-	stepOf  func(id, n, k int) opStep // the backend's chunk schedule
-	clock   func() float64
+	workers    int
+	steps      int                    // the backend's Steps(workers)
+	stepOf     func(id, k int) opStep // the backend's chunk schedule
+	fillBounds func(b []int, n int)   // its segment boundaries for n elements
+	clock      func() float64
 
 	send *transport.MuxConn // workers write here; stream = destination
 	recv *transport.MuxConn // the demux loop reads here
@@ -201,15 +202,16 @@ func Over(backend string, workers int, send, recv net.Conn, clock func() float64
 		clock = func() float64 { return time.Since(start).Seconds() }
 	}
 	f := &Fabric{
-		workers:  workers,
-		steps:    be.Steps(workers),
-		stepOf:   ringStep(workers),
-		clock:    clock,
-		payloads: transport.NewPayloadPool(),
-		inboxes:  make([]inbox, workers),
+		workers:    workers,
+		steps:      be.Steps(workers),
+		stepOf:     ringStep(workers),
+		fillBounds: ringBounds,
+		clock:      clock,
+		payloads:   transport.NewPayloadPool(),
+		inboxes:    make([]inbox, workers),
 	}
 	if be.Name() == "tree" {
-		f.stepOf = treeStep(workers)
+		f.stepOf, f.fillBounds = treeStep(workers), halvingBounds
 	}
 	for w := range f.inboxes {
 		f.inboxes[w].ready.L = &f.inboxes[w].mu
@@ -319,9 +321,11 @@ type Peer struct {
 	f  *Fabric
 	id int
 
-	// Per-step scratch of the op in flight, one entry per member.
-	sts  []opStep
-	segs [][]float64
+	// Scratch of the op in flight: its members' segment boundaries, W+1
+	// per member (see segmentBounds), and each member's segment of the
+	// current step.
+	bounds []int
+	segs   [][]float64
 }
 
 // AllReduce runs one lockstep collective op: on return, data holds the
@@ -336,8 +340,8 @@ func (p *Peer) AllReduce(iter int, data []float64, onStep StepFunc) error {
 // input for it. The members share the op's chunk schedule — step k ships
 // every member's step-k segment as ONE chunk frame, so the op costs the
 // wire the steps of one tensor, not of len(members) — but each keeps its own
-// segmentation (stepOf over its own length), so a tensor is reduced in the
-// same order, to the same bits, whatever it is fused with.
+// segmentation (its own boundaries over its own length), so a tensor is
+// reduced in the same order, to the same bits, whatever it is fused with.
 //
 // All peers must call it with the same member lengths, in the same op order
 // — the schedules are synchronous, and a skipped or reordered op wedges the
@@ -354,22 +358,24 @@ func (p *Peer) AllReduceFused(iter int, members [][]float64, onStep StepFunc) er
 		return nil
 	}
 	f := p.f
-	if cap(p.sts) < len(members) {
-		p.sts, p.segs = make([]opStep, len(members)), make([][]float64, len(members))
+	bounds := p.segmentBounds(members)
+	if cap(p.segs) < len(members) {
+		p.segs = make([][]float64, len(members))
 	}
-	sts, segs := p.sts[:len(members)], p.segs[:len(members)]
+	segs := p.segs[:len(members)]
 	for k := 0; k < f.steps; k++ {
+		st := f.stepOf(p.id, k)
 		sent := 0
 		for i, m := range members {
-			sts[i] = f.stepOf(p.id, len(m), k)
-			segs[i] = m[sts[i].sLo:sts[i].sHi]
+			b := bounds[i*(f.workers+1):]
+			segs[i] = m[b[st.sLo]:b[st.sHi]]
 			sent += len(segs[i])
 		}
 		var start float64
 		if onStep != nil { // the clock is read only for an observer
 			start = f.clock()
 		}
-		if err := p.exchange(uint32(iter), uint32(k), members, sts, segs); err != nil {
+		if err := p.exchange(uint32(iter), uint32(k), members, st, bounds, segs); err != nil {
 			return err
 		}
 		if onStep != nil {
@@ -385,11 +391,29 @@ func (p *Peer) AllReduceFused(iter int, members [][]float64, onStep StepFunc) er
 	return nil
 }
 
-// opStep is one lockstep step of an op over one member's data: ship
-// data[sLo:sHi] to peer dst, then fold the inbound chunk into data[rLo:rHi]
-// — summed during the reduce-scatter half of a schedule, copied during the
-// all-gather half. dst and reduce depend on the step alone, so every member
-// of a fused op agrees on them.
+// segmentBounds fills and returns every member's segment boundaries, W+1
+// per member (member i's at [i·(W+1), (i+1)·(W+1)), its last one its
+// length). The boundaries are the only part of the schedule that depends on
+// a length, so an op pays the backend's divisions once per member, not at
+// every step.
+func (p *Peer) segmentBounds(members [][]float64) []int {
+	w1 := p.f.workers + 1
+	if cap(p.bounds) < len(members)*w1 {
+		p.bounds = make([]int, len(members)*w1)
+	}
+	p.bounds = p.bounds[:len(members)*w1]
+	for i, m := range members {
+		p.f.fillBounds(p.bounds[i*w1:(i+1)*w1], len(m))
+	}
+	return p.bounds
+}
+
+// opStep is one lockstep step of an op, in segment indices: for each
+// member, with b its segment boundaries, ship data[b[sLo]:b[sHi]] to peer
+// dst, then fold the inbound chunk into data[b[rLo]:b[rHi]] — summed during
+// the reduce-scatter half of a schedule, copied during the all-gather half.
+// A step depends on the peer and the step number alone, so every member of
+// a fused op follows the same one.
 type opStep struct {
 	dst      int
 	sLo, sHi int
@@ -397,14 +421,14 @@ type opStep struct {
 	reduce   bool
 }
 
-// exchange plays one step: send the members' segments (segs, cut by sts) as
+// exchange plays one step: send the members' segments (segs, cut by st) as
 // one frame, then block for this peer's inbound chunk and fold its wire
-// bytes back member by member, here on the peer's own goroutine. The
-// net.Pipe fabric never wedges on the send-then-receive order: the demux
-// loop drains the wire unconditionally, so every peer's send completes
-// without its receive.
-func (p *Peer) exchange(iter, step uint32, members [][]float64, sts []opStep, segs [][]float64) error {
-	f, dst := p.f, sts[0].dst
+// bytes back member by member, into the ranges st and the members' bounds
+// name, here on the peer's own goroutine. The net.Pipe fabric never wedges
+// on the send-then-receive order: the demux loop drains the wire
+// unconditionally, so every peer's send completes without its receive.
+func (p *Peer) exchange(iter, step uint32, members [][]float64, st opStep, bounds []int, segs [][]float64) error {
+	f, dst, w1 := p.f, st.dst, p.f.workers+1
 	b := f.send.NewBatch(uint32(dst))
 	err := b.AppendFloatSlices(transport.Chunk, iter, step, segs)
 	if err != nil {
@@ -421,8 +445,9 @@ func (p *Peer) exchange(iter, step uint32, members [][]float64, sts []opStep, se
 	}
 	defer f.payloads.Put(c.data)
 	want := 0
-	for _, st := range sts {
-		want += st.rHi - st.rLo
+	for i := range members {
+		b := bounds[i*w1:]
+		want += b[st.rHi] - b[st.rLo]
 	}
 	if len(c.data) != 8*want {
 		err := fmt.Errorf("collective: peer %d iter %d step %d: got %d-element chunk, want %d (lockstep violated)",
@@ -431,8 +456,9 @@ func (p *Peer) exchange(iter, step uint32, members [][]float64, sts []opStep, se
 		return err
 	}
 	wire := c.data
-	for i, st := range sts {
-		acc := members[i][st.rLo:st.rHi]
+	for i, m := range members {
+		b := bounds[i*w1:]
+		acc := m[b[st.rLo]:b[st.rHi]]
 		if st.reduce {
 			for j := range acc {
 				acc[j] += math.Float64frombits(binary.LittleEndian.Uint64(wire[8*j:]))
@@ -450,8 +476,8 @@ func (p *Peer) exchange(iter, step uint32, members [][]float64, sts []opStep, se
 // summed in one fixed worker order), then W−1 all-gather steps rotate the
 // reduced segments back to everyone. Per step each peer ships one
 // ~s/W-byte segment to its successor — exactly drive.Backend "ring".
-func ringStep(W int) func(id, n, k int) opStep {
-	return func(id, n, k int) opStep {
+func ringStep(W int) func(id, k int) opStep {
+	return func(id, k int) opStep {
 		st := opStep{dst: (id + 1) % W, reduce: k < W-1}
 		sendSeg := id - k // reduce-scatter: pass on what the last step accumulated
 		if !st.reduce {
@@ -459,9 +485,18 @@ func ringStep(W int) func(id, n, k int) opStep {
 		}
 		sendSeg = (sendSeg%W + W) % W
 		recvSeg := (sendSeg - 1 + W) % W
-		st.sLo, st.sHi = sendSeg*n/W, (sendSeg+1)*n/W
-		st.rLo, st.rHi = recvSeg*n/W, (recvSeg+1)*n/W
+		st.sLo, st.sHi = sendSeg, sendSeg+1
+		st.rLo, st.rHi = recvSeg, recvSeg+1
 		return st
+	}
+}
+
+// ringBounds fills b with the ring's W+1 segment boundaries for n elements
+// (W = len(b)−1): segment g is [g·n/W, (g+1)·n/W).
+func ringBounds(b []int, n int) {
+	W := len(b) - 1
+	for g := range b {
+		b[g] = g * n / W
 	}
 }
 
@@ -471,25 +506,19 @@ func ringStep(W int) func(id, n, k int) opStep {
 // all-gather the reduced ranges back in mirror order — drive.Backend
 // "tree" at a power-of-two W, where its geometric scale is exactly 1. A
 // doubling step is its halving step played backwards: the peer ships the
-// half it kept and receives the half it gave up.
-func treeStep(W int) func(id, n, k int) opStep {
+// half it kept and receives the half it gave up. The ranges are runs of the
+// W leaf segments of halvingBounds.
+func treeStep(W int) func(id, k int) opStep {
 	levels := bits.Len(uint(W)) - 1
-	return func(id, n, k int) opStep {
+	return func(id, k int) opStep {
 		level, halving := k, k < levels
 		if !halving {
 			level = 2*levels - 1 - k
 		}
-		// The range this peer owns after `level` halvings, split once more.
-		lo, hi := 0, n
-		mask := W >> 1
-		for ; level > 0; level, mask = level-1, mask>>1 {
-			if mid := lo + (hi-lo)/2; id&mask != 0 {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		mid := lo + (hi-lo)/2
+		// The leaves this peer owns after `level` halvings, split once more.
+		span := W >> level
+		lo := id &^ (span - 1)
+		mid, hi, mask := lo+span/2, lo+span, span/2
 		keepLo, keepHi, giveLo, giveHi := lo, mid, mid, hi
 		if id&mask != 0 {
 			keepLo, keepHi, giveLo, giveHi = mid, hi, lo, mid
@@ -498,5 +527,18 @@ func treeStep(W int) func(id, n, k int) opStep {
 			return opStep{dst: id ^ mask, sLo: giveLo, sHi: giveHi, rLo: keepLo, rHi: keepHi, reduce: true}
 		}
 		return opStep{dst: id ^ mask, sLo: keepLo, sHi: keepHi, rLo: giveLo, rHi: giveHi}
+	}
+}
+
+// halvingBounds fills b with the W+1 leaf boundaries of recursive halving
+// over n elements (W = len(b)−1, a power of two): every range of W/2^l
+// leaves is split at lo + (hi−lo)/2 of its element range, top down.
+func halvingBounds(b []int, n int) {
+	W := len(b) - 1
+	b[0], b[W] = 0, n
+	for span := W; span > 1; span /= 2 {
+		for lo := 0; lo < W; lo += span {
+			b[lo+span/2] = b[lo] + (b[lo+span]-b[lo])/2
+		}
 	}
 }

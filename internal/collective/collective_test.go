@@ -2,6 +2,7 @@ package collective
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"prophet/internal/drive"
 	"prophet/internal/probe"
 	"prophet/internal/transport"
 )
@@ -151,8 +153,18 @@ func TestShortData(t *testing.T) {
 // worker w's members — and returns each peer's resulting members.
 func runFused(t *testing.T, f *Fabric, iter int, inputs [][][]float64) [][][]float64 {
 	t.Helper()
-	out := make([][][]float64, f.workers)
-	errs := make([]error, f.workers)
+	peers := make([]*Peer, f.workers)
+	for w := range peers {
+		peers[w] = f.Peer(w)
+	}
+	return runFusedOn(t, peers, iter, inputs)
+}
+
+// runFusedOn is runFused on the given peers, one per worker.
+func runFusedOn(t *testing.T, peers []*Peer, iter int, inputs [][][]float64) [][][]float64 {
+	t.Helper()
+	out := make([][][]float64, len(peers))
+	errs := make([]error, len(peers))
 	var wg sync.WaitGroup
 	for w := range out {
 		for _, m := range inputs[w] {
@@ -161,7 +173,7 @@ func runFused(t *testing.T, f *Fabric, iter int, inputs [][][]float64) [][][]flo
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = f.Peer(w).AllReduceFused(iter, out[w], nil)
+			errs[w] = peers[w].AllReduceFused(iter, out[w], nil)
 		}(w)
 	}
 	wg.Wait()
@@ -171,6 +183,145 @@ func runFused(t *testing.T, f *Fabric, iter int, inputs [][][]float64) [][][]flo
 		}
 	}
 	return out
+}
+
+// elementStep is the ring's or the tree's schedule as element ranges of one
+// n-element member, computed afresh at every step with no boundary table:
+// the oracle of the segment-index schedule and its boundaries.
+func elementStep(backend string, W, id, n, k int) (dst, sLo, sHi, rLo, rHi int, reduce bool) {
+	if backend == "ring" {
+		reduce = k < W-1
+		sendSeg := id - k
+		if !reduce {
+			sendSeg = id + 1 - (k - (W - 1))
+		}
+		sendSeg = (sendSeg%W + W) % W
+		recvSeg := (sendSeg - 1 + W) % W
+		return (id + 1) % W, sendSeg * n / W, (sendSeg + 1) * n / W, recvSeg * n / W, (recvSeg + 1) * n / W, reduce
+	}
+	levels := 0
+	for 1<<levels < W {
+		levels++
+	}
+	level, halving := k, k < levels
+	if !halving {
+		level = 2*levels - 1 - k
+	}
+	lo, hi, mask := 0, n, W>>1
+	for ; level > 0; level, mask = level-1, mask>>1 {
+		if mid := lo + (hi-lo)/2; id&mask != 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	mid := lo + (hi-lo)/2
+	keepLo, keepHi, giveLo, giveHi := lo, mid, mid, hi
+	if id&mask != 0 {
+		keepLo, keepHi, giveLo, giveHi = mid, hi, lo, mid
+	}
+	if halving {
+		return id ^ mask, giveLo, giveHi, keepLo, keepHi, true
+	}
+	return id ^ mask, keepLo, keepHi, giveLo, giveHi, false
+}
+
+// TestStepsMatchElementSchedule: a step in segment indices, read through a
+// member's boundaries, names exactly the element ranges, partner and
+// reduce-or-copy that recomputing the schedule from the member's length at
+// every step does — for every peer and step, ring W = 2…9 and 31, 32, tree
+// W = 2…32, lengths 0…70 and a few large ones.
+func TestStepsMatchElementSchedule(t *testing.T) {
+	lengths := []int{1000, 1733, 4097}
+	for n := 0; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	type backend struct {
+		name string
+		W    int
+	}
+	var cases []backend
+	for W := 2; W <= 9; W++ {
+		cases = append(cases, backend{"ring", W})
+	}
+	cases = append(cases, backend{"ring", 31}, backend{"ring", 32})
+	for W := 2; W <= 32; W *= 2 {
+		cases = append(cases, backend{"tree", W})
+	}
+	for _, c := range cases {
+		be, err := drive.BackendByName(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepOf, fill := ringStep(c.W), ringBounds
+		if c.name == "tree" {
+			stepOf, fill = treeStep(c.W), halvingBounds
+		}
+		b := make([]int, c.W+1)
+		for _, n := range lengths {
+			fill(b, n)
+			for id := 0; id < c.W; id++ {
+				for k := 0; k < be.Steps(c.W); k++ {
+					st := stepOf(id, k)
+					dst, sLo, sHi, rLo, rHi, reduce := elementStep(c.name, c.W, id, n, k)
+					if st.dst != dst || b[st.sLo] != sLo || b[st.sHi] != sHi || b[st.rLo] != rLo || b[st.rHi] != rHi || st.reduce != reduce {
+						t.Fatalf("%s W=%d n=%d peer %d step %d: to %d send [%d,%d) recv [%d,%d) reduce %v, want to %d send [%d,%d) recv [%d,%d) reduce %v",
+							c.name, c.W, n, id, k, st.dst, b[st.sLo], b[st.sHi], b[st.rLo], b[st.rHi], st.reduce, dst, sLo, sHi, rLo, rHi, reduce)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPeerScheduleFollowsOpShape: a Peer reuses its boundary and segment
+// scratch across ops, so ops of changing shape on the same Peers — the same
+// lengths again, fewer members, a longer member, the lengths reordered, then
+// the first shape again — must leave exactly the bits fresh Peers do.
+func TestPeerScheduleFollowsOpShape(t *testing.T) {
+	const W = 4
+	for _, backend := range []string{"ring", "tree"} {
+		kept, err := New(backend, W, 0, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(backend, W, 0, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers := make([]*Peer, W)
+		for w := range peers {
+			peers[w] = kept.Peer(w)
+		}
+		for iter, sizes := range [][]int{{10, 3}, {10, 3}, {7}, {10, 4}, {3, 10}, {10, 3}} {
+			inputs := make([][][]float64, W)
+			for w := range inputs {
+				for m, n := range sizes {
+					member := make([]float64, n)
+					for i := range member {
+						member[i] = float64(1+w) / float64(3+m+i)
+					}
+					inputs[w] = append(inputs[w], member)
+				}
+			}
+			got, want := runFusedOn(t, peers, iter, inputs), runFused(t, fresh, iter, inputs)
+			for w := range want {
+				for m := range want[w] {
+					for i := range want[w][m] {
+						if math.Float64bits(got[w][m][i]) != math.Float64bits(want[w][m][i]) {
+							t.Fatalf("%s op %d sizes %v: worker %d member %d element %d = %v on kept peers, %v on fresh ones",
+								backend, iter, sizes, w, m, i, got[w][m][i], want[w][m][i])
+						}
+					}
+				}
+			}
+		}
+		for _, f := range []*Fabric{kept, fresh} {
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // TestFusedMatchesOneByOne is the property per-tensor segmentation buys:

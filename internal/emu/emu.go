@@ -314,7 +314,8 @@ type Result struct {
 	// the last iteration's at that iteration's end. Every evaluation is
 	// inside one of worker 0's IterationTime entries.
 	Losses []float64
-	// FinalAccuracy is worker 0's accuracy on the full dataset.
+	// FinalAccuracy is worker 0's accuracy on the full dataset, from the
+	// evaluation that gave the last Losses entry.
 	FinalAccuracy float64
 	// Tensor0RoundTrip[i] is how long after backward-start tensor 0's
 	// aggregated gradient was back on worker 0 in iteration i — the
@@ -856,7 +857,7 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, boa
 		}
 		pulled := time.Now()
 		if w == 0 && iter > 0 {
-			res.Losses = append(res.Losses, ev.join())
+			res.Losses = append(res.Losses, ev.join().loss)
 		}
 		stepStart := time.Now()
 		m.Step(cfg.LR)
@@ -869,7 +870,9 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, boa
 		if w == 0 && iter == cfg.Iterations-1 {
 			// The last parameters have no pull leg left to hide in.
 			ev.start()
-			res.Losses = append(res.Losses, ev.join())
+			last := ev.join()
+			res.Losses = append(res.Losses, last.loss)
+			res.FinalAccuracy = last.accuracy
 		}
 		if d != nil {
 			d.EndIteration(time.Since(iterStart).Seconds())
@@ -906,7 +909,6 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, boa
 			records = append(records, drv.Records()...)
 		}
 		res.Messages = records
-		res.FinalAccuracy = m.Accuracy(cfg.Dataset.X, cfg.Dataset.Labels)
 		for idx := 0; idx < nTensors; idx++ {
 			res.FinalParams = append(res.FinalParams, m.ParamData(idx)...)
 		}
@@ -915,19 +917,20 @@ func runWorker(w int, cfg Config, pullTimeout time.Duration, eng liveEngine, boa
 }
 
 // evaluator is worker 0's evaluation helper: one goroutine per run that
-// computes the full-dataset loss of the MLP's parameters as they stand when
-// start is called. It reads nothing but the parameters (nn.MLP.Loss), which
-// only Step writes, so the training loop must join before its next Step; in
-// between it may Await freely: that writes gradients, never parameters.
+// computes the full-dataset loss and accuracy of the MLP's parameters as they
+// stand when start is called. It reads nothing but the parameters
+// (nn.MLP.Evaluate), which only Step writes, so the training loop must join
+// before its next Step; in between it may Await freely: that writes
+// gradients, never parameters.
 type evaluator struct {
 	req  chan struct{}
-	done chan evaluation // buffered: the helper never waits to hand a loss over
+	done chan evaluation // buffered: the helper never waits to hand a result over
 	ph   *phaseSlot      // worker 0's, charged by join
 }
 
 type evaluation struct {
-	loss float64
-	took time.Duration
+	loss, accuracy float64
+	took           time.Duration
 }
 
 func startEvaluator(m *nn.MLP, ds *nn.Dataset, ph *phaseSlot) *evaluator {
@@ -936,27 +939,27 @@ func startEvaluator(m *nn.MLP, ds *nn.Dataset, ph *phaseSlot) *evaluator {
 		defer close(e.done)
 		for range e.req {
 			begin := time.Now()
-			loss := m.Loss(ds.X, ds.Labels)
-			e.done <- evaluation{loss, time.Since(begin)}
+			loss, acc := m.Evaluate(ds.X, ds.Labels)
+			e.done <- evaluation{loss, acc, time.Since(begin)}
 		}
 	}()
 	return e
 }
 
-// start asks for the loss of the current parameters.
+// start asks for the evaluation of the current parameters.
 func (e *evaluator) start() { e.req <- struct{}{} }
 
-// join waits for the loss start asked for, charging the wait to worker 0's
-// eval-wait phase and the evaluation itself to the helper's total.
-func (e *evaluator) join() float64 {
+// join waits for the evaluation start asked for, charging the wait to worker
+// 0's eval-wait phase and the evaluation itself to the helper's total.
+func (e *evaluator) join() evaluation {
 	begin := time.Now()
 	r := <-e.done
 	e.ph.sum.EvalWait += time.Since(begin)
 	e.ph.eval += r.took
-	return r.loss
+	return r
 }
 
-// stop ends the helper and waits for it to exit, dropping any loss nobody
+// stop ends the helper and waits for it to exit, dropping any result nobody
 // joined: runWorker defers it, so the helper goes on every return path,
 // including a failed pull with an evaluation in flight.
 func (e *evaluator) stop() {

@@ -53,8 +53,8 @@ type MLP struct {
 	tensors []Tensor
 	// dLogits is Backward's scratch for the loss gradient.
 	dLogits *tensor.Mat
-	// eval is walk's scratch: eval[0] views the input block, eval[l+1] holds
-	// layer l's output for one block.
+	// eval is Evaluate's scratch: eval[0] views the input block, eval[l+1]
+	// holds layer l's output for one block.
 	eval []tensor.Mat
 }
 
@@ -213,54 +213,31 @@ func (m *MLP) SetGrad(idx int, g tensor.Vec) {
 	copy(dst, g)
 }
 
-// Loss computes the mean loss for a batch without touching gradients. It is
-// bit-identical to SoftmaxCrossEntropy over Forward(x) and allocates nothing
-// once the MLP's evaluation scratch exists (see walk).
+// Loss computes the mean loss for a batch without touching gradients: the
+// loss Evaluate returns.
 func (m *MLP) Loss(x *tensor.Mat, labels []int) float64 {
-	var total float64
-	m.walk(x, labels, func(logits *tensor.Mat, labels []int) {
-		total = tensor.CrossEntropySum(total, logits, labels)
-	})
-	return total * (1.0 / float64(x.Rows))
+	loss, _ := m.Evaluate(x, labels)
+	return loss
 }
 
-// Accuracy returns the fraction of samples whose argmax matches the label
-// (the first maximum on a tie), allocation-free like Loss.
-func (m *MLP) Accuracy(x *tensor.Mat, labels []int) float64 {
-	correct := 0
-	m.walk(x, labels, func(logits *tensor.Mat, labels []int) {
-		for r, label := range labels {
-			row := logits.Row(r)
-			best := 0
-			for c, v := range row {
-				if v > row[best] {
-					best = c
-				}
-			}
-			if best == label {
-				correct++
-			}
-		}
-	})
-	return float64(correct) / float64(x.Rows)
-}
-
-// evalBlock is how many rows walk pushes through the network at a time: a
-// block's activations stay in cache, and its scratch is a few tens of KB
+// evalBlock is how many rows Evaluate pushes through the network at a time:
+// a block's activations stay in cache, and its scratch is a few tens of KB
 // however large the dataset.
 const evalBlock = 64
 
-// walk is the forward pass of an evaluation: x goes through every layer
-// evalBlock rows at a time, in scratch the MLP owns (allocated on first use),
-// with an in-place ReLU and none of the caches Backward reads. visit gets
-// each block's logits and labels in row order. Every row's logits are those
-// Forward computes — a row's arithmetic never involves another row — so a
-// fold over the blocks in order reproduces the whole-batch result bit for
-// bit. Besides its scratch walk only reads the parameters, which Forward,
-// Backward and SetGrad never write — they write buffers the MLP owns, but
-// none walk reads — so it may run concurrently with them, but not with
-// Step, and not with another walk.
-func (m *MLP) walk(x *tensor.Mat, labels []int, visit func(logits *tensor.Mat, labels []int)) {
+// Evaluate returns a batch's mean loss, bit-identical to SoftmaxCrossEntropy
+// over Forward(x), and its accuracy — the fraction of samples whose argmax
+// (the first maximum on a tie) matches the label — from one forward walk,
+// without touching gradients. x goes through every layer evalBlock rows at a
+// time, in scratch the MLP owns (allocated on first use, so a warm call
+// allocates nothing), with an in-place ReLU and none of the caches Backward
+// reads. Every row's logits are those Forward computes — a row's arithmetic
+// never involves another row — so the loss summed over the blocks in order
+// is the whole batch's to the bit. Besides its scratch Evaluate only reads
+// the parameters, which Forward, Backward and SetGrad never write — they
+// write buffers the MLP owns, but none Evaluate reads — so it may run
+// concurrently with them, but not with Step, and not with another Evaluate.
+func (m *MLP) Evaluate(x *tensor.Mat, labels []int) (loss, accuracy float64) {
 	if x.Cols != m.layers[0].in {
 		panic(fmt.Sprintf("nn: input has %d features, model expects %d", x.Cols, m.layers[0].in))
 	}
@@ -273,7 +250,9 @@ func (m *MLP) walk(x *tensor.Mat, labels []int, visit func(logits *tensor.Mat, l
 			m.eval[l+1] = tensor.Mat{Cols: d.out, Data: tensor.NewVec(evalBlock * d.out)}
 		}
 	}
-	in := &m.eval[0]
+	var total float64
+	correct := 0
+	in, logits := &m.eval[0], &m.eval[len(m.layers)]
 	in.Cols = x.Cols
 	for lo := 0; lo < x.Rows; lo += evalBlock {
 		n := min(evalBlock, x.Rows-lo)
@@ -287,9 +266,23 @@ func (m *MLP) walk(x *tensor.Mat, labels []int, visit func(logits *tensor.Mat, l
 				tensor.ReLUInPlace(out)
 			}
 		}
-		visit(&m.eval[len(m.layers)], labels[lo:lo+n])
+		block := labels[lo : lo+n]
+		total = tensor.CrossEntropySum(total, logits, block)
+		for r, label := range block {
+			row := logits.Row(r)
+			best := 0
+			for c, v := range row {
+				if v > row[best] {
+					best = c
+				}
+			}
+			if best == label {
+				correct++
+			}
+		}
 	}
 	in.Data = nil // do not keep the caller's dataset reachable
+	return total * (1.0 / float64(x.Rows)), float64(correct) / float64(x.Rows)
 }
 
 // Dataset is a labeled classification set.

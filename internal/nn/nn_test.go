@@ -95,12 +95,12 @@ func TestTrainingConverges(t *testing.T) {
 	if last >= first/4 {
 		t.Fatalf("loss did not converge: %v -> %v", first, last)
 	}
-	if acc := m.Accuracy(ds.X, ds.Labels); acc < 0.9 {
+	if _, acc := m.Evaluate(ds.X, ds.Labels); acc < 0.9 {
 		t.Fatalf("accuracy %v < 0.9", acc)
 	}
 }
 
-// TestEvaluationMatchesWholeBatch: Loss and Accuracy walk the dataset a
+// TestEvaluationMatchesWholeBatch: Loss and Evaluate walk the dataset a
 // block at a time, and must return exactly — bit for bit — what one
 // whole-batch Forward followed by SoftmaxCrossEntropy or a row-wise argmax
 // does, at initialisation and after training, on a row count the block does
@@ -134,8 +134,12 @@ func TestEvaluationMatchesWholeBatch(t *testing.T) {
 				if got := m.Loss(ds.X, ds.Labels); math.Float64bits(got) != math.Float64bits(loss) {
 					t.Errorf("%v seed %d %s: Loss %v, whole batch %v", sizes, seed, when, got, loss)
 				}
-				if got := m.Accuracy(ds.X, ds.Labels); math.Float64bits(got) != math.Float64bits(acc) {
-					t.Errorf("%v seed %d %s: Accuracy %v, whole batch %v", sizes, seed, when, got, acc)
+				gotLoss, got := m.Evaluate(ds.X, ds.Labels)
+				if math.Float64bits(gotLoss) != math.Float64bits(loss) {
+					t.Errorf("%v seed %d %s: Evaluate's loss %v, whole batch %v", sizes, seed, when, gotLoss, loss)
+				}
+				if math.Float64bits(got) != math.Float64bits(acc) {
+					t.Errorf("%v seed %d %s: Evaluate's accuracy %v, whole batch %v", sizes, seed, when, got, acc)
 				}
 			}
 			check("at init")
@@ -170,7 +174,7 @@ func TestTrainingAllocations(t *testing.T) {
 		}},
 		// Evaluation walks the dataset in scratch the MLP already owns.
 		{"full-dataset Loss", 0, func() { m.Loss(ds.X, ds.Labels) }},
-		{"full-dataset Accuracy", 0, func() { m.Accuracy(ds.X, ds.Labels) }},
+		{"full-dataset Evaluate", 0, func() { m.Evaluate(ds.X, ds.Labels) }},
 	} {
 		tc.run()
 		if got := testing.AllocsPerRun(10, tc.run); got != tc.want {

@@ -162,8 +162,14 @@ func (r *muxResponder) loop() {
 				break
 			}
 			if err := r.mc.SendBatch(b); err != nil {
-				// A mux write failure poisons the shared connection:
-				// close it so the demux loop (and every sender) unwinds.
+				if errors.Is(err, net.ErrClosed) {
+					// This side closed the mux: the demux loop on a read
+					// or handler error, or DropWorker orphaning the
+					// connection. Whoever closed it attributes the cause.
+					return
+				}
+				// A wire fault poisons the shared connection: close it
+				// so the demux loop (and every sender) unwinds.
 				r.s.workerFailed(first, fmt.Errorf("write pull response: %w", err))
 				r.mc.Close()
 				return

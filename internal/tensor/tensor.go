@@ -1,10 +1,13 @@
 // Package tensor provides the dense numeric kernels for the real-training
 // emulation path (internal/nn, internal/emu): float64 vectors and matrices
-// and the operations an MLP needs, as plain loops on the caller's goroutine.
-// The emulation's worker goroutines are the parallelism; a kernel starts
-// none and allocates only what it returns. It deliberately stays small —
-// this is a substrate for demonstrating communication scheduling on real
-// gradients, not a BLAS.
+// and the operations an MLP needs, as loops on the caller's goroutine. The
+// emulation's worker goroutines are the parallelism; a kernel starts none
+// and allocates only what it returns. It deliberately stays small — this is
+// a substrate for demonstrating communication scheduling on real gradients,
+// not a BLAS. Every kernel is Go but one: the inner loop MatMul and
+// MatMulTransA share has an AVX2 body on amd64 CPUs that have it
+// (accumulate_amd64.s), chosen once at start-up, which writes the Go loop's
+// bits.
 package tensor
 
 import (
@@ -103,6 +106,7 @@ func MatMul(out, a, b *Mat) {
 		panic(fmt.Sprintf("tensor: MatMul shapes (%dx%d)·(%dx%d)→(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
+	checkData("MatMul", out, a, b)
 	var terms [gatherBlock]term
 	for r := 0; r < a.Rows; r++ {
 		productRow(out.Row(r), a.Row(r), 1, a.Cols, b, &terms)
@@ -115,9 +119,24 @@ func MatMulTransA(out, a, b *Mat) {
 		panic(fmt.Sprintf("tensor: MatMulTransA shapes (%dx%d)ᵀ·(%dx%d)→(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
+	checkData("MatMulTransA", out, a, b)
 	var terms [gatherBlock]term
 	for r := 0; r < out.Rows; r++ {
 		productRow(out.Row(r), a.Data[r:], a.Cols, a.Rows, b, &terms)
+	}
+}
+
+// checkData panics unless every matrix's Data holds its Rows×Cols elements.
+// It is the one check MatMul and MatMulTransA make before the AVX2 body of
+// accumulate reads b without bounds checks: with b whole, every offset a
+// term can carry (k·b.Cols for k < b.Rows) plus every column (< b.Cols) is
+// inside b.Data. It divides rather than multiplies, so a Rows×Cols that
+// overflows an int cannot pass it.
+func checkData(op string, ms ...*Mat) {
+	for _, m := range ms {
+		if m.Rows < 0 || m.Cols < 0 || (m.Cols != 0 && m.Rows > len(m.Data)/m.Cols) {
+			panic(fmt.Sprintf("tensor: %s operand %dx%d holds %d elements", op, m.Rows, m.Cols, len(m.Data)))
+		}
 	}
 }
 
@@ -165,12 +184,26 @@ func gather(terms *[gatherBlock]term, a []float64, step, stride, k, kn int) (n, 
 
 // accumulate adds the terms' products into every column of the output row
 // or, in the terms' order: or[c] += t.v·b[t.off+c], starting from +0 when
-// fresh, else from the partial sums or already holds. It keeps eight, then
-// four, then one column's sums in registers across the whole list, so each
-// output element is loaded and stored once per list rather than once per
-// term — and still sums exactly the products a plain k loop does, in the
-// same order, so the result is the same to the bit.
+// fresh, else from the partial sums or already holds. Where useAVX2 is set,
+// the AVX2 body takes the columns up to the last multiple of 4 and the Go
+// loop the rest; both write the same bits. An empty list stays on the Go
+// loop: b may then have no rows to slice.
 func accumulate(or Vec, b []float64, terms []term, fresh bool) {
+	if useAVX2 && len(or) >= 4 && len(terms) > 0 {
+		n := len(or) &^ 3
+		accumulateAVX2(or[:n], b, terms, fresh)
+		or, b = or[n:], b[n:]
+	}
+	accumulateGo(or, b, terms, fresh)
+}
+
+// accumulateGo is accumulate's portable body, and the AVX2 body's oracle in
+// the tests. It keeps eight, then four, then one column's sums in registers
+// across the whole list, so each output element is loaded and stored once
+// per list rather than once per term — and still sums exactly the products
+// a plain k loop does, in the same order, so the result is the same to the
+// bit.
+func accumulateGo(or Vec, b []float64, terms []term, fresh bool) {
 	c := 0
 	for ; c+8 <= len(or); c += 8 {
 		o := (*[8]float64)(or[c:])
@@ -355,10 +388,15 @@ func rowCrossEntropy(row Vec, label int) (max, sum, loss float64) {
 			max = v
 		}
 	}
-	for _, v := range row {
-		sum += math.Exp(v - max)
+	var exp float64 // exp(row[label] − max), from the sum loop
+	for c, v := range row {
+		e := math.Exp(v - max)
+		sum += e
+		if c == label {
+			exp = e
+		}
 	}
-	p := math.Exp(row[label]-max) / sum
+	p := exp / sum
 	return max, sum, -math.Log(math.Max(p, 1e-300))
 }
 

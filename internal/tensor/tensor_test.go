@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -115,6 +117,21 @@ func TestMatMulKnown(t *testing.T) {
 	for i := range want {
 		if out.Data[i] != want[i] {
 			t.Fatalf("out = %v", out.Data)
+		}
+	}
+}
+
+// TestMatMulEmptyInner: a product over an empty inner dimension is all +0,
+// whatever the output held, though b has no rows to read.
+func TestMatMulEmptyInner(t *testing.T) {
+	out := NewMat(2, 5)
+	for i := range out.Data {
+		out.Data[i] = math.NaN()
+	}
+	MatMul(out, &Mat{Rows: 2}, &Mat{Cols: 5})
+	for i, v := range out.Data {
+		if math.Float64bits(v) != 0 {
+			t.Fatalf("element %d = %v, want +0", i, v)
 		}
 	}
 }
@@ -445,38 +462,105 @@ func sameBits(x, y float64) bool {
 	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
 }
 
+// accumulatePaths runs f once on each body of accumulate this CPU can run —
+// the AVX2 body where start-up selected it, then the Go loop — and restores
+// the selection.
+func accumulatePaths(t *testing.T, f func(path string)) {
+	t.Helper()
+	simd := useAVX2
+	defer func() { useAVX2 = simd }()
+	if simd {
+		f("avx2")
+	}
+	useAVX2 = false
+	f("go")
+}
+
 // TestMatMulKernelsBitIdentical: every kernel writes, bit for bit, what its
-// plain loop does — at the live MLP shapes, across the 64-term gather block,
-// at degenerate shapes and column counts that are not a multiple of 4 or 8,
-// on sparse inputs with zero rows and columns, -0, NaN and ±Inf — into an
-// output that starts dirty, so every element is written.
+// plain loop does — on each accumulate body, at the live MLP shapes, across
+// the 64-term gather block, at degenerate shapes and every column count from
+// 5 to 40 (the AVX2 body's 16- and 4-column blocks and the Go loop's tail
+// after them), on sparse inputs with zero rows and columns, -0, NaN and
+// ±Inf — into an output that starts dirty, so every element is written.
 func TestMatMulKernelsBitIdentical(t *testing.T) {
 	shapes := [][3]int{ // rows, inner, cols
 		{64, 16, 128}, {64, 128, 128}, {64, 128, 4}, {16, 16, 32}, {16, 32, 4},
 		{64, 129, 13}, {200, 150, 9}, {3, 64, 8}, {2, 65, 12},
 		{1, 1, 1}, {1, 7, 1}, {5, 3, 7}, {4, 9, 3}, {7, 2, 15},
 	}
-	for _, kc := range matmuls {
-		for _, sh := range shapes {
-			for seed := uint64(1); seed <= 4; seed++ {
-				rng := sim.NewRand(seed)
-				a, b := kc.operands(sh[0], sh[1], sh[2])
-				fillSparse(a, rng, seed%2 == 0)
-				fillSparse(b, rng, seed%2 == 0)
-				got, want := NewMat(sh[0], sh[2]), NewMat(sh[0], sh[2])
-				for i := range got.Data {
-					got.Data[i], want.Data[i] = math.NaN(), 12345
-				}
-				kc.run(got, a, b)
-				kc.ref(want, a, b)
-				for i := range got.Data {
-					if !sameBits(got.Data[i], want.Data[i]) {
-						t.Fatalf("%s %v seed %d: element %d = %v (%#x), plain loop %v (%#x)", kc.name, sh, seed,
-							i, got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+	for cols := 5; cols <= 40; cols++ {
+		shapes = append(shapes, [3]int{3, 70, cols})
+	}
+	accumulatePaths(t, func(path string) {
+		for _, kc := range matmuls {
+			for _, sh := range shapes {
+				for seed := uint64(1); seed <= 4; seed++ {
+					rng := sim.NewRand(seed)
+					a, b := kc.operands(sh[0], sh[1], sh[2])
+					fillSparse(a, rng, seed%2 == 0)
+					fillSparse(b, rng, seed%2 == 0)
+					got, want := NewMat(sh[0], sh[2]), NewMat(sh[0], sh[2])
+					for i := range got.Data {
+						got.Data[i], want.Data[i] = math.NaN(), 12345
+					}
+					kc.run(got, a, b)
+					kc.ref(want, a, b)
+					for i := range got.Data {
+						if !sameBits(got.Data[i], want.Data[i]) {
+							t.Fatalf("%s %s %v seed %d: element %d = %v (%#x), plain loop %v (%#x)", path, kc.name, sh, seed,
+								i, got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+						}
 					}
 				}
 			}
 		}
+	})
+}
+
+// TestShortDataPanicsBeforeAnyRead: MatMul and MatMulTransA refuse, before
+// they read or write an element, an operand whose Data is shorter than
+// Rows×Cols — the one check that keeps the AVX2 body's unchecked reads of b
+// inside b. A b one element short would otherwise be read past its end, and
+// so would a b whose Rows×Cols wraps to 0: an inner dimension of 2^62 (2^30
+// on 32-bit) times 4 columns.
+func TestShortDataPanicsBeforeAnyRead(t *testing.T) {
+	check := func(name, what string, run func(out, a, b *Mat), out, a, b *Mat) {
+		t.Helper()
+		for i := range a.Data {
+			a.Data[i] = 1
+		}
+		for i := range out.Data {
+			out.Data[i] = 7
+		}
+		msg := func() (msg any) {
+			defer func() { msg = recover() }()
+			run(out, a, b)
+			return nil
+		}()
+		if s, ok := msg.(string); !ok || !strings.Contains(s, "holds") {
+			t.Fatalf("%s with %s: panic %v, want the length check's", name, what, msg)
+		}
+		for i, v := range out.Data {
+			if v != 7 {
+				t.Fatalf("%s with %s: element %d written before the panic", name, what, i)
+			}
+		}
+	}
+	huge := 1 << (bits.UintSize - 2) // 4·huge wraps to 0
+	for _, kc := range matmuls[:2] { // the two kernels on accumulate
+		for operand := 0; operand < 3; operand++ {
+			a, b := kc.operands(4, 8, 16)
+			out := NewMat(4, 16)
+			short := []*Mat{out, a, b}[operand]
+			short.Data = short.Data[:len(short.Data)-1]
+			check(kc.name, fmt.Sprintf("operand %d short", operand), kc.run, out, a, b)
+		}
+		a := &Mat{Rows: 4, Cols: huge, Data: make(Vec, 400)} // MatMul's 4×huge
+		if kc.name == "MatMulTransA" {
+			a.Rows, a.Cols = huge, 4 // MatMulTransA's huge×4, used transposed
+		}
+		b := &Mat{Rows: huge, Cols: 4, Data: make(Vec, 4)}
+		check(kc.name, "Rows×Cols wrapping to 0", kc.run, NewMat(4, 4), a, b)
 	}
 }
 
