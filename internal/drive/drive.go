@@ -274,14 +274,7 @@ func (d *Driver) Pump(now float64) {
 				d.dispatch(s, now)
 			}
 		}
-		queued, laneFree := !d.queuesEmpty(), d.anyLaneFree()
-		if queued || !laneFree {
-			if d.obs != nil && queued && laneFree {
-				// A lane is idle but the gate holds the next fetch: a
-				// previously fetched message still has unscheduled bytes
-				// on a busy lane.
-				d.obs.FetchGated(d.worker, now)
-			}
+		if !d.queuesEmpty() || !d.anyLaneFree() {
 			return
 		}
 		msg, ok := d.sched.Next(now)
@@ -397,9 +390,6 @@ func (d *Driver) enqueue(msg schedule.Message, now float64) {
 			Lane: s, Seq: g.seq, Iter: g.iter, Prio: prio,
 			Msg: sub, Ranges: ranges, group: g,
 		})
-		if d.obs != nil {
-			d.obs.ShardEnqueued(d.worker, s, g.seq, prio, sub.Bytes, len(ln.queue)-ln.head, now)
-		}
 	}
 	if d.recording && d.cost != nil {
 		d.records[len(d.records)-1].Planned = planned

@@ -13,20 +13,16 @@ import (
 
 // eventCount tallies probe events (single-threaded test helper).
 type eventCount struct {
-	gen, enq, start, complete, gated int
+	gen, start, complete int
 }
 
 func (c *eventCount) BeginIteration(worker, iter int, now float64) {}
 func (c *eventCount) EndIteration(worker, iter int, now float64)   {}
 func (c *eventCount) Generated(worker, grad int, now float64)      { c.gen++ }
-func (c *eventCount) ShardEnqueued(worker, lane, seq, prio int, bytes float64, depth int, now float64) {
-	c.enq++
-}
 func (c *eventCount) SendStart(worker, lane, seq, iter, prio int, label string, bytes float64, ranges []probe.Range, now float64) {
 	c.start++
 }
 func (c *eventCount) SendComplete(worker, lane, iter int, msgDone bool, now float64) { c.complete++ }
-func (c *eventCount) FetchGated(worker int, now float64)                             { c.gated++ }
 func (c *eventCount) PullAcked(worker, grad, iter int, now float64)                  {}
 func (c *eventCount) FaultInjected(worker int, kind string, now float64)             {}
 
@@ -79,12 +75,9 @@ func TestObserverPassive(t *testing.T) {
 	}
 	// FIFO: one whole-gradient message per gradient per iteration.
 	want := 3 * 4
-	if c.gen != want || c.enq != want || c.start != want || c.complete != want {
-		t.Errorf("counts gen=%d enq=%d start=%d complete=%d, want all %d",
-			c.gen, c.enq, c.start, c.complete, want)
-	}
-	if c.gated != 0 {
-		t.Errorf("gated = %d on a single always-free lane, want 0", c.gated)
+	if c.gen != want || c.start != want || c.complete != want {
+		t.Errorf("counts gen=%d start=%d complete=%d, want all %d",
+			c.gen, c.start, c.complete, want)
 	}
 }
 
@@ -132,10 +125,11 @@ func (s *twoMsgSched) Next(now float64) (schedule.Message, bool) {
 	return schedule.Message{}, false
 }
 
-// TestFetchGatedEmission wedges lane 0 and checks the driver reports the
-// held fetch: m2's lane-0 sub-message is queued behind the stuck lane while
-// lane 1 sits free, which is exactly the cross-shard priority gate.
-func TestFetchGatedEmission(t *testing.T) {
+// TestFetchGateHoldsBehindWedgedLane wedges lane 0 and checks the driver
+// holds the next fetch: m2's lane-0 sub-message is queued behind the stuck
+// lane while lane 1 sits free, which is exactly the cross-shard priority
+// gate, so the scheduler is not asked for a third message.
+func TestFetchGateHoldsBehindWedgedLane(t *testing.T) {
 	sched := &twoMsgSched{}
 	tx := &stuckTx{}
 	c := &eventCount{}
@@ -150,16 +144,13 @@ func TestFetchGatedEmission(t *testing.T) {
 	drv.SetObserver(0, c)
 	drv.BeginIteration(0)
 	drv.Pump(0) // m1 dispatches and wedges lane 0; m2 splits across lanes
-	if c.gated == 0 {
-		t.Error("FetchGated never fired with a queued sub-message and a free lane")
+	if sched.emitted != 2 {
+		t.Errorf("scheduler asked %d times, want 2: the gate let a fetch past a queued sub-message", sched.emitted)
 	}
 	// m1 started on lane 0; m2's lane-1 half started and completed; m2's
 	// lane-0 half is still queued.
 	if c.start != 2 || c.complete != 1 {
 		t.Errorf("start=%d complete=%d, want 2, 1", c.start, c.complete)
-	}
-	if c.enq != 3 {
-		t.Errorf("enq=%d, want 3 (m1 + two m2 halves)", c.enq)
 	}
 }
 

@@ -70,6 +70,36 @@ func TestChaosStragglerDropped(t *testing.T) {
 	}
 }
 
+// TestChaosDroppedStragglerReleasesRun: once the straggler policy drops a
+// throttled worker, the run ends with the survivors' last iteration. The
+// dropped worker's throttled write, still waiting for its tokens, must not
+// hold emu.Run until it drains at the straggler's 8 KB/s.
+func TestChaosDroppedStragglerReleasesRun(t *testing.T) {
+	cfg := chaosConfig(t)
+	cfg.Faults = map[int]fault.Spec{1: fault.Throttle(8 << 10)}
+	cfg.Failure = DropWorker
+	cfg.PullTimeout = 5 * time.Second
+	cfg.StragglerTimeout = 300 * time.Millisecond
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.DroppedWorkers) != 1 || res.DroppedWorkers[0] != 1 {
+		t.Fatalf("dropped %v, want [1]", res.DroppedWorkers)
+	}
+	var iters time.Duration
+	for _, d := range res.IterationTime {
+		iters += d
+	}
+	// What the run spends outside worker 0's iterations is wiring and
+	// teardown: a few milliseconds, allowed 150 ms on a loaded machine.
+	const slack = 150 * time.Millisecond
+	if tail := res.Duration - iters; tail > slack {
+		t.Errorf("run took %v, %v beyond worker 0's iterations (slack %v): the dropped straggler held it",
+			res.Duration, tail, slack)
+	}
+}
+
 // TestChaosDroppedWorkerZeroFails: the Result's per-iteration fields are
 // worker 0's, so when the straggler policy drops worker 0 itself the run
 // must not "complete" with fewer entries than Iterations — it used to return

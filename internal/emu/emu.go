@@ -186,8 +186,8 @@ type Config struct {
 	Observer probe.Observer
 	// Metrics, when non-nil, collects live counters and histograms:
 	// transport traffic, parameter-server frames and failures, pull
-	// timeouts, fault injections, per-shard queue depth. The registry is
-	// also fed the probe event stream (see Metrics.Observer).
+	// timeouts, fault injections. The registry is also fed the probe event
+	// stream (see Metrics.Observer).
 	Metrics *probe.Metrics
 
 	// backend is Transport resolved, once, by validate.
@@ -540,11 +540,19 @@ func Run(cfg Config) (*Result, error) {
 	} else {
 		// dropEverywhere removes workers from every shard's barrier: a worker
 		// whose link to one shard failed cannot contribute a consistent model
-		// update, so the survivors' mean must exclude it on all shards.
+		// update, so the survivors' mean must exclude it on all shards. A
+		// pipe whose workers are all dropped carries nothing the run waits
+		// for, so its client end is closed too: that ends a throttled write
+		// which would otherwise drain at the straggler's rate.
 		dropEverywhere := func(ws []int) {
 			for _, srv := range servers {
 				for _, w := range ws {
 					srv.DropWorker(w)
+				}
+			}
+			for _, p := range pipes {
+				if !slices.ContainsFunc(p.ids, func(w int) bool { return !servers[0].IsDropped(w) }) {
+					p.client.Close()
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"prophet/internal/nn"
+	"prophet/internal/probe"
 	"prophet/internal/strategy"
 )
 
@@ -232,9 +233,10 @@ func TestTensor0RoundTripRecorded(t *testing.T) {
 
 // TestPhasesAccountForTheIteration: every phase is a non-negative slice of
 // an iteration, so the max across workers is at least the mean, and the
-// phase means — disjoint intervals of each worker's iterations — sum to no
-// more than the mean iteration (worker 0's, which also holds the last
-// evaluation). Worker 0's helper evaluated in every iteration counted.
+// phase means — disjoint intervals inside each worker's own
+// BeginIteration–EndIteration spans — sum to no more than the mean, across
+// workers, of each worker's mean iteration after the first. Worker 0's
+// helper evaluated in every iteration counted.
 func TestPhasesAccountForTheIteration(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Workers = 4
@@ -242,6 +244,8 @@ func TestPhasesAccountForTheIteration(t *testing.T) {
 	cfg.Dataset = nn.Blobs(2048, 8, 4, 3)
 	cfg.Policy = "prophet"
 	cfg.BandwidthBytesPerSec = 4e6
+	rec := probe.NewSpanRecorder()
+	cfg.Observer = rec
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -256,12 +260,16 @@ func TestPhasesAccountForTheIteration(t *testing.T) {
 		}
 		sum += mean[p]
 	}
-	var iter time.Duration
-	for _, d := range res.IterationTime[1:] {
-		iter += d
+	var iter float64 // seconds
+	for w := 0; w < cfg.Workers; w++ {
+		ds := rec.Iterations(w).Durations()[1:]
+		var own float64
+		for _, d := range ds {
+			own += d
+		}
+		iter += own / float64(len(ds))
 	}
-	iter /= time.Duration(len(res.IterationTime) - 1)
-	if sum > iter {
+	if iter := time.Duration(iter / float64(cfg.Workers) * float64(time.Second)); sum > iter {
 		t.Errorf("phase means sum to %v, more than the mean iteration %v (%+v)", sum, iter, pt)
 	}
 	if pt.Mean.Compute <= 0 || pt.Mean.Wire <= 0 || pt.Eval <= 0 {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"prophet/internal/nn"
@@ -101,13 +100,9 @@ func (e *psEngine) Dispatch(iter int, sends []wireSend) error {
 	if e.inline {
 		return e.dispatchInline(iter, sends)
 	}
-	pp := &e.pp
 	shards := len(e.links)
 	jobs := make([]chan pushJob, shards)
 	errs := make([]error, shards)
-	// depths[s] counts tensors handed to shard s's writer and not yet
-	// picked up — the live analogue of the driver's lane queue depth.
-	depths := make([]atomic.Int64, shards)
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		jobs[s] = make(chan pushJob)
@@ -115,7 +110,6 @@ func (e *psEngine) Dispatch(iter int, sends []wireSend) error {
 		go func(s int) {
 			defer wg.Done()
 			for job := range jobs[s] {
-				depths[s].Add(-int64(len(job.tensors)))
 				if errs[s] != nil {
 					continue // keep draining so the coordinator never blocks
 				}
@@ -127,8 +121,6 @@ func (e *psEngine) Dispatch(iter int, sends []wireSend) error {
 		if len(snd.tensors) == 0 {
 			continue
 		}
-		d := depths[snd.lane].Add(int64(len(snd.tensors)))
-		pp.enqueued(snd.lane, seq, snd.tensors, int(d)-len(snd.tensors))
 		// The tensors slice is handed to the writer as-is; the collector
 		// that owns it is not reset until after wg.Wait below.
 		jobs[snd.lane] <- pushJob{tensors: snd.tensors, seq: seq}
@@ -143,17 +135,13 @@ func (e *psEngine) Dispatch(iter int, sends []wireSend) error {
 // dispatchInline is Dispatch for shared pipes: the worker dispatches
 // each send itself, in decision order. The cross-shard priority gate holds
 // trivially (send k's batch returns before send k+1 is offered), and the
-// probe event stream keeps the exact shape of the goroutine path:
-// ShardEnqueued per tensor, one SendStart span per flushed batch,
-// SendComplete on return.
+// probe event stream keeps the exact shape of the goroutine path: one
+// SendStart span per flushed batch, SendComplete on return.
 func (e *psEngine) dispatchInline(iter int, sends []wireSend) error {
 	for seq, snd := range sends {
 		if len(snd.tensors) == 0 {
 			continue
 		}
-		// Inline dispatch never queues: depth is just the position within
-		// this send's own batch.
-		e.pp.enqueued(snd.lane, seq, snd.tensors, 0)
 		if err := e.send(snd.lane, seq, iter, snd.tensors); err != nil {
 			return err
 		}
@@ -255,17 +243,6 @@ type pushParams struct {
 	planObs   probe.PlanObserver
 	predictBw float64
 	clock     func() float64
-}
-
-// enqueued emits ShardEnqueued for each tensor of one send handed to lane,
-// at queue depths base+1, base+2, ….
-func (pp *pushParams) enqueued(lane, seq int, tensors []int, base int) {
-	if pp.obs == nil {
-		return
-	}
-	for i, idx := range tensors {
-		pp.obs.ShardEnqueued(pp.worker, lane, seq, idx, pp.sizes[idx], base+i+1, pp.clock())
-	}
 }
 
 // sendStart opens the span of one flushed batch: ONE SendStart carrying a

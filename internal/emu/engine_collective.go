@@ -189,7 +189,6 @@ func (e *collectiveEngine) reduce(iter, seq int, tensors []int) error {
 	for _, t := range tensors {
 		e.members = append(e.members, e.m.GradData(t))
 	}
-	pp.enqueued(0, seq, tensors, 0)
 	e.ranges = pp.sendStart(e.ranges, 0, seq, iter, tensors)
 	e.curSeq = seq
 	var bound *time.Timer

@@ -61,7 +61,6 @@ func ablationBlocks(cfg Config) (*AblationBlocksResult, error) {
 // a variant stuck with its initial estimate.
 type AblationMonitorResult struct {
 	Monitored, Stale float64
-	Replans          string
 }
 
 // Render implements Result.

@@ -13,11 +13,10 @@ import (
 
 // Fig8Row is one (model, batch) comparison.
 type Fig8Row struct {
-	Model        string
-	Batch        int
-	Prophet, BS  float64
-	Improvement  float64 // percent
-	PaperComment string
+	Model       string
+	Batch       int
+	Prophet, BS float64
+	Improvement float64 // percent
 }
 
 // Fig8Result reproduces the headline comparison: training rate of

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
@@ -24,6 +25,25 @@ func renderAt(t *testing.T, spec Spec, jobs int) []byte {
 	return b
 }
 
+// serialRenders holds each experiment's Jobs: 1 render, spec ID → []byte.
+// Both tests below need it, and rendering the registry is most of this
+// package's test time, so it is rendered once.
+var serialRenders sync.Map
+
+// serialRender returns spec's non-empty render at Jobs: 1.
+func serialRender(t *testing.T, spec Spec) []byte {
+	t.Helper()
+	if b, ok := serialRenders.Load(spec.ID); ok {
+		return b.([]byte)
+	}
+	b := renderAt(t, spec, 1)
+	if len(b) == 0 {
+		t.Fatal("empty render")
+	}
+	serialRenders.Store(spec.ID, b)
+	return b
+}
+
 // TestEveryExperimentRunsAndRenders runs the full registry: each experiment
 // must complete and render non-empty output.
 func TestEveryExperimentRunsAndRenders(t *testing.T) {
@@ -33,9 +53,7 @@ func TestEveryExperimentRunsAndRenders(t *testing.T) {
 	for _, spec := range All() {
 		t.Run(spec.ID, func(t *testing.T) {
 			t.Parallel()
-			if len(renderAt(t, spec, 1)) == 0 {
-				t.Fatal("empty render")
-			}
+			serialRender(t, spec)
 		})
 	}
 }
@@ -53,7 +71,7 @@ func TestSerialParallelIdentical(t *testing.T) {
 	for _, spec := range All() {
 		t.Run(spec.ID, func(t *testing.T) {
 			t.Parallel()
-			serial := renderAt(t, spec, 1)
+			serial := serialRender(t, spec)
 			parallel := renderAt(t, spec, 8)
 			if !bytes.Equal(serial, parallel) {
 				t.Errorf("output differs between Jobs=1 and Jobs=8:\n--- serial ---\n%s\n--- parallel ---\n%s",

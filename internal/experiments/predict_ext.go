@@ -57,9 +57,11 @@ func (r *ExtPredictResult) Render(w io.Writer) {
 	lo, hi := 0.0, r.VaryMaxDrift
 	fmt.Fprintf(w, "    drift per iteration: %s (end %.3f — decayed after recovery)\n",
 		sparkline(r.VaryDrift, lo, hi), r.VaryEndDrift)
-	fmt.Fprintf(w, "  predictions hold to float precision when the wire matches the model,\n")
-	fmt.Fprintf(w, "  degrade visibly when bandwidth shifts, and the drift alarm singles out\n")
-	fmt.Fprintf(w, "  the faulted worker without false positives on healthy ones\n")
+	fmt.Fprintf(w, "  predictions hold to float precision when the wire matches the model and\n")
+	fmt.Fprintf(w, "  degrade visibly when bandwidth shifts; drift alarms: %d constant, %d dip.\n",
+		r.StableAlarms, r.VaryAlarms)
+	fmt.Fprintf(w, "  Neither leg faults a worker: that the alarm singles out a throttled one\n")
+	fmt.Fprintf(w, "  is emu.TestPredictChaosThrottleTripsAlarm's check\n")
 }
 
 // extPredict runs the extension.

@@ -81,7 +81,7 @@ func (s Spec) WrapObserved(c net.Conn, onFault func(kind string)) net.Conn {
 	if !s.Active() {
 		return c
 	}
-	fc := &conn{Conn: c, spec: s, sleep: time.Sleep, onFault: onFault}
+	fc := &conn{Conn: c, spec: s, sleep: time.Sleep, onFault: onFault, closed: make(chan struct{})}
 	if s.ThrottleBytesPerSec > 0 {
 		fc.limiter = transport.NewLimiter(s.ThrottleBytesPerSec, 4<<10)
 	}
@@ -162,6 +162,10 @@ type conn struct {
 	limiter *transport.Limiter
 	sleep   func(time.Duration)
 	onFault func(kind string)
+	// closed is closed by Close, ending a throttled write still waiting
+	// for its tokens.
+	closed    chan struct{}
+	closeOnce sync.Once
 
 	mu      sync.Mutex
 	written int64
@@ -171,8 +175,8 @@ type conn struct {
 
 // Write applies the fault schedule, then forwards to the underlying conn.
 func (c *conn) Write(b []byte) (int, error) {
-	if c.limiter != nil {
-		c.limiter.Wait(len(b))
+	if c.limiter != nil && !c.limiter.Wait(len(b), c.closed) {
+		return 0, fmt.Errorf("fault: throttled write: %w", net.ErrClosed)
 	}
 	c.mu.Lock()
 	if c.dropped {
@@ -240,6 +244,12 @@ func (c *conn) Write(b []byte) (int, error) {
 		c.mu.Unlock()
 	}
 	return n, err
+}
+
+// Close closes the underlying conn and ends a throttled write in progress.
+func (c *conn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
 }
 
 // fire notifies the observer hook of an injector firing.

@@ -113,6 +113,32 @@ func TestThrottleShapesWrites(t *testing.T) {
 	fc.Close()
 }
 
+// TestCloseEndsThrottledWrite: a write waiting out its throttle returns as
+// soon as the conn is closed, with an error wrapping net.ErrClosed, instead
+// of sleeping until its tokens arrive.
+func TestCloseEndsThrottledWrite(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	fc := Throttle(1 << 10).Wrap(a) // 1 KB/s: 64 KB would take a minute
+	go drain(b)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := fc.Write(make([]byte, 64<<10))
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	fc.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("write returned %v, want an error wrapping net.ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("closing the conn did not end the throttled write")
+	}
+}
+
 func TestInactiveSpecIsPassthrough(t *testing.T) {
 	a, _ := net.Pipe()
 	defer a.Close()

@@ -34,7 +34,6 @@ func TestConcurrentEmission(t *testing.T) {
 					obs.Generated(w, g, base+0.1)
 					obs.PullAcked(w, g, it, base+0.9)
 				}
-				obs.FetchGated(w, base+0.5)
 				obs.FaultInjected(w, "stall", base+0.6)
 				obs.EndIteration(w, it, base+1)
 			}
@@ -49,7 +48,6 @@ func TestConcurrentEmission(t *testing.T) {
 					for s := 0; s < sends; s++ {
 						now := float64(it) + float64(s)*1e-3
 						ranges[0] = Range{Grad: s, Bytes: 8, Last: true}
-						obs.ShardEnqueued(w, l, s, s, 8, 1, now)
 						obs.SendStart(w, l, s, it, s, "m", 8, ranges, now)
 						obs.SendComplete(w, l, it, true, now+5e-4)
 					}

@@ -12,11 +12,11 @@ import (
 
 // Metrics is a concurrency-safe registry of named counters and sparse
 // histograms for the live path: transport retries, redials, pull timeouts,
-// dropped workers, fault injections, per-shard queue depths. It is the
-// expvar analogue for this repo — JSON-dumpable at end of run and
-// servable over HTTP (prophet-run -debug-addr) — without the package-level
-// global state expvar imposes (every emulation owns its own registry, so
-// tests and sweeps never share counters).
+// dropped workers, fault injections. It is the expvar analogue for this
+// repo — JSON-dumpable at end of run and servable over HTTP (prophet-run
+// -debug-addr) — without the package-level global state expvar imposes
+// (every emulation owns its own registry, so tests and sweeps never share
+// counters).
 //
 // Counter and Histogram handles are stable: look them up once, then update
 // through the handle with no map access on the hot path.

@@ -8,13 +8,10 @@ type metricsObserver struct {
 	reg        *Metrics
 	iterations *Counter
 	generated  *Counter
-	enqueued   *Counter
 	sends      *Counter
-	gated      *Counter
 	acked      *Counter
 	faults     *Counter
 	sendBytes  *Histogram
-	queueDepth *Histogram
 }
 
 // Observer returns an Observer that mirrors the event stream into the
@@ -22,13 +19,10 @@ type metricsObserver struct {
 //
 //	probe_iterations        completed iterations (all workers)
 //	probe_generated         gradients released to the scheduler
-//	probe_shard_enqueued    per-lane sub-messages queued
 //	probe_sends             wire sends completed
-//	probe_fetch_gated       pumps held by the cross-shard priority gate
 //	probe_pull_acked        aggregated gradients landed back on a worker
 //	probe_fault_injections  fault injectors fired (plus probe_fault_<kind>)
 //	probe_send_bytes        histogram of send payload sizes
-//	probe_shard_queue_depth histogram of lane backlog at enqueue
 //
 // A nil receiver returns nil, preserving the nil fast path when composed
 // with NewMulti.
@@ -40,13 +34,10 @@ func (m *Metrics) Observer() Observer {
 		reg:        m,
 		iterations: m.Counter("probe_iterations"),
 		generated:  m.Counter("probe_generated"),
-		enqueued:   m.Counter("probe_shard_enqueued"),
 		sends:      m.Counter("probe_sends"),
-		gated:      m.Counter("probe_fetch_gated"),
 		acked:      m.Counter("probe_pull_acked"),
 		faults:     m.Counter("probe_fault_injections"),
 		sendBytes:  m.Histogram("probe_send_bytes"),
-		queueDepth: m.Histogram("probe_shard_queue_depth"),
 	}
 }
 
@@ -59,12 +50,6 @@ func (o *metricsObserver) EndIteration(worker, iter int, now float64) { o.iterat
 // Generated implements Observer.
 func (o *metricsObserver) Generated(worker, grad int, now float64) { o.generated.Inc() }
 
-// ShardEnqueued implements Observer.
-func (o *metricsObserver) ShardEnqueued(worker, lane, seq, prio int, bytes float64, depth int, now float64) {
-	o.enqueued.Inc()
-	o.queueDepth.Observe(float64(depth))
-}
-
 // SendStart implements Observer.
 func (o *metricsObserver) SendStart(worker, lane, seq, iter, prio int, label string, bytes float64, ranges []Range, now float64) {
 	o.sendBytes.Observe(bytes)
@@ -74,9 +59,6 @@ func (o *metricsObserver) SendStart(worker, lane, seq, iter, prio int, label str
 func (o *metricsObserver) SendComplete(worker, lane, iter int, msgDone bool, now float64) {
 	o.sends.Inc()
 }
-
-// FetchGated implements Observer.
-func (o *metricsObserver) FetchGated(worker int, now float64) { o.gated.Inc() }
 
 // PullAcked implements Observer.
 func (o *metricsObserver) PullAcked(worker, grad, iter int, now float64) { o.acked.Inc() }

@@ -25,7 +25,6 @@ func TestSpanRecorderSteps(t *testing.T) {
 func TestSpanRecorderHintAndRate(t *testing.T) {
 	rec := NewSpanRecorder()
 	rec.SetIterationHint(8)
-	rec.ShardEnqueued(0, 0, 0, 0, 10, 1, 0.1) // timeline no-op, must not panic
 	if rec.Rate(0) != nil {
 		t.Error("Rate for a worker that never transmitted should be nil")
 	}

@@ -126,7 +126,6 @@ type joinKey struct{ worker, lane, seq, iter int }
 type laneKey struct{ worker, lane int }
 
 type plannedEntry struct {
-	prio       int
 	bytes      float64
 	start, end float64
 }
@@ -220,16 +219,11 @@ func (a *Auditor) Generated(worker, grad int, now float64) {
 	a.mu.Unlock()
 }
 
-// ShardEnqueued implements probe.Observer (ignored: the join runs on
-// planned and send events).
-func (a *Auditor) ShardEnqueued(worker, lane, seq, prio int, bytes float64, depth int, now float64) {
-}
-
 // SendPlanned implements probe.PlanObserver.
 func (a *Auditor) SendPlanned(worker, lane, seq, iter, prio int, bytes float64, start, end float64) {
 	a.mu.Lock()
 	a.planned[joinKey{worker, lane, seq, iter}] = plannedEntry{
-		prio: prio, bytes: bytes, start: start, end: end,
+		bytes: bytes, start: start, end: end,
 	}
 	ac := a.acc(worker, iter)
 	ac.plannedThisIter++
@@ -293,9 +287,6 @@ func (a *Auditor) PullAcked(worker, grad, iter int, now float64) {
 	ac.last = max(ac.last, now)
 	a.mu.Unlock()
 }
-
-// FetchGated implements probe.Observer (ignored).
-func (a *Auditor) FetchGated(worker int, now float64) {}
 
 // FaultInjected implements probe.Observer (ignored: faults show up as
 // drift, which is the point).

@@ -131,9 +131,7 @@ func TestAuditorStrayEventsIgnored(t *testing.T) {
 	a.EndIteration(3, 9, 1)
 	a.SendStart(0, 0, 7, 0, 0, "push", 1e6, nil, 0)
 	a.SendComplete(0, 0, 0, true, 0.5)
-	a.FetchGated(0, 0)
 	a.FaultInjected(0, "stall", 0)
-	a.ShardEnqueued(0, 0, 0, 0, 1e6, 1, 0)
 	a.Flush()
 	rep := a.Report()
 	if rep.Joined != 0 || len(rep.Alarms) != 0 {

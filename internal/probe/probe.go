@@ -15,14 +15,9 @@
 //
 //   - Generated: the aggregation layer released a gradient to the
 //     scheduler.
-//   - ShardEnqueued: the driver split a fetched scheduler message and
-//     queued one per-lane sub-message.
 //   - SendStart / SendComplete: a sub-message went on / came off the wire
 //     of its lane (a PS shard link). Lanes are serial, so per (worker,
 //     lane) these strictly alternate.
-//   - FetchGated: a lane was free but the cross-shard priority gate held
-//     the next fetch because a previously fetched message still had
-//     unscheduled bytes.
 //   - PullAcked: the aggregated gradient was back on the worker (the event
 //     that unblocks the next forward pass — the paper's T_wait).
 //   - FaultInjected: a configured fault injector fired on the worker's
@@ -75,20 +70,12 @@ type Observer interface {
 	EndIteration(worker, iter int, now float64)
 	// Generated reports gradient grad released to the scheduler.
 	Generated(worker, grad int, now float64)
-	// ShardEnqueued reports one per-lane sub-message queued by the driver:
-	// seq is the parent message's fetch sequence, prio its priority, bytes
-	// the sub-message payload, and depth the lane queue length after the
-	// enqueue (per-shard backlog).
-	ShardEnqueued(worker, lane, seq, prio int, bytes float64, depth int, now float64)
 	// SendStart reports a sub-message going on the wire of its lane.
 	// ranges is borrowed — copy it to keep it.
 	SendStart(worker, lane, seq, iter, prio int, label string, bytes float64, ranges []Range, now float64)
 	// SendComplete reports the lane's in-flight sub-message finishing;
 	// msgDone is true when it was the parent message's last sub-send.
 	SendComplete(worker, lane, iter int, msgDone bool, now float64)
-	// FetchGated reports that a lane was free but the cross-shard priority
-	// gate blocked fetching the next scheduler message.
-	FetchGated(worker int, now float64)
 	// PullAcked reports gradient grad's aggregated value landing back on
 	// the worker for iteration iter.
 	PullAcked(worker, grad, iter int, now float64)
@@ -182,13 +169,6 @@ func (m Multi) Generated(worker, grad int, now float64) {
 	}
 }
 
-// ShardEnqueued implements Observer.
-func (m Multi) ShardEnqueued(worker, lane, seq, prio int, bytes float64, depth int, now float64) {
-	for _, o := range m {
-		o.ShardEnqueued(worker, lane, seq, prio, bytes, depth, now)
-	}
-}
-
 // SendStart implements Observer.
 func (m Multi) SendStart(worker, lane, seq, iter, prio int, label string, bytes float64, ranges []Range, now float64) {
 	for _, o := range m {
@@ -200,13 +180,6 @@ func (m Multi) SendStart(worker, lane, seq, iter, prio int, label string, bytes 
 func (m Multi) SendComplete(worker, lane, iter int, msgDone bool, now float64) {
 	for _, o := range m {
 		o.SendComplete(worker, lane, iter, msgDone, now)
-	}
-}
-
-// FetchGated implements Observer.
-func (m Multi) FetchGated(worker int, now float64) {
-	for _, o := range m {
-		o.FetchGated(worker, now)
 	}
 }
 

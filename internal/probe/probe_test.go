@@ -10,20 +10,16 @@ import (
 
 // countObs counts events per method (single-threaded test helper).
 type countObs struct {
-	begin, end, gen, enq, start, complete, gated, acked, faults int
+	begin, end, gen, start, complete, acked, faults int
 }
 
 func (c *countObs) BeginIteration(worker, iter int, now float64) { c.begin++ }
 func (c *countObs) EndIteration(worker, iter int, now float64)   { c.end++ }
 func (c *countObs) Generated(worker, grad int, now float64)      { c.gen++ }
-func (c *countObs) ShardEnqueued(worker, lane, seq, prio int, bytes float64, depth int, now float64) {
-	c.enq++
-}
 func (c *countObs) SendStart(worker, lane, seq, iter, prio int, label string, bytes float64, ranges []Range, now float64) {
 	c.start++
 }
 func (c *countObs) SendComplete(worker, lane, iter int, msgDone bool, now float64) { c.complete++ }
-func (c *countObs) FetchGated(worker int, now float64)                             { c.gated++ }
 func (c *countObs) PullAcked(worker, grad, iter int, now float64)                  { c.acked++ }
 func (c *countObs) FaultInjected(worker int, kind string, now float64)             { c.faults++ }
 
@@ -42,16 +38,14 @@ func TestNewMulti(t *testing.T) {
 	obs := NewMulti(a, b)
 	obs.BeginIteration(0, 0, 0)
 	obs.Generated(0, 1, 0.5)
-	obs.ShardEnqueued(0, 0, 0, 0, 10, 1, 0.5)
 	obs.SendStart(0, 0, 0, 0, 0, "m", 10, nil, 0.6)
 	obs.SendComplete(0, 0, 0, true, 0.7)
-	obs.FetchGated(0, 0.7)
 	obs.PullAcked(0, 1, 0, 0.8)
 	obs.FaultInjected(0, "drop", 0.9)
 	obs.EndIteration(0, 0, 1)
 	for i, c := range []*countObs{a, b} {
-		got := [9]int{c.begin, c.end, c.gen, c.enq, c.start, c.complete, c.gated, c.acked, c.faults}
-		if got != [9]int{1, 1, 1, 1, 1, 1, 1, 1, 1} {
+		got := [7]int{c.begin, c.end, c.gen, c.start, c.complete, c.acked, c.faults}
+		if got != [7]int{1, 1, 1, 1, 1, 1, 1} {
 			t.Errorf("observer %d: event counts %v, want all ones", i, got)
 		}
 	}
@@ -72,7 +66,6 @@ func TestSpanRecorderScript(t *testing.T) {
 	obs.SendComplete(0, 0, 0, true, 3.5)
 	obs.PullAcked(0, 1, 0, 4.0)
 	obs.PullAcked(0, 0, 0, 4.5)
-	obs.FetchGated(0, 3.2)
 	obs.FaultInjected(0, "stall", 3.3)
 	obs.EndIteration(0, 0, 5.0)
 
@@ -113,9 +106,6 @@ func TestSpanRecorderScript(t *testing.T) {
 	}
 	if rt := rec.Rate(0); rt.TotalBytes() != 150 || rt.BytesBetween(2.5, 3.25) != 75 {
 		t.Errorf("rate series: total %v, [2.5, 3.25) %v; want 150, 75", rt.TotalBytes(), rt.BytesBetween(2.5, 3.25))
-	}
-	if got := rec.GatedCount(0); got != 1 {
-		t.Errorf("gated count = %d, want 1", got)
 	}
 	if fs := rec.Faults(); len(fs) != 1 || fs[0].Kind != "stall" {
 		t.Errorf("faults = %+v", fs)
@@ -247,19 +237,15 @@ func TestMetricsObserver(t *testing.T) {
 	obs := m.Observer()
 	obs.BeginIteration(0, 0, 0)
 	obs.Generated(0, 0, 0.1)
-	obs.ShardEnqueued(0, 0, 0, 0, 64, 2, 0.1)
 	obs.SendStart(0, 0, 0, 0, 0, "m", 64, nil, 0.2)
 	obs.SendComplete(0, 0, 0, true, 0.3)
-	obs.FetchGated(0, 0.3)
 	obs.PullAcked(0, 0, 0, 0.4)
 	obs.FaultInjected(0, "drop", 0.5)
 	obs.EndIteration(0, 0, 1)
 	want := map[string]int64{
 		"probe_iterations":       1,
 		"probe_generated":        1,
-		"probe_shard_enqueued":   1,
 		"probe_sends":            1,
-		"probe_fetch_gated":      1,
 		"probe_pull_acked":       1,
 		"probe_fault_injections": 1,
 		"probe_fault_drop":       1,
@@ -271,8 +257,5 @@ func TestMetricsObserver(t *testing.T) {
 	}
 	if got := m.Histogram("probe_send_bytes").Sum(); got != 64 {
 		t.Errorf("probe_send_bytes sum = %v, want 64", got)
-	}
-	if got := m.Histogram("probe_shard_queue_depth").Max(); got != 2 {
-		t.Errorf("probe_shard_queue_depth max = %v, want 2", got)
 	}
 }

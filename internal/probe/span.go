@@ -11,10 +11,10 @@ import (
 // SendStart to SendComplete. The slice of these is what prophet-run's trace
 // renders as complete ("X") events.
 type SendSpan struct {
-	Worker, Lane, Seq, Iter, Prio int
-	Label                         string
-	Bytes                         float64
-	Start, End                    float64
+	Worker, Lane, Seq, Iter int
+	Label                   string
+	Bytes                   float64
+	Start, End              float64
 }
 
 // GradTimes is the full lifecycle of one gradient's push in one iteration:
@@ -85,7 +85,6 @@ type SpanRecorder struct {
 	grads map[gradKey]*GradTimes
 
 	faults []FaultEvent
-	gated  map[int]int64
 	rFree  [][]Range
 
 	iterHint int
@@ -100,7 +99,6 @@ func NewSpanRecorder() *SpanRecorder {
 		lanes:     make(map[laneKey]*metrics.IntervalSeries),
 		inflight:  make(map[laneKey]*openSend),
 		grads:     make(map[gradKey]*GradTimes),
-		gated:     make(map[int]int64),
 	}
 }
 
@@ -156,11 +154,6 @@ func (r *SpanRecorder) Generated(worker, grad int, now float64) {
 	r.mu.Unlock()
 }
 
-// ShardEnqueued implements Observer. The recorder reconstructs timelines
-// from send and pull events; queue depth is the metrics registry's job.
-func (r *SpanRecorder) ShardEnqueued(worker, lane, seq, prio int, bytes float64, depth int, now float64) {
-}
-
 // SendStart implements Observer.
 func (r *SpanRecorder) SendStart(worker, lane, seq, iter, prio int, label string, bytes float64, ranges []Range, now float64) {
 	r.mu.Lock()
@@ -181,7 +174,7 @@ func (r *SpanRecorder) SendStart(worker, lane, seq, iter, prio int, label string
 		ranges:  rc,
 	}
 	r.spans = append(r.spans, SendSpan{
-		Worker: worker, Lane: lane, Seq: seq, Iter: iter, Prio: prio,
+		Worker: worker, Lane: lane, Seq: seq, Iter: iter,
 		Label: label, Bytes: bytes, Start: now, End: now,
 	})
 	for _, rg := range ranges {
@@ -216,13 +209,6 @@ func (r *SpanRecorder) SendComplete(worker, lane, iter int, msgDone bool, now fl
 		g.End = now
 	}
 	r.rFree = append(r.rFree, o.ranges[:0])
-	r.mu.Unlock()
-}
-
-// FetchGated implements Observer.
-func (r *SpanRecorder) FetchGated(worker int, now float64) {
-	r.mu.Lock()
-	r.gated[worker]++
 	r.mu.Unlock()
 }
 
@@ -395,14 +381,6 @@ func (r *SpanRecorder) Faults() []FaultEvent {
 	out := make([]FaultEvent, len(r.faults))
 	copy(out, r.faults)
 	return out
-}
-
-// GatedCount returns how often worker's fetch was held by the cross-shard
-// priority gate.
-func (r *SpanRecorder) GatedCount(worker int) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gated[worker]
 }
 
 // Workers returns the sorted worker ids that recorded any iteration.

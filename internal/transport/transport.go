@@ -90,9 +90,10 @@ func NewLimiter(bytesPerSec, burst float64) *Limiter {
 	}
 }
 
-// Wait blocks until n bytes may be sent. Requests larger than the burst are
-// admitted in burst-sized installments.
-func (l *Limiter) Wait(n int) {
+// Wait blocks until n bytes may be sent and reports true, or returns false
+// as soon as done is closed (a nil done never is). Requests larger than the
+// burst are admitted in burst-sized installments.
+func (l *Limiter) Wait(n int, done <-chan struct{}) bool {
 	for n > 0 {
 		chunk := n
 		if float64(chunk) > l.burst {
@@ -101,12 +102,15 @@ func (l *Limiter) Wait(n int) {
 				chunk = 1 // fractional burst: still admit a whole byte
 			}
 		}
-		l.waitChunk(chunk)
+		if !l.waitChunk(chunk, done) {
+			return false
+		}
 		n -= chunk
 	}
+	return true
 }
 
-func (l *Limiter) waitChunk(n int) {
+func (l *Limiter) waitChunk(n int, done <-chan struct{}) bool {
 	l.mu.Lock()
 	now := time.Now()
 	l.tokens += now.Sub(l.last).Seconds() * l.rate
@@ -121,9 +125,20 @@ func (l *Limiter) waitChunk(n int) {
 	}
 	sleep := l.sleep
 	l.mu.Unlock()
-	if wait > 0 {
+	switch {
+	case wait <= 0:
+	case done == nil:
 		sleep(wait)
+	default:
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-done:
+			return false
+		}
 	}
+	return true
 }
 
 // Conn shapes writes on an underlying net.Conn to a limiter's rate. Reads
@@ -139,7 +154,7 @@ func NewConn(c net.Conn, l *Limiter) *Conn { return &Conn{Conn: c, limiter: l} }
 // Write implements net.Conn with rate shaping.
 func (c *Conn) Write(b []byte) (int, error) {
 	if c.limiter != nil {
-		c.limiter.Wait(len(b))
+		c.limiter.Wait(len(b), nil)
 	}
 	return c.Conn.Write(b)
 }

@@ -153,7 +153,7 @@ func TestLimiterShapesThroughput(t *testing.T) {
 	l := NewLimiter(1e6, 1e4) // 1 MB/s, 10 KB burst
 	// 40 KB through a 1 MB/s limiter ≈ 30 ms of shaping beyond the burst.
 	start := time.Now()
-	l.Wait(40_000)
+	l.Wait(40_000, nil)
 	elapsed := time.Since(start)
 	if elapsed < 20*time.Millisecond {
 		t.Fatalf("shaping too weak: %v", elapsed)
@@ -167,7 +167,7 @@ func TestLimiterBurstIsFree(t *testing.T) {
 	var slept time.Duration
 	l := NewLimiter(1e3, 1e6)
 	l.sleep = func(d time.Duration) { slept += d }
-	l.Wait(1000) // well inside burst
+	l.Wait(1000, nil) // well inside burst
 	if slept != 0 {
 		t.Fatalf("slept %v inside burst", slept)
 	}
@@ -241,7 +241,7 @@ func TestLimiterConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				l.Wait(1000)
+				l.Wait(1000, nil)
 			}
 		}()
 	}
@@ -265,7 +265,7 @@ func TestLimiterWaitFractionalBurstTerminates(t *testing.T) {
 	l := &Limiter{rate: 1e6, burst: 0.25, last: time.Now(), sleep: func(time.Duration) {}}
 	done := make(chan struct{})
 	go func() {
-		l.Wait(10)
+		l.Wait(10, nil)
 		close(done)
 	}()
 	select {
