@@ -4,8 +4,9 @@ GO ?= go
 
 # Packages with real goroutine concurrency (live PS path + fault layer,
 # parallel sweep runner, probe observers) plus the shared drive layer both
-# execution paths schedule through.
-RACE_PKGS := ./internal/transport ./internal/ps ./internal/emu ./internal/drive ./internal/fault ./internal/experiments/runner ./internal/probe ./internal/collective
+# execution paths schedule through, and the simulator's cluster, whose pools
+# (pull messages, PS rounds) the race build poisons on release.
+RACE_PKGS := ./internal/transport ./internal/ps ./internal/emu ./internal/drive ./internal/fault ./internal/experiments/runner ./internal/probe ./internal/collective ./internal/cluster
 
 # Native fuzz targets and their packages (go runs one target per invocation).
 FUZZTIME ?= 10s
@@ -146,3 +147,4 @@ fuzz:
 	$(GO) test ./internal/ps -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/collective -run '^$$' -fuzz '^FuzzFabricDeliver$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzAccumulate$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime $(FUZZTIME)

@@ -60,6 +60,7 @@ func BenchmarkCluster_Iteration(b *testing.B) {
 		return netsim.DefaultLinkConfig(netsim.Const(netsim.Goodput(netsim.Gbps(3))))
 	}
 	iters := 8
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := cluster.Run(cluster.Config{

@@ -329,3 +329,45 @@ func TestIterationSpansContiguous(t *testing.T) {
 		}
 	}
 }
+
+// TestRunMarginalAllocs pins what a simulated iteration allocates once a
+// run is under way: the engine's events, the pull messages and the PS
+// rounds are pooled, and the GPU and iteration series are reserved up
+// front, so a PS run of the benchmark's sim-sweep cell (ResNet50 at wire
+// factor 2, batch 64, three workers on 3 Gbps goodput links, Prophet) at
+// 5N iterations allocates at most one object per extra iteration more than
+// the same run at N.
+func TestRunMarginalAllocs(t *testing.T) {
+	if poison { // set exactly in the race build
+		t.Skip("race-detector instrumentation allocates; counts are only meaningful without -race")
+	}
+	m := model.WithWireFactor(model.ResNet50(), 2)
+	agg := stepwise.Aggregate(m, m.TotalBytes()/13, 0)
+	prof, err := profiler.Run(profiler.Config{Model: m, Batch: 64, Agg: agg, Seed: 97})
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := ByNameTransport("prophet", "ps", 3, m, Options{Seed: 1, Profile: prof.Profile()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := netsim.DefaultLinkConfig(netsim.Const(netsim.Goodput(netsim.Gbps(3))))
+	allocs := func(iters int) float64 {
+		return testing.AllocsPerRun(2, func() {
+			_, err := Run(Config{
+				Model: m, Batch: 64, Workers: 3, Agg: agg,
+				Uplink:    func(int) netsim.LinkConfig { return link },
+				Scheduler: factory, Iterations: iters, Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n = 8
+	short, long := allocs(n), allocs(5*n)
+	if per := (long - short) / (4 * n); per > 1 {
+		t.Fatalf("%.2f allocations per extra simulated iteration (%v at %d iterations, %v at %d), want at most 1",
+			per, short, n, long, 5*n)
+	}
+}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"prophet/internal/schedule"
 )
@@ -22,7 +24,12 @@ type paramServer struct {
 	asp   bool
 	n     int
 	sizes []float64
-	iters map[int]*psIter
+	// rounds[i] is iteration base+i's aggregation state, nil until a push
+	// or pull of that iteration first touches it. gc advances base and
+	// recycles what it passes into free.
+	rounds []*psIter
+	base   int
+	free   []*psIter
 	// dead[w] marks worker w dropped from the BSP barrier (FaultDrop):
 	// aggregation coverage renormalizes over the survivors.
 	dead []bool
@@ -42,20 +49,60 @@ func newParamServer(workers, n int, sizes []float64) *paramServer {
 		workers: workers,
 		n:       n,
 		sizes:   sizes,
-		iters:   make(map[int]*psIter),
 	}
 }
 
+// state returns iteration iter's aggregation state, opening it zeroed on
+// first touch. An iteration below base was collected already; only a
+// dropped worker's draining push or pull reaches one (live workers never
+// touch an iteration below the slowest live worker's epoch), and it is
+// reopened zeroed, as a fresh round, until the next gc collects it again.
 func (ps *paramServer) state(iter int) *psIter {
-	st, ok := ps.iters[iter]
-	if !ok {
-		st = &psIter{pushed: make([][]float64, ps.workers)}
-		for w := range st.pushed {
-			st.pushed[w] = make([]float64, ps.n)
-		}
-		ps.iters[iter] = st
+	if iter < ps.base {
+		ps.rounds = slices.Insert(ps.rounds, 0, make([]*psIter, ps.base-iter)...)
+		ps.base = iter
+	}
+	i := iter - ps.base
+	for len(ps.rounds) <= i {
+		ps.rounds = append(ps.rounds, nil)
+	}
+	st := ps.rounds[i]
+	if st == nil {
+		st = ps.newRound()
+		ps.rounds[i] = st
 	}
 	return st
+}
+
+// newRound takes a zeroed round from the free list, or allocates one.
+func (ps *paramServer) newRound() *psIter {
+	if n := len(ps.free); n > 0 {
+		st := ps.free[n-1]
+		ps.free = ps.free[:n-1]
+		for _, p := range st.pushed {
+			clear(p)
+		}
+		return st
+	}
+	st := &psIter{pushed: make([][]float64, ps.workers)}
+	for w := range st.pushed {
+		st.pushed[w] = make([]float64, ps.n)
+	}
+	return st
+}
+
+// releaseRound hands a collected round to the free list. Nothing reads a
+// round after gc collects it; a race build poisons its counts so that a
+// read of one shows.
+func (ps *paramServer) releaseRound(st *psIter) {
+	if poison {
+		for _, p := range st.pushed {
+			for g := range p {
+				p[g] = math.NaN()
+			}
+		}
+	}
+	ps.free = append(ps.free, st)
 }
 
 // onPush records an arrived push message and wakes every worker's downlink,
@@ -109,7 +156,7 @@ func (ps *paramServer) covered(w int, pm *pullMsg) bool {
 // worker's progress — not the caller's — bounds what can be discarded.
 // Dropped workers no longer gate the barrier, so their frozen epoch is
 // ignored.
-func (ps *paramServer) gc(int) {
+func (ps *paramServer) gc() {
 	min, seen := 0, false
 	for _, wk := range ps.workersRef {
 		if ps.dead != nil && ps.dead[wk.id] {
@@ -122,11 +169,24 @@ func (ps *paramServer) gc(int) {
 	if !seen {
 		return
 	}
-	for k := range ps.iters {
-		if k < min-2 {
-			delete(ps.iters, k)
+	ps.collect(min - 2)
+}
+
+// collect recycles the state of every iteration below cut.
+func (ps *paramServer) collect(cut int) {
+	if cut <= ps.base {
+		return
+	}
+	k := min(cut-ps.base, len(ps.rounds))
+	for _, st := range ps.rounds[:k] {
+		if st != nil {
+			ps.releaseRound(st)
 		}
 	}
+	n := copy(ps.rounds, ps.rounds[k:])
+	clear(ps.rounds[n:])
+	ps.rounds = ps.rounds[:n]
+	ps.base = cut
 }
 
 // dropWorker removes w from the BSP barrier and wakes every downlink,

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"prophet/internal/drive"
@@ -156,6 +157,9 @@ func newWorker(id int, eng *sim.Engine, cfg *Config, ps *paramServer, smap *shar
 		releaseAt:   make([][]int, n),
 	}
 	w.iterLog.Grow(cfg.Iterations)
+	// One GPU interval per forward and per backward segment of every
+	// iteration.
+	w.gpu.Grow(2 * n * cfg.Iterations)
 	w.fwdDoneFn = w.onFwdSegDone
 	w.bwdDoneFn = w.onBwdSegDone
 	for _, grp := range cfg.Agg.Groups {
@@ -411,8 +415,11 @@ func (w *worker) mirrorPulls(iter int, ranges []drive.Range, lim float64) []*pul
 	// Equal-sized chunks avoid tiny remainder messages that would pay a
 	// full per-message overhead for a sliver of payload.
 	target := total / float64(chunks)
+	// A pull holds at most every range plus the tail of one split before
+	// them, so no append below outgrows a node.
+	room := len(ranges) + 1
 	pulls := w.newPulls()
-	cur := w.newPullMsg(iter)
+	cur := w.newPullMsg(iter, room)
 	flush := func() {
 		if len(cur.pieces) > 0 {
 			pulls = append(pulls, cur)
@@ -421,7 +428,7 @@ func (w *worker) mirrorPulls(iter int, ranges []drive.Range, lim float64) []*pul
 			// stays consumed, so pull ordering is bit-identical.
 			w.recyclePullMsg(cur)
 		}
-		cur = w.newPullMsg(iter)
+		cur = w.newPullMsg(iter, room)
 	}
 	add := func(pc pullPiece) {
 		cur.pieces = append(cur.pieces, pc)
@@ -458,23 +465,38 @@ func (w *worker) mirrorPulls(iter int, ranges []drive.Range, lim float64) []*pul
 // Free-list helpers. Containers keep their grown capacity across reuse, so
 // the steady state allocates nothing.
 
-func (w *worker) newPullMsg(iter int) *pullMsg {
+// newPullMsg returns a reset pull node with room for `pieces` pieces, grown
+// in one step rather than by the 1→2→4… append chain.
+func (w *worker) newPullMsg(iter, pieces int) *pullMsg {
 	var pm *pullMsg
 	if n := len(w.pmFree); n > 0 {
 		pm = w.pmFree[n-1]
 		w.pmFree = w.pmFree[:n-1]
 	} else {
-		// Seed fresh nodes with room for a typical message's pieces, so a
-		// cold pool does not pay the 1→2→4… append-growth chain per node.
-		pm = &pullMsg{pieces: make([]pullPiece, 0, 8)}
+		pm = &pullMsg{}
 	}
 	pm.seq, pm.iter, pm.prio, pm.bytes, pm.stall = w.pullSeq, iter, 1<<30, 0, 0
 	pm.pieces = pm.pieces[:0]
+	if cap(pm.pieces) < pieces {
+		pm.pieces = make([]pullPiece, 0, pieces)
+	}
 	w.pullSeq++
 	return pm
 }
 
-func (w *worker) recyclePullMsg(pm *pullMsg) { w.pmFree = append(w.pmFree, pm) }
+// recyclePullMsg hands pm back to the free list; the caller must not read
+// it after. A race build poisons it so that a read after release panics on
+// a negative gradient index or carries NaN bytes.
+func (w *worker) recyclePullMsg(pm *pullMsg) {
+	if poison {
+		nan := math.NaN()
+		pm.seq, pm.iter, pm.prio, pm.bytes, pm.stall = -1, -1, -1, nan, nan
+		for i := range pm.pieces {
+			pm.pieces[i] = pullPiece{grad: -1, off: nan, bytes: nan}
+		}
+	}
+	w.pmFree = append(w.pmFree, pm)
+}
 
 func (w *worker) newPulls() []*pullMsg {
 	if n := len(w.pullsFree); n > 0 {
@@ -486,6 +508,9 @@ func (w *worker) newPulls() []*pullMsg {
 }
 
 func (w *worker) recyclePulls(p []*pullMsg) {
+	if poison {
+		clear(p)
+	}
 	if cap(p) > 0 {
 		w.pullsFree = append(w.pullsFree, p)
 	}
@@ -557,9 +582,8 @@ func (w *worker) onDownDone(s int) {
 			}
 		}
 	}
-	iter := pm.iter
 	w.recyclePullMsg(pm)
-	w.ps.gc(iter)
+	w.ps.gc()
 	w.advanceForward() // a stalled forward segment may now proceed
 	w.pumpDownlinkShard(s)
 }

@@ -55,7 +55,7 @@ func TestAssemblePropertyCoverage(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		prof := randomProfile(rng)
 		cfg := randomConfig(rng)
-		plan, err := Assemble(prof, cfg)
+		plan, err := assemble(t, prof, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -114,7 +114,7 @@ func TestAssemblePropertyOrder(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(1_000_000 + trial)))
 		prof := randomProfile(rng)
 		cfg := randomConfig(rng)
-		plan, err := Assemble(prof, cfg)
+		plan, err := assemble(t, prof, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -186,7 +186,7 @@ func TestAssemblePropertyWindows(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(2_000_000 + trial)))
 		prof := randomProfile(rng)
 		cfg := randomConfig(rng)
-		plan, err := Assemble(prof, cfg)
+		plan, err := assemble(t, prof, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -221,11 +221,11 @@ func TestAssemblePropertyDeterministic(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(3_000_000 + trial)))
 		prof := randomProfile(rng)
 		cfg := randomConfig(rng)
-		a, err := Assemble(prof, cfg)
+		a, err := assemble(t, prof, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		b, err := Assemble(prof, cfg)
+		b, err := assemble(t, prof, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -1,15 +1,34 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"prophet/internal/model"
 	"prophet/internal/stepwise"
 )
+
+// assembleDeadline bounds one Assemble call in these tests. A plan takes
+// milliseconds; a release loop that stops advancing would otherwise spin
+// until go test's 10-minute timeout.
+const assembleDeadline = 5 * time.Second
+
+// assemble is Assemble under assembleDeadline. Past it the timer panics,
+// which ends the test binary at once with the test's name in the message.
+func assemble(t *testing.T, prof *Profile, cfg Config) (*Plan, error) {
+	t.Helper()
+	name := t.Name()
+	timer := time.AfterFunc(assembleDeadline, func() {
+		panic(fmt.Sprintf("%s: Assemble did not return within %v", name, assembleDeadline))
+	})
+	defer timer.Stop()
+	return Assemble(prof, cfg)
+}
 
 // stepProfile builds a synthetic stepwise profile: nBlocks release steps of
 // blockSize gradients each, separated by gap seconds, each gradient of the
@@ -44,7 +63,7 @@ func gradBytes(plan *Plan, n int) []float64 {
 
 func TestAssembleConservesBytes(t *testing.T) {
 	prof := stepProfile(t, 4, 5, 0.1, 1e6)
-	plan, err := Assemble(prof, Config{Bandwidth: 100e6})
+	plan, err := assemble(t, prof, Config{Bandwidth: 100e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +77,7 @@ func TestAssembleConservesBytes(t *testing.T) {
 
 func TestAssembleExactlyOneLastSpanPerGradient(t *testing.T) {
 	prof := stepProfile(t, 4, 5, 0.1, 9e6) // forces partitioning
-	plan, err := Assemble(prof, Config{Bandwidth: 100e6})
+	plan, err := assemble(t, prof, Config{Bandwidth: 100e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +99,7 @@ func TestAssembleExactlyOneLastSpanPerGradient(t *testing.T) {
 func TestAssembleRespectsConstraint7(t *testing.T) {
 	// t(i) >= c(i): no gradient starts before it is generated.
 	prof := stepProfile(t, 4, 5, 0.1, 1e6)
-	plan, err := Assemble(prof, Config{Bandwidth: 100e6})
+	plan, err := assemble(t, prof, Config{Bandwidth: 100e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +114,7 @@ func TestAssembleGradZeroAtBackwardEnd(t *testing.T) {
 	// Line 17: t(0) = c(0) — gradient 0 goes out the moment backward ends
 	// (the network is unloaded here, so there is no backlog).
 	prof := stepProfile(t, 4, 5, 0.1, 1e6)
-	plan, err := Assemble(prof, Config{Bandwidth: 1e9})
+	plan, err := assemble(t, prof, Config{Bandwidth: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +141,7 @@ func TestAssembleBlocksFitWindows(t *testing.T) {
 	// of higher-priority gradients that follows its start.
 	prof := stepProfile(t, 4, 5, 0.1, 1e6)
 	b := 200e6
-	plan, err := Assemble(prof, Config{Bandwidth: b})
+	plan, err := assemble(t, prof, Config{Bandwidth: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +171,7 @@ func TestAssembleWideWindowTakesWholeBlock(t *testing.T) {
 	// assemble during backward and the final 5 gradients flow through the
 	// forward phase.
 	prof := stepProfile(t, 4, 5, 1.0, 1e6)
-	plan, err := Assemble(prof, Config{Bandwidth: 1e9})
+	plan, err := assemble(t, prof, Config{Bandwidth: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +194,7 @@ func TestAssembleWideWindowTakesWholeBlock(t *testing.T) {
 func TestAssembleOverloadedLinkStaysBusy(t *testing.T) {
 	// Slow network: blocks form back to back with no idle gap until c(0).
 	prof := stepProfile(t, 4, 5, 0.05, 4e6)
-	plan, err := Assemble(prof, Config{Bandwidth: 50e6}) // E(4MB) = 80ms >> gap
+	plan, err := assemble(t, prof, Config{Bandwidth: 50e6}) // E(4MB) = 80ms >> gap
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +222,7 @@ func TestAssembleLargeGradientSpreadsAcrossBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Assemble(prof, Config{Bandwidth: 100e6, Partition: 4e6})
+	plan, err := assemble(t, prof, Config{Bandwidth: 100e6, Partition: 4e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +250,7 @@ func TestAssemblePartitionBoundsPriorityInversion(t *testing.T) {
 	// residue — never a whole tensor.
 	prof := stepProfile(t, 3, 2, 0.05, 30e6)
 	part := 4e6
-	plan, err := Assemble(prof, Config{Bandwidth: 100e6, Partition: part})
+	plan, err := assemble(t, prof, Config{Bandwidth: 100e6, Partition: part})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +271,7 @@ func TestAssemblePartitionBoundsPriorityInversion(t *testing.T) {
 
 func TestAssembleForwardPhaseOrdered(t *testing.T) {
 	prof := stepProfile(t, 3, 4, 0.05, 2e6)
-	plan, err := Assemble(prof, Config{Bandwidth: 50e6})
+	plan, err := assemble(t, prof, Config{Bandwidth: 50e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +312,7 @@ func TestAssembleForwardBundlesBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Assemble(prof, Config{Bandwidth: 10e6, Partition: 4e6})
+	plan, err := assemble(t, prof, Config{Bandwidth: 10e6, Partition: 4e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +332,7 @@ func TestAssembleForwardBundlesBounded(t *testing.T) {
 
 func TestAssembleUnitsChronological(t *testing.T) {
 	prof := stepProfile(t, 5, 4, 0.08, 1.5e6)
-	plan, err := Assemble(prof, Config{Bandwidth: 80e6})
+	plan, err := assemble(t, prof, Config{Bandwidth: 80e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +350,11 @@ func TestAssembleNoBandwidthPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	Assemble(prof, Config{})
+	assemble(t, prof, Config{})
 }
 
 func TestAssembleInvalidProfileErrors(t *testing.T) {
-	_, err := Assemble(&Profile{Gen: []float64{1}, Bytes: []float64{0}}, Config{Bandwidth: 1})
+	_, err := assemble(t, &Profile{Gen: []float64{1}, Bytes: []float64{0}}, Config{Bandwidth: 1})
 	if err == nil {
 		t.Fatal("expected error for zero-size gradient")
 	}
@@ -343,14 +362,14 @@ func TestAssembleInvalidProfileErrors(t *testing.T) {
 
 func TestAssembleNegativePartitionErrors(t *testing.T) {
 	prof := stepProfile(t, 2, 3, 0.1, 1e6)
-	if _, err := Assemble(prof, Config{Bandwidth: 1e9, Partition: -1}); err == nil {
+	if _, err := assemble(t, prof, Config{Bandwidth: 1e9, Partition: -1}); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestAssembleUnitBytesMatchSpans(t *testing.T) {
 	prof := stepProfile(t, 3, 3, 0.1, 2e6)
-	plan, err := Assemble(prof, Config{Bandwidth: 1e9})
+	plan, err := assemble(t, prof, Config{Bandwidth: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +386,7 @@ func TestAssembleUnitBytesMatchSpans(t *testing.T) {
 
 func TestAssembleUnitOf(t *testing.T) {
 	prof := stepProfile(t, 3, 3, 0.1, 2e6)
-	plan, err := Assemble(prof, Config{Bandwidth: 1e9})
+	plan, err := assemble(t, prof, Config{Bandwidth: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +442,7 @@ func TestAssembleOnRealModelProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Assemble(prof, Config{Bandwidth: 375e6}) // 3 Gbps
+	plan, err := assemble(t, prof, Config{Bandwidth: 375e6}) // 3 Gbps
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +481,7 @@ func TestPropertyAssembleConstraints(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		plan, err := Assemble(prof, Config{Bandwidth: bw})
+		plan, err := assemble(t, prof, Config{Bandwidth: bw})
 		if err != nil {
 			return false
 		}
@@ -520,7 +539,7 @@ func TestAssembleForwardBundleChargesPerMessageTime(t *testing.T) {
 	// charges it via tUsed. Omitting it understates t(q) by the overhead.
 	const bw, pmt = 50e6, 0.005
 	prof := stepProfile(t, 3, 4, 0.05, 2e6)
-	plan, err := Assemble(prof, Config{Bandwidth: bw, PerMessageTime: pmt})
+	plan, err := assemble(t, prof, Config{Bandwidth: bw, PerMessageTime: pmt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +579,7 @@ func TestAssembleAllocsDoNotGrowWithGradients(t *testing.T) {
 		prof := stepProfile(t, nBlocks, 10, 1e-3, 1e6)
 		cfg := Config{Bandwidth: 5e9, PerMessageTime: 1e-5}
 		return testing.AllocsPerRun(20, func() {
-			if _, err := Assemble(prof, cfg); err != nil {
+			if _, err := assemble(t, prof, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -5,7 +5,7 @@ import "testing"
 func planForQueue(t *testing.T) (*Plan, int) {
 	t.Helper()
 	prof := stepProfile(t, 3, 3, 0.1, 1e6)
-	plan, err := Assemble(prof, Config{Bandwidth: 1e9})
+	plan, err := assemble(t, prof, Config{Bandwidth: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,7 +200,7 @@ func TestProphetPlanMinimizesWaitVersusBaselines(t *testing.T) {
 		fwd[i] = 0.005
 	}
 	m := WaitModel{Gen: prof.Gen, Est: est, FwdTime: fwd}
-	plan, err := Assemble(prof, Config{Bandwidth: bw})
+	plan, err := assemble(t, prof, Config{Bandwidth: bw})
 	if err != nil {
 		t.Fatal(err)
 	}

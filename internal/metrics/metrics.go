@@ -9,6 +9,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Interval is a closed-open busy span [Start, End).
@@ -50,6 +51,15 @@ func (s *IntervalSeries) Stop(t float64) {
 	}
 	s.open = false
 	s.intervals = append(s.intervals, Interval{Start: s.openAt, End: t})
+}
+
+// Grow pre-allocates capacity for n further intervals, so a resource whose
+// interval count is known up front (a simulated GPU's segments) records
+// without reallocating.
+func (s *IntervalSeries) Grow(n int) {
+	if n > 0 {
+		s.intervals = slices.Grow(s.intervals, n)
+	}
 }
 
 // Busy reports whether an interval is currently open.

@@ -243,6 +243,32 @@ func TestPropertyRateSeriesAdditive(t *testing.T) {
 	}
 }
 
+func TestIntervalSeriesGrowPreservesAndPresizes(t *testing.T) {
+	var s IntervalSeries
+	s.Start(0)
+	s.Stop(1)
+	s.Grow(10)
+	if iv := s.Intervals(); len(iv) != 1 || iv[0] != (Interval{0, 1}) {
+		t.Fatalf("Grow mangled contents: %+v", iv)
+	}
+	if c := cap(s.Intervals()); c < 11 {
+		t.Fatalf("Grow(10) left capacity %d", c)
+	}
+	s.Grow(0)
+	s.Grow(-5) // no-ops
+	if n := len(s.Intervals()); n != 1 {
+		t.Fatalf("no-op Grow changed count to %d", n)
+	}
+	first := &s.Intervals()[0]
+	for i := 0; i < 10; i++ {
+		s.Start(float64(1 + i))
+		s.Stop(float64(1 + i))
+	}
+	if &s.Intervals()[0] != first {
+		t.Fatal("10 intervals into a Grow(10) series reallocated it")
+	}
+}
+
 func TestIterationLogGrowPreservesAndPresizes(t *testing.T) {
 	var l IterationLog
 	l.Add(0, 1)

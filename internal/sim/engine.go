@@ -5,10 +5,14 @@
 // seedable random source, so that simulation results are bit-for-bit
 // reproducible across runs and machines. No wall-clock time ever enters a
 // simulation.
+//
+// The queue is a typed binary min-heap whose slots hold each event's firing
+// key (time, scheduling sequence) inline beside a pointer to the pooled
+// Event, so sifting compares plain values; Cancel removes by the heap index
+// the Event keeps, in O(log n).
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -21,10 +25,9 @@ type Time = float64
 // Event itself is recycled through the engine's free list the moment it
 // fires or is canceled. The generation counter is what keeps recycled
 // nodes safe: a Handle created for one incarnation can never affect the
-// next one.
+// next one. The firing time and sequence live in the event's queue slot,
+// not here.
 type Event struct {
-	at    Time
-	seq   uint64
 	index int // heap index, -1 once popped or canceled
 	gen   uint64
 	fn    func()
@@ -68,7 +71,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.nFired }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // FreeListLen returns how many recycled events are pooled (test hook).
 func (e *Engine) FreeListLen() int { return len(e.free) }
@@ -100,9 +103,9 @@ func (e *Engine) At(t Time, fn func()) Handle {
 	} else {
 		ev = &Event{}
 	}
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
+	ev.fn = fn
+	e.queue.push(slot{at: t, seq: e.seq, ev: ev})
 	e.seq++
-	heap.Push(&e.queue, ev)
 	return Handle{ev: ev, gen: ev.gen, at: t}
 }
 
@@ -122,7 +125,7 @@ func (e *Engine) Cancel(h Handle) bool {
 	if h.ev == nil || h.ev.gen != h.gen || h.ev.index < 0 {
 		return false
 	}
-	heap.Remove(&e.queue, h.ev.index)
+	e.queue.remove(h.ev.index)
 	e.release(h.ev)
 	return true
 }
@@ -135,11 +138,12 @@ func (e *Engine) Active(h Handle) bool {
 // Step executes the next pending event, advancing the clock. It returns
 // false when the queue is empty.
 func (e *Engine) Step() bool {
-	if e.queue.Len() == 0 {
+	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
-	e.now = ev.at
+	s := e.queue.remove(0) // the earliest event
+	ev := s.ev
+	e.now = s.at
 	e.nFired++
 	fn := ev.fn
 	// Recycle before running fn: the callback may schedule new events and
@@ -162,7 +166,7 @@ func (e *Engine) RunUntil(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) is in the past (now=%v)", t, e.now))
 	}
-	for e.queue.Len() > 0 && e.queue[0].at <= t {
+	for len(e.queue) > 0 && e.queue[0].at <= t {
 		e.Step()
 	}
 	e.now = t
@@ -171,36 +175,86 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor executes events for d seconds of simulated time from now.
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
-// eventQueue is a min-heap on (at, seq).
-type eventQueue []*Event
+// slot is one eventQueue entry. The (at, seq) key lives inline so that a
+// sift compares keys without dereferencing the events it moves.
+type slot struct {
+	at  Time
+	seq uint64
+	ev  *Event
+}
 
-func (q eventQueue) Len() int { return len(q) }
+// before reports whether a fires before b: earlier time, then earlier
+// scheduling. seq is unique, so this is a total order and any valid heap
+// pops the same sequence.
+func (a *slot) before(b *slot) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// eventQueue is a binary min-heap of slots on (at, seq). Every move writes
+// the event's new position to Event.index, which Cancel removes by.
+type eventQueue []slot
+
+func (q *eventQueue) push(s slot) {
+	*q = append(*q, s)
+	q.up(len(*q) - 1)
+}
+
+// remove takes the entry at index i out of the heap: the last entry fills
+// the hole and sifts whichever way restores the order.
+func (q *eventQueue) remove(i int) slot {
+	h := *q
+	n := len(h) - 1
+	s := h[i]
+	if i != n {
+		h[i] = h[n]
 	}
-	return q[i].seq < q[j].seq
+	h[n] = slot{}
+	*q = h[:n]
+	if i != n && !q.down(i) {
+		q.up(i)
+	}
+	s.ev.index = -1
+	return s
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// up moves the entry at i toward the root until its parent fires first.
+func (q eventQueue) up(i int) {
+	s := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.index = i
+		i = p
+	}
+	q[i] = s
+	s.ev.index = i
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+// down moves the entry at i toward the leaves until both children fire
+// after it, and reports whether it moved.
+func (q eventQueue) down(i int) bool {
+	n := len(q)
+	s := q[i]
+	i0 := i
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&s) {
+			break
+		}
+		q[i] = q[c]
+		q[i].ev.index = i
+		i = c
+	}
+	q[i] = s
+	s.ev.index = i
+	return i > i0
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -260,5 +261,28 @@ func TestPropertyCancelSubset(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkEngine_Step measures one Step (pop, fire, and the callback's
+// reschedule) at a fixed queue depth. depth1 is the ping-pong that never
+// sifts; depth12 is where the simulated PS cell runs, with 4–15 events
+// pending.
+func BenchmarkEngine_Step(b *testing.B) {
+	for _, depth := range []int{1, 12} {
+		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
+			e := New()
+			rng := NewRand(1)
+			var tick func()
+			tick = func() { e.Schedule(rng.Float64(), tick) }
+			for i := 0; i < depth; i++ {
+				e.Schedule(rng.Float64(), tick)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }

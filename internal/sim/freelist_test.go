@@ -187,19 +187,3 @@ func TestPropertyPoolChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkSchedulePingPong(b *testing.B) {
-	e := New()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			e.Schedule(1, tick)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Schedule(1, tick)
-	e.Run()
-}
