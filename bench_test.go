@@ -14,6 +14,8 @@ import (
 	"prophet/internal/model"
 	"prophet/internal/netsim"
 	"prophet/internal/profiler"
+	"prophet/internal/schedule"
+	"prophet/internal/sim"
 	"prophet/internal/stepwise"
 )
 
@@ -53,19 +55,42 @@ func BenchmarkCore_Profiler(b *testing.B) {
 }
 
 // BenchmarkCluster_Iteration measures simulator throughput: wall cost per
-// simulated ResNet50 training iteration under Prophet.
+// simulated ResNet50 training iteration under Prophet, on the PS wire.
 func BenchmarkCluster_Iteration(b *testing.B) {
 	prof, m := rn50Setup(b)
+	benchCluster(b, m, "ps", 3, cluster.ProphetFactory(prof))
+}
+
+// BenchmarkCluster_IterationRing is the same on a ring of 8, the collective
+// half of the sim-sweep benchmark cell.
+func BenchmarkCluster_IterationRing(b *testing.B) {
+	prof, m := rn50Setup(b)
+	factory, err := cluster.ByNameTransport("prophet", "ring", 8, m, cluster.Options{Seed: 1, Profile: prof})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchCluster(b, m, "ring", 8, factory)
+}
+
+// benchCluster times 8-iteration runs on 3 Gbps goodput links and reports
+// simulated iterations per second and the engine's events per simulated
+// iteration.
+func benchCluster(b *testing.B, m *model.Model, transport string, workers int, factory cluster.SchedulerFactory) {
 	link := func(int) netsim.LinkConfig {
 		return netsim.DefaultLinkConfig(netsim.Const(netsim.Goodput(netsim.Gbps(3))))
+	}
+	var eng *sim.Engine
+	sched := func(w int, e *sim.Engine, up *netsim.Link) schedule.Scheduler {
+		eng = e
+		return factory(w, e, up)
 	}
 	iters := 8
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := cluster.Run(cluster.Config{
-			Model: m, Batch: 64, Workers: 3,
-			Uplink: link, Scheduler: cluster.ProphetFactory(prof),
+			Model: m, Batch: 64, Workers: workers, Transport: transport,
+			Uplink: link, Scheduler: sched,
 			Iterations: iters, Seed: 1,
 		})
 		if err != nil {
@@ -73,4 +98,5 @@ func BenchmarkCluster_Iteration(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*iters)/b.Elapsed().Seconds(), "sim-iters/s")
+	b.ReportMetric(float64(eng.Fired())/float64(iters), "events/sim-iter")
 }

@@ -30,6 +30,9 @@ type paramServer struct {
 	rounds []*psIter
 	base   int
 	free   []*psIter
+	// gens counts the rounds opened so far; each takes the next value as
+	// its generation.
+	gens uint64
 	// dead[w] marks worker w dropped from the BSP barrier (FaultDrop):
 	// aggregation coverage renormalizes over the survivors.
 	dead []bool
@@ -42,6 +45,10 @@ type paramServer struct {
 type psIter struct {
 	// pushed[w][g] is worker w's cumulative pushed bytes of gradient g.
 	pushed [][]float64
+	// gen tells this opening of the round from an earlier one of the same
+	// iteration that gc collected: what a pull learned of its coverage
+	// holds only while the round it read lives.
+	gen uint64
 }
 
 func newParamServer(workers, n int, sizes []float64) *paramServer {
@@ -69,6 +76,8 @@ func (ps *paramServer) state(iter int) *psIter {
 	st := ps.rounds[i]
 	if st == nil {
 		st = ps.newRound()
+		ps.gens++
+		st.gen = ps.gens
 		ps.rounds[i] = st
 	}
 	return st
@@ -128,9 +137,18 @@ func (ps *paramServer) onPush(w, iter int, msg schedule.Message) {
 // under BSP, pushed by all workers (the PS holds the aggregated value);
 // under ASP, pushed by w itself (the PS applies updates as they arrive and
 // serves the current parameters immediately).
+//
+// Coverage is monotone while a round lives — pushes only add bytes and a
+// drop only relaxes the barrier — so the scan resumes at the first piece
+// the last scan of the same round found short. A round gc collected and a
+// draining straggler reopened is zeroed, so the pull scans it afresh.
 func (ps *paramServer) covered(w int, pm *pullMsg) bool {
 	st := ps.state(pm.iter)
-	for _, pc := range pm.pieces {
+	if pm.covGen != st.gen {
+		pm.covGen, pm.covFrom = st.gen, 0
+	}
+	for ; pm.covFrom < len(pm.pieces); pm.covFrom++ {
+		pc := pm.pieces[pm.covFrom]
 		need := pc.off + pc.bytes
 		slack := 1e-6 * (1 + need)
 		if ps.asp {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -62,6 +63,19 @@ func TestRoundsBehaveAsAMap(t *testing.T) {
 // once, and the survivors run ahead while its queued pushes still drain:
 // those pushes, and the pulls they mirror, land on rounds gc has already
 // collected. Both barriers must finish the run without it.
+//
+// The straggler's late pulls are pinned too. gc keeps two rounds behind
+// the slowest survivor's epoch, so iteration 0's round lives until the
+// first gc (every pull landing runs one) after both survivors began
+// iteration 3's backward pass. Under BSP the straggler is served only
+// while that round lives: the survivors' pushes cover its pulls, and a
+// round reopened after collection is zeroed and nobody pushes to it again.
+// So it is served at least once after the round would die under a gc one
+// round tighter (collect(min−1)), and never after it does die, even for a
+// pull found covered before — covered must rescan a reopened round. Under
+// ASP it serves itself from its own pushes to the end of its drain, though
+// the reopened rounds forget what it pushed before, so in both modes it
+// pulls back less than it pushed.
 func TestDroppedStragglerDrainsBehindTheWindow(t *testing.T) {
 	for _, asp := range []bool{false, true} {
 		cfg := smallConfig(t, FIFOFactory(model.ResNet18()), 5)
@@ -88,6 +102,42 @@ func TestDroppedStragglerDrainsBehindTheWindow(t *testing.T) {
 		up := res.UpRecords[1]
 		if last, done := up[len(up)-1].End, res.Iters.Ends[cfg.Iterations-1]; last <= done {
 			t.Fatalf("asp=%v: straggler drained at %v, before the survivors finished at %v", asp, last, done)
+		}
+		down := res.DownRecords[1]
+		if len(down) == 0 {
+			t.Fatalf("asp=%v: the straggler pulled nothing", asp)
+		}
+		if pulled, pushed := recordBytes(down), recordBytes(up); pulled >= pushed {
+			t.Fatalf("asp=%v: the straggler pulled %v of the %v bytes it pushed, want less", asp, pulled, pushed)
+		}
+		if asp {
+			if last, done := down[len(down)-1].Start, res.Iters.Ends[cfg.Iterations-1]; last <= done {
+				t.Fatalf("asp=%v: the straggler's last pull started at %v, before the survivors finished at %v", asp, last, done)
+			}
+			continue
+		}
+		n := cfg.Model.NumGradients()
+		// gcFrom is the first gc at which the survivors' epoch has reached
+		// iter: both began its backward pass and a pull landed since.
+		gcFrom := func(iter int) float64 {
+			var epoch float64
+			for _, w := range []int{0, 2} {
+				epoch = max(epoch, res.GPU[w].Intervals()[iter*2*n+n].Start)
+			}
+			at := math.Inf(1)
+			for _, recs := range res.DownRecords {
+				for _, r := range recs {
+					if r.End >= epoch {
+						at = min(at, r.End)
+					}
+				}
+			}
+			return at
+		}
+		dies, tighter := gcFrom(3), gcFrom(2)
+		if last := down[len(down)-1].Start; last > dies || last <= tighter {
+			t.Fatalf("straggler's last pull started at %v, want it after %v (a gc one round tighter) and by %v (its round collected)",
+				last, tighter, dies)
 		}
 	}
 }

@@ -128,6 +128,10 @@ type pullMsg struct {
 	bytes  float64
 	stall  float64 // engine dispatch cost per response message
 	pieces []pullPiece
+	// covFrom is the first piece paramServer.covered has not yet found
+	// covered in the round of generation covGen (0: none scanned).
+	covFrom int
+	covGen  uint64
 }
 
 // pullPiece is one gradient slice with its byte range [off, off+bytes).
@@ -286,6 +290,13 @@ func (w *worker) startIteration() {
 // advanceForward runs forward segments in order, gated on the previous
 // iteration's parameter pulls (Eq. 3). Iteration 0 uses the initial
 // parameters, so it is never gated.
+//
+// A boundary at which the next segment is already pulled does nothing but
+// start that segment, so the loop computes such a run of segments inline
+// (segment k+1 starts at segment k's end) and schedules one event, at the
+// end of the last segment or of the first one whose successor is not yet
+// pulled. Within an iteration's forward pass pulled only goes false → true,
+// so a segment found runnable now is still runnable at its start.
 func (w *worker) advanceForward() {
 	if w.phase != phaseForward || w.computing {
 		return
@@ -295,17 +306,26 @@ func (w *worker) advanceForward() {
 		w.startBackward()
 		return
 	}
-	seg := w.fwdSeg
-	if w.iter > 0 && !w.pulled[seg] {
+	if w.iter > 0 && !w.pulled[w.fwdSeg] {
 		return // GPU idles: T_wait accrues until the pull lands
 	}
 	w.computing = true
-	w.gpu.Start(w.eng.Now())
-	d := w.rng.Jitter(w.cfg.Model.FwdTime(w.cfg.Hardware, w.cfg.Model.Grads[seg], w.cfg.Batch), w.cfg.Jitter)
-	w.eng.Schedule(d, w.fwdDoneFn)
+	t := w.eng.Now()
+	for {
+		seg := w.fwdSeg
+		w.gpu.Start(t)
+		end := t + w.rng.Jitter(w.cfg.Model.FwdTime(w.cfg.Hardware, w.cfg.Model.Grads[seg], w.cfg.Batch), w.cfg.Jitter)
+		if seg+1 == n || (w.iter > 0 && !w.pulled[seg+1]) {
+			w.eng.At(end, w.fwdDoneFn)
+			return
+		}
+		w.gpu.Stop(end)
+		w.fwdSeg++
+		t = end
+	}
 }
 
-// onFwdSegDone completes the forward segment scheduled by advanceForward.
+// onFwdSegDone completes the forward run scheduled by advanceForward.
 func (w *worker) onFwdSegDone() {
 	w.gpu.Stop(w.eng.Now())
 	w.computing = false
@@ -338,21 +358,34 @@ func (w *worker) startBackward() {
 	w.advanceBackward()
 }
 
+// advanceBackward runs backward segments back to front. Only a boundary
+// that releases an aggregation bucket (or ends the pass) acts, so the loop
+// computes the segments between two such boundaries inline and schedules
+// one event, at the end of the releasing segment.
 func (w *worker) advanceBackward() {
 	if w.bwdSeg < 0 {
 		w.finishIteration()
 		return
 	}
-	seg := w.bwdSeg
 	w.computing = true
-	w.gpu.Start(w.eng.Now())
-	d := w.rng.Jitter(w.cfg.Model.BwdTime(w.cfg.Hardware, w.cfg.Model.Grads[seg], w.cfg.Batch), w.cfg.Jitter)
-	w.eng.Schedule(d, w.bwdDoneFn)
+	t := w.eng.Now()
+	for {
+		seg := w.bwdSeg
+		w.gpu.Start(t)
+		end := t + w.rng.Jitter(w.cfg.Model.BwdTime(w.cfg.Hardware, w.cfg.Model.Grads[seg], w.cfg.Batch), w.cfg.Jitter)
+		if w.releaseAt[seg] != nil || seg == 0 {
+			w.eng.At(end, w.bwdDoneFn)
+			return
+		}
+		w.gpu.Stop(end)
+		w.bwdSeg--
+		t = end
+	}
 }
 
-// onBwdSegDone completes the backward segment scheduled by advanceBackward.
-// w.bwdSeg is stable between schedule and fire — only this callback advances
-// it, and at most one backward compute event is ever in flight.
+// onBwdSegDone completes the backward run scheduled by advanceBackward.
+// w.bwdSeg is stable between schedule and fire — only the backward loop
+// moves it, and at most one backward compute event is ever in flight.
 func (w *worker) onBwdSegDone() {
 	seg := w.bwdSeg
 	w.gpu.Stop(w.eng.Now())
@@ -476,6 +509,7 @@ func (w *worker) newPullMsg(iter, pieces int) *pullMsg {
 		pm = &pullMsg{}
 	}
 	pm.seq, pm.iter, pm.prio, pm.bytes, pm.stall = w.pullSeq, iter, 1<<30, 0, 0
+	pm.covFrom, pm.covGen = 0, 0
 	pm.pieces = pm.pieces[:0]
 	if cap(pm.pieces) < pieces {
 		pm.pieces = make([]pullPiece, 0, pieces)
