@@ -4,8 +4,9 @@ GO ?= go
 
 # Packages with real goroutine concurrency (live PS path + fault layer,
 # parallel sweep runner, probe observers) plus the shared drive layer both
-# execution paths schedule through, and the simulator's cluster, whose pools
-# (pull messages, PS rounds) the race build poisons on release.
+# execution paths schedule through, and the simulator's cluster: the race
+# build poisons their pools (the driver's pieces and ranges, pull messages,
+# PS rounds) on release.
 RACE_PKGS := ./internal/transport ./internal/ps ./internal/emu ./internal/drive ./internal/fault ./internal/experiments/runner ./internal/probe ./internal/collective ./internal/cluster
 
 # Native fuzz targets and their packages (go runs one target per invocation).
@@ -88,8 +89,9 @@ conformance:
 # the one failure contract on ring/tree (seeded drop/stall/corrupt on the
 # fabric pipe, the per-op bound, no goroutine left behind by emu.Run or
 # Fabric.Close), and the engine seam's contract (every policy trains to the
-# same bits on every transport, the collective's event shape, per-shard
-# writers that overlap on private pipes), under the race detector.
+# same bits on every transport, one observed send per fused collective
+# group whose bytes the fabric's meter accounts for, per-shard writers that
+# overlap on private pipes), under the race detector.
 conformance-live:
 	$(GO) test -race -count=1 -run 'TestLiveTransportConformance|TestMirrorCollectiveTransports|TestCollectiveAckIsZero|TestCollectiveChaos|TestCollectiveOpBound|TestAllPoliciesIdenticalTrajectory|TestCollectiveObserverContract|TestShardLanesOverlapOnPrivatePipes' ./internal/emu
 	$(GO) test -race -count=1 -run 'TestBadFrameUnblocksEveryPeer|TestCloseWaitsForReaders' ./internal/collective

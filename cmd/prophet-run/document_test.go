@@ -27,10 +27,10 @@ func goldenRecorder() *probe.SpanRecorder {
 		obs.BeginIteration(w, 0, base)
 		obs.Generated(w, 0, base+0.001)
 		obs.Generated(w, 1, base+0.002)
-		obs.SendStart(w, 0, 0, 0, 0, "g0", 4096, []probe.Range{{Grad: 0, Bytes: 4096, Last: true}}, base+0.003)
-		obs.SendStart(w, 1, 1, 0, 1, "g1", 2048, []probe.Range{{Grad: 1, Bytes: 2048, Last: true}}, base+0.004)
-		obs.SendComplete(w, 1, 0, true, base+0.005)
-		obs.SendComplete(w, 0, 0, true, base+0.006)
+		obs.SendStart(w, 0, 0, 0, "g0", 4096, []probe.Range{{Grad: 0, Bytes: 4096, Last: true}}, base+0.003)
+		obs.SendStart(w, 1, 1, 0, "g1", 2048, []probe.Range{{Grad: 1, Bytes: 2048, Last: true}}, base+0.004)
+		obs.SendComplete(w, 1, 0, base+0.005)
+		obs.SendComplete(w, 0, 0, base+0.006)
 		obs.PullAcked(w, 0, 0, base+0.007)
 		obs.PullAcked(w, 1, 0, base+0.008)
 		obs.EndIteration(w, 0, base+0.009)

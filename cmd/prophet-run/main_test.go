@@ -295,8 +295,8 @@ func TestBadInvocationsAreErrors(t *testing.T) {
 func feed(rec *probe.SpanRecorder, iter int, at, trip, bytes float64) (end float64) {
 	rec.BeginIteration(0, iter, at)
 	rec.Generated(0, 0, at+0.001)
-	rec.SendStart(0, 0, iter, iter, 0, "g0", bytes, []probe.Range{{Grad: 0, Last: true}}, at+0.001)
-	rec.SendComplete(0, 0, iter, true, at+0.001+trip/2)
+	rec.SendStart(0, 0, iter, iter, "g0", bytes, []probe.Range{{Grad: 0, Last: true}}, at+0.001)
+	rec.SendComplete(0, 0, iter, at+0.001+trip/2)
 	rec.PullAcked(0, 0, iter, at+0.001+trip)
 	end = at + 0.001 + trip + 0.005
 	rec.EndIteration(0, iter, end)

@@ -11,7 +11,6 @@ import (
 
 	"prophet/internal/allreduce"
 	"prophet/internal/cluster"
-	"prophet/internal/drive"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
 	"prophet/internal/probe"
@@ -38,10 +37,6 @@ func ringSetup(t *testing.T) (*model.Model, stepwise.Buckets, *profiler.Result) 
 func TestEveryStrategyOnEveryCollectiveBackend(t *testing.T) {
 	m, agg, prof := ringSetup(t)
 	for _, transport := range []string{"ring", "tree"} {
-		be, err := drive.BackendByName(transport)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, name := range strategy.Names() {
 			t.Run(transport+"/"+name, func(t *testing.T) {
 				factory, err := cluster.ByNameTransport(name, transport, testWorkers, m,
@@ -74,21 +69,6 @@ func TestEveryStrategyOnEveryCollectiveBackend(t *testing.T) {
 				}
 				if res.Reductions <= 0 || len(res.Messages) != res.Reductions {
 					t.Fatalf("decision log: %d records for %d reductions", len(res.Messages), res.Reductions)
-				}
-				// Every collective op played exactly Steps(W) chunk steps
-				// through the StepObserver stream.
-				steps := rec.Steps()
-				if want := res.Reductions * be.Steps(testWorkers); len(steps) != want {
-					t.Fatalf("%d step spans, want %d (%d ops × %d steps)",
-						len(steps), want, res.Reductions, be.Steps(testWorkers))
-				}
-				for _, st := range steps {
-					if st.Steps != be.Steps(testWorkers) || st.Step < 0 || st.Step >= st.Steps {
-						t.Fatalf("malformed step span %+v", st)
-					}
-					if st.End < st.Start || st.Bytes <= 0 {
-						t.Fatalf("degenerate step span %+v", st)
-					}
 				}
 				// The probe stream reconstructs the run's iteration log.
 				if iters := rec.Iterations(0); iters == nil || iters.Count() != res.Iters.Count() {

@@ -114,11 +114,9 @@ type Config struct {
 	// (default FaultFailFast).
 	FaultPolicy FaultPolicy
 	// Observer, when non-nil, receives the probe event stream from every
-	// worker (times are simulated seconds); one that also implements
-	// probe.StepObserver additionally receives a collective's per-chunk
-	// steps. Observation is passive — a run
-	// with an Observer attached produces bit-identical schedules to one
-	// without. The stream is the only record of when bytes moved: a run
+	// worker (times are simulated seconds); a collective operation is one
+	// send on it. Observation is passive — a run with an Observer attached
+	// produces bit-identical schedules to one without. The stream is the only record of when bytes moved: a run
 	// that wants an uplink throughput timeline or the per-gradient
 	// lifecycles (Figs. 2, 10, 11) attaches a probe.SpanRecorder here and
 	// reads its Rate(worker) view or Grads() afterwards.

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"prophet/internal/drive"
-	"prophet/internal/probe"
-)
+import "prophet/internal/drive"
 
 // The collective wire — the architecture the paper's related work
 // contrasts with the PS design (PACE schedules all-reduce tensors
@@ -43,9 +40,8 @@ const collectiveJitterSalt uint64 = 17
 // fetch gate and the probe span cover the whole operation. setDefaults
 // rejects Workers < 2, so every operation has at least two steps.
 type collectiveTx struct {
-	w       *worker
-	be      drive.Backend
-	stepObs probe.StepObserver
+	w  *worker
+	be drive.Backend
 
 	active bool
 	chunks []float64
@@ -53,10 +49,9 @@ type collectiveTx struct {
 	// of the Send's recycled Ranges.
 	completes []int
 	label     string
-	seq, iter int
+	iter      int
 	stall     float64
 	step      int
-	stepAt    float64
 
 	stepDone func() // onStepDone, bound once
 }
@@ -66,7 +61,6 @@ type collectiveTx struct {
 func (w *worker) wireCollective() {
 	tx := &collectiveTx{w: w, be: w.cfg.backend}
 	tx.stepDone = tx.onStepDone
-	tx.stepObs, _ = w.cfg.Observer.(probe.StepObserver)
 	w.drv = drive.New(w.sched, tx, 1, len(w.pulled), nil)
 }
 
@@ -77,7 +71,7 @@ func (t *collectiveTx) Busy(lane int) bool { return t.active }
 func (t *collectiveTx) Start(s *drive.Send) {
 	t.w.sends++
 	t.active = true
-	t.label, t.seq, t.iter = s.Msg.Label, s.Seq, s.Iter
+	t.label, t.iter = s.Msg.Label, s.Iter
 	t.stall = s.Msg.Stall
 	t.completes = t.completes[:0]
 	for _, r := range s.Ranges {
@@ -95,16 +89,11 @@ func (t *collectiveTx) playStep() {
 	if t.step == 0 {
 		extra = t.stall
 	}
-	t.stepAt = t.w.eng.Now()
 	t.w.up[0].SendExtra(t.chunks[t.step], extra, t.label, t.stepDone)
 }
 
 func (t *collectiveTx) onStepDone() {
 	w := t.w
-	now := w.eng.Now()
-	if t.stepObs != nil {
-		t.stepObs.SendStep(w.id, 0, t.seq, t.step, len(t.chunks), t.chunks[t.step], t.stepAt, now)
-	}
 	t.step++
 	if t.step < len(t.chunks) {
 		t.playStep()
@@ -116,6 +105,7 @@ func (t *collectiveTx) onStepDone() {
 	// proceed, and only then is the next operation fetched — the order
 	// matters, a strategy's Next may read what OnSent just recorded.
 	t.active = false
+	now := w.eng.Now()
 	for _, g := range t.completes {
 		w.pulled[g] = true
 		if w.obs != nil {

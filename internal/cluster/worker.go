@@ -419,7 +419,7 @@ func (w *worker) finishIteration() {
 func (w *worker) onUpDone(s int) {
 	in := w.upInflight[s]
 	w.upInflight[s] = upSend{}
-	iter, _ := w.drv.Completed(s, w.eng.Now()) // fires OnSent on the group's last sub-send
+	iter := w.drv.Completed(s, w.eng.Now()) // fires OnSent on the group's last sub-send
 	w.pullQ[s] = append(w.pullQ[s], in.pulls...)
 	w.recyclePulls(in.pulls)
 	// OnSent has handed the scheduler its pieces back; in.sub's are the

@@ -184,29 +184,30 @@ func New(backend string, workers int, bandwidthBytesPerSec float64, opt Options)
 	bw := bandwidthBytesPerSec * float64(workers)
 	a, b := transport.Pipe(bw, bw)
 	const label = "transport_collective" // writes count on the send end, reads on the receive end
-	return Over(backend, workers, transport.Meter(a, opt.Metrics, label), transport.Meter(b, opt.Metrics, label), opt.Clock)
+	f, err := Over(backend, workers, transport.Meter(a, opt.Metrics, label), transport.Meter(b, opt.Metrics, label))
+	if err == nil && opt.Clock != nil {
+		f.clock = opt.Clock
+	}
+	return f, err
 }
 
 // Over builds the fabric on a pipe the caller made (and shaped, metered or
 // fault-wrapped as it saw fit): peers write their chunks to send, the demux
 // loop reads them from recv, and nothing travels the other way. Once Over
-// returns without an error the fabric owns both ends. clock supplies the
-// StepFunc timestamps (nil = wall seconds since now).
-func Over(backend string, workers int, send, recv net.Conn, clock func() float64) (*Fabric, error) {
+// returns without an error the fabric owns both ends. Its StepFunc
+// timestamps are wall seconds since Over was called.
+func Over(backend string, workers int, send, recv net.Conn) (*Fabric, error) {
 	be, err := Check(backend, workers)
 	if err != nil {
 		return nil, err
 	}
-	if clock == nil {
-		start := time.Now()
-		clock = func() float64 { return time.Since(start).Seconds() }
-	}
+	start := time.Now()
 	f := &Fabric{
 		workers:    workers,
 		steps:      be.Steps(workers),
 		stepOf:     ringStep(workers),
 		fillBounds: ringBounds,
-		clock:      clock,
+		clock:      func() float64 { return time.Since(start).Seconds() },
 		payloads:   transport.NewPayloadPool(),
 		inboxes:    make([]inbox, workers),
 	}

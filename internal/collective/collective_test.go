@@ -814,7 +814,7 @@ func (c closeErrConn) Close() error {
 func TestCloseKeepsRealErrors(t *testing.T) {
 	boom := errors.New("boom")
 	a, b := transport.Pipe(0, 0)
-	f, err := Over("ring", 2, closeErrConn{a, net.ErrClosed}, closeErrConn{b, boom}, nil)
+	f, err := Over("ring", 2, closeErrConn{a, net.ErrClosed}, closeErrConn{b, boom})
 	if err != nil {
 		t.Fatal(err)
 	}

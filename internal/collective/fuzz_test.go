@@ -103,7 +103,7 @@ func FuzzFabricDeliver(f *testing.F) {
 			backend = "tree"
 		}
 		a, b := transport.Pipe(0, 0)
-		fab, err := Over(backend, fuzzWorkers, a, b, nil)
+		fab, err := Over(backend, fuzzWorkers, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,6 +30,8 @@
 package drive
 
 import (
+	"math"
+
 	"prophet/internal/probe"
 	"prophet/internal/schedule"
 )
@@ -46,7 +48,8 @@ type Range = probe.Range
 // dispatches on the same lane (a lane has one send in flight), when they are
 // recycled: a transport may read them until it reports the send Completed
 // and its own completion bookkeeping is done, and must copy what it keeps
-// longer.
+// longer. A race build poisons them on release, so a read past that point
+// shows in its tests.
 type Send struct {
 	// Lane is the transmitter lane (PS shard) the sub-message ships on.
 	Lane int
@@ -289,23 +292,20 @@ func (d *Driver) Pump(now float64) {
 // it was the parent message's last outstanding sub-send, the scheduler's
 // OnSent fires before Completed returns. The caller is responsible for
 // pumping afterwards (after its own completion bookkeeping). Returns the
-// iteration the send carried and whether the parent message is done.
-func (d *Driver) Completed(lane int, now float64) (iter int, msgDone bool) {
+// iteration the send carried.
+func (d *Driver) Completed(lane int, now float64) (iter int) {
 	g := d.lanes[lane].inflight
 	d.lanes[lane].inflight = nil
 	g.done++
-	msgDone = g.done == g.total
-	if msgDone {
-		d.sched.OnSent(g.msg, g.firstStart, now)
-	}
 	iter = g.iter
-	if msgDone {
+	if g.done == g.total {
+		d.sched.OnSent(g.msg, g.firstStart, now)
 		d.recycleGroup(g)
 	}
 	if d.obs != nil {
-		d.obs.SendComplete(d.worker, lane, iter, msgDone, now)
+		d.obs.SendComplete(d.worker, lane, iter, now)
 	}
-	return iter, msgDone
+	return iter
 }
 
 // enqueue splits a scheduler message by the key→lane map and queues each
@@ -383,7 +383,7 @@ func (d *Driver) enqueue(msg schedule.Message, now float64) {
 				planned.End = end
 			}
 			if d.planObs != nil {
-				d.planObs.SendPlanned(d.worker, s, g.seq, g.iter, prio, sub.Bytes, start, end)
+				d.planObs.SendPlanned(d.worker, s, g.seq, g.iter, sub.Bytes, start, end)
 			}
 		}
 		ln.queue = append(ln.queue, Send{
@@ -416,7 +416,7 @@ func (d *Driver) dispatch(s int, now float64) {
 		// Emit before Start: a transport that completes synchronously
 		// (the emulation's decision replay) reports SendComplete from
 		// inside Start, and per-lane start/complete must stay ordered.
-		d.obs.SendStart(d.worker, item.Lane, item.Seq, item.Iter, item.Prio,
+		d.obs.SendStart(d.worker, item.Lane, item.Seq, item.Iter,
 			item.Msg.Label, item.Msg.Bytes, item.Ranges, now)
 	}
 	// The lane is free, so its previous send is done with the driver's
@@ -470,7 +470,17 @@ func (d *Driver) newPieces(n int) []schedule.Piece {
 	return make([]schedule.Piece, 0, max(n, len(d.offsets)))
 }
 
+// poisonGrad is the gradient index a race build writes into released pieces
+// and ranges, beside NaN bytes: −2^40 on 64-bit platforms (−2^8 on 32-bit
+// ones), which no live entry holds and which panics as an index.
+const poisonGrad = math.MinInt >> 23
+
 func (d *Driver) recyclePieces(p []schedule.Piece) {
+	if poison {
+		for i := range p {
+			p[i] = schedule.Piece{Grad: poisonGrad, Bytes: math.NaN()}
+		}
+	}
 	if cap(p) > 0 {
 		d.pFree = append(d.pFree, p)
 	}
@@ -486,6 +496,11 @@ func (d *Driver) newRanges(n int) []Range {
 }
 
 func (d *Driver) recycleRanges(r []Range) {
+	if poison {
+		for i := range r {
+			r[i] = Range{Grad: poisonGrad, Off: math.NaN(), Bytes: math.NaN()}
+		}
+	}
 	if cap(r) > 0 {
 		d.rFree = append(d.rFree, r)
 	}

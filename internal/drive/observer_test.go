@@ -19,12 +19,12 @@ type eventCount struct {
 func (c *eventCount) BeginIteration(worker, iter int, now float64) {}
 func (c *eventCount) EndIteration(worker, iter int, now float64)   {}
 func (c *eventCount) Generated(worker, grad int, now float64)      { c.gen++ }
-func (c *eventCount) SendStart(worker, lane, seq, iter, prio int, label string, bytes float64, ranges []probe.Range, now float64) {
+func (c *eventCount) SendStart(worker, lane, seq, iter int, label string, bytes float64, ranges []probe.Range, now float64) {
 	c.start++
 }
-func (c *eventCount) SendComplete(worker, lane, iter int, msgDone bool, now float64) { c.complete++ }
-func (c *eventCount) PullAcked(worker, grad, iter int, now float64)                  {}
-func (c *eventCount) FaultInjected(worker int, kind string, now float64)             {}
+func (c *eventCount) SendComplete(worker, lane, iter int, now float64)   { c.complete++ }
+func (c *eventCount) PullAcked(worker, grad, iter int, now float64)      {}
+func (c *eventCount) FaultInjected(worker int, kind string, now float64) {}
 
 // logTx is an always-free transmitter that records dispatched labels and
 // completes synchronously.

@@ -525,7 +525,7 @@ func Run(cfg Config) (*Result, error) {
 	serveDone := make(chan error, len(pipes))
 	engines := make([]liveEngine, cfg.Workers)
 	if lockstep {
-		fab, err := collective.Over(cfg.Transport, cfg.Workers, pipes[0].client, pipes[0].server, clock)
+		fab, err := collective.Over(cfg.Transport, cfg.Workers, pipes[0].client, pipes[0].server)
 		if err != nil {
 			return nil, fmt.Errorf("emu: %w", err)
 		}

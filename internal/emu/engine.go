@@ -159,7 +159,7 @@ func (e *psEngine) send(s, seq, iter int, tensors []int) error {
 		return fmt.Errorf("push batch %v (shard %d): %w", tensors, s, err)
 	}
 	if pp.obs != nil {
-		pp.obs.SendComplete(pp.worker, s, iter, true, pp.clock())
+		pp.obs.SendComplete(pp.worker, s, iter, pp.clock())
 	}
 	return nil
 }
@@ -263,8 +263,8 @@ func (pp *pushParams) sendStart(ranges []probe.Range, lane, seq, iter int, tenso
 	first := tensors[0]
 	now := pp.clock()
 	if pp.planObs != nil && pp.predictBw > 0 {
-		pp.planObs.SendPlanned(pp.worker, lane, seq, iter, first, total, now, now+total/pp.predictBw)
+		pp.planObs.SendPlanned(pp.worker, lane, seq, iter, total, now, now+total/pp.predictBw)
 	}
-	pp.obs.SendStart(pp.worker, lane, seq, iter, first, pp.labels[first], total, ranges, now)
+	pp.obs.SendStart(pp.worker, lane, seq, iter, pp.labels[first], total, ranges, now)
 	return ranges
 }

@@ -106,10 +106,7 @@ type collectiveEngine struct {
 	opBound time.Duration
 	abort   func(error)
 
-	pp      pushParams
-	stepObs probe.StepObserver
-	stepFn  collective.StepFunc
-	curSeq  int
+	pp pushParams
 
 	// m is the worker's model: every op reduces its gradients in place.
 	// acked[t] is the wall-clock completion of the op that reduced tensor t
@@ -128,14 +125,6 @@ func (e *collectiveEngine) Bind(m *nn.MLP, pp pushParams) {
 	e.m = m
 	e.pp = pp
 	e.acked = make([]time.Time, len(pp.sizes))
-	if so, ok := pp.obs.(probe.StepObserver); ok {
-		e.stepObs = so
-		e.stepFn = e.emitStep
-	}
-}
-
-func (e *collectiveEngine) emitStep(step, steps int, bytes float64, start, end float64) {
-	e.stepObs.SendStep(e.pp.worker, 0, e.curSeq, step, steps, bytes, start, end)
 }
 
 // fits reports whether a fused op over elems float64s still ships each step
@@ -181,8 +170,8 @@ func (e *collectiveEngine) Dispatch(iter int, sends []wireSend) error {
 }
 
 // reduce runs one group as one fused op over the tensors' gradients, in
-// place, and one wire send at plan index seq: a span with a range per tensor,
-// a step span per fused chunk step, one never-hang timer.
+// place, and one wire send at plan index seq: a span with a range per tensor
+// and one never-hang timer.
 func (e *collectiveEngine) reduce(iter, seq int, tensors []int) error {
 	pp := &e.pp
 	e.members = e.members[:0]
@@ -190,12 +179,11 @@ func (e *collectiveEngine) reduce(iter, seq int, tensors []int) error {
 		e.members = append(e.members, e.m.GradData(t))
 	}
 	e.ranges = pp.sendStart(e.ranges, 0, seq, iter, tensors)
-	e.curSeq = seq
 	var bound *time.Timer
 	if e.opBound > 0 {
 		bound = e.armBound(iter, tensors)
 	}
-	err := e.peer.AllReduceFused(iter, e.members, e.stepFn)
+	err := e.peer.AllReduceFused(iter, e.members, nil)
 	if bound != nil {
 		bound.Stop()
 	}
@@ -205,7 +193,7 @@ func (e *collectiveEngine) reduce(iter, seq int, tensors []int) error {
 	ackWall := time.Now()
 	done := pp.clock()
 	if pp.obs != nil {
-		pp.obs.SendComplete(pp.worker, 0, iter, true, done)
+		pp.obs.SendComplete(pp.worker, 0, iter, done)
 	}
 	for _, t := range tensors {
 		e.acked[t] = ackWall

@@ -9,6 +9,7 @@ import (
 	"prophet/internal/probe"
 	"prophet/internal/probe/attrib"
 	"prophet/internal/probe/predict"
+	"prophet/internal/transport"
 )
 
 // TestCollectiveAckIsZero pins the collective transports' attribution
@@ -16,23 +17,15 @@ import (
 // gradient on every worker the instant it completes — there is no pull
 // leg — so the engine emits PullAcked with the op's own completion
 // timestamp and the analyzer's Ack component (Acked − End) is exactly
-// zero, matching the simulator's collectiveTx. The same run must carry
-// the per-chunk step spans: every op on a 4-worker ring plays 2(W−1) = 6
-// chunk steps.
+// zero, matching the simulator's collectiveTx.
 func TestCollectiveAckIsZero(t *testing.T) {
-	for _, tc := range []struct {
-		transport string
-		steps     int
-	}{
-		{"ring", 6}, // 2(W−1)
-		{"tree", 4}, // 2·log₂W
-	} {
-		t.Run(tc.transport, func(t *testing.T) {
+	for _, transport := range []string{"ring", "tree"} {
+		t.Run(transport, func(t *testing.T) {
 			rec := probe.NewSpanRecorder()
 			cfg := baseConfig()
 			cfg.Workers = 4
 			cfg.Iterations = 4
-			cfg.Transport = tc.transport
+			cfg.Transport = transport
 			cfg.Observer = rec
 			if _, err := Run(cfg); err != nil {
 				t.Fatal(err)
@@ -51,71 +44,45 @@ func TestCollectiveAckIsZero(t *testing.T) {
 					t.Fatalf("worker %d has no completion mass — analyzer saw no gradients", w)
 				}
 			}
-
-			steps := rec.Steps()
-			if len(steps) == 0 {
-				t.Fatal("no collective step spans recorded")
-			}
-			for _, s := range steps {
-				if s.Steps != tc.steps {
-					t.Fatalf("step span reports %d steps/op, want %d", s.Steps, tc.steps)
-				}
-				if s.End < s.Start {
-					t.Fatalf("step span ends before it starts: %+v", s)
-				}
-			}
 		})
 	}
 }
 
 // wireSendSeen is one SendStart as wireContract saw it: the span's key and
-// bytes, the ranges it carried, and the step spans reported under it.
+// bytes, and the ranges it carried.
 type wireSendSeen struct {
-	iter, seq        int
-	bytes, stepBytes float64
-	ranges           []probe.Range
-	steps, ofSteps   int
-	complete         bool
+	iter, seq int
+	bytes     float64
+	ranges    []probe.Range
+	complete  bool
 }
 
 // wireContract records, per worker and in arrival order, what the
-// SpanRecorder does not keep: each send's ranges and the step spans that
-// belong to it. Events of one (worker, lane) arrive in order and a
-// collective worker has one lane, so "the open send" is the last one.
+// SpanRecorder does not keep: each send's ranges. Events of one (worker,
+// lane) arrive in order and a collective worker has one lane, so "the open
+// send" is the last one.
 type wireContract struct {
 	*probe.SpanRecorder
 	mu    sync.Mutex
 	sends map[int][]*wireSendSeen
 }
 
-func (o *wireContract) SendStart(worker, lane, seq, iter, prio int, label string, bytes float64, ranges []probe.Range, now float64) {
+func (o *wireContract) SendStart(worker, lane, seq, iter int, label string, bytes float64, ranges []probe.Range, now float64) {
 	o.mu.Lock()
 	o.sends[worker] = append(o.sends[worker], &wireSendSeen{
 		iter: iter, seq: seq, bytes: bytes, ranges: append([]probe.Range(nil), ranges...),
 	})
 	o.mu.Unlock()
-	o.SpanRecorder.SendStart(worker, lane, seq, iter, prio, label, bytes, ranges, now)
+	o.SpanRecorder.SendStart(worker, lane, seq, iter, label, bytes, ranges, now)
 }
 
-func (o *wireContract) SendStep(worker, lane, seq, step, steps int, bytes float64, start, end float64) {
-	o.mu.Lock()
-	if open := o.sends[worker]; len(open) > 0 && open[len(open)-1].seq == seq && !open[len(open)-1].complete {
-		snd := open[len(open)-1]
-		snd.stepBytes += bytes
-		snd.steps++
-		snd.ofSteps = steps
-	}
-	o.mu.Unlock()
-	o.SpanRecorder.SendStep(worker, lane, seq, step, steps, bytes, start, end)
-}
-
-func (o *wireContract) SendComplete(worker, lane, iter int, msgDone bool, now float64) {
+func (o *wireContract) SendComplete(worker, lane, iter int, now float64) {
 	o.mu.Lock()
 	if open := o.sends[worker]; len(open) > 0 {
 		open[len(open)-1].complete = true
 	}
 	o.mu.Unlock()
-	o.SpanRecorder.SendComplete(worker, lane, iter, msgDone, now)
+	o.SpanRecorder.SendComplete(worker, lane, iter, now)
 }
 
 // TestCollectiveObserverContract pins what an observer sees of the fused
@@ -123,11 +90,12 @@ func (o *wireContract) SendComplete(worker, lane, iter int, msgDone bool, now fl
 // plan cuts into more than one group, under a policy whose sends carry one
 // tensor (fifo) and one whose sends carry several (prophet): every
 // iteration's sends cover every tensor exactly once, whole, across their
-// ranges; a send's step spans are the backend's full schedule and add up to
-// its bytes times the backend's wire volume, up to the floor each tensor's
-// own segmentation takes per step; and with the audit armed every planned
-// window joins its observed span.
+// ranges; the fabric's metered pipe carries, besides one frame header per
+// worker per step of every send, the sends' bytes times the backend's wire
+// volume, up to the floor each tensor's own segmentation takes per step; and
+// with the audit armed every planned window joins its observed span.
 func TestCollectiveObserverContract(t *testing.T) {
+	const header = transport.MuxHeaderSize // per chunk frame, on the metered pipe
 	for _, transport := range []string{"ring", "tree"} {
 		for _, policy := range []string{"fifo", "prophet"} {
 			t.Run(transport+"/"+policy, func(t *testing.T) {
@@ -139,6 +107,7 @@ func TestCollectiveObserverContract(t *testing.T) {
 				cfg.Policy = policy
 				cfg.Transport = transport
 				cfg.BandwidthBytesPerSec = 1e9
+				cfg.Metrics = probe.NewMetrics()
 				aud := predict.NewAuditor(predict.Options{})
 				cfg.Observer = probe.NewMulti(obs, aud)
 				if _, err := Run(cfg); err != nil {
@@ -149,8 +118,9 @@ func TestCollectiveObserverContract(t *testing.T) {
 				}
 				sizes := tensorSizes(cfg.Layers, cfg.Seed)
 				volume := drive.WireVolume(cfg.backend, cfg.Workers)
-				wantSteps := cfg.backend.Steps(cfg.Workers)
+				steps := cfg.backend.Steps(cfg.Workers)
 
+				var frames, payload, slack float64 // summed over every worker's sends
 				for w := 0; w < cfg.Workers; w++ {
 					carried := make([][]int, cfg.Iterations) // [iter][tensor] = times carried
 					for i := range carried {
@@ -174,15 +144,9 @@ func TestCollectiveObserverContract(t *testing.T) {
 							t.Fatalf("worker %d iter %d seq %d: complete=%v, %v bytes over ranges of %v",
 								w, snd.iter, snd.seq, snd.complete, snd.bytes, total)
 						}
-						if snd.steps != wantSteps || snd.ofSteps != wantSteps {
-							t.Fatalf("worker %d iter %d seq %d: %d step spans of %d, want %d of %d",
-								w, snd.iter, snd.seq, snd.steps, snd.ofSteps, wantSteps, wantSteps)
-						}
-						slack := float64(8 * len(snd.ranges) * wantSteps)
-						if math.Abs(snd.stepBytes-snd.bytes*volume) > slack {
-							t.Fatalf("worker %d iter %d seq %d: steps moved %v bytes, want %v x %v within %v",
-								w, snd.iter, snd.seq, snd.stepBytes, snd.bytes, volume, slack)
-						}
+						frames += float64(steps)
+						payload += snd.bytes * volume
+						slack += float64(8 * len(snd.ranges) * steps)
 					}
 					for iter, row := range carried {
 						for tensor, n := range row {
@@ -191,6 +155,11 @@ func TestCollectiveObserverContract(t *testing.T) {
 							}
 						}
 					}
+				}
+
+				tx := float64(cfg.Metrics.Counter("transport_collective_tx_bytes").Value())
+				if moved := tx - frames*header; math.Abs(moved-payload) > slack {
+					t.Fatalf("the fabric moved %v payload bytes in %v frames, want %v within %v", moved, frames, payload, slack)
 				}
 
 				if res := attrib.Analyze(obs.SpanRecorder, 3).MaxResidual(); res > 1e-9 {

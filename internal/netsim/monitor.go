@@ -8,19 +8,20 @@ package netsim
 // s bytes taking d seconds on a link with per-message setup c and ramp k,
 // the raw bandwidth solves d = c + (s+k)/B, i.e. B = (s+k)/(d-c).
 //
-// Small messages give noisy estimates, so transfers below MinSampleBytes are
+// Small messages give noisy estimates, so transfers below minSampleBytes are
 // ignored.
 type Monitor struct {
 	cfg   LinkConfig
 	alpha float64
-	// MinSampleBytes filters out tiny transfers whose timing is dominated
-	// by overhead.
-	MinSampleBytes float64
 
 	estimate  float64
 	hasSample bool
 	samples   int
 }
+
+// minSampleBytes filters out tiny transfers whose timing is dominated by
+// overhead.
+const minSampleBytes = 64e3
 
 // NewMonitor attaches a monitor to link and returns it. alpha is the EWMA
 // smoothing factor in (0, 1]; higher reacts faster. initial is the starting
@@ -30,17 +31,16 @@ func NewMonitor(link *Link, alpha, initial float64) *Monitor {
 		panic("netsim: Monitor alpha out of (0,1]")
 	}
 	m := &Monitor{
-		cfg:            link.Config(),
-		alpha:          alpha,
-		MinSampleBytes: 64e3,
-		estimate:       initial,
+		cfg:      link.Config(),
+		alpha:    alpha,
+		estimate: initial,
 	}
 	link.ObserveTransfers(m.observe)
 	return m
 }
 
 func (m *Monitor) observe(rec TransferRecord) {
-	if rec.Bytes < m.MinSampleBytes {
+	if rec.Bytes < minSampleBytes {
 		return
 	}
 	d := rec.End - rec.Start

@@ -21,10 +21,10 @@ func script() *probe.SpanRecorder {
 	obs.BeginIteration(0, 0, 0.0)
 	obs.Generated(0, 1, 0.1)
 	obs.Generated(0, 0, 0.3)
-	obs.SendStart(0, 0, 0, 0, 1, "g1", 100, []probe.Range{{Grad: 1, Bytes: 100, Last: true}}, 0.5)
-	obs.SendComplete(0, 0, 0, true, 0.9)
-	obs.SendStart(0, 0, 1, 0, 0, "g0", 75, []probe.Range{{Grad: 0, Bytes: 75, Last: true}}, 0.9)
-	obs.SendComplete(0, 0, 0, true, 1.2)
+	obs.SendStart(0, 0, 0, 0, "g1", 100, []probe.Range{{Grad: 1, Bytes: 100, Last: true}}, 0.5)
+	obs.SendComplete(0, 0, 0, 0.9)
+	obs.SendStart(0, 0, 1, 0, "g0", 75, []probe.Range{{Grad: 0, Bytes: 75, Last: true}}, 0.9)
+	obs.SendComplete(0, 0, 0, 1.2)
 	obs.PullAcked(0, 1, 0, 1.0)
 	obs.PullAcked(0, 0, 0, 1.5)
 	obs.EndIteration(0, 0, 1.6)
@@ -95,8 +95,8 @@ func TestAnalyzeSkipsIncomplete(t *testing.T) {
 	var obs probe.Observer = rec
 	obs.BeginIteration(0, 0, 0.0)
 	obs.Generated(0, 0, 0.1)
-	obs.SendStart(0, 0, 0, 0, 0, "g0", 10, []probe.Range{{Grad: 0, Bytes: 10, Last: true}}, 0.2)
-	obs.SendComplete(0, 0, 0, true, 0.3)
+	obs.SendStart(0, 0, 0, 0, "g0", 10, []probe.Range{{Grad: 0, Bytes: 10, Last: true}}, 0.2)
+	obs.SendComplete(0, 0, 0, 0.3)
 	// No PullAcked: the lifecycle is incomplete and must be skipped, not
 	// reported with a bogus zero ack time.
 	rep := Analyze(rec, 0)

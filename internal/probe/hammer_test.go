@@ -48,8 +48,8 @@ func TestConcurrentEmission(t *testing.T) {
 					for s := 0; s < sends; s++ {
 						now := float64(it) + float64(s)*1e-3
 						ranges[0] = Range{Grad: s, Bytes: 8, Last: true}
-						obs.SendStart(w, l, s, it, s, "m", 8, ranges, now)
-						obs.SendComplete(w, l, it, true, now+5e-4)
+						obs.SendStart(w, l, s, it, "m", 8, ranges, now)
+						obs.SendComplete(w, l, it, now+5e-4)
 					}
 				}
 			}()

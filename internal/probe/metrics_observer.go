@@ -51,12 +51,12 @@ func (o *metricsObserver) EndIteration(worker, iter int, now float64) { o.iterat
 func (o *metricsObserver) Generated(worker, grad int, now float64) { o.generated.Inc() }
 
 // SendStart implements Observer.
-func (o *metricsObserver) SendStart(worker, lane, seq, iter, prio int, label string, bytes float64, ranges []Range, now float64) {
+func (o *metricsObserver) SendStart(worker, lane, seq, iter int, label string, bytes float64, ranges []Range, now float64) {
 	o.sendBytes.Observe(bytes)
 }
 
 // SendComplete implements Observer.
-func (o *metricsObserver) SendComplete(worker, lane, iter int, msgDone bool, now float64) {
+func (o *metricsObserver) SendComplete(worker, lane, iter int, now float64) {
 	o.sends.Inc()
 }
 

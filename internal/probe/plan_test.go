@@ -6,22 +6,6 @@ import (
 	"testing"
 )
 
-func TestSpanRecorderSteps(t *testing.T) {
-	rec := NewSpanRecorder()
-	rec.SendStep(0, 0, 0, 1, 4, 50, 1.5, 2.0)
-	rec.SendStep(0, 0, 0, 0, 4, 50, 1.0, 1.5)
-	steps := rec.Steps()
-	if len(steps) != 2 {
-		t.Fatalf("got %d steps, want 2", len(steps))
-	}
-	if steps[0].Step != 0 || steps[1].Step != 1 {
-		t.Errorf("steps not sorted by start: %+v", steps)
-	}
-	if steps[0].Steps != 4 || steps[0].Bytes != 50 || steps[0].End != 1.5 {
-		t.Errorf("step fields lost: %+v", steps[0])
-	}
-}
-
 func TestSpanRecorderHintAndRate(t *testing.T) {
 	rec := NewSpanRecorder()
 	rec.SetIterationHint(8)
@@ -29,11 +13,11 @@ func TestSpanRecorderHintAndRate(t *testing.T) {
 		t.Error("Rate for a worker that never transmitted should be nil")
 	}
 	rec.BeginIteration(0, 0, 0)
-	rec.SendStart(0, 0, 0, 0, 0, "m", 64, nil, 0.25)
+	rec.SendStart(0, 0, 0, 0, "m", 64, nil, 0.25)
 	if rec.Rate(0) != nil {
 		t.Error("a send still on the wire must not count as a transfer")
 	}
-	rec.SendComplete(0, 0, 0, true, 0.75)
+	rec.SendComplete(0, 0, 0, 0.75)
 	rec.EndIteration(0, 0, 1)
 	rt := rec.Rate(0)
 	if rt == nil {
@@ -44,19 +28,15 @@ func TestSpanRecorderHintAndRate(t *testing.T) {
 	}
 }
 
-// planCounter implements PlanObserver and StepObserver on top of the base
-// Observer; countObs implements neither. Multi must forward the extension
-// events only to the entries that support them.
+// planCounter implements PlanObserver on top of the base Observer; countObs
+// does not. Multi must forward plans only to the entries that take them.
 type planCounter struct {
 	countObs
-	planned, steps int
+	planned int
 }
 
-func (p *planCounter) SendPlanned(worker, lane, seq, iter, prio int, bytes float64, start, end float64) {
+func (p *planCounter) SendPlanned(worker, lane, seq, iter int, bytes float64, start, end float64) {
 	p.planned++
-}
-func (p *planCounter) SendStep(worker, lane, seq, step, steps int, bytes float64, start, end float64) {
-	p.steps++
 }
 
 // TestMultiForwardsExtensionInterfaces pins the rule that switches
@@ -74,17 +54,12 @@ func TestMultiForwardsExtensionInterfaces(t *testing.T) {
 	if !ok {
 		t.Fatal("a Multi with a plan listener should be a PlanObserver")
 	}
-	po.SendPlanned(0, 0, 0, 0, 0, 10, 0, 1)
-	so, ok := obs.(StepObserver)
-	if !ok {
-		t.Fatal("Multi should implement StepObserver")
+	po.SendPlanned(0, 0, 0, 0, 10, 0, 1)
+	if ext.planned != 1 {
+		t.Errorf("plan observer got planned=%d, want 1", ext.planned)
 	}
-	so.SendStep(0, 0, 0, 0, 2, 10, 0, 1)
-	if ext.planned != 1 || ext.steps != 1 {
-		t.Errorf("extension observer got planned=%d steps=%d, want 1/1", ext.planned, ext.steps)
-	}
-	// The plain observer saw none of the base events — extension events
-	// must not leak into the base interface.
+	// The plain observer saw none of the base events — plans must not leak
+	// into the base interface.
 	if plain.start != 0 || plain.complete != 0 {
 		t.Errorf("plain observer saw base events: %+v", plain)
 	}
@@ -93,7 +68,7 @@ func TestMultiForwardsExtensionInterfaces(t *testing.T) {
 	if !ok {
 		t.Fatal("a Multi nesting a plan-forwarding Multi should be a PlanObserver")
 	}
-	nested.SendPlanned(0, 0, 1, 0, 0, 10, 1, 2)
+	nested.SendPlanned(0, 0, 1, 0, 10, 1, 2)
 	if ext.planned != 2 {
 		t.Errorf("nested forward: planned=%d, want 2", ext.planned)
 	}

@@ -220,7 +220,7 @@ func (a *Auditor) Generated(worker, grad int, now float64) {
 }
 
 // SendPlanned implements probe.PlanObserver.
-func (a *Auditor) SendPlanned(worker, lane, seq, iter, prio int, bytes float64, start, end float64) {
+func (a *Auditor) SendPlanned(worker, lane, seq, iter int, bytes float64, start, end float64) {
 	a.mu.Lock()
 	a.planned[joinKey{worker, lane, seq, iter}] = plannedEntry{
 		bytes: bytes, start: start, end: end,
@@ -233,14 +233,14 @@ func (a *Auditor) SendPlanned(worker, lane, seq, iter, prio int, bytes float64, 
 }
 
 // SendStart implements probe.Observer.
-func (a *Auditor) SendStart(worker, lane, seq, iter, prio int, label string, bytes float64, ranges []probe.Range, now float64) {
+func (a *Auditor) SendStart(worker, lane, seq, iter int, label string, bytes float64, ranges []probe.Range, now float64) {
 	a.mu.Lock()
 	a.open[laneKey{worker, lane}] = openObs{seq: seq, iter: iter, start: now, bytes: bytes}
 	a.mu.Unlock()
 }
 
 // SendComplete implements probe.Observer: the join point.
-func (a *Auditor) SendComplete(worker, lane, iter int, msgDone bool, now float64) {
+func (a *Auditor) SendComplete(worker, lane, iter int, now float64) {
 	a.mu.Lock()
 	lk := laneKey{worker, lane}
 	o, ok := a.open[lk]

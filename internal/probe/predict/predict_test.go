@@ -18,9 +18,9 @@ func feedIteration(a *predict.Auditor, worker, iter, n int, t0, predDur, obsDur 
 	a.Generated(worker, 0, t0)
 	t := t0
 	for seq := 0; seq < n; seq++ {
-		a.SendPlanned(worker, 0, seq, iter, seq, 1e6, t, t+predDur)
-		a.SendStart(worker, 0, seq, iter, seq, "push", 1e6, nil, t)
-		a.SendComplete(worker, 0, iter, true, t+obsDur)
+		a.SendPlanned(worker, 0, seq, iter, 1e6, t, t+predDur)
+		a.SendStart(worker, 0, seq, iter, "push", 1e6, nil, t)
+		a.SendComplete(worker, 0, iter, t+obsDur)
 		t += obsDur
 	}
 	a.PullAcked(worker, 0, iter, t+0.001)
@@ -107,11 +107,11 @@ func TestAuditorWarmupSuppressesFirstIteration(t *testing.T) {
 func TestAuditorUnjoinedCounted(t *testing.T) {
 	a := predict.NewAuditor(predict.Options{})
 	a.BeginIteration(0, 0, 0)
-	a.SendPlanned(0, 0, 0, 0, 0, 1e6, 0, 0.01)
-	a.SendPlanned(0, 0, 1, 0, 1, 1e6, 0.01, 0.02)
+	a.SendPlanned(0, 0, 0, 0, 1e6, 0, 0.01)
+	a.SendPlanned(0, 0, 1, 0, 1e6, 0.01, 0.02)
 	// Only seq 0 is observed; seq 1's plan never joins.
-	a.SendStart(0, 0, 0, 0, 0, "push", 1e6, nil, 0)
-	a.SendComplete(0, 0, 0, true, 0.01)
+	a.SendStart(0, 0, 0, 0, "push", 1e6, nil, 0)
+	a.SendComplete(0, 0, 0, 0.01)
 	a.EndIteration(0, 0, 0.02)
 	a.Flush()
 	rep := a.Report()
@@ -127,10 +127,10 @@ func TestAuditorStrayEventsIgnored(t *testing.T) {
 	a := predict.NewAuditor(predict.Options{})
 	// Complete without start, end without accumulator, unplanned span:
 	// none may panic or fabricate residuals.
-	a.SendComplete(0, 0, 0, true, 1)
+	a.SendComplete(0, 0, 0, 1)
 	a.EndIteration(3, 9, 1)
-	a.SendStart(0, 0, 7, 0, 0, "push", 1e6, nil, 0)
-	a.SendComplete(0, 0, 0, true, 0.5)
+	a.SendStart(0, 0, 7, 0, "push", 1e6, nil, 0)
+	a.SendComplete(0, 0, 0, 0.5)
 	a.FaultInjected(0, "stall", 0)
 	a.Flush()
 	rep := a.Report()

@@ -23,12 +23,12 @@
 //   - FaultInjected: a configured fault injector fired on the worker's
 //     connection.
 //
-// Two optional extensions ride on the same stream; emitters type-assert
-// for them. A StepObserver also receives a collective's per-chunk steps. A
-// PlanObserver also receives each send's planned wire window, and its
-// presence is what switches prediction on: the SpanRecorder is not one, so
-// recording a run never makes it predict — attaching a predict.Auditor
-// does.
+// One optional extension rides on the same stream; emitters type-assert
+// for it. A PlanObserver also receives each send's planned wire window,
+// and its presence is what switches prediction on: the SpanRecorder is not
+// one, so recording a run never makes it predict — attaching a
+// predict.Auditor does. A collective operation is one send: its chunk
+// steps are not on the stream.
 //
 // # Cost contract
 //
@@ -72,28 +72,15 @@ type Observer interface {
 	Generated(worker, grad int, now float64)
 	// SendStart reports a sub-message going on the wire of its lane.
 	// ranges is borrowed — copy it to keep it.
-	SendStart(worker, lane, seq, iter, prio int, label string, bytes float64, ranges []Range, now float64)
-	// SendComplete reports the lane's in-flight sub-message finishing;
-	// msgDone is true when it was the parent message's last sub-send.
-	SendComplete(worker, lane, iter int, msgDone bool, now float64)
+	SendStart(worker, lane, seq, iter int, label string, bytes float64, ranges []Range, now float64)
+	// SendComplete reports the lane's in-flight sub-message finishing.
+	SendComplete(worker, lane, iter int, now float64)
 	// PullAcked reports gradient grad's aggregated value landing back on
 	// the worker for iteration iter.
 	PullAcked(worker, grad, iter int, now float64)
 	// FaultInjected reports a fault injector firing (kind is the injector
 	// family: drop, stall, corrupt, straggler).
 	FaultInjected(worker int, kind string, now float64)
-}
-
-// StepObserver is an optional extension of Observer for collective
-// transports: one SendStart/SendComplete pair brackets a whole collective
-// operation (the lane is busy end to end), while SendStep reports each of
-// its chunk transfers — the ring's 2(W−1) per-step sends. Emitters
-// type-assert for it, so plain Observers are unaffected.
-type StepObserver interface {
-	// SendStep reports chunk step `step` of `steps` of the collective
-	// operation with fetch sequence seq moving `bytes` on (worker, lane)'s
-	// link over [start, end).
-	SendStep(worker, lane, seq, step, steps int, bytes float64, start, end float64)
 }
 
 // PlanObserver is an optional extension of Observer for the prediction
@@ -110,7 +97,7 @@ type PlanObserver interface {
 	// SendPlanned reports that the sub-message with fetch sequence seq on
 	// (worker, lane) in iteration iter is predicted to occupy its lane over
 	// [start, end).
-	SendPlanned(worker, lane, seq, iter, prio int, bytes float64, start, end float64)
+	SendPlanned(worker, lane, seq, iter int, bytes float64, start, end float64)
 }
 
 // Multi fans events out to several observers. A nil entry is skipped, so
@@ -170,16 +157,16 @@ func (m Multi) Generated(worker, grad int, now float64) {
 }
 
 // SendStart implements Observer.
-func (m Multi) SendStart(worker, lane, seq, iter, prio int, label string, bytes float64, ranges []Range, now float64) {
+func (m Multi) SendStart(worker, lane, seq, iter int, label string, bytes float64, ranges []Range, now float64) {
 	for _, o := range m {
-		o.SendStart(worker, lane, seq, iter, prio, label, bytes, ranges, now)
+		o.SendStart(worker, lane, seq, iter, label, bytes, ranges, now)
 	}
 }
 
 // SendComplete implements Observer.
-func (m Multi) SendComplete(worker, lane, iter int, msgDone bool, now float64) {
+func (m Multi) SendComplete(worker, lane, iter int, now float64) {
 	for _, o := range m {
-		o.SendComplete(worker, lane, iter, msgDone, now)
+		o.SendComplete(worker, lane, iter, now)
 	}
 }
 
@@ -197,20 +184,11 @@ func (m Multi) FaultInjected(worker int, kind string, now float64) {
 	}
 }
 
-// SendStep implements StepObserver, forwarding to the entries that do.
-func (m Multi) SendStep(worker, lane, seq, step, steps int, bytes float64, start, end float64) {
-	for _, o := range m {
-		if so, ok := o.(StepObserver); ok {
-			so.SendStep(worker, lane, seq, step, steps, bytes, start, end)
-		}
-	}
-}
-
 // SendPlanned implements PlanObserver, forwarding to the entries that do.
-func (m *planMulti) SendPlanned(worker, lane, seq, iter, prio int, bytes float64, start, end float64) {
+func (m *planMulti) SendPlanned(worker, lane, seq, iter int, bytes float64, start, end float64) {
 	for _, o := range m.Multi {
 		if po, ok := o.(PlanObserver); ok {
-			po.SendPlanned(worker, lane, seq, iter, prio, bytes, start, end)
+			po.SendPlanned(worker, lane, seq, iter, bytes, start, end)
 		}
 	}
 }

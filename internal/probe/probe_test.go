@@ -16,12 +16,12 @@ type countObs struct {
 func (c *countObs) BeginIteration(worker, iter int, now float64) { c.begin++ }
 func (c *countObs) EndIteration(worker, iter int, now float64)   { c.end++ }
 func (c *countObs) Generated(worker, grad int, now float64)      { c.gen++ }
-func (c *countObs) SendStart(worker, lane, seq, iter, prio int, label string, bytes float64, ranges []Range, now float64) {
+func (c *countObs) SendStart(worker, lane, seq, iter int, label string, bytes float64, ranges []Range, now float64) {
 	c.start++
 }
-func (c *countObs) SendComplete(worker, lane, iter int, msgDone bool, now float64) { c.complete++ }
-func (c *countObs) PullAcked(worker, grad, iter int, now float64)                  { c.acked++ }
-func (c *countObs) FaultInjected(worker int, kind string, now float64)             { c.faults++ }
+func (c *countObs) SendComplete(worker, lane, iter int, now float64)   { c.complete++ }
+func (c *countObs) PullAcked(worker, grad, iter int, now float64)      { c.acked++ }
+func (c *countObs) FaultInjected(worker int, kind string, now float64) { c.faults++ }
 
 func TestNewMulti(t *testing.T) {
 	if obs := NewMulti(); obs != nil {
@@ -38,8 +38,8 @@ func TestNewMulti(t *testing.T) {
 	obs := NewMulti(a, b)
 	obs.BeginIteration(0, 0, 0)
 	obs.Generated(0, 1, 0.5)
-	obs.SendStart(0, 0, 0, 0, 0, "m", 10, nil, 0.6)
-	obs.SendComplete(0, 0, 0, true, 0.7)
+	obs.SendStart(0, 0, 0, 0, "m", 10, nil, 0.6)
+	obs.SendComplete(0, 0, 0, 0.7)
 	obs.PullAcked(0, 1, 0, 0.8)
 	obs.FaultInjected(0, "drop", 0.9)
 	obs.EndIteration(0, 0, 1)
@@ -59,11 +59,11 @@ func TestSpanRecorderScript(t *testing.T) {
 	obs.Generated(0, 1, 1.0)
 	obs.Generated(0, 0, 1.5)
 	ranges := []Range{{Grad: 1, Off: 0, Bytes: 100, Last: true}}
-	obs.SendStart(0, 0, 0, 0, 0, "m0", 100, ranges, 2.0)
+	obs.SendStart(0, 0, 0, 0, "m0", 100, ranges, 2.0)
 	ranges[0].Grad = 99 // recorder must have copied the borrowed slice
-	obs.SendComplete(0, 0, 0, true, 3.0)
-	obs.SendStart(0, 0, 1, 0, 1, "m1", 50, []Range{{Grad: 0, Bytes: 50, Last: true}}, 3.0)
-	obs.SendComplete(0, 0, 0, true, 3.5)
+	obs.SendComplete(0, 0, 0, 3.0)
+	obs.SendStart(0, 0, 1, 0, "m1", 50, []Range{{Grad: 0, Bytes: 50, Last: true}}, 3.0)
+	obs.SendComplete(0, 0, 0, 3.5)
 	obs.PullAcked(0, 1, 0, 4.0)
 	obs.PullAcked(0, 0, 0, 4.5)
 	obs.FaultInjected(0, "stall", 3.3)
@@ -128,10 +128,10 @@ func TestRateAndTransfersAreViews(t *testing.T) {
 		rec.Generated(w, 0, 0.1)
 		rec.Generated(w, 1, 0.1)
 		// Two lanes in flight at once; lane 1 finishes first.
-		rec.SendStart(w, 0, 0, 0, 0, "a", 80, []Range{{Grad: 0, Bytes: 80, Last: true}}, 0.2)
-		rec.SendStart(w, 1, 1, 0, 1, "b", 20, []Range{{Grad: 1, Bytes: 20, Last: true}}, 0.25)
-		rec.SendComplete(w, 1, 0, true, 0.3)
-		rec.SendComplete(w, 0, 0, true, 0.6)
+		rec.SendStart(w, 0, 0, 0, "a", 80, []Range{{Grad: 0, Bytes: 80, Last: true}}, 0.2)
+		rec.SendStart(w, 1, 1, 0, "b", 20, []Range{{Grad: 1, Bytes: 20, Last: true}}, 0.25)
+		rec.SendComplete(w, 1, 0, 0.3)
+		rec.SendComplete(w, 0, 0, 0.6)
 		rec.EndIteration(w, 0, 1)
 	}
 	spans, grads := rec.Spans(), rec.Grads()
@@ -237,8 +237,8 @@ func TestMetricsObserver(t *testing.T) {
 	obs := m.Observer()
 	obs.BeginIteration(0, 0, 0)
 	obs.Generated(0, 0, 0.1)
-	obs.SendStart(0, 0, 0, 0, 0, "m", 64, nil, 0.2)
-	obs.SendComplete(0, 0, 0, true, 0.3)
+	obs.SendStart(0, 0, 0, 0, "m", 64, nil, 0.2)
+	obs.SendComplete(0, 0, 0, 0.3)
 	obs.PullAcked(0, 0, 0, 0.4)
 	obs.FaultInjected(0, "drop", 0.5)
 	obs.EndIteration(0, 0, 1)

@@ -30,15 +30,6 @@ type GradTimes struct {
 	Lane int
 }
 
-// StepSpan is one chunk transfer inside a collective operation: step
-// `Step` of `Steps` of the operation with fetch sequence Seq (see
-// StepObserver).
-type StepSpan struct {
-	Worker, Lane, Seq, Step, Steps int
-	Bytes                          float64
-	Start, End                     float64
-}
-
 // FaultEvent records one fault-injector firing.
 type FaultEvent struct {
 	Worker int
@@ -60,7 +51,7 @@ type laneKey struct{ worker, lane int }
 type gradKey struct{ worker, iter, grad int }
 
 // SpanRecorder is an Observer that keeps the primary records of a run —
-// send spans, collective steps, gradient lifecycles, iteration starts and
+// send spans, gradient lifecycles, iteration starts and
 // logs, faults — as the probe stream delivers them. It is the one place
 // any executor's throughput timeline (Rate, derived from the spans on
 // read) and per-gradient lifecycle (Grads, which attrib decomposes into
@@ -81,7 +72,6 @@ type SpanRecorder struct {
 	inflight map[laneKey]*openSend
 
 	spans []SendSpan
-	steps []StepSpan
 	grads map[gradKey]*GradTimes
 
 	faults []FaultEvent
@@ -155,7 +145,7 @@ func (r *SpanRecorder) Generated(worker, grad int, now float64) {
 }
 
 // SendStart implements Observer.
-func (r *SpanRecorder) SendStart(worker, lane, seq, iter, prio int, label string, bytes float64, ranges []Range, now float64) {
+func (r *SpanRecorder) SendStart(worker, lane, seq, iter int, label string, bytes float64, ranges []Range, now float64) {
 	r.mu.Lock()
 	lk := laneKey{worker, lane}
 	s, ok := r.lanes[lk]
@@ -189,7 +179,7 @@ func (r *SpanRecorder) SendStart(worker, lane, seq, iter, prio int, label string
 }
 
 // SendComplete implements Observer.
-func (r *SpanRecorder) SendComplete(worker, lane, iter int, msgDone bool, now float64) {
+func (r *SpanRecorder) SendComplete(worker, lane, iter int, now float64) {
 	r.mu.Lock()
 	lk := laneKey{worker, lane}
 	o, ok := r.inflight[lk]
@@ -218,16 +208,6 @@ func (r *SpanRecorder) PullAcked(worker, grad, iter int, now float64) {
 	g := r.grad(gradKey{worker, iter, grad})
 	g.HasAcked = true
 	g.Acked = now
-	r.mu.Unlock()
-}
-
-// SendStep implements StepObserver.
-func (r *SpanRecorder) SendStep(worker, lane, seq, step, steps int, bytes float64, start, end float64) {
-	r.mu.Lock()
-	r.steps = append(r.steps, StepSpan{
-		Worker: worker, Lane: lane, Seq: seq, Step: step, Steps: steps,
-		Bytes: bytes, Start: start, End: end,
-	})
 	r.mu.Unlock()
 }
 
@@ -266,32 +246,6 @@ func (r *SpanRecorder) Spans() []SendSpan {
 			return a.Start < b.Start
 		}
 		return a.Seq < b.Seq
-	})
-	return out
-}
-
-// Steps returns a copy of the recorded collective chunk steps, sorted by
-// (Worker, Lane, Start, Seq, Step).
-func (r *SpanRecorder) Steps() []StepSpan {
-	r.mu.Lock()
-	out := make([]StepSpan, len(r.steps))
-	copy(out, r.steps)
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Worker != b.Worker {
-			return a.Worker < b.Worker
-		}
-		if a.Lane != b.Lane {
-			return a.Lane < b.Lane
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
-		}
-		return a.Step < b.Step
 	})
 	return out
 }

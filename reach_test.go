@@ -51,7 +51,6 @@ var reachAllow = map[string]string{
 	"internal/probe.Histogram.Sum":                  window,
 	"internal/probe.Histogram.Max":                  window,
 	"internal/probe.Metrics.Snapshot":               window,
-	"internal/probe.SpanRecorder.Steps":             window,
 	"internal/probe.SpanRecorder.Lanes":             window,
 	"internal/schedule.Queue.Credit":                window,
 	"internal/schedule.CreditTuner.Best":            window,
