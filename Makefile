@@ -3,11 +3,12 @@
 GO ?= go
 
 # Packages with real goroutine concurrency (live PS path + fault layer,
-# parallel sweep runner, probe observers) plus the shared drive layer both
-# execution paths schedule through, and the simulator's cluster: the race
-# build poisons their pools (the driver's pieces and ranges, pull messages,
-# PS rounds) on release.
-RACE_PKGS := ./internal/transport ./internal/ps ./internal/emu ./internal/drive ./internal/fault ./internal/experiments/runner ./internal/probe ./internal/collective ./internal/cluster
+# parallel sweep runner, probe observers, and schedule's Planner, whose
+# locked memo of read-only plans concurrent runs share) plus the shared
+# drive layer both execution paths schedule through, and the simulator's
+# cluster: the race build poisons their pools (the driver's pieces and
+# ranges, pull messages, PS rounds) on release.
+RACE_PKGS := ./internal/transport ./internal/ps ./internal/emu ./internal/drive ./internal/fault ./internal/experiments/runner ./internal/probe ./internal/collective ./internal/cluster ./internal/schedule
 
 # Native fuzz targets and their packages (go runs one target per invocation).
 FUZZTIME ?= 10s

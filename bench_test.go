@@ -58,7 +58,7 @@ func BenchmarkCore_Profiler(b *testing.B) {
 // simulated ResNet50 training iteration under Prophet, on the PS wire.
 func BenchmarkCluster_Iteration(b *testing.B) {
 	prof, m := rn50Setup(b)
-	benchCluster(b, m, "ps", 3, cluster.ProphetFactory(prof))
+	benchCluster(b, m, "ps", 3, cluster.ProphetFactory(schedule.NewPlanner(prof, false)))
 }
 
 // BenchmarkCluster_IterationRing is the same on a ring of 8, the collective

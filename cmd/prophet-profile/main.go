@@ -13,10 +13,10 @@ import (
 	"io"
 	"os"
 
-	"prophet/internal/core"
 	"prophet/internal/model"
 	"prophet/internal/netsim"
 	"prophet/internal/profiler"
+	"prophet/internal/schedule"
 	"prophet/internal/stepwise"
 )
 
@@ -37,7 +37,7 @@ func run(args []string, out io.Writer) error {
 		iters     = fs.Int("profile-iters", 50, "profiling iterations")
 		bandwidth = fs.Float64("bandwidth", 3000, "bandwidth in Mbps for the example plan")
 		seed      = fs.Uint64("seed", 1, "seed")
-		showPlan  = fs.Bool("plan", false, "also print the Algorithm 1 block plan at -bandwidth")
+		showPlan  = fs.Bool("plan", false, "also print the block plan Prophet runs on a PS link at -bandwidth")
 	)
 	_ = fs.Parse(args) // ExitOnError: Parse does not return on a bad flag
 
@@ -83,8 +83,13 @@ func run(args []string, out io.Writer) error {
 	if !*showPlan {
 		return nil
 	}
+	// The plan a simulated Prophet runs on a PS link at this rate: the
+	// per-message time is its engine cost plus the link's setup and ramp,
+	// the sum cluster's wireMonitor hands the planner at one step.
 	bw := netsim.Goodput(netsim.Mbps(*bandwidth))
-	plan, err := core.Assemble(prof.Profile(), core.Config{Bandwidth: bw})
+	link := netsim.DefaultLinkConfig(netsim.Const(bw))
+	perMessage := schedule.DefaultProphetEngineCost + (link.SetupTime + link.RampBytes/bw)
+	plan, err := schedule.NewPlanner(prof.Profile(), false).Plan(bw, perMessage)
 	if err != nil {
 		return err
 	}

@@ -2,8 +2,18 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"prophet/internal/cluster"
+	"prophet/internal/model"
+	"prophet/internal/netsim"
+	"prophet/internal/profiler"
+	"prophet/internal/schedule"
+	"prophet/internal/stepwise"
 )
 
 // TestPlanRuns drives the whole command at a short profile: the pattern and
@@ -23,6 +33,59 @@ func TestPlanRuns(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestPlanIsWhatProphetSends: the printed plan is the one Prophet runs. A
+// simulated Prophet on a constant-rate PS link at -bandwidth, profiled as the
+// command profiles, sends exactly the printed units in iteration 0, as the
+// labels its decision log records.
+func TestPlanIsWhatProphetSends(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-plan", "-profile-iters", "5"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	unit := regexp.MustCompile(`^\s+\d+ (backward|forward) .* g(\d+)\.\.g(\d+) \(`)
+	var printed []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		m := unit.FindStringSubmatch(line)
+		switch {
+		case m == nil:
+		case m[1] == "backward":
+			printed = append(printed, fmt.Sprintf("block[g%s..g%s]", m[2], m[3]))
+		default:
+			printed = append(printed, fmt.Sprintf("fwd[g%s]", m[2]))
+		}
+	}
+
+	wire := model.WithWireFactor(model.ResNet50(), 2)
+	agg := stepwise.DefaultAggregate(wire)
+	prof, err := profiler.Run(profiler.Config{Model: wire, Batch: 64, Agg: agg, Iterations: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := netsim.DefaultLinkConfig(netsim.Const(netsim.Goodput(netsim.Mbps(3000))))
+	res, err := cluster.Run(cluster.Config{
+		Model: wire, Batch: 64, Workers: 2, Agg: agg,
+		Uplink:         func(int) netsim.LinkConfig { return link },
+		Scheduler:      cluster.ProphetFactory(schedule.NewPlanner(prof.Profile(), false)),
+		Iterations:     1,
+		Seed:           1,
+		RecordMessages: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent []string
+	for _, r := range res.Messages {
+		if r.Iter == 0 {
+			sent = append(sent, r.Label)
+		}
+	}
+	slices.Sort(printed)
+	slices.Sort(sent)
+	if len(printed) == 0 || !slices.Equal(printed, sent) {
+		t.Fatalf("printed plan %v\nProphet sent %v", printed, sent)
 	}
 }
 

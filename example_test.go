@@ -8,6 +8,7 @@ import (
 	"prophet/internal/model"
 	"prophet/internal/netsim"
 	"prophet/internal/profiler"
+	"prophet/internal/schedule"
 	"prophet/internal/stepwise"
 )
 
@@ -36,7 +37,7 @@ func Example() {
 		return res.Rate(2)
 	}
 	bs := run("bytescheduler", cluster.ByteSchedulerFactory(m, 4e6))
-	pro := run("prophet", cluster.ProphetFactory(prof.Profile()))
+	pro := run("prophet", cluster.ProphetFactory(schedule.NewPlanner(prof.Profile(), false)))
 	fmt.Printf("Prophet vs ByteScheduler: %+.1f%%\n", 100*(pro/bs-1))
 	// Output:
 	// profiled resnet50: 161 gradients arrive in 17 stepwise blocks over 613 ms

@@ -10,6 +10,7 @@ import (
 	"prophet/internal/netsim"
 	"prophet/internal/probe"
 	"prophet/internal/profiler"
+	"prophet/internal/schedule"
 	"prophet/internal/stepwise"
 )
 
@@ -30,7 +31,7 @@ func fullStack(t testing.TB, base *model.Model, batch int, mbps float64) (*profi
 		Uplink: func(int) netsim.LinkConfig {
 			return netsim.DefaultLinkConfig(netsim.Const(netsim.Goodput(netsim.Mbps(mbps))))
 		},
-		Scheduler:  cluster.ProphetFactory(prof.Profile()),
+		Scheduler:  cluster.ProphetFactory(schedule.NewPlanner(prof.Profile(), false)),
 		Iterations: 6,
 		Seed:       2,
 		Observer:   rec,

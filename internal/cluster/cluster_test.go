@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"prophet/internal/model"
@@ -41,7 +43,7 @@ func prophetFactory(t *testing.T, m *model.Model, batch int) SchedulerFactory {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ProphetFactory(res.Profile())
+	return ProphetFactory(schedule.NewPlanner(res.Profile(), false))
 }
 
 // runRecorded runs cfg with a probe.SpanRecorder attached and link records
@@ -239,6 +241,59 @@ func TestTransferLogPopulated(t *testing.T) {
 	}
 }
 
+// TestProphetFactoryRunsConcurrently: sweeps hand factories to runner.Map,
+// so runs on one ProphetFactory may plan through its one planner at once —
+// two at the same inputs, and one whose slow worker plans apart. Each run
+// made concurrently on a shared factory equals the same run made alone on a
+// fresh one.
+func TestProphetFactoryRunsConcurrently(t *testing.T) {
+	m := model.ResNet18()
+	res, err := profiler.Run(profiler.Config{Model: m, Batch: 32, Agg: stepwise.Aggregate(m, 8e6, 0), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs := func(factory SchedulerFactory) []Config {
+		a := smallConfig(t, factory, 3)
+		a.RecordMessages, a.RecordLinks = true, true
+		b := a
+		b.Seed = 2
+		hetero := a
+		hetero.Uplink = func(w int) netsim.LinkConfig {
+			return netsim.DefaultLinkConfig(netsim.Const(netsim.Gbps(3 - 2.5*float64(w))))
+		}
+		return []Config{a, b, hetero}
+	}
+	var serial []*Result
+	for _, cfg := range configs(nil) {
+		cfg.Scheduler = ProphetFactory(schedule.NewPlanner(res.Profile(), false))
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial = append(serial, r)
+	}
+	shared := configs(ProphetFactory(schedule.NewPlanner(res.Profile(), false)))
+	concurrent := make([]*Result, len(shared))
+	errs := make([]error, len(shared))
+	var wg sync.WaitGroup
+	for i, cfg := range shared {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[i], errs[i] = Run(cfg)
+		}()
+	}
+	wg.Wait()
+	for i := range shared {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(concurrent[i], serial[i]) {
+			t.Errorf("run %d on a shared factory differs from the same run alone", i)
+		}
+	}
+}
+
 func TestHeterogeneousWorkerSlowsCluster(t *testing.T) {
 	m := model.ResNet18()
 	base := smallConfig(t, FIFOFactory(m), 5)
@@ -388,7 +443,7 @@ func TestEventsPerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := ProphetFactory(prof.Profile())
+	factory := ProphetFactory(schedule.NewPlanner(prof.Profile(), false))
 	var eng *sim.Engine
 	_, err = Run(Config{
 		Model: m, Batch: 64, Workers: 3,

@@ -35,8 +35,9 @@ func ByName(name string, m *model.Model, opt Options) (SchedulerFactory, error) 
 }
 
 // ByNameTransport builds a factory from a registry name and a transport.
-// Prophet gets the wiring each worker needs — a bandwidth monitor on its
-// own uplink and a per-message overhead, both shaped by the named
+// Prophet gets one planner for the whole factory, so workers whose inputs
+// agree share a plan, and the wiring each worker needs — a bandwidth monitor
+// on its own uplink and a per-message overhead, both shaped by the named
 // drive.Backend (wireMonitor), where workers is the ring size a collective
 // runs across (ignored for "ps"). The other strategies need no transport
 // wiring — their decisions are wire-model-free, which is precisely why they
@@ -52,36 +53,41 @@ func ByNameTransport(name, transport string, workers int, m *model.Model, opt Op
 	if err := strategy.Check(name); err != nil {
 		return nil, err
 	}
-	// Prophet plans from its profile and from the wire as the backend shapes
-	// it, the same for every worker; the others slice the model's gradients.
-	var sizes []float64
-	var volume, steps float64
 	if name == "prophet" {
 		if opt.Profile == nil {
 			return nil, fmt.Errorf("cluster: strategy prophet needs Options.Profile")
 		}
-		volume, steps = drive.WireVolume(be, workers), float64(be.Steps(workers))
-	} else {
-		sizes = gradSizes(m)
+		volume, steps := drive.WireVolume(be, workers), float64(be.Steps(workers))
+		return prophetOn(schedule.NewPlanner(opt.Profile, false), volume, steps), nil
 	}
-	return func(w int, eng *sim.Engine, uplink *netsim.Link) schedule.Scheduler {
-		p := strategy.Params{
+	sizes := gradSizes(m)
+	return func(w int, _ *sim.Engine, _ *netsim.Link) schedule.Scheduler {
+		s, err := strategy.New(name, strategy.Params{
 			Sizes:     sizes,
 			Partition: opt.Partition,
 			Credit:    opt.Credit,
 			Seed:      opt.Seed,
 			Worker:    w,
-			Profile:   opt.Profile,
-		}
-		if name == "prophet" {
-			p.Bandwidth, p.Overhead = wireMonitor(uplink, volume, steps)
-		}
-		s, err := strategy.New(name, p)
+		})
 		if err != nil {
-			panic(err) // name and profile were validated above
+			panic(err) // name was validated above
 		}
 		return s
 	}, nil
+}
+
+// prophetOn builds each worker's Prophet from planner, planning from the
+// wire as a backend with this volume and step count shapes it (wireMonitor),
+// the same for every worker.
+func prophetOn(planner *schedule.Planner, volume, steps float64) SchedulerFactory {
+	return func(_ int, _ *sim.Engine, uplink *netsim.Link) schedule.Scheduler {
+		bandwidth, overhead := wireMonitor(uplink, volume, steps)
+		p, err := schedule.NewProphet(planner, bandwidth, overhead)
+		if err != nil {
+			panic(err)
+		}
+		return p
+	}
 }
 
 // wireMonitor attaches Prophet's bandwidth source to a worker's uplink: a
@@ -145,9 +151,9 @@ func TunedByteSchedulerFactory(m *model.Model, seed uint64) SchedulerFactory {
 }
 
 // ProphetFactory returns the Prophet strategy on the PS transport: each
-// worker attaches a bandwidth monitor to its own uplink and re-plans with
-// Algorithm 1 when the estimate drifts. Prophet takes its gradient sizes
-// from the profile, so there is no model to pass.
-func ProphetFactory(prof *core.Profile) SchedulerFactory {
-	return mustByName("prophet", nil, Options{Profile: prof})
+// worker attaches a bandwidth monitor to its own uplink and re-plans through
+// planner when the estimate drifts. Prophet takes its gradient sizes from
+// the planner's profile, so there is no model to pass.
+func ProphetFactory(planner *schedule.Planner) SchedulerFactory {
+	return prophetOn(planner, 1, 1) // the PS wire moves each payload byte once, in one step
 }

@@ -93,7 +93,8 @@ func (u Unit) GradRange() (lo, hi int) {
 
 // Plan is Algorithm 1's output: the ordered sequence of transfer units for
 // one training iteration, plus the planned start time t(i) per gradient
-// (the start of its first span).
+// (the start of its first span). It is read-only once Assemble returns:
+// schedule.Planner hands one Plan to many Prophets, across goroutines.
 type Plan struct {
 	Units []Unit
 	// Start[i] is t(i), the planned transfer start of gradient i.
@@ -109,44 +110,6 @@ func (p *Plan) NumBlocks() int {
 		}
 	}
 	return n
-}
-
-// Blocks flattens the plan into ordered groups of whole gradients, one
-// group per unit, deduplicated at first occurrence: a partitioned tensor
-// whose spans straddle consecutive units belongs to the earlier one. Units
-// whose gradients were all claimed by earlier units vanish, so every
-// gradient appears in exactly one block and no block is empty. No executor
-// schedules at this granularity — both replay the plan's decisions through
-// drive — so Blocks is a view of the plan for tests and readers.
-func (p *Plan) Blocks() [][]int {
-	seen := make(map[int]bool)
-	var out [][]int
-	for _, u := range p.Units {
-		var blk []int
-		for _, g := range u.Grads() {
-			if !seen[g] {
-				seen[g] = true
-				blk = append(blk, g)
-			}
-		}
-		if len(blk) > 0 {
-			out = append(out, blk)
-		}
-	}
-	return out
-}
-
-// UnitOf returns the index in Units of the first unit carrying bytes of
-// gradient g, or -1.
-func (p *Plan) UnitOf(g int) int {
-	for i, u := range p.Units {
-		for _, s := range u.Spans {
-			if s.Grad == g {
-				return i
-			}
-		}
-	}
-	return -1
 }
 
 // Config parameterizes Algorithm 1.

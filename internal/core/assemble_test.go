@@ -384,32 +384,6 @@ func TestAssembleUnitBytesMatchSpans(t *testing.T) {
 	}
 }
 
-func TestAssembleUnitOf(t *testing.T) {
-	prof := stepProfile(t, 3, 3, 0.1, 2e6)
-	plan, err := assemble(t, prof, Config{Bandwidth: 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g := 0; g < prof.N(); g++ {
-		ui := plan.UnitOf(g)
-		if ui < 0 {
-			t.Fatalf("gradient %d not in any unit", g)
-		}
-		found := false
-		for _, s := range plan.Units[ui].Spans {
-			if s.Grad == g {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("UnitOf(%d) = %d but unit lacks it", g, ui)
-		}
-	}
-	if plan.UnitOf(-5) != -1 {
-		t.Fatal("UnitOf(-5) should be -1")
-	}
-}
-
 func TestUnitGradsAndPriority(t *testing.T) {
 	u := Unit{Spans: []Span{{Grad: 7, Bytes: 1}, {Grad: 3, Bytes: 1}, {Grad: 7, Bytes: 1}}}
 	g := u.Grads()
@@ -544,6 +518,15 @@ func TestAssembleForwardBundleChargesPerMessageTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := func(b float64) float64 { return b / bw }
+	// firstUnit[g] is the index of the first unit carrying bytes of g.
+	firstUnit := map[int]int{}
+	for ui, u := range plan.Units {
+		for _, s := range u.Spans {
+			if _, ok := firstUnit[s.Grad]; !ok {
+				firstUnit[s.Grad] = ui
+			}
+		}
+	}
 	checkedAtOffset := 0
 	for ui, u := range plan.Units {
 		if u.Phase != Forward {
@@ -553,7 +536,7 @@ func TestAssembleForwardBundleChargesPerMessageTime(t *testing.T) {
 		for _, s := range u.Spans {
 			// The forward phase stamps t(q) only for gradients whose first
 			// bytes ship here; earlier backward spans already set it.
-			if plan.UnitOf(s.Grad) == ui {
+			if firstUnit[s.Grad] == ui {
 				want := u.PlannedStart + pmt + est(ahead)
 				if math.Abs(plan.Start[s.Grad]-want) > 1e-12 {
 					t.Fatalf("t(%d) = %v, want %v (bundle start %v + overhead %v + E(%v ahead))",

@@ -59,9 +59,6 @@ func (q *Queue) SetPlan(plan *Plan) {
 	q.ResetIteration()
 }
 
-// Plan returns the current plan.
-func (q *Queue) Plan() *Plan { return q.plan }
-
 // MarkGenerated records that gradient g finished backward computation.
 func (q *Queue) MarkGenerated(g int) {
 	if g < 0 || g >= q.nGrads {

@@ -38,14 +38,7 @@ func ablationBlocks(cfg Config) (*AblationBlocksResult, error) {
 	link := linkMbps(2000)
 	// Windows removed: same Prophet, but block assembly ignores the
 	// stepwise transfer windows.
-	noWinFactory := func(w int, eng *sim.Engine, uplink *netsim.Link) schedule.Scheduler {
-		sched := s.prophet()(w, eng, uplink)
-		p := sched.(*schedule.Prophet)
-		if err := p.SetIgnoreWindows(true); err != nil {
-			panic(err)
-		}
-		return p
-	}
+	noWinFactory := cluster.ProphetFactory(schedule.NewPlanner(s.prof.Profile(), true))
 	factories := []cluster.SchedulerFactory{s.prophet(), noWinFactory, s.byteScheduler()}
 	rates, err := runner.Map(cfg.Jobs, factories, func(_ int, f cluster.SchedulerFactory) (float64, error) {
 		return s.rate(cfg, f, link, 3)
@@ -89,11 +82,12 @@ func ablationMonitor(cfg Config) (*AblationMonitorResult, error) {
 		return netsim.DefaultLinkConfig(tr)
 	}
 	// Stale variant: bandwidth source pinned to the t=0 estimate.
+	planner := schedule.NewPlanner(s.prof.Profile(), false)
 	staleFactory := func(w int, eng *sim.Engine, uplink *netsim.Link) schedule.Scheduler {
 		lcfg := uplink.Config()
 		initial := lcfg.Trace.At(0)
 		overhead := func(bw float64) float64 { return lcfg.SetupTime + lcfg.RampBytes/bw }
-		p, err := schedule.NewProphet(s.prof.Profile(), func() float64 { return initial }, overhead)
+		p, err := schedule.NewProphet(planner, func() float64 { return initial }, overhead)
 		if err != nil {
 			panic(err)
 		}

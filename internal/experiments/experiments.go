@@ -22,6 +22,7 @@ import (
 	"prophet/internal/netsim"
 	"prophet/internal/probe"
 	"prophet/internal/profiler"
+	"prophet/internal/schedule"
 	"prophet/internal/stepwise"
 	"prophet/internal/strategy"
 )
@@ -240,7 +241,7 @@ func (s *setup) tunedByteScheduler(seed uint64) cluster.SchedulerFactory {
 }
 
 func (s *setup) prophet() cluster.SchedulerFactory {
-	return cluster.ProphetFactory(s.prof.Profile())
+	return cluster.ProphetFactory(schedule.NewPlanner(s.prof.Profile(), false))
 }
 
 // config is the cluster configuration every simulated run starts from; an

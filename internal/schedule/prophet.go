@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"fmt"
+	"sync"
 
 	"prophet/internal/core"
 )
@@ -12,6 +13,42 @@ import (
 // partition).
 const DefaultProphetEngineCost = 0.5e-3
 
+// Planner is Algorithm 1 over one profile, memoised on its exact inputs:
+// equal inputs get the same plan. Prophets on concurrent runs may share one,
+// so the memo is locked and its plans are read-only.
+type Planner struct {
+	prof          *core.Profile
+	ignoreWindows bool
+	mu            sync.Mutex
+	plans         map[core.Config]*core.Plan
+}
+
+// NewPlanner plans against prof. ignoreWindows selects the DESIGN.md §5
+// ablation mode, in which blocks ignore the stepwise transfer windows.
+func NewPlanner(prof *core.Profile, ignoreWindows bool) *Planner {
+	return &Planner{prof: prof, ignoreWindows: ignoreWindows, plans: make(map[core.Config]*core.Plan)}
+}
+
+// Plan returns the plan at bandwidth bw (bytes/sec) with a fixed cost of
+// perMessage seconds per message. Callers must not modify it.
+func (pl *Planner) Plan(bw, perMessage float64) (*core.Plan, error) {
+	if !(bw > 0) {
+		return nil, fmt.Errorf("schedule: planner got non-positive bandwidth %v", bw)
+	}
+	cfg := core.Config{Bandwidth: bw, PerMessageTime: perMessage, IgnoreWindows: pl.ignoreWindows}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if plan, ok := pl.plans[cfg]; ok {
+		return plan, nil
+	}
+	plan, err := core.Assemble(pl.prof, cfg)
+	if err != nil {
+		return nil, err
+	}
+	pl.plans[cfg] = plan
+	return plan, nil
+}
+
 // Prophet is the paper's strategy: using the profiled stepwise pattern
 // (generation times and transfer windows) and the monitored bandwidth, it
 // assembles gradients into blocks with Algorithm 1 and streams them through
@@ -20,14 +57,13 @@ const DefaultProphetEngineCost = 0.5e-3
 // after backward completes, remaining gradients go one by one in strict
 // priority order, starting with gradient 0 at its generation instant.
 type Prophet struct {
-	prof          *core.Profile
-	bandwidth     func() float64
-	overhead      func(bw float64) float64
-	queue         *core.Queue
-	plan          *core.Plan
-	plannedBW     float64
-	replans       int
-	ignoreWindows bool
+	planner   *Planner
+	bandwidth func() float64
+	overhead  func(bw float64) float64
+	queue     *core.Queue
+	plan      *core.Plan
+	plannedBW float64
+	replans   int
 	// msgCache holds the rendered Message per plan unit. A unit's pieces and
 	// label depend only on the plan, so the same (read-only) Message is
 	// re-emitted every iteration instead of being rebuilt — the cache is
@@ -35,32 +71,29 @@ type Prophet struct {
 	msgCache []Message
 }
 
-// NewProphet creates the strategy. prof is the job profiler's output;
+// NewProphet creates the strategy. planner holds the job profiler's output;
 // bandwidth is polled at each iteration start (the Network Bandwidth
 // Monitor) and a bandwidth change triggers re-planning. overhead, when
 // non-nil, returns the fixed per-message wire cost in seconds at a given
 // bandwidth, letting Algorithm 1 size blocks against true message times.
-func NewProphet(prof *core.Profile, bandwidth func() float64, overhead func(bw float64) float64) (*Prophet, error) {
+func NewProphet(planner *Planner, bandwidth func() float64, overhead func(bw float64) float64) (*Prophet, error) {
 	if bandwidth == nil {
 		return nil, fmt.Errorf("schedule: Prophet needs a bandwidth source")
 	}
-	p := &Prophet{prof: prof, bandwidth: bandwidth, overhead: overhead}
+	p := &Prophet{planner: planner, bandwidth: bandwidth, overhead: overhead}
 	if err := p.replan(bandwidth()); err != nil {
 		return nil, err
 	}
-	p.queue = core.NewQueue(p.plan, prof.N())
+	p.queue = core.NewQueue(p.plan, planner.prof.N())
 	return p, nil
 }
 
 func (p *Prophet) replan(bw float64) error {
-	if bw <= 0 {
-		return fmt.Errorf("schedule: Prophet got non-positive bandwidth %v", bw)
-	}
-	cfg := core.Config{Bandwidth: bw, PerMessageTime: DefaultProphetEngineCost, IgnoreWindows: p.ignoreWindows}
+	perMessage := DefaultProphetEngineCost
 	if p.overhead != nil {
-		cfg.PerMessageTime += p.overhead(bw)
+		perMessage += p.overhead(bw)
 	}
-	plan, err := core.Assemble(p.prof, cfg)
+	plan, err := p.planner.Plan(bw, perMessage)
 	if err != nil {
 		return err
 	}
@@ -71,24 +104,11 @@ func (p *Prophet) replan(bw float64) error {
 	return nil
 }
 
-// SetIgnoreWindows toggles the DESIGN.md §5 ablation mode (blocks ignore
-// the stepwise transfer windows) and re-plans immediately.
-func (p *Prophet) SetIgnoreWindows(on bool) error {
-	p.ignoreWindows = on
-	if err := p.replan(p.plannedBW); err != nil {
-		return err
-	}
-	p.queue.SetPlan(p.plan)
-	return nil
-}
-
 // Name implements Scheduler.
 func (p *Prophet) Name() string { return "prophet" }
 
-// Plan returns the current transfer plan (for inspection and traces).
-func (p *Prophet) Plan() *core.Plan { return p.plan }
-
-// Replans returns how many times Algorithm 1 has been re-run.
+// Replans returns how many plans this Prophet has adopted, counting those
+// its planner had already computed.
 func (p *Prophet) Replans() int { return p.replans }
 
 // BeginIteration implements Scheduler: it polls the bandwidth monitor and

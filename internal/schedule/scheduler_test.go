@@ -1,8 +1,12 @@
 package schedule
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -268,7 +272,7 @@ func prophetProfile(t *testing.T) *core.Profile {
 
 func TestProphetDeliversPlanUnitsInOrder(t *testing.T) {
 	prof := prophetProfile(t)
-	p, err := NewProphet(prof, func() float64 { return 1e9 }, nil)
+	p, err := NewProphet(NewPlanner(prof, false), func() float64 { return 1e9 }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +307,7 @@ func TestProphetDeliversPlanUnitsInOrder(t *testing.T) {
 
 func TestProphetGradZeroOvertakesStaleBlocks(t *testing.T) {
 	prof := prophetProfile(t)
-	p, err := NewProphet(prof, func() float64 { return 1e9 }, nil)
+	p, err := NewProphet(NewPlanner(prof, false), func() float64 { return 1e9 }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +329,7 @@ func TestProphetGradZeroOvertakesStaleBlocks(t *testing.T) {
 
 func TestProphetNothingReadyBeforeGeneration(t *testing.T) {
 	prof := prophetProfile(t)
-	p, err := NewProphet(prof, func() float64 { return 1e9 }, nil)
+	p, err := NewProphet(NewPlanner(prof, false), func() float64 { return 1e9 }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +342,7 @@ func TestProphetNothingReadyBeforeGeneration(t *testing.T) {
 func TestProphetReplansOnBandwidthChange(t *testing.T) {
 	prof := prophetProfile(t)
 	bw := 1e9
-	p, err := NewProphet(prof, func() float64 { return bw }, nil)
+	p, err := NewProphet(NewPlanner(prof, false), func() float64 { return bw }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,14 +360,14 @@ func TestProphetReplansOnBandwidthChange(t *testing.T) {
 }
 
 func TestProphetNilBandwidthErrors(t *testing.T) {
-	if _, err := NewProphet(prophetProfile(t), nil, nil); err == nil {
+	if _, err := NewProphet(NewPlanner(prophetProfile(t), false), nil, nil); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestProphetBlockLabels(t *testing.T) {
 	prof := prophetProfile(t)
-	p, err := NewProphet(prof, func() float64 { return 1e9 }, nil)
+	p, err := NewProphet(NewPlanner(prof, false), func() float64 { return 1e9 }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,6 +381,110 @@ func TestProphetBlockLabels(t *testing.T) {
 	}
 	if len(m.Pieces) > 1 && m.Label[:5] != "block" {
 		t.Fatalf("label = %q", m.Label)
+	}
+}
+
+// releaseAll is a play script that releases every gradient of prof at once
+// and drains the queue.
+func releaseAll(prof *core.Profile) string {
+	var b strings.Builder
+	for g := 0; g < prof.N(); g++ {
+		fmt.Fprintf(&b, "g%d ", g)
+	}
+	return b.String() + "drain"
+}
+
+// TestPlannerMemoisesOnItsInputs: equal inputs return the same plan, and a
+// plan is Algorithm 1's at exactly the inputs asked for — a different
+// bandwidth, per-message time or window mode gets its own, so workers on
+// different uplinks never share one.
+func TestPlannerMemoisesOnItsInputs(t *testing.T) {
+	prof := prophetProfile(t)
+	pl := NewPlanner(prof, false)
+	plan := func(pl *Planner, bw, perMessage float64) *core.Plan {
+		t.Helper()
+		p, err := pl.Plan(bw, perMessage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	base := plan(pl, 5e7, 1e-3)
+	if again := plan(pl, 5e7, 1e-3); again != base {
+		t.Fatal("equal inputs returned two plans")
+	}
+	for _, tc := range []struct {
+		name       string
+		pl         *Planner
+		bw, perMsg float64
+	}{
+		{"bandwidth", pl, 1e8, 1e-3},
+		{"per-message time", pl, 5e7, 2e-3},
+		{"window mode", NewPlanner(prof, true), 5e7, 1e-3},
+	} {
+		got := plan(tc.pl, tc.bw, tc.perMsg)
+		want, err := core.Assemble(prof, core.Config{Bandwidth: tc.bw, PerMessageTime: tc.perMsg, IgnoreWindows: tc.pl.ignoreWindows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == base || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the planner returned the shared plan or not Algorithm 1's at its inputs", tc.name)
+		}
+	}
+	if _, err := pl.Plan(0, 1e-3); err == nil {
+		t.Error("a zero bandwidth planned")
+	}
+}
+
+// TestProphetsShareAPlan: Prophets built from one planner at one bandwidth,
+// on concurrent goroutines, each adopt one plan, the same one, and send what
+// a Prophet with a planner of its own sends. Under -race this is the check
+// of the planner's lock and of plans staying read-only.
+func TestProphetsShareAPlan(t *testing.T) {
+	prof := prophetProfile(t)
+	script := releaseAll(prof) + " iter " + releaseAll(prof)
+	newProphet := func(pl *Planner) *Prophet {
+		p, err := NewProphet(pl, func() float64 { return 1e9 }, nil)
+		if err != nil {
+			panic(err)
+		}
+		return p
+	}
+	want := play(newProphet(NewPlanner(prof, false)), script)
+	pl := NewPlanner(prof, false)
+	ps := make([]*Prophet, 4)
+	sent := make([][]string, len(ps))
+	var wg sync.WaitGroup
+	for i := range ps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ps[i] = newProphet(pl)
+			sent[i] = play(ps[i], script)
+		}()
+	}
+	wg.Wait()
+	for i, p := range ps {
+		if p.Replans() != 1 || p.plan != ps[0].plan || !reflect.DeepEqual(sent[i], want) {
+			t.Fatalf("Prophet %d: %d plans adopted, shared plan %v, sent %v, want %v", i, p.Replans(), p.plan == ps[0].plan, sent[i], want)
+		}
+	}
+}
+
+// TestPlannerIgnoreWindowsNeverAddsBlocks: without windows, the backward
+// plan collapses into fewer, larger blocks (or equal, never more).
+func TestPlannerIgnoreWindowsNeverAddsBlocks(t *testing.T) {
+	prof := prophetProfile(t)
+	withWin, err := NewPlanner(prof, false).Plan(5e7, DefaultProphetEngineCost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noWin, err := NewPlanner(prof, true).Plan(5e7, DefaultProphetEngineCost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if noWin.NumBlocks() > withWin.NumBlocks() {
+		t.Fatalf("ignoring windows produced more blocks (%d) than honoring them (%d)", noWin.NumBlocks(), withWin.NumBlocks())
 	}
 }
 

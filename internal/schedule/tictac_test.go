@@ -101,31 +101,6 @@ func TestTicTacDuplicateGenerationIdempotent(t *testing.T) {
 	}
 }
 
-func TestProphetSetIgnoreWindowsReplans(t *testing.T) {
-	prof := prophetProfile(t)
-	p, err := NewProphet(prof, func() float64 { return 1e8 }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := p.Replans()
-	if err := p.SetIgnoreWindows(true); err != nil {
-		t.Fatal(err)
-	}
-	if p.Replans() != before+1 {
-		t.Fatal("SetIgnoreWindows did not replan")
-	}
-	// Without windows, the backward plan collapses into fewer, larger
-	// blocks (or equal, never more).
-	noWin := p.Plan().NumBlocks()
-	if err := p.SetIgnoreWindows(false); err != nil {
-		t.Fatal(err)
-	}
-	withWin := p.Plan().NumBlocks()
-	if noWin > withWin {
-		t.Fatalf("ignoring windows produced more blocks (%d) than honoring them (%d)", noWin, withWin)
-	}
-}
-
 func TestCreditTunerProbesBothDirections(t *testing.T) {
 	tu := NewCreditTuner(4e6, 1e6, 16e6, 3)
 	saw := map[bool]bool{} // above/below incumbent

@@ -1,9 +1,10 @@
 // Package strategy is the shared name→constructor table for communication
 // scheduling strategies. Both execution paths — the discrete-event cluster
-// simulator and the live emulation — and the -policy flag build their
-// schedule.Scheduler instances through it, so every strategy is available
-// under identical names everywhere, and a row added to the table here lands
-// in both paths by construction.
+// simulator and the live emulation — and the -policy flag resolve names
+// through it, so every strategy is available under identical names
+// everywhere, and a row added to the table here lands in both paths by
+// construction. The simulator alone builds Prophet outside the table, from
+// one planner per factory, through the same schedule constructors.
 //
 // Names: fifo, p3, tictac, bytescheduler, bytescheduler-tuned, fusion,
 // prophet.
@@ -87,7 +88,7 @@ var factories = map[string]func(p Params) (schedule.Scheduler, error){
 		if bw == nil {
 			bw = func() float64 { return 1e9 }
 		}
-		return schedule.NewProphet(p.Profile, bw, p.Overhead)
+		return schedule.NewProphet(schedule.NewPlanner(p.Profile, false), bw, p.Overhead)
 	},
 }
 

@@ -119,13 +119,28 @@ func TestTunedCreditStaysWithinDefaultBounds(t *testing.T) {
 	}
 }
 
-// Prophet with a profile and no bandwidth source plans at 1e9 B/s.
+// Prophet with a profile and no bandwidth source plans at 1e9 B/s: it sends
+// what a Prophet polling 1e9 B/s sends, which is not what one at 1e6 B/s
+// sends.
 func TestProphetWithoutBandwidthPlansAt1e9(t *testing.T) {
 	prof, _ := core.NewProfile([]float64{0.02, 0.02, 0.01, 0.01, 0}, []float64{1e6, 1e6, 1e6, 1e6, 1e6}, 1e-6)
+	labels := func(s schedule.Scheduler) []string {
+		s.BeginIteration(0)
+		for g := prof.N() - 1; g >= 0; g-- {
+			s.OnGenerated(g, prof.Gen[g])
+		}
+		var got []string
+		for msg, ok := s.Next(0); ok; msg, ok = s.Next(0) {
+			got = append(got, msg.Label)
+		}
+		return got
+	}
+	at := func(bw float64) []string {
+		p, _ := schedule.NewProphet(schedule.NewPlanner(prof, false), func() float64 { return bw }, nil)
+		return labels(p)
+	}
 	s, err := New("prophet", Params{Profile: prof})
-	at1e9, _ := schedule.NewProphet(prof, func() float64 { return 1e9 }, nil)
-	at1e6, _ := schedule.NewProphet(prof, func() float64 { return 1e6 }, nil)
-	if err != nil || !reflect.DeepEqual(s.(*schedule.Prophet).Plan(), at1e9.Plan()) || reflect.DeepEqual(at1e9.Plan(), at1e6.Plan()) {
+	if err != nil || !reflect.DeepEqual(labels(s), at(1e9)) || reflect.DeepEqual(at(1e9), at(1e6)) {
 		t.Fatalf("New(prophet) without Bandwidth (err %v) did not plan as at 1e9 B/s, or 1e6 B/s plans the same", err)
 	}
 }

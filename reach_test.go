@@ -35,9 +35,6 @@ const (
 var reachAllow = map[string]string{
 	"internal/ps.WorkerError.Unwrap": "errors.Is/As call it through an anonymous interface inside the standard library",
 
-	"internal/core.Plan.Blocks":                     window,
-	"internal/core.Plan.UnitOf":                     window,
-	"internal/core.Queue.Plan":                      window,
 	"internal/core.Queue.Exhausted":                 window,
 	"internal/core.Queue.Remaining":                 window,
 	"internal/metrics.RateSeries.TotalBytes":        window,
@@ -54,7 +51,6 @@ var reachAllow = map[string]string{
 	"internal/probe.SpanRecorder.Lanes":             window,
 	"internal/schedule.Queue.Credit":                window,
 	"internal/schedule.CreditTuner.Best":            window,
-	"internal/schedule.Prophet.Plan":                window,
 	"internal/shard.Map.Load":                       window,
 	"internal/shard.Map.Keys":                       window,
 	"internal/sim.Engine.Active":                    window,
