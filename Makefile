@@ -147,6 +147,7 @@ fuzz:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDecodeFloats$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzMuxReadFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzMuxCombinedWrites$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzPipe$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ps -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/collective -run '^$$' -fuzz '^FuzzFabricDeliver$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzAccumulate$$' -fuzztime $(FUZZTIME)

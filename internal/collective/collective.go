@@ -35,8 +35,9 @@
 // arithmetic.
 //
 // Framing, back-pressure and payload pooling are inherited from the mux
-// transport: a chunk's send returns once the demux loop has read it off the
-// pipe into a pooled payload buffer. Handing a chunk over costs the same at
+// transport: a chunk's send returns once the pipe has buffered it, and the
+// demux loop reads it off the pipe into a pooled payload buffer. Handing a
+// chunk over costs the same at
 // any W: the demux loop only routes — it queues the wire bytes on the
 // addressee's inbox and wakes that one peer — and the receiving peer, on its
 // own goroutine, reduces or copies straight from the little-endian bytes
@@ -89,8 +90,9 @@ type chunk struct {
 // deadlock-free: the demux loop never blocks on a worker, so the pipe
 // always drains and a sender can never wedge behind a receiver that is
 // itself mid-send. The pipe does not bound the
-// inbox (a send returns when the demux loop has read the frame, not when
-// the peer has taken the chunk); the lockstep schedule does: a peer sends
+// inbox (a send returns when the pipe has buffered the frame, before the
+// demux loop has even read it, let alone the peer taken the chunk); the
+// lockstep schedule does: a peer sends
 // step k+1 only after it received step k. On a ring that needs only the
 // predecessor's chunk, so the dependency chain runs the long way round and
 // a peer can lead its successor by up to W−1 steps (an inbox of at most W
@@ -425,9 +427,10 @@ type opStep struct {
 // exchange plays one step: send the members' segments (segs, cut by st) as
 // one frame, then block for this peer's inbound chunk and fold its wire
 // bytes back member by member, into the ranges st and the members' bounds
-// name, here on the peer's own goroutine. The net.Pipe fabric never wedges
-// on the send-then-receive order: the demux loop drains the wire
-// unconditionally, so every peer's send completes without its receive.
+// name, here on the peer's own goroutine. The fabric never wedges on the
+// send-then-receive order: the demux loop drains the wire unconditionally,
+// so every peer's send completes without its receive, even one parked on a
+// full pipe buffer.
 func (p *Peer) exchange(iter, step uint32, members [][]float64, st opStep, bounds []int, segs [][]float64) error {
 	f, dst, w1 := p.f, st.dst, p.f.workers+1
 	b := f.send.NewBatch(uint32(dst))

@@ -114,13 +114,31 @@ func TestNegativeShardsRejected(t *testing.T) {
 // pipe serializes writes anyway) would return from send k before offering
 // send k+1, and no two spans of a worker could ever overlap — which is what
 // the Mux half asserts.
+//
+// A send is on the wire while the token bucket holds it: a buffered pipe
+// takes unshaped bytes at once, so only shaping keeps a send open long enough
+// to overlap another. The model is sized for that — each shard lane carries
+// more than a limiter's burst per iteration, so after the first iteration
+// every push on either lane waits for its tokens.
 func TestShardLanesOverlapOnPrivatePipes(t *testing.T) {
+	const burst = 64 << 10 // transport.Pipe's limiter burst
+	cfg := baseConfig()
+	cfg.Layers = []int{8, 96, 96, 96, 4} // two equal 72 KiB weights, one per lane
+	cfg.Policy = "prophet"
+	cfg.Shards = 2
+	cfg.ShardPlacement = shard.SizeBalanced
+	cfg.BandwidthBytesPerSec = 16e6
+	smap, err := shard.New(tensorSizes(cfg.Layers, cfg.Seed), cfg.Shards, cfg.ShardPlacement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < cfg.Shards; s++ {
+		if load := smap.Load(s); load <= burst {
+			t.Fatalf("shard %d carries %.0f B per iteration, within the %d B burst: the limiter would never hold its sends", s, load, burst)
+		}
+	}
 	overlaps := func(mux bool) int {
-		cfg := baseConfig()
-		cfg.Policy = "prophet"
-		cfg.Shards = 2
-		cfg.ShardPlacement = shard.SizeBalanced
-		cfg.BandwidthBytesPerSec = 4e6 // shaped: every send stays on the wire long enough to be seen
+		cfg := cfg
 		cfg.Mux = mux
 		rec := probe.NewSpanRecorder()
 		cfg.Observer = rec

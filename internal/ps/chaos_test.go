@@ -163,6 +163,48 @@ func TestDropWorkerClosesOrphanedConnection(t *testing.T) {
 	}
 }
 
+// TestDropBeforeServeClosesOrphanedConnection: a worker dropped before the
+// serving call has registered its connection still has it closed — at
+// registration, since DropWorker found nothing to close — so its pull,
+// already buffered in the pipe, fails at once; its live neighbour's private
+// connection stays up.
+func TestDropBeforeServeClosesOrphanedConnection(t *testing.T) {
+	srv := NewServer(2)
+	serverEnds := make([]net.Conn, 2)
+	clients := make([]*Client, 2)
+	for w := range clients {
+		a, b := transport.Pipe(0, 0)
+		serverEnds[w], clients[w] = b, NewClient(a)
+	}
+	ch, err := clients[1].PullAsync(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.DropWorker(1)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(serverEnds) }()
+	select {
+	case r := <-ch:
+		if !errors.Is(r.Err, ErrConnLost) {
+			t.Fatalf("dropped worker's pull failed with %v, want ErrConnLost", r.Err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("connection of a worker dropped before Serve stayed open")
+	}
+	if err := clients[0].Push(0, 0, []float64{3}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := clients[0].Pull(0, 0); err != nil || got[0] != 3 {
+		t.Fatalf("survivor pull = %v, %v; want [3]", got, err)
+	}
+	for _, c := range clients {
+		c.Close()
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+}
+
 // TestLastServingCallStopsStragglerTimers: a straggler timer armed by a
 // parked pull must not outlive the serving calls — once the last connection
 // has returned there is nobody left to answer, and a late firing would drop

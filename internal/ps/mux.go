@@ -15,9 +15,10 @@ package ps
 //
 // Frames are tagged with a stream id equal to the worker's position in the
 // ServeMux ids slice (the MuxGroup uses worker id == stream id directly).
-// The pipe is the flow control: a write returns once the far demux loop has
-// read it, so no worker's burst runs ahead of that loop by more than the
-// batch in the wire. Pooled payloads survive end-to-end: the demux borrows
+// The pipe is the flow control: a write parks while the pipe holds
+// transport.MaxCombinedWrite unread bytes, so no worker's burst runs ahead of
+// the far demux loop by more than one combined write. Pooled payloads
+// survive end-to-end: the demux borrows
 // from the shared payload pool, handlers decode into the float pool, and
 // MuxConn.Done returns the wire bytes.
 
@@ -60,7 +61,14 @@ func (s *Server) ServeMux(conn net.Conn, ids []int) error {
 	for stream, w := range ids {
 		s.links[w] = workerLink{r, uint32(stream)}
 	}
+	orphaned := s.allDeadLocked(ids)
 	s.mu.Unlock()
+	if orphaned {
+		// Every worker here was dropped before it was registered, so
+		// DropWorker found no connection to close: close it now, or the
+		// dropped workers' pulls wait out their timeout.
+		mc.Close()
+	}
 	s.addServing(1)
 	defer s.addServing(-1)
 	var rwg sync.WaitGroup
@@ -368,21 +376,29 @@ func (mw *MuxWorker) register(k slotKey) (chan PullResult, error) {
 	return ch, nil
 }
 
-// reusable pops answered channels until one is empty again — its one value
-// received — and returns it, or nil when none is. A channel still holding
-// its value (a receiver that gave up, like a timed-out wait) is dropped,
-// never reused: whoever holds it may yet read it. Called with mu held.
+// reusable takes the oldest answered channel that is empty again — its one
+// value received — out of the queue and returns it, or nil when none is. A
+// channel still holding its value stays queued, never handed out: whoever
+// holds it may yet read it (a pull answered before its worker got to it,
+// which frees it for a later pull) or never will (a receiver that gave up,
+// like a timed-out wait, which keeps its slot for the worker's life).
+// Dropping the unread ones instead cost a new channel per pull answered
+// ahead of its reader — more of them the more pulls a fast wire has in
+// flight. Called with mu held.
 func (mw *MuxWorker) reusable() chan PullResult {
-	for mw.answeredHead < len(mw.answered) {
-		ch := mw.answered[mw.answeredHead]
+	for i := mw.answeredHead; i < len(mw.answered); i++ {
+		ch := mw.answered[i]
+		if len(ch) != 0 {
+			continue
+		}
+		// Fill its slot with the head and advance past the head.
+		mw.answered[i] = mw.answered[mw.answeredHead]
 		mw.answered[mw.answeredHead] = nil
 		mw.answeredHead++
 		if mw.answeredHead == len(mw.answered) {
 			mw.answered, mw.answeredHead = mw.answered[:0], 0
 		}
-		if len(ch) == 0 {
-			return ch
-		}
+		return ch
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"errors"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -166,7 +167,7 @@ func TestMuxGroupCloseFailsPending(t *testing.T) {
 // loss — otherwise a worker blocked mid-push hangs forever (emu.Run's abort
 // closes raw conns and then waits for every worker).
 func TestMuxConnLossUnblocksParkedSender(t *testing.T) {
-	a, b := transport.Pipe(0, 0)
+	a, b := net.Pipe() // a rendezvous: a write parks until the peer reads it
 	g := NewMuxGroup(a, 1, MuxGroupOptions{})
 	defer g.Close()
 

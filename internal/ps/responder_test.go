@@ -200,7 +200,7 @@ func TestResponseBatchBound(t *testing.T) {
 // slot still retires.
 func TestDroppedWorkerResponseNotWritten(t *testing.T) {
 	s := NewServer(2)
-	a, b := transport.Pipe(0, 0)
+	a, b := net.Pipe() // a rendezvous: the responder's write parks until read
 	wait := serveStreams(s, a, 2)
 	c := rawWorkers{t, transport.NewMuxConn(b, transport.MuxOptions{Streams: 2, Pool: transport.NewPayloadPool()})}
 	c.push(0, 0, 0, []float64{1})
@@ -243,7 +243,7 @@ func TestPullWhileResponseQueuedIsDuplicate(t *testing.T) {
 		failures = append(failures, err.Error())
 		mu.Unlock()
 	})
-	a, b := transport.Pipe(0, 0)
+	a, b := net.Pipe() // a rendezvous: the responder's write parks until read
 	wait := serveStreams(s, a, 1)
 	c := rawWorkers{t, transport.NewMuxConn(b, transport.MuxOptions{Streams: 1, Pool: transport.NewPayloadPool()})}
 	defer c.mc.Close()

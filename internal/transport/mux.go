@@ -9,38 +9,42 @@ package transport
 //	mux frame := stream(4) | type(1) | iter(4) | tensor(4) | len(4) | payload
 //
 // Back-pressure is the pipe. Outside tests every MuxConn rides an end of
-// Pipe, i.e. net.Pipe, whose Write returns only once the peer has read the
-// bytes: a SendBatch into a conn nobody reads does not return, so no sender
-// is ever more than the one write in the wire ahead of the demux loop. The
-// mux adds no window of its own and starts no goroutine. A wire that
-// buffers (a kernel socket) is the condition under which per-stream windows
-// would have to come back; frame type 4, the retired credit grant, stays
-// reserved for that.
+// Pipe, whose direction buffers at most MaxCombinedWrite bytes: a Write
+// returns once its bytes are buffered and parks while the buffer is full, so
+// a SendBatch into a conn nobody reads returns until MaxCombinedWrite bytes
+// sit unread and then does not. That is the window a rendezvous pipe already
+// gave — a combined write of up to MaxCombinedWrite bytes parked in the wire
+// ahead of the demux loop — so no stream gets further ahead of its reader
+// than one combined write could. The mux adds no window of its own and
+// starts no goroutine; frame type 4, the retired per-stream credit grant,
+// stays reserved for a wire whose buffer outgrows that bound (a kernel
+// socket's).
 //
 // Writes combine (group commit). A sender queues its batch; if no write is
 // in progress it becomes the writer and ships the batches queued so far —
 // up to MaxCombinedWrite bytes of them — as ONE conn.Write, then hands the
 // writer role to the oldest sender still queued.
-// Each pipe write is a rendezvous with the reader whatever its size, so N
-// concurrent senders cost the wire one write instead of N, and the reader's
-// buffer takes their frames a few at a time. A sender still returns only
-// once the peer has read its bytes, frames keep their per-sender order and
-// the queue is FIFO; a write that fails after n bytes fails exactly the
-// batches that do not lie wholly inside those n.
+// Each pipe write costs a lock hand-off with the reader whatever its size,
+// so N concurrent senders cost the wire one write instead of N, and the
+// reader's buffer takes their frames a few at a time. A sender returns once
+// the pipe has taken its bytes, frames keep their per-sender order and the
+// queue is FIFO; a write that fails after n bytes fails exactly the batches
+// that do not lie wholly inside those n.
 //
-// Deadlock discipline (net.Pipe writes block until the peer reads): a demux
-// loop must NEVER write on its own conn — two peers each writing from their
-// only reader would wait on each other forever. Writes belong to sender
-// goroutines and to owner goroutines such as the ps server's responder.
+// Deadlock discipline (a write parks while the peer's buffer is full): a
+// demux loop must NEVER write on its own conn — two peers each writing from
+// their only reader, both buffers full, would wait on each other forever.
+// Writes belong to sender goroutines and to owner goroutines such as the ps
+// server's responder.
 //
 // The receive side reads the conn through a small buffer (MuxReadBuffer,
 // allocated on the first Read, so a send-only end pays nothing): a header
-// and a small payload arrive in ONE conn.Read — one goroutine hand-off per
-// frame on a synchronous pipe instead of two. A fill asks the conn once, and
-// one net.Pipe Read never spans two Writes, so the reader is never more than
-// the write it is draining ahead of its handler and the back-pressure above
-// holds unchanged. A payload the buffer cannot hold still lands directly in
-// its pooled slice.
+// and a small payload arrive in ONE conn.Read, and a fill takes whatever the
+// pipe holds up to the buffer's size — several writes' frames, when senders
+// ran ahead. A fill asks the conn once, so the reader is never more than
+// MuxReadBuffer bytes ahead of its handler, and those bytes left the pipe's
+// window only as the handler's reads made room. A payload the buffer cannot
+// hold still lands directly in its pooled slice.
 //
 // Payloads flow through the same PayloadPool as FrameReader: the *Frame
 // returned by Read borrows a pooled buffer, and Done recycles it.
@@ -69,11 +73,12 @@ const MuxReadBuffer = 4 << 10
 
 // MaxCombinedWrite bounds a combined write (a batch larger than it still
 // goes out whole, alone), and a caller that packs many frames into one
-// batch (the ps server's responder) bounds its batch by it too. The reader
-// takes at most MuxReadBuffer per pipe read, so a write many buffers long
-// already costs it a rendezvous per buffer: combining past that saves a
-// partial read per batch and only grows the concatenation buffer — on a
-// 64-worker shard pushing 3.5 KB each, by ~0.2 MB per pipe.
+// batch (the ps server's responder) bounds its batch by it too; it is also
+// what one direction of a Pipe buffers. The reader takes at most
+// MuxReadBuffer per pipe read, so a write many buffers long already costs it
+// a hand-off per buffer: combining past that saves a partial read per batch
+// and only grows the concatenation buffer — on a 64-worker shard pushing
+// 3.5 KB each, by ~0.2 MB per pipe.
 const MaxCombinedWrite = 16 * MuxReadBuffer
 
 // MuxOptions configures a MuxConn.
@@ -113,7 +118,8 @@ type MuxConn struct {
 	closed    atomic.Bool // set before conn.Close: a failed send checks it
 	closeErr  error
 
-	// batchMu guards the MuxBatch freelist.
+	// batchMu guards the freelist of this conn's large batches (smallBatches
+	// takes the rest).
 	batchMu   sync.Mutex
 	batchFree []*MuxBatch
 
@@ -157,9 +163,8 @@ func appendMuxHeader(dst []byte, stream uint32, t MsgType, iter, tensor uint32, 
 
 // MuxBatch stages any number of frames, shipped with a single Write by
 // SendBatch. Frames go on the stream the batch was made for until On points
-// them at another. Obtained from NewBatch; the scratch is pooled and returns
-// to the conn's freelist when the batch is sent (or discarded with
-// PutBatch).
+// them at another. Obtained from NewBatch; the scratch is pooled and goes
+// back (PutBatch) when the batch is sent or discarded.
 type MuxBatch struct {
 	stream  uint32
 	streams uint32 // the conn's stream count
@@ -190,7 +195,11 @@ func (m *MuxConn) NewBatch(stream uint32) *MuxBatch {
 		return b
 	}
 	m.batchMu.Unlock()
-	b := &MuxBatch{stream: stream, streams: uint32(m.streams)}
+	b, _ := smallBatches.Get().(*MuxBatch)
+	if b == nil {
+		b = new(MuxBatch)
+	}
+	b.stream, b.streams, b.buf = stream, uint32(m.streams), b.buf[:0]
 	b.ready.L = &m.wmu
 	return b
 }
@@ -204,8 +213,24 @@ func (b *MuxBatch) On(stream uint32) {
 	b.stream = stream
 }
 
-// PutBatch discards an unsent batch back to the freelist.
+// smallBatches recycles batches across every MuxConn of the process. A conn
+// holds as many batches at once as it has sends in flight, and a run builds
+// its conns anew: a freelist per conn alone re-grew that many batches, and
+// their scratch, for every run — more, the faster the wire. Only a batch
+// whose scratch is at most a quarter of MaxCombinedWrite goes here (a small
+// model's tensor frames fit); a larger one, such as a ps responder's batch
+// packed up to the bound, stays on its own conn's freelist, so the small
+// senders of the next run never inherit 64 KiB of scratch each.
+var smallBatches sync.Pool
+
+// PutBatch hands a batch back for reuse — SendBatch does, and a caller
+// discarding an unsent batch must.
 func (m *MuxConn) PutBatch(b *MuxBatch) {
+	if cap(b.buf) <= MaxCombinedWrite/4 {
+		b.ready.L, b.err = nil, nil // the pool must not keep this conn alive
+		smallBatches.Put(b)
+		return
+	}
 	m.batchMu.Lock()
 	m.batchFree = append(m.batchFree, b)
 	m.batchMu.Unlock()
@@ -244,9 +269,10 @@ func (b *MuxBatch) AppendFloatSlices(t MsgType, iter, tensor uint32, xss [][]flo
 	return nil
 }
 
-// SendBatch ships the batch and hands the scratch back to the freelist
-// (even on error). The caller must not use b afterwards. It returns once
-// the peer has read the batch: the batch joins the write queue, and the
+// SendBatch ships the batch and hands the scratch back to the pool (even
+// on error). The caller must not use b afterwards. It returns once the conn
+// has taken the batch — on a Pipe, once its bytes are buffered for the
+// peer: the batch joins the write queue, and the
 // sender either becomes the writer — shipping the queue's head, its own
 // batch included, as one conn.Write — or waits for the writer to settle it.
 // A send that fails because this side called Close reports net.ErrClosed in
@@ -305,6 +331,9 @@ func (m *MuxConn) flushLocked() {
 	m.wmu.Unlock()
 	buf := pending[0].buf
 	if len(pending) > 1 {
+		if m.wbuf == nil { // sized once: batches combine only up to the bound
+			m.wbuf = make([]byte, 0, MaxCombinedWrite)
+		}
 		buf = m.wbuf[:0]
 		for _, q := range pending {
 			buf = append(buf, q.buf...)

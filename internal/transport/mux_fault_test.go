@@ -5,6 +5,7 @@ package transport_test
 import (
 	"errors"
 	"io"
+	"net"
 	"testing"
 
 	"prophet/internal/fault"
@@ -47,7 +48,7 @@ func TestMuxCombinedWriteDropFailsTheBatchesItReaches(t *testing.T) {
 		"last byte of batch 4":             ends[4] - 1,
 	} {
 		t.Run(name, func(t *testing.T) {
-			a, b := transport.Pipe(0, 0)
+			a, b := net.Pipe() // a rendezvous: the staged sends stay queued
 			defer b.Close()
 			m := transport.NewMuxConn(fault.DropAt(at).Wrap(a), transport.MuxOptions{Streams: senders})
 			defer m.Close()

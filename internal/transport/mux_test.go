@@ -255,18 +255,23 @@ func notYet(t *testing.T, ch <-chan error, what string) {
 }
 
 // TestMuxPipeIsBackPressure pins the property the mux relies on the pipe
-// for: a SendBatch into a pipe nobody reads does not return — so no sender
-// is ever more than the one batch in the wire ahead of its reader — a second
-// stream's sender queues behind it, and Close wakes both with net.ErrClosed.
+// for: a send parks once MaxCombinedWrite bytes sit unread — so no sender is
+// ever more than one combined write ahead of its reader — a second stream's
+// sender queues behind it, and Close wakes both with net.ErrClosed.
 func TestMuxPipeIsBackPressure(t *testing.T) {
 	a, _ := Pipe(0, 0) // the far end is never read
 	src := NewMuxConn(a, MuxOptions{Streams: 2})
+	// A frame within 8 bytes of MaxCombinedWrite fits the empty buffer and
+	// returns; no frame fits behind it.
+	if err := src.SendFloats(0, Push, 0, 0, make([]float64, (MaxCombinedWrite-MuxHeaderSize)/8)); err != nil {
+		t.Fatalf("send into an empty buffer: %v", err)
+	}
 	first, second := make(chan error, 1), make(chan error, 1)
-	go func() { first <- src.SendFloats(0, Push, 0, 0, make([]float64, 5)) }()
-	notYet(t, first, "send into an unread pipe")
+	go func() { first <- src.SendFloats(0, Push, 1, 0, make([]float64, 5)) }()
+	notYet(t, first, "send into a full buffer")
 	go func() { second <- src.SendFrame(1, &Frame{Type: PullReq}) }()
 	notYet(t, second, "second stream's send behind a parked write")
-	notYet(t, first, "send into an unread pipe")
+	notYet(t, first, "send into a full buffer")
 
 	if err := src.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -288,7 +293,7 @@ func TestMuxPipeIsBackPressure(t *testing.T) {
 
 // TestMuxCloseUnblocksSender: Close must wake a sender parked in a write.
 func TestMuxCloseUnblocksSender(t *testing.T) {
-	a, b := Pipe(0, 0)
+	a, b := net.Pipe() // a rendezvous: a write parks until the peer reads it
 	src := NewMuxConn(a, MuxOptions{Streams: 1})
 	dst := NewMuxConn(b, MuxOptions{Streams: 1})
 	defer dst.Close()
@@ -313,7 +318,7 @@ func TestMuxCloseUnblocksSender(t *testing.T) {
 // error — and because the close reaches the peer's end of the pipe too, a
 // sender parked in a write on the far side unwinds on its own.
 func TestDemuxClosesOnFirstError(t *testing.T) {
-	a, b := Pipe(0, 0)
+	a, b := net.Pipe() // a rendezvous: a write parks until the peer reads it
 	src := NewMuxConn(a, MuxOptions{Streams: 1})
 	dst := NewMuxConn(b, MuxOptions{Streams: 1})
 	boom := errors.New("boom")
@@ -531,7 +536,7 @@ func (c *recordConn) Write(p []byte) (int, error) {
 // first, only while they fit MaxCombinedWrite — the rest wait for the next
 // write — and a batch larger than that goes out whole, alone.
 func TestMuxCombinedWrite(t *testing.T) {
-	a, b := Pipe(0, 0)
+	a, b := net.Pipe() // a rendezvous: a write parks until the peer reads it
 	rc := &recordConn{Conn: a}
 	src := NewMuxConn(rc, MuxOptions{Streams: 6})
 	defer src.Close()
@@ -568,7 +573,7 @@ func TestMuxCombinedWrite(t *testing.T) {
 // the frames of one batch arrive back to back, and contention costs the
 // wire fewer writes than batches.
 func TestMuxCombinedWritesInOrder(t *testing.T) {
-	a, b := Pipe(0, 0)
+	a, b := net.Pipe() // a rendezvous: a write parks until the peer reads it
 	const senders, rounds = 8, 40
 	cc := &countConn{Conn: a}
 	src := NewMuxConn(cc, MuxOptions{Streams: senders})
@@ -650,7 +655,7 @@ func TestMuxCombinedWritesInOrder(t *testing.T) {
 // contract for every sender in it — none returns before the peer has read
 // its bytes, and each returns once they are.
 func TestMuxCombinedWriteIsBackPressure(t *testing.T) {
-	a, b := Pipe(0, 0)
+	a, b := net.Pipe() // a rendezvous: a write parks until the peer reads it
 	src := NewMuxConn(a, MuxOptions{Streams: 5})
 	defer src.Close()
 	defer b.Close()
@@ -694,14 +699,14 @@ func TestMuxCombinedWriteIsBackPressure(t *testing.T) {
 
 // TestMuxCombinedWriteSteadyStateAllocs: a contended round — a write in
 // progress with senders queued behind it, shipped as two conn writes —
-// allocates nothing once the freelist, the queue and the concatenation
+// allocates nothing once the batch pool, the queue and the concatenation
 // buffer are warm.
 func TestMuxCombinedWriteSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
 	const senders = 4
-	a, b := Pipe(0, 0)
+	a, b := net.Pipe() // a rendezvous: a write parks until the peer reads it
 	cc := &countConn{Conn: a}
 	src := NewMuxConn(cc, MuxOptions{Streams: senders})
 	dst := NewMuxConn(b, MuxOptions{Streams: senders, Pool: NewPayloadPool()})

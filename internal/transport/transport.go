@@ -159,10 +159,13 @@ func (c *Conn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// Pipe returns an in-memory, synchronous full-duplex connection pair with
-// each direction shaped to the given rates (0 = unshaped).
+// Pipe returns an in-memory full-duplex connection pair with each direction
+// shaped to the given rates (0 = unshaped). Each direction buffers up to
+// MaxCombinedWrite bytes (pipe.go): a Write returns once its bytes are
+// buffered — after the token bucket has admitted them, on a shaped
+// direction — and parks only while the buffer is full.
 func Pipe(aToB, bToA float64) (a, b net.Conn) {
-	pa, pb := net.Pipe()
+	pa, pb := newPipe()
 	var la, lb *Limiter
 	if aToB > 0 {
 		la = NewLimiter(aToB, 64<<10)
